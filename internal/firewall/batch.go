@@ -28,6 +28,8 @@
 package firewall
 
 import (
+	"cmp"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"sync"
@@ -78,19 +80,12 @@ type BatchConfig struct {
 }
 
 func (c BatchConfig) withDefaults() BatchConfig {
-	if c.MaxBytes == 0 {
-		c.MaxBytes = DefaultBatchMaxBytes
+	return BatchConfig{
+		MaxBytes:   cmp.Or(c.MaxBytes, DefaultBatchMaxBytes),
+		MaxFrames:  cmp.Or(c.MaxFrames, DefaultBatchMaxFrames),
+		MaxDelay:   cmp.Or(c.MaxDelay, DefaultBatchMaxDelay),
+		FlushEvery: cmp.Or(c.FlushEvery, DefaultBatchFlushEvery),
 	}
-	if c.MaxFrames == 0 {
-		c.MaxFrames = DefaultBatchMaxFrames
-	}
-	if c.MaxDelay == 0 {
-		c.MaxDelay = DefaultBatchMaxDelay
-	}
-	if c.FlushEvery == 0 {
-		c.FlushEvery = DefaultBatchFlushEvery
-	}
-	return c
 }
 
 // batcher holds the per-link queues of a batching firewall.
@@ -98,9 +93,8 @@ type batcher struct {
 	fw  *Firewall
 	cfg BatchConfig
 
-	mu     sync.Mutex
-	links  map[string]*linkBatch
-	closed bool
+	mu    sync.Mutex
+	links map[string]*linkBatch
 }
 
 // linkBatch is one destination link's queue: the concatenated
@@ -147,7 +141,9 @@ func (b *batcher) enqueue(addr string, frame []byte, inline bool) error {
 	if lb.frames == 0 {
 		lb.firstAt = b.fw.clock.Now()
 		if b.cfg.FlushEvery > 0 {
-			lb.timer = time.AfterFunc(b.cfg.FlushEvery, func() { b.flushTimer(lb) })
+			// The safety timer has no caller to return a flush error to:
+			// it surfaces through the audit log only.
+			lb.timer = time.AfterFunc(b.cfg.FlushEvery, func() { _ = b.flushLink(lb) })
 		}
 	}
 	lb.buf = binary.AppendUvarint(lb.buf, uint64(len(frame)))
@@ -163,14 +159,8 @@ func (b *batcher) enqueue(addr string, frame []byte, inline bool) error {
 	return nil
 }
 
-// flushTimer is the safety-timer path; flush errors surface through the
-// audit log only (there is no caller to return them to).
-func (b *batcher) flushTimer(lb *linkBatch) {
-	lb.mu.Lock()
-	_ = b.flushLocked(lb)
-}
-
-// flushLink flushes one link's queue now (FlushBatches, Close).
+// flushLink flushes one link's queue now (safety timer, FlushBatches,
+// Close).
 func (b *batcher) flushLink(lb *linkBatch) error {
 	lb.mu.Lock()
 	return b.flushLocked(lb)
@@ -181,19 +171,11 @@ func (b *batcher) flushLink(lb *linkBatch) error {
 // network, so a slow or retrying link stalls neither later enqueues to
 // other links nor the timer machinery.
 func (b *batcher) flushLocked(lb *linkBatch) error {
-	if lb.timer != nil {
-		lb.timer.Stop()
-		lb.timer = nil
-	}
-	if lb.frames == 0 {
-		lb.mu.Unlock()
+	frames, body := lb.reset()
+	lb.mu.Unlock()
+	if frames == 0 {
 		return nil
 	}
-	frames, body := lb.frames, lb.buf
-	lb.buf, lb.frames = nil, 0
-	lb.gFrames.Set(0)
-	lb.gBytes.Set(0)
-	lb.mu.Unlock()
 
 	container := make([]byte, 0, len(batchMagic)+2+binary.MaxVarintLen64+len(body))
 	container = append(container, batchMagic[:]...)
@@ -201,45 +183,20 @@ func (b *batcher) flushLocked(lb *linkBatch) error {
 	container = binary.AppendUvarint(container, uint64(frames))
 	container = append(container, body...)
 
-	fw := b.fw
 	// The container rides the host-default retry policy: per-briefcase
 	// _RETRY folders cannot apply to a frame that shares its transport
 	// message with others.
-	policy := fw.cfg.ForwardRetry
-	attempts := policy.Attempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	backoff := policy.Backoff
-	start := fw.clock.Now()
-	var err error
-	var attempt int
-	for attempt = 1; ; attempt++ {
-		err = fw.cfg.Node.Send(lb.addr, container)
-		if err == nil || attempt >= attempts {
-			break
-		}
-		if policy.Deadline > 0 && fw.clock.Now()-start+backoff > policy.Deadline {
-			break
-		}
-		fw.ctr.retries.Inc()
-		fw.event(telemetry.EventRetry, fw.cfg.SystemPrincipal, lb.addr,
-			fmt.Sprintf("batch flush attempt %d/%d failed (%v); backing off %v", attempt, attempts, err, backoff))
-		fw.clock.Advance(backoff)
-		if backoff > 0 {
-			backoff *= 2
-		}
-	}
-	if err != nil {
-		fw.ctr.errors.Inc()
-		fw.event(telemetry.EventError, fw.cfg.SystemPrincipal, lb.addr,
-			fmt.Sprintf("batch flush of %d frames failed: %v", frames, err))
+	fw := b.fw
+	var m mediation
+	m.principal, m.addr = fw.cfg.SystemPrincipal, lb.addr
+	if _, err := fw.transmit(context.Background(), &m, container, fw.cfg.ForwardRetry, "batch flush "); err != nil {
+		fw.record(vFailed, "", m.principal, lb.addr, fmt.Sprintf("batch flush of %d frames failed: %v", frames, err), nil)
 		return fmt.Errorf("firewall: batch flush to %s: %w", lb.addr, err)
 	}
 	fw.ctr.batchFlushes.Inc()
 	fw.ctr.batchFrames.Add(int64(frames))
-	fw.event(telemetry.EventFlush, fw.cfg.SystemPrincipal, lb.addr,
-		fmt.Sprintf("%d frames, %d bytes", frames, len(container)))
+	fw.record(vNote, telemetry.EventFlush, fw.cfg.SystemPrincipal, lb.addr,
+		fmt.Sprintf("%d frames, %d bytes", frames, len(container)), nil)
 	return nil
 }
 
@@ -267,15 +224,23 @@ func (b *batcher) discardAll() {
 	defer b.mu.Unlock()
 	for _, lb := range b.links {
 		lb.mu.Lock()
-		if lb.timer != nil {
-			lb.timer.Stop()
-			lb.timer = nil
-		}
-		lb.buf, lb.frames = nil, 0
-		lb.gFrames.Set(0)
-		lb.gBytes.Set(0)
+		lb.reset()
 		lb.mu.Unlock()
 	}
+}
+
+// reset empties the queue, disarms its safety timer and returns what
+// was queued. Callers hold lb.mu.
+func (lb *linkBatch) reset() (frames int, body []byte) {
+	if lb.timer != nil {
+		lb.timer.Stop()
+		lb.timer = nil
+	}
+	frames, body = lb.frames, lb.buf
+	lb.buf, lb.frames = nil, 0
+	lb.gFrames.Set(0)
+	lb.gBytes.Set(0)
+	return frames, body
 }
 
 // FlushBatches pushes every link's queued frames out now. It is a
@@ -301,42 +266,52 @@ func isBatchContainer(payload []byte) bool {
 // container inside a container is rejected: the format is one level
 // deep by construction, so nesting is hostile input.
 func (fw *Firewall) unbatch(from string, payload []byte) {
+	defect, detail := walkContainer(payload, func(frame []byte) bool {
+		if isBatchContainer(frame) {
+			fw.record(vDropped, "", "", "", "nested batch container from "+from, nil)
+		} else {
+			fw.ctr.batchRecv.Inc()
+			fw.inbound(from, frame)
+		}
+		return true
+	})
+	if defect != "" {
+		fw.record(vDropped, "", "", "", defect+" from "+from+detail, nil)
+	}
+}
+
+// walkContainer is the one parser of the container wire format (the
+// caller has checked the magic). It hands fn each inner frame, nested
+// containers included, until fn returns false or the bytes run out, and
+// names what is wrong with a malformed container — defect, plus the
+// detail that follows the peer's address in the audit record. Frames
+// ahead of a defect have been handed over by then. Both results are
+// empty for a well-formed container and for a walk fn stopped.
+func walkContainer(payload []byte, fn func(frame []byte) bool) (defect, detail string) {
 	rest := payload[len(batchMagic):]
 	ver, n := binary.Uvarint(rest)
 	if n <= 0 || ver != batchVersion {
-		fw.ctr.errors.Inc()
-		fw.event(telemetry.EventDrop, "", "", fmt.Sprintf("bad batch container version from %s", from))
-		return
+		return "bad batch container version", ""
 	}
 	rest = rest[n:]
 	count, n := binary.Uvarint(rest)
 	if n <= 0 || count == 0 || count > maxBatchFrames {
-		fw.ctr.errors.Inc()
-		fw.event(telemetry.EventDrop, "", "", fmt.Sprintf("bad batch container count from %s", from))
-		return
+		return "bad batch container count", ""
 	}
 	rest = rest[n:]
 	for i := uint64(0); i < count; i++ {
 		flen, n := binary.Uvarint(rest)
 		if n <= 0 || flen > maxBatchFrameSize || uint64(len(rest[n:])) < flen {
-			fw.ctr.errors.Inc()
-			fw.event(telemetry.EventDrop, "", "",
-				fmt.Sprintf("truncated batch container from %s (frame %d/%d)", from, i+1, count))
-			return
+			return "truncated batch container", fmt.Sprintf(" (frame %d/%d)", i+1, count)
 		}
 		frame := rest[n : n+int(flen)]
 		rest = rest[n+int(flen):]
-		if isBatchContainer(frame) {
-			fw.ctr.errors.Inc()
-			fw.event(telemetry.EventDrop, "", "", "nested batch container from "+from)
-			continue
+		if !fn(frame) {
+			return "", ""
 		}
-		fw.ctr.batchRecv.Inc()
-		fw.handleInbound(from, frame)
 	}
 	if len(rest) != 0 {
-		fw.ctr.errors.Inc()
-		fw.event(telemetry.EventDrop, "", "",
-			fmt.Sprintf("batch container from %s has %d trailing bytes", from, len(rest)))
+		return "batch container", fmt.Sprintf(" has %d trailing bytes", len(rest))
 	}
+	return "", ""
 }

@@ -2,9 +2,7 @@ package firewall
 
 import (
 	"testing"
-	"time"
 
-	"tax/internal/briefcase"
 	"tax/internal/identity"
 	"tax/internal/simnet"
 )
@@ -34,30 +32,6 @@ func benchFirewall(b *testing.B) (*Firewall, func()) {
 	}
 }
 
-// BenchmarkLocalRoundTrip measures one send + receive through the
-// firewall between two local agents.
-func BenchmarkLocalRoundTrip(b *testing.B) {
-	fw, cleanup := benchFirewall(b)
-	defer cleanup()
-	sender, _ := fw.Register("vm", "system", "src")
-	recv, _ := fw.Register("vm", "system", "dst")
-
-	payload := briefcase.New()
-	payload.SetString("BODY", "x")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bc := payload.Clone()
-		bc.SetString(briefcase.FolderSysTarget, "system/dst")
-		if err := fw.Send(sender.GlobalURI(), bc); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := recv.Recv(time.Second); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkRegisterUnregister measures agent registration churn.
 func BenchmarkRegisterUnregister(b *testing.B) {
 	fw, cleanup := benchFirewall(b)
@@ -69,24 +43,5 @@ func BenchmarkRegisterUnregister(b *testing.B) {
 			b.Fatal(err)
 		}
 		fw.Unregister(r)
-	}
-}
-
-// BenchmarkSignVerifyCore measures agent-core authentication.
-func BenchmarkSignVerifyCore(b *testing.B) {
-	sys, err := identity.NewPrincipal("system")
-	if err != nil {
-		b.Fatal(err)
-	}
-	trust := &identity.TrustStore{}
-	trust.AddPrincipal(sys, identity.Trusted)
-	bc := briefcase.New()
-	bc.Ensure(briefcase.FolderCode).Append(make([]byte, 4096))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		SignCore(bc, sys)
-		if _, err := VerifyCore(bc, trust, identity.Trusted); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

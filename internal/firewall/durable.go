@@ -81,12 +81,9 @@ func (fw *Firewall) journalPark(p *pendingMsg, target uri.URI) {
 	if st == nil || p.key != "" {
 		return
 	}
-	fw.parkKeyMu.Lock()
-	fw.parkKeySeq++
-	key := parkKeyPrefix + strconv.FormatUint(fw.parkKeySeq, 16)
-	fw.parkKeyMu.Unlock()
+	key := parkKeyPrefix + strconv.FormatUint(fw.parkKeySeq.Add(1), 16)
 	if err := st.Put(key, encodeParkRecord(p.senderPrincipal, target, p.bc)); err != nil {
-		fw.eventBC(p.bc, telemetry.EventError, p.senderPrincipal, target.String(), "park journal: "+err.Error())
+		fw.record(vNote, telemetry.EventError, p.senderPrincipal, target.String(), "park journal: "+err.Error(), p.bc)
 		return
 	}
 	p.key = key
@@ -105,13 +102,9 @@ func (fw *Firewall) unjournalPark(p *pendingMsg) {
 // journalDedup appends one observed frame hash to the cabinet, unsynced:
 // it becomes durable at the host's next synced transaction.
 func (fw *Firewall) journalDedup(slot int, sum uint64) {
-	st := fw.cfg.Durable
-	if st == nil {
-		return
-	}
 	var v [8]byte
 	binary.LittleEndian.PutUint64(v[:], sum)
-	_ = st.CommitNoSync([]cabinet.Op{{Key: dedupKeyPrefix + strconv.Itoa(slot), Value: v[:]}})
+	_ = fw.cfg.Durable.CommitNoSync([]cabinet.Op{{Key: dedupKeyPrefix + strconv.Itoa(slot), Value: v[:]}})
 }
 
 // CrashWipe discards the firewall's volatile state, as losing power
@@ -121,20 +114,7 @@ func (fw *Firewall) journalDedup(slot int, sum uint64) {
 // it models the machine, not the process — and the durable cabinet is
 // untouched: RecoverDurable rebuilds from it after Restart.
 func (fw *Firewall) CrashWipe() {
-	fw.mu.Lock()
-	var regs []*Registration
-	for _, list := range fw.regs {
-		regs = append(regs, list...)
-	}
-	fw.regs = make(map[string][]*Registration)
-	fw.mu.Unlock()
-	pend := fw.park.drain()
-	for _, p := range pend {
-		p.timer.Stop()
-	}
-	for _, r := range regs {
-		r.kill()
-	}
+	regs, pend := fw.vacate()
 	if fw.dedup != nil {
 		fw.dedup.reset()
 	}
@@ -144,8 +124,8 @@ func (fw *Firewall) CrashWipe() {
 		// forwards are fire-and-forget until flushed).
 		fw.batch.discardAll()
 	}
-	fw.event(telemetry.EventDrop, "", "",
-		fmt.Sprintf("host crash: wiped %d registrations, %d parked messages", len(regs), len(pend)))
+	fw.record(vNote, telemetry.EventDrop, "", "",
+		fmt.Sprintf("host crash: wiped %d registrations, %d parked messages", len(regs), len(pend)), nil)
 }
 
 // RecoverDurable replays the cabinet's firewall tables into the live
@@ -180,23 +160,21 @@ func (fw *Firewall) RecoverDurable() int {
 		// counter past every recovered key so fresh keys never collide.
 		_ = st.Delete(key)
 		if seq, err := strconv.ParseUint(key[len(parkKeyPrefix):], 16, 64); err == nil {
-			fw.parkKeyMu.Lock()
-			if seq > fw.parkKeySeq {
-				fw.parkKeySeq = seq
+			for cur := fw.parkKeySeq.Load(); seq > cur && !fw.parkKeySeq.CompareAndSwap(cur, seq); {
+				cur = fw.parkKeySeq.Load()
 			}
-			fw.parkKeyMu.Unlock()
 		}
 		principal, target, bc, err := decodeParkRecord(v)
 		if err != nil {
-			fw.event(telemetry.EventError, "", key, "bad park record: "+err.Error())
+			fw.record(vNote, telemetry.EventError, "", key, "bad park record: "+err.Error(), nil)
 			continue
 		}
-		fw.eventBC(bc, telemetry.EventRecover, principal, target.String(), "park entry recovered from cabinet")
+		fw.record(vNote, telemetry.EventRecover, principal, target.String(), "park entry recovered from cabinet", bc)
 		// dispatch re-mediates under whatever policy ruleset is active
 		// after the restart: a policy-held park re-parks, re-forwards or
 		// is denied afresh — the journal records no verdicts.
 		if err := fw.dispatch(principal, target, bc); err != nil {
-			fw.eventBC(bc, telemetry.EventError, principal, target.String(), "recovered park re-route: "+err.Error())
+			fw.record(vNote, telemetry.EventError, principal, target.String(), "recovered park re-route: "+err.Error(), bc)
 		}
 		n++
 	}

@@ -101,9 +101,7 @@ func ErrorCode(err error) (code string, ok bool) {
 // code in _ERRCODE.
 func SetError(bc *briefcase.Briefcase, err error) {
 	bc.SetString(briefcase.FolderSysError, err.Error())
-	if code, ok := ErrorCode(err); ok {
-		bc.SetString(FolderErrCode, code)
-	}
+	SetErrorCode(bc, err)
 }
 
 // SetErrorCode stamps only the registered code for err, leaving the

@@ -13,13 +13,16 @@
 package firewall
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"tax/internal/briefcase"
@@ -180,7 +183,6 @@ type pendingMsg struct {
 	senderPrincipal string
 	bc              *briefcase.Briefcase
 	timer           *time.Timer
-	shard           int    // park-table stripe index (by target name)
 	key             string // cabinet journal key ("" when not journaled)
 	policyHeld      bool   // parked by a policy park verdict: released
 	// only by a reload (or expiry), never by a matching registration
@@ -216,6 +218,9 @@ type Firewall struct {
 
 	tel *telemetry.Telemetry
 	ctr fwCounters
+	// tally maps a terminal verdict to the one counter it bumps; emit is
+	// its only reader.
+	tally [vExpired + 1]*telemetry.Counter
 	// histSend/histInbound time the mediation hot paths in wall-clock
 	// terms; non-nil only with detailed telemetry, so the disabled path
 	// never reads the wall clock.
@@ -240,11 +245,10 @@ type Firewall struct {
 	// (nil unless cfg.Batch is set).
 	batch *batcher
 
-	// dirMu guards dir, the directory plane's management dump hook
-	// (SetDir). Bound after New because the plane server needs the
-	// firewall first — the same late-binding shape as Config.Explain.
-	dirMu sync.RWMutex
-	dir   func(verb string) ([]string, error)
+	// dir is the directory plane's management dump hook (SetDir). Bound
+	// after New because the plane server needs the firewall first — the
+	// same late-binding shape as Config.Explain.
+	dir atomic.Pointer[func(verb string) ([]string, error)]
 
 	// mu guards the registration map. It is a RWMutex so concurrent
 	// mediations (lookups) proceed in parallel; only registration
@@ -257,8 +261,7 @@ type Firewall struct {
 	// parkKeySeq allocates cabinet journal keys for parked messages
 	// (durable.go); it only advances, so keys never collide across a
 	// crash/recover cycle.
-	parkKeyMu  sync.Mutex
-	parkKeySeq uint64
+	parkKeySeq atomic.Uint64
 }
 
 // New creates a firewall bound to cfg.Node and installs its inbound
@@ -270,12 +273,8 @@ func New(cfg Config) (*Firewall, error) {
 	if cfg.Trust == nil {
 		return nil, errors.New("firewall: config needs a TrustStore")
 	}
-	if cfg.HostName == "" {
-		cfg.HostName = cfg.Node.Addr()
-	}
-	if cfg.QueueTimeout == 0 {
-		cfg.QueueTimeout = DefaultQueueTimeout
-	}
+	cfg.HostName = cmp.Or(cfg.HostName, cfg.Node.Addr())
+	cfg.QueueTimeout = cmp.Or(cfg.QueueTimeout, DefaultQueueTimeout)
 	if cfg.Resolve == nil {
 		cfg.Resolve = func(host string, _ int) (string, error) { return host, nil }
 	}
@@ -323,6 +322,12 @@ func New(cfg Config) (*Firewall, error) {
 		nextInstance: 0x1000,
 	}
 	fw.gaugePending = fw.park.total
+	c := &fw.ctr
+	fw.tally = [...]*telemetry.Counter{
+		vDelivered: c.delivered, vForwarded: c.forwarded, vRelayed: c.relayed, vParked: c.queued, vHeld: c.queued,
+		vDenied: c.policyDeny, vQuota: c.policyQuota, vAuthFailed: c.authFailures, vFailed: c.errors,
+		vDropped: c.errors, vExpired: c.expired,
+	}
 	if cfg.DedupWindow > 0 {
 		fw.dedup = newDedupWindow(cfg.DedupWindow)
 		if cfg.Durable != nil {
@@ -343,71 +348,6 @@ func New(cfg Config) (*Firewall, error) {
 // Telemetry returns the firewall's telemetry instance: the Stats-superseding
 // observability API (metrics registry, trace spans, audit event log).
 func (fw *Firewall) Telemetry() *telemetry.Telemetry { return fw.tel }
-
-// eventsOn reports whether audit events are collected. Hot paths check
-// it before building an event's cause string, so the disabled case pays
-// no allocation for string concatenation that would be thrown away.
-func (fw *Firewall) eventsOn() bool { return fw.tel.Events() != nil }
-
-// event appends one audit-log entry (no-op when events are disabled).
-func (fw *Firewall) event(typ, principal, target, cause string) {
-	ev := fw.tel.Events()
-	if ev == nil {
-		return
-	}
-	ev.Append(telemetry.Event{
-		Time: fw.clock.Now(), Type: typ,
-		Principal: principal, Target: target, Cause: cause,
-	})
-}
-
-// eventBC is event with the briefcase's trace context stamped on the audit
-// record, correlating the mediation verdict with the itinerary that
-// provoked it. Call it from every verdict site where the briefcase is in
-// hand; fall back to event only where no briefcase exists (undecodable
-// frames, link-level batch failures).
-func (fw *Firewall) eventBC(bc *briefcase.Briefcase, typ, principal, target, cause string) {
-	trace, span := traceCtx(bc)
-	fw.eventTS(trace, span, typ, principal, target, cause)
-}
-
-// traceCtx reads the briefcase's trace stamp. Audit records written after a
-// successful deliver must read the stamp *before* handing the briefcase
-// over: once it is in the receiver's mailbox the receiving goroutine owns
-// it and may mutate folders concurrently.
-func traceCtx(bc *briefcase.Briefcase) (trace, span string) {
-	trace, _ = bc.GetString(briefcase.FolderSysTrace)
-	span, _ = bc.GetString(briefcase.FolderSysSpan)
-	return trace, span
-}
-
-// eventTS is eventBC with an already-extracted trace stamp.
-func (fw *Firewall) eventTS(trace, span, typ, principal, target, cause string) {
-	ev := fw.tel.Events()
-	if ev == nil {
-		return
-	}
-	ev.Append(telemetry.Event{
-		Time: fw.clock.Now(), Type: typ,
-		Principal: principal, Target: target, Cause: cause,
-		Trace: trace, Span: span,
-	})
-}
-
-// span opens a mediation span when span collection is on and the briefcase
-// carries a trace context; otherwise it returns the nil no-op span.
-func (fw *Firewall) span(bc *briefcase.Briefcase, name string) *telemetry.Span {
-	spans := fw.tel.Spans()
-	if spans == nil {
-		return nil
-	}
-	trace, ok := bc.GetString(briefcase.FolderSysTrace)
-	if !ok {
-		return nil
-	}
-	parent, _ := bc.GetString(briefcase.FolderSysSpan)
-	return spans.Start(fw.clock, fw.cfg.HostName, trace, parent, name)
-}
 
 // HostName returns the host name this firewall serves.
 func (fw *Firewall) HostName() string { return fw.cfg.HostName }
@@ -443,25 +383,37 @@ func (fw *Firewall) Close() error {
 		return nil
 	}
 	fw.closed = true
-	var regs []*Registration
-	for _, list := range fw.regs {
-		regs = append(regs, list...)
-	}
 	fw.mu.Unlock()
 	if fw.batch != nil {
 		// Push out queued frames before the registrations die; a flush
 		// failure at shutdown is already audited by the batcher.
 		_ = fw.batch.flushAll()
 	}
-	pend := fw.park.drain()
+	_, pend := fw.vacate()
+	for _, p := range pend {
+		fw.record(vNote, telemetry.EventDrop, p.senderPrincipal, p.target.String(), "firewall closed", nil)
+	}
+	return nil
+}
+
+// vacate empties the registration and park tables — shutting down and
+// losing power both do — killing every agent so blocked receivers wake,
+// and stopping every parked message's timer.
+func (fw *Firewall) vacate() (regs []*Registration, pend []*pendingMsg) {
+	fw.mu.Lock()
+	for _, list := range fw.regs {
+		regs = append(regs, list...)
+	}
+	fw.regs = make(map[string][]*Registration)
+	fw.mu.Unlock()
+	pend = fw.park.take(func(*pendingMsg) bool { return true })
+	for _, p := range pend {
+		p.timer.Stop()
+	}
 	for _, r := range regs {
 		r.kill()
 	}
-	for _, p := range pend {
-		p.timer.Stop()
-		fw.event(telemetry.EventDrop, p.senderPrincipal, p.target.String(), "firewall closed")
-	}
-	return nil
+	return regs, pend
 }
 
 // Register adds an agent running inside the named VM under the given
@@ -493,24 +445,19 @@ func (fw *Firewall) Register(vmName, principal, name string) (*Registration, err
 	// Flush parked messages after releasing the registration lock: the
 	// park table arbitrates with its own stripe locks, so a message is
 	// taken by exactly one of a concurrent flush and expiry.
-	flush := fw.park.takeMatching(name, func(p *pendingMsg) bool {
+	flush := fw.park.take(func(p *pendingMsg) bool {
 		// Policy-held messages wait for a reload verdict, not a receiver:
 		// a matching registration must not leak them past the park rule.
-		return !p.policyHeld && r.uri.Matches(p.target) &&
-			(p.target.Principal != "" || r.uri.Principal == fw.cfg.SystemPrincipal ||
-				r.uri.Principal == p.senderPrincipal)
-	})
+		return !p.policyHeld && fw.reaches(p.target, p.senderPrincipal, r)
+	}, name, "")
 	for _, p := range flush {
 		p.timer.Stop()
 		fw.unjournalPark(p)
-		trace, span := traceCtx(p.bc)
-		if err := r.deliver(p.bc); err == nil {
-			fw.ctr.delivered.Inc()
-			fw.eventTS(trace, span, telemetry.EventAllow, r.uri.Principal, r.uri.String(), "unparked on registration")
-		} else {
-			fw.ctr.errors.Inc()
-			fw.eventTS(trace, span, telemetry.EventDrop, r.uri.Principal, r.uri.String(), "unpark failed: "+err.Error())
-		}
+		// The message was admitted, addressed and gated when it parked;
+		// it joins the pipeline at act with that verdict standing.
+		var m mediation
+		m.origin, m.principal, m.bc, m.reg = originFlush, r.uri.Principal, p.bc, r
+		_ = fw.mediate(context.Background(), &m, stageAct)
 	}
 	return r, nil
 }
@@ -519,13 +466,7 @@ func (fw *Firewall) Register(vmName, principal, name string) (*Registration, err
 // registration so blocked receivers wake up.
 func (fw *Firewall) Unregister(r *Registration) {
 	fw.mu.Lock()
-	list := fw.regs[r.uri.Name]
-	for i, c := range list {
-		if c == r {
-			list = append(list[:i], list[i+1:]...)
-			break
-		}
-	}
+	list := slices.DeleteFunc(fw.regs[r.uri.Name], func(c *Registration) bool { return c == r })
 	if len(list) == 0 {
 		delete(fw.regs, r.uri.Name)
 	} else {
@@ -540,56 +481,42 @@ func (fw *Firewall) Unregister(r *Registration) {
 func (fw *Firewall) Lookup(q uri.URI, senderPrincipal string) []*Registration {
 	fw.mu.RLock()
 	defer fw.mu.RUnlock()
-	return fw.lookupLocked(q, senderPrincipal)
+	return fw.lookupLocked(q, senderPrincipal, false)
 }
 
-func (fw *Firewall) lookupLocked(q uri.URI, senderPrincipal string) []*Registration {
+func (fw *Firewall) lookupLocked(q uri.URI, senderPrincipal string, mgmt bool) []*Registration {
+	names := []string{q.Name}
+	if q.Name == "" {
+		// Name-less query: scan deterministically by name.
+		names = names[:0]
+		for n := range fw.regs {
+			names = append(names, n)
+		}
+		slices.Sort(names)
+	}
 	var out []*Registration
-	consider := func(r *Registration) {
-		if !r.uri.Matches(q) {
-			return
-		}
-		// Empty-principal queries only reach the local system principal
-		// or the sender's own principal (§3.2).
-		if q.Principal == "" && r.uri.Principal != fw.cfg.SystemPrincipal &&
-			r.uri.Principal != senderPrincipal {
-			return
-		}
-		out = append(out, r)
-	}
-	if q.Name != "" {
-		for _, r := range fw.regs[q.Name] {
-			consider(r)
-		}
-		return out
-	}
-	// Name-less query: scan deterministically by name.
-	names := make([]string, 0, len(fw.regs))
-	for n := range fw.regs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	for _, n := range names {
 		for _, r := range fw.regs[n] {
-			consider(r)
+			if fw.reaches(q, senderPrincipal, r) || (mgmt && r.uri.Matches(q)) {
+				out = append(out, r)
+			}
 		}
 	}
 	return out
 }
 
+// reaches is the paper's matching rule (§3.2): a query names r when the
+// URIs match, and an empty-principal query only reaches the local
+// system principal or the sender's own.
+func (fw *Firewall) reaches(q uri.URI, senderPrincipal string, r *Registration) bool {
+	return r.uri.Matches(q) && (q.Principal != "" ||
+		r.uri.Principal == fw.cfg.SystemPrincipal || r.uri.Principal == senderPrincipal)
+}
+
 // isLocal reports whether a target URI addresses this host.
 func (fw *Firewall) isLocal(u uri.URI) bool {
-	if u.Host == "" {
-		return true
-	}
-	if u.Host != fw.cfg.HostName {
-		return false
-	}
-	localPort := fw.cfg.Port
-	if localPort == 0 {
-		localPort = uri.DefaultPort
-	}
-	return u.EffectivePort() == localPort
+	self := uri.URI{Port: fw.cfg.Port}
+	return u.Host == "" || (u.Host == fw.cfg.HostName && u.EffectivePort() == self.EffectivePort())
 }
 
 // Send routes a briefcase on behalf of the named sender. The _SENDER
@@ -608,467 +535,38 @@ func (fw *Firewall) SendCtx(ctx context.Context, sender uri.URI, bc *briefcase.B
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	fw.mu.RLock()
-	closed := fw.closed
-	fw.mu.RUnlock()
-	if closed {
-		return ErrClosed
-	}
-	var t0 time.Time
-	if fw.histSend != nil {
-		t0 = time.Now()
-	}
-	// An instanced sender names a specific registration; the reference
-	// monitor only routes for registrations it still holds. This is what
-	// stops a goroutine that survived its host's crash (the simulated
-	// machine died, the Go scheduler did not) from speaking through the
-	// rebooted firewall with its pre-crash identity.
-	if sender.HasInstance {
-		fw.mu.RLock()
-		alive := false
-		for _, r := range fw.regs[sender.Name] {
-			if r.uri.Instance == sender.Instance {
-				alive = true
-				break
-			}
-		}
-		fw.mu.RUnlock()
-		if !alive {
-			fw.ctr.errors.Inc()
-			fw.eventBC(bc, telemetry.EventDeny, sender.Principal, sender.String(), "send from dead registration")
-			return fmt.Errorf("%w: %s", ErrSenderGone, sender)
-		}
-	}
-	targetStr, ok := bc.GetString(briefcase.FolderSysTarget)
-	if !ok {
-		fw.ctr.errors.Inc()
-		fw.eventBC(bc, telemetry.EventError, sender.Principal, "", "briefcase has no target")
-		return ErrNoTarget
-	}
-	target, err := uri.Parse(targetStr)
-	if err != nil {
-		fw.ctr.errors.Inc()
-		fw.eventBC(bc, telemetry.EventError, sender.Principal, targetStr, "bad target: "+err.Error())
-		return fmt.Errorf("firewall: bad target: %w", err)
-	}
-	bc.SetString(briefcase.FolderSysSender, sender.String())
-
-	sp := fw.span(bc, "fw.send")
-	sp.SetAttr("target", targetStr)
-
-	if fw.isLocal(target) {
-		err := fw.routeLocal(sender.Principal, target, bc)
-		sp.SetErr(err)
-		sp.End()
-		if fw.histSend != nil {
-			fw.histSend.Observe(time.Since(t0))
-		}
-		return err
-	}
-	// Policy gate for remote forwards: the origin host mediates before
-	// anything is encoded or queued (the receiving host re-mediates on
-	// arrival under its own ruleset; relays stay header-only).
-	ruleID := ""
-	if eng := fw.cfg.Policy; eng != nil && sender.Principal != fw.cfg.SystemPrincipal {
-		v := eng.Eval(sender.Principal, policyOpFor(target, bc), target)
-		switch v.Effect {
-		case policy.Deny:
-			fw.ctr.policyDeny.Inc()
-			fw.eventBC(bc, telemetry.EventDeny, sender.Principal, targetStr, "policy rule="+v.RuleID)
-			err := fmt.Errorf("%w (rule %s)", ErrPolicyDenied, v.RuleID)
-			sp.SetErr(err)
-			sp.End()
-			return err
-		case policy.Park:
-			err := fw.parkPolicy(sender.Principal, target, bc, v.RuleID)
-			if err == nil {
-				sp.SetAttr("outcome", "parked")
-			}
-			sp.SetErr(err)
-			sp.End()
-			return err
-		}
-		fw.ctr.policyAllow.Inc()
-		ruleID = v.RuleID
-	}
-	err = fw.forwardRemote(ctx, sender.Principal, target, targetStr, bc, sp, ruleID)
-	sp.SetErr(err)
-	sp.End()
-	if fw.histSend != nil {
-		fw.histSend.Observe(time.Since(t0))
-	}
-	return err
+	var m mediation // assigned, not a literal: a literal this size is built in a temporary and copied
+	m.origin, m.sender, m.principal, m.bc, m.hist = originSend, sender, sender.Principal, bc, fw.histSend
+	return fw.mediate(ctx, &m, stageAdmit)
 }
 
-// forwardRemote encodes a briefcase and pushes it toward a remote host:
-// resolve, seal, charge the sender's byte quota, then either the batch
-// queue or the retrying transport send. It is the tail of SendCtx and
-// the re-dispatch path for policy-held parks; it neither re-stamps
-// _SENDER nor re-checks sender liveness, so a reload can re-dispatch a
-// held message whose sender has since unregistered. ruleID, when
-// non-empty, is the allow verdict carried into the forward audit event.
-func (fw *Firewall) forwardRemote(ctx context.Context, senderPrincipal string, target uri.URI, targetStr string, bc *briefcase.Briefcase, sp *telemetry.Span, ruleID string) error {
-	addr, err := fw.cfg.Resolve(target.Host, target.EffectivePort())
-	if err != nil {
-		fw.ctr.errors.Inc()
-		fw.eventBC(bc, telemetry.EventError, senderPrincipal, targetStr, "resolve: "+err.Error())
-		return fmt.Errorf("firewall: resolve %s: %w", target.Host, err)
-	}
-	// The frame is encoded into a pooled buffer: both transports (and
-	// the batch queue) copy the payload synchronously inside their call,
-	// so the buffer is recycled as soon as the frame is handed off. A
-	// sealed frame copies the payload one level down instead, and the
-	// pooled buffer is released right after sealing.
-	payload, release := bc.EncodePooled()
-	frame := sealFrame(fw.cfg.ChannelSigner, payload)
-	if fw.cfg.ChannelSigner != nil {
-		release()
-		release = func() {}
-	}
-	// Byte quotas charge the encoded frame — the bytes that actually
-	// cross the wire — at the origin host. Local deliveries never
-	// encode, so they are message-metered only.
-	if eng := fw.cfg.Policy; eng != nil && senderPrincipal != fw.cfg.SystemPrincipal {
-		if qid, ok := eng.Charge(senderPrincipal, int64(len(frame))); !ok {
-			release()
-			fw.ctr.policyQuota.Inc()
-			fw.eventBC(bc, telemetry.EventQuota, senderPrincipal, targetStr, "quota rule="+qid)
-			return fmt.Errorf("%w (rule %s)", ErrQuotaExceeded, qid)
-		}
-	}
-	// The network transfer gets its own child span so per-hop migration
-	// cost splits into mediation versus wire time. Retries stay inside
-	// it: the wire time of a lossy hop includes its backoffs.
-	var tsp *telemetry.Span
-	if sp != nil {
-		trace, _ := bc.GetString(briefcase.FolderSysTrace)
-		tsp = fw.tel.Spans().Start(fw.clock, fw.cfg.HostName, trace, sp.ID(), "net.transfer")
-		tsp.SetAttr("to", addr)
-		tsp.SetAttr("bytes", strconv.Itoa(len(frame)))
-	}
-	if fw.batch != nil {
-		// Batched mediation: the frame joins its link's queue instead of
-		// being a transport message of its own. Agent transfers flush
-		// inline so Go/Spawn keep synchronous error reporting.
-		err = fw.batch.enqueue(addr, frame, Kind(bc) == KindTransfer)
-		release()
-		if tsp != nil {
-			tsp.SetAttr("batched", "true")
-		}
-		tsp.SetErr(err)
-		tsp.End()
-		if err != nil {
-			fw.ctr.errors.Inc()
-			fw.eventBC(bc, telemetry.EventError, senderPrincipal, targetStr, "forward: "+err.Error())
-			return err
-		}
-		fw.ctr.forwarded.Inc()
-		if fw.eventsOn() {
-			cause := "batched to " + addr
-			if ruleID != "" {
-				cause += " rule=" + ruleID
-			}
-			fw.eventBC(bc, telemetry.EventForward, senderPrincipal, targetStr, cause)
-		}
-		return nil
-	}
-	rp := fw.forwardPolicy(bc)
-	attempts := rp.Attempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	backoff := rp.Backoff
-	start := fw.clock.Now()
-	// Traced transports learn which itinerary this transfer belongs to, so
-	// fault injections on the wire are journaled under the right trace. The
-	// context rides out of band: payload bytes (and thus simulated transfer
-	// cost) are identical either way.
-	tracedNode, nodeTraced := fw.cfg.Node.(simnet.TracedNode)
-	traceID, _ := bc.GetString(briefcase.FolderSysTrace)
-	var attempt int
-	for attempt = 1; ; attempt++ {
-		if nodeTraced && traceID != "" {
-			err = tracedNode.SendTraced(addr, frame, traceID, tsp.ID())
-		} else {
-			err = fw.cfg.Node.Send(addr, frame)
-		}
-		if err == nil || attempt >= attempts {
-			break
-		}
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			err = ctxErr
-			break
-		}
-		if rp.Deadline > 0 && fw.clock.Now()-start+backoff > rp.Deadline {
-			break
-		}
-		fw.ctr.retries.Inc()
-		fw.eventBC(bc, telemetry.EventRetry, senderPrincipal, targetStr,
-			fmt.Sprintf("attempt %d/%d failed (%v); backing off %v", attempt, attempts, err, backoff))
-		// The host clock pays the backoff: virtual clocks advance without
-		// sleeping, real clocks really wait.
-		fw.clock.Advance(backoff)
-		if backoff > 0 {
-			backoff *= 2
-		}
-	}
-	release()
-	if tsp != nil && attempt > 1 {
-		tsp.SetAttr("attempts", strconv.Itoa(attempt))
-	}
-	tsp.SetErr(err)
-	tsp.End()
-	if err != nil {
-		fw.ctr.errors.Inc()
-		fw.eventBC(bc, telemetry.EventError, senderPrincipal, targetStr, "forward: "+err.Error())
-		if rp.Enabled() {
-			fw.eventBC(bc, telemetry.EventGiveUp, senderPrincipal, targetStr,
-				fmt.Sprintf("forward abandoned after %d attempts: %v", attempt, err))
-		}
-		return fmt.Errorf("firewall: forward to %s: %w", addr, err)
-	}
-	fw.ctr.forwarded.Inc()
-	if fw.eventsOn() {
-		cause := "to " + addr
-		if ruleID != "" {
-			cause += " rule=" + ruleID
-		}
-		fw.eventBC(bc, telemetry.EventForward, senderPrincipal, targetStr, cause)
-	}
-	return nil
-}
-
-// handleInbound processes a frame arriving from a remote firewall. Every
-// path that discards the briefcase emits an audit event: a mediating
-// reference monitor must not lose messages without a trace.
+// handleInbound is the transport handler. A batch container is
+// transport coalescing, not a message: a relay host first tries to pass
+// it on whole (relay.go), and otherwise every inner frame is mediated
+// individually, exactly as if it had arrived alone. Receivers unpack
+// regardless of their own Batch setting, so a batching sender
+// interoperates with a non-batching receiver.
 func (fw *Firewall) handleInbound(from string, payload []byte) {
-	// A batch container is transport coalescing, not a message: unpack
-	// it and mediate every inner frame individually (dedup, channel
-	// auth, transfer auth, routing policy — the same single reference
-	// monitor per frame). Receivers unpack regardless of their own
-	// Batch setting, so a batching sender interoperates with a
-	// non-batching receiver.
-	if isBatchContainer(payload) {
-		// A relay host first tries to forward the container verbatim:
-		// when every inner frame shares a non-local next hop, the
-		// container crosses this host as one transport message without
-		// being unpacked (relay.go).
-		if fw.cfg.Relay && fw.relayContainer(from, payload) {
-			return
-		}
+	switch {
+	case !isBatchContainer(payload):
+		fw.inbound(from, payload)
+	case !fw.cfg.Relay || !fw.relayContainer(from, payload):
 		fw.unbatch(from, payload)
-		return
-	}
-	var t0 time.Time
-	if fw.histInbound != nil {
-		t0 = time.Now()
-	}
-	if fw.dedup != nil {
-		if fw.dedup.observe(payload) {
-			fw.ctr.dupDropped.Inc()
-			fw.event(telemetry.EventDrop, "", "", "duplicate frame from "+from)
-			return
-		}
-	}
-	// The relay fast path: a frame for another host is forwarded off its
-	// header peeks alone, never decoded here. Frames the peeks cannot
-	// read fall through to the decoding path below, whose audit events
-	// name the defect.
-	if fw.cfg.Relay && fw.relayFrame(from, payload) {
-		if fw.histInbound != nil {
-			fw.histInbound.Observe(time.Since(t0))
-		}
-		return
-	}
-	inner, err := openFrame(fw.cfg.Trust, fw.cfg.ChannelAuth, payload)
-	if err != nil {
-		if errors.Is(err, ErrChannelAuth) {
-			fw.ctr.authFailures.Inc()
-			fw.event(telemetry.EventDeny, "", "", "channel auth from "+from+": "+err.Error())
-		} else {
-			fw.ctr.errors.Inc()
-			fw.event(telemetry.EventDrop, "", "", "bad frame from "+from+": "+err.Error())
-		}
-		return
-	}
-	bc, err := briefcase.Decode(inner)
-	if err != nil {
-		fw.ctr.errors.Inc()
-		fw.event(telemetry.EventDrop, "", "", "undecodable briefcase from "+from+": "+err.Error())
-		return
-	}
-	senderStr, _ := bc.GetString(briefcase.FolderSysSender)
-	sender, err := uri.Parse(senderStr)
-	if err != nil {
-		sender = uri.URI{Host: from}
-	}
-
-	sp := fw.span(bc, "fw.inbound")
-	sp.SetAttr("from", from)
-
-	// First-level authentication (§3.2): inbound agent transfers must
-	// carry a core signed by a principal this host knows.
-	if Kind(bc) == KindTransfer && fw.cfg.RequireAuth {
-		if _, err := VerifyCore(bc, fw.cfg.Trust, identity.Untrusted); err != nil {
-			fw.ctr.authFailures.Inc()
-			fw.eventBC(bc, telemetry.EventDeny, sender.Principal, "", "transfer auth: "+err.Error())
-			sp.SetErr(err)
-			sp.End()
-			fw.replyError(bc, sender, fmt.Sprintf("transfer rejected: %v", err), err)
-			return
-		}
-	}
-
-	targetStr, ok := bc.GetString(briefcase.FolderSysTarget)
-	if !ok {
-		fw.ctr.errors.Inc()
-		fw.eventBC(bc, telemetry.EventDrop, sender.Principal, "", "inbound briefcase has no target")
-		sp.SetAttr("outcome", "dropped")
-		sp.End()
-		return
-	}
-	target, err := uri.Parse(targetStr)
-	if err != nil || !fw.isLocal(target) {
-		// This host is not the target and Relay is off (or the target is
-		// unparseable): a non-relay firewall does not forward third-party
-		// traffic.
-		fw.ctr.errors.Inc()
-		fw.eventBC(bc, telemetry.EventDrop, sender.Principal, targetStr, "target not on this host")
-		sp.SetAttr("outcome", "dropped")
-		sp.End()
-		return
-	}
-	if err := fw.routeLocal(sender.Principal, target, bc); err != nil {
-		fw.ctr.errors.Inc()
-		sp.SetErr(err)
-		// A policy or quota rejection of cross-host traffic travels back
-		// typed: the sender gets a KindError envelope whose _ERRCODE
-		// reconstructs ErrPolicyDenied / ErrQuotaExceeded under errors.Is
-		// on its side of the wire.
-		if errors.Is(err, ErrPolicyDenied) || errors.Is(err, ErrQuotaExceeded) {
-			fw.replyError(bc, sender, err.Error(), err)
-		}
-	}
-	sp.End()
-	if fw.histInbound != nil {
-		fw.histInbound.Observe(time.Since(t0))
 	}
 }
 
-// routeLocal delivers a briefcase to a local agent, the firewall's own
-// management interface, or the parking queue. It is the single local
-// mediation choke point — inbound frames, local sends and recovered
-// parks all pass through it — so the policy gate at its head covers
-// every path by construction (crash-recovered parks re-mediate under
-// whatever ruleset is active after the restart, for free).
-func (fw *Firewall) routeLocal(senderPrincipal string, target uri.URI, bc *briefcase.Briefcase) error {
-	ruleID := ""
-	if eng := fw.cfg.Policy; eng != nil && senderPrincipal != fw.cfg.SystemPrincipal {
-		// Patterns see one canonical form: a local target carries this
-		// host's name, whether the sender wrote it or not.
-		norm := target
-		if norm.Host == "" {
-			norm.Host = fw.cfg.HostName
-		}
-		v := eng.Eval(senderPrincipal, policyOpFor(target, bc), norm)
-		switch v.Effect {
-		case policy.Deny:
-			fw.ctr.policyDeny.Inc()
-			fw.eventBC(bc, telemetry.EventDeny, senderPrincipal, target.String(), "policy rule="+v.RuleID)
-			return fmt.Errorf("%w (rule %s)", ErrPolicyDenied, v.RuleID)
-		case policy.Park:
-			return fw.parkPolicy(senderPrincipal, target, bc, v.RuleID)
-		}
-		if qid, ok := eng.Charge(senderPrincipal, 0); !ok {
-			fw.ctr.policyQuota.Inc()
-			fw.eventBC(bc, telemetry.EventQuota, senderPrincipal, target.String(), "quota rule="+qid)
-			return fmt.Errorf("%w (rule %s)", ErrQuotaExceeded, qid)
-		}
-		fw.ctr.policyAllow.Inc()
-		ruleID = v.RuleID
-	}
-	if target.Name == FirewallName || Kind(bc) == KindManagement {
-		if ruleID != "" && fw.eventsOn() {
-			fw.eventBC(bc, telemetry.EventAllow, senderPrincipal, target.String(), "mgmt rule="+ruleID)
-		}
-		return fw.handleManagement(senderPrincipal, bc)
-	}
-	sp := fw.span(bc, "fw.route")
-	// The read lock lets unrelated mediations run concurrently while
-	// still ordering each one against registration changes: parking
-	// happens inside the read section, so a concurrent Register either
-	// completes before the lookup (and is found) or starts after the
-	// park (and its flush scan finds the parked message).
-	fw.mu.RLock()
-	if fw.closed {
-		fw.mu.RUnlock()
-		fw.eventBC(bc, telemetry.EventDrop, senderPrincipal, target.String(), "firewall closed")
-		sp.SetErr(ErrClosed)
-		sp.End()
-		return ErrClosed
-	}
-	matches := fw.lookupLocked(target, senderPrincipal)
-	// Prefer an exact instance match, then registration order.
-	var chosen *Registration
-	for _, r := range matches {
-		if target.HasInstance && r.uri.Instance == target.Instance {
-			chosen = r
-			break
-		}
-	}
-	if chosen == nil && len(matches) > 0 {
-		chosen = matches[0]
-	}
-	if chosen == nil {
-		fw.parkMsg(senderPrincipal, target, bc, false)
-		fw.mu.RUnlock()
-		fw.ctr.queued.Inc()
-		cause := "receiver not registered"
-		if ruleID != "" {
-			cause += " rule=" + ruleID
-		}
-		fw.eventBC(bc, telemetry.EventPark, senderPrincipal, target.String(), cause)
-		sp.SetAttr("outcome", "parked")
-		sp.End()
-		return nil
-	}
-	fw.mu.RUnlock()
-
-	trace, span := traceCtx(bc)
-	if err := chosen.deliver(bc); err != nil {
-		fw.ctr.errors.Inc()
-		fw.eventTS(trace, span, telemetry.EventDrop, senderPrincipal, target.String(), err.Error())
-		sp.SetErr(err)
-		sp.End()
-		return err
-	}
-	fw.clock.Advance(fw.cfg.LocalHopCost)
-	fw.ctr.delivered.Inc()
-	if fw.eventsOn() {
-		// The allow record carries the matched decision: which registration
-		// the query resolved to and how, so an explain timeline shows the
-		// verdict inline rather than a bare "allow".
-		detail := "matched " + strconv.Itoa(len(matches))
-		if target.HasInstance && chosen.uri.Instance == target.Instance {
-			detail = "exact instance"
-		}
-		if ruleID != "" {
-			detail = "rule=" + ruleID + " " + detail
-		}
-		fw.eventTS(trace, span, telemetry.EventAllow, senderPrincipal, chosen.uri.String(), detail)
-	}
-	sp.End()
-	return nil
+// inbound mediates one frame off the wire.
+func (fw *Firewall) inbound(from string, frame []byte) {
+	var m mediation
+	m.origin, m.from, m.wire, m.hist = originFrame, from, frame, fw.histInbound
+	_ = fw.mediate(context.Background(), &m, stageAdmit)
 }
 
 // parkMsg queues a message for a receiver that has not arrived yet.
 // Callers hold at least the read side of fw.mu (to order the park
 // against Close and Register).
 func (fw *Firewall) parkMsg(senderPrincipal string, target uri.URI, bc *briefcase.Briefcase, policyHeld bool) {
-	p := &pendingMsg{
-		target: target, senderPrincipal: senderPrincipal, bc: bc,
-		shard: shardFor(target.Name), policyHeld: policyHeld,
-	}
+	p := &pendingMsg{target: target, senderPrincipal: senderPrincipal, bc: bc, policyHeld: policyHeld}
 	// Journal before arming the timer: once the park is observable it is
 	// already durable, so no window exists where a crash loses a parked
 	// message the sender was told is pending.
@@ -1088,14 +586,12 @@ func (fw *Firewall) Pending() int {
 // here rather than silently lost, so it stays observable (Pending, the
 // event log) and is retried once more when its own timeout fires.
 func (fw *Firewall) expire(p *pendingMsg) {
-	if !fw.park.remove(p) {
-		// A registration flush (or Close) already took the message.
+	if len(fw.park.take(func(q *pendingMsg) bool { return q == p }, p.target.Name)) == 0 {
+		// A registration flush, a reload or Close already took the message.
 		return
 	}
 	fw.unjournalPark(p)
-	fw.ctr.expired.Inc()
-	fw.eventBC(p.bc, telemetry.EventExpire, p.senderPrincipal, p.target.String(),
-		fmt.Sprintf("queue timeout after %v", fw.cfg.QueueTimeout))
+	fw.record(vExpired, "", p.senderPrincipal, p.target.String(), fmt.Sprintf("queue timeout after %v", fw.cfg.QueueTimeout), p.bc)
 	if Kind(p.bc) == KindError {
 		// An expired error envelope gets one last delivery attempt — its
 		// reply path may have healed while it waited — and is then gone
@@ -1105,12 +601,8 @@ func (fw *Firewall) expire(p *pendingMsg) {
 		}
 		return
 	}
-	senderStr, ok := p.bc.GetString(briefcase.FolderSysSender)
+	sender, ok := replyTo(p.bc)
 	if !ok {
-		return
-	}
-	sender, err := uri.Parse(senderStr)
-	if err != nil || (sender.Name == "" && !sender.HasInstance && sender.Principal == "") {
 		return
 	}
 	reason := fmt.Sprintf("message to %s expired after %v", p.target, fw.cfg.QueueTimeout)
@@ -1132,27 +624,9 @@ func (fw *Firewall) expire(p *pendingMsg) {
 		}
 		fw.parkMsg(fw.cfg.SystemPrincipal, sender, report, false)
 		fw.mu.RUnlock()
-		fw.ctr.queued.Inc()
-		fw.event(telemetry.EventPark, fw.cfg.SystemPrincipal, sender.String(),
-			"reply path unreachable; parked expiry notice: "+sendErr.Error())
+		fw.record(vParked, "", fw.cfg.SystemPrincipal, sender.String(),
+			"reply path unreachable; parked expiry notice: "+sendErr.Error(), nil)
 	}
-}
-
-// replyError sends a KindError report back to sender (best effort).
-// cause, when non-nil and registered, stamps the report's _ERRCODE so
-// the sender gets an errors.Is-able failure back.
-func (fw *Firewall) replyError(orig *briefcase.Briefcase, sender uri.URI, reason string, cause error) {
-	if sender.Name == "" && !sender.HasInstance && sender.Principal == "" {
-		return
-	}
-	report := errorReport(fw.selfURI().String(), sender.String(), reason)
-	if cause != nil {
-		SetErrorCode(report, cause)
-	}
-	if id, ok := orig.GetString(FolderMsgID); ok {
-		report.SetString(FolderReplyTo, id)
-	}
-	_ = fw.Send(fw.selfURI(), report)
 }
 
 // selfURI is the firewall's own agent URI.
@@ -1234,7 +708,11 @@ const (
 )
 
 // handleManagement serves a briefcase addressed to the firewall itself.
-func (fw *Firewall) handleManagement(senderPrincipal string, bc *briefcase.Briefcase) error {
+func (fw *Firewall) handleManagement(m *mediation) error {
+	senderPrincipal, bc := m.principal, m.bc
+	if m.ruleID != "" && fw.eventsOn() {
+		fw.record(vNote, telemetry.EventAllow, senderPrincipal, m.target.String(), "mgmt rule="+m.ruleID, bc)
+	}
 	fw.ctr.mgmtOps.Inc()
 	op, _ := bc.GetString(FolderOp)
 
@@ -1246,7 +724,7 @@ func (fw *Firewall) handleManagement(senderPrincipal string, bc *briefcase.Brief
 	var rows []string
 	if err := fw.cfg.Trust.Require(senderPrincipal, required); err != nil {
 		opErr = fmt.Errorf("%w: %v", ErrDenied, err)
-		fw.event(telemetry.EventDeny, senderPrincipal, FirewallName, "mgmt "+op+": "+err.Error())
+		fw.record(vNote, telemetry.EventDeny, senderPrincipal, FirewallName, "mgmt "+op+": "+err.Error(), nil)
 	} else {
 		rows, opErr = fw.applyOp(op, bc)
 	}
@@ -1254,12 +732,8 @@ func (fw *Firewall) handleManagement(senderPrincipal string, bc *briefcase.Brief
 	// Reply to the sender; operation failures travel in the reply (RPC
 	// semantics) and are only returned directly when no reply can be
 	// delivered.
-	senderStr, ok := bc.GetString(briefcase.FolderSysSender)
-	if !ok {
-		return opErr
-	}
-	sender, err := uri.Parse(senderStr)
-	if err != nil || (sender.Name == "" && !sender.HasInstance) {
+	sender, ok := replyTo(bc)
+	if !ok || (sender.Name == "" && !sender.HasInstance) {
 		return opErr
 	}
 	reply := briefcase.New()
@@ -1276,28 +750,22 @@ func (fw *Firewall) handleManagement(senderPrincipal string, bc *briefcase.Brief
 			f.AppendString(row)
 		}
 	}
-	if sendErr := fw.Send(fw.selfURI(), reply); sendErr != nil {
-		return sendErr
-	}
-	return nil
+	return fw.Send(fw.selfURI(), reply)
 }
 
 // SetDir binds the directory plane's management dump (served as the
 // "dir" management op). Called by core when the host joins the plane.
-func (fw *Firewall) SetDir(fn func(verb string) ([]string, error)) {
-	fw.dirMu.Lock()
-	fw.dir = fn
-	fw.dirMu.Unlock()
-}
-
-func (fw *Firewall) dirFn() func(verb string) ([]string, error) {
-	fw.dirMu.RLock()
-	defer fw.dirMu.RUnlock()
-	return fw.dir
-}
+func (fw *Firewall) SetDir(fn func(verb string) ([]string, error)) { fw.dir.Store(&fn) }
 
 // applyOp executes one management operation and returns the reply rows.
 func (fw *Firewall) applyOp(op string, bc *briefcase.Briefcase) ([]string, error) {
+	arg, hasArg := bc.GetString(FolderArg)
+	switch op {
+	case OpTrace, OpPolicyLoad, OpRuntime, OpKill, OpStop, OpResume:
+		if !hasArg {
+			return nil, fmt.Errorf("firewall: %s needs %s", op, FolderArg)
+		}
+	}
 	switch op {
 	case OpList:
 		infos := fw.List()
@@ -1326,15 +794,11 @@ func (fw *Firewall) applyOp(op string, bc *briefcase.Briefcase) ([]string, error
 		sort.Strings(rows)
 		return rows, nil
 	case OpTrace:
-		traceID, ok := bc.GetString(FolderArg)
-		if !ok {
-			return nil, fmt.Errorf("firewall: %s needs %s", op, FolderArg)
-		}
 		spans := fw.tel.Spans()
 		if spans == nil {
 			return nil, errors.New("firewall: span collection disabled")
 		}
-		recs := spans.ForTrace(traceID)
+		recs := spans.ForTrace(arg)
 		rows := make([]string, 0, len(recs))
 		for _, r := range recs {
 			rows = append(rows, strings.Join([]string{
@@ -1349,59 +813,33 @@ func (fw *Firewall) applyOp(op string, bc *briefcase.Briefcase) ([]string, error
 		if fw.cfg.Explain == nil {
 			return nil, errors.New("firewall: no tower collector attached (explain unavailable)")
 		}
-		traceID, ok := bc.GetString(FolderArg)
-		if !ok || traceID == "" {
-			traceID = "latest"
-		}
-		return fw.cfg.Explain(traceID), nil
+		return fw.cfg.Explain(cmp.Or(arg, "latest")), nil
 	case OpPolicy:
 		if fw.cfg.Policy == nil {
 			return nil, errors.New("firewall: no policy engine configured")
 		}
 		return fw.cfg.Policy.Describe(), nil
 	case OpDir:
-		dir := fw.dirFn()
+		dir := fw.dir.Load()
 		if dir == nil {
 			return nil, errors.New("firewall: host is not a directory plane member")
 		}
-		verb, ok := bc.GetString(FolderArg)
-		if !ok || verb == "" {
-			verb = "ring"
-		}
-		return dir(verb)
+		return (*dir)(cmp.Or(arg, "ring"))
 	case OpPolicyLoad:
-		text, ok := bc.GetString(FolderArg)
-		if !ok {
-			return nil, fmt.Errorf("firewall: %s needs %s", op, FolderArg)
-		}
-		v, err := fw.ReloadPolicy(text)
+		v, err := fw.ReloadPolicy(arg)
 		if err != nil {
 			return nil, err
 		}
 		return []string{"version|" + strconv.FormatUint(v, 10)}, nil
 	case OpRuntime, OpKill, OpStop, OpResume:
-		argStr, ok := bc.GetString(FolderArg)
-		if !ok {
-			return nil, fmt.Errorf("firewall: %s needs %s", op, FolderArg)
-		}
-		q, err := uri.Parse(argStr)
+		q, err := uri.Parse(arg)
 		if err != nil {
 			return nil, fmt.Errorf("firewall: %s: %w", op, err)
 		}
 		// Management matching ignores the empty-principal restriction:
 		// the caller already proved System/Trusted privileges.
 		fw.mu.RLock()
-		matches := fw.lookupLocked(q, q.Principal)
-		if q.Principal == "" {
-			matches = nil
-			for _, list := range fw.regs {
-				for _, r := range list {
-					if r.uri.Matches(q) {
-						matches = append(matches, r)
-					}
-				}
-			}
-		}
+		matches := fw.lookupLocked(q, "", true)
 		fw.mu.RUnlock()
 		if len(matches) == 0 {
 			return nil, fmt.Errorf("%w: %s", ErrNoAgent, q)

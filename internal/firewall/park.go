@@ -10,7 +10,7 @@
 // (which lock protects which queue entry) is sharded. Name-less targets
 // hash to the empty-name stripe; a registration flush therefore scans
 // exactly two stripes: the stripe of its own name and the empty-name
-// stripe.
+// (wildcard-target) stripe.
 package firewall
 
 import (
@@ -59,9 +59,9 @@ func shardFor(name string) int {
 	return int(h.Sum32() % parkShards)
 }
 
-// add inserts a parked message into its stripe.
+// add inserts a parked message into its target name's stripe.
 func (t *parkTable) add(p *pendingMsg) {
-	s := &t.shards[p.shard]
+	s := &t.shards[shardFor(p.target.Name)]
 	s.mu.Lock()
 	s.pending = append(s.pending, p)
 	s.gauge.Set(int64(len(s.pending)))
@@ -69,37 +69,21 @@ func (t *parkTable) add(p *pendingMsg) {
 	t.total.Add(1)
 }
 
-// remove deletes p from its stripe by identity, reporting whether it
-// was still parked (false when a registration flush already took it).
-func (t *parkTable) remove(p *pendingMsg) bool {
-	s := &t.shards[p.shard]
-	s.mu.Lock()
-	found := false
-	for i, q := range s.pending {
-		if q == p {
-			s.pending = append(s.pending[:i], s.pending[i+1:]...)
-			found = true
-			break
-		}
-	}
-	s.gauge.Set(int64(len(s.pending)))
-	s.mu.Unlock()
-	if found {
-		t.total.Add(-1)
-	}
-	return found
-}
-
-// takeMatching removes and returns the parked messages match accepts,
-// scanning only the stripes that can hold messages for the given agent
-// name: its own stripe and the empty-name (wildcard-target) stripe.
-func (t *parkTable) takeMatching(name string, match func(*pendingMsg) bool) []*pendingMsg {
-	idx := []int{shardFor(name)}
-	if w := shardFor(""); w != idx[0] {
-		idx = append(idx, w)
+// take removes and returns the parked messages match accepts, scanning
+// only the stripes that can hold messages for the given target names
+// (every stripe when none are given). Stripe locks arbitrate concurrent
+// takers: a message goes to exactly one of a registration flush, a
+// policy reload, its expiry timer and Close.
+func (t *parkTable) take(match func(*pendingMsg) bool, names ...string) []*pendingMsg {
+	var scan [parkShards]bool
+	for _, n := range names {
+		scan[shardFor(n)] = true
 	}
 	var out []*pendingMsg
-	for _, i := range idx {
+	for i := range t.shards {
+		if len(names) > 0 && !scan[i] {
+			continue
+		}
 		s := &t.shards[i]
 		s.mu.Lock()
 		rest := s.pending[:0]
@@ -111,55 +95,10 @@ func (t *parkTable) takeMatching(name string, match func(*pendingMsg) bool) []*p
 			}
 		}
 		s.pending = rest
-		s.gauge.Set(int64(len(s.pending)))
+		s.gauge.Set(int64(len(rest)))
 		s.mu.Unlock()
 	}
-	if len(out) > 0 {
-		t.total.Add(int64(-len(out)))
-	}
-	return out
-}
-
-// takeHeld removes and returns every policy-held parked message, across
-// all stripes (held messages hash by target name like any other, and a
-// reload must reconsider all of them). The same stripe-lock arbitration
-// as takeMatching applies: a message is taken by exactly one of a
-// concurrent reload and its expiry timer.
-func (t *parkTable) takeHeld() []*pendingMsg {
-	var out []*pendingMsg
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		rest := s.pending[:0]
-		for _, p := range s.pending {
-			if p.policyHeld {
-				out = append(out, p)
-			} else {
-				rest = append(rest, p)
-			}
-		}
-		s.pending = rest
-		s.gauge.Set(int64(len(s.pending)))
-		s.mu.Unlock()
-	}
-	if len(out) > 0 {
-		t.total.Add(int64(-len(out)))
-	}
-	return out
-}
-
-// drain empties every stripe and returns all parked messages (Close).
-func (t *parkTable) drain() []*pendingMsg {
-	var out []*pendingMsg
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		out = append(out, s.pending...)
-		s.pending = nil
-		s.gauge.Set(0)
-		s.mu.Unlock()
-	}
-	t.total.Set(0)
+	t.total.Add(int64(-len(out)))
 	return out
 }
 

@@ -3,13 +3,12 @@
 //
 // The engine itself (internal/policy) knows nothing about briefcases or
 // transports; this file classifies mediations into policy operations,
-// parks briefcases a park verdict holds, and implements hot reload. The
-// evaluation sites are the two mediation choke points — routeLocal for
-// everything delivered on this host (local sends, inbound frames,
-// recovered parks) and SendCtx for outbound remote forwards — so every
-// message crosses exactly one policy gate per mediating host. Relays
-// stay header-only: a relayed frame is mediated at its origin and at its
-// final host, and the relay neither decodes nor evaluates it.
+// re-dispatches held messages and implements hot reload. The one
+// evaluation site is the pipeline's gate stage (mediate.go), which every
+// send, inbound frame and re-dispatched message crosses exactly once per
+// mediating host. Relays stay header-only: a relayed frame is gated at
+// its origin and at its final host, and the relay neither decodes nor
+// evaluates it.
 package firewall
 
 import (
@@ -28,61 +27,25 @@ import (
 // addressed to the firewall itself) "mgmt", everything else — plain
 // messages, replies, error envelopes — "send".
 func policyOpFor(target uri.URI, bc *briefcase.Briefcase) string {
-	switch Kind(bc) {
-	case KindTransfer:
+	switch kind := Kind(bc); {
+	case kind == KindTransfer:
 		return policy.OpTransfer
-	case KindManagement:
-		return policy.OpMgmt
-	}
-	if target.Name == FirewallName {
+	case kind == KindManagement || target.Name == FirewallName:
 		return policy.OpMgmt
 	}
 	return policy.OpSend
 }
 
-// parkPolicy holds a briefcase under a park verdict: journaled and
-// timered like any parked message, but flagged so registration flushes
-// skip it — only a policy reload (dispatching it afresh) or its expiry
-// timer (returning a typed error to the sender) releases it.
-func (fw *Firewall) parkPolicy(senderPrincipal string, target uri.URI, bc *briefcase.Briefcase, ruleID string) error {
-	fw.mu.RLock()
-	if fw.closed {
-		fw.mu.RUnlock()
-		return ErrClosed
-	}
-	fw.parkMsg(senderPrincipal, target, bc, true)
-	fw.mu.RUnlock()
-	fw.ctr.queued.Inc()
-	fw.ctr.policyPark.Inc()
-	fw.eventBC(bc, telemetry.EventPark, senderPrincipal, target.String(), "policy rule="+ruleID)
-	return nil
-}
-
-// dispatch routes a briefcase that re-enters mediation outside a Send
-// call (policy reload, crash recovery): local targets through
-// routeLocal, remote ones through the policy gate and forwardRemote.
-// Unlike SendCtx it does not re-stamp _SENDER or re-check sender
-// liveness — the message was already admitted once; this is its held
-// state moving, not a new send.
+// dispatch is the entry point for a briefcase that re-enters mediation
+// outside a Send call (policy reload, crash recovery). It was admitted
+// once already — this is its held state moving, not a new send — so it
+// joins the pipeline at address: _SENDER is not re-stamped and sender
+// liveness is not re-checked, and a reload can re-dispatch a message
+// whose sender has since unregistered.
 func (fw *Firewall) dispatch(senderPrincipal string, target uri.URI, bc *briefcase.Briefcase) error {
-	if fw.isLocal(target) {
-		return fw.routeLocal(senderPrincipal, target, bc)
-	}
-	ruleID := ""
-	if eng := fw.cfg.Policy; eng != nil && senderPrincipal != fw.cfg.SystemPrincipal {
-		v := eng.Eval(senderPrincipal, policyOpFor(target, bc), target)
-		switch v.Effect {
-		case policy.Deny:
-			fw.ctr.policyDeny.Inc()
-			fw.eventBC(bc, telemetry.EventDeny, senderPrincipal, target.String(), "policy rule="+v.RuleID)
-			return fmt.Errorf("%w (rule %s)", ErrPolicyDenied, v.RuleID)
-		case policy.Park:
-			return fw.parkPolicy(senderPrincipal, target, bc, v.RuleID)
-		}
-		fw.ctr.policyAllow.Inc()
-		ruleID = v.RuleID
-	}
-	return fw.forwardRemote(context.Background(), senderPrincipal, target, target.String(), bc, nil, ruleID)
+	var m mediation
+	m.origin, m.principal, m.target, m.bc = originHeld, senderPrincipal, target, bc
+	return fw.mediate(context.Background(), &m, stageAddress)
 }
 
 // Policy returns the firewall's policy engine (nil when mediation runs
@@ -109,36 +72,22 @@ func (fw *Firewall) ReloadPolicy(text string) (uint64, error) {
 	}
 	rs, err := policy.Parse(text)
 	if err != nil {
-		fw.event(telemetry.EventError, fw.cfg.SystemPrincipal, FirewallName,
-			"policy reload rejected: "+err.Error())
+		fw.record(vNote, telemetry.EventError, fw.cfg.SystemPrincipal, FirewallName,
+			"policy reload rejected: "+err.Error(), nil)
 		return 0, err
 	}
 	v := eng.Install(rs)
-	fw.event(telemetry.EventAllow, fw.cfg.SystemPrincipal, FirewallName,
-		fmt.Sprintf("policy reload installed version %d (%d rules, %d quotas)", v, len(rs.Rules), len(rs.Quotas)))
-	for _, p := range fw.park.takeHeld() {
+	fw.record(vNote, telemetry.EventAllow, fw.cfg.SystemPrincipal, FirewallName,
+		fmt.Sprintf("policy reload installed version %d (%d rules, %d quotas)", v, len(rs.Rules), len(rs.Quotas)), nil)
+	for _, p := range fw.park.take(func(p *pendingMsg) bool { return p.policyHeld }) {
 		p.timer.Stop()
 		fw.unjournalPark(p)
 		if err := fw.dispatch(p.senderPrincipal, p.target, p.bc); err != nil {
 			// The held message's new verdict is a rejection (or the
 			// forward failed): tell the sender with the typed error the
 			// verdict produced, the same envelope an inline denial sends.
-			fw.replyHeldError(p, err)
+			fw.replyError(p.bc, fmt.Sprintf("held message to %s: %v", p.target.String(), err), err)
 		}
 	}
 	return v, nil
-}
-
-// replyHeldError reports a re-dispatch failure back to the held
-// message's original sender (best effort, typed via _ERRCODE).
-func (fw *Firewall) replyHeldError(p *pendingMsg, cause error) {
-	senderStr, ok := p.bc.GetString(briefcase.FolderSysSender)
-	if !ok {
-		return
-	}
-	sender, err := uri.Parse(senderStr)
-	if err != nil {
-		return
-	}
-	fw.replyError(p.bc, sender, fmt.Sprintf("held message to %s: %v", p.target.String(), cause), cause)
 }

@@ -2,11 +2,13 @@ package firewall
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"tax/internal/briefcase"
+	"tax/internal/cabinet"
 	"tax/internal/policy"
 	"tax/internal/telemetry"
 	"tax/internal/vclock"
@@ -367,70 +369,304 @@ func TestPolicyMgmtOps(t *testing.T) {
 	}
 }
 
-// TestPolicyAuditOnePerDecision: across allow, deny, park and quota
-// outcomes, every policy decision leaves exactly one audit event
-// carrying its rule id — no silent verdicts, no double-logging.
+// auditRules is the ruleset the one-per-decision table mediates under:
+// the target's principal picks alice's verdict, and dave is the
+// quota-limited sender (one message per refill).
+const auditRules = `default deny
+ok:    allow alice send alice/**
+no:    deny  alice send bob/**
+hold:  park  alice send carol/**
+dok:   allow dave  send alice/**
+dhold: park  dave  send carol/**
+lim:   quota dave rate=1 burst=1
+`
+
+// auditSite is one mediating host (h1: policy engine, relay, durable
+// park journal, its own event log) between two plain neighbours, with
+// the verdict counters and tenant-visible audit events it has produced
+// since the last mark.
+type auditSite struct {
+	t   *testing.T
+	fw  *Firewall
+	tel *telemetry.Telemetry
+	src *Registration // alice/src on h1
+	dav *Registration // dave/src on h1
+	ctr map[string]int64
+	evs int
+}
+
+// verdictCounters are the counters emit owns: exactly one terminal
+// counter per outcome, plus policy_allow / policy_park as its qualifier.
+var verdictCounters = []string{
+	"fw.delivered", "fw.forwarded", "fw.relayed", "fw.queued", "fw.expired", "fw.auth_failures", "fw.errors",
+	"fw.policy_allow", "fw.policy_deny", "fw.policy_park", "fw.policy_quota",
+}
+
+func newAuditSite(t *testing.T) *auditSite {
+	t.Helper()
+	s := &auditSite{t: t, tel: telemetry.New(telemetry.Options{Host: "h1", Spans: true, Events: true})}
+	f := newFixture(t)
+	f.config = func(c *Config) {
+		if c.HostName != "h1" {
+			return
+		}
+		c.Telemetry = s.tel
+		c.Relay = true
+		c.Durable = cabinet.NewStore(cabinet.Options{Clock: vclock.NewVirtual()})
+		c.Policy = policy.New(vclock.NewVirtual(), policy.MustParse(auditRules), policy.Quota{})
+	}
+	for _, h := range []string{"h1", "h2", "h3"} {
+		f.addHost(h)
+	}
+	s.fw = f.sites["h1"].fw
+	s.register()
+	for _, h := range []string{"h2", "h3"} {
+		if _, err := f.sites[h].fw.Register("vm_go", "alice", "dst"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s
+}
+
+// register (re-)creates h1's agents: the two senders and alice/dst.
+func (s *auditSite) register() {
+	s.src, _ = s.fw.Register("vm_go", "alice", "src")
+	s.dav, _ = s.fw.Register("vm_go", "dave", "src")
+	if _, err := s.fw.Register("vm_go", "alice", "dst"); err != nil {
+		s.t.Fatal(err)
+	}
+}
+
+// frame is what h2's firewall would put on the wire for sender -> target.
+func frame(sender, target string) []byte {
+	bc := briefcase.New()
+	bc.SetString(briefcase.FolderSysSender, "tacoma://h2/"+sender+"/src:1")
+	bc.SetString(briefcase.FolderSysTarget, target)
+	bc.SetString("BODY", "x")
+	return bc.Encode()
+}
+
+// tenantEvents are h1's audit events a mediation verdict produced:
+// everything but the system principal's own traffic (error replies,
+// reload notices) and RecoverDurable's lifecycle notes.
+func (s *auditSite) tenantEvents() []telemetry.Event {
+	var out []telemetry.Event
+	for _, e := range s.tel.Events().Snapshot() {
+		if e.Principal != "system" && e.Type != telemetry.EventRecover && !strings.HasPrefix(e.Cause, "recovered park") {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+func (s *auditSite) mark() {
+	s.ctr = map[string]int64{}
+	for _, name := range verdictCounters {
+		s.ctr[name] = s.tel.Registry().Counter(name, "host", "h1").Value()
+	}
+	s.evs = len(s.tenantEvents())
+}
+
+// since checks the one mediation driven since mark: exactly one tenant
+// audit event, of the given type and cause, and exactly the given
+// verdict-counter deltas.
+func (s *auditSite) since(typ, cause string, want map[string]int64) {
+	s.t.Helper()
+	evs := s.tenantEvents()[s.evs:]
+	if len(evs) != 1 || evs[0].Type != typ || !strings.Contains(evs[0].Cause, cause) {
+		s.t.Errorf("audit events = %+v, want exactly one %s containing %q", evs, typ, cause)
+	}
+	for _, name := range verdictCounters {
+		if got := s.tel.Registry().Counter(name, "host", "h1").Value() - s.ctr[name]; got != want[name] {
+			s.t.Errorf("%s advanced %d, want %d", name, got, want[name])
+		}
+	}
+}
+
+// TestPolicyAuditOnePerDecision: whichever door a unit comes through —
+// local send, remote send, inbound frame, reload re-dispatch,
+// crash-recovered park, registration flush, relay — and whatever the
+// verdict, one mediation leaves exactly one audit event carrying its
+// rule id and bumps exactly one terminal counter (plus policy_allow /
+// policy_park as its qualifier): no silent verdicts, no double-logging,
+// no double-counting. A refusal of an inbound or held message also
+// sends the system's typed error reply, which shows as its own
+// fw.forwarded / fw.delivered.
 func TestPolicyAuditOnePerDecision(t *testing.T) {
-	clk := vclock.NewVirtual()
-	f, tel := policyFixture(t, clk, map[string]string{
-		"h1": `default deny
-ok:   allow alice send alice/**
-no:   deny  alice send bob/**
-hold: park  alice send carol/**
-lim:  quota alice rate=2 burst=2
-`,
-	}, policy.Quota{}, "h1")
-	fw := f.sites["h1"].fw
-	src, _ := fw.Register("vm_go", "alice", "src")
-	dst, _ := fw.Register("vm_go", "alice", "dst")
+	type counts = map[string]int64
+	// drain spends dave's one-message burst, so his next send is refused.
+	drain := func(s *auditSite) {
+		if err := sendErr(s.fw, s.dav, "alice/dst", "drain"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// hold parks one message under the park rules, to be re-mediated.
+	hold := func(from func(*auditSite) *Registration, target string) func(*auditSite) {
+		return func(s *auditSite) {
+			if err := sendErr(s.fw, from(s), target, "held"); err != nil || s.fw.Pending() != 1 {
+				t.Fatalf("hold: err %v, pending %d", err, s.fw.Pending())
+			}
+		}
+	}
+	alice := func(s *auditSite) *Registration { return s.src }
+	dave := func(s *auditSite) *Registration { return s.dav }
+	send := func(from func(*auditSite) *Registration, target string) func(*auditSite) {
+		return func(s *auditSite) { _ = sendErr(s.fw, from(s), target, "x") }
+	}
+	inbound := func(sender, target string) func(*auditSite) {
+		return func(s *auditSite) { s.fw.handleInbound("h2", frame(sender, target)) }
+	}
+	// reload installs rules giving the held carol/dst message a new
+	// verdict. (A reload refills every bucket, so the row that wants a
+	// quota refusal at re-dispatch brings a byte quota no frame fits.)
+	reload := func(rules string) func(*auditSite) {
+		return func(s *auditSite) {
+			if _, err := s.fw.ReloadPolicy("default deny\n" + rules + "dok: allow dave send alice/**\nlim: quota dave rate=1 burst=1\n"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// crash loses power with one message held, reboots under new rules
+	// and re-registers; recover then replays the journal.
+	crash := func(from func(*auditSite) *Registration, rules string, more ...func(*auditSite)) func(*auditSite) {
+		return func(s *auditSite) {
+			hold(from, "carol/dst")(s)
+			s.fw.CrashWipe()
+			reload(rules)(s)
+			s.register()
+			for _, fn := range more {
+				fn(s)
+			}
+		}
+	}
+	recover := func(s *auditSite) { s.fw.RecoverDurable() }
+	carolDst := func(s *auditSite) { _, _ = s.fw.Register("vm_go", "carol", "dst") }
 
-	if err := sendErr(fw, src, "alice/dst", "a"); err != nil { // allow + charge 1
-		t.Fatal(err)
-	}
-	if err := sendErr(fw, src, "bob/x", "b"); !errors.Is(err, ErrPolicyDenied) { // deny
-		t.Fatal(err)
-	}
-	if err := sendErr(fw, src, "carol/x", "c"); err != nil { // park (charges nothing)
-		t.Fatal(err)
-	}
-	if err := sendErr(fw, src, "alice/dst", "d"); err != nil { // allow + charge 2
-		t.Fatal(err)
-	}
-	if err := sendErr(fw, src, "alice/dst", "e"); !errors.Is(err, ErrQuotaExceeded) { // quota
-		t.Fatal(err)
-	}
-	recvBody(t, dst, time.Second)
-	recvBody(t, dst, time.Second)
-
-	checks := []struct {
-		typ, sub string
-		want     int
+	for _, row := range []struct {
+		name  string
+		setup []func(*auditSite)
+		do    func(*auditSite)
+		typ   string
+		cause string
+		want  counts
 	}{
-		{telemetry.EventAllow, "rule=p1.ok", 2},
-		{telemetry.EventDeny, "policy rule=p1.no", 1},
-		{telemetry.EventPark, "policy rule=p1.hold", 1},
-		{telemetry.EventQuota, "quota rule=p1.lim", 1},
-	}
-	for _, c := range checks {
-		if got := countEvents(tel, c.typ, c.sub); got != c.want {
-			t.Errorf("%s events with %q = %d, want %d", c.typ, c.sub, got, c.want)
-		}
-	}
-	// Every policy event names a rule id.
-	for _, e := range tel.Events().Snapshot() {
-		if strings.Contains(e.Cause, "policy") && !strings.Contains(e.Cause, "rule=") &&
-			!strings.Contains(e.Cause, "reload") {
-			t.Errorf("policy event without rule id: %q", e.Cause)
-		}
-	}
-	// And the counters agree with the audited decisions.
-	reg := tel.Registry()
-	for name, want := range map[string]int64{
-		"fw.policy_allow": 2, "fw.policy_deny": 1,
-		"fw.policy_park": 1, "fw.policy_quota": 1,
+		{"local/allow", nil, send(alice, "alice/dst"),
+			telemetry.EventAllow, "rule=p1.ok", counts{"fw.policy_allow": 1, "fw.delivered": 1}},
+		{"local/deny", nil, send(alice, "bob/x"),
+			telemetry.EventDeny, "policy rule=p1.no", counts{"fw.policy_deny": 1}},
+		{"local/park", nil, send(alice, "carol/x"),
+			telemetry.EventPark, "policy rule=p1.hold", counts{"fw.policy_park": 1, "fw.queued": 1}},
+		{"local/quota", []func(*auditSite){drain}, send(dave, "alice/dst"),
+			telemetry.EventQuota, "quota rule=p1.lim", counts{"fw.policy_quota": 1}},
+
+		{"remote/allow", nil, send(alice, "tacoma://h2/alice/dst"),
+			telemetry.EventForward, "rule=p1.ok", counts{"fw.policy_allow": 1, "fw.forwarded": 1}},
+		{"remote/deny", nil, send(alice, "tacoma://h2/bob/x"),
+			telemetry.EventDeny, "policy rule=p1.no", counts{"fw.policy_deny": 1}},
+		{"remote/park", nil, send(alice, "tacoma://h2/carol/x"),
+			telemetry.EventPark, "policy rule=p1.hold", counts{"fw.policy_park": 1, "fw.queued": 1}},
+		{"remote/quota", []func(*auditSite){drain}, send(dave, "tacoma://h2/alice/dst"),
+			telemetry.EventQuota, "quota rule=p1.lim", counts{"fw.policy_quota": 1}},
+
+		{"inbound/allow", nil, inbound("alice", "tacoma://h1/alice/dst"),
+			telemetry.EventAllow, "rule=p1.ok", counts{"fw.policy_allow": 1, "fw.delivered": 1}},
+		{"inbound/deny", nil, inbound("alice", "tacoma://h1/bob/x"),
+			telemetry.EventDeny, "policy rule=p1.no", counts{"fw.policy_deny": 1, "fw.forwarded": 1}},
+		{"inbound/park", nil, inbound("alice", "tacoma://h1/carol/x"),
+			telemetry.EventPark, "policy rule=p1.hold", counts{"fw.policy_park": 1, "fw.queued": 1}},
+		{"inbound/quota", []func(*auditSite){drain}, inbound("dave", "tacoma://h1/alice/dst"),
+			telemetry.EventQuota, "quota rule=p1.lim", counts{"fw.policy_quota": 1, "fw.forwarded": 1}},
+
+		{"reload/allow", []func(*auditSite){hold(alice, "carol/dst"), carolDst}, reload("ok: allow alice send carol/**\n"),
+			telemetry.EventAllow, "rule=p2.ok", counts{"fw.policy_allow": 1, "fw.delivered": 1}},
+		{"reload/deny", []func(*auditSite){hold(alice, "carol/dst")}, reload("no: deny alice send carol/**\n"),
+			telemetry.EventDeny, "policy rule=p2.no", counts{"fw.policy_deny": 1, "fw.delivered": 1}},
+		{"reload/park", []func(*auditSite){hold(alice, "carol/dst")}, reload("hold: park alice send carol/**\n"),
+			telemetry.EventPark, "policy rule=p2.hold", counts{"fw.policy_park": 1, "fw.queued": 1}},
+		{"reload/quota", []func(*auditSite){hold(dave, "tacoma://h2/carol/dst")},
+			reload("dc: allow dave send carol/**\nthin: quota dave rate=1000 bytes=1\n"),
+			telemetry.EventQuota, "quota rule=p2.thin", counts{"fw.policy_quota": 1, "fw.delivered": 1}},
+
+		{"recovered/allow", []func(*auditSite){crash(alice, "ok: allow alice send carol/**\n", carolDst)}, recover,
+			telemetry.EventAllow, "rule=p2.ok", counts{"fw.policy_allow": 1, "fw.delivered": 1}},
+		{"recovered/deny", []func(*auditSite){crash(alice, "no: deny alice send carol/**\n")}, recover,
+			telemetry.EventDeny, "policy rule=p2.no", counts{"fw.policy_deny": 1}},
+		{"recovered/park", []func(*auditSite){crash(alice, "hold: park alice send carol/**\n")}, recover,
+			telemetry.EventPark, "policy rule=p2.hold", counts{"fw.policy_park": 1, "fw.queued": 1}},
+		{"recovered/quota", []func(*auditSite){crash(dave, "dc: allow dave send carol/**\n", carolDst, drain)}, recover,
+			telemetry.EventQuota, "quota rule=p2.lim", counts{"fw.policy_quota": 1}},
+
+		// A flush keeps the verdict the message parked under (its
+		// policy_allow was counted then): one allow event, one delivery.
+		{"flush/allow", []func(*auditSite){send(alice, "alice/late")},
+			func(s *auditSite) { _, _ = s.fw.Register("vm_go", "alice", "late") },
+			telemetry.EventAllow, "unparked on registration", counts{"fw.delivered": 1}},
+		// A relay is header-only and ungated: exactly one forward.
+		{"relay", nil, inbound("alice", "tacoma://h3/alice/dst"),
+			telemetry.EventForward, "relayed to h3", counts{"fw.relayed": 1}},
 	} {
-		if got := reg.Counter(name, "host", "h1").Value(); got != want {
-			t.Errorf("%s = %d, want %d", name, got, want)
+		t.Run(row.name, func(t *testing.T) {
+			s := newAuditSite(t)
+			s.t = t
+			for _, fn := range row.setup {
+				fn(s)
+			}
+			s.mark()
+			row.do(s)
+			s.since(row.typ, row.cause, row.want)
+			// Every policy event names a rule id.
+			for _, e := range s.tenantEvents() {
+				if strings.Contains(e.Cause, "policy") && !strings.Contains(e.Cause, "rule=") {
+					t.Errorf("policy event without rule id: %q", e.Cause)
+				}
+			}
+		})
+	}
+}
+
+// TestVerdictCountersAgreeAcrossEntries: the same terminal outcome
+// counts the same whichever door it came through. An inbound delivery
+// failure used to bump fw.errors twice and an inbound denial bumped
+// fw.errors beside fw.policy_deny, while the local send of the same
+// message counted once; with one emit point the deltas are equal.
+func TestVerdictCountersAgreeAcrossEntries(t *testing.T) {
+	delta := func(setup func(*auditSite), do func(*auditSite)) map[string]int64 {
+		s := newAuditSite(t)
+		setup(s)
+		s.mark()
+		do(s)
+		got := map[string]int64{}
+		for _, name := range verdictCounters {
+			// The typed error reply an inbound refusal sends back is the
+			// system's own forward, not part of the refused mediation.
+			if d := s.tel.Registry().Counter(name, "host", "h1").Value() - s.ctr[name]; d != 0 && name != "fw.forwarded" {
+				got[name] = d
+			}
+		}
+		return got
+	}
+	none := func(*auditSite) {}
+	// fill leaves alice/dst's mailbox full, so the next delivery fails.
+	fill := func(s *auditSite) {
+		for i := 0; i < mailboxSize; i++ {
+			if err := sendErr(s.fw, s.src, "alice/dst", "fill"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, c := range []struct {
+		name          string
+		setup         func(*auditSite)
+		local, remote string
+		want          map[string]int64
+	}{
+		{"mailbox full", fill, "alice/dst", "tacoma://h1/alice/dst", map[string]int64{"fw.policy_allow": 1, "fw.errors": 1}},
+		{"deny", none, "bob/x", "tacoma://h1/bob/x", map[string]int64{"fw.policy_deny": 1}},
+	} {
+		local := delta(c.setup, func(s *auditSite) { _ = sendErr(s.fw, s.src, c.local, "x") })
+		inbound := delta(c.setup, func(s *auditSite) { s.fw.handleInbound("h2", frame("alice", c.remote)) })
+		if !reflect.DeepEqual(local, c.want) || !reflect.DeepEqual(inbound, c.want) {
+			t.Errorf("%s: local send counted %v, inbound frame counted %v, want both %v", c.name, local, inbound, c.want)
 		}
 	}
 }

@@ -90,12 +90,9 @@ func (r *Registration) State() State {
 // deliver enqueues a briefcase, failing when the mailbox is full or the
 // agent is killed.
 func (r *Registration) deliver(bc *briefcase.Briefcase) error {
-	r.mu.Lock()
-	if r.state == StateKilled {
-		r.mu.Unlock()
+	if r.State() == StateKilled {
 		return ErrKilled
 	}
-	r.mu.Unlock()
 	select {
 	case r.mailbox <- bc:
 		return nil
@@ -130,28 +127,24 @@ func (r *Registration) RecvCtx(ctx context.Context, timeout time.Duration) (*bri
 		deadline = t.C
 	}
 	for {
-		// Honor a stop before looking at the mailbox.
 		r.mu.Lock()
 		state, resumed, killed := r.state, r.resumed, r.killed
 		r.mu.Unlock()
+		// Honor a stop before looking at the mailbox: a stopped agent's
+		// mail waits, and only a resume (or kill) ends the wait.
+		mailbox := r.mailbox
 		switch state {
 		case StateKilled:
 			return nil, fmt.Errorf("%w: %s", ErrKilled, r.uri)
 		case StateStopped:
-			select {
-			case <-resumed:
-				continue
-			case <-killed:
-				return nil, fmt.Errorf("%w: %s", ErrKilled, r.uri)
-			case <-deadline:
-				return nil, fmt.Errorf("%w: %s", ErrRecvTimeout, r.uri)
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
+			mailbox = nil
+		default:
+			resumed = nil
 		}
 		select {
-		case bc := <-r.mailbox:
+		case bc := <-mailbox:
 			return bc, nil
+		case <-resumed:
 		case <-killed:
 			return nil, fmt.Errorf("%w: %s", ErrKilled, r.uri)
 		case <-deadline:

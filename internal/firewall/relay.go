@@ -21,6 +21,12 @@
 // relayed frame joins the batcher's per-link queue like any locally
 // originated forward.
 //
+// A relayed frame is a mediation like any other (mediate.go): admitted
+// on its seal, addressed off its header peeks, forwarded by the same
+// act stage and counted by the same emit. This file holds only what is
+// particular to relaying: the zero-copy transport hook and the
+// whole-container short cut.
+//
 // The reference-monitor argument (DESIGN §10): relaying is mediation,
 // not bypass. The relay reads exactly the envelope fields the inbound
 // path would read anyway, applies the same channel-authentication
@@ -32,14 +38,7 @@
 // alter what the final monitor sees — FuzzForward holds it to that.
 package firewall
 
-import (
-	"encoding/binary"
-	"fmt"
-
-	"tax/internal/briefcase"
-	"tax/internal/telemetry"
-	"tax/internal/uri"
-)
+import "context"
 
 // ownedSender is the transport's zero-copy send: ownership of the
 // payload buffer passes to the network, which delivers it without the
@@ -49,221 +48,39 @@ type ownedSender interface {
 	SendOwned(to string, payload []byte) error
 }
 
-// relayFrame inspects an inbound frame's envelope with header peeks and,
-// when its target lives on another host, forwards the wire bytes toward
-// the next hop. It reports whether the frame was consumed (forwarded or
-// dropped); false means the frame is for this host — or unreadable by
-// peeks — and continues down the normal inbound path, which will decode
-// it and audit any failure properly.
-func (fw *Firewall) relayFrame(from string, payload []byte) bool {
-	inner, sealed := peekSealed(payload)
-	if !sealed {
-		inner = payload
-	}
-	targetStr, ok := briefcase.PeekString(inner, briefcase.FolderSysTarget)
-	if !ok {
-		return false
-	}
-	target, err := uri.Parse(targetStr)
-	if err != nil || fw.isLocal(target) {
-		return false
-	}
-	// The target is elsewhere: this relay owns the frame's fate from here.
-	if fw.cfg.ChannelAuth {
-		if !sealed {
-			fw.ctr.authFailures.Inc()
-			fw.event(telemetry.EventDeny, "", targetStr, "relay: frame not sealed (from "+from+")")
-			return true
-		}
-		if err := verifySeal(fw.cfg.Trust, payload, inner); err != nil {
-			fw.ctr.authFailures.Inc()
-			fw.event(telemetry.EventDeny, "", targetStr, "relay channel auth from "+from+": "+err.Error())
-			return true
-		}
-	}
-	addr, err := fw.cfg.Resolve(target.Host, target.EffectivePort())
-	if err != nil {
-		fw.ctr.errors.Inc()
-		fw.event(telemetry.EventDrop, "", targetStr, "relay resolve: "+err.Error())
-		return true
-	}
-	if addr == from {
-		// Split horizon: a route that points a frame straight back where
-		// it came from is a loop, not a path. (Longer routing cycles are
-		// the operator's responsibility — next-hop tables carry no TTL.)
-		fw.ctr.errors.Inc()
-		fw.event(telemetry.EventDrop, "", targetStr, "relay loop: next hop is previous hop "+from)
-		return true
-	}
-	out := payload
-	if fw.cfg.ChannelSigner != nil {
-		// Hop-by-hop authentication: replace the previous hop's seal with
-		// this relay's own. The payload region is aliased into the new
-		// outer frame — header-only re-mediation, no payload re-encode.
-		out = sealFrame(fw.cfg.ChannelSigner, inner)
-	}
-	kind, _ := briefcase.PeekString(inner, FolderKind)
-	if fw.forwardRelayed(addr, out, kind == KindTransfer) {
-		fw.ctr.relayed.Inc()
-		if fw.eventsOn() {
-			fw.event(telemetry.EventForward, "", targetStr, "relayed to "+addr)
-		}
-	}
-	return true
-}
-
-// forwardRelayed pushes relayed wire bytes to the next hop: through the
-// batcher when batching is on (transfers flush inline, like Send), else
-// directly on the node under the host-default retry policy. It reports
-// whether the bytes reached the transport (or its queue).
-func (fw *Firewall) forwardRelayed(addr string, out []byte, inline bool) bool {
-	var err error
-	if fw.batch != nil {
-		// The batcher copies the frame into its link queue, so buffer
-		// ownership stays with the caller.
-		err = fw.batch.enqueue(addr, out, inline)
-	} else {
-		err = fw.sendOwned(addr, out)
-	}
-	if err != nil {
-		fw.ctr.errors.Inc()
-		fw.event(telemetry.EventError, "", addr, "relay forward: "+err.Error())
-		return false
-	}
-	return true
-}
-
-// sendOwned sends wire bytes the firewall owns (a delivery-private
-// inbound buffer or a freshly sealed frame) under the host-default retry
-// policy, handing buffer ownership to the transport when it supports
-// zero-copy sends.
-func (fw *Firewall) sendOwned(addr string, out []byte) error {
-	policy := fw.cfg.ForwardRetry
-	attempts := policy.Attempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	backoff := policy.Backoff
-	start := fw.clock.Now()
-	owned, hasOwned := fw.cfg.Node.(ownedSender)
-	var err error
-	for attempt := 1; ; attempt++ {
-		if hasOwned {
-			err = owned.SendOwned(addr, out)
-		} else {
-			err = fw.cfg.Node.Send(addr, out)
-		}
-		if err == nil || attempt >= attempts {
-			return err
-		}
-		if policy.Deadline > 0 && fw.clock.Now()-start+backoff > policy.Deadline {
-			return err
-		}
-		fw.ctr.retries.Inc()
-		fw.event(telemetry.EventRetry, "", addr,
-			fmt.Sprintf("relay attempt %d/%d failed (%v); backing off %v", attempt, attempts, err, backoff))
-		fw.clock.Advance(backoff)
-		if backoff > 0 {
-			backoff *= 2
-		}
-	}
-}
-
 // relayContainer forwards a whole inbound batch container verbatim when
-// every inner frame resolves to the same non-local next hop — the
-// composition of PR 5 batching with zero-copy forwarding: the container
-// crosses the relay as one transport message without being unpacked.
-// It reports whether the container was consumed; false falls back to
-// unbatch, which mediates each inner frame individually (and any
-// non-local ones take the per-frame relay path).
+// every inner frame addresses the same non-local next hop: the
+// container crosses the relay as one transport message without being
+// unpacked. It reports whether the container was consumed; false falls
+// back to unbatch, which mediates each inner frame individually (any
+// non-local ones then relay frame by frame) and audits whatever defect
+// stopped the walk here.
 //
 // A relay that authenticates or re-seals channels (ChannelAuth or
 // ChannelSigner) never short-circuits containers: those policies are
-// per-frame, so such hosts unpack and run every frame through
-// relayFrame, which enforces them.
+// per-frame, so such hosts unpack and admit every frame on its own.
 func (fw *Firewall) relayContainer(from string, payload []byte) bool {
 	if fw.cfg.ChannelAuth || fw.cfg.ChannelSigner != nil {
 		return false
 	}
-	var (
-		nextHop string
-		count   int
-	)
-	ok := walkContainer(payload, func(frame []byte) bool {
-		inner, sealed := peekSealed(frame)
-		if !sealed {
-			inner = frame
-		}
-		targetStr, ok := briefcase.PeekString(inner, briefcase.FolderSysTarget)
-		if !ok {
-			return false
-		}
-		target, err := uri.Parse(targetStr)
-		if err != nil || fw.isLocal(target) {
-			return false
-		}
-		addr, err := fw.cfg.Resolve(target.Host, target.EffectivePort())
-		if err != nil || addr == from {
-			return false
-		}
-		if count == 0 {
-			nextHop = addr
-		} else if addr != nextHop {
-			return false
-		}
-		count++
-		return true
+	// One mediation both probes and forwards: each inner frame is
+	// addressed into it in turn (only the next hop is compared across
+	// frames), and what is left describes the container's last frame,
+	// which nothing downstream reads — a container's outcomes name its
+	// next hop, not a target.
+	var m mediation
+	m.origin, m.from, m.wire, m.relay, m.hist = originFrame, from, payload, true, fw.histInbound
+	next, uniform := "", true
+	defect, _ := walkContainer(payload, func(frame []byte) bool {
+		_, elsewhere := fw.peek(&m, frame)
+		uniform = elsewhere && m.unroutable == nil && m.addr != from && (m.frames == 0 || m.addr == next)
+		next = m.addr
+		m.frames++
+		return uniform
 	})
-	if !ok || count == 0 {
+	if defect != "" || !uniform || m.frames == 0 {
 		return false
 	}
-	// Containers bypass the batcher deliberately: re-enqueueing one would
-	// wrap it in another container, and nested containers are rejected on
-	// receive. The container already is the coalesced transport message.
-	if err := fw.sendOwned(nextHop, payload); err != nil {
-		fw.ctr.errors.Inc()
-		fw.event(telemetry.EventError, "", nextHop, "relay forward: "+err.Error())
-		return true
-	}
-	fw.ctr.relayed.Add(int64(count))
-	fw.ctr.relayContainers.Inc()
-	if fw.eventsOn() {
-		fw.event(telemetry.EventForward, "", nextHop,
-			fmt.Sprintf("relayed container of %d frames from %s", count, from))
-	}
+	_ = fw.mediate(context.Background(), &m, stageAct)
 	return true
-}
-
-// walkContainer iterates the frames of a well-formed batch container
-// (the caller has already checked the magic), stopping early when fn
-// returns false. It returns false when the container is malformed or fn
-// stopped the walk — either way the caller falls back to the validating
-// unbatch path, whose audit events name the defect.
-func walkContainer(payload []byte, fn func(frame []byte) bool) bool {
-	rest := payload[len(batchMagic):]
-	ver, n := binary.Uvarint(rest)
-	if n <= 0 || ver != batchVersion {
-		return false
-	}
-	rest = rest[n:]
-	count, n := binary.Uvarint(rest)
-	if n <= 0 || count == 0 || count > maxBatchFrames {
-		return false
-	}
-	rest = rest[n:]
-	for i := uint64(0); i < count; i++ {
-		flen, n := binary.Uvarint(rest)
-		if n <= 0 || flen > maxBatchFrameSize || uint64(len(rest[n:])) < flen {
-			return false
-		}
-		frame := rest[n : n+int(flen)]
-		rest = rest[n+int(flen):]
-		if isBatchContainer(frame) {
-			return false
-		}
-		if !fn(frame) {
-			return false
-		}
-	}
-	return len(rest) == 0
 }

@@ -1,6 +1,7 @@
 package firewall
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"tax/internal/briefcase"
+	"tax/internal/simnet"
 	"tax/internal/telemetry"
 )
 
@@ -100,14 +102,72 @@ func RetryPolicyFrom(bc *briefcase.Briefcase) (p RetryPolicy, ok bool, err error
 // host default. A malformed folder is audited and ignored.
 func (fw *Firewall) forwardPolicy(bc *briefcase.Briefcase) RetryPolicy {
 	pol, has, err := RetryPolicyFrom(bc)
-	if !has {
-		return fw.cfg.ForwardRetry
-	}
 	if err != nil {
-		fw.event(telemetry.EventError, "", "", "ignoring malformed retry policy: "+err.Error())
+		fw.record(vNote, telemetry.EventError, "", "", "ignoring malformed retry policy: "+err.Error(), nil)
+	}
+	if !has || err != nil {
 		return fw.cfg.ForwardRetry
 	}
 	return pol
+}
+
+// transmit is the one retrying send: every frame that leaves this host
+// outside a batch queue — a forward, a relayed frame or container, a
+// flushed container — goes out through it. Up to rp.Attempts tries with
+// exponential backoff; the host clock pays the backoff, so virtual
+// clocks advance without sleeping and real clocks really wait. It
+// returns the attempts made and the last error.
+//
+// Relayed bytes are the firewall's own (a delivery-private inbound
+// buffer or a fresh seal) and pass to a zero-copy transport outright. A
+// traced briefcase's itinerary rides out of band on a tracing transport,
+// so fault injections on the wire are journaled under the right trace;
+// payload bytes, and so simulated transfer cost, are the same either way.
+func (fw *Firewall) transmit(ctx context.Context, m *mediation, frame []byte, rp RetryPolicy, label string) (attempt int, err error) {
+	var owned ownedSender
+	var traced simnet.TracedNode
+	trace, evTarget := "", m.addr
+	if m.relay {
+		owned, _ = fw.cfg.Node.(ownedSender)
+	} else if m.bc != nil {
+		evTarget = ""
+		if trace, _ = m.bc.GetString(briefcase.FolderSysTrace); trace != "" {
+			traced, _ = fw.cfg.Node.(simnet.TracedNode)
+		}
+	}
+	backoff, start := rp.Backoff, fw.clock.Now()
+	for attempt = 1; ; attempt++ {
+		switch {
+		case owned != nil:
+			err = owned.SendOwned(m.addr, frame)
+		case traced != nil:
+			err = traced.SendTraced(m.addr, frame, trace, m.tsp.ID())
+		default:
+			err = fw.cfg.Node.Send(m.addr, frame)
+		}
+		if err == nil || attempt >= rp.Attempts {
+			return attempt, err
+		}
+		if ctxErr := ctx.Err(); ctxErr != nil {
+			return attempt, ctxErr
+		}
+		if rp.Deadline > 0 && fw.clock.Now()-start+backoff > rp.Deadline {
+			return attempt, err
+		}
+		fw.retrying(m, evTarget, label, attempt, rp.Attempts, err, backoff)
+		fw.clock.Advance(backoff)
+		backoff *= 2
+	}
+}
+
+// retrying counts and audits one failed attempt. It is its own frame so
+// that transmit's, which sits under every forward, stays small.
+//
+//go:noinline
+func (fw *Firewall) retrying(m *mediation, target, label string, attempt, attempts int, err error, backoff time.Duration) {
+	fw.ctr.retries.Inc()
+	fw.emit(m, &outcome{typ: telemetry.EventRetry, target: target, cause: fmt.Sprintf(
+		"%sattempt %d/%d failed (%v); backing off %v", label, attempt, attempts, err, backoff)})
 }
 
 // dedupWindow is the firewall's recent-frame memory for duplicate

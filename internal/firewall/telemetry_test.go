@@ -223,3 +223,55 @@ func TestMgmtTraceDisabled(t *testing.T) {
 		t.Errorf("error = %q", msg)
 	}
 }
+
+// TestMediationHistogramsCountEveryExit: with detailed telemetry on,
+// fw.send and fw.inbound observe every mediation that entered, not only
+// the ones that delivered — a refusal's latency is latency too. The
+// exits that used to skip the histogram (remote deny and park, every
+// pre-route error; duplicate, undecodable, unauthenticated, untargeted
+// and misaddressed frames) are all driven here.
+func TestMediationHistogramsCountEveryExit(t *testing.T) {
+	s := newAuditSite(t)
+	reg := s.tel.Registry()
+	sends, inbounds := reg.Histogram("fw.send", "host", "h1"), reg.Histogram("fw.inbound", "host", "h1")
+	sends0, inbounds0 := sends.Count(), inbounds.Count()
+
+	dead := s.dav.GlobalURI()
+	s.fw.Unregister(s.dav)
+	for _, target := range []string{
+		"alice/dst",             // delivered
+		"bob/x",                 // denied locally
+		"tacoma://h2/alice/dst", // forwarded
+		"tacoma://h2/bob/x",     // denied before the forward
+		"tacoma://h2/carol/x",   // parked before the forward
+		"tacoma://h1:notaport/", // unparseable target
+	} {
+		_ = sendErr(s.fw, s.src, target, "x")
+	}
+	_ = s.fw.Send(s.src.GlobalURI(), briefcase.New()) // no target
+	_ = s.fw.Send(dead, briefcase.New())              // dead registration
+	if got := sends.Count() - sends0; got != 8 {
+		t.Errorf("fw.send observed %d of 8 sends", got)
+	}
+
+	sends0 = sends.Count()
+	noTarget := briefcase.New()
+	noTarget.SetString("BODY", "x")
+	for _, payload := range [][]byte{
+		frame("alice", "tacoma://h1/alice/dst"), // delivered
+		frame("alice", "tacoma://h1/carol/x"),   // parked
+		frame("alice", "tacoma://h3/alice/dst"), // relayed
+		frame("alice", "tacoma://h2/alice/dst"), // relay loop: dropped
+		noTarget.Encode(),                       // no target
+		[]byte("TAXB but not a briefcase"),      // undecodable
+		frame("alice", "tacoma://h1/bob/x"),     // denied: one typed reply goes back
+	} {
+		s.fw.handleInbound("h2", payload)
+	}
+	if got := inbounds.Count() - inbounds0; got != 7 {
+		t.Errorf("fw.inbound observed %d of 7 frames", got)
+	}
+	if got := sends.Count() - sends0; got != 1 {
+		t.Errorf("fw.send observed %d sends during inbound mediation, want the 1 error reply", got)
+	}
+}
