@@ -101,8 +101,11 @@ chaos:
 # the cabinet WAL record decoder (torn frames, bad CRCs, truncated
 # length prefixes), the relay fast path (mutated wire bytes through a
 # forwarding firewall: forwarded frames stay byte-identical, delivered
-# payloads match the reference decode of the input), the policy
-# layer: the ruleset parser (accept-or-reject, installed invariants
+# payloads match the reference decode of the input), the core signature
+# check (mutated wire bytes of signed transfers through Decode and
+# VerifyCore, seeded with the tamper table: whatever verifies must
+# reference-decode to a principal and a core that principal signed), the
+# policy layer: the ruleset parser (accept-or-reject, installed invariants
 # hold, Describe never panics) and the evaluator (differential against
 # a literal reference evaluator, deny never widens to allow), and the
 # robots.txt parser (arbitrary text: never panics, and a parse that
@@ -112,6 +115,7 @@ fuzz-short:
 	$(GO) test -fuzz FuzzCrossCodec -fuzztime 30s ./internal/briefcase/
 	$(GO) test -fuzz FuzzWALDecode -fuzztime 30s ./internal/cabinet/
 	$(GO) test -fuzz FuzzForward -fuzztime 30s ./internal/firewall/
+	$(GO) test -fuzz FuzzVerifyCore -fuzztime 30s ./internal/firewall/
 	$(GO) test -fuzz FuzzPolicyParse -fuzztime 30s ./internal/policy/
 	$(GO) test -fuzz FuzzPolicyEval -fuzztime 30s ./internal/policy/
 	$(GO) test -fuzz FuzzRobots -fuzztime 30s ./internal/webbot/

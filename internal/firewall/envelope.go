@@ -1,6 +1,7 @@
 package firewall
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -46,58 +47,80 @@ func Kind(bc *briefcase.Briefcase) string {
 // ErrUnsigned is returned when a transfer carries no signature.
 var ErrUnsigned = errors.New("firewall: agent core not signed")
 
-// coreBytes returns the canonical byte string a core signature covers:
-// the deterministic encoding of the CODE and BINARIES folders. Arguments
-// and results mutate in flight and are deliberately not covered; the
-// paper's "signed agent core" is the code.
-func coreBytes(bc *briefcase.Briefcase) []byte {
-	core := briefcase.New()
-	for _, name := range []string{briefcase.FolderCode, briefcase.FolderBinaries} {
-		if !bc.Has(name) {
-			continue
-		}
-		src, err := bc.Folder(name)
-		if err != nil {
-			continue
-		}
-		dst := core.Ensure(name)
-		for _, e := range src.Bytes() {
-			dst.Append(e)
-		}
+// coreManifestTag domain-separates core signatures from everything else
+// a principal's key signs (channel seals sign raw frame bytes).
+const coreManifestTag = "TAX core manifest v1\n"
+
+// appendCoreManifest appends the message a core signature covers: the
+// domain tag, the length-prefixed principal, and the SHA-256 of the
+// canonical encoding of CODE and BINARIES (briefcase.CoreDigest). Its
+// size depends on the principal's name alone, never on the core's, so
+// ed25519 runs over about a hundred bytes whatever the agent carries.
+// Naming the principal inside the signed message binds the signature to
+// the _PRINCIPAL claim beside it.
+func appendCoreManifest(dst []byte, principal string, digest [briefcase.CoreDigestSize]byte) []byte {
+	dst = append(dst, coreManifestTag...)
+	dst = binary.AppendUvarint(dst, uint64(len(principal)))
+	dst = append(dst, principal...)
+	return append(dst, digest[:]...)
+}
+
+// coreDigest returns the core's digest: the stamped one while the stamp
+// holds — the core has not changed since it was computed — else a fresh
+// hash of the core.
+func coreDigest(bc *briefcase.Briefcase) [briefcase.CoreDigestSize]byte {
+	if digest, _, ok := bc.CoreStamp(); ok {
+		return digest
 	}
-	return core.Encode()
+	return bc.CoreDigest()
 }
 
 // SignCore signs the briefcase's agent core with the principal's key and
-// records the principal name and detached signature in the system folders.
+// records the principal name and detached signature in the system
+// folders. It leaves a core stamp behind (briefcase.StampCore).
 func SignCore(bc *briefcase.Briefcase, p *identity.Principal) {
+	digest := coreDigest(bc)
+	var buf [128]byte
+	sig := p.Sign(appendCoreManifest(buf[:0], p.Name(), digest))
 	bc.SetString(briefcase.FolderSysPrincipal, p.Name())
-	sig := p.Sign(coreBytes(bc))
 	f := bc.Ensure(briefcase.FolderSysSignature)
 	f.Clear()
 	f.Append(sig)
+	bc.StampCore(digest, p.Name())
 }
 
 // VerifyCore checks the core signature against the trust store and
-// returns the verified principal name. required is the minimum trust
-// level the signer must hold.
+// returns the signing principal's name. required is the minimum trust
+// level the signer must hold. Success leaves a core stamp behind; any
+// failure leaves the briefcase as it was.
 func VerifyCore(bc *briefcase.Briefcase, trust *identity.TrustStore, required identity.Level) (string, error) {
+	principal, _, err := verifyCore(bc, trust, required)
+	return principal, err
+}
+
+// verifyCore is VerifyCore that also reports whether the signature check
+// was answered by the trust store's verified-manifest cache.
+func verifyCore(bc *briefcase.Briefcase, trust *identity.TrustStore, required identity.Level) (principal string, cached bool, err error) {
 	principal, ok := bc.GetString(briefcase.FolderSysPrincipal)
 	if !ok {
-		return "", fmt.Errorf("%w: no principal", ErrUnsigned)
+		return "", false, fmt.Errorf("%w: no principal", ErrUnsigned)
 	}
 	f, err := bc.Folder(briefcase.FolderSysSignature)
 	if err != nil || f.Len() == 0 {
-		return "", fmt.Errorf("%w: no signature", ErrUnsigned)
+		return "", false, fmt.Errorf("%w: no signature", ErrUnsigned)
 	}
 	sig, err := f.Element(0)
 	if err != nil {
-		return "", fmt.Errorf("%w: %v", ErrUnsigned, err)
+		return "", false, fmt.Errorf("%w: %v", ErrUnsigned, err)
 	}
-	if err := trust.VerifyBy(principal, coreBytes(bc), sig, required); err != nil {
-		return "", err
+	digest := coreDigest(bc)
+	var buf [128]byte
+	cached, err = trust.VerifyManifest(principal, appendCoreManifest(buf[:0], principal, digest), sig, required)
+	if err != nil {
+		return "", false, err
 	}
-	return principal, nil
+	bc.StampCore(digest, principal)
+	return principal, cached, nil
 }
 
 // Channel-authentication folders: a sealed frame is an outer briefcase

@@ -209,6 +209,12 @@ type fwCounters struct {
 	policyDeny      *telemetry.Counter
 	policyPark      *telemetry.Counter
 	policyQuota     *telemetry.Counter
+	// fw.core_verify{result}: transfer authentications by how the
+	// signature check was answered — the trust store's verified-manifest
+	// cache (hit), ed25519 (miss), or a refusal (fail).
+	coreVerifyHit  *telemetry.Counter
+	coreVerifyMiss *telemetry.Counter
+	coreVerifyFail *telemetry.Counter
 }
 
 // Firewall is the per-host broker. Create with New, shut down with Close.
@@ -316,6 +322,9 @@ func New(cfg Config) (*Firewall, error) {
 			policyDeny:      reg.Counter("fw.policy_deny", "host", cfg.HostName),
 			policyPark:      reg.Counter("fw.policy_park", "host", cfg.HostName),
 			policyQuota:     reg.Counter("fw.policy_quota", "host", cfg.HostName),
+			coreVerifyHit:   reg.Counter("fw.core_verify", "host", cfg.HostName, "result", "hit"),
+			coreVerifyMiss:  reg.Counter("fw.core_verify", "host", cfg.HostName, "result", "miss"),
+			coreVerifyFail:  reg.Counter("fw.core_verify", "host", cfg.HostName, "result", "fail"),
 		},
 		park:         newParkTable(reg, cfg.HostName),
 		regs:         make(map[string][]*Registration),

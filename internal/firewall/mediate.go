@@ -255,9 +255,16 @@ func (fw *Firewall) admitFrame(m *mediation) bool {
 	// First-level authentication (§3.2): inbound agent transfers must
 	// carry a core signed by a principal this host knows.
 	if Kind(bc) == KindTransfer && fw.cfg.RequireAuth {
-		if _, err := VerifyCore(bc, fw.cfg.Trust, identity.Untrusted); err != nil {
+		_, cached, err := verifyCore(bc, fw.cfg.Trust, identity.Untrusted)
+		switch {
+		case err != nil:
+			fw.ctr.coreVerifyFail.Inc()
 			m.out.refused = true
 			return m.stop(vAuthFailed, "transfer auth: "+err.Error(), fmt.Errorf("transfer rejected: %w", err))
+		case cached:
+			fw.ctr.coreVerifyHit.Inc()
+		default:
+			fw.ctr.coreVerifyMiss.Inc()
 		}
 	}
 	return true

@@ -270,9 +270,6 @@ func TestVerifyCoreUnsigned(t *testing.T) {
 }
 
 func TestInboundTransferAuth(t *testing.T) {
-	var f *fixture
-	f = &fixture{}
-	_ = f
 	fx := newFixture(t)
 	fx.config = func(c *Config) { c.RequireAuth = true }
 	fx.addHost("h1")

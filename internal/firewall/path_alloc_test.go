@@ -2,6 +2,7 @@ package firewall
 
 import (
 	"bytes"
+	"runtime"
 	"runtime/debug"
 	"testing"
 
@@ -238,5 +239,61 @@ func TestForwardPathStageAllocs(t *testing.T) {
 	}
 	if deliver > 40 {
 		t.Errorf("deliver stage allocates %.0f, budget 40", deliver)
+	}
+}
+
+// allocBytesPerOp prices f in heap bytes per call, over n calls with the
+// collector off. f receives the call index so each call can take its own
+// prepared input.
+func allocBytesPerOp(n int, f func(i int)) float64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		f(i)
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+}
+
+// TestCoreSignatureAllocBudget pins the allocation side of manifest
+// signing for a 64 KiB core: neither the arrival's VerifyCore on a just
+// decoded transfer (the core is hashed in place, from its wire region)
+// nor a SignCore on a stamped briefcase (nothing is hashed) may copy the
+// core. The byte-signing code this replaced paid three 64 KiB copies per
+// call; the budget is 1 KiB.
+func TestCoreSignatureAllocBudget(t *testing.T) {
+	signer, err := identity.NewPrincipal("system")
+	if err != nil {
+		t.Fatal(err)
+	}
+	trust := &identity.TrustStore{}
+	trust.AddPrincipal(signer, identity.System)
+	bc := briefcase.New()
+	bc.Ensure(briefcase.FolderCode).Append([]byte("tour"), make([]byte, 64<<10))
+	bc.Ensure(briefcase.FolderResults).Append(make([]byte, 200))
+	bc.SetString(FolderKind, KindTransfer)
+	SignCore(bc, signer)
+	wire := bc.Encode()
+
+	const runs = 64
+	arrivals := make([]*briefcase.Briefcase, runs)
+	for i := range arrivals {
+		if arrivals[i], err = briefcase.Decode(wire); err != nil {
+			t.Fatal(err)
+		}
+	}
+	verify := allocBytesPerOp(runs, func(i int) {
+		if _, err := VerifyCore(arrivals[i], trust, identity.Untrusted); err != nil {
+			t.Fatal(err)
+		}
+	})
+	sign := allocBytesPerOp(runs, func(int) { SignCore(bc, signer) })
+	t.Logf("bytes/op: VerifyCore on a fresh decode %.0f, SignCore on a stamped briefcase %.0f", verify, sign)
+	if verify >= 1024 {
+		t.Errorf("VerifyCore on a freshly decoded 64 KiB transfer allocates %.0f B, budget 1 KiB", verify)
+	}
+	if sign >= 1024 {
+		t.Errorf("SignCore on a stamped 64 KiB briefcase allocates %.0f B, budget 1 KiB", sign)
 	}
 }

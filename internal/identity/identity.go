@@ -13,6 +13,7 @@ package identity
 import (
 	"crypto/ed25519"
 	"crypto/rand"
+	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -111,7 +112,16 @@ func Verify(pub ed25519.PublicKey, msg, sig []byte) error {
 type TrustStore struct {
 	mu      sync.RWMutex
 	entries map[string]trustEntry
+
+	// verified remembers signature checks that succeeded, keyed by a
+	// digest of (public key, signature, message); see VerifyManifest.
+	verified map[[sha256.Size]byte]struct{}
 }
+
+// verifiedCacheSize bounds TrustStore.verified. One entry is one signed
+// agent core this host has seen; at 32 bytes a key the table stays under
+// a hundred kilobytes however many cores pass through.
+const verifiedCacheSize = 1024
 
 type trustEntry struct {
 	pub   ed25519.PublicKey
@@ -144,22 +154,15 @@ func (s *TrustStore) Remove(name string) {
 
 // Level returns the trust level of the named principal.
 func (s *TrustStore) Level(name string) (Level, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	e, ok := s.entries[name]
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrUnknownPrincipal, name)
-	}
-	return e.level, nil
+	e, err := s.entry(name)
+	return e.level, err
 }
 
 // Key returns the public key of the named principal.
 func (s *TrustStore) Key(name string) (ed25519.PublicKey, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	e, ok := s.entries[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownPrincipal, name)
+	e, err := s.entry(name)
+	if err != nil {
+		return nil, err
 	}
 	k := make(ed25519.PublicKey, len(e.pub))
 	copy(k, e.pub)
@@ -169,15 +172,83 @@ func (s *TrustStore) Key(name string) (ed25519.PublicKey, error) {
 // VerifyBy checks that sig is a valid signature by the named principal
 // over msg, and that the principal holds at least the required level.
 func (s *TrustStore) VerifyBy(name string, msg, sig []byte, required Level) error {
-	s.mu.RLock()
-	e, ok := s.entries[name]
-	s.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownPrincipal, name)
+	e, err := s.entry(name)
+	if err != nil {
+		return err
 	}
 	if err := Verify(e.pub, msg, sig); err != nil {
 		return fmt.Errorf("principal %q: %w", name, err)
 	}
+	return e.require(name, required)
+}
+
+// VerifyManifest is VerifyBy for a short message the host will be shown
+// again — an agent core's manifest, presented at every arrival of that
+// core. A check that succeeds is remembered, and cached reports that the
+// signature was found there instead of being run through ed25519 again.
+//
+// The cache cannot widen what verifies. Whether a signature is valid is
+// a pure function of (public key, message, signature), and exactly that
+// triple is the cache key; the principal's key is looked up live on
+// every call, so a Remove, or an Add that replaces the key, makes the
+// old entries unreachable; the trust level is compared live, after the
+// signature; and only successes are stored, so a hostile sender cannot
+// plant anything or make a later valid signature fail.
+func (s *TrustStore) VerifyManifest(name string, manifest, sig []byte, required Level) (cached bool, err error) {
+	e, err := s.entry(name)
+	if err != nil {
+		return false, err
+	}
+	// Fixed-length key and signature in front of the message make the
+	// hashed concatenation unambiguous. Any other lengths cannot verify,
+	// and must not be looked up: they could alias a remembered triple.
+	cacheable := len(e.pub) == ed25519.PublicKeySize && len(sig) == ed25519.SignatureSize
+	var key [sha256.Size]byte
+	if cacheable {
+		var buf [256]byte
+		key = sha256.Sum256(append(append(append(buf[:0], e.pub...), sig...), manifest...))
+		s.mu.RLock()
+		_, cached = s.verified[key]
+		s.mu.RUnlock()
+	}
+	if !cached {
+		if err := Verify(e.pub, manifest, sig); err != nil {
+			return false, fmt.Errorf("principal %q: %w", name, err)
+		}
+		s.remember(key)
+	}
+	return cached, e.require(name, required)
+}
+
+// remember stores a verified triple's key, evicting an arbitrary entry
+// when the cache is full.
+func (s *TrustStore) remember(key [sha256.Size]byte) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.verified == nil {
+		s.verified = make(map[[sha256.Size]byte]struct{})
+	}
+	if len(s.verified) >= verifiedCacheSize {
+		for k := range s.verified {
+			delete(s.verified, k)
+			break
+		}
+	}
+	s.verified[key] = struct{}{}
+}
+
+// entry reads the named principal's key and level as they are now.
+func (s *TrustStore) entry(name string) (trustEntry, error) {
+	s.mu.RLock()
+	e, ok := s.entries[name]
+	s.mu.RUnlock()
+	if !ok {
+		return e, fmt.Errorf("%w: %q", ErrUnknownPrincipal, name)
+	}
+	return e, nil
+}
+
+func (e trustEntry) require(name string, required Level) error {
 	if e.level < required {
 		return fmt.Errorf("%w: %q is %v, need %v", ErrInsufficientTrust, name, e.level, required)
 	}
@@ -187,14 +258,11 @@ func (s *TrustStore) VerifyBy(name string, msg, sig []byte, required Level) erro
 // Require returns nil when the named principal holds at least the
 // required level.
 func (s *TrustStore) Require(name string, required Level) error {
-	lvl, err := s.Level(name)
+	e, err := s.entry(name)
 	if err != nil {
 		return err
 	}
-	if lvl < required {
-		return fmt.Errorf("%w: %q is %v, need %v", ErrInsufficientTrust, name, lvl, required)
-	}
-	return nil
+	return e.require(name, required)
 }
 
 // Names returns the registered principal names (unordered).

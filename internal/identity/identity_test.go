@@ -2,6 +2,7 @@ package identity
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -173,4 +174,139 @@ func TestPropSignatureSoundness(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
+}
+
+// mustVerifyManifest checks one VerifyManifest outcome: whether it was
+// answered from the cache, and which error (nil for success) came back.
+func mustVerifyManifest(t *testing.T, s *TrustStore, name string, msg, sig []byte, lvl Level, wantCached bool, wantErr error) {
+	t.Helper()
+	cached, err := s.VerifyManifest(name, msg, sig, lvl)
+	if !errors.Is(err, wantErr) {
+		t.Fatalf("VerifyManifest err = %v, want %v", err, wantErr)
+	}
+	if cached != wantCached {
+		t.Fatalf("VerifyManifest cached = %v, want %v", cached, wantCached)
+	}
+}
+
+func TestVerifyManifestCachesOnlySuccesses(t *testing.T) {
+	var s TrustStore
+	alice := newTestPrincipal(t, "alice")
+	s.AddPrincipal(alice, Trusted)
+	msg := []byte("manifest of one core")
+	sig := alice.Sign(msg)
+
+	// A forgery is refused, is refused again the same way (nothing was
+	// remembered), and does not stand in the way of the real signature.
+	forged := append([]byte(nil), sig...)
+	forged[0] ^= 1
+	mustVerifyManifest(t, &s, "alice", msg, forged, Untrusted, false, ErrBadSignature)
+	mustVerifyManifest(t, &s, "alice", msg, forged, Untrusted, false, ErrBadSignature)
+	if len(s.verified) != 0 {
+		t.Fatalf("a failed check left %d cache entries", len(s.verified))
+	}
+	mustVerifyManifest(t, &s, "alice", msg, sig, Untrusted, false, nil)
+	mustVerifyManifest(t, &s, "alice", msg, sig, Untrusted, true, nil)
+	mustVerifyManifest(t, &s, "alice", msg, forged, Untrusted, false, ErrBadSignature)
+	mustVerifyManifest(t, &s, "alice", []byte("another core"), sig, Untrusted, false, ErrBadSignature)
+
+	// A hit answers only the signature question: the level is read live.
+	mustVerifyManifest(t, &s, "alice", msg, sig, System, true, ErrInsufficientTrust)
+	s.AddPrincipal(alice, Untrusted)
+	mustVerifyManifest(t, &s, "alice", msg, sig, Trusted, true, ErrInsufficientTrust)
+	mustVerifyManifest(t, &s, "alice", msg, sig, Untrusted, true, nil)
+
+	// VerifyBy neither fills nor reads the cache.
+	other := []byte("a channel frame")
+	if err := s.VerifyBy("alice", other, alice.Sign(other), Untrusted); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.verified) != 1 {
+		t.Errorf("cache holds %d entries, want the one verified manifest", len(s.verified))
+	}
+}
+
+// The cache must not outlive the trust decision it was made under: once
+// the principal is removed, or its key replaced, a remembered signature
+// by the old key verifies no more.
+func TestVerifyManifestCacheFollowsTheKey(t *testing.T) {
+	var s TrustStore
+	old := newTestPrincipal(t, "alice")
+	s.AddPrincipal(old, Trusted)
+	msg := []byte("manifest")
+	sig := old.Sign(msg)
+	mustVerifyManifest(t, &s, "alice", msg, sig, Untrusted, false, nil)
+	mustVerifyManifest(t, &s, "alice", msg, sig, Untrusted, true, nil)
+
+	s.Remove("alice")
+	mustVerifyManifest(t, &s, "alice", msg, sig, Untrusted, false, ErrUnknownPrincipal)
+
+	rotated := newTestPrincipal(t, "alice")
+	s.AddPrincipal(rotated, Trusted)
+	mustVerifyManifest(t, &s, "alice", msg, sig, Untrusted, false, ErrBadSignature)
+	mustVerifyManifest(t, &s, "alice", msg, rotated.Sign(msg), Untrusted, false, nil)
+
+	// Another name holding the old key is a different trust decision with
+	// the same arithmetic: the signature is valid under that key.
+	s.Add("bob", old.PublicKey(), Untrusted)
+	mustVerifyManifest(t, &s, "bob", msg, sig, Untrusted, true, nil)
+	mustVerifyManifest(t, &s, "bob", msg, sig, Trusted, true, ErrInsufficientTrust)
+}
+
+// A signature of the wrong length cannot verify, and must not be looked
+// up either: shifting bytes between signature and message would hash to
+// a remembered triple.
+func TestVerifyManifestNoAliasing(t *testing.T) {
+	var s TrustStore
+	alice := newTestPrincipal(t, "alice")
+	s.AddPrincipal(alice, Trusted)
+	msg := []byte("manifest")
+	sig := alice.Sign(msg)
+	mustVerifyManifest(t, &s, "alice", msg, sig, Untrusted, false, nil)
+	shifted := append(append([]byte(nil), sig[63:]...), msg...)
+	mustVerifyManifest(t, &s, "alice", shifted, sig[:63], Untrusted, false, ErrBadSignature)
+	mustVerifyManifest(t, &s, "alice", msg[1:], append(append([]byte(nil), sig...), msg[0]), Untrusted, false, ErrBadSignature)
+	s.Add("short", alice.PublicKey()[:31], Trusted)
+	mustVerifyManifest(t, &s, "short", msg, sig, Untrusted, false, ErrBadSignature)
+}
+
+func TestVerifyManifestCacheIsBounded(t *testing.T) {
+	var s TrustStore
+	alice := newTestPrincipal(t, "alice")
+	s.AddPrincipal(alice, Trusted)
+	var last []byte
+	for i := 0; i < verifiedCacheSize+50; i++ {
+		last = []byte{byte(i), byte(i >> 8), 'm'}
+		mustVerifyManifest(t, &s, "alice", last, alice.Sign(last), Untrusted, false, nil)
+		if len(s.verified) > verifiedCacheSize {
+			t.Fatalf("cache grew to %d entries, bound %d", len(s.verified), verifiedCacheSize)
+		}
+	}
+	// The newest entry is never the one evicted to make room for itself.
+	mustVerifyManifest(t, &s, "alice", last, alice.Sign(last), Untrusted, true, nil)
+}
+
+func TestVerifyManifestConcurrent(t *testing.T) {
+	var s TrustStore
+	alice := newTestPrincipal(t, "alice")
+	s.AddPrincipal(alice, Trusted)
+	msg := []byte("manifest")
+	sig := alice.Sign(msg)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if _, err := s.VerifyManifest("alice", msg, sig, Trusted); err != nil {
+					t.Error(err)
+					return
+				}
+				if i%50 == 0 {
+					s.AddPrincipal(alice, Trusted)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

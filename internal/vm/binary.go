@@ -213,6 +213,7 @@ type BinVM struct {
 	// through (nil unless detailed telemetry is on).
 	ctrActivated *telemetry.Counter
 	ctrRejected  *telemetry.Counter
+	ctrSigned    *telemetry.Counter // vm.core_signed, see signCore
 	histResolve  *telemetry.Histogram
 
 	mu     sync.Mutex
@@ -253,6 +254,7 @@ func NewBin(cfg BinConfig) (*BinVM, error) {
 	mreg := tel.Registry()
 	v.ctrActivated = mreg.Counter("vm.activated", "host", cfg.FW.HostName(), "vm", cfg.Name)
 	v.ctrRejected = mreg.Counter("vm.rejected", "host", cfg.FW.HostName(), "vm", cfg.Name)
+	v.ctrSigned = coreSignedCounter(cfg.FW, cfg.Name)
 	if tel.Detailed() {
 		v.histResolve = mreg.Histogram("vm.resolve", "host", cfg.FW.HostName(), "vm", cfg.Name)
 	}
@@ -345,7 +347,10 @@ func (v *BinVM) acceptTransfer(self *firewall.Registration, bc *briefcase.Briefc
 	}
 	// §3.3: execute "provided the binary is signed by a trusted
 	// principal". The signature covers the BINARIES folder, so a swapped
-	// image also fails here.
+	// image also fails here. Where the firewall's RequireAuth already
+	// verified this core at admission, its stamp spares the second hash
+	// and the trust store's cache the second ed25519; the signer's key
+	// and its Trusted level are still read live.
 	principal, err := firewall.VerifyCore(bc, v.cfg.Trust, identity.Trusted)
 	if err != nil {
 		reject(fmt.Sprintf("signature: %v", err))
@@ -423,7 +428,7 @@ func (v *BinVM) Launch(principal, name, binaryName string, bc *briefcase.Briefca
 		PackBinaries(bc, dep)
 	}
 	if v.cfg.Signer != nil && principal == v.cfg.Signer.Name() {
-		firewall.SignCore(bc, v.cfg.Signer)
+		signCore(bc, v.cfg.Signer, v.ctrSigned)
 	}
 	return v.run(principal, name, dep.Handler, bc)
 }
@@ -493,7 +498,9 @@ func (v *BinVM) execSpan(bc *briefcase.Briefcase, name string) *telemetry.Span {
 }
 
 // Move implements agent.Mover for binary agents: the BINARIES folder
-// already carries the images; re-sign and forward.
+// already carries the images, so the briefcase is forwarded as it is,
+// re-signed (signTransfer) only if its core changed since it was last
+// signed or verified.
 func (v *BinVM) Move(c *agent.Context, dest uri.URI, spawn bool) (uint64, error) {
 	if dest.Name == "" {
 		dest.Name = v.cfg.Name
@@ -511,7 +518,7 @@ func (v *BinVM) Move(c *agent.Context, dest uri.URI, spawn bool) (uint64, error)
 		out.SetString(agent.FolderSpawn, "1")
 		out.SetString(firewall.FolderMsgID, msgID)
 	}
-	signTransfer(out, c.Registration().URI().Principal, v.cfg.Signer)
+	signTransfer(out, c.Registration().URI().Principal, v.cfg.Signer, v.ctrSigned)
 	if err := c.Activate(dest.String(), out); err != nil {
 		scrubTransferFolders(out)
 		out.Drop(FolderAgentName)

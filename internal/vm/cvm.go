@@ -201,7 +201,7 @@ func (v *CVM) activate(ctx *agent.Context, self *firewall.Registration, bc *brie
 	compiled.Drop(FolderArch)
 	compiled.Drop(FolderCompiler)
 	compiled.Drop(firewall.FolderReplyTo)
-	firewall.SignCore(compiled, v.cfg.Signer)
+	signCore(compiled, v.cfg.Signer, coreSignedCounter(v.cfg.FW, v.cfg.Name))
 	v.trace("step 7: activate via %s", v.cfg.BinVM)
 	return v.cfg.FW.Send(self.GlobalURI(), compiled)
 }

@@ -142,6 +142,7 @@ type GoVM struct {
 	// is on, so the disabled path never reads the wall clock).
 	ctrActivated *telemetry.Counter
 	ctrRejected  *telemetry.Counter
+	ctrSigned    *telemetry.Counter // vm.core_signed, see signCore
 	histRun      *telemetry.Histogram
 
 	mu     sync.Mutex
@@ -177,6 +178,7 @@ func New(cfg Config) (*GoVM, error) {
 	mreg := tel.Registry()
 	v.ctrActivated = mreg.Counter("vm.activated", "host", cfg.FW.HostName(), "vm", cfg.Name)
 	v.ctrRejected = mreg.Counter("vm.rejected", "host", cfg.FW.HostName(), "vm", cfg.Name)
+	v.ctrSigned = coreSignedCounter(cfg.FW, cfg.Name)
 	if tel.Detailed() {
 		v.histRun = mreg.Histogram("vm.run", "host", cfg.FW.HostName(), "vm", cfg.Name)
 	}
@@ -284,8 +286,11 @@ func (v *GoVM) acceptTransfer(self *firewall.Registration, bc *briefcase.Briefca
 }
 
 // transferPrincipal decides which principal an arriving agent acts for:
-// the verified signing principal when the core is signed, else the
-// sender's principal, else the briefcase's claimed principal.
+// the briefcase's _PRINCIPAL claim, else the sender's principal. The
+// claim is returned as written, not verified here: it is a signer's name
+// only where the firewall's RequireAuth checked the core signature at
+// admission, and otherwise the unsigned claim the sending VM stamped
+// (signTransfer), which the policy gate then judges.
 func (v *GoVM) transferPrincipal(bc *briefcase.Briefcase) string {
 	if p, ok := bc.GetString(briefcase.FolderSysPrincipal); ok {
 		return p
@@ -338,13 +343,33 @@ func scrubTransferFolders(bc *briefcase.Briefcase) {
 // gate. For any other principal the claim is stamped unsigned (and any
 // stale signature from a prior hop dropped), so the arrival VM activates
 // the agent as the principal it actually acts for.
-func signTransfer(bc *briefcase.Briefcase, principal string, signer *identity.Principal) {
+//
+// An agent acting as the signer's principal whose briefcase holds a core
+// stamp for that principal goes out untouched: the stamp says CODE,
+// BINARIES, _PRINCIPAL and _SIGNATURE are exactly as they were when that
+// signature was made or verified, so there is nothing to re-sign. An
+// unstamped, modified or cloned core is hashed and signed.
+func signTransfer(bc *briefcase.Briefcase, principal string, signer *identity.Principal, signed *telemetry.Counter) {
 	if signer != nil && principal == signer.Name() {
-		firewall.SignCore(bc, signer)
+		if _, by, ok := bc.CoreStamp(); !ok || by != principal {
+			signCore(bc, signer, signed)
+		}
 		return
 	}
 	bc.SetString(briefcase.FolderSysPrincipal, principal)
 	bc.Drop(briefcase.FolderSysSignature)
+}
+
+// signCore signs bc's core as signer and counts the signature.
+func signCore(bc *briefcase.Briefcase, signer *identity.Principal, signed *telemetry.Counter) {
+	firewall.SignCore(bc, signer)
+	signed.Inc()
+}
+
+// coreSignedCounter is vm.core_signed: core signatures the named VM made
+// (launches, and moves whose core had changed or was never stamped).
+func coreSignedCounter(fw *firewall.Firewall, vm string) *telemetry.Counter {
+	return fw.Telemetry().Registry().Counter("vm.core_signed", "host", fw.HostName(), "vm", vm)
 }
 
 // Launch starts a fresh agent on this VM: program is resolved in the
@@ -356,7 +381,7 @@ func (v *GoVM) Launch(principal, name, program string, bc *briefcase.Briefcase) 
 	}
 	bc.SetString(briefcase.FolderCode, program)
 	if v.cfg.Signer != nil && principal == v.cfg.Signer.Name() {
-		firewall.SignCore(bc, v.cfg.Signer)
+		signCore(bc, v.cfg.Signer, v.ctrSigned)
 	}
 	return v.launch(principal, name, program, bc)
 }
@@ -499,7 +524,7 @@ func (v *GoVM) Move(c *agent.Context, dest uri.URI, spawn bool) (uint64, error) 
 		out.SetString(agent.FolderSpawn, "1")
 		out.SetString(firewall.FolderMsgID, msgID)
 	}
-	signTransfer(out, c.Registration().URI().Principal, v.cfg.Signer)
+	signTransfer(out, c.Registration().URI().Principal, v.cfg.Signer, v.ctrSigned)
 	// The transfer goes out through the agent's send path so wrappers
 	// observe the departure (a move is a send like any other in §4's
 	// minimal interface).
