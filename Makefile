@@ -99,9 +99,12 @@ chaos:
 # target per invocation: the briefcase codec, the cross-codec oracle
 # (fast encode/decode vs the frozen reference codec on the same bytes),
 # the cabinet WAL record decoder (torn frames, bad CRCs, truncated
-# length prefixes), the relay fast path (mutated wire bytes through a
-# forwarding firewall: forwarded frames stay byte-identical, delivered
-# payloads match the reference decode of the input), the core signature
+# length prefixes), the cabinet snapshot encoder (fuzzed op sequences:
+# the exact-size image equals the reference encoder's and decodes back
+# to the table; a damaged image falls back to empty), the relay fast
+# path (mutated wire bytes through a forwarding firewall: forwarded
+# frames stay byte-identical, delivered payloads match the reference
+# decode of the input), the core signature
 # check (mutated wire bytes of signed transfers through Decode and
 # VerifyCore, seeded with the tamper table: whatever verifies must
 # reference-decode to a principal and a core that principal signed), the
@@ -114,6 +117,7 @@ fuzz-short:
 	$(GO) test -fuzz 'FuzzDecode$$' -fuzztime 30s ./internal/briefcase/
 	$(GO) test -fuzz FuzzCrossCodec -fuzztime 30s ./internal/briefcase/
 	$(GO) test -fuzz FuzzWALDecode -fuzztime 30s ./internal/cabinet/
+	$(GO) test -fuzz FuzzSnapshotImage -fuzztime 30s ./internal/cabinet/
 	$(GO) test -fuzz FuzzForward -fuzztime 30s ./internal/firewall/
 	$(GO) test -fuzz FuzzVerifyCore -fuzztime 30s ./internal/firewall/
 	$(GO) test -fuzz FuzzPolicyParse -fuzztime 30s ./internal/policy/

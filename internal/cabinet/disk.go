@@ -60,11 +60,13 @@ const DefaultSyncLatency = 500 * time.Microsecond
 // DiskConfig leaves it zero.
 const DefaultReadBandwidth = 500e6
 
-// dfile is one file: the durable prefix that survives a crash and the
-// live content including the unsynced page-cache tail.
+// dfile is one file: its live content, of which the first durable bytes
+// survive a crash and the rest is the unsynced page-cache tail. Durable
+// content is always a prefix of live content (appends only extend, and
+// Truncate resets both), so the durable state is a length, not a copy.
 type dfile struct {
-	durable []byte
 	live    []byte
+	durable int
 }
 
 // Disk is a simulated host-local disk: named files with an explicit
@@ -100,23 +102,57 @@ func NewDisk(cfg DiskConfig) *Disk {
 // Append extends the named file's page cache (creating the file on first
 // write). The bytes are volatile until the next Sync.
 func (d *Disk) Append(name string, p []byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.crashed {
-		return ErrCrashed
-	}
+	_, err := d.appendFunc(name, func(buf []byte) []byte { return append(buf, p...) })
+	return err
+}
+
+// file returns the named file, creating it empty on first use. The caller
+// holds d.mu.
+func (d *Disk) file(name string) *dfile {
 	f := d.files[name]
 	if f == nil {
 		f = &dfile{}
 		d.files[name] = f
 	}
-	f.live = append(f.live, p...)
+	return f
+}
+
+// appendFunc is Append for a caller that encodes straight into the file's
+// buffer instead of handing over finished bytes: fn receives the live
+// content, must only append to it, and returns the extended slice. It reports how
+// many bytes fn added. fn runs under the disk lock and must not call back
+// into the Disk.
+func (d *Disk) appendFunc(name string, fn func(buf []byte) []byte) (int, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.crashed {
+		return 0, ErrCrashed
+	}
+	f := d.file(name)
+	before := len(f.live)
+	f.live = fn(f.live)
+	return len(f.live) - before, nil
+}
+
+// replace swaps the named file's content for p in one step — what
+// Truncate followed by Append(p) leaves behind: nothing durable, p in the
+// page cache until the next Sync. The disk takes ownership of p; the
+// caller must not touch it again.
+func (d *Disk) replace(name string, p []byte) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.crashed {
+		return ErrCrashed
+	}
+	f := d.file(name)
+	f.live, f.durable = p, 0
 	return nil
 }
 
 // Sync makes the named file's cached bytes durable, charging the fsync
-// latency to the host clock. Syncing a missing file is a no-op (the
-// matching open would have created it empty).
+// latency to the host clock. It moves the durable length and copies
+// nothing. Syncing a missing file is a no-op (the matching open would
+// have created it empty).
 func (d *Disk) Sync(name string) error {
 	d.mu.Lock()
 	if d.crashed {
@@ -124,7 +160,7 @@ func (d *Disk) Sync(name string) error {
 		return ErrCrashed
 	}
 	if f := d.files[name]; f != nil {
-		f.durable = append(f.durable[:0], f.live...)
+		f.durable = len(f.live)
 	}
 	d.syncs++
 	cost := d.cfg.SyncLatency
@@ -163,7 +199,7 @@ func (d *Disk) DurableBytes(name string) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	return append([]byte(nil), f.durable...), true
+	return append([]byte(nil), f.live[:f.durable]...), true
 }
 
 // Rename atomically renames a file, replacing any target. It is a
@@ -185,20 +221,17 @@ func (d *Disk) Rename(oldName, newName string) error {
 	return nil
 }
 
-// Truncate empties a file (journaled metadata; durable immediately).
+// Truncate empties a file (journaled metadata; durable immediately). The
+// file keeps its buffer, so a log that is truncated and refilled does not
+// regrow from nothing each time.
 func (d *Disk) Truncate(name string) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.crashed {
 		return ErrCrashed
 	}
-	f := d.files[name]
-	if f == nil {
-		f = &dfile{}
-		d.files[name] = f
-	}
-	f.durable = nil
-	f.live = nil
+	f := d.file(name)
+	f.live, f.durable = f.live[:0], 0
 	return nil
 }
 
@@ -241,16 +274,12 @@ func (d *Disk) Crash(torn ...TornWrite) {
 		keep[t.File] = t.Keep
 	}
 	for name, f := range d.files {
-		tail := len(f.live) - len(f.durable)
-		if tail < 0 {
-			tail = 0
-		}
 		k := keep[name]
-		if k > tail {
+		if tail := len(f.live) - f.durable; k > tail {
 			k = tail
 		}
-		f.live = append(f.durable[:0:0], f.live[:len(f.durable)+k]...)
-		f.durable = append([]byte(nil), f.live...)
+		f.durable += k
+		f.live = f.live[:f.durable]
 	}
 	d.crashed = true
 }
@@ -271,7 +300,7 @@ func (d *Disk) Reopen() time.Duration {
 	d.crashed = false
 	var total int
 	for _, f := range d.files {
-		total += len(f.durable)
+		total += f.durable
 	}
 	cost := time.Duration(float64(total) / d.cfg.ReadBandwidth * float64(time.Second))
 	clock := d.cfg.Clock

@@ -2,7 +2,11 @@ package cabinet
 
 import (
 	"bytes"
+	"fmt"
+	"maps"
 	"testing"
+
+	"tax/internal/vclock"
 )
 
 // walSeedFrames is the corpus the fuzzer mutates from: clean multi-record
@@ -105,5 +109,79 @@ func FuzzWALDecode(f *testing.F) {
 		if _, _, err := RecoverBytes(data, data[:valid]); err != nil {
 			t.Fatalf("RecoverBytes(snap, wal) = %v", err)
 		}
+	})
+}
+
+// FuzzSnapshotImage drives the store with fuzzed op sequences — three
+// bytes an op: what to do, which key, how long a value — snapshotting
+// whenever the input says so, so the sorted-list merge sees additions,
+// deletions and re-additions in every order. Each image must equal the
+// reference encoder's byte for byte and decode back to the table; a
+// damaged or truncated image must never panic and must fall back to the
+// empty table.
+func FuzzSnapshotImage(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{4, 1, 9, 4, 2, 200, 2, 0, 0, 0, 1, 0, 4, 1, 3, 2, 0, 0})          // put, put, snap, del, re-add, snap
+	f.Add([]byte{4, 250, 64, 3, 7, 1, 0, 7, 0, 3, 7, 2, 4, 7, 3, 2, 0, 0, 0, 250}) // long key, unsynced puts, trailing byte
+	f.Add([]byte{5, 3, 0, 2, 0, 0, 0, 3, 0, 2, 0, 0, 5, 3, 255, 2, 0, 0})          // empty value; snapshot of an emptied table
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := NewStore(Options{Clock: vclock.NewVirtual(), SnapshotEvery: 8})
+		model := map[string][]byte{}
+		ops := 0
+		snapshot := func() {
+			if err := s.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+			image, _ := s.Disk().DurableBytes(snapFile)
+			if want := encodeSnapshot(s.Seq(), model); !bytes.Equal(image, want) {
+				t.Fatalf("after %d ops: image (%d bytes) differs from the reference encoder's (%d bytes)",
+					ops, len(image), len(want))
+			}
+			table, seq := decodeSnapshot(image)
+			if seq != s.Seq() || !maps.EqualFunc(table, model, bytes.Equal) {
+				t.Fatalf("after %d ops: image decodes to %d entries at seq %d, want %d at %d",
+					ops, len(table), seq, len(model), s.Seq())
+			}
+			if len(data) == 0 {
+				return
+			}
+			// Any single damaged byte fails the CRC (or the magic), and so
+			// does any cut.
+			at := (int(data[0]) * 131) % len(image)
+			damaged := append([]byte(nil), image...)
+			damaged[at] ^= data[0] | 1
+			for _, bad := range [][]byte{damaged, image[:at], image[:len(image)-1]} {
+				if table, seq := decodeSnapshot(bad); len(table) != 0 || seq != 0 {
+					t.Fatalf("damaged image decoded to %d entries at seq %d", len(table), seq)
+				}
+			}
+		}
+		for ; len(data) >= 3; data, ops = data[3:], ops+1 {
+			what, k, v := data[0], data[1], data[2]
+			key := fmt.Sprintf("k/%02d", k%32)
+			if k >= 240 {
+				key = fmt.Sprintf("long/%0150d", k)
+			}
+			var op Op
+			switch what % 8 {
+			case 0, 1:
+				op = Op{Del: true, Key: key}
+				delete(model, key)
+			case 2:
+				snapshot()
+				continue
+			default:
+				op = Op{Key: key, Value: bytes.Repeat([]byte{v}, 2*int(v))}
+				model[key] = op.Value
+			}
+			commit := s.Commit
+			if what%8 == 3 {
+				commit = s.CommitNoSync
+			}
+			if err := commit([]Op{op}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		snapshot()
 	})
 }

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -46,9 +48,10 @@ type Options struct {
 	// GroupMaxTxns bounds how many transactions share one fsync (the
 	// coalesce window); zero means DefaultGroupMaxTxns.
 	GroupMaxTxns int
-	// Telemetry, when set, records cabinet.wal_appends, cabinet.fsyncs,
-	// cabinet.snapshots and cabinet.recovery_ms under the given Host
-	// label.
+	// Telemetry, when set, records cabinet.wal_appends, cabinet.wal_bytes,
+	// cabinet.fsyncs, cabinet.snapshots, cabinet.snapshot_bytes and
+	// cabinet.recovery_ms under the given Host label. snapshot_bytes over
+	// wal_bytes is the store's write amplification.
 	Telemetry *telemetry.Registry
 	// Host labels the telemetry series.
 	Host string
@@ -90,7 +93,16 @@ type Store struct {
 	table     map[string][]byte
 	seq       uint64 // last committed transaction sequence number
 	sinceSnap int
-	hook      func(seq uint64) // fired after each synced append, outside mu
+	// Snapshot bookkeeping, maintained by apply so a snapshot is one pass
+	// at a known size. tableBytes is the encoded size of every entry in
+	// table (entrySize summed). sorted is the key list of the last
+	// snapshot, in order; it may hold keys deleted since. added holds the
+	// keys inserted since, unsorted, possibly repeated or already in
+	// sorted (a key deleted and re-added between two snapshots).
+	tableBytes int
+	sorted     []string
+	added      []string
+	hook       func(seq uint64) // fired after each synced append, outside mu
 	// preSyncHook fires after each WAL append and before the fsync that
 	// would cover it — the window group commit opens between a record
 	// reaching the log and becoming durable. It runs under the store
@@ -103,10 +115,12 @@ type Store struct {
 	gcQueue   []*gcWaiter
 	gcLeading bool
 
-	walAppends *telemetry.Counter
-	fsyncs     *telemetry.Counter
-	snapshots  *telemetry.Counter
-	recoveryMS *telemetry.Histogram
+	walAppends    *telemetry.Counter
+	walBytes      *telemetry.Counter
+	fsyncs        *telemetry.Counter
+	snapshots     *telemetry.Counter
+	snapshotBytes *telemetry.Counter
+	recoveryMS    *telemetry.Histogram
 }
 
 // NewStore creates an empty store (and its disk, unless one is given).
@@ -120,8 +134,10 @@ func NewStore(opts Options) *Store {
 	s := &Store{disk: opts.Disk, opts: opts, table: make(map[string][]byte)}
 	if opts.Telemetry != nil {
 		s.walAppends = opts.Telemetry.Counter("cabinet.wal_appends", "host", opts.Host)
+		s.walBytes = opts.Telemetry.Counter("cabinet.wal_bytes", "host", opts.Host)
 		s.fsyncs = opts.Telemetry.Counter("cabinet.fsyncs", "host", opts.Host)
 		s.snapshots = opts.Telemetry.Counter("cabinet.snapshots", "host", opts.Host)
+		s.snapshotBytes = opts.Telemetry.Counter("cabinet.snapshot_bytes", "host", opts.Host)
 		s.recoveryMS = opts.Telemetry.Histogram("cabinet.recovery_ms", "host", opts.Host)
 	}
 	return s
@@ -239,8 +255,8 @@ func (s *Store) commit(ops []Op, sync bool) error {
 	}
 	s.seq++
 	seq := s.seq
-	frame := appendFrame(nil, encodeTxn(seq, ops))
-	if err := s.disk.Append(walFile, frame); err != nil {
+	walBytes, err := s.journal(seq, ops)
+	if err != nil {
 		s.seq--
 		s.mu.Unlock()
 		return err
@@ -258,15 +274,10 @@ func (s *Store) commit(ops []Op, sync bool) error {
 			s.fsyncs.Inc()
 		}
 	}
-	for _, op := range ops {
-		if op.Del {
-			delete(s.table, op.Key)
-		} else {
-			s.table[op.Key] = append([]byte(nil), op.Value...)
-		}
-	}
+	s.apply(ops)
 	if s.walAppends != nil {
 		s.walAppends.Inc()
+		s.walBytes.Add(int64(walBytes))
 	}
 	s.sinceSnap++
 	snapped := false
@@ -290,6 +301,37 @@ func (s *Store) commit(ops []Op, sync bool) error {
 		hook(seq)
 	}
 	return nil
+}
+
+// journal appends one transaction's WAL record, encoding it straight into
+// the log file's buffer, and reports the record's size. The caller holds
+// s.mu and decides when to fsync.
+func (s *Store) journal(seq uint64, ops []Op) (int, error) {
+	return s.disk.appendFunc(walFile, func(buf []byte) []byte {
+		return appendTxnFrame(buf, seq, ops)
+	})
+}
+
+// apply mutates the table with one journaled transaction's ops. It is
+// the only place committed ops reach the table, so it is also where the
+// snapshot bookkeeping (tableBytes, added) stays in step. The caller
+// holds s.mu.
+func (s *Store) apply(ops []Op) {
+	for _, op := range ops {
+		old, had := s.table[op.Key]
+		if had {
+			s.tableBytes -= entrySize(op.Key, old)
+		}
+		if op.Del {
+			delete(s.table, op.Key)
+			continue
+		}
+		if !had {
+			s.added = append(s.added, op.Key)
+		}
+		s.table[op.Key] = append([]byte(nil), op.Value...)
+		s.tableBytes += entrySize(op.Key, op.Value)
+	}
 }
 
 // gcWaiter is one queued group-commit transaction: its ops and the
@@ -361,11 +403,13 @@ func (s *Store) commitBatch(batch []*gcWaiter) error {
 	}
 	startSeq := s.seq
 	seqs := make([]uint64, len(batch))
+	walBytes := 0
 	for i, w := range batch {
 		s.seq++
 		seqs[i] = s.seq
-		frame := appendFrame(nil, encodeTxn(s.seq, w.ops))
-		if err := s.disk.Append(walFile, frame); err != nil {
+		n, err := s.journal(s.seq, w.ops)
+		walBytes += n
+		if err != nil {
 			s.seq = startSeq
 			s.mu.Unlock()
 			return err
@@ -383,16 +427,11 @@ func (s *Store) commitBatch(batch []*gcWaiter) error {
 		s.fsyncs.Inc()
 	}
 	for _, w := range batch {
-		for _, op := range w.ops {
-			if op.Del {
-				delete(s.table, op.Key)
-			} else {
-				s.table[op.Key] = append([]byte(nil), op.Value...)
-			}
-		}
-		if s.walAppends != nil {
-			s.walAppends.Inc()
-		}
+		s.apply(w.ops)
+	}
+	if s.walAppends != nil {
+		s.walAppends.Add(int64(len(batch)))
+		s.walBytes.Add(int64(walBytes))
 	}
 	s.sinceSnap += len(batch)
 	snapped := false
@@ -472,11 +511,9 @@ func (s *Store) Snapshot() error {
 // records the snapshot already covers; replay skips them by sequence
 // number, so the pair need not be atomic together.
 func (s *Store) snapshotLocked() bool {
-	if err := s.disk.Truncate(snapTmpFile); err != nil {
+	image := s.snapshotImage()
+	if s.disk.replace(snapTmpFile, image) != nil {
 		return false // crashed mid-sequence; recovery ignores snap.tmp
-	}
-	if s.disk.Append(snapTmpFile, encodeSnapshot(s.seq, s.table)) != nil {
-		return false
 	}
 	if s.disk.Sync(snapTmpFile) != nil {
 		return false
@@ -493,6 +530,7 @@ func (s *Store) snapshotLocked() bool {
 	s.sinceSnap = 0
 	if s.snapshots != nil {
 		s.snapshots.Inc()
+		s.snapshotBytes.Add(int64(len(image)))
 	}
 	return true
 }
@@ -521,6 +559,11 @@ func (s *Store) Reopen() (time.Duration, error) {
 	s.table = table
 	s.seq = seq
 	s.sinceSnap = 0
+	s.tableBytes, s.sorted, s.added = 0, nil, make([]string, 0, len(table))
+	for k, v := range table {
+		s.tableBytes += entrySize(k, v)
+		s.added = append(s.added, k)
+	}
 	// Drop any torn WAL suffix so new appends start at a frame boundary:
 	// rewrite the valid prefix. Truncate+Append+Sync is safe here — the
 	// content is exactly what recovery accepted.
@@ -576,11 +619,14 @@ func RecoverBytes(snapBytes, walBytes []byte) (map[string][]byte, uint64, error)
 //	count uvarint
 //	per op: kind byte (0 put, 1 del) | key len uvarint | key
 //	        | for puts: value len uvarint | value
-func encodeTxn(seq uint64, ops []Op) []byte {
-	var buf []byte
-	var tmp [8]byte
-	binary.LittleEndian.PutUint64(tmp[:], seq)
-	buf = append(buf, tmp[:]...)
+//
+// appendTxnFrame appends the payload to buf already framed as a WAL
+// record (wal.go): the header is reserved first and filled in once the
+// payload behind it is complete, so nothing is encoded twice or copied.
+func appendTxnFrame(buf []byte, seq uint64, ops []Op) []byte {
+	start := len(buf)
+	buf = append(buf, make([]byte, walHeaderSize)...)
+	buf = binary.LittleEndian.AppendUint64(buf, seq)
 	buf = binary.AppendUvarint(buf, uint64(len(ops)))
 	for _, op := range ops {
 		if op.Del {
@@ -595,6 +641,7 @@ func encodeTxn(seq uint64, ops []Op) []byte {
 			buf = append(buf, op.Value...)
 		}
 	}
+	putFrameHeader(buf[start:start+walHeaderSize], buf[start+walHeaderSize:])
 	return buf
 }
 
@@ -651,25 +698,56 @@ func decodeTxn(b []byte) (uint64, []Op, error) {
 //	crc     uint32 LE over everything before it
 var snapMagic = []byte("TAXC")
 
-func encodeSnapshot(seq uint64, table map[string][]byte) []byte {
-	buf := append([]byte(nil), snapMagic...)
-	var tmp [8]byte
-	binary.LittleEndian.PutUint64(tmp[:], seq)
-	buf = append(buf, tmp[:]...)
-	keys := make([]string, 0, len(table))
-	for k := range table {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	buf = binary.AppendUvarint(buf, uint64(len(keys)))
-	for _, k := range keys {
+// snapshotImage encodes the table as a snapshot file in one pass into a
+// buffer of exactly the image's size, which tableBytes makes known up
+// front. The key order comes from merging the previous snapshot's sorted
+// list with the (freshly sorted) keys added since, so only the new keys
+// are ever sorted; keys no longer in the table fall out of the merge, and
+// the merged list becomes the next snapshot's starting point. The caller
+// holds s.mu and owns the returned image.
+func (s *Store) snapshotImage() []byte {
+	count := uint64(len(s.table))
+	size := len(snapMagic) + 8 + uvarintLen(count) + s.tableBytes + 4
+	buf := make([]byte, 0, size)
+	buf = append(buf, snapMagic...)
+	buf = binary.LittleEndian.AppendUint64(buf, s.seq)
+	buf = binary.AppendUvarint(buf, count)
+
+	slices.Sort(s.added)
+	old, added := s.sorted, s.added
+	merged := make([]string, 0, len(s.table))
+	for len(old) > 0 || len(added) > 0 {
+		var k string
+		if len(added) == 0 || (len(old) > 0 && old[0] <= added[0]) {
+			k, old = old[0], old[1:]
+		} else {
+			k, added = added[0], added[1:]
+		}
+		if n := len(merged); n > 0 && merged[n-1] == k {
+			continue // re-added since the last snapshot, or added twice
+		}
+		v, ok := s.table[k]
+		if !ok {
+			continue // deleted since it was listed
+		}
+		merged = append(merged, k)
 		buf = binary.AppendUvarint(buf, uint64(len(k)))
 		buf = append(buf, k...)
-		buf = binary.AppendUvarint(buf, uint64(len(table[k])))
-		buf = append(buf, table[k]...)
+		buf = binary.AppendUvarint(buf, uint64(len(v)))
+		buf = append(buf, v...)
 	}
-	binary.LittleEndian.PutUint32(tmp[:4], crc32.ChecksumIEEE(buf))
-	return append(buf, tmp[:4]...)
+	s.sorted, s.added = merged, s.added[:0]
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+}
+
+// entrySize is the encoded size of one snapshot entry.
+func entrySize(key string, value []byte) int {
+	return uvarintLen(uint64(len(key))) + len(key) + uvarintLen(uint64(len(value))) + len(value)
+}
+
+// uvarintLen is the number of bytes binary.AppendUvarint writes for x.
+func uvarintLen(x uint64) int {
+	return (bits.Len64(x|1) + 6) / 7
 }
 
 // decodeSnapshot parses a snapshot image, returning an empty table and

@@ -37,14 +37,12 @@ var ErrWALCorrupt = errors.New("cabinet: corrupt WAL frame")
 // signature of a crash mid-append.
 var ErrWALTorn = errors.New("cabinet: torn WAL frame")
 
-// appendFrame appends one framed record to buf and returns the result.
-func appendFrame(buf, payload []byte) []byte {
-	var hdr [walHeaderSize]byte
+// putFrameHeader fills hdr, the walHeaderSize bytes in front of payload,
+// so the two together are one framed record.
+func putFrameHeader(hdr, payload []byte) {
 	hdr[0] = walMagic
 	binary.LittleEndian.PutUint32(hdr[1:5], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[5:9], crc32.ChecksumIEEE(payload))
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...)
 }
 
 // decodeFrame decodes the first frame in b, returning the payload and

@@ -55,14 +55,15 @@ func TestStatsMirrorsRegistry(t *testing.T) {
 	recvBody(t, dst, time.Second)
 	// One parked message that will expire.
 	send(t, fw, src, "alice/ghost", "lost")
+	// Delivered reaches 3: the two payloads plus the expiry error report
+	// the firewall delivers back to the sender's mailbox — which lands
+	// after Expired is bumped, so wait for both.
 	deadline := time.Now().Add(3 * time.Second)
-	for fw.Stats().Expired == 0 && time.Now().Before(deadline) {
+	for st := fw.Stats(); (st.Delivered != 3 || st.Expired != 1) && time.Now().Before(deadline); st = fw.Stats() {
 		time.Sleep(10 * time.Millisecond)
 	}
 
 	st := fw.Stats()
-	// Delivered is 3: the two payloads plus the expiry error report the
-	// firewall delivers back to the sender's mailbox.
 	if st.Delivered != 3 || st.Queued != 1 || st.Expired != 1 {
 		t.Fatalf("stats = %+v", st)
 	}

@@ -22,6 +22,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"tax/internal/agent"
@@ -91,15 +92,15 @@ type Table struct {
 	// never expire (the pre-directory behaviour).
 	TTL time.Duration
 
+	once  sync.Once
 	shard *directory.Shard
 }
 
 func (t *Table) s() *directory.Shard {
 	// Lazily built so the zero Table keeps working; callers configure
-	// TTL before first use (core does, at node construction).
-	if t.shard == nil {
-		t.shard = directory.NewShard(nil, t.TTL)
-	}
+	// TTL before first use (core does, at node construction). The Once
+	// makes "first use" safe from several goroutines at a time.
+	t.once.Do(func() { t.shard = directory.NewShard(nil, t.TTL) })
 	return t.shard
 }
 

@@ -2,6 +2,8 @@ package naming_test
 
 import (
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -59,6 +61,40 @@ func scratchCtx(t *testing.T, n *core.Node, name string) *agent.Context {
 	}
 	t.Cleanup(func() { n.FW.Unregister(reg) })
 	return agent.NewContext(n.FW, reg, briefcase.New(), nil, nil)
+}
+
+// TestZeroTableConcurrentFirstUse races the lazy shard construction: a
+// fresh zero Table's first Update and Lookup arrive from several
+// goroutines at once (the location-transparent wrapper does exactly
+// this). Under -race this fails unless first use is synchronised, and
+// every update must land in the one shard all callers share.
+func TestZeroTableConcurrentFirstUse(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		var tb naming.Table
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		const n = 8
+		for g := 0; g < n; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				<-start
+				name := fmt.Sprintf("agent-%d", g)
+				if g%2 == 0 {
+					_, _ = tb.Lookup("agent-1")
+				}
+				tb.Update(name, "tacoma://h1//"+name, time.Second)
+				if b, err := tb.Lookup(name); err != nil || b.Location != "tacoma://h1//"+name {
+					t.Errorf("round %d: lookup %s = %+v, %v", round, name, b, err)
+				}
+			}(g)
+		}
+		close(start)
+		wg.Wait()
+		if tb.Len() != n {
+			t.Fatalf("round %d: %d bindings survived first use, want %d", round, tb.Len(), n)
+		}
+	}
 }
 
 func TestClientUpdateLookupDrop(t *testing.T) {
