@@ -85,12 +85,13 @@ ci:
 # fixed seed list 1, 7, 42, 1999, 31337 plus a sweep lives in
 # internal/chaostest/chaostest_test.go, chaosSeeds), the parallel
 # fleet stress tests (CHAOS_PARALLEL concurrent guarded tours), the
-# rear-guard recovery tests, and the deterministic injector/plan tests.
-# Seeded and virtual-clock driven: reruns reproduce the same fault
-# sequences.
+# rear-guard recovery tests, the deterministic injector/plan tests, and
+# the TCP transport's concurrency tests (eight senders sharing one
+# connection, a dial that never completes). Seeded and virtual-clock
+# driven: reruns reproduce the same fault sequences.
 chaos:
 	CHAOS_PARALLEL=$(CHAOS_PARALLEL) $(GO) test -race -timeout 120s -count=1 ./internal/chaostest/ ./internal/rearguard/ ./internal/faults/
-	$(GO) test -race -timeout 120s -count=1 -run 'Partition|Crash|Injector|TransferTime' ./internal/simnet/
+	$(GO) test -race -timeout 120s -count=1 -run 'Partition|Crash|Injector|TransferTime|TCP' ./internal/simnet/
 	$(GO) test -race -timeout 120s -count=1 -run 'Retry|Forward|Dedup|Expiry|Pending|Park' ./internal/firewall/
 	$(GO) test -race -timeout 120s -count=1 -run 'Prop' ./internal/briefcase/
 
@@ -104,7 +105,10 @@ chaos:
 # to the table; a damaged image falls back to empty), the relay fast
 # path (mutated wire bytes through a forwarding firewall: forwarded
 # frames stay byte-identical, delivered payloads match the reference
-# decode of the input), the core signature
+# decode of the input), the TCP frame reader (k frames, empty to past
+# the read buffer, through a reader returning fuzzed chunk sizes and cut
+# short anywhere: the buffered reader yields the previous codec's frames,
+# never a partial one, and no payload aliases another), the core signature
 # check (mutated wire bytes of signed transfers through Decode and
 # VerifyCore, seeded with the tamper table: whatever verifies must
 # reference-decode to a principal and a core that principal signed), the
@@ -118,6 +122,7 @@ fuzz-short:
 	$(GO) test -fuzz FuzzCrossCodec -fuzztime 30s ./internal/briefcase/
 	$(GO) test -fuzz FuzzWALDecode -fuzztime 30s ./internal/cabinet/
 	$(GO) test -fuzz FuzzSnapshotImage -fuzztime 30s ./internal/cabinet/
+	$(GO) test -fuzz FuzzFrameStream -fuzztime 30s ./internal/simnet/
 	$(GO) test -fuzz FuzzForward -fuzztime 30s ./internal/firewall/
 	$(GO) test -fuzz FuzzVerifyCore -fuzztime 30s ./internal/firewall/
 	$(GO) test -fuzz FuzzPolicyParse -fuzztime 30s ./internal/policy/

@@ -165,8 +165,10 @@ func (c *Context) Activate(target string, payload *briefcase.Briefcase) error {
 // fails before the wrapper hooks run, and the firewall send observes
 // the context through its retry loop.
 func (c *Context) ActivateCtx(ctx context.Context, target string, payload *briefcase.Briefcase) error {
-	payload.SetString(briefcase.FolderSysTarget, target)
 	if c.sendHook != nil {
+		// The hook sees the briefcase addressed; without one,
+		// ActivateDirectCtx's own stamp is the only one needed.
+		payload.SetString(briefcase.FolderSysTarget, target)
 		out, err := c.sendHook(payload)
 		if err != nil {
 			return err

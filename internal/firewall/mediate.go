@@ -192,19 +192,29 @@ func (fw *Firewall) mediate(ctx context.Context, m *mediation, from stage) error
 // the rebooted firewall with its pre-crash identity. _SENDER is
 // overwritten with the authenticated URI, so receivers can trust it.
 func (fw *Firewall) admitSend(m *mediation) bool {
+	var reg *Registration
 	fw.mu.RLock()
 	closed := fw.closed
-	alive := !m.sender.HasInstance || slices.ContainsFunc(fw.regs[m.sender.Name],
-		func(r *Registration) bool { return r.uri.Instance == m.sender.Instance })
+	if regs := fw.regs[m.sender.Name]; m.sender.HasInstance {
+		if i := slices.IndexFunc(regs, func(r *Registration) bool { return r.uri.Instance == m.sender.Instance }); i >= 0 {
+			reg = regs[i]
+		}
+	}
 	fw.mu.RUnlock()
 	switch {
 	case closed:
 		return m.stop(vDone, "", ErrClosed)
-	case !alive:
+	case m.sender.HasInstance && reg == nil:
 		m.out.typ, m.out.target = telemetry.EventDeny, m.sender.String()
 		return m.stop(vFailed, "send from dead registration", fmt.Errorf("%w: %s", ErrSenderGone, m.sender))
 	}
-	m.bc.SetString(briefcase.FolderSysSender, m.sender.String())
+	if reg != nil && reg.GlobalURI() == m.sender {
+		// The usual sender: a registration speaking under its own global
+		// URI, which is rendered once per registration, not per message.
+		m.bc.SetString(briefcase.FolderSysSender, reg.senderStamp())
+	} else {
+		m.bc.SetString(briefcase.FolderSysSender, m.sender.String())
+	}
 	return true
 }
 

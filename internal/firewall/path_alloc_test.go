@@ -234,8 +234,10 @@ func TestForwardPathStageAllocs(t *testing.T) {
 	if relay > 2 {
 		t.Errorf("relay stage allocates %.0f, budget 2: header-only forwarding regressed", relay)
 	}
-	if origin > 8 {
-		t.Errorf("origin stage allocates %.0f, budget 8", origin)
+	// 3, and one more under the race detector, where sync.Pool drops
+	// encode buffers at random.
+	if origin > 4 {
+		t.Errorf("origin stage allocates %.0f, budget 4", origin)
 	}
 	if deliver > 40 {
 		t.Errorf("deliver stage allocates %.0f, budget 40", deliver)

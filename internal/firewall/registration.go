@@ -62,6 +62,7 @@ type Registration struct {
 	mailbox chan *briefcase.Briefcase
 
 	mu           sync.Mutex
+	sender       string // GlobalURI().String(), rendered by the first send
 	state        State
 	resumed      chan struct{} // closed on resume; replaced on stop
 	killed       chan struct{}
@@ -75,6 +76,18 @@ func (r *Registration) URI() uri.URI { return r.uri }
 // host and port, routable from other hosts.
 func (r *Registration) GlobalURI() uri.URI {
 	return r.uri.WithHost(r.fw.cfg.HostName, r.fw.cfg.Port)
+}
+
+// senderStamp is the registration's _SENDER value. A registration's URI
+// never changes, so it is rendered once, by the first send: one that
+// only ever receives pays nothing.
+func (r *Registration) senderStamp() string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.sender == "" {
+		r.sender = r.GlobalURI().String()
+	}
+	return r.sender
 }
 
 // VM returns the name of the virtual machine hosting the agent.
@@ -109,6 +122,15 @@ func (r *Registration) Inject(bc *briefcase.Briefcase) error {
 	return r.deliver(bc)
 }
 
+// recvTimers recycles RecvCtx's deadline timers: a receive with a
+// timeout is one per message on an RPC client, and a fresh timer is three
+// allocations.
+var recvTimers = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return t
+}}
+
 // Recv blocks until a briefcase arrives, the timeout expires (zero means
 // wait forever), or the agent is killed. While the agent is stopped,
 // arrived briefcases are held and Recv does not return until resumed.
@@ -122,8 +144,19 @@ func (r *Registration) Recv(timeout time.Duration) (*briefcase.Briefcase, error)
 func (r *Registration) RecvCtx(ctx context.Context, timeout time.Duration) (*briefcase.Briefcase, error) {
 	var deadline <-chan time.Time
 	if timeout > 0 {
-		t := time.NewTimer(timeout)
-		defer t.Stop()
+		t := recvTimers.Get().(*time.Timer)
+		t.Reset(timeout)
+		defer func() {
+			// Back to the pool stopped and drained, so the next Reset
+			// starts from a quiet channel.
+			if !t.Stop() {
+				select {
+				case <-t.C:
+				default:
+				}
+			}
+			recvTimers.Put(t)
+		}()
 		deadline = t.C
 	}
 	for {

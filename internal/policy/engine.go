@@ -48,7 +48,10 @@ const nano = int64(time.Second)
 // thousands of concurrently charging tenants off each other's locks.
 const bucketShards = 64
 
-// compiled is one installed ruleset with its precomputed verdict ids.
+// compiled is one installed ruleset with its precomputed verdict ids
+// and the candidate index Eval consults. The index hangs off the
+// compiled ruleset, so Install invalidates it by construction: a new
+// ruleset starts with an empty one.
 type compiled struct {
 	version  uint64
 	rs       *Ruleset
@@ -56,6 +59,100 @@ type compiled struct {
 	quotaIDs []string
 	defID    string
 	defQID   string
+	index    *candidateIndex // nil for a ruleset without rules
+}
+
+const (
+	// indexPrincipals bounds the candidate index. There is no eviction:
+	// the first indexPrincipals principals a ruleset sees keep their
+	// entries until the next Install, and later ones are evaluated by the
+	// plain linear walk.
+	indexPrincipals = 1024
+	// indexSlots is the open-addressed table's size, twice the entries it
+	// can hold so probe runs stay short.
+	indexSlots = 2 * indexPrincipals
+	// inlineCandidates is how many candidate rules an entry names; a
+	// principal matching more is walked linearly from the last of them.
+	inlineCandidates = 8
+)
+
+// candidates is one principal's share of a ruleset: the first rules
+// whose principal glob matches it, in rule order, and the index from
+// which Eval must resume the linear walk (len(Rules) when the list is
+// complete). Immutable once published.
+type candidates struct {
+	principal string
+	n         uint8
+	rules     [inlineCandidates]uint16 // MaxRules fits
+	resume    uint16
+}
+
+// candidateIndex maps principal -> candidates without locks and without
+// allocating: entries live in a slab sized at Install, a writer claims
+// the next one, fills it, and publishes its number into an empty slot by
+// compare-and-swap; readers load slots atomically and only ever see
+// finished entries. A writer that loses the race for a principal wastes
+// its entry, which only brings the bound forward.
+type candidateIndex struct {
+	slots   []atomic.Uint32 // 0 = empty, else 1 + the entry's slab position
+	entries []candidates
+	claimed atomic.Uint32
+}
+
+func newCandidateIndex() *candidateIndex {
+	return &candidateIndex{
+		slots:   make([]atomic.Uint32, indexSlots),
+		entries: make([]candidates, indexPrincipals),
+	}
+}
+
+// lookup returns the principal's candidates, computing and publishing
+// them on first sight; nil once the index is full, or when there is no
+// index because there are no rules.
+func (x *candidateIndex) lookup(rules []Rule, principal string) *candidates {
+	if x == nil {
+		return nil
+	}
+	slot := hash32(principal) & (indexSlots - 1)
+	for ; ; slot = (slot + 1) & (indexSlots - 1) {
+		at := x.slots[slot].Load()
+		if at == 0 {
+			break
+		}
+		if c := &x.entries[at-1]; c.principal == principal {
+			return c
+		}
+	}
+	// Full is checked before claiming, so a full index is never written
+	// again: the count overshoots by at most the writers racing here.
+	if x.claimed.Load() >= indexPrincipals {
+		return nil
+	}
+	at := x.claimed.Add(1)
+	if at > indexPrincipals {
+		return nil
+	}
+	c := &x.entries[at-1]
+	c.principal, c.resume = principal, uint16(len(rules))
+	for i := range rules {
+		if !uri.MatchGlob(rules[i].Principal, principal) {
+			continue
+		}
+		if c.n == inlineCandidates {
+			c.resume = uint16(i)
+			break
+		}
+		c.rules[c.n] = uint16(i)
+		c.n++
+	}
+	for ; ; slot = (slot + 1) & (indexSlots - 1) {
+		if x.slots[slot].CompareAndSwap(0, at) {
+			return c
+		}
+		if other := &x.entries[x.slots[slot].Load()-1]; other.principal == principal {
+			return other
+		}
+	}
 }
 
 // bucket is one principal's token state. Guarded by its shard's lock.
@@ -129,6 +226,9 @@ func (e *Engine) Install(rs *Ruleset) uint64 {
 			c.quotaIDs[i] = fmt.Sprintf("p%d.q%d", v, i)
 		}
 	}
+	if len(rs.Rules) > 0 {
+		c.index = newCandidateIndex()
+	}
 	e.cur.Store(c)
 	return v
 }
@@ -142,21 +242,29 @@ func (e *Engine) Ruleset() *Ruleset { return e.cur.Load().rs }
 // Eval returns the verdict for one mediation: first matching rule wins,
 // otherwise the ruleset default. op is OpSend, OpTransfer or OpMgmt.
 // Eval performs no allocation.
+//
+// A principal the index knows is judged on its candidates alone — the
+// rules whose principal glob matches it, found once per ruleset — and
+// then, if it has more than an entry holds, on the rest of the rules
+// from where the candidates stop. A principal the index has no room for
+// takes that linear walk from the top.
 func (e *Engine) Eval(principal, op string, target uri.URI) Verdict {
 	c := e.cur.Load()
 	rules := c.rs.Rules
-	for i := range rules {
+	from := 0
+	if cand := c.index.lookup(rules, principal); cand != nil {
+		for _, i := range cand.rules[:cand.n] {
+			if r := &rules[i]; (r.Op == OpAny || r.Op == op) && r.Target.Match(target) {
+				return Verdict{r.Effect, c.ruleIDs[i]}
+			}
+		}
+		from = int(cand.resume)
+	}
+	for i := from; i < len(rules); i++ {
 		r := &rules[i]
-		if r.Op != OpAny && r.Op != op {
-			continue
+		if (r.Op == OpAny || r.Op == op) && uri.MatchGlob(r.Principal, principal) && r.Target.Match(target) {
+			return Verdict{r.Effect, c.ruleIDs[i]}
 		}
-		if !uri.MatchGlob(r.Principal, principal) {
-			continue
-		}
-		if !r.Target.Match(target) {
-			continue
-		}
-		return Verdict{r.Effect, c.ruleIDs[i]}
 	}
 	return Verdict{c.rs.Default, c.defID}
 }
@@ -286,13 +394,16 @@ func (e *Engine) Describe() []string {
 	return rows
 }
 
-// shardOf maps a principal to its bucket stripe (inline FNV-1a; the
-// hash/fnv package would allocate on this path).
-func shardOf(s string) uint32 {
+// shardOf maps a principal to its bucket stripe.
+func shardOf(s string) uint32 { return hash32(s) & (bucketShards - 1) }
+
+// hash32 is inline FNV-1a; the hash/fnv package would allocate on these
+// paths.
+func hash32(s string) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(s); i++ {
 		h ^= uint32(s[i])
 		h *= 16777619
 	}
-	return h & (bucketShards - 1)
+	return h
 }

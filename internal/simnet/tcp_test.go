@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"bytes"
 	"errors"
 	"sync"
 	"testing"
@@ -142,37 +143,42 @@ func TestTCPLargePayload(t *testing.T) {
 	}
 }
 
+// TestFrameCodec: the wire format is what it was. Frames the previous
+// codec (reference_test.go) encodes are read by the new reader, frames
+// the new writer emits are byte-identical to the previous encoding and
+// read by the previous reader.
 func TestFrameCodec(t *testing.T) {
 	frame := encodeFrame("1.2.3.4:99", []byte("payload"))
-	from, payload, err := readFrame(bytesReader(frame))
+	from, payload, err := newFrameReader(bytes.NewReader(frame)).next()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if from != "1.2.3.4:99" || string(payload) != "payload" {
 		t.Errorf("decoded %q %q", from, payload)
 	}
+	var out closeBuffer
+	w, err := newFrameWriter(&out, "1.2.3.4:99")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.writeFrame([]byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), frame) {
+		t.Errorf("new writer emitted % x, previous codec % x", out.Bytes(), frame)
+	}
+	if from, payload, err := readFrame(&out); err != nil || from != "1.2.3.4:99" || string(payload) != "payload" {
+		t.Errorf("previous reader on the new writer's frame: %q %q %v", from, payload, err)
+	}
 	// Truncated frames error rather than hang or panic.
 	for cut := 1; cut < len(frame); cut++ {
-		if _, _, err := readFrame(bytesReader(frame[:cut])); err == nil {
+		if _, _, err := newFrameReader(bytes.NewReader(frame[:cut])).next(); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
 	}
 }
 
-type sliceReader struct {
-	data []byte
-	off  int
-}
+// closeBuffer is an in-memory connection for the frame writer.
+type closeBuffer struct{ bytes.Buffer }
 
-func bytesReader(b []byte) *sliceReader { return &sliceReader{data: b} }
-
-func (r *sliceReader) Read(p []byte) (int, error) {
-	if r.off >= len(r.data) {
-		return 0, errEOF
-	}
-	n := copy(p, r.data[r.off:])
-	r.off += n
-	return n, nil
-}
-
-var errEOF = errors.New("eof")
+func (*closeBuffer) Close() error { return nil }
