@@ -4,7 +4,7 @@ GO ?= go
 # chaos stress tests drive (internal/chaostest/parallel_test.go).
 CHAOS_PARALLEL ?= 16
 
-.PHONY: all build vet test race check ci chaos fuzz-short policy-fuzz bench bench-check obsv-demo firewall-loc clean
+.PHONY: all build vet test race check ci chaos fuzz-short policy-fuzz bench bench-check obsv-demo loc clean
 
 all: check
 
@@ -31,24 +31,18 @@ check: vet build race
 # prefix, baked into internal/chaostest/crashpoint_test.go — reruns
 # crash at identical WAL boundaries), the ten-thousand-principal quota
 # starvation stress under the race detector (tenant isolation at scale,
-# internal/firewall/policy_stress_test.go), the benchmark regression
-# gate (bench-check: fresh runs diffed against the committed
-# BENCH_*.json baselines, wall-clock fields excluded, exits non-zero on
-# drift), the directory-plane chaos sweep under the race detector
-# (seeded owner-crash-during-write and partitioned-replica storms, plus
-# the dup/drop fault-plan frames case — zero acked registrations lost,
-# zero dual-location names, typed lease expiry;
-# internal/chaostest/directory_test.go), the shared-frontier fleet
+# internal/firewall/policy_stress_test.go), the directory-plane chaos
+# sweep under the race detector (seeded owner-crash-during-write and
+# partitioned-replica storms, plus the dup/drop fault-plan frames case —
+# zero acked registrations lost, zero dual-location names, typed lease
+# expiry; internal/chaostest/directory_test.go), the shared-frontier fleet
 # chaos sweep under the race detector (8 fetcher agents draining one
 # durable frontier service through message faults and a mid-crawl
 # frontier-host crash — zero URLs fetched twice, zero lost, aggregate
 # Stats byte-identical to the serial robot;
-# internal/chaostest/frontier_test.go), and the hotpath, policy,
-# directory and frontier benchmarks each run twice into scratch files:
-# all four JSON documents hold only exact counts and virtual-clock
-# arithmetic, so any byte difference between the two runs is a
-# determinism regression and fails the build. The committed baselines
-# are never overwritten.
+# internal/chaostest/frontier_test.go), and the benchmark regression
+# gate (bench-check: fresh documents byte-compared with all six
+# committed BENCH_*.json baselines, which are never overwritten).
 ci:
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
@@ -59,26 +53,6 @@ ci:
 	$(GO) test -race -timeout 600s -count=1 -run 'TestDirectory' ./internal/chaostest/
 	$(GO) test -race -timeout 600s -count=1 -run 'TestFrontierChaos' ./internal/chaostest/
 	$(GO) run ./cmd/taxbench -check
-	$(GO) run ./cmd/taxbench -exp hotpath -hotpath-json BENCH_hotpath.json.run1
-	$(GO) run ./cmd/taxbench -exp hotpath -hotpath-json BENCH_hotpath.json.run2
-	cmp BENCH_hotpath.json.run1 BENCH_hotpath.json.run2 || \
-		{ echo "ci: hotpath benchmark differs between runs (nondeterministic benchmark)"; exit 1; }
-	rm -f BENCH_hotpath.json.run1 BENCH_hotpath.json.run2
-	$(GO) run ./cmd/taxbench -exp policy -policy-json BENCH_policy.json.run1
-	$(GO) run ./cmd/taxbench -exp policy -policy-json BENCH_policy.json.run2
-	cmp BENCH_policy.json.run1 BENCH_policy.json.run2 || \
-		{ echo "ci: policy benchmark differs between runs (nondeterministic benchmark)"; exit 1; }
-	rm -f BENCH_policy.json.run1 BENCH_policy.json.run2
-	$(GO) run ./cmd/taxbench -exp directory -directory-json BENCH_directory.json.run1
-	$(GO) run ./cmd/taxbench -exp directory -directory-json BENCH_directory.json.run2
-	cmp BENCH_directory.json.run1 BENCH_directory.json.run2 || \
-		{ echo "ci: directory benchmark differs between runs (nondeterministic benchmark)"; exit 1; }
-	rm -f BENCH_directory.json.run1 BENCH_directory.json.run2
-	$(GO) run ./cmd/taxbench -exp frontier -frontier-json BENCH_frontier.json.run1
-	$(GO) run ./cmd/taxbench -exp frontier -frontier-json BENCH_frontier.json.run2
-	cmp BENCH_frontier.json.run1 BENCH_frontier.json.run2 || \
-		{ echo "ci: frontier benchmark differs between runs (nondeterministic benchmark)"; exit 1; }
-	rm -f BENCH_frontier.json.run1 BENCH_frontier.json.run2
 
 # chaos runs the fault-injection layer under the race detector: the
 # chaostest harness (3-hop itineraries under seeded fault plans — the
@@ -140,18 +114,16 @@ policy-fuzz:
 	$(GO) test -fuzz FuzzPolicyEval -fuzztime $(FUZZTIME) ./internal/policy/
 
 # bench regenerates every evaluation table and rewrites the committed
-# BENCH_*.json baselines. The tel and faults experiments also write
-# BENCH_telemetry.json and BENCH_faults.json: those two hold wall-clock
-# figures, so they are scratch output — never committed, not gated by
-# bench-check — and clean removes them.
+# BENCH_*.json baselines, which hold only exact counts and virtual-clock
+# arithmetic: on an unchanged tree it leaves `git status` clean.
 bench:
 	$(GO) run ./cmd/taxbench
 
-# bench-check is the benchmark regression gate: re-run the deterministic
-# experiments and diff against the committed BENCH_*.json baselines
-# (per-metric tolerance bands, wall-clock fields excluded). Non-zero
-# exit on drift; after an intentional perf change, regenerate the
-# baselines with `make bench` and commit them.
+# bench-check is the benchmark regression gate: re-run every experiment
+# that has a committed BENCH_*.json baseline and compare the fresh
+# document with it byte for byte. Drift, nondeterminism included, prints
+# the differing lines and exits non-zero; after an intentional perf
+# change, regenerate the baselines with `make bench` and commit them.
 bench-check:
 	$(GO) run ./cmd/taxbench -check
 
@@ -161,15 +133,14 @@ bench-check:
 obsv-demo:
 	$(GO) run ./cmd/taxbench -exp obsv
 
-# firewall-loc prints the firewall package's size the way ISSUE 15 counts
-# it: non-test source lines that are neither blank nor comment-only.
-firewall-loc:
-	@ls internal/firewall/*.go | grep -v _test | xargs cat | grep -vE '^\s*(//|$$)' | wc -l
+# loc prints code size the way ISSUE 15 counts it — non-test source lines
+# that are neither blank nor comment-only — for the tree outside
+# benchmark/, the evaluation harness, and the firewall.
+count = find $(1) -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -print0 | xargs -0 cat | grep -cvE '^\s*(//|$$)'
+loc:
+	@echo "tree (outside benchmark/)        $$($(call count,.))"
+	@echo "internal/bench + cmd/taxbench    $$($(call count,internal/bench cmd/taxbench))"
+	@echo "internal/firewall                $$($(call count,internal/firewall))"
 
-# clean removes what bench and ci generate: the baselines bench rewrites
-# (restore them with `git checkout` or `make bench`), ci's double-run
-# files, and the two scratch reports BENCH_telemetry.json and
-# BENCH_faults.json, which are never committed.
 clean:
 	$(GO) clean ./...
-	rm -f BENCH_telemetry.json BENCH_faults.json BENCH_parallel.json BENCH_durability.json BENCH_hotpath.json BENCH_hotpath.json.run1 BENCH_hotpath.json.run2 BENCH_policy.json BENCH_policy.json.run1 BENCH_policy.json.run2 BENCH_directory.json BENCH_directory.json.run1 BENCH_directory.json.run2 BENCH_frontier.json.run1 BENCH_frontier.json.run2

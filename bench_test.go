@@ -1,7 +1,7 @@
-// Benchmarks regenerating the paper's evaluation — one bench per
-// table/figure row of the DESIGN.md experiment index. Deterministic
-// simulated results (elapsed virtual time, bytes moved) are attached as
-// custom metrics; the Go benchmark time measures the harness itself.
+// Benchmarks regenerating the paper's evaluation — one sub-benchmark per
+// row of bench.Experiments (the DESIGN.md experiment index). Deterministic
+// simulated results (elapsed virtual time) are attached as custom
+// metrics; the Go benchmark time measures the harness itself.
 //
 //	go test -bench=. -benchmem
 package tax_test
@@ -11,121 +11,26 @@ import (
 
 	"tax/internal/bench"
 	"tax/internal/linkmine"
-	"tax/internal/simnet"
-	"tax/internal/websim"
 )
 
-// BenchmarkE1LocalVsRemote is the §5 headline: the 917-page / 3 MB scan,
-// stationary across the 100 Mbit LAN vs. the mobile Webbot. Metrics:
-// sim-s-stationary, sim-s-mobile, speedup-pct (paper: 16%).
-func BenchmarkE1LocalVsRemote(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cmp, err := linkmine.Run(linkmine.Config{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(cmp.Stationary.ScanElapsed.Seconds(), "sim-s-stationary")
-		b.ReportMetric(cmp.Mobile.ScanElapsed.Seconds(), "sim-s-mobile")
-		b.ReportMetric(cmp.SpeedupPercent(), "speedup-pct")
-	}
-}
-
-// BenchmarkE1WANSweep is §5's closing extrapolation: the same comparison
-// across degraded links and a scaled site. Metrics: the WAN2 speedup
-// (the paper's "even faster" regime).
-func BenchmarkE1WANSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cmp, err := linkmine.Run(linkmine.Config{Link: simnet.WAN2})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(cmp.SpeedupPercent(), "wan2-speedup-pct")
-	}
-}
-
-// BenchmarkE1Crossover probes the other side of the trade-off: a site
-// small enough that migration overhead beats the network savings.
-func BenchmarkE1Crossover(b *testing.B) {
-	spec := websim.CaseStudySpec("webserv")
-	spec.Pages = 4
-	spec.TotalBytes = 4 * 3400
-	spec.ExtraPages = 2
-	for i := 0; i < b.N; i++ {
-		cmp, err := linkmine.Run(linkmine.Config{Spec: spec})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(cmp.SpeedupPercent(), "tiny-site-speedup-pct")
-	}
-}
-
-// BenchmarkE1Campus is the §5 multi-server extension: an itinerant agent
-// scanning four campus web servers vs. the fixed client.
-func BenchmarkE1Campus(b *testing.B) {
-	cfg := linkmine.MultiConfig{
-		Servers:        []string{"www1", "www2", "www3", "www4"},
-		PagesPerServer: 120,
-	}
-	for i := 0; i < b.N; i++ {
-		ds, err := linkmine.NewMultiDeployment(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		stationary, err := ds.RunStationaryMulti()
-		_ = ds.Close()
-		if err != nil {
-			b.Fatal(err)
-		}
-		dm, err := linkmine.NewMultiDeployment(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		mobile, err := dm.RunMobileMulti()
-		_ = dm.Close()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(stationary.Elapsed.Seconds(), "sim-s-stationary")
-		b.ReportMetric(mobile.Elapsed.Seconds(), "sim-s-mobile")
-	}
-}
-
-// BenchmarkF3ActivationPipeline measures figure 3: the full
-// vm_c → ag_cc → ag_exec → vm_bin activation versus direct activation.
-func BenchmarkF3ActivationPipeline(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.Figure3(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkWrapperStackDepth is the §4 ablation: per-RPC cost through
-// 0, 4 and 8 stacked pass-through wrappers.
-func BenchmarkWrapperStackDepth(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.WrapperDepth([]int{0, 4, 8}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkBriefcaseStateDrop is the §3.1 ablation: return-trip bytes
-// with and without dropping the carried binary.
-func BenchmarkBriefcaseStateDrop(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.BriefcaseDrop(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFirewallBypass is the §3.3 ablation: co-located RPCs through
-// the firewall versus the VM-internal path.
-func BenchmarkFirewallBypass(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.FirewallBypass(); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkExperiments runs every experiment of the evaluation table.
+// E1, the §5 headline (917-page / 3 MB scan, stationary across the
+// 100 Mbit LAN vs. the mobile Webbot), reports sim-s-stationary,
+// sim-s-mobile and speedup-pct (paper: 16%).
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range bench.Experiments {
+		b.Run(e.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				_, doc, err := e.Run()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if cmp, ok := doc.(*linkmine.Comparison); ok {
+					b.ReportMetric(cmp.Stationary.ScanElapsed.Seconds(), "sim-s-stationary")
+					b.ReportMetric(cmp.Mobile.ScanElapsed.Seconds(), "sim-s-mobile")
+					b.ReportMetric(cmp.SpeedupPercent(), "speedup-pct")
+				}
+			}
+		})
 	}
 }

@@ -1,509 +1,90 @@
-// Command taxbench regenerates the paper's evaluation tables (see the
-// experiment index in DESIGN.md and the recorded results in
-// EXPERIMENTS.md).
+// Command taxbench regenerates the paper's evaluation tables. It is a
+// loop over bench.Experiments: each experiment prints its table and, when
+// it has one, rewrites its committed BENCH_*.json baseline in the working
+// directory. DESIGN.md indexes the experiments and EXPERIMENTS.md records
+// their results.
 //
 //	taxbench            # run every experiment
-//	taxbench -exp e1    # one experiment: e1, e1wan, crossover, f3,
-//	                    # twrap, tbc, tfw, tel, faults
+//	taxbench -exp e1    # one experiment
+//	taxbench -check     # regression gate, wired into CI by `make bench-check`
 //
-// The tel experiment measures telemetry overhead on the firewall hot
-// path and records the machine-readable deltas to BENCH_telemetry.json
-// (path overridable with -json, disable with -json ”).
-//
-// The faults experiment sweeps injected message-drop probability against
-// the rear-guarded chaos itinerary and records completion rate and
-// recovery latency to BENCH_faults.json (-faults-json to override,
-// -faults-seeds for runs per point).
-//
-// The parallel experiment sweeps fleet worker counts over an 8-server
-// campus, measures virtual-time fleet throughput, verifies the parallel
-// crawl is byte-identical to serial, and records the sweep to
-// BENCH_parallel.json (-parallel-json to override).
-//
-// The durability experiment sweeps the file cabinet's snapshot interval
-// and fsync cost against virtual-clock recovery latency and the
-// crash-point completion rate, and records the grid to
-// BENCH_durability.json (-durability-json to override). The JSON embeds
-// no wall-clock time: reruns are byte-identical per seed.
-//
-// The hotpath experiment measures the zero-copy briefcase codec
-// (allocations per op against the frozen reference codec) and batched
-// firewall mediation (virtual-clock messages/second across fleet
-// widths, batching on and off), recording BENCH_hotpath.json
-// (-hotpath-json to override). Like durability, the JSON holds only
-// exact allocation counts and virtual-clock arithmetic, so reruns are
-// byte-identical; wall-clock ns/op appears in the printed table only.
-//
-// The policy experiment prices the default-deny policy gate: exact
-// Eval/Charge allocation counts at ten thousand tenant buckets, the
-// per-path send allocation delta an AllowAll engine adds over the
-// legacy path (zero when the gate is free), and a ten-thousand-tenant
-// quota-starvation sweep with exact admission counts and virtual-clock
-// throughput, recording BENCH_policy.json (-policy-json to override).
-// Like hotpath, the JSON is byte-identical run to run.
-//
-// The obsv experiment runs the observability demo (EXPERIMENTS E6): a
-// rear-guarded faulty itinerary with a mid-run crash, tower enabled,
-// printing the merged cross-host timeline `taxctl explain` would serve.
-//
-// The directory experiment prices the leased, sharded directory plane
-// (EXPERIMENTS E9): one hundred thousand agents register, renew and
-// resolve across shard counts {1, 4, 16}, recording exact shard loads,
-// allocation counts and LAN100 virtual-clock registration throughput
-// and lookup latency to BENCH_directory.json (-directory-json to
-// override). The JSON is byte-identical run to run.
-//
-// The frontier experiment prices the staged crawler (EXPERIMENTS E10):
-// a workers × politeness grid over the paper's 917-page site under the
-// frontier's deterministic schedule model, plus crash-resume,
-// incremental re-crawl and robots.txt checks, recording
-// BENCH_frontier.json (-frontier-json to override). The JSON is
-// byte-identical run to run.
-//
-// taxbench -check is the benchmark regression gate: it re-runs the
-// deterministic experiments behind the committed BENCH_*.json baselines
-// and diffs the fresh results against them (wall-clock fields excluded,
-// per-metric tolerance bands per internal/bench.SpecFor). Any drift
-// prints per-field diffs and exits non-zero; `make bench-check` wires it
-// into CI.
+// -check re-runs the experiments that have a baseline and compares each
+// fresh document with the committed file byte for byte. Any drift prints
+// the differing lines and exits non-zero; after an intentional change,
+// regenerate the baselines with `make bench` and commit them.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"time"
+	"strings"
 
 	"tax/internal/bench"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (e1, e1wan, campus, crossover, f3, twrap, tbc, tfw, tel, faults, parallel, durability, hotpath, policy, directory, frontier, obsv, all)")
-	jsonPath := flag.String("json", "BENCH_telemetry.json", "file for the tel experiment's JSON results ('' disables)")
-	rounds := flag.Int("rounds", 20000, "round trips per telemetry overhead mode")
-	faultsJSON := flag.String("faults-json", "BENCH_faults.json", "file for the faults experiment's JSON results ('' disables)")
-	faultsSeeds := flag.Int("faults-seeds", 10, "seeded runs per drop-probability point in the faults experiment")
-	parallelJSON := flag.String("parallel-json", "BENCH_parallel.json", "file for the parallel experiment's JSON results ('' disables)")
-	durabilityJSON := flag.String("durability-json", "BENCH_durability.json", "file for the durability experiment's JSON results ('' disables)")
-	hotpathJSON := flag.String("hotpath-json", "BENCH_hotpath.json", "file for the hotpath experiment's JSON results ('' disables)")
-	policyJSON := flag.String("policy-json", "BENCH_policy.json", "file for the policy experiment's JSON results ('' disables)")
-	directoryJSON := flag.String("directory-json", "BENCH_directory.json", "file for the directory experiment's JSON results ('' disables)")
-	frontierJSON := flag.String("frontier-json", "BENCH_frontier.json", "file for the frontier experiment's JSON results ('' disables)")
-	check := flag.Bool("check", false, "regression gate: re-run the deterministic experiments and diff against the committed BENCH_*.json baselines; non-zero exit on drift")
-	flag.Parse()
-	if *check {
-		if err := runCheck(); err != nil {
-			fmt.Fprintln(os.Stderr, "taxbench:", err)
-			os.Exit(1)
-		}
-		return
+	names := make([]string, len(bench.Experiments))
+	for i, e := range bench.Experiments {
+		names[i] = e.Name
 	}
-	if err := run(*exp, *jsonPath, *rounds, *faultsJSON, *faultsSeeds, *parallelJSON, *durabilityJSON, *hotpathJSON, *policyJSON, *directoryJSON, *frontierJSON); err != nil {
+	choices := strings.Join(names, ", ") + ", all"
+	exp := flag.String("exp", "all", "experiment to run ("+choices+")")
+	check := flag.Bool("check", false, "regression gate: compare fresh results with the committed BENCH_*.json baselines byte for byte instead of rewriting them; non-zero exit on drift")
+	flag.Parse()
+	if err := run(*exp, *check, choices); err != nil {
 		fmt.Fprintln(os.Stderr, "taxbench:", err)
 		os.Exit(1)
 	}
 }
 
-// runCheck regenerates every gated benchmark into a temp dir and diffs it
-// against the committed baseline under that file's comparison spec.
-func runCheck() error {
-	regen := map[string]func(path string) error{
-		"BENCH_parallel.json": func(path string) error {
-			_, results, identical, err := bench.Parallel()
-			if err != nil {
-				return err
-			}
-			return writeParallelJSON(path, results, identical)
-		},
-		"BENCH_durability.json": func(path string) error {
-			_, results, group, err := bench.Durability()
-			if err != nil {
-				return err
-			}
-			return writeDurabilityJSON(path, results, group)
-		},
-		"BENCH_hotpath.json": func(path string) error {
-			_, result, err := bench.Hotpath()
-			if err != nil {
-				return err
-			}
-			return writeHotpathJSON(path, result)
-		},
-		"BENCH_policy.json": func(path string) error {
-			_, result, err := bench.Policy()
-			if err != nil {
-				return err
-			}
-			return writePolicyJSON(path, result)
-		},
-		"BENCH_directory.json": func(path string) error {
-			_, result, err := bench.Directory()
-			if err != nil {
-				return err
-			}
-			return writeDirectoryJSON(path, result)
-		},
-		"BENCH_frontier.json": func(path string) error {
-			_, results, checks, err := bench.Frontier()
-			if err != nil {
-				return err
-			}
-			return writeFrontierJSON(path, results, checks)
-		},
-	}
-	tmp, err := os.MkdirTemp("", "taxbench-check-")
-	if err != nil {
-		return err
-	}
-	defer func() { _ = os.RemoveAll(tmp) }()
-	regressed := 0
-	for _, file := range bench.CheckedFiles() {
-		baseline, err := os.ReadFile(file)
-		if err != nil {
-			return fmt.Errorf("baseline %s: %w (run taxbench to regenerate it)", file, err)
-		}
-		fresh := filepath.Join(tmp, file)
-		if err := regen[file](fresh); err != nil {
-			return fmt.Errorf("%s: %w", file, err)
-		}
-		current, err := os.ReadFile(fresh)
-		if err != nil {
-			return err
-		}
-		spec, _ := bench.SpecFor(file)
-		diffs, err := bench.Check(baseline, current, spec)
-		if err != nil {
-			return fmt.Errorf("%s: %w", file, err)
-		}
-		if len(diffs) == 0 {
-			fmt.Printf("taxbench: %-22s ok\n", file)
+func run(exp string, check bool, choices string) error {
+	known, drifted := false, 0
+	for _, e := range bench.Experiments {
+		if exp != "all" && exp != e.Name {
 			continue
 		}
-		regressed++
-		fmt.Printf("taxbench: %-22s REGRESSED (%d fields)\n", file, len(diffs))
-		for _, d := range diffs {
-			fmt.Println("    " + d.String())
-		}
-	}
-	if regressed > 0 {
-		return fmt.Errorf("%d of %d benchmark baselines drifted", regressed, len(bench.CheckedFiles()))
-	}
-	fmt.Println("taxbench: all benchmark baselines match")
-	return nil
-}
-
-func run(exp, jsonPath string, rounds int, faultsJSON string, faultsSeeds int, parallelJSON, durabilityJSON, hotpathJSON, policyJSON, directoryJSON, frontierJSON string) error {
-	type experiment struct {
-		name string
-		fn   func() (*bench.Table, error)
-	}
-	experiments := []experiment{
-		{"e1", func() (*bench.Table, error) {
-			t, _, err := bench.E1()
-			return t, err
-		}},
-		{"e1wan", bench.E1WAN},
-		{"stats", bench.SiteStats},
-		{"campus", bench.Campus},
-		{"crossover", bench.Crossover},
-		{"f3", bench.Figure3},
-		{"twrap", func() (*bench.Table, error) { return bench.WrapperDepth([]int{0, 1, 2, 4, 8}) }},
-		{"tbc", bench.BriefcaseDrop},
-		{"tfw", bench.FirewallBypass},
-		{"tel", func() (*bench.Table, error) {
-			t, results, err := bench.TelemetryOverhead(rounds)
-			if err != nil {
-				return nil, err
-			}
-			if jsonPath != "" {
-				if err := writeTelemetryJSON(jsonPath, rounds, results); err != nil {
-					return nil, err
-				}
-				fmt.Fprintln(os.Stderr, "taxbench: wrote", jsonPath)
-			}
-			return t, nil
-		}},
-		{"parallel", func() (*bench.Table, error) {
-			t, results, identical, err := bench.Parallel()
-			if err != nil {
-				return nil, err
-			}
-			if parallelJSON != "" {
-				if err := writeParallelJSON(parallelJSON, results, identical); err != nil {
-					return nil, err
-				}
-				fmt.Fprintln(os.Stderr, "taxbench: wrote", parallelJSON)
-			}
-			return t, nil
-		}},
-		{"durability", func() (*bench.Table, error) {
-			t, results, group, err := bench.Durability()
-			if err != nil {
-				return nil, err
-			}
-			if durabilityJSON != "" {
-				if err := writeDurabilityJSON(durabilityJSON, results, group); err != nil {
-					return nil, err
-				}
-				fmt.Fprintln(os.Stderr, "taxbench: wrote", durabilityJSON)
-			}
-			return t, nil
-		}},
-		{"hotpath", func() (*bench.Table, error) {
-			t, result, err := bench.Hotpath()
-			if err != nil {
-				return nil, err
-			}
-			if hotpathJSON != "" {
-				if err := writeHotpathJSON(hotpathJSON, result); err != nil {
-					return nil, err
-				}
-				fmt.Fprintln(os.Stderr, "taxbench: wrote", hotpathJSON)
-			}
-			return t, nil
-		}},
-		{"policy", func() (*bench.Table, error) {
-			t, result, err := bench.Policy()
-			if err != nil {
-				return nil, err
-			}
-			if policyJSON != "" {
-				if err := writePolicyJSON(policyJSON, result); err != nil {
-					return nil, err
-				}
-				fmt.Fprintln(os.Stderr, "taxbench: wrote", policyJSON)
-			}
-			return t, nil
-		}},
-		{"directory", func() (*bench.Table, error) {
-			t, result, err := bench.Directory()
-			if err != nil {
-				return nil, err
-			}
-			if directoryJSON != "" {
-				if err := writeDirectoryJSON(directoryJSON, result); err != nil {
-					return nil, err
-				}
-				fmt.Fprintln(os.Stderr, "taxbench: wrote", directoryJSON)
-			}
-			return t, nil
-		}},
-		{"frontier", func() (*bench.Table, error) {
-			t, results, checks, err := bench.Frontier()
-			if err != nil {
-				return nil, err
-			}
-			if frontierJSON != "" {
-				if err := writeFrontierJSON(frontierJSON, results, checks); err != nil {
-					return nil, err
-				}
-				fmt.Fprintln(os.Stderr, "taxbench: wrote", frontierJSON)
-			}
-			return t, nil
-		}},
-		{"obsv", func() (*bench.Table, error) {
-			t, timeline, err := bench.Obsv()
-			if err != nil {
-				return nil, err
-			}
-			for _, line := range timeline {
-				fmt.Println(line)
-			}
-			fmt.Println()
-			return t, nil
-		}},
-		{"faults", func() (*bench.Table, error) {
-			t, results, err := bench.Faults(faultsSeeds)
-			if err != nil {
-				return nil, err
-			}
-			if faultsJSON != "" {
-				if err := writeFaultsJSON(faultsJSON, faultsSeeds, results); err != nil {
-					return nil, err
-				}
-				fmt.Fprintln(os.Stderr, "taxbench: wrote", faultsJSON)
-			}
-			return t, nil
-		}},
-	}
-	ran := false
-	for _, e := range experiments {
-		if exp != "all" && exp != e.name {
+		known = true
+		if check && e.File == "" {
 			continue
 		}
-		ran = true
-		t, err := e.fn()
+		t, doc, err := e.Run()
 		if err != nil {
-			return fmt.Errorf("%s: %w", e.name, err)
+			return fmt.Errorf("%s: %w", e.Name, err)
+		}
+		if check {
+			diffs, err := bench.Check(e.File, doc)
+			if err != nil {
+				return fmt.Errorf("%s: %w", e.Name, err)
+			}
+			if len(diffs) == 0 {
+				fmt.Printf("taxbench: %-22s ok\n", e.File)
+				continue
+			}
+			drifted++
+			fmt.Printf("taxbench: %-22s DRIFTED (%d lines)\n", e.File, len(diffs))
+			for _, d := range diffs {
+				fmt.Println("    " + d)
+			}
+			continue
 		}
 		fmt.Println(t.Format())
+		if e.File != "" {
+			data, err := bench.Encode(doc)
+			if err != nil {
+				return fmt.Errorf("%s: %w", e.Name, err)
+			}
+			if err := os.WriteFile(e.File, data, 0o644); err != nil {
+				return fmt.Errorf("%s: %w", e.Name, err)
+			}
+			fmt.Fprintln(os.Stderr, "taxbench: wrote", e.File)
+		}
 	}
-	if !ran {
-		return fmt.Errorf("unknown experiment %q", exp)
+	if !known {
+		return fmt.Errorf("unknown experiment %q (have %s)", exp, choices)
+	}
+	if drifted > 0 {
+		return fmt.Errorf("%d benchmark baselines drifted", drifted)
 	}
 	return nil
-}
-
-// writeParallelJSON records the fleet worker sweep (virtual-time
-// throughput per worker count) and the serial-vs-parallel crawl
-// identity check for regression tracking.
-func writeParallelJSON(path string, results []bench.ParallelResult, identical bool) error {
-	doc := struct {
-		Time           time.Time              `json:"time"`
-		StatsIdentical bool                   `json:"parallel_crawl_stats_identical"`
-		Results        []bench.ParallelResult `json:"results"`
-	}{Time: time.Now(), StatsIdentical: identical, Results: results}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		_ = f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// writeDurabilityJSON records the durability grid for regression
-// tracking. Deliberately no timestamp: every field is virtual-clock or
-// seeded, so the file is byte-identical run to run and diffs cleanly.
-func writeDurabilityJSON(path string, results []bench.DurabilityResult, group []bench.DurabilityGroupResult) error {
-	doc := struct {
-		Results []bench.DurabilityResult      `json:"results"`
-		Group   []bench.DurabilityGroupResult `json:"group_commit"`
-	}{Results: results, Group: group}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		_ = f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// writeHotpathJSON records the fast-path measurements. Deliberately no
-// timestamp and no wall-clock field: allocation counts are exact and
-// throughput is virtual-clock, so the file is byte-identical run to run
-// — `make ci` relies on that to catch nondeterminism.
-func writeHotpathJSON(path string, result *bench.HotpathResult) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(result); err != nil {
-		_ = f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// writePolicyJSON records the policy-gate measurements. Deliberately no
-// timestamp and no wall-clock field: allocation counts and admission
-// totals are exact and throughput is virtual-clock, so the file is
-// byte-identical run to run — `make ci` relies on that.
-func writePolicyJSON(path string, result *bench.PolicyResult) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(result); err != nil {
-		_ = f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// writeDirectoryJSON records the directory-plane sweep. Deliberately no
-// timestamp and no wall-clock field: shard loads and allocation counts
-// are exact and the makespan is LAN100 virtual-clock arithmetic, so the
-// file is byte-identical run to run — `make ci` relies on that.
-func writeDirectoryJSON(path string, result *bench.DirectoryResult) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(result); err != nil {
-		_ = f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// writeFrontierJSON records the staged-crawler schedule grid and its
-// durability/re-crawl/robots checks. Deliberately no timestamp and no
-// wall-clock field: every number is virtual-clock arithmetic or an
-// exact count over the seeded site, so the file is byte-identical run
-// to run — `make ci` relies on that.
-func writeFrontierJSON(path string, results []bench.FrontierResult, checks *bench.FrontierChecks) error {
-	doc := struct {
-		Checks  *bench.FrontierChecks  `json:"checks"`
-		Results []bench.FrontierResult `json:"results"`
-	}{Checks: checks, Results: results}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		_ = f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// writeFaultsJSON records the fault-sweep results (completion rate and
-// recovery latency vs drop probability) for regression tracking.
-func writeFaultsJSON(path string, seeds int, results []bench.FaultsResult) error {
-	doc := struct {
-		Time    time.Time            `json:"time"`
-		Seeds   int                  `json:"seeds_per_point"`
-		Results []bench.FaultsResult `json:"results"`
-	}{Time: time.Now(), Seeds: seeds, Results: results}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		_ = f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// writeTelemetryJSON records the overhead results for regression
-// tracking across checkouts.
-func writeTelemetryJSON(path string, rounds int, results []bench.TelemetryResult) error {
-	doc := struct {
-		Time    time.Time               `json:"time"`
-		Rounds  int                     `json:"rounds"`
-		Results []bench.TelemetryResult `json:"results"`
-	}{Time: time.Now(), Rounds: rounds, Results: results}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		_ = f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -10,10 +10,10 @@ import (
 	"tax/internal/core"
 	"tax/internal/firewall"
 	"tax/internal/linkmine"
+	"tax/internal/services"
 	"tax/internal/simnet"
 	"tax/internal/vm"
 	"tax/internal/websim"
-	"tax/internal/wrapper"
 )
 
 // Figure3 measures the activation pipeline of figure 3: a toy-C agent
@@ -41,7 +41,7 @@ func Figure3() (*Table, error) {
 		}
 		source := "// program: cagent\nint agMain(briefcase bc) { }\n"
 		ran := make(chan time.Duration, 1)
-		bin, err := compiledFor(source, n)
+		bin, err := services.CompileBinary(source, n.Arch, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -150,122 +150,6 @@ func Figure3() (*Table, error) {
 	return t, nil
 }
 
-// compiledFor mirrors the toy compiler's deterministic output for a
-// source on a node's architecture.
-func compiledFor(source string, n *core.Node) (vm.Binary, error) {
-	name := ""
-	for _, line := range splitLines(source) {
-		if cut, ok := cutPrefix(trim(line), "// program:"); ok {
-			name = trim(cut)
-			break
-		}
-	}
-	if name == "" {
-		return vm.Binary{}, errors.New("bench: no program directive")
-	}
-	return vm.Binary{
-		Name: name, Arch: n.Arch, Version: "1.0",
-		Payload: vm.SyntheticImage(name, n.Arch, "1.0", 64<<10),
-	}, nil
-}
-
-// T-wrap: wrapper stacking depth vs. meet() round-trip cost. The §4
-// design claim is that carrying support as stacked wrappers is cheap
-// enough to replace host-environment bloat; the measured overhead per
-// layer quantifies it.
-func WrapperDepth(depths []int) (*Table, error) {
-	t := &Table{
-		Title:  "T-wrap — §4 ablation: wrapper stack depth",
-		Note:   "real time of 1000 local meet() RPCs through N pass-through wrappers",
-		Header: []string{"depth", "per-RPC", "overhead vs depth 0"},
-	}
-	// Warm the runtime (scheduler, allocator) so depth 0 is not charged
-	// the process's cold start.
-	if _, err := meetThroughWrappers(0, 500); err != nil {
-		return nil, err
-	}
-	var base time.Duration
-	for _, depth := range depths {
-		per, err := meetThroughWrappers(depth, 3000)
-		if err != nil {
-			return nil, err
-		}
-		if depth == 0 {
-			base = per
-		}
-		over := "-"
-		if depth > 0 && base > 0 {
-			over = fmt.Sprintf("%+.0f%%", (float64(per)/float64(base)-1)*100)
-		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", depth),
-			fmt.Sprintf("%.1fµs", float64(per)/float64(time.Microsecond)),
-			over,
-		})
-	}
-	return t, nil
-}
-
-// meetThroughWrappers runs count echo RPCs through a stack of depth
-// pass-through wrappers and returns the mean real time per RPC.
-func meetThroughWrappers(depth, count int) (time.Duration, error) {
-	sys, err := core.NewSystem(simnet.LAN100)
-	if err != nil {
-		return 0, err
-	}
-	defer closeQuiet(sys)
-	n, err := sys.AddNode("h1", core.NodeOptions{NoCVM: true, NoServices: true})
-	if err != nil {
-		return 0, err
-	}
-	n.Programs.Register("echo", func(ctx *agent.Context) error {
-		for {
-			req, err := ctx.Await(0)
-			if err != nil {
-				return nil
-			}
-			if err := ctx.Reply(req, briefcase.New()); err != nil {
-				return err
-			}
-		}
-	})
-	if _, err := n.VM.Launch("system", "echo", "echo", nil); err != nil {
-		return 0, err
-	}
-
-	done := make(chan result1, 1)
-	n.Programs.Register("caller", func(ctx *agent.Context) error {
-		var ws []wrapper.Wrapper
-		for i := 0; i < depth; i++ {
-			ws = append(ws, &wrapper.Logging{Tag: fmt.Sprintf("l%d", i)})
-		}
-		if err := wrapper.NewStack(ws...).Install(ctx); err != nil {
-			done <- result1{err: err}
-			return err
-		}
-		start := time.Now()
-		for i := 0; i < count; i++ {
-			req := briefcase.New()
-			if _, err := ctx.Meet("system/echo", req, 10*time.Second); err != nil {
-				done <- result1{err: err}
-				return err
-			}
-		}
-		done <- result1{d: time.Since(start) / time.Duration(count)}
-		return nil
-	})
-	if _, err := n.VM.Launch("system", "caller", "caller", nil); err != nil {
-		return 0, err
-	}
-	r := <-done
-	return r.d, r.err
-}
-
-type result1 struct {
-	d   time.Duration
-	err error
-}
-
 // T-bc: briefcase state dropping (§3.1). The mobile Webbot drops the
 // carried binary (and the rejected-link log) before returning home; this
 // ablation measures return-trip bytes and time with and without the
@@ -326,6 +210,11 @@ func FirewallBypass() (*Table, error) {
 	return t, nil
 }
 
+type result1 struct {
+	d   time.Duration
+	err error
+}
+
 func bypassRPCs(bypass bool, count int) (time.Duration, int64, error) {
 	sys, err := core.NewSystem(simnet.LAN100)
 	if err != nil {
@@ -371,36 +260,6 @@ func bypassRPCs(bypass bool, count int) (time.Duration, int64, error) {
 		return 0, 0, r.err
 	}
 	return r.d, n.FW.Stats().Delivered, nil
-}
-
-// Small string helpers (keep the package free of non-stdlib deps).
-func splitLines(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			out = append(out, s[start:i])
-			start = i + 1
-		}
-	}
-	return append(out, s[start:])
-}
-
-func trim(s string) string {
-	for len(s) > 0 && (s[0] == ' ' || s[0] == '\t') {
-		s = s[1:]
-	}
-	for len(s) > 0 && (s[len(s)-1] == ' ' || s[len(s)-1] == '\t' || s[len(s)-1] == '\r') {
-		s = s[:len(s)-1]
-	}
-	return s
-}
-
-func cutPrefix(s, prefix string) (string, bool) {
-	if len(s) >= len(prefix) && s[:len(prefix)] == prefix {
-		return s[len(prefix):], true
-	}
-	return s, false
 }
 
 func closeQuiet(s *core.System)          { _ = s.Close() }

@@ -3,6 +3,12 @@
 // experiment index) as printable tables, shared by the repository's
 // testing.B benchmarks and the cmd/taxbench tool.
 //
+// Adding an experiment is one Experiments entry plus its function:
+// cmd/taxbench's -exp names, the files it writes, the -check gate and
+// BenchmarkExperiments are all loops over that table, and
+// TestExperimentsClaimEveryBaseline fails when a committed BENCH_*.json
+// and the table disagree.
+//
 // Calibration. The simulator's cost model has four load-bearing
 // constants, chosen once so that the paper's single published number —
 // a 16 % local-vs-LAN advantage on the 917-page/3 MB crawl — is
@@ -29,8 +35,52 @@ import (
 	"tax/internal/websim"
 )
 
+// Experiment is one row of the evaluation: a name for taxbench -exp, the
+// function that runs it, and the committed baseline it regenerates.
+type Experiment struct {
+	Name string
+	// Run returns the printable table and a document. When File is set
+	// the document is that baseline's JSON content and holds only exact
+	// counts and virtual-clock arithmetic, so its encoding is
+	// byte-identical run to run (see Check).
+	Run func() (*Table, any, error)
+	// File is the committed BENCH_*.json at the repository root, or "".
+	File string
+}
+
+// Experiments lists every experiment in the order taxbench runs them.
+var Experiments = []Experiment{
+	{"e1", func() (*Table, any, error) { return E1() }, ""},
+	{"e1wan", tableOnly(E1WAN), ""},
+	{"stats", tableOnly(SiteStats), ""},
+	{"campus", tableOnly(Campus), ""},
+	{"crossover", tableOnly(Crossover), ""},
+	{"f3", tableOnly(Figure3), ""},
+	{"tbc", tableOnly(BriefcaseDrop), ""},
+	{"tfw", tableOnly(FirewallBypass), ""},
+	{"parallel", Parallel, "BENCH_parallel.json"},
+	{"durability", Durability, "BENCH_durability.json"},
+	{"hotpath", Hotpath, "BENCH_hotpath.json"},
+	{"policy", Policy, "BENCH_policy.json"},
+	{"directory", Directory, "BENCH_directory.json"},
+	{"frontier", Frontier, "BENCH_frontier.json"},
+	{"obsv", tableOnly(Obsv), ""},
+	{"faults", tableOnly(Faults), ""},
+}
+
+// tableOnly adapts an experiment that has no document.
+func tableOnly(run func() (*Table, error)) func() (*Table, any, error) {
+	return func() (*Table, any, error) {
+		t, err := run()
+		return t, nil, err
+	}
+}
+
 // Table is one experiment's printable result.
 type Table struct {
+	// Lead is free-form output printed above the title (the obsv
+	// experiment's merged timeline).
+	Lead []string
 	// Title names the experiment ("E1", "F3", ...).
 	Title string
 	// Note is a one-line description under the title.
@@ -44,6 +94,9 @@ type Table struct {
 // Format renders the table as aligned text.
 func (t *Table) Format() string {
 	var sb strings.Builder
+	for _, l := range t.Lead {
+		sb.WriteString(l + "\n")
+	}
 	sb.WriteString("== " + t.Title + " ==\n")
 	if t.Note != "" {
 		sb.WriteString(t.Note + "\n")

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -26,6 +28,37 @@ func TestTableFormat(t *testing.T) {
 	hdr := lines[2]
 	if !strings.HasPrefix(hdr, "col1  ") {
 		t.Errorf("header alignment: %q", hdr)
+	}
+}
+
+// TestExperimentsClaimEveryBaseline holds the table to the tree: every
+// BENCH_*.json committed at the repository root is written and gated by
+// exactly one experiment, every File exists, and names are unique.
+func TestExperimentsClaimEveryBaseline(t *testing.T) {
+	const root = "../.."
+	committed, err := filepath.Glob(filepath.Join(root, "BENCH_*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	claims := map[string]int{}
+	names := map[string]bool{}
+	for _, e := range Experiments {
+		if names[e.Name] || e.Name == "all" {
+			t.Errorf("experiment name %q is taken", e.Name)
+		}
+		names[e.Name] = true
+		if e.File == "" {
+			continue
+		}
+		claims[e.File]++
+		if _, err := os.Stat(filepath.Join(root, e.File)); err != nil {
+			t.Errorf("experiment %s: baseline not committed: %v", e.Name, err)
+		}
+	}
+	for _, path := range committed {
+		if n := claims[filepath.Base(path)]; n != 1 {
+			t.Errorf("%s is claimed by %d experiments, want exactly 1", filepath.Base(path), n)
+		}
 	}
 }
 
@@ -78,16 +111,6 @@ func TestFigure3ShapesHold(t *testing.T) {
 	pipeline := tbl.Rows[0][1]
 	if pipeline == "0.0µs" {
 		t.Errorf("pipeline cost vanished: %v", tbl.Rows)
-	}
-}
-
-func TestWrapperDepthRuns(t *testing.T) {
-	tbl, err := WrapperDepth([]int{0, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 2 {
-		t.Errorf("rows: %v", tbl.Rows)
 	}
 }
 

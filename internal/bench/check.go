@@ -1,211 +1,55 @@
 package bench
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
-	"path/filepath"
-	"sort"
-	"strconv"
+	"os"
+	"strings"
 )
 
-// CheckSpec is one benchmark file's comparison policy: which fields are
-// wall-clock noise to ignore, and which metrics get a relative tolerance
-// band. Every field not listed is deterministic (virtual-clock arithmetic,
-// exact counts) and must match the committed baseline exactly.
-type CheckSpec struct {
-	// Skip names fields excluded from comparison (wall-clock timings,
-	// timestamps — anything that legitimately differs between runs).
-	Skip map[string]bool
-	// Rel maps a field name to its allowed relative drift: |cur-base| <=
-	// Rel[f] * max(|base|, |cur|). Fields absent from Rel compare exactly.
-	Rel map[string]float64
-}
-
-// tolerance returns the relative band for a field (0 = exact).
-func (s CheckSpec) tolerance(field string) float64 { return s.Rel[field] }
-
-// Diff is one divergence between a baseline document and a current run.
-type Diff struct {
-	// Path locates the field, e.g. "results[2].wal_bytes".
-	Path string
-	// Baseline and Current are the rendered values ("<absent>" when a key
-	// or element exists on only one side).
-	Baseline, Current string
-}
-
-func (d Diff) String() string {
-	return fmt.Sprintf("%s: baseline %s, got %s", d.Path, d.Baseline, d.Current)
-}
-
-// SpecFor returns the comparison policy for a benchmark JSON file (matched
-// by base name) and whether the file is a known benchmark artifact.
-func SpecFor(file string) (CheckSpec, bool) {
-	switch filepath.Base(file) {
-	case "BENCH_parallel.json":
-		// wall_ms is wall-clock per sweep point; time is the write stamp.
-		return CheckSpec{Skip: map[string]bool{"time": true, "wall_ms": true}}, true
-	case "BENCH_durability.json", "BENCH_hotpath.json":
-		// Deterministic by construction: virtual-clock arithmetic and exact
-		// counts, byte-identical across reruns of one build. The two quotient
-		// fields (forwarding/mediation throughput, group-commit fsyncs per
-		// txn) get a hair of relative tolerance: they divide exact integers,
-		// and the float's last ulp may legitimately move across Go releases
-		// while the underlying integer fields (virtual_ms, messages, fsyncs,
-		// txns) stay exactly gated — so throughput and fsyncs/txn are still
-		// held to 0.1%, far tighter than any real regression.
-		return CheckSpec{Rel: map[string]float64{
-			"msgs_per_virtual_sec": 0.001,
-			"fsyncs_per_txn":       0.001,
-		}}, true
-	case "BENCH_policy.json":
-		// Allocation counts and admission totals are exact integers; only
-		// the throughput quotient (exact integers divided into a float)
-		// gets the same 0.1% ulp band as the hotpath file.
-		return CheckSpec{Rel: map[string]float64{
-			"msgs_per_virtual_sec": 0.001,
-		}}, true
-	case "BENCH_directory.json":
-		// Shard loads, allocation counts and the LAN100 latencies are
-		// exact; the two quotient fields (makespan in ms, registrations
-		// per virtual second) divide exact integers and get the standard
-		// 0.1% ulp band.
-		return CheckSpec{Rel: map[string]float64{
-			"register_makespan_ms": 0.001,
-			"regs_per_virtual_sec": 0.001,
-		}}, true
-	case "BENCH_frontier.json":
-		// Pages, bytes, revalidation counts and the identity booleans are
-		// exact; the schedule model's makespan (virtual-clock arithmetic
-		// rendered in ms) and its speedup quotient get the standard 0.1%
-		// ulp band for float formatting drift across Go releases.
-		return CheckSpec{Rel: map[string]float64{
-			"virtual_makespan_ms": 0.001,
-			"speedup_vs_serial":   0.001,
-		}}, true
-	case "BENCH_telemetry.json":
-		return CheckSpec{Skip: map[string]bool{
-			"time": true, "per_round_ns": true, "overhead_pct": true,
-		}}, true
-	case "BENCH_faults.json":
-		return CheckSpec{Skip: map[string]bool{"time": true, "mean_run_ms": true}}, true
+// Encode renders a baseline document the one way the committed
+// BENCH_*.json files are written: two-space indent, one field per line,
+// trailing newline.
+func Encode(doc any) ([]byte, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(doc); err != nil {
+		return nil, fmt.Errorf("bench: encode: %w", err)
 	}
-	return CheckSpec{}, false
+	return buf.Bytes(), nil
 }
 
-// CheckedFiles lists the benchmark baselines the regression gate enforces:
-// the committed, deterministic artifacts `taxbench -check` regenerates and
-// diffs. (telemetry and faults files embed wall-clock results and are not
-// committed, so they are not gated.)
-func CheckedFiles() []string {
-	return []string{"BENCH_parallel.json", "BENCH_durability.json", "BENCH_hotpath.json", "BENCH_policy.json", "BENCH_directory.json", "BENCH_frontier.json"}
-}
-
-// Check diffs a current benchmark document against its committed baseline
-// under a spec. It returns one Diff per divergence (empty means the gate
-// passes) and an error only when either document is not valid JSON.
-func Check(baseline, current []byte, spec CheckSpec) ([]Diff, error) {
-	var base, cur any
-	if err := json.Unmarshal(baseline, &base); err != nil {
+// Check is the regression gate: doc, encoded, must equal the committed
+// baseline at path byte for byte. It returns one "path:line: baseline …
+// got …" entry per differing line (none means the gate passes) and an
+// error when the baseline cannot be read or doc cannot be encoded.
+func Check(path string, doc any) ([]string, error) {
+	baseline, err := os.ReadFile(path)
+	if err != nil {
 		return nil, fmt.Errorf("bench: baseline: %w", err)
 	}
-	if err := json.Unmarshal(current, &cur); err != nil {
-		return nil, fmt.Errorf("bench: current: %w", err)
-	}
-	var diffs []Diff
-	walk(&diffs, spec, "", "", base, cur)
-	return diffs, nil
-}
-
-// walk recursively compares two decoded JSON values. field is the nearest
-// enclosing object key (tolerances and skips attach to field names, not
-// full paths, so one band covers every array element).
-func walk(diffs *[]Diff, spec CheckSpec, path, field string, base, cur any) {
-	if spec.Skip[field] {
-		return
-	}
-	switch b := base.(type) {
-	case map[string]any:
-		c, ok := cur.(map[string]any)
-		if !ok {
-			*diffs = append(*diffs, Diff{path, render(base), render(cur)})
-			return
-		}
-		keys := make([]string, 0, len(b))
-		for k := range b {
-			keys = append(keys, k)
-		}
-		for k := range c {
-			if _, dup := b[k]; !dup {
-				keys = append(keys, k)
-			}
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			p := k
-			if path != "" {
-				p = path + "." + k
-			}
-			bv, inB := b[k]
-			cv, inC := c[k]
-			switch {
-			case !inB:
-				if !spec.Skip[k] {
-					*diffs = append(*diffs, Diff{p, "<absent>", render(cv)})
-				}
-			case !inC:
-				if !spec.Skip[k] {
-					*diffs = append(*diffs, Diff{p, render(bv), "<absent>"})
-				}
-			default:
-				walk(diffs, spec, p, k, bv, cv)
-			}
-		}
-	case []any:
-		c, ok := cur.([]any)
-		if !ok || len(b) != len(c) {
-			*diffs = append(*diffs, Diff{path, render(base), render(cur)})
-			return
-		}
-		for i := range b {
-			walk(diffs, spec, fmt.Sprintf("%s[%d]", path, i), field, b[i], c[i])
-		}
-	case float64:
-		c, ok := cur.(float64)
-		if !ok {
-			*diffs = append(*diffs, Diff{path, render(base), render(cur)})
-			return
-		}
-		tol := spec.tolerance(field)
-		if math.Abs(b-c) > tol*math.Max(math.Abs(b), math.Abs(c)) {
-			*diffs = append(*diffs, Diff{path, render(b), render(c)})
-		}
-	default:
-		// bool, string, nil: exact.
-		if base != cur {
-			*diffs = append(*diffs, Diff{path, render(base), render(cur)})
-		}
-	}
-}
-
-// render formats a decoded JSON value for a Diff message.
-func render(v any) string {
-	switch x := v.(type) {
-	case nil:
-		return "null"
-	case float64:
-		return strconv.FormatFloat(x, 'g', -1, 64)
-	case string:
-		return strconv.Quote(x)
-	case bool:
-		return strconv.FormatBool(x)
-	}
-	out, err := json.Marshal(v)
+	fresh, err := Encode(doc)
 	if err != nil {
-		return fmt.Sprintf("%v", v)
+		return nil, err
 	}
-	if len(out) > 64 {
-		out = append(out[:61], "..."...)
+	if bytes.Equal(baseline, fresh) {
+		return nil, nil
 	}
-	return string(out)
+	base, cur := strings.Split(string(baseline), "\n"), strings.Split(string(fresh), "\n")
+	line := func(lines []string, i int) string {
+		if i < len(lines) {
+			return lines[i]
+		}
+		return "<absent>"
+	}
+	var diffs []string
+	for i := 0; i < len(base) || i < len(cur); i++ {
+		if b, c := line(base, i), line(cur, i); b != c {
+			diffs = append(diffs, fmt.Sprintf("%s:%d: baseline %s got %s",
+				path, i+1, strings.TrimSpace(b), strings.TrimSpace(c)))
+		}
+	}
+	return diffs, nil
 }

@@ -1,22 +1,50 @@
 package bench
 
 import (
+	"errors"
+	"io/fs"
+	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
-const checkBase = `{
-  "time": "2026-08-05T21:24:25Z",
-  "ok": true,
-  "results": [
-    {"workers": 1, "wall_ms": 24.9, "virtual_makespan_ms": 3968.149, "pages": 960},
-    {"workers": 2, "wall_ms": 16.8, "virtual_makespan_ms": 1985.277, "pages": 960}
-  ]
-}`
+type checkPoint struct {
+	Workers    int     `json:"workers"`
+	MakespanMs float64 `json:"virtual_makespan_ms"`
+	Pages      int     `json:"pages"`
+}
 
-func mustCheck(t *testing.T, baseline, current string, spec CheckSpec) []Diff {
+type checkDoc struct {
+	OK      bool         `json:"ok"`
+	Results []checkPoint `json:"results"`
+}
+
+func checkBase() checkDoc {
+	return checkDoc{OK: true, Results: []checkPoint{
+		{Workers: 1, MakespanMs: 3968.149, Pages: 960},
+		{Workers: 2, MakespanMs: 1985.277, Pages: 960},
+	}}
+}
+
+// commitBaseline writes doc the way taxbench does and returns the path.
+func commitBaseline(t *testing.T, doc any) string {
 	t.Helper()
-	diffs, err := Check([]byte(baseline), []byte(current), spec)
+	data, err := Encode(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "BENCH_test.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+func mustCheck(t *testing.T, path string, doc any) []string {
+	t.Helper()
+	diffs, err := Check(path, doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,92 +52,69 @@ func mustCheck(t *testing.T, baseline, current string, spec CheckSpec) []Diff {
 }
 
 func TestCheckIdenticalPasses(t *testing.T) {
-	if diffs := mustCheck(t, checkBase, checkBase, CheckSpec{}); len(diffs) != 0 {
+	if diffs := mustCheck(t, commitBaseline(t, checkBase()), checkBase()); len(diffs) != 0 {
 		t.Errorf("identical docs diff: %v", diffs)
 	}
 }
 
-func TestCheckSkipsWallClockFields(t *testing.T) {
-	cur := strings.Replace(checkBase, `"wall_ms": 24.9`, `"wall_ms": 99.9`, 1)
-	cur = strings.Replace(cur, `"time": "2026-08-05T21:24:25Z"`, `"time": "2026-08-08T00:00:00Z"`, 1)
-	spec := CheckSpec{Skip: map[string]bool{"time": true, "wall_ms": true}}
-	if diffs := mustCheck(t, checkBase, cur, spec); len(diffs) != 0 {
-		t.Errorf("wall-clock drift reported: %v", diffs)
-	}
-	// Without the skips the same drift must be caught.
-	if diffs := mustCheck(t, checkBase, cur, CheckSpec{}); len(diffs) != 2 {
-		t.Errorf("unskipped drift diffs = %v, want 2", diffs)
-	}
-}
-
 func TestCheckCatchesDeterministicDrift(t *testing.T) {
-	cur := strings.Replace(checkBase, `"pages": 960}
-  ]`, `"pages": 959}
-  ]`, 1)
-	diffs := mustCheck(t, checkBase, cur, CheckSpec{Skip: map[string]bool{"time": true, "wall_ms": true}})
+	path := commitBaseline(t, checkBase())
+	cur := checkBase()
+	cur.Results[1].Pages = 959
+	diffs := mustCheck(t, path, cur)
 	if len(diffs) != 1 {
 		t.Fatalf("diffs = %v, want exactly 1", diffs)
 	}
-	if diffs[0].Path != "results[1].pages" {
-		t.Errorf("diff path = %q, want results[1].pages", diffs[0].Path)
+	// {, "ok", "results": [, {, three fields, }, {, two fields: line 12.
+	if want := path + `:12: baseline "pages": 960 got "pages": 959`; diffs[0] != want {
+		t.Errorf("diff = %q, want %q", diffs[0], want)
 	}
-	if !strings.Contains(diffs[0].String(), "baseline 960, got 959") {
-		t.Errorf("diff rendering = %q", diffs[0].String())
-	}
-}
-
-func TestCheckToleranceBands(t *testing.T) {
-	cur := strings.Replace(checkBase, "3968.149", "3970.0", 1)
-	spec := CheckSpec{Rel: map[string]float64{"virtual_makespan_ms": 0.01}}
-	if diffs := mustCheck(t, checkBase, cur, spec); len(diffs) != 0 {
-		t.Errorf("within-band drift reported: %v", diffs)
-	}
-	spec.Rel["virtual_makespan_ms"] = 0.0001
-	if diffs := mustCheck(t, checkBase, cur, spec); len(diffs) != 1 {
-		t.Errorf("out-of-band drift diffs = %v, want 1", diffs)
+	// The last ulp of a float is drift too: there is no tolerance band.
+	cur = checkBase()
+	cur.Results[0].MakespanMs = math.Nextafter(cur.Results[0].MakespanMs, 0)
+	if diffs := mustCheck(t, path, cur); len(diffs) != 1 || !strings.Contains(diffs[0], ":6: ") {
+		t.Errorf("one-ulp drift diffs = %v, want line 6", diffs)
 	}
 }
 
 func TestCheckStructuralDrift(t *testing.T) {
-	missingKey := strings.Replace(checkBase, `"ok": true,`, ``, 1)
-	if diffs := mustCheck(t, checkBase, missingKey, CheckSpec{}); len(diffs) != 1 || diffs[0].Path != "ok" {
-		t.Errorf("missing-key diffs = %v", diffs)
-	}
-	extraKey := strings.Replace(checkBase, `"ok": true,`, `"ok": true, "extra": 1,`, 1)
-	if diffs := mustCheck(t, checkBase, extraKey, CheckSpec{}); len(diffs) != 1 || diffs[0].Path != "extra" {
-		t.Errorf("extra-key diffs = %v", diffs)
-	}
-	shorter := strings.Replace(checkBase, `,
-    {"workers": 2, "wall_ms": 16.8, "virtual_makespan_ms": 1985.277, "pages": 960}`, ``, 1)
-	if diffs := mustCheck(t, checkBase, shorter, CheckSpec{}); len(diffs) != 1 || diffs[0].Path != "results" {
+	path := commitBaseline(t, checkBase())
+	shorter := checkBase()
+	shorter.Results = shorter.Results[:1]
+	if diffs := mustCheck(t, path, shorter); len(diffs) == 0 || !strings.Contains(strings.Join(diffs, "\n"), "<absent>") {
 		t.Errorf("array-length diffs = %v", diffs)
 	}
-	typeChange := strings.Replace(checkBase, `"ok": true`, `"ok": "true"`, 1)
-	if diffs := mustCheck(t, checkBase, typeChange, CheckSpec{}); len(diffs) != 1 {
+	extraKey := struct {
+		checkDoc
+		Extra int `json:"extra"`
+	}{checkBase(), 1}
+	if diffs := mustCheck(t, path, extraKey); len(diffs) == 0 {
+		t.Error("extra key accepted")
+	}
+	typeChange := map[string]any{"ok": "true", "results": checkBase().Results}
+	if diffs := mustCheck(t, path, typeChange); len(diffs) != 1 || !strings.Contains(diffs[0], `:2: baseline "ok": true, got "ok": "true",`) {
 		t.Errorf("type-change diffs = %v", diffs)
 	}
 }
 
 func TestCheckInvalidJSON(t *testing.T) {
-	if _, err := Check([]byte("{"), []byte("{}"), CheckSpec{}); err == nil {
+	path := filepath.Join(t.TempDir(), "BENCH_corrupt.json")
+	if err := os.WriteFile(path, []byte("{"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if diffs := mustCheck(t, path, checkBase()); len(diffs) == 0 {
 		t.Error("corrupt baseline accepted")
 	}
-	if _, err := Check([]byte("{}"), []byte("{"), CheckSpec{}); err == nil {
-		t.Error("corrupt current accepted")
+	if _, err := Check(commitBaseline(t, checkBase()), math.NaN()); err == nil {
+		t.Error("unencodable current accepted")
 	}
 }
 
-func TestSpecForKnowsGatedFiles(t *testing.T) {
-	for _, f := range CheckedFiles() {
-		if _, ok := SpecFor(f); !ok {
-			t.Errorf("no spec for gated file %s", f)
-		}
-	}
-	if _, ok := SpecFor("BENCH_unknown.json"); ok {
-		t.Error("spec invented for unknown file")
-	}
-	spec, _ := SpecFor("path/to/BENCH_parallel.json")
-	if !spec.Skip["wall_ms"] {
-		t.Error("parallel spec must skip wall_ms")
+func TestCheckMissingBaseline(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_missing.json")
+	_, err := Check(path, checkBase())
+	var perr *fs.PathError
+	if !errors.As(err, &perr) || perr.Path != path || !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("missing baseline error = %v, want a PathError naming %s", err, path)
 	}
 }

@@ -67,7 +67,7 @@ type DirectoryResult struct {
 
 // Directory runs the shard-count sweep and returns the table plus the
 // JSON document.
-func Directory() (*Table, *DirectoryResult, error) {
+func Directory() (*Table, any, error) {
 	res := &DirectoryResult{Profile: simnet.LAN100.Name}
 	for _, shards := range []int{1, 4, 16} {
 		point, err := directorySweepPoint(shards)

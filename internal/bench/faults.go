@@ -7,38 +7,22 @@ import (
 	"tax/internal/chaostest"
 )
 
-// FaultsResult is one (drop probability) point of the fault sweep, in
-// machine-readable form for BENCH_faults.json.
-type FaultsResult struct {
-	// Drop is the injected per-transfer drop probability.
-	Drop float64 `json:"drop"`
-	// Runs is the number of seeded runs at this point.
-	Runs int `json:"runs"`
-	// Completed counts runs whose itinerary reached its done report.
-	Completed int `json:"completed"`
-	// Recoveries is the total rear-guard relaunches across the runs.
-	Recoveries int `json:"recoveries"`
-	// MeanRunMs is the mean wall-clock time of a completed run; it is
-	// the end-to-end recovery latency signal — runs needing the
-	// rear-guard pay at least one hop deadline.
-	MeanRunMs float64 `json:"mean_run_ms"`
-	// Failures lists the terminal errors of non-completed runs.
-	Failures []string `json:"failures,omitempty"`
-}
-
 // Faults sweeps message-drop probability against the rear-guarded 3-hop
 // chaos itinerary: completion rate, recovery count and mean run time per
 // drop rate. The §4 claim in numbers: checkpoint + rear-guard holds the
-// completion rate up as the network degrades.
-func Faults(seedsPerPoint int) (*Table, []FaultsResult, error) {
-	if seedsPerPoint <= 0 {
-		seedsPerPoint = 10
+// completion rate up as the network degrades. Mean run time is the
+// wall-clock time of a completed run — the end-to-end recovery latency
+// signal: runs needing the rear-guard pay at least one hop deadline.
+func Faults() (*Table, error) {
+	const seedsPerPoint = 10
+	t := &Table{
+		Title:  "FAULTS",
+		Note:   "rear-guarded 3-hop itinerary under injected message loss (dup=drop/3, delay jitter=drop)",
+		Header: []string{"drop", "runs", "completed", "rate", "recoveries", "mean run ms"},
 	}
-	drops := []float64{0, 0.1, 0.2, 0.3}
-	results := make([]FaultsResult, 0, len(drops))
-	for _, drop := range drops {
-		r := FaultsResult{Drop: drop, Runs: seedsPerPoint}
-		var totalMs float64
+	for _, drop := range []float64{0, 0.1, 0.2, 0.3} {
+		var completed, recoveries int
+		var totalMs, meanMs float64
 		for seed := 0; seed < seedsPerPoint; seed++ {
 			start := time.Now()
 			res, err := chaostest.Run(chaostest.Scenario{
@@ -49,36 +33,25 @@ func Faults(seedsPerPoint int) (*Table, []FaultsResult, error) {
 				WaitTimeout: 15 * time.Second,
 			})
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
-			r.Recoveries += res.Recoveries
+			recoveries += res.Recoveries
 			if res.Completed() {
-				r.Completed++
+				completed++
 				totalMs += float64(time.Since(start).Microseconds()) / 1000
-			} else {
-				r.Failures = append(r.Failures, res.Err.Error())
 			}
 		}
-		if r.Completed > 0 {
-			r.MeanRunMs = totalMs / float64(r.Completed)
+		if completed > 0 {
+			meanMs = totalMs / float64(completed)
 		}
-		results = append(results, r)
-	}
-
-	t := &Table{
-		Title:  "FAULTS",
-		Note:   "rear-guarded 3-hop itinerary under injected message loss (dup=drop/3, delay jitter=drop)",
-		Header: []string{"drop", "runs", "completed", "rate", "recoveries", "mean run ms"},
-	}
-	for _, r := range results {
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%.2f", r.Drop),
-			fmt.Sprintf("%d", r.Runs),
-			fmt.Sprintf("%d", r.Completed),
-			fmt.Sprintf("%.0f%%", 100*float64(r.Completed)/float64(r.Runs)),
-			fmt.Sprintf("%d", r.Recoveries),
-			fmt.Sprintf("%.1f", r.MeanRunMs),
+			fmt.Sprintf("%.2f", drop),
+			fmt.Sprintf("%d", seedsPerPoint),
+			fmt.Sprintf("%d", completed),
+			fmt.Sprintf("%.0f%%", 100*float64(completed)/float64(seedsPerPoint)),
+			fmt.Sprintf("%d", recoveries),
+			fmt.Sprintf("%.1f", meanMs),
 		})
 	}
-	return t, results, nil
+	return t, nil
 }

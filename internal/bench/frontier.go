@@ -93,7 +93,7 @@ func frontierRobot(opts ...webbot.Option) (*webbot.Robot, *websim.Site, error) {
 // not). Three check sections ride along: crash-resume over a durable
 // frontier, incremental re-crawl with HEAD revalidation, and
 // robots.txt pruning.
-func Frontier() (*Table, []FrontierResult, *FrontierChecks, error) {
+func Frontier() (*Table, any, error) {
 	t := &Table{
 		Title:  "E10-frontier — staged crawler: workers × politeness schedule model",
 		Note:   "virtual makespan from frontier.ModelMakespan; Stats identical at every point",
@@ -103,11 +103,11 @@ func Frontier() (*Table, []FrontierResult, *FrontierChecks, error) {
 	// Serial baseline: one worker, no politeness delay.
 	serialBot, serialSite, err := frontierRobot()
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	serialStats, err := serialBot.Run(serialSite.Root)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	serialMakespan := frontier.ModelMakespan(serialBot.Records(), 1, 0)
 
@@ -117,11 +117,11 @@ func Frontier() (*Table, []FrontierResult, *FrontierChecks, error) {
 		for _, p := range []time.Duration{0, 2 * time.Millisecond, 10 * time.Millisecond} {
 			r, site, err := frontierRobot(webbot.WithWorkers(w), webbot.WithPoliteness(p))
 			if err != nil {
-				return nil, nil, nil, err
+				return nil, nil, err
 			}
 			st, err := r.Run(site.Root)
 			if err != nil {
-				return nil, nil, nil, err
+				return nil, nil, err
 			}
 			makespan := frontier.ModelMakespan(r.Records(), w, p)
 			res := FrontierResult{
@@ -149,13 +149,13 @@ func Frontier() (*Table, []FrontierResult, *FrontierChecks, error) {
 	}
 
 	if err := frontierResume(checks, serialStats); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	if err := frontierRecrawl(checks); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	if err := frontierRobots(checks); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	t.Rows = append(t.Rows,
 		[]string{"crash-resume ≡ serial", "", "", "", "", fmt.Sprintf("%v", checks.ResumeIdentical)},
@@ -164,7 +164,10 @@ func Frontier() (*Table, []FrontierResult, *FrontierChecks, error) {
 		[]string{"robots.txt honored", "", "", "", fmt.Sprintf("%d", checks.RobotsPages),
 			fmt.Sprintf("pruned %d", checks.RobotsPruned)},
 	)
-	return t, results, checks, nil
+	return t, struct {
+		Checks  *FrontierChecks  `json:"checks"`
+		Results []FrontierResult `json:"results"`
+	}{checks, results}, nil
 }
 
 // frontierResume interrupts a durable crawl at its frontier store's

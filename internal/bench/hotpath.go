@@ -15,7 +15,8 @@ import (
 // HotpathCodecResult is one codec measurement for BENCH_hotpath.json.
 // Only allocation counts are recorded — they are exact integers from
 // the runtime's malloc counter, so the JSON is byte-identical run to
-// run. Wall-clock ns/op is printed to the table only.
+// run. Wall-clock ns/op is benchmark/'s briefcase.encode_*_ns and
+// decode_*_ns.
 type HotpathCodecResult struct {
 	// Op is "encode" or "decode".
 	Op string `json:"op"`
@@ -89,15 +90,14 @@ func hotpathBriefcase() *briefcase.Briefcase {
 	return bc
 }
 
-// hotpathCodec measures allocations (exact, into the JSON) and
-// wall-clock ns/op (table only) for both codecs on the workload
-// briefcase. GC is paused so the encoder's buffer pool is not drained
-// mid-measurement.
-func hotpathCodec() ([]HotpathCodecResult, []timedCodecRow, error) {
+// hotpathCodec measures exact allocations for both codecs on the
+// workload briefcase. GC is paused so the encoder's buffer pool is not
+// drained mid-measurement.
+func hotpathCodec() ([]HotpathCodecResult, error) {
 	bc := hotpathBriefcase()
 	frame := bc.Encode()
 	if ref := briefcase.ReferenceEncode(bc); len(ref) != len(frame) {
-		return nil, nil, fmt.Errorf("bench: hotpath codecs disagree: fast %d bytes, reference %d", len(frame), len(ref))
+		return nil, fmt.Errorf("bench: hotpath codecs disagree: fast %d bytes, reference %d", len(frame), len(ref))
 	}
 
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -116,35 +116,15 @@ func hotpathCodec() ([]HotpathCodecResult, []timedCodecRow, error) {
 		{"decode", "fast", func() { _, _ = briefcase.Decode(frame) }},
 	}
 	var results []HotpathCodecResult
-	var rows []timedCodecRow
 	for _, c := range cases {
-		allocs := testing.AllocsPerRun(runs, c.fn)
 		results = append(results, HotpathCodecResult{
 			Op:          c.op,
 			Codec:       c.codec,
-			AllocsPerOp: allocs,
+			AllocsPerOp: testing.AllocsPerRun(runs, c.fn),
 			FrameBytes:  len(frame),
 		})
-		const timedIters = 5000
-		t0 := time.Now()
-		for i := 0; i < timedIters; i++ {
-			c.fn()
-		}
-		rows = append(rows, timedCodecRow{
-			op: c.op, codec: c.codec,
-			nsPerOp: time.Since(t0).Nanoseconds() / timedIters,
-			allocs:  allocs,
-		})
 	}
-	return results, rows, nil
-}
-
-// timedCodecRow carries the wall-clock numbers that stay out of the
-// deterministic JSON.
-type timedCodecRow struct {
-	op, codec string
-	nsPerOp   int64
-	allocs    float64
+	return results, nil
 }
 
 // hotpathMediation mediates a fixed message stream from one sender host
@@ -251,11 +231,10 @@ func hotpathMediation(width int, batched bool) (HotpathMediationResult, error) {
 // Hotpath runs the fast-path benchmark: codec allocations for the
 // pooled encoder and lazy decoder against the frozen reference codec,
 // and mediated message throughput (virtual-clock) with batching on and
-// off across fleet widths. Everything recorded to JSON is exact —
-// allocation counts and virtual-clock arithmetic — so reruns are
-// byte-identical; wall-clock ns/op appears only in the printed table.
-func Hotpath() (*Table, *HotpathResult, error) {
-	codec, timed, err := hotpathCodec()
+// off across fleet widths. Everything recorded is exact — allocation
+// counts and virtual-clock arithmetic — so reruns are byte-identical.
+func Hotpath() (*Table, any, error) {
+	codec, err := hotpathCodec()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -295,16 +274,15 @@ func Hotpath() (*Table, *HotpathResult, error) {
 
 	t := &Table{
 		Title:  "HOTPATH — zero-copy codec, batched mediation, forwarding, group commit",
-		Note:   "codec: case-study briefcase, allocs exact / ns wall-clock; mediation + 3-hop forwarding: virtual-clock msgs/s, lockstep driver; group commit: fsyncs per txn, virtual clock",
-		Header: []string{"measurement", "ns/op", "allocs/op", "msgs/vsec", "detail"},
+		Note:   "codec: case-study briefcase, allocs exact; mediation + 3-hop forwarding: virtual-clock msgs/s, lockstep driver; group commit: fsyncs per txn, virtual clock",
+		Header: []string{"measurement", "allocs/op", "msgs/vsec", "detail"},
 	}
-	for _, row := range timed {
+	for _, c := range res.Codec {
 		t.Rows = append(t.Rows, []string{
-			row.op + " " + row.codec,
-			fmt.Sprintf("%d", row.nsPerOp),
-			fmt.Sprintf("%.0f", row.allocs),
+			c.Op + " " + c.Codec,
+			fmt.Sprintf("%.0f", c.AllocsPerOp),
 			"",
-			fmt.Sprintf("%d B frame", res.Codec[0].FrameBytes),
+			fmt.Sprintf("%d B frame", c.FrameBytes),
 		})
 	}
 	for _, p := range res.Mediation {
@@ -316,7 +294,7 @@ func Hotpath() (*Table, *HotpathResult, error) {
 		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("mediate w=%d %s", p.Width, mode),
-			"", "",
+			"",
 			fmt.Sprintf("%.0f", p.MsgsPerVirtualSec),
 			detail,
 		})
@@ -330,7 +308,7 @@ func Hotpath() (*Table, *HotpathResult, error) {
 		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("forward %dhop %s", f.Hops, mode),
-			"", "",
+			"",
 			fmt.Sprintf("%.0f", f.MsgsPerVirtualSec),
 			detail,
 		})
@@ -338,7 +316,6 @@ func Hotpath() (*Table, *HotpathResult, error) {
 	for _, p := range res.Path {
 		t.Rows = append(t.Rows, []string{
 			"path " + p.Stage,
-			"",
 			fmt.Sprintf("%.0f", p.AllocsPerOp),
 			"",
 			"full-stage allocs, synchronous transport",
@@ -347,7 +324,7 @@ func Hotpath() (*Table, *HotpathResult, error) {
 	for _, g := range res.GroupCommit {
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("group commit max=%d", g.GroupMax),
-			"", "", "",
+			"", "",
 			fmt.Sprintf("%d txns, %d fsyncs (%.4f/txn), %.1f ms virtual",
 				g.Txns, g.Fsyncs, g.FsyncsPerTxn, g.WriteCostMS),
 		})

@@ -433,7 +433,7 @@ func policySweep() (PolicySweepResult, error) {
 // engine adds (the gate is free when every delta is zero), and the
 // quota-starvation sweep's exact admission arithmetic with
 // virtual-clock throughput.
-func Policy() (*Table, *PolicyResult, error) {
+func Policy() (*Table, any, error) {
 	res := &PolicyResult{}
 	engine, err := policyEngineAllocs()
 	if err != nil {
