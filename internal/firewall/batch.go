@@ -25,6 +25,11 @@
 //	version uvarint 1
 //	count   uvarint
 //	count × (frameLen uvarint, frame bytes)
+//
+// A link's queue is the container under construction: frames append
+// after a region reserved for the longest header, and a flush writes
+// the real header right-aligned into it, so the container is sent from
+// the queue's own buffer without a copy (DESIGN §7.1).
 package firewall
 
 import (
@@ -32,6 +37,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -41,6 +47,11 @@ import (
 var batchMagic = [4]byte{'T', 'A', 'X', 'G'}
 
 const batchVersion = 1
+
+// batchHeaderRoom is the region reserved at the front of every link
+// queue for the longest container header: magic, the one-byte version
+// uvarint and a count uvarint.
+const batchHeaderRoom = len(batchMagic) + 1 + binary.MaxVarintLen64
 
 // Limits applied when unpacking a container from the network, matching
 // the briefcase decode limits in spirit: bound resource use before any
@@ -98,11 +109,13 @@ type batcher struct {
 }
 
 // linkBatch is one destination link's queue: the concatenated
-// (uvarint length, frame) entries awaiting a container flush.
+// (uvarint length, frame) entries awaiting a container flush, after
+// batchHeaderRoom reserved bytes.
 type linkBatch struct {
 	mu      sync.Mutex
 	addr    string
-	buf     []byte
+	buf     []byte // nil, or batchHeaderRoom bytes and the queued entries
+	hint    int    // what a new buf is allocated at: the link's last batch length
 	frames  int
 	firstAt time.Duration // host virtual time the oldest frame was queued
 	timer   *time.Timer
@@ -146,13 +159,19 @@ func (b *batcher) enqueue(addr string, frame []byte, inline bool) error {
 			lb.timer = time.AfterFunc(b.cfg.FlushEvery, func() { _ = b.flushLink(lb) })
 		}
 	}
+	if lb.buf == nil {
+		// Sized for the link's last batch; Grow rounds up to the
+		// allocator's size class, so a slightly longer batch still fits.
+		lb.buf = slices.Grow([]byte(nil), max(lb.hint, batchHeaderRoom))[:batchHeaderRoom]
+	}
 	lb.buf = binary.AppendUvarint(lb.buf, uint64(len(frame)))
 	lb.buf = append(lb.buf, frame...)
 	lb.frames++
+	queued := len(lb.buf) - batchHeaderRoom
 	lb.gFrames.Set(int64(lb.frames))
-	lb.gBytes.Set(int64(len(lb.buf)))
+	lb.gBytes.Set(int64(queued))
 	aged := b.fw.clock.Now()-lb.firstAt >= b.cfg.MaxDelay
-	if inline || aged || lb.frames >= b.cfg.MaxFrames || len(lb.buf) >= b.cfg.MaxBytes {
+	if inline || aged || lb.frames >= b.cfg.MaxFrames || queued >= b.cfg.MaxBytes {
 		return b.flushLocked(lb)
 	}
 	lb.mu.Unlock()
@@ -170,18 +189,19 @@ func (b *batcher) flushLink(lb *linkBatch) error {
 // It is entered holding lb.mu and releases it before touching the
 // network, so a slow or retrying link stalls neither later enqueues to
 // other links nor the timer machinery.
+//
+// The header is written into the queue's reserved region, and the
+// container leaves from the queue's own buffer: by ownership to a
+// zero-copy transport, which keeps it, or through a copying Send, which
+// is done with it on return — so it goes back to the link for the next
+// batch.
 func (b *batcher) flushLocked(lb *linkBatch) error {
-	frames, body := lb.reset()
+	frames, buf := lb.reset()
 	lb.mu.Unlock()
 	if frames == 0 {
 		return nil
 	}
-
-	container := make([]byte, 0, len(batchMagic)+2+binary.MaxVarintLen64+len(body))
-	container = append(container, batchMagic[:]...)
-	container = binary.AppendUvarint(container, batchVersion)
-	container = binary.AppendUvarint(container, uint64(frames))
-	container = append(container, body...)
+	container := buf[putBatchHeader(buf, frames):]
 
 	// The container rides the host-default retry policy: per-briefcase
 	// _RETRY folders cannot apply to a frame that shares its transport
@@ -189,15 +209,35 @@ func (b *batcher) flushLocked(lb *linkBatch) error {
 	fw := b.fw
 	var m mediation
 	m.principal, m.addr = fw.cfg.SystemPrincipal, lb.addr
-	if _, err := fw.transmit(context.Background(), &m, container, fw.cfg.ForwardRetry, "batch flush "); err != nil {
+	_, err := fw.transmit(context.Background(), &m, container, fw.cfg.ForwardRetry, "batch flush ")
+	if _, owned := fw.cfg.Node.(ownedSender); !owned {
+		lb.recycle(buf)
+	}
+	if err != nil {
 		fw.record(vFailed, "", m.principal, lb.addr, fmt.Sprintf("batch flush of %d frames failed: %v", frames, err), nil)
 		return fmt.Errorf("firewall: batch flush to %s: %w", lb.addr, err)
 	}
 	fw.ctr.batchFlushes.Inc()
 	fw.ctr.batchFrames.Add(int64(frames))
-	fw.record(vNote, telemetry.EventFlush, fw.cfg.SystemPrincipal, lb.addr,
-		fmt.Sprintf("%d frames, %d bytes", frames, len(container)), nil)
+	if fw.eventsOn() {
+		fw.record(vNote, telemetry.EventFlush, fw.cfg.SystemPrincipal, lb.addr,
+			fmt.Sprintf("%d frames, %d bytes", frames, len(container)), nil)
+	}
 	return nil
+}
+
+// putBatchHeader writes the container header for frames right-aligned
+// into buf's reserved region and returns the offset it starts at, so
+// buf[off:] is the container.
+func putBatchHeader(buf []byte, frames int) (off int) {
+	var count [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(count[:], uint64(frames))
+	off = batchHeaderRoom - n - 1 - len(batchMagic)
+	hdr := buf[off:batchHeaderRoom]
+	copy(hdr, batchMagic[:])
+	hdr[len(batchMagic)] = batchVersion
+	copy(hdr[len(batchMagic)+1:], count[:n])
+	return off
 }
 
 // flushAll flushes every link (FlushBatches, Close).
@@ -230,17 +270,34 @@ func (b *batcher) discardAll() {
 }
 
 // reset empties the queue, disarms its safety timer and returns what
-// was queued. Callers hold lb.mu.
-func (lb *linkBatch) reset() (frames int, body []byte) {
+// was queued: buf is the queue's buffer, reserved region included, and
+// its length is what the link's next buffer is allocated at. An empty
+// queue keeps its (recycled) buffer. Callers hold lb.mu.
+func (lb *linkBatch) reset() (frames int, buf []byte) {
 	if lb.timer != nil {
 		lb.timer.Stop()
 		lb.timer = nil
 	}
-	frames, body = lb.frames, lb.buf
+	if lb.frames == 0 {
+		return 0, nil
+	}
+	frames, buf = lb.frames, lb.buf
+	lb.hint = len(buf)
 	lb.buf, lb.frames = nil, 0
 	lb.gFrames.Set(0)
 	lb.gBytes.Set(0)
-	return frames, body
+	return frames, buf
+}
+
+// recycle gives a flushed buffer the transport is done with back to the
+// link — unless a newer batch already has one, or this batch used under
+// half of it, so one jumbo frame is not held for the link's lifetime.
+func (lb *linkBatch) recycle(buf []byte) {
+	lb.mu.Lock()
+	if lb.buf == nil && 2*len(buf) >= cap(buf) {
+		lb.buf = buf[:batchHeaderRoom]
+	}
+	lb.mu.Unlock()
 }
 
 // FlushBatches pushes every link's queued frames out now. It is a

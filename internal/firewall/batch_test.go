@@ -1,7 +1,10 @@
 package firewall
 
 import (
+	"bytes"
 	"fmt"
+	"math/rand"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -10,6 +13,8 @@ import (
 
 	"tax/internal/briefcase"
 	"tax/internal/faults"
+	"tax/internal/identity"
+	"tax/internal/simnet"
 )
 
 // newBatchPair builds the common two-host batching fixture: batching
@@ -324,4 +329,213 @@ func TestBatchStressUnderFaultPlan(t *testing.T) {
 	t.Logf("sent=%d delivered=%d sendErrs=%d batchFlushes=%d batchFrames=%d batchRecv=%d dupDropped=%d",
 		total, got, sendErrs.Load(), fw1.ctr.batchFlushes.Value(), fw1.ctr.batchFrames.Value(),
 		fw2.ctr.batchRecv.Value(), fw2.ctr.dupDropped.Value())
+}
+
+// Batch programs drive the batcher directly (runBatchProgram). prog[0]
+// picks the transport — odd: copying, so flushed buffers go back to
+// their link; even: zero-copy, so every flush is handed over by
+// ownership — and each op after it is one byte, kind in bits 0-1 and
+// link in bit 2, then its operands:
+//
+//	kind 0, hi, lo       enqueue one frame of hi<<8|lo bytes (0…64 KiB)
+//	kind 1, hi, lo, size enqueue hi<<8|lo frames of size bytes
+//	kind 2               FlushBatches
+//	kind 3               discardAll
+func progFrame(link, size int) []byte { return []byte{byte(link << 2), byte(size >> 8), byte(size)} }
+func progBurst(link, n, size int) []byte {
+	return []byte{byte(link<<2 | 1), byte(n >> 8), byte(n), byte(size)}
+}
+
+var progFlush, progDiscard = []byte{2}, []byte{3}
+
+func batchProg(copying bool, ops ...[]byte) []byte {
+	prog := []byte{0}
+	if copying {
+		prog[0] = 1
+	}
+	for _, op := range ops {
+		prog = append(prog, op...)
+	}
+	return prog
+}
+
+// batchProgs are the differential cases: count varints of one, two and
+// three bytes, empty and 64 KiB frames, a batch far past the size the
+// link learned from its last one, discards between flushes, and a
+// queue that reaches maxBatchFrames and flushes on the threshold.
+func batchProgs() [][]byte {
+	cases := [][][]byte{
+		{progFrame(0, 0), progFlush, progFrame(0, 65535), progFlush},
+		{progBurst(0, 127, 3), progFlush, progBurst(0, 128, 3), progFlush},
+		{progBurst(1, 16383, 0), progFlush, progBurst(1, 16384, 1), progFlush},
+		{progBurst(0, 4, 100), progFlush, progBurst(0, 64, 255), progFrame(0, 40000), progFlush, progBurst(0, 2, 9)},
+		{progBurst(0, 10, 50), progBurst(1, 5, 10), progDiscard, progBurst(0, 3, 7), progFlush, progFrame(1, 1000)},
+		{progBurst(0, 65535, 0), progBurst(0, 2, 0), progFlush},
+	}
+	var progs [][]byte
+	for _, copying := range []bool{false, true} {
+		for _, ops := range cases {
+			progs = append(progs, batchProg(copying, ops...))
+		}
+	}
+	return progs
+}
+
+// runBatchProgram runs prog against a batching firewall whose transport
+// records every container, and holds each container to the reference
+// assembly (reference_test.go) of the frames queued on its link since
+// that link's last flush or discard: byte-identical, with walkContainer
+// handing the frames back in order. A program stops at 8 MiB or 2^17
+// frames queued in total.
+func runBatchProgram(t *testing.T, prog []byte) {
+	if len(prog) == 0 {
+		return
+	}
+	node := &pathNode{addr: "a", peers: map[string]*pathNode{}}
+	var transport simnet.Node = node
+	copying := prog[0]&1 == 1
+	if copying {
+		transport = copyingNode{node}
+	}
+	fw, err := New(Config{
+		HostName: "a", Node: transport, Trust: &identity.TrustStore{}, SystemPrincipal: "system",
+		Batch: &BatchConfig{MaxFrames: maxBatchFrames, MaxBytes: 1 << 30, MaxDelay: time.Hour, FlushEvery: -1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = fw.Close() }()
+
+	type container struct {
+		wire   []byte
+		frames [][]byte
+	}
+	links := [2]string{"b", "c"}
+	got, want := map[string][][]byte{}, map[string][]container{}
+	node.tap = func(_, to string, c []byte) { got[to] = append(got[to], append([]byte(nil), c...)) }
+	var queued [2]container // frames, and the reference queue body in wire
+	seal := func(l int) {
+		if q := queued[l]; len(q.frames) > 0 {
+			want[links[l]] = append(want[links[l]], container{referenceContainer(len(q.frames), q.wire), q.frames})
+		}
+		queued[l] = container{}
+	}
+	bytesLeft, framesLeft := 8<<20, 1<<17
+	enqueue := func(l, size int) bool {
+		if bytesLeft -= size; bytesLeft < 0 || framesLeft == 0 {
+			return false
+		}
+		framesLeft--
+		frame := make([]byte, size)
+		for i := range frame {
+			frame[i] = byte(framesLeft + i)
+		}
+		if err := fw.batch.enqueue(links[l], frame, false); err != nil {
+			t.Fatalf("enqueue: %v", err)
+		}
+		q := &queued[l]
+		q.frames, q.wire = append(q.frames, frame), referenceQueue(q.wire, frame)
+		if len(q.frames) == maxBatchFrames {
+			seal(l) // enqueue's threshold flush
+		}
+		return true
+	}
+
+	flush := func() {
+		if err := fw.FlushBatches(); err != nil {
+			t.Fatalf("flush: %v", err)
+		}
+		seal(0)
+		seal(1)
+	}
+
+	arity := [4]int{2, 3, 0, 0}
+run:
+	for ops := prog[1:]; len(ops) > 0; {
+		op, l := ops[0]&3, int(ops[0]>>2&1)
+		if len(ops) <= arity[op] {
+			break
+		}
+		args := ops[1 : 1+arity[op]]
+		ops = ops[1+arity[op]:]
+		switch op {
+		case 0:
+			if !enqueue(l, int(args[0])<<8|int(args[1])) {
+				break run
+			}
+		case 1:
+			for n := int(args[0])<<8 | int(args[1]); n > 0; n-- {
+				if !enqueue(l, int(args[2])) {
+					break run
+				}
+			}
+		case 2:
+			flush()
+		default:
+			fw.batch.discardAll()
+			queued = [2]container{}
+		}
+	}
+	flush()
+
+	flushes := 0
+	for _, link := range links {
+		if len(got[link]) != len(want[link]) {
+			t.Fatalf("link %s: %d containers flushed, want %d", link, len(got[link]), len(want[link]))
+		}
+		for i, c := range want[link] {
+			flushes++
+			if !bytes.Equal(got[link][i], c.wire) {
+				t.Fatalf("link %s container %d (%d frames) differs from the reference assembly", link, i, len(c.frames))
+			}
+			var walked [][]byte
+			if defect, _ := walkContainer(got[link][i], func(f []byte) bool { walked = append(walked, f); return true }); defect != "" {
+				t.Fatalf("link %s container %d: %s", link, i, defect)
+			}
+			if !slices.EqualFunc(walked, c.frames, bytes.Equal) {
+				t.Fatalf("link %s container %d: walkContainer returned other frames than were queued", link, i)
+			}
+		}
+	}
+	if sends, owned := node.sends, node.ownedSends; copying && (sends != flushes || owned != 0) ||
+		!copying && (owned != flushes || sends != 0) {
+		t.Fatalf("%d flushes went out as %d Send / %d SendOwned calls", flushes, sends, owned)
+	}
+}
+
+// TestBatchContainerReference: every container the in-place header
+// flushes is the reference assembly's, byte for byte, on both kinds of
+// transport — the fixed cases plus seeded random programs.
+func TestBatchContainerReference(t *testing.T) {
+	progs := batchProgs()
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 32; i++ {
+		prog := []byte{byte(i)}
+		for j := 0; j < 12; j++ {
+			switch link := rng.Intn(2); rng.Intn(5) {
+			case 0:
+				prog = append(prog, progFrame(link, rng.Intn(1<<16))...)
+			case 1, 2:
+				prog = append(prog, progBurst(link, rng.Intn(300), rng.Intn(256))...)
+			case 3:
+				prog = append(prog, progFlush...)
+			default:
+				prog = append(prog, progDiscard...)
+			}
+		}
+		progs = append(progs, prog)
+	}
+	for _, prog := range progs {
+		runBatchProgram(t, prog)
+	}
+}
+
+// FuzzBatchContainer runs fuzzed batch programs (runBatchProgram):
+// whatever the sequence of enqueues, flushes and discards, every
+// flushed container equals the reference assembly of its frames.
+func FuzzBatchContainer(f *testing.F) {
+	for _, prog := range batchProgs() {
+		f.Add(prog)
+	}
+	f.Fuzz(runBatchProgram)
 }

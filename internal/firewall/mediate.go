@@ -34,6 +34,7 @@ import (
 	"tax/internal/policy"
 	"tax/internal/telemetry"
 	"tax/internal/uri"
+	"tax/internal/vclock"
 )
 
 // origin is the door a mediation came through.
@@ -85,8 +86,52 @@ type mediation struct {
 	trace, parent string // trace stamp, read before a receiver takes bc
 	sp, route     *telemetry.Span
 	tsp           *telemetry.Span // forward: the net.transfer child span
+	clk           *handoffClock   // the clock sp, route and tsp read; nil until a span opens
+	at            time.Duration   // handoff: the virtual instant the unit left the monitor
+	handed        bool
 	hist          *telemetry.Histogram
 	t0            time.Time
+}
+
+// handoff stamps the virtual instant the unit leaves the monitor's hands:
+// into a receiver's mailbox, or onto the wire. From then on the receiver
+// acts concurrently — a reply it sends back advances this host's clock
+// when it arrives — so the audit event and spans that close the
+// mediation read this instant, not the live clock, and a seed replays
+// the same timeline however the goroutines were scheduled. With neither
+// spans nor audit on, nothing reads it and the clock is not read.
+func (fw *Firewall) handoff(m *mediation) {
+	if m.clk == nil && !fw.eventsOn() {
+		return
+	}
+	m.at, m.handed = fw.clock.Now(), true
+	if m.clk != nil {
+		m.clk.at, m.clk.frozen = m.at, true
+	}
+}
+
+// now is the mediation's time: the host clock until the handoff.
+func (m *mediation) now(c vclock.Clock) time.Duration {
+	if m.handed {
+		return m.at
+	}
+	return c.Now()
+}
+
+// handoffClock is the clock a mediation's spans read: the host clock, and
+// from the handoff on, the handoff's instant. It lives on the heap beside
+// the spans that hold it, so the mediation itself stays on its stack.
+type handoffClock struct {
+	vclock.Clock
+	at     time.Duration
+	frozen bool
+}
+
+func (c *handoffClock) Now() time.Duration {
+	if c.frozen {
+		return c.at
+	}
+	return c.Clock.Now()
 }
 
 // header reads a single-string envelope folder from whichever form the
@@ -173,7 +218,7 @@ func (fw *Firewall) mediate(ctx context.Context, m *mediation, from stage) error
 	case m.target.Name == FirewallName || Kind(m.bc) == KindManagement:
 		m.stop(vDone, "", fw.handleManagement(m))
 	default:
-		m.route = fw.span(m.bc, "fw.route")
+		m.route = fw.span(m, "fw.route")
 		fw.route(m)
 	}
 	err := fw.emit(m, &m.out)
@@ -260,7 +305,7 @@ func (fw *Firewall) admitFrame(m *mediation) bool {
 	if sender, ok := replyTo(bc); ok {
 		m.principal = sender.Principal
 	}
-	m.sp = fw.span(bc, "fw.inbound")
+	m.sp = fw.span(m, "fw.inbound")
 	m.sp.SetAttr("from", m.from)
 	// First-level authentication (§3.2): inbound agent transfers must
 	// carry a core signed by a principal this host knows.
@@ -314,7 +359,7 @@ func (fw *Firewall) address(m *mediation) bool {
 	}
 	m.addressed, m.local = true, fw.isLocal(m.target)
 	if m.origin == originSend {
-		m.sp = fw.span(m.bc, "fw.send")
+		m.sp = fw.span(m, "fw.send")
 		m.sp.SetAttr("target", m.targetStr)
 	}
 	if frame && m.bc != nil && !m.local {
@@ -434,6 +479,12 @@ func (fw *Firewall) deliver(m *mediation, r *Registration, matched int) {
 	}
 	bc := m.bc
 	m.bc = nil
+	// The hop is charged before the receiver holds bc, so whatever it
+	// does next starts after the charge.
+	if !flush {
+		fw.clock.Advance(fw.cfg.LocalHopCost)
+	}
+	fw.handoff(m)
 	switch err := r.deliver(bc); {
 	case err != nil && flush:
 		m.stop(vDropped, "unpark failed: "+err.Error(), err)
@@ -441,9 +492,6 @@ func (fw *Firewall) deliver(m *mediation, r *Registration, matched int) {
 		m.out.target = ""
 		m.stop(vDropped, err.Error(), err)
 	default:
-		if !flush {
-			fw.clock.Advance(fw.cfg.LocalHopCost)
-		}
 		m.stop(vDelivered, cause, nil)
 	}
 }
@@ -498,7 +546,7 @@ func (fw *Firewall) forward(ctx context.Context, m *mediation) {
 		// The transfer gets its own child span so per-hop migration cost
 		// splits into mediation versus wire time, backoffs included.
 		trace, _ := m.bc.GetString(briefcase.FolderSysTrace)
-		m.tsp = fw.tel.Spans().Start(fw.clock, fw.cfg.HostName, trace, m.sp.ID(), "net.transfer")
+		m.tsp = fw.tel.Spans().Start(m.clk, fw.cfg.HostName, trace, m.sp.ID(), "net.transfer")
 		m.tsp.SetAttr("to", m.addr)
 		m.tsp.SetAttr("bytes", strconv.Itoa(len(frame)))
 	}
@@ -514,6 +562,7 @@ func (fw *Firewall) forward(ctx context.Context, m *mediation) {
 	} else if attempts, err = fw.transmit(ctx, m, frame, rp, label); attempts > 1 {
 		m.tsp.SetAttr("attempts", strconv.Itoa(attempts))
 	}
+	fw.handoff(m)
 	release()
 	m.tsp.SetErr(err)
 	m.tsp.End()
@@ -577,7 +626,7 @@ func (fw *Firewall) emit(m *mediation, o *outcome) error {
 	}
 	typ := cmp.Or(o.typ, verdictEvent[o.verdict])
 	if ev := fw.tel.Events(); ev != nil && typ != "" {
-		e := telemetry.Event{Time: fw.clock.Now(), Type: typ, Principal: m.principal, Target: o.target,
+		e := telemetry.Event{Time: m.now(fw.clock), Type: typ, Principal: m.principal, Target: o.target,
 			Cause: o.cause, Trace: m.trace, Span: m.parent}
 		if e.Target == "" && m.addressed {
 			// Local verdicts name the parsed target, forwards the target
@@ -640,19 +689,23 @@ func traceCtx(bc *briefcase.Briefcase) (trace, span string) {
 	return trace, span
 }
 
-// span opens a mediation span when span collection is on and the briefcase
-// carries a trace context; otherwise it returns the nil no-op span.
-func (fw *Firewall) span(bc *briefcase.Briefcase, name string) *telemetry.Span {
+// span opens a mediation span when span collection is on and the
+// briefcase carries a trace context; otherwise it returns the nil no-op
+// span. The span reads the mediation's handoff clock.
+func (fw *Firewall) span(m *mediation, name string) *telemetry.Span {
 	spans := fw.tel.Spans()
 	if spans == nil {
 		return nil
 	}
-	trace, ok := bc.GetString(briefcase.FolderSysTrace)
+	trace, ok := m.bc.GetString(briefcase.FolderSysTrace)
 	if !ok {
 		return nil
 	}
-	parent, _ := bc.GetString(briefcase.FolderSysSpan)
-	return spans.Start(fw.clock, fw.cfg.HostName, trace, parent, name)
+	if m.clk == nil {
+		m.clk = &handoffClock{Clock: fw.clock}
+	}
+	parent, _ := m.bc.GetString(briefcase.FolderSysSpan)
+	return spans.Start(m.clk, fw.cfg.HostName, trace, parent, name)
 }
 
 // replyTo parses a briefcase's _SENDER as the address for a reply; ok is

@@ -5,9 +5,11 @@ import (
 	"runtime"
 	"runtime/debug"
 	"testing"
+	"time"
 
 	"tax/internal/briefcase"
 	"tax/internal/identity"
+	"tax/internal/simnet"
 )
 
 // pathNode is a synchronous in-process transport: Send and SendOwned
@@ -56,6 +58,10 @@ func (n *pathNode) deliver(to string, data []byte) error {
 	return nil
 }
 
+// copyingNode hides a transport's SendOwned: what is left is a Node
+// whose Send is done with the bytes when it returns, like TCPNode.
+type copyingNode struct{ simnet.Node }
+
 // pathChain is the 3-hop fixture a -> b -> c -> d on synchronous
 // transports: a originates, b and c relay, d delivers to dst.
 type pathChain struct {
@@ -65,7 +71,9 @@ type pathChain struct {
 	dst   *Registration
 }
 
-func newPathChain(t *testing.T) *pathChain {
+// newPathChain builds the chain; mutate, when set, edits each host's
+// Config before its firewall starts.
+func newPathChain(t *testing.T, mutate func(c *Config)) *pathChain {
 	t.Helper()
 	trust := &identity.TrustStore{}
 	names := []string{"a", "b", "c", "d"}
@@ -76,7 +84,7 @@ func newPathChain(t *testing.T) *pathChain {
 	}
 	for _, name := range names {
 		hop := next[name]
-		fw, err := New(Config{
+		cfg := Config{
 			HostName:        name,
 			Node:            ch.nodes[name],
 			Trust:           trust,
@@ -88,7 +96,11 @@ func newPathChain(t *testing.T) *pathChain {
 				}
 				return hop, nil
 			},
-		})
+		}
+		if mutate != nil {
+			mutate(&cfg)
+		}
+		fw, err := New(cfg)
 		if err != nil {
 			t.Fatalf("firewall %s: %v", name, err)
 		}
@@ -126,7 +138,7 @@ func pathBriefcase() *briefcase.Briefcase {
 // Together: a 3-hop forwarded itinerary performs exactly one payload
 // encode (origin) and one payload decode (final receiver).
 func TestForwardPathSingleEncodeSingleDecode(t *testing.T) {
-	ch := newPathChain(t)
+	ch := newPathChain(t, nil)
 	var wires [][]byte
 	for _, n := range ch.nodes {
 		n.tap = func(_, _ string, payload []byte) {
@@ -187,7 +199,7 @@ func TestForwardPathSingleEncodeSingleDecode(t *testing.T) {
 // taxbench -check); this test enforces ceilings so a regression fails
 // here first, with a name, rather than in the bench diff.
 func TestForwardPathStageAllocs(t *testing.T) {
-	ch := newPathChain(t)
+	ch := newPathChain(t, nil)
 	var frame []byte
 	ch.nodes["c"].tap = func(_, _ string, payload []byte) {
 		frame = append([]byte(nil), payload...)
@@ -241,6 +253,82 @@ func TestForwardPathStageAllocs(t *testing.T) {
 	}
 	if deliver > 40 {
 		t.Errorf("deliver stage allocates %.0f, budget 40", deliver)
+	}
+}
+
+// TestBatchedPathByteBudget prices the batched forwarded path in heap
+// bytes: a batches 16 frames of 4 KiB bodies per container, b and c
+// relay the container whole, d unpacks and delivers. The container is
+// the link queue's own buffer, so a frame's bytes are allocated once —
+// its share of the container — beside d's decode: at most 1.25 × the
+// encoded frame + 1 KiB per delivered frame, where the assembly this
+// replaced (reference_test.go) paid about 7×. A zero-copy transport
+// takes every flush by ownership. A copying one (TCPNode's shape) pays
+// Send's copy instead, and the buffer goes back to the link: no flush
+// allocates a container once warm.
+func TestBatchedPathByteBudget(t *testing.T) {
+	for _, name := range []string{"owned", "copying"} {
+		copying := name == "copying"
+		t.Run(name, func(t *testing.T) {
+			const batch, batches = 16, 32
+			ch := newPathChain(t, func(c *Config) {
+				if c.HostName != "a" {
+					return
+				}
+				c.Batch = &BatchConfig{MaxFrames: batch, MaxBytes: 1 << 20, MaxDelay: time.Hour, FlushEvery: -1}
+				if copying {
+					c.Node = copyingNode{c.Node}
+				}
+			})
+			bc := briefcase.New()
+			bc.Ensure("BODY").Append(make([]byte, 4<<10))
+			bc.SetString(briefcase.FolderSysTarget, "tacoma://d/system/dst")
+			flush := func(int) {
+				for i := 0; i < batch; i++ {
+					if err := ch.fws["a"].Send(ch.src.GlobalURI(), bc); err != nil {
+						t.Fatalf("send: %v", err)
+					}
+				}
+				for i := 0; i < batch; i++ {
+					if _, ok := ch.dst.TryRecv(); !ok {
+						t.Fatalf("frame %d of the batch was not delivered", i)
+					}
+				}
+				// An idle flush must leave a recycled buffer with its link.
+				if err := ch.fws["a"].FlushBatches(); err != nil {
+					t.Fatalf("idle flush: %v", err)
+				}
+			}
+			var frameLen int
+			ch.nodes["c"].tap = func(_, _ string, container []byte) {
+				walkContainer(container, func(frame []byte) bool { frameLen = len(frame); return false })
+			}
+			flush(0) // the link learns its buffer size
+			flush(0)
+			ch.nodes["c"].tap = nil
+			lb := ch.fws["a"].batch.link("b")
+			var warm *byte
+			if copying {
+				warm = &lb.buf[0]
+			}
+
+			perFrame := allocBytesPerOp(batches, flush) / batch
+			t.Logf("%.0f B per delivered frame of %d encoded bytes", perFrame, frameLen)
+			if budget := 1.25*float64(frameLen) + 1024; perFrame > budget && !raceBuild {
+				t.Errorf("batched path allocates %.0f B per delivered frame, budget %.0f", perFrame, budget)
+			}
+			a, flushes := ch.nodes["a"], batches+2
+			if copying {
+				if a.sends != flushes || a.ownedSends != 0 {
+					t.Errorf("a made %d Send / %d SendOwned calls, want %d/0", a.sends, a.ownedSends, flushes)
+				}
+				if &lb.buf[0] != warm {
+					t.Error("a flush on a copying transport allocated a new container")
+				}
+			} else if a.ownedSends != flushes || a.sends != 0 {
+				t.Errorf("a made %d SendOwned / %d Send calls, want %d/0", a.ownedSends, a.sends, flushes)
+			}
+		})
 	}
 }
 

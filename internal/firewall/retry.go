@@ -118,18 +118,21 @@ func (fw *Firewall) forwardPolicy(bc *briefcase.Briefcase) RetryPolicy {
 // clocks advance without sleeping and real clocks really wait. It
 // returns the attempts made and the last error.
 //
-// Relayed bytes are the firewall's own (a delivery-private inbound
-// buffer or a fresh seal) and pass to a zero-copy transport outright. A
-// traced briefcase's itinerary rides out of band on a tracing transport,
-// so fault injections on the wire are journaled under the right trace;
-// payload bytes, and so simulated transfer cost, are the same either way.
+// A unit with no briefcase sends bytes that are the firewall's own — a
+// relayed frame or container (a delivery-private inbound buffer or a
+// fresh seal), or a flushed batch container — and they pass to a
+// zero-copy transport outright. An encoded briefcase's bytes may be a
+// pooled buffer, so it takes the copying Send. A traced briefcase's
+// itinerary rides out of band on a tracing transport, so fault
+// injections on the wire are journaled under the right trace; payload
+// bytes, and so simulated transfer cost, are the same either way.
 func (fw *Firewall) transmit(ctx context.Context, m *mediation, frame []byte, rp RetryPolicy, label string) (attempt int, err error) {
 	var owned ownedSender
 	var traced simnet.TracedNode
 	trace, evTarget := "", m.addr
-	if m.relay {
+	if m.bc == nil {
 		owned, _ = fw.cfg.Node.(ownedSender)
-	} else if m.bc != nil {
+	} else {
 		evTarget = ""
 		if trace, _ = m.bc.GetString(briefcase.FolderSysTrace); trace != "" {
 			traced, _ = fw.cfg.Node.(simnet.TracedNode)

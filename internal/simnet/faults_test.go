@@ -275,6 +275,84 @@ func TestInjectorDecisions(t *testing.T) {
 	})
 }
 
+// TestSendOwnedRefusals holds SendOwned to its contract — it keeps
+// payload if and only if it returns nil — on every way a send is
+// refused: each returns an error, and no delivery aliases the buffer,
+// which is the caller's again to retry or reuse. A closed receiver once
+// took about half the sends to it: the inbox select chose at random
+// between the queue and the close.
+func TestSendOwnedRefusals(t *testing.T) {
+	type setup func(n *Network, a, b *Host)
+	none := func(*Network, *Host, *Host) {}
+	tests := []struct {
+		name   string
+		to     string
+		refuse setup
+		heal   setup // nil: a→b carries no marker afterwards
+		want   error
+	}{
+		{"closed sender", "b", func(_ *Network, a, _ *Host) { _ = a.Close() }, nil, ErrClosed},
+		{"closed receiver", "b", func(_ *Network, _, b *Host) { _ = b.Close() }, nil, ErrClosed},
+		{"unknown host", "ghost", none, none, ErrUnknownHost},
+		{"crashed", "b", func(n *Network, _, _ *Host) { n.Crash("b") }, func(n *Network, _, _ *Host) { n.Restart("b") }, ErrHostDown},
+		{"partitioned", "b", func(n *Network, _, _ *Host) { n.Partition("a", "b") }, func(n *Network, _, _ *Host) { n.Heal("a", "b") }, ErrPartitioned},
+		{"dropped", "b", func(n *Network, _, _ *Host) { n.SetInjector(fixedInjector{dec: Decision{Drop: true}}) },
+			func(n *Network, _, _ *Host) { n.SetInjector(nil) }, ErrDropped},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			n, a, b := newPair(t, LAN100)
+			var mu sync.Mutex
+			var refused [][]byte
+			aliased := 0
+			marker := make(chan struct{}, 1)
+			b.SetHandler(func(_ string, p []byte) {
+				mu.Lock()
+				defer mu.Unlock()
+				for _, r := range refused {
+					if &p[0] == &r[0] {
+						aliased++
+					}
+				}
+				if string(p) == "marker" {
+					marker <- struct{}{}
+				}
+			})
+			// First contact: b's inbox for a exists before the refusals.
+			if err := a.Send("b", []byte("hello")); err != nil {
+				t.Fatal(err)
+			}
+			tt.refuse(n, a, b)
+			for i := 0; i < 200; i++ {
+				buf := []byte{byte(i), 1}
+				mu.Lock()
+				refused = append(refused, buf)
+				mu.Unlock()
+				if err := a.SendOwned(tt.to, buf); !errors.Is(err, tt.want) {
+					t.Fatalf("send %d: err = %v, want %v", i, err, tt.want)
+				}
+			}
+			if tt.heal != nil {
+				// Per-link FIFO: anything refused but delivered arrives first.
+				tt.heal(n, a, b)
+				if err := a.Send("b", []byte("marker")); err != nil {
+					t.Fatal(err)
+				}
+				select {
+				case <-marker:
+				case <-time.After(2 * time.Second):
+					t.Fatal("marker never delivered")
+				}
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if aliased != 0 {
+				t.Errorf("%d deliveries alias a refused buffer", aliased)
+			}
+		})
+	}
+}
+
 // TestTransferTimeBoundaries pins the cost-model edges table-style.
 func TestTransferTimeBoundaries(t *testing.T) {
 	tests := []struct {

@@ -90,7 +90,8 @@ type FaultPoint struct {
 type Node interface {
 	// Addr returns the node's own address (host name, or host:port).
 	Addr() string
-	// Send delivers payload to the named peer.
+	// Send delivers payload to the named peer. It does not retain
+	// payload once it returns: callers may reuse the buffer.
 	Send(to string, payload []byte) error
 	// SetHandler installs the delivery callback. Deliveries from one
 	// peer are serialized (per-link FIFO); deliveries from different
@@ -519,9 +520,11 @@ func (h *Host) SetHandler(fn func(from string, payload []byte)) {
 // Send transfers payload to the named host, charging the link's simulated
 // cost: the transfer serializes on the directed link starting no earlier
 // than the sender's current virtual time, and the receiver's clock
-// advances to the arrival time. The sender's own clock advances past the
-// serialization (the sending process is busy while its message is on the
-// wire, as a blocking send is).
+// advances to the arrival time when its dispatcher takes the delivery,
+// after the charges of the link's earlier deliveries, so a send cannot
+// race the receiver's handling of the one before it. The sender's own
+// clock advances past the serialization (the sending process is busy
+// while its message is on the wire, as a blocking send is).
 func (h *Host) Send(to string, payload []byte) error {
 	_, err := h.SendTimed(to, payload)
 	return err
@@ -540,11 +543,14 @@ func (h *Host) SendTraced(to string, payload []byte, traceID, spanID string) err
 
 // SendOwned is Send for payloads whose ownership passes to the network:
 // the delivery aliases payload instead of taking the defensive copy Send
-// makes, so the caller must not read or write payload after the call.
-// The zero-copy relay path hands its delivery-private inbound buffer to
-// the next link this way — one payload copy per link, made by the
-// origin's Send, and none at relays. Simulated cost is identical to
-// Send's.
+// makes. It keeps payload if and only if it returns nil — after nil the
+// caller must not read or write payload; after an error nothing was
+// delivered and payload is the caller's again, to retry or reuse. The
+// firewall sends every buffer it owns this way (relayed frames and
+// containers, flushed batch containers), so a batched frame crosses a
+// whole relay chain in the one buffer its origin's batcher built, and
+// only an unbatched origin forward — a pooled encode buffer — pays
+// Send's copy. Simulated cost is identical to Send's.
 func (h *Host) SendOwned(to string, payload []byte) error {
 	_, err := h.sendTimed(to, payload, "", "", false)
 	return err
@@ -663,7 +669,6 @@ func (h *Host) sendTimed(to string, payload []byte, traceID, spanID string, copy
 		// The link time was spent, but the message is lost in flight.
 		return 0, fmt.Errorf("%w: %s -> %s", ErrDropped, h.name, to)
 	}
-	dst.clock.AdvanceTo(arrive)
 
 	// Send gives the receiver a delivery-private copy; SendOwned was
 	// handed ownership of payload and delivers it as-is. (A corrupting
@@ -684,26 +689,27 @@ func (h *Host) sendTimed(to string, payload []byte, traceID, spanID string, copy
 		return 0, err
 	}
 	if dec.Duplicate {
-		dup := delivery{from: h.name, payload: append([]byte(nil), data...), arriveAt: arrive}
-		if err := dst.enqueue(dup); err != nil {
-			return 0, err
-		}
+		// The original is delivered, so the send succeeded: a duplicate
+		// the receiver no longer takes is simply not injected. Failing
+		// here would have a retrying sender re-send a payload the
+		// network already holds.
+		_ = dst.enqueue(delivery{from: h.name, payload: append([]byte(nil), data...), arriveAt: arrive})
 	}
 	return arrive, nil
 }
 
 // enqueue places one delivery on the inbox for its sending peer,
-// creating the peer's queue and dispatcher on first contact.
+// creating the peer's queue and dispatcher on first contact. A closed
+// host refuses every delivery: nil means the inbox holds msg.
 func (h *Host) enqueue(msg delivery) error {
+	select {
+	case <-h.done:
+		return ErrClosed
+	default:
+	}
 	h.peerMu.Lock()
 	q, ok := h.peers[msg.from]
 	if !ok {
-		select {
-		case <-h.done:
-			h.peerMu.Unlock()
-			return ErrClosed
-		default:
-		}
 		q = make(chan delivery, 1024)
 		h.peers[msg.from] = q
 		go h.dispatch(q)
@@ -736,6 +742,7 @@ func (h *Host) dispatch(q chan delivery) {
 		case <-h.done:
 			return
 		case d := <-q:
+			h.clock.AdvanceTo(d.arriveAt)
 			h.handlerMu.RLock()
 			fn := h.handler
 			h.handlerMu.RUnlock()

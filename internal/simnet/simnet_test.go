@@ -62,7 +62,11 @@ func TestSendChargesVirtualTime(t *testing.T) {
 	_, a, b := newPair(t, p)
 
 	got := make(chan string, 1)
-	b.SetHandler(func(from string, payload []byte) { got <- from + ":" + string(payload) })
+	var atDelivery time.Duration
+	b.SetHandler(func(from string, payload []byte) {
+		atDelivery = b.Clock().Now()
+		got <- from + ":" + string(payload)
+	})
 
 	arrive, err := a.SendTimed("b", []byte("hello")) // 5 bytes
 	if err != nil {
@@ -77,9 +81,6 @@ func TestSendChargesVirtualTime(t *testing.T) {
 	if a.Clock().Now() != 15*time.Millisecond {
 		t.Errorf("sender clock = %v, want 15ms", a.Clock().Now())
 	}
-	if b.Clock().Now() != want {
-		t.Errorf("receiver clock = %v, want %v", b.Clock().Now(), want)
-	}
 	select {
 	case msg := <-got:
 		if msg != "a:hello" {
@@ -87,6 +88,14 @@ func TestSendChargesVirtualTime(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("message never delivered")
+	}
+	// The receiver's clock reaches the arrival time as it takes the
+	// delivery, not while the sender is still in Send.
+	if atDelivery != want {
+		t.Errorf("receiver clock at delivery = %v, want %v", atDelivery, want)
+	}
+	if b.Clock().Now() != want {
+		t.Errorf("receiver clock = %v, want %v", b.Clock().Now(), want)
 	}
 }
 
