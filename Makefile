@@ -4,7 +4,7 @@ GO ?= go
 # chaos stress tests drive (internal/chaostest/parallel_test.go).
 CHAOS_PARALLEL ?= 16
 
-.PHONY: all build vet test race check ci chaos fuzz-short policy-fuzz bench bench-check obsv-demo loc clean
+.PHONY: all build vet test race check ci chaos frontier-sweep fuzz-short policy-fuzz bench bench-check obsv-demo loc clean
 
 all: check
 
@@ -71,6 +71,15 @@ chaos:
 	$(GO) test -race -timeout 120s -count=1 -run 'Retry|Forward|Dedup|Expiry|Pending|Park|Batch|Relay' ./internal/firewall/
 	$(GO) test -race -timeout 120s -count=1 -run 'Prop' ./internal/briefcase/
 
+# frontier-sweep runs two thousand eight-agent fleet crawls at depth 4,
+# where admission cuts the site (internal/linkmine/frontier_test.go,
+# TestFleetDepth4): every URL fetched exactly once and aggregate Stats
+# identical to the serial robot on every crawl. Before completions took
+# their depth from the frontier, about one crawl in five thousand lost
+# a subtree here, so a sweep is the test, not one run.
+frontier-sweep:
+	$(GO) test -timeout 3600s -count=2000 -run '^TestFleetDepth4$$' ./internal/linkmine/
+
 # fuzz-short runs the wire-format fuzzers briefly — enough to exercise
 # the mutation engine on every seed without tying up CI. One -fuzz
 # target per invocation: the briefcase codec, the cross-codec oracle
@@ -92,9 +101,12 @@ chaos:
 # reference-decode to a principal and a core that principal signed), the
 # policy layer: the ruleset parser (accept-or-reject, installed invariants
 # hold, Describe never panics) and the evaluator (differential against
-# a literal reference evaluator, deny never widens to allow), and the
+# a literal reference evaluator, deny never widens to allow), the
 # robots.txt parser (arbitrary text: never panics, and a parse that
-# yields no rules for the agent allows every path).
+# yields no rules for the agent allows every path), and the frontier's
+# page-record decoder, which reads records fetchers send from other
+# hosts (no field decodes negative, and whatever decodes re-encodes to
+# bytes that decode equal).
 fuzz-short:
 	$(GO) test -fuzz 'FuzzDecode$$' -fuzztime 30s ./internal/briefcase/
 	$(GO) test -fuzz FuzzCrossCodec -fuzztime 30s ./internal/briefcase/
@@ -107,6 +119,7 @@ fuzz-short:
 	$(GO) test -fuzz FuzzPolicyParse -fuzztime 30s ./internal/policy/
 	$(GO) test -fuzz FuzzPolicyEval -fuzztime 30s ./internal/policy/
 	$(GO) test -fuzz FuzzRobots -fuzztime 30s ./internal/webbot/
+	$(GO) test -fuzz FuzzDecodeRecord -fuzztime 30s ./internal/frontier/
 
 # policy-fuzz soaks the policy layer's fuzzers longer than fuzz-short:
 # the URI pattern matcher (parse-or-reject, Match never panics), the

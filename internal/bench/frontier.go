@@ -171,7 +171,8 @@ func Frontier() (*Table, any, error) {
 }
 
 // frontierResume interrupts a durable crawl at its frontier store's
-// 400th WAL append (mid-crawl: a full run commits ~2k), then resumes
+// 400th WAL append (mid-crawl: a full run commits 941, one per URL and
+// one per worker's first claim, plus the seed), then resumes
 // over the same store with a fresh robot and compares the finished
 // Stats against the uninterrupted baseline.
 func frontierResume(checks *FrontierChecks, serial *webbot.Stats) error {

@@ -27,8 +27,10 @@ func TestFrontierChaosFleetClean(t *testing.T) {
 // zero URLs fetched twice, zero lost.
 func TestFrontierChaosHostCrash(t *testing.T) {
 	rep, err := RunFrontier(FrontierScenario{
-		Agents:       8,
-		CrashAppend:  700, // mid-crawl: a full run commits ~2k appends
+		Agents: 8,
+		// Mid-crawl: a full run commits ~1,890 appends on the frontier
+		// host, one frontier and one dedup-journal transaction a URL.
+		CrashAppend:  700,
 		RestartDelay: 50 * time.Millisecond,
 	})
 	if err != nil {

@@ -6,13 +6,15 @@
 //
 // The frontier is a priority queue of pending URLs (shallowest depth
 // first, URL order breaking ties — a deterministic breadth-first
-// wavefront) with three durable state transitions, each one synced WAL
+// wavefront) whose durable state transitions are each one synced WAL
 // transaction on the PR 4 cabinet:
 //
-//	Add       →  put p/<url>                (pending)
-//	Claim     →  del p/<url>, put c/<url>   (claimed, tagged with the worker)
-//	Complete  →  del c/<url>, put d/<url>   (done: the PageRecord)
-//	Fail      →  del c/<url>, put p/ or f/  (re-pend, or journal terminally)
+//	Add           →  put p/<url>                (pending)
+//	Claim         →  del p/<url>, put c/<url>   (claimed, tagged with the worker)
+//	Complete      →  del c/<url>, put d/<url>   (done: the PageRecord)
+//	CompleteNext  →  Complete, Add of the record's admitted links, and
+//	                 Claim of the worker's next URL, in one transaction
+//	Fail          →  del c/<url>, put p/ or f/  (re-pend, or journal terminally)
 //
 // Because a claim is journaled before the worker sees it, a worker that
 // re-asks after a lost reply gets the same URL back (claims are keyed
@@ -21,6 +23,10 @@
 // lost. Complete is idempotent by done-key, so retried completions are
 // counted, not double-applied. Exactly-once per URL follows from the
 // store's atomicity, not from timing.
+//
+// A transition changes memory first and commits after, so a failed
+// commit leaves memory ahead of the store: the frontier then closes
+// itself, and only a frontier reopened from the store goes on.
 package frontier
 
 import (
@@ -109,9 +115,15 @@ type Frontier struct {
 	journal  int                    // total journal entries written
 	heap     entryHeap
 
+	// tx is the write set of the transition under construction, reused
+	// across transitions. It stays empty without a store.
+	tx []cabinet.Op
+
 	dups     int
 	reclaims int
 }
+
+var errClosed = errors.New("frontier: closed")
 
 // New opens a frontier, recovering any durable state in the store's
 // namespace.
@@ -192,10 +204,9 @@ func New(opts Options) (*Frontier, error) {
 	// The durable move keeps a second recovery consistent.
 	for _, e := range adopt {
 		e.worker = ""
-		if err := f.commit([]cabinet.Op{
-			{Del: true, Key: f.ns + "c/" + e.url},
-			{Key: f.ns + "p/" + e.url, Value: e.encode()},
-		}); err != nil {
+		f.del("c/", e.url)
+		f.putEntry("p/", e)
+		if err := f.commitTx(); err != nil {
 			return nil, err
 		}
 		f.pending[e.url] = e
@@ -213,11 +224,47 @@ func splitKey(ns, key string) (kind, url string) {
 	return rest[:i], rest[i+1:]
 }
 
-func (f *Frontier) commit(ops []cabinet.Op) error {
-	if f.store == nil {
+// putEntry, putRecord, putFailure and del add one write to the
+// transition's write set. A frontier without a store journals nothing,
+// so they encode nothing.
+func (f *Frontier) putEntry(kind string, e *entry) {
+	if f.store != nil {
+		f.tx = append(f.tx, cabinet.Op{Key: f.ns + kind + e.url, Value: e.encode()})
+	}
+}
+
+func (f *Frontier) putRecord(kind string, r *PageRecord) {
+	if f.store != nil {
+		f.tx = append(f.tx, cabinet.Op{Key: f.ns + kind + r.URL, Value: r.Encode()})
+	}
+}
+
+func (f *Frontier) putFailure(fl *Failure) {
+	if f.store != nil {
+		f.tx = append(f.tx, cabinet.Op{Key: f.ns + "f/" + fl.URL + "#" + itoa(fl.Attempts), Value: fl.encode()})
+	}
+}
+
+func (f *Frontier) del(kind, url string) {
+	if f.store != nil {
+		f.tx = append(f.tx, cabinet.Op{Del: true, Key: f.ns + kind + url})
+	}
+}
+
+// commitTx commits the write set as one transaction. Memory already
+// holds its effects, so a failed commit closes the frontier.
+func (f *Frontier) commitTx() error {
+	if len(f.tx) == 0 {
 		return nil
 	}
-	return f.store.Commit(ops)
+	err := f.store.Commit(f.tx)
+	clear(f.tx)
+	f.tx = f.tx[:0]
+	if err != nil {
+		f.closed = true
+		f.cond.Broadcast()
+	}
+	return err
 }
 
 // Add offers discovered links to the frontier. Links already done,
@@ -226,57 +273,113 @@ func (f *Frontier) commit(ops []cabinet.Op) error {
 // URL at a strictly shallower depth lowers the record's depth and
 // returns it in lowered — the caller must re-offer that record's
 // out-links at the new depth, mirroring the recursive crawl's
-// best-depth relaxation.
+// best-depth relaxation. Offer does that re-offering itself.
 func (f *Frontier) Add(links []Link) (fresh int, lowered []*PageRecord, err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
-		return 0, nil, errors.New("frontier: closed")
+		return 0, nil, errClosed
 	}
-	var ops []cabinet.Op
 	for _, l := range links {
-		if e, ok := f.pending[l.URL]; ok {
-			if l.Depth < e.depth {
-				e.depth = l.Depth
-				e.referrer = l.Referrer
-				heap.Fix(&f.heap, e.index)
-				ops = append(ops, cabinet.Op{Key: f.ns + "p/" + e.url, Value: e.encode()})
-			}
-			continue
+		isFresh, low := f.relax(l.URL, l.Referrer, l.Depth)
+		if isFresh {
+			fresh++
 		}
-		if e, ok := f.claims[l.URL]; ok {
-			if l.Depth < e.depth {
-				e.depth = l.Depth
-				ops = append(ops, cabinet.Op{Key: f.ns + "c/" + e.url, Value: e.encode()})
-			}
-			continue
-		}
-		if rec, ok := f.done[l.URL]; ok {
-			if l.Depth < rec.Depth {
-				rec.Depth = l.Depth
-				ops = append(ops, cabinet.Op{Key: f.ns + "d/" + rec.URL, Value: rec.Encode()})
-				lowered = append(lowered, rec)
-			}
-			continue
-		}
-		if _, ok := f.failed[l.URL]; ok {
-			continue
-		}
-		e := &entry{url: l.URL, referrer: l.Referrer, depth: l.Depth}
-		f.pending[l.URL] = e
-		heap.Push(&f.heap, e)
-		ops = append(ops, cabinet.Op{Key: f.ns + "p/" + e.url, Value: e.encode()})
-		fresh++
-	}
-	if len(ops) > 0 {
-		if err := f.commit(ops); err != nil {
-			return fresh, lowered, err
+		if low != nil {
+			lowered = append(lowered, low)
 		}
 	}
-	if fresh > 0 || len(lowered) > 0 {
-		f.cond.Broadcast()
+	if err := f.commitTx(); err != nil {
+		return fresh, lowered, err
 	}
+	f.cond.Broadcast()
 	return fresh, lowered, nil
+}
+
+// Offer adds the links admit accepts, in one transaction, and re-expands
+// every done record they lower, as CompleteNext does. admit is called
+// with the frontier locked and must not call back into it.
+func (f *Frontier) Offer(links []Link, admit func(url string, depth int) bool) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.closed {
+		return errClosed
+	}
+	for _, l := range links {
+		if !admit(l.URL, l.Depth) {
+			continue
+		}
+		if _, low := f.relax(l.URL, l.Referrer, l.Depth); low != nil {
+			f.expand(low, admit)
+		}
+	}
+	if err := f.commitTx(); err != nil {
+		return err
+	}
+	f.cond.Broadcast()
+	return nil
+}
+
+// relax is the one way a URL enters the frontier or moves shallower:
+// a new URL pends at depth; a pending, claimed or done one keeps the
+// shallower of its depth and this one. lowered is the done record a
+// link made shallower, whose own links are now one step shallower too.
+func (f *Frontier) relax(url, referrer string, depth int) (fresh bool, lowered *PageRecord) {
+	if e, ok := f.pending[url]; ok {
+		if depth < e.depth {
+			e.depth = depth
+			e.referrer = referrer
+			heap.Fix(&f.heap, e.index)
+			f.putEntry("p/", e)
+		}
+		return false, nil
+	}
+	if e, ok := f.claims[url]; ok {
+		if depth < e.depth {
+			e.depth = depth
+			f.putEntry("c/", e)
+		}
+		return false, nil
+	}
+	if rec, ok := f.done[url]; ok {
+		if depth < rec.Depth {
+			rec.Depth = depth
+			f.putRecord("d/", rec)
+			return false, rec
+		}
+		return false, nil
+	}
+	if _, ok := f.failed[url]; ok {
+		return false, nil
+	}
+	e := &entry{url: url, referrer: referrer, depth: depth}
+	f.pending[url] = e
+	heap.Push(&f.heap, e)
+	f.putEntry("p/", e)
+	return true, nil
+}
+
+// expand offers rec's out-links at rec.Depth+1 through admit, then
+// those of every done record the offer lowers, until nothing lowers:
+// the recursive crawl's best-depth relaxation, and the only loop that
+// re-expands a record.
+func (f *Frontier) expand(rec *PageRecord, admit func(url string, depth int) bool) {
+	var queue []*PageRecord
+	for {
+		depth := rec.Depth + 1
+		for _, l := range rec.Links {
+			if !admit(l.URL, depth) {
+				continue
+			}
+			if _, low := f.relax(l.URL, l.Referrer, depth); low != nil {
+				queue = append(queue, low)
+			}
+		}
+		if len(queue) == 0 {
+			return
+		}
+		rec, queue = queue[0], queue[1:]
+	}
 }
 
 // Claim leases the shallowest pending URL to worker. If the worker
@@ -287,37 +390,41 @@ func (f *Frontier) Add(links []Link) (fresh int, lowered []*PageRecord, err erro
 func (f *Frontier) Claim(worker string) (*Claim, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	cl, ok, _ := f.claimLocked(worker)
-	return cl, ok
+	cl := f.claimLocked(worker)
+	return cl, cl != nil
 }
 
-func (f *Frontier) claimLocked(worker string) (*Claim, bool, error) {
+// claimLocked leases and commits; nil when there is nothing to lease or
+// the commit failed, which closed the frontier.
+func (f *Frontier) claimLocked(worker string) *Claim {
+	cl := f.lease(worker)
+	if f.commitTx() != nil {
+		return nil
+	}
+	return cl
+}
+
+// lease re-issues worker's unresolved claim, or moves the shallowest
+// pending URL to worker; nil when there is neither.
+func (f *Frontier) lease(worker string) *Claim {
 	if url, ok := f.byWorker[worker]; ok {
 		if e, live := f.claims[url]; live {
 			f.reclaims++
-			return f.claimView(e), true, nil
+			return f.claimView(e)
 		}
 		delete(f.byWorker, worker)
 	}
 	if f.heap.Len() == 0 {
-		return nil, false, nil
+		return nil
 	}
 	e := heap.Pop(&f.heap).(*entry)
 	delete(f.pending, e.url)
 	e.worker = worker
-	if err := f.commit([]cabinet.Op{
-		{Del: true, Key: f.ns + "p/" + e.url},
-		{Key: f.ns + "c/" + e.url, Value: e.encode()},
-	}); err != nil {
-		// Store failure: back out so the URL is not lost in memory.
-		e.worker = ""
-		f.pending[e.url] = e
-		heap.Push(&f.heap, e)
-		return nil, false, err
-	}
+	f.del("p/", e.url)
+	f.putEntry("c/", e)
 	f.claims[e.url] = e
 	f.byWorker[worker] = e.url
-	return f.claimView(e), true, nil
+	return f.claimView(e)
 }
 
 func (f *Frontier) claimView(e *entry) *Claim {
@@ -333,7 +440,7 @@ func (f *Frontier) ClaimWait(worker string) (*Claim, WaitState) {
 		if f.closed {
 			return nil, WaitClosed
 		}
-		if cl, ok, err := f.claimLocked(worker); err == nil && ok {
+		if cl := f.claimLocked(worker); cl != nil {
 			return cl, WaitClaimed
 		}
 		if len(f.pending) == 0 && len(f.claims) == 0 {
@@ -345,45 +452,74 @@ func (f *Frontier) ClaimWait(worker string) (*Claim, WaitState) {
 
 // Complete marks url done with its fetch record. Idempotent: a retried
 // completion (lost ack) is absorbed and counted. Returns whether this
-// call was the first completion.
+// call was the first completion. It admits none of the record's links
+// and leases nothing; CompleteNext does both.
 func (f *Frontier) Complete(url, worker string, rec *PageRecord) (bool, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	_, first, err := f.complete(url, worker, rec, nil, false)
+	return first, err
+}
+
+// CompleteNext is one worker's whole turn, in one transaction: it
+// completes url as Complete does, offers the record's links at its
+// depth + 1 through admit (nil admits none) and re-expands every done
+// record they lower, then leases the worker's next URL as Claim does.
+// next is nil when nothing is pending. admit is called with the frontier
+// locked and must not call back into it.
+//
+// The record's depth is the frontier's, not the worker's: a claim
+// re-discovered shallower while in flight completes, and expands, at
+// the shallower depth.
+func (f *Frontier) CompleteNext(url, worker string, rec *PageRecord, admit func(url string, depth int) bool) (next *Claim, err error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	next, _, err = f.complete(url, worker, rec, admit, true)
+	return next, err
+}
+
+// complete is the body of Complete and CompleteNext. A repeated
+// completion changes nothing but the duplicate count: the first one
+// admitted the links in the same transaction.
+func (f *Frontier) complete(url, worker string, rec *PageRecord, admit func(url string, depth int) bool, next bool) (*Claim, bool, error) {
 	if f.closed {
-		return false, errors.New("frontier: closed")
+		return nil, false, errClosed
 	}
 	if cur, ok := f.byWorker[worker]; ok && cur == url {
 		delete(f.byWorker, worker)
 	}
-	if _, ok := f.done[url]; ok {
+	_, dup := f.done[url]
+	if dup {
 		f.dups++
-		f.cond.Broadcast()
-		return false, nil
-	}
-	ops := []cabinet.Op{{Key: f.ns + "d/" + url, Value: nil}}
-	if e, ok := f.claims[url]; ok {
-		// The claim may have been lowered while in flight; the done
-		// record keeps the shallowest depth seen.
-		if e.depth < rec.Depth {
+	} else {
+		if e, ok := f.claims[url]; ok {
 			rec.Depth = e.depth
+			delete(f.claims, url)
+			f.del("c/", url)
+			if e.worker != "" && e.worker != worker {
+				delete(f.byWorker, e.worker)
+			}
+		} else if e, ok := f.pending[url]; ok {
+			rec.Depth = e.depth
+			heap.Remove(&f.heap, e.index)
+			delete(f.pending, url)
+			f.del("p/", url)
 		}
-		ops = append(ops, cabinet.Op{Del: true, Key: f.ns + "c/" + url})
-		if e.worker != "" && e.worker != worker {
-			delete(f.byWorker, e.worker)
+		f.done[url] = rec
+		f.putRecord("d/", rec)
+		if admit != nil {
+			f.expand(rec, admit)
 		}
-	} else if e, ok := f.pending[url]; ok {
-		heap.Remove(&f.heap, e.index)
-		delete(f.pending, url)
-		ops = append(ops, cabinet.Op{Del: true, Key: f.ns + "p/" + url})
 	}
-	ops[0].Value = rec.Encode()
-	if err := f.commit(ops); err != nil {
-		return false, err
+	var cl *Claim
+	if next {
+		cl = f.lease(worker)
 	}
-	delete(f.claims, url)
-	f.done[url] = rec
+	if err := f.commitTx(); err != nil {
+		return nil, false, err
+	}
 	f.cond.Broadcast()
-	return true, nil
+	return cl, !dup, nil
 }
 
 // Fail reports a fetch failure for a claimed URL. Retryable failures
@@ -394,7 +530,7 @@ func (f *Frontier) Fail(url, worker, code, reason string, retryable bool) (bool,
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
-		return false, errors.New("frontier: closed")
+		return false, errClosed
 	}
 	if cur, ok := f.byWorker[worker]; ok && cur == url {
 		delete(f.byWorker, worker)
@@ -409,26 +545,20 @@ func (f *Frontier) Fail(url, worker, code, reason string, retryable bool) (bool,
 	fl := &Failure{URL: url, Referrer: e.referrer, Depth: e.depth, Attempts: e.attempts, Code: code, Reason: reason}
 	retry := retryable && e.attempts < f.maxTry
 	fl.Final = !retry
-	jkey := f.ns + "f/" + url + "#" + itoa(e.attempts)
-	ops := []cabinet.Op{
-		{Del: true, Key: f.ns + "c/" + url},
-		{Key: jkey, Value: fl.encode()},
-	}
-	if retry {
-		e.worker = ""
-		ops = append(ops, cabinet.Op{Key: f.ns + "p/" + url, Value: e.encode()})
-	}
-	if err := f.commit(ops); err != nil {
-		e.attempts--
-		return false, err
-	}
 	delete(f.claims, url)
+	f.del("c/", url)
+	f.putFailure(fl)
 	f.journal++
 	if retry {
+		e.worker = ""
 		f.pending[url] = e
 		heap.Push(&f.heap, e)
+		f.putEntry("p/", e)
 	} else {
 		f.failed[url] = fl
+	}
+	if err := f.commitTx(); err != nil {
+		return false, err
 	}
 	f.cond.Broadcast()
 	return retry, nil
@@ -441,18 +571,16 @@ func (f *Frontier) Journal(fl Failure) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
-		return errors.New("frontier: closed")
+		return errClosed
 	}
 	if _, ok := f.failed[fl.URL]; ok {
 		return nil
 	}
 	fl.Final = true
-	if err := f.commit([]cabinet.Op{{Key: f.ns + "f/" + fl.URL + "#" + itoa(fl.Attempts), Value: fl.encode()}}); err != nil {
-		return err
-	}
 	f.failed[fl.URL] = &fl
 	f.journal++
-	return nil
+	f.putFailure(&fl)
+	return f.commitTx()
 }
 
 // Drained reports whether the crawl is complete: nothing pending and
@@ -536,23 +664,19 @@ func (f *Frontier) BeginRecrawl() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
-		return errors.New("frontier: closed")
+		return errClosed
 	}
-	var ops []cabinet.Op
 	for url, rec := range f.done {
-		ops = append(ops,
-			cabinet.Op{Del: true, Key: f.ns + "d/" + url},
-			cabinet.Op{Key: f.ns + "r/" + url, Value: rec.Encode()})
+		f.del("d/", url)
+		f.putRecord("r/", rec)
 	}
 	if f.store != nil {
 		for _, key := range f.store.Keys(f.ns + "f/") {
-			ops = append(ops, cabinet.Op{Del: true, Key: key})
+			f.tx = append(f.tx, cabinet.Op{Del: true, Key: key})
 		}
 	}
-	if len(ops) > 0 {
-		if err := f.commit(ops); err != nil {
-			return err
-		}
+	if err := f.commitTx(); err != nil {
+		return err
 	}
 	for url, rec := range f.done {
 		f.prior[url] = rec

@@ -1,6 +1,7 @@
 package frontier
 
 import (
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"sync"
@@ -109,6 +110,116 @@ func TestDepthLoweringReturnsDoneRecords(t *testing.T) {
 	_, lowered, _ = f.Add([]Link{{URL: "http://h/deep", Depth: 2}})
 	if len(lowered) != 0 {
 		t.Fatalf("deeper rediscovery lowered %+v", lowered)
+	}
+}
+
+// upTo admits links no deeper than max.
+func upTo(max int) func(string, int) bool {
+	return func(_ string, depth int) bool { return depth <= max }
+}
+
+// TestCompleteNextUsesFrontierDepth pins the stale-depth interleaving:
+// a URL claimed at depth 3 is re-discovered at depth 2 while its fetch
+// is in flight, and the worker's record still says 3. Under MaxDepth 3
+// its link must be admitted at depth 3, not refused at a stale 4.
+func TestCompleteNextUsesFrontierDepth(t *testing.T) {
+	f := volatileFrontier(t)
+	f.Add([]Link{{URL: "http://h/u", Depth: 3}})
+	cl, _ := f.Claim("w")
+	if _, _, err := f.Add([]Link{{URL: "http://h/u", Depth: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	rec := &PageRecord{URL: cl.URL, Depth: cl.Depth, Status: 200, Links: []Link{{URL: "http://h/k", Referrer: cl.URL}}}
+	next, err := f.CompleteNext(cl.URL, "w", rec, upTo(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next == nil || next.URL != "http://h/k" || next.Depth != 3 {
+		t.Fatalf("next claim %+v, want http://h/k at depth 3", next)
+	}
+	if got, _ := f.Record(cl.URL); got.Depth != 2 {
+		t.Fatalf("record depth %d, want the frontier's 2", got.Depth)
+	}
+}
+
+// TestCompleteNextReexpandsLowered: a completion whose links lower a
+// done record re-offers that record's links at its new depth, so a
+// link refused at the old depth is admitted now.
+func TestCompleteNextReexpandsLowered(t *testing.T) {
+	f := volatileFrontier(t)
+	f.Add([]Link{{URL: "http://h/a", Depth: 3}, {URL: "http://h/b", Depth: 1}})
+	admit := upTo(3)
+	b, _ := f.Claim("w")
+	a, _ := f.Claim("w2")
+	// a completes at depth 3: its child at 4 is refused.
+	next, err := f.CompleteNext(a.URL, "w2", &PageRecord{URL: a.URL, Depth: 3, Links: []Link{{URL: "http://h/x", Referrer: a.URL}}}, admit)
+	if err != nil || next != nil {
+		t.Fatalf("CompleteNext(a) = %+v, %v; want nothing to lease", next, err)
+	}
+	// b at depth 1 links to a: a drops to 2, and x enters at 3.
+	next, err = f.CompleteNext(b.URL, "w", &PageRecord{URL: b.URL, Depth: 1, Links: []Link{{URL: "http://h/a", Referrer: b.URL}}}, admit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next == nil || next.URL != "http://h/x" || next.Depth != 3 {
+		t.Fatalf("next claim %+v, want http://h/x at depth 3", next)
+	}
+	if rec, _ := f.Record("http://h/a"); rec.Depth != 2 {
+		t.Fatalf("a's depth %d, want 2", rec.Depth)
+	}
+}
+
+// TestCompleteNextIsOneTransaction: completing, admitting and leasing
+// is one WAL transaction; a retried completion (its reply lost) adds
+// none and re-issues the same next claim.
+func TestCompleteNextIsOneTransaction(t *testing.T) {
+	store := cabinet.NewStore(cabinet.Options{Clock: vclock.NewVirtual(), SnapshotEvery: -1})
+	f, err := New(Options{Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Add([]Link{{URL: "http://h/", Depth: 0}})
+	cl, _ := f.Claim("w")
+	rec := &PageRecord{URL: cl.URL, Status: 200, Links: []Link{{URL: "http://h/a"}, {URL: "http://h/b"}}}
+	before := store.Seq()
+	next, err := f.CompleteNext(cl.URL, "w", rec, upTo(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := store.Seq() - before; got != 1 {
+		t.Fatalf("CompleteNext committed %d transactions, want 1", got)
+	}
+	again, err := f.CompleteNext(cl.URL, "w", rec, upTo(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if store.Seq()-before != 1 || again == nil || again.URL != next.URL {
+		t.Fatalf("retry committed %d and leased %+v, want 0 and %q", store.Seq()-before-1, again, next.URL)
+	}
+	if c := f.Counts(); c.DupCompletions != 1 || c.Reclaims != 1 || c.Pending != 1 || c.Claimed != 1 {
+		t.Fatalf("counts %+v", c)
+	}
+	// The same state recovers from the store.
+	g, err := New(Options{Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cl2, ok := g.Claim("w"); !ok || cl2.URL != next.URL {
+		t.Fatalf("recovered claim %+v, want %q", cl2, next.URL)
+	}
+}
+
+// TestVolatileFrontierEncodesNothing: without a store no transition
+// builds a write set.
+func TestVolatileFrontierEncodesNothing(t *testing.T) {
+	f := volatileFrontier(t)
+	f.Add([]Link{{URL: "http://h/", Depth: 0}})
+	cl, _ := f.Claim("w")
+	next, _ := f.CompleteNext(cl.URL, "w", &PageRecord{URL: cl.URL, Links: []Link{{URL: "http://h/a"}}}, upTo(1))
+	f.Fail(next.URL, "w", "wb_fetch_failed", "boom", true)
+	f.Journal(Failure{URL: "http://h/z"})
+	if cap(f.tx) != 0 {
+		t.Fatalf("volatile frontier built a write set of capacity %d", cap(f.tx))
 	}
 }
 
@@ -394,6 +505,65 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 	if _, err := DecodeRecord(nil); err == nil {
 		t.Fatal("empty record decoded")
 	}
+	if _, err := DecodeRecord(append(rec.Encode(), 0)); err == nil {
+		t.Fatal("record with a trailing byte decoded")
+	}
+}
+
+// TestDecodeRecordRejectsOverflow: a uvarint too large for its field is
+// an error, not a negative depth that passes every depth <= MaxDepth.
+func TestDecodeRecordRejectsOverflow(t *testing.T) {
+	huge := func(field int) []byte {
+		b := []byte{recordVersion}
+		b = appendString(b, "http://h/p")
+		b = appendString(b, "")
+		for i := 0; i < 3; i++ { // depth, status, bytes
+			v := uint64(0)
+			if i == field {
+				v = 1 << 63
+			}
+			b = binary.AppendUvarint(b, v)
+		}
+		b = appendString(b, "")
+		b = binary.AppendUvarint(b, 0) // age
+		b = binary.AppendUvarint(b, 0) // fetch cost
+		b = appendString(b, "")
+		return append(b, 0, 0) // not revalidated, no links
+	}
+	if _, err := DecodeRecord(huge(-1)); err != nil {
+		t.Fatalf("well-formed record: %v", err)
+	}
+	for field, name := range []string{"depth", "status", "bytes"} {
+		if r, err := DecodeRecord(huge(field)); err == nil {
+			t.Errorf("%s 1<<63 decoded as %+v", name, r)
+		}
+	}
+}
+
+// FuzzDecodeRecord: whatever decodes re-encodes to bytes that decode to
+// an equal record.
+func FuzzDecodeRecord(f *testing.F) {
+	f.Add((&PageRecord{URL: "http://h/p", Referrer: "http://h/", Depth: 2, Status: 200, Bytes: 4096,
+		Type: "text/html", AgeDays: 9, FetchCost: time.Millisecond, Digest: "200|4096|9", Revalidated: true,
+		Links: []Link{{URL: "http://h/q", Referrer: "http://h/p"}}}).Encode())
+	f.Add((&PageRecord{URL: "http://h/404", Status: 404}).Encode())
+	f.Add([]byte{recordVersion, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		r, err := DecodeRecord(b)
+		if err != nil {
+			return
+		}
+		if r.Depth < 0 || r.Status < 0 || r.Bytes < 0 || r.AgeDays < 0 || r.FetchCost < 0 {
+			t.Fatalf("decoded a negative field: %+v", r)
+		}
+		again, err := DecodeRecord(r.Encode())
+		if err != nil {
+			t.Fatalf("re-encoding of %+v does not decode: %v", r, err)
+		}
+		if !reflect.DeepEqual(again, r) {
+			t.Fatalf("round trip %+v != %+v", again, r)
+		}
+	})
 }
 
 func TestLimiterSpacesSameHostOnly(t *testing.T) {

@@ -3,6 +3,7 @@ package frontier
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -65,7 +66,9 @@ func (r *PageRecord) Encode() []byte {
 	return b
 }
 
-// DecodeRecord parses a record previously produced by Encode.
+// DecodeRecord parses a record previously produced by Encode. Records
+// arrive from fetchers on other hosts, so decoding is strict: a number
+// that does not fit its field, or bytes after the last link, fail it.
 func DecodeRecord(b []byte) (*PageRecord, error) {
 	d := &decoder{b: b}
 	if v := d.byte(); v != recordVersion {
@@ -74,13 +77,13 @@ func DecodeRecord(b []byte) (*PageRecord, error) {
 	r := &PageRecord{
 		URL:      d.str(),
 		Referrer: d.str(),
-		Depth:    int(d.uvarint()),
-		Status:   int(d.uvarint()),
-		Bytes:    int(d.uvarint()),
+		Depth:    d.int(),
+		Status:   d.int(),
+		Bytes:    d.int(),
 		Type:     d.str(),
-		AgeDays:  int(d.uvarint()),
+		AgeDays:  d.int(),
 	}
-	r.FetchCost = time.Duration(d.uvarint())
+	r.FetchCost = time.Duration(d.bounded(math.MaxInt64))
 	r.Digest = d.str()
 	r.Revalidated = d.byte() == 1
 	n := d.uvarint()
@@ -89,6 +92,9 @@ func DecodeRecord(b []byte) (*PageRecord, error) {
 	}
 	for i := uint64(0); i < n && d.err == nil; i++ {
 		r.Links = append(r.Links, Link{URL: d.str(), Referrer: d.str()})
+	}
+	if d.err == nil && len(d.b) > 0 {
+		d.err = fmt.Errorf("%d trailing bytes", len(d.b))
 	}
 	if d.err != nil {
 		return nil, fmt.Errorf("frontier: bad record: %w", d.err)
@@ -135,8 +141,8 @@ func decodeFailure(b []byte) (*Failure, error) {
 	f := &Failure{
 		URL:      d.str(),
 		Referrer: d.str(),
-		Depth:    int(d.uvarint()),
-		Attempts: int(d.uvarint()),
+		Depth:    d.int(),
+		Attempts: d.int(),
 		Code:     d.str(),
 		Reason:   d.str(),
 	}
@@ -176,8 +182,8 @@ func decodeEntry(b []byte) (*entry, error) {
 	e := &entry{
 		url:      d.str(),
 		referrer: d.str(),
-		depth:    int(d.uvarint()),
-		attempts: int(d.uvarint()),
+		depth:    d.int(),
+		attempts: d.int(),
 		worker:   d.str(),
 	}
 	if d.err != nil {
@@ -221,6 +227,20 @@ func (d *decoder) uvarint() uint64 {
 	d.b = d.b[n:]
 	return v
 }
+
+// bounded reads a uvarint no larger than max.
+func (d *decoder) bounded(max uint64) uint64 {
+	v := d.uvarint()
+	if v > max {
+		d.err = fmt.Errorf("uvarint %d overflows its field", v)
+		return 0
+	}
+	return v
+}
+
+// int reads a uvarint into a non-negative int. Without the bound a huge
+// depth would wrap negative and pass every depth <= MaxDepth check.
+func (d *decoder) int() int { return int(d.bounded(math.MaxInt)) }
 
 func (d *decoder) str() string {
 	n := d.uvarint()

@@ -89,6 +89,9 @@ type FrontierFleetReport struct {
 	Crashed bool
 	// WorkerErrors collects fetcher agents' terminal errors.
 	WorkerErrors []string
+	// RPCs counts the briefcases the frontier host's firewall delivered:
+	// every request to ag_frontier, retries and duplicates included.
+	RPCs int64
 }
 
 // RunFrontierFleet boots base + mine + N worker hosts, serves one
@@ -135,7 +138,7 @@ func RunFrontierFleet(cfg FrontierFleetConfig) (*FrontierFleetReport, error) {
 	}
 	nodes := make(map[string]*core.Node, len(hosts))
 	for _, h := range hosts {
-		n, err := sys.AddNode(h, core.NodeOptions{NoCVM: true, DedupWindow: 256})
+		n, err := sys.AddNodeWith(h, core.WithoutCVM(), core.WithDedupWindow(256))
 		if err != nil {
 			return nil, err
 		}
@@ -236,42 +239,27 @@ func RunFrontierFleet(cfg FrontierFleetConfig) (*FrontierFleetReport, error) {
 			// they depend only on the URL — not on claim interleaving.
 			clk := vclock.NewVirtual()
 			fetcher := newFetcher(clk)
-			for {
-				cl, state, err := client.Claim(ctx, worker)
-				if err != nil {
-					mu.Lock()
-					werrs = append(werrs, worker+": claim: "+err.Error())
-					mu.Unlock()
-					return
-				}
-				switch state {
-				case services.FrontierStateDrained:
-					return
-				case services.FrontierStateWait:
-					time.Sleep(2 * time.Millisecond)
-					continue
-				}
+			// One round trip per URL: each report brings the next claim.
+			op := "claim"
+			cl, state, err := client.Claim(ctx, worker)
+			for err == nil && state == services.FrontierStateClaimed {
 				mu.Lock()
 				fetched[cl.URL]++
 				mu.Unlock()
 				before := clk.Now()
 				resp, ferr := fetcher.Fetch(cl.URL)
 				if ferr != nil {
-					if err := client.Fail(ctx, cl.URL, worker, webbot.CodeFetchFailed, ferr.Error(), true); err != nil {
-						mu.Lock()
-						werrs = append(werrs, worker+": fail: "+err.Error())
-						mu.Unlock()
-						return
-					}
+					op = "fail"
+					cl, state, err = client.Fail(ctx, cl.URL, worker, webbot.CodeFetchFailed, ferr.Error(), true)
 					continue
 				}
-				rec := webbot.RecordFetch(resp, cl, clk.Now()-before)
-				if err := client.Complete(ctx, cl.URL, worker, rec); err != nil {
-					mu.Lock()
-					werrs = append(werrs, worker+": complete: "+err.Error())
-					mu.Unlock()
-					return
-				}
+				op = "complete"
+				cl, state, err = client.Complete(ctx, cl.URL, worker, webbot.RecordFetch(resp, cl, clk.Now()-before))
+			}
+			if err != nil {
+				mu.Lock()
+				werrs = append(werrs, worker+": "+op+": "+err.Error())
+				mu.Unlock()
 			}
 		}(i)
 	}
@@ -303,5 +291,6 @@ func RunFrontierFleet(cfg FrontierFleetConfig) (*FrontierFleetReport, error) {
 		return nil, fmt.Errorf("linkmine: aggregate replay: %w", err)
 	}
 	rep.Identical = reflect.DeepEqual(rep.Aggregate, rep.Serial)
+	rep.RPCs = mine.FW.Telemetry().Registry().Counter("fw.delivered", "host", "mine").Value()
 	return rep, nil
 }

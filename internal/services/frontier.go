@@ -1,8 +1,8 @@
 package services
 
 import (
-	"encoding/base64"
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -21,6 +21,13 @@ import (
 // worker after a lost reply, completions are idempotent — so clients
 // simply retry through crashes and drops.
 //
+// A fetcher's turn is one round trip: complete (or fail) answers with
+// the worker's next claim, committed in the same frontier transaction
+// as the completion. A request that finds no work is parked, not
+// answered "wait": the service answers it when work arrives or the
+// crawl drains. Parking is volatile — a crash forgets it, and the
+// worker's retry after its reply timeout asks again.
+//
 // Link admission is server-side: completions feed their records' links
 // back through the service's admit predicate, keeping the policy (and
 // the depth-lowering re-expansion it entails) in exactly one place.
@@ -29,10 +36,11 @@ import (
 const (
 	// FrontierClaim leases the next pending URL to the caller's worker id.
 	FrontierClaim = "claim"
-	// FrontierComplete marks a claimed URL done with its fetch record and
-	// enqueues the record's admissible links.
+	// FrontierComplete marks a claimed URL done with its fetch record,
+	// enqueues the record's admissible links and leases the next URL.
 	FrontierComplete = "complete"
-	// FrontierFail reports a fetch failure (retryable or terminal).
+	// FrontierFail reports a fetch failure (retryable or terminal) and
+	// leases the next URL.
 	FrontierFail = "fail"
 	// FrontierAdd seeds links directly (the coordinator's start URL).
 	FrontierAdd = "add"
@@ -48,12 +56,11 @@ const (
 	FolderFrWorker = "_FRWORKER"
 	// FolderFrURL is the operation's subject URL.
 	FolderFrURL = "_FRURL"
-	// FolderFrState is a claim reply's outcome: "claimed", "wait"
-	// (outstanding claims may still feed the queue), or "drained".
+	// FolderFrState is a claim reply's outcome: "claimed" or "drained".
 	FolderFrState = "_FRSTATE"
 	// FolderFrClaim carries a claim as "depth|attempts|referrer".
 	FolderFrClaim = "_FRCLAIM"
-	// FolderFrRecord carries one base64-encoded frontier.PageRecord.
+	// FolderFrRecord carries frontier.PageRecords, one Encode per element.
 	FolderFrRecord = "_FRRECORD"
 	// FolderFrPrior carries the previous cycle's record on a claim.
 	FolderFrPrior = "_FRPRIOR"
@@ -72,20 +79,13 @@ const (
 // Claim states in FolderFrState.
 const (
 	FrontierStateClaimed = "claimed"
-	FrontierStateWait    = "wait"
 	FrontierStateDrained = "drained"
 )
 
-func encodeRecord(rec *frontier.PageRecord) string {
-	return base64.StdEncoding.EncodeToString(rec.Encode())
-}
-
-func decodeRecordB64(s string) (*frontier.PageRecord, error) {
-	raw, err := base64.StdEncoding.DecodeString(s)
-	if err != nil {
-		return nil, err
-	}
-	return frontier.DecodeRecord(raw)
+// parkedClaim is a request owed a claim the frontier could not yet give.
+type parkedClaim struct {
+	worker string
+	req    *briefcase.Briefcase
 }
 
 // NewAgFrontier returns the ag_frontier handler serving fr. admit
@@ -94,34 +94,59 @@ func decodeRecordB64(s string) (*frontier.PageRecord, error) {
 // fetch it — the crawl's prefix and depth constraints, applied at the
 // single point every link flows through.
 func NewAgFrontier(fr *frontier.Frontier, admit func(url string, depth int) bool) vm.Handler {
-	enqueue := func(links []frontier.Link) error {
-		queue := links
-		for len(queue) > 0 {
-			var admitted []frontier.Link
-			for _, l := range queue {
-				if admit == nil || admit(l.URL, l.Depth) {
-					admitted = append(admitted, l)
-				}
-			}
-			queue = nil
-			if len(admitted) == 0 {
-				continue
-			}
-			_, lowered, err := fr.Add(admitted)
-			if err != nil {
-				return err
-			}
-			// A lowered done record re-expands: its links are now one
-			// step shallower and may newly pass admission.
-			for _, rec := range lowered {
-				for _, l := range rec.Links {
-					queue = append(queue, frontier.Link{URL: l.URL, Referrer: l.Referrer, Depth: rec.Depth + 1})
+	if admit == nil {
+		admit = func(string, int) bool { return true }
+	}
+	return func(ctx *agent.Context) error {
+		// At most one parked request per worker, oldest first: a worker
+		// that asks again has given up on its earlier request.
+		var parked []parkedClaim
+		unpark := func(worker string) {
+			for i, p := range parked {
+				if p.worker == worker {
+					parked = append(parked[:i], parked[i+1:]...)
+					return
 				}
 			}
 		}
-		return nil
-	}
-	return func(ctx *agent.Context) error {
+		// answer is the reply owed a worker whose next claim is cl: the
+		// claim, "drained", or nil while outstanding claims may still
+		// feed the queue.
+		answer := func(cl *frontier.Claim) *briefcase.Briefcase {
+			resp := briefcase.New()
+			switch {
+			case cl != nil:
+				setClaim(resp, cl)
+			case fr.Drained():
+				resp.SetString(FolderFrState, FrontierStateDrained)
+			default:
+				return nil
+			}
+			return resp
+		}
+		// next answers req, or parks it when there is no answer yet.
+		next := func(req *briefcase.Briefcase, worker string, cl *frontier.Claim) *briefcase.Briefcase {
+			resp := answer(cl)
+			if resp == nil {
+				parked = append(parked, parkedClaim{worker, req})
+			}
+			return resp
+		}
+		// serveParked runs after anything that can add work or drain the
+		// crawl, and answers parked requests, oldest first, until the
+		// work runs out.
+		serveParked := func() {
+			for len(parked) > 0 {
+				p := parked[0]
+				cl, _ := fr.Claim(p.worker)
+				resp := answer(cl)
+				if resp == nil {
+					return
+				}
+				parked = parked[1:]
+				_ = ctx.Reply(p.req, resp)
+			}
+		}
 		return serveLoop(ctx, func(req *briefcase.Briefcase) (*briefcase.Briefcase, error) {
 			op, _ := req.GetString(FolderOp)
 			resp := briefcase.New()
@@ -131,64 +156,45 @@ func NewAgFrontier(fr *frontier.Frontier, admit func(url string, depth int) bool
 				if !ok {
 					return nil, fmt.Errorf("ag_frontier: %w: claim without worker", ErrBadRequest)
 				}
-				cl, claimed := fr.Claim(worker)
-				switch {
-				case claimed:
-					resp.SetString(FolderFrState, FrontierStateClaimed)
-					resp.SetString(FolderFrURL, cl.URL)
-					resp.SetString(FolderFrClaim,
-						fmt.Sprintf("%d|%d|%s", cl.Depth, cl.Attempts, cl.Referrer))
-					if cl.Prior != nil {
-						resp.SetString(FolderFrPrior, encodeRecord(cl.Prior))
-					}
-				case fr.Drained():
-					resp.SetString(FolderFrState, FrontierStateDrained)
-				default:
-					resp.SetString(FolderFrState, FrontierStateWait)
-				}
+				unpark(worker)
+				cl, _ := fr.Claim(worker)
+				return next(req, worker, cl), nil
 			case FrontierComplete:
-				worker, _ := req.GetString(FolderFrWorker)
-				url, ok := req.GetString(FolderFrURL)
-				if !ok {
-					return nil, fmt.Errorf("ag_frontier: %w: complete without URL", ErrBadRequest)
+				worker, url, err := subject(req, op)
+				if err != nil {
+					return nil, err
 				}
-				enc, ok := req.GetString(FolderFrRecord)
-				if !ok {
-					return nil, fmt.Errorf("ag_frontier: %w: complete without record", ErrBadRequest)
-				}
-				rec, err := decodeRecordB64(enc)
+				rec, ok, err := recordIn(req, FolderFrRecord)
 				if err != nil {
 					return nil, fmt.Errorf("ag_frontier: %w: bad record: %v", ErrBadRequest, err)
 				}
-				// Feed links back before completing, so the frontier
-				// never reads drained while discovered work is in hand.
-				links := make([]frontier.Link, 0, len(rec.Links))
-				for _, l := range rec.Links {
-					links = append(links, frontier.Link{URL: l.URL, Referrer: l.Referrer, Depth: rec.Depth + 1})
-				}
-				if err := enqueue(links); err != nil {
-					return nil, err
-				}
-				if _, err := fr.Complete(url, worker, rec); err != nil {
-					return nil, err
-				}
-				resp.SetString("OK", url)
-			case FrontierFail:
-				worker, _ := req.GetString(FolderFrWorker)
-				url, ok := req.GetString(FolderFrURL)
 				if !ok {
-					return nil, fmt.Errorf("ag_frontier: %w: fail without URL", ErrBadRequest)
+					return nil, fmt.Errorf("ag_frontier: %w: complete without record", ErrBadRequest)
+				}
+				unpark(worker)
+				cl, err := fr.CompleteNext(url, worker, rec, admit)
+				if err != nil {
+					return nil, err
+				}
+				resp = next(req, worker, cl)
+				serveParked()
+				return resp, nil
+			case FrontierFail:
+				worker, url, err := subject(req, op)
+				if err != nil {
+					return nil, err
 				}
 				code, _ := req.GetString(FolderFrCode)
 				reason, _ := req.GetString(FolderFrReason)
 				retryable, _ := req.GetString(FolderFrRetryable)
-				requeued, err := fr.Fail(url, worker, code, reason, retryable == "1")
-				if err != nil {
+				unpark(worker)
+				if _, err := fr.Fail(url, worker, code, reason, retryable == "1"); err != nil {
 					return nil, err
 				}
-				if requeued {
-					resp.SetString("REQUEUED", url)
-				}
+				cl, _ := fr.Claim(worker)
+				resp = next(req, worker, cl)
+				serveParked()
+				return resp, nil
 			case FrontierAdd:
 				f, err := req.Folder(FolderFrLinks)
 				if err != nil {
@@ -200,16 +206,17 @@ func NewAgFrontier(fr *frontier.Frontier, admit func(url string, depth int) bool
 					if len(parts) != 3 {
 						return nil, fmt.Errorf("ag_frontier: %w: bad link row %q", ErrBadRequest, row)
 					}
-					var depth int
-					if _, err := fmt.Sscanf(parts[0], "%d", &depth); err != nil {
+					depth, err := strconv.Atoi(parts[0])
+					if err != nil || depth < 0 {
 						return nil, fmt.Errorf("ag_frontier: %w: bad depth in %q", ErrBadRequest, row)
 					}
 					links = append(links, frontier.Link{URL: parts[2], Referrer: parts[1], Depth: depth})
 				}
-				if err := enqueue(links); err != nil {
+				if err := fr.Offer(links, admit); err != nil {
 					return nil, err
 				}
-				resp.SetString("OK", fmt.Sprintf("%d", len(links)))
+				serveParked()
+				resp.SetString("OK", strconv.Itoa(len(links)))
 			case FrontierCounts:
 				c := fr.Counts()
 				resp.SetString(FolderFrCounts, fmt.Sprintf("%d|%d|%d|%d|%d|%d|%d",
@@ -218,7 +225,7 @@ func NewAgFrontier(fr *frontier.Frontier, admit func(url string, depth int) bool
 			case FrontierRecords:
 				f := resp.Ensure(FolderFrRecord)
 				for _, rec := range fr.Records() {
-					f.AppendString(encodeRecord(rec))
+					f.AppendAlias(rec.Encode())
 				}
 			default:
 				return nil, fmt.Errorf("ag_frontier: %w %q", ErrUnknownOp, op)
@@ -226,6 +233,77 @@ func NewAgFrontier(fr *frontier.Frontier, admit func(url string, depth int) bool
 			return resp, nil
 		})
 	}
+}
+
+// subject reads the worker and URL a complete or fail names.
+func subject(req *briefcase.Briefcase, op string) (worker, url string, err error) {
+	worker, ok := req.GetString(FolderFrWorker)
+	if !ok {
+		return "", "", fmt.Errorf("ag_frontier: %w: %s without worker", ErrBadRequest, op)
+	}
+	url, ok = req.GetString(FolderFrURL)
+	if !ok {
+		return "", "", fmt.Errorf("ag_frontier: %w: %s without URL", ErrBadRequest, op)
+	}
+	return worker, url, nil
+}
+
+// setClaim writes a claim reply.
+func setClaim(resp *briefcase.Briefcase, cl *frontier.Claim) {
+	resp.SetString(FolderFrState, FrontierStateClaimed)
+	resp.SetString(FolderFrURL, cl.URL)
+	resp.SetString(FolderFrClaim, strconv.Itoa(cl.Depth)+"|"+strconv.Itoa(cl.Attempts)+"|"+cl.Referrer)
+	if cl.Prior != nil {
+		resp.Ensure(FolderFrPrior).AppendAlias(cl.Prior.Encode())
+	}
+}
+
+// parseClaim reads a claim reply: the state, and for "claimed" the
+// claim. A reply that does not parse is an ErrBadRequest, never a claim
+// at depth 0.
+func parseClaim(resp *briefcase.Briefcase) (*frontier.Claim, string, error) {
+	state, _ := resp.GetString(FolderFrState)
+	switch state {
+	case FrontierStateDrained:
+		return nil, state, nil
+	case FrontierStateClaimed:
+	default:
+		return nil, "", fmt.Errorf("ag_frontier: %w: claim state %q", ErrBadRequest, state)
+	}
+	url, ok := resp.GetString(FolderFrURL)
+	if !ok {
+		return nil, "", fmt.Errorf("ag_frontier: %w: claim without URL", ErrBadRequest)
+	}
+	meta, _ := resp.GetString(FolderFrClaim)
+	parts := strings.SplitN(meta, "|", 3)
+	if len(parts) != 3 {
+		return nil, "", fmt.Errorf("ag_frontier: %w: claim metadata %q", ErrBadRequest, meta)
+	}
+	depth, derr := strconv.Atoi(parts[0])
+	attempts, aerr := strconv.Atoi(parts[1])
+	if derr != nil || aerr != nil || depth < 0 || attempts < 0 {
+		return nil, "", fmt.Errorf("ag_frontier: %w: claim metadata %q", ErrBadRequest, meta)
+	}
+	prior, _, err := recordIn(resp, FolderFrPrior)
+	if err != nil {
+		return nil, "", fmt.Errorf("ag_frontier: %w: bad prior record: %v", ErrBadRequest, err)
+	}
+	return &frontier.Claim{URL: url, Referrer: parts[2], Depth: depth, Attempts: attempts, Prior: prior}, state, nil
+}
+
+// recordIn decodes the record in folder's first element; ok is false
+// when the folder is absent.
+func recordIn(b *briefcase.Briefcase, folder string) (rec *frontier.PageRecord, ok bool, err error) {
+	f, ferr := b.Folder(folder)
+	if ferr != nil {
+		return nil, false, nil
+	}
+	raw, err := f.Element(0)
+	if err != nil {
+		return nil, true, err
+	}
+	rec, err = frontier.DecodeRecord(raw)
+	return rec, true, err
 }
 
 // FrontierClient drives a remote ag_frontier from a fetcher agent. All
@@ -284,52 +362,30 @@ func (c FrontierClient) call(ctx *agent.Context, req *briefcase.Briefcase) (*bri
 	return nil, fmt.Errorf("ag_frontier unreachable after %d attempts: %w", attempts, lastErr)
 }
 
-// Claim leases the next URL. The returned state is one of the
-// FrontierState* values; the claim is non-nil only for
-// FrontierStateClaimed.
+// Claim leases the next URL. The state is FrontierStateClaimed, with a
+// non-nil claim, or FrontierStateDrained: a claim that finds no work
+// waits at the service until work arrives or the crawl drains.
 func (c FrontierClient) Claim(ctx *agent.Context, worker string) (*frontier.Claim, string, error) {
 	req := briefcase.New()
 	req.SetString(FolderOp, FrontierClaim)
 	req.SetString(FolderFrWorker, worker)
-	resp, err := c.call(ctx, req)
-	if err != nil {
-		return nil, "", err
-	}
-	state, _ := resp.GetString(FolderFrState)
-	if state != FrontierStateClaimed {
-		return nil, state, nil
-	}
-	url, _ := resp.GetString(FolderFrURL)
-	cl := &frontier.Claim{URL: url}
-	if meta, ok := resp.GetString(FolderFrClaim); ok {
-		parts := strings.SplitN(meta, "|", 3)
-		if len(parts) == 3 {
-			fmt.Sscanf(parts[0], "%d", &cl.Depth)
-			fmt.Sscanf(parts[1], "%d", &cl.Attempts)
-			cl.Referrer = parts[2]
-		}
-	}
-	if enc, ok := resp.GetString(FolderFrPrior); ok {
-		if prior, err := decodeRecordB64(enc); err == nil {
-			cl.Prior = prior
-		}
-	}
-	return cl, state, nil
+	return c.next(ctx, req)
 }
 
-// Complete reports a fetch record for a claimed URL.
-func (c FrontierClient) Complete(ctx *agent.Context, url, worker string, rec *frontier.PageRecord) error {
+// Complete reports a fetch record for a claimed URL and returns the
+// worker's next claim, as Claim does.
+func (c FrontierClient) Complete(ctx *agent.Context, url, worker string, rec *frontier.PageRecord) (*frontier.Claim, string, error) {
 	req := briefcase.New()
 	req.SetString(FolderOp, FrontierComplete)
 	req.SetString(FolderFrWorker, worker)
 	req.SetString(FolderFrURL, url)
-	req.SetString(FolderFrRecord, encodeRecord(rec))
-	_, err := c.call(ctx, req)
-	return err
+	req.Ensure(FolderFrRecord).AppendAlias(rec.Encode())
+	return c.next(ctx, req)
 }
 
-// Fail reports a fetch failure for a claimed URL.
-func (c FrontierClient) Fail(ctx *agent.Context, url, worker, code, reason string, retryable bool) error {
+// Fail reports a fetch failure for a claimed URL and returns the
+// worker's next claim, as Claim does.
+func (c FrontierClient) Fail(ctx *agent.Context, url, worker, code, reason string, retryable bool) (*frontier.Claim, string, error) {
 	req := briefcase.New()
 	req.SetString(FolderOp, FrontierFail)
 	req.SetString(FolderFrWorker, worker)
@@ -339,8 +395,15 @@ func (c FrontierClient) Fail(ctx *agent.Context, url, worker, code, reason strin
 	if retryable {
 		req.SetString(FolderFrRetryable, "1")
 	}
-	_, err := c.call(ctx, req)
-	return err
+	return c.next(ctx, req)
+}
+
+func (c FrontierClient) next(ctx *agent.Context, req *briefcase.Briefcase) (*frontier.Claim, string, error) {
+	resp, err := c.call(ctx, req)
+	if err != nil {
+		return nil, "", err
+	}
+	return parseClaim(resp)
 }
 
 // Add seeds links into the frontier (subject to the service's admit
@@ -387,8 +450,8 @@ func (c FrontierClient) Records(ctx *agent.Context) ([]*frontier.PageRecord, err
 		return nil, nil
 	}
 	recs := make([]*frontier.PageRecord, 0, f.Len())
-	for _, enc := range f.Strings() {
-		rec, err := decodeRecordB64(enc)
+	for _, raw := range f.Bytes() {
+		rec, err := frontier.DecodeRecord(raw)
 		if err != nil {
 			return nil, fmt.Errorf("ag_frontier: bad record: %w", err)
 		}

@@ -228,33 +228,34 @@ func (r *Robot) acquire(ctx context.Context, ff websim.ForkableFetcher, fr *fron
 }
 
 // mine is one fetcher worker: claim, politeness wait, fetch (or HEAD
-// revalidation), feed parsed links back, complete. Each worker fetches
-// on a fork with a private clock so recorded costs are independent of
-// scheduling.
+// revalidation), then complete the claim, admitting its parsed links
+// and leasing the next claim in one frontier transaction. Each worker
+// fetches on a fork with a private clock so recorded costs are
+// independent of scheduling.
 func (r *Robot) mine(wid string, ff websim.ForkableFetcher, fr *frontier.Frontier,
 	rules *Robots, lim *frontier.Limiter, cfg config, effDepth int) error {
 	clk := vclock.NewVirtual()
 	fork := ff.Fork(clk)
 	header, _ := fork.(websim.HeadFetcher)
-	for {
-		cl, state := fr.ClaimWait(wid)
-		if state != frontier.WaitClaimed {
-			return nil // drained or closed
-		}
+	admit := func(url string, depth int) bool { return followable(url, depth, rules, &cfg, effDepth) }
+	cl, state := fr.ClaimWait(wid)
+	for state == frontier.WaitClaimed {
 		rec, err := fetchOne(cl, fork, header, clk, lim)
 		if err != nil {
 			if _, ferr := fr.Fail(cl.URL, wid, CodeFetchFailed, err.Error(), true); ferr != nil {
 				return ferr
 			}
+			cl, state = fr.ClaimWait(wid)
 			continue
 		}
-		if err := enqueue(rec, fr, rules, &cfg, effDepth); err != nil {
+		if cl, err = fr.CompleteNext(cl.URL, wid, rec, admit); err != nil {
 			return err
 		}
-		if _, err := fr.Complete(cl.URL, wid, rec); err != nil {
-			return err
+		if cl == nil {
+			cl, state = fr.ClaimWait(wid)
 		}
 	}
+	return nil // drained or closed
 }
 
 // fetchOne performs the network half of one claim on the worker's
@@ -315,34 +316,6 @@ func digestOfResponse(resp *websim.Response) string {
 		size, age = resp.Page.Size, resp.Page.AgeDays
 	}
 	return fmt.Sprintf("%d|%d|%d", resp.Status, size, age)
-}
-
-// enqueue feeds a completed record's followable links back into the
-// frontier (the parser stage). Records whose depth was lowered by a
-// rediscovery are re-expanded, mirroring the replay's best-depth
-// relaxation.
-func enqueue(rec *frontier.PageRecord, fr *frontier.Frontier, rules *Robots, cfg *config, effDepth int) error {
-	queue := []*frontier.PageRecord{rec}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		var links []frontier.Link
-		for _, l := range cur.Links {
-			if !followable(l.URL, cur.Depth+1, rules, cfg, effDepth) {
-				continue
-			}
-			links = append(links, frontier.Link{URL: l.URL, Referrer: l.Referrer, Depth: cur.Depth + 1})
-		}
-		if len(links) == 0 {
-			continue
-		}
-		_, lowered, err := fr.Add(links)
-		if err != nil {
-			return err
-		}
-		queue = append(queue, lowered...)
-	}
-	return nil
 }
 
 // replayPage caches one fetched page's links for re-expansion (nil
