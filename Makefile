@@ -40,9 +40,12 @@ check: vet build race
 # durable frontier service through message faults and a mid-crawl
 # frontier-host crash — zero URLs fetched twice, zero lost, aggregate
 # Stats byte-identical to the serial robot;
-# internal/chaostest/frontier_test.go), and the benchmark regression
-# gate (bench-check: fresh documents byte-compared with all six
-# committed BENCH_*.json baselines, which are never overwritten).
+# internal/chaostest/frontier_test.go), the allocation budgets without
+# the race detector (the exact pins, TestTCPMeetAllocBudget among them,
+# skip under it: sync.Pool drops Puts at random there), and the
+# benchmark regression gate (bench-check: fresh documents byte-compared
+# with all six committed BENCH_*.json baselines, which are never
+# overwritten).
 ci:
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
@@ -52,6 +55,7 @@ ci:
 	$(GO) test -race -timeout 300s -count=1 -run 'TestPolicyQuotaStarvation10k' ./internal/firewall/
 	$(GO) test -race -timeout 600s -count=1 -run 'TestDirectory' ./internal/chaostest/
 	$(GO) test -race -timeout 600s -count=1 -run 'TestFrontierChaos' ./internal/chaostest/
+	$(GO) test -count=1 -run 'Alloc' ./internal/...
 	$(GO) run ./cmd/taxbench -check
 
 # chaos runs the fault-injection layer under the race detector: the

@@ -68,8 +68,9 @@ func TestGroupCommitFsyncAmortization(t *testing.T) {
 
 // TestPathStageAllocs sanity-checks the per-stage allocation rows the
 // JSON records: a relay's whole inbound stage must cost less than one
-// lazy decode of the same frame (the header-only claim), and all four
-// stages must be present.
+// lazy decode of the same frame (the header-only claim), all four
+// stages must be present, and delivery and decode stay within their
+// budgets.
 func TestPathStageAllocs(t *testing.T) {
 	rows, err := hotpathPath()
 	if err != nil {
@@ -87,5 +88,13 @@ func TestPathStageAllocs(t *testing.T) {
 	if byStage["relay"] >= byStage["decode"] {
 		t.Errorf("relay stage allocates %.0f >= decode's %.0f: the relay cannot be header-only",
 			byStage["relay"], byStage["decode"])
+	}
+	// A decode is three structural allocations (briefcase, folder
+	// chunk, folder list) and one string per folder name; delivery adds
+	// routing and the mailbox hand-off.
+	for stage, budget := range map[string]float64{"deliver": 9, "decode": 6} {
+		if byStage[stage] > budget {
+			t.Errorf("%s stage allocates %.0f, budget %.0f", stage, byStage[stage], budget)
+		}
 	}
 }

@@ -18,7 +18,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 )
 
@@ -110,15 +110,25 @@ func (e Element) Clone() Element {
 }
 
 // Folder is an ordered list of elements with a name.
+//
+// A Folder lives in a slot of its briefcase's chunk (see Briefcase) and
+// must never be copied by value: elems may point at the folder's own
+// inline slot.
 type Folder struct {
 	name  string
 	elems []Element
+
+	// one is inline storage for a folder's first element. A folder that
+	// holds one element — every scalar field (_TARGET, _SENDER, _MSGID,
+	// BODY, ...) — points elems at it instead of allocating a slice;
+	// appending a second element moves elems to the heap as usual.
+	one [1]Element
 
 	// raw, when non-nil, is the folder's still-undecoded wire region:
 	// nraw elements as (uvarint length, bytes) pairs, already validated
 	// by Decode. It is parsed into elems on first access (load), with
 	// the elements aliasing the region instead of copying it; until
-	// then Len, Size, AppendTo and clone work directly on the region.
+	// then Len, Size, AppendTo and cloneInto work directly on the region.
 	raw  []byte
 	nraw int
 
@@ -126,6 +136,14 @@ type Folder struct {
 	// bumps it, and reading (load included) never does. A core stamp
 	// (core.go) records it to tell whether a covered folder changed.
 	gen uint64
+}
+
+// grow readies elems to take n more elements: an empty folder that is
+// to hold at most one starts on its inline slot.
+func (f *Folder) grow(n int) {
+	if cap(f.elems) == 0 && n <= 1 {
+		f.elems = f.one[:0]
+	}
 }
 
 // load materializes a lazily decoded folder. The region was fully
@@ -138,7 +156,11 @@ func (f *Folder) load() {
 	}
 	raw, n := f.raw, f.nraw
 	f.raw, f.nraw = nil, 0
-	f.elems = make([]Element, 0, n)
+	if n == 1 {
+		f.elems = f.one[:0]
+	} else {
+		f.elems = make([]Element, 0, n)
+	}
 	off := 0
 	for i := 0; i < n; i++ {
 		l, k := binary.Uvarint(raw[off:])
@@ -164,6 +186,7 @@ func (f *Folder) Len() int {
 func (f *Folder) Append(data ...[]byte) {
 	f.load()
 	f.gen++
+	f.grow(len(data))
 	for _, d := range data {
 		f.elems = append(f.elems, Element(d).Clone())
 	}
@@ -178,6 +201,7 @@ func (f *Folder) Append(data ...[]byte) {
 func (f *Folder) AppendAlias(data []byte) {
 	f.load()
 	f.gen++
+	f.grow(1)
 	f.elems = append(f.elems, Element(data))
 }
 
@@ -185,6 +209,7 @@ func (f *Folder) AppendAlias(data []byte) {
 func (f *Folder) AppendString(values ...string) {
 	f.load()
 	f.gen++
+	f.grow(len(values))
 	for _, v := range values {
 		f.elems = append(f.elems, Element(v))
 	}
@@ -198,6 +223,7 @@ func (f *Folder) Insert(i int, data []byte) error {
 		return fmt.Errorf("%w: insert at %d of %d", ErrNoElement, i, len(f.elems))
 	}
 	f.gen++
+	f.grow(1)
 	f.elems = append(f.elems, nil)
 	copy(f.elems[i+1:], f.elems[i:])
 	f.elems[i] = Element(data).Clone()
@@ -242,7 +268,7 @@ func (f *Folder) Pop() (Element, bool) {
 
 // Clear removes all elements.
 func (f *Folder) Clear() {
-	f.elems, f.raw, f.nraw = nil, nil, 0
+	f.elems, f.one, f.raw, f.nraw = nil, [1]Element{}, nil, 0
 	f.gen++
 }
 
@@ -285,24 +311,35 @@ func (f *Folder) Size() int {
 	return n
 }
 
-// clone returns a deep copy of the folder. An undecoded folder stays
-// undecoded: the wire region is immutable once set (every mutation
-// materializes first), so the clone can share it.
-func (f *Folder) clone() *Folder {
+// cloneInto makes c, a fresh slot, a deep copy of the folder. An
+// undecoded folder stays undecoded: the wire region is immutable once
+// set (every mutation materializes first), so the clone can share it.
+func (f *Folder) cloneInto(c *Folder) {
+	c.name = f.name
 	if f.raw != nil {
-		return &Folder{name: f.name, raw: f.raw, nraw: f.nraw}
+		c.raw, c.nraw = f.raw, f.nraw
+		return
 	}
-	c := &Folder{name: f.name, elems: make([]Element, len(f.elems))}
-	for i, e := range f.elems {
-		c.elems[i] = e.Clone()
+	c.grow(len(f.elems))
+	if cap(c.elems) < len(f.elems) {
+		c.elems = make([]Element, 0, len(f.elems))
 	}
-	return c
+	for _, e := range f.elems {
+		c.elems = append(c.elems, e.Clone())
+	}
 }
 
 // Briefcase is an associative array of folders. The zero value is not
 // usable; construct with New.
+//
+// The folders are one name-sorted slice, searched by bisection, and
+// they live in chunks of Folder values carved one slot at a time. A slot
+// is handed out once and never reused — Drop only unlinks it — so a
+// folder's address names that folder for as long as anything holds it,
+// which is what the core stamp's identity test (core.go) relies on.
 type Briefcase struct {
-	folders map[string]*Folder
+	list  []*Folder // sorted by name, names unique
+	spare []Folder  // the current chunk's slots not yet handed out
 
 	// stamp, when non-nil, is the record a core signature check left
 	// behind (core.go). It is in-memory only: never encoded, and not
@@ -310,17 +347,61 @@ type Briefcase struct {
 	stamp *coreStamp
 }
 
+// minChunk is the size of a briefcase's first chunk of folder slots.
+// A later chunk holds half as many slots as the briefcase has folders,
+// so one built folder by folder carves its slots from O(log n)
+// allocations, and a decoded briefcase that gains a folder or two (a
+// hop's _SENDER, _TARGET) does not pay for a second full copy of its
+// chunk.
+const minChunk = 4
+
 // New returns an empty briefcase.
-func New() *Briefcase {
-	return &Briefcase{folders: make(map[string]*Folder)}
+func New() *Briefcase { return &Briefcase{} }
+
+// find returns the index of the named folder in b.list and whether it is
+// there; when it is not, the index is where it would be inserted.
+func (b *Briefcase) find(name string) (int, bool) {
+	lo, hi := 0, len(b.list)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if b.list[m].name < name {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(b.list) && b.list[lo].name == name
+}
+
+// lookup returns the named folder, or nil.
+func (b *Briefcase) lookup(name string) *Folder {
+	if i, ok := b.find(name); ok {
+		return b.list[i]
+	}
+	return nil
+}
+
+// carve hands out a fresh folder slot named name, starting a new chunk
+// when the current one is used up, and makes room in b.list for every
+// slot of a new chunk. The folder is not linked into b.list.
+func (b *Briefcase) carve(name string) *Folder {
+	if len(b.spare) == 0 {
+		n := max(minChunk, len(b.list)/2)
+		b.spare = make([]Folder, n)
+		b.list = slices.Grow(b.list, n)
+	}
+	f := &b.spare[0]
+	b.spare = b.spare[1:]
+	f.name = name
+	return f
 }
 
 // Folder returns the named folder, or ErrNoFolder. This is the paper's
 // bcIndex primitive. The returned folder is live: mutations are visible in
 // the briefcase.
 func (b *Briefcase) Folder(name string) (*Folder, error) {
-	f, ok := b.folders[name]
-	if !ok {
+	f := b.lookup(name)
+	if f == nil {
 		return nil, fmt.Errorf("%w: %q", ErrNoFolder, name)
 	}
 	return f, nil
@@ -328,68 +409,77 @@ func (b *Briefcase) Folder(name string) (*Folder, error) {
 
 // Has reports whether the named folder exists.
 func (b *Briefcase) Has(name string) bool {
-	_, ok := b.folders[name]
+	_, ok := b.find(name)
 	return ok
 }
 
 // Ensure returns the named folder, creating it if absent.
 func (b *Briefcase) Ensure(name string) *Folder {
-	if f, ok := b.folders[name]; ok {
-		return f
+	i, ok := b.find(name)
+	if ok {
+		return b.list[i]
 	}
-	f := &Folder{name: name}
-	b.folders[name] = f
+	f := b.carve(name)
+	b.list = slices.Insert(b.list, i, f)
 	return f
 }
 
 // Drop removes the named folder entirely. Dropping state no longer needed
 // minimizes the volume of data transmitted when the agent moves. Dropping
-// an absent folder is a no-op.
-func (b *Briefcase) Drop(name string) { delete(b.folders, name) }
+// an absent folder is a no-op. A *Folder held across Drop stays valid
+// and keeps its elements; a later Ensure of the name is a new folder.
+func (b *Briefcase) Drop(name string) {
+	if i, ok := b.find(name); ok {
+		b.list = slices.Delete(b.list, i, i+1)
+	}
+}
 
 // Names returns the folder names in lexicographic order (the briefcase is
 // associative; a deterministic order is needed for the wire codec and for
 // stable iteration).
 func (b *Briefcase) Names() []string {
-	names := make([]string, 0, len(b.folders))
-	for n := range b.folders {
-		names = append(names, n)
+	names := make([]string, len(b.list))
+	for i, f := range b.list {
+		names[i] = f.name
 	}
-	sort.Strings(names)
 	return names
 }
 
 // Len returns the number of folders.
-func (b *Briefcase) Len() int { return len(b.folders) }
+func (b *Briefcase) Len() int { return len(b.list) }
 
 // Size returns the total payload size in bytes across all folders. The
 // wire encoding adds a small framing overhead on top of this.
 func (b *Briefcase) Size() int {
 	n := 0
-	for name, f := range b.folders {
-		n += len(name) + f.Size()
+	for _, f := range b.list {
+		n += len(f.name) + f.Size()
 	}
 	return n
 }
 
-// Clone returns a deep copy of the briefcase.
+// Clone returns a deep copy of the briefcase: one chunk and one list,
+// both exactly sized.
 func (b *Briefcase) Clone() *Briefcase {
-	c := New()
-	for name, f := range b.folders {
-		c.folders[name] = f.clone()
+	chunk := make([]Folder, len(b.list))
+	c := &Briefcase{list: make([]*Folder, len(b.list))}
+	for i, f := range b.list {
+		f.cloneInto(&chunk[i])
+		c.list[i] = &chunk[i]
 	}
 	return c
 }
 
 // Merge copies every folder of src into b. Folders present in both are
-// concatenated: src's elements are appended after b's.
+// concatenated: src's elements are appended after b's. b.Merge(b)
+// doubles every folder.
 func (b *Briefcase) Merge(src *Briefcase) {
-	for _, name := range src.Names() {
-		sf := src.folders[name]
+	for _, sf := range src.list {
 		sf.load()
-		df := b.Ensure(name)
+		df := b.Ensure(sf.name)
 		df.load()
 		df.gen++
+		df.grow(len(sf.elems))
 		for _, e := range sf.elems {
 			df.elems = append(df.elems, e.Clone())
 		}
@@ -398,12 +488,12 @@ func (b *Briefcase) Merge(src *Briefcase) {
 
 // Equal reports whether two briefcases have identical folders and elements.
 func (b *Briefcase) Equal(o *Briefcase) bool {
-	if len(b.folders) != len(o.folders) {
+	if len(b.list) != len(o.list) {
 		return false
 	}
-	for name, f := range b.folders {
-		of, ok := o.folders[name]
-		if !ok {
+	for i, f := range b.list {
+		of := o.list[i]
+		if f.name != of.name {
 			return false
 		}
 		// Two undecoded folders are equal iff their wire regions are:
@@ -435,14 +525,15 @@ func (b *Briefcase) SetString(folder, value string) {
 	f.gen++
 	f.raw, f.nraw = nil, 0
 	f.elems = f.elems[:0]
+	f.grow(1)
 	f.elems = append(f.elems, Element(value))
 }
 
 // GetString returns the first element of the named folder as a string.
 // It returns "" and false when the folder is absent or empty.
 func (b *Briefcase) GetString(folder string) (string, bool) {
-	f, ok := b.folders[folder]
-	if !ok {
+	f := b.lookup(folder)
+	if f == nil {
 		return "", false
 	}
 	f.load()
@@ -475,11 +566,11 @@ func (b *Briefcase) GetInt(folder string) (int64, bool) {
 // "bc{ARGS:2 HOSTS:3 (58B)}".
 func (b *Briefcase) String() string {
 	s := "bc{"
-	for i, name := range b.Names() {
+	for i, f := range b.list {
 		if i > 0 {
 			s += " "
 		}
-		s += name + ":" + strconv.Itoa(b.folders[name].Len())
+		s += f.name + ":" + strconv.Itoa(f.Len())
 	}
 	return s + " (" + strconv.Itoa(b.Size()) + "B)}"
 }

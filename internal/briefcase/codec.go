@@ -4,7 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 )
 
@@ -53,30 +54,17 @@ func (b *Briefcase) Encode() []byte {
 }
 
 // AppendTo appends the briefcase's wire encoding to dst and returns the
-// extended slice. A folder that is still an undecoded wire region is
+// extended slice. Folders are kept in name order, so this is one walk of
+// the folder list. A folder that is still an undecoded wire region is
 // copied verbatim — re-encoding a briefcase that was only routed, never
 // inspected, is a straight memcpy of its folder regions.
 func (b *Briefcase) AppendTo(dst []byte) []byte {
-	dst, _ = b.appendTo(dst, nil)
-	return dst
-}
-
-// appendTo is AppendTo with a reusable scratch slice for the sorted
-// folder names, so pooled encodes allocate nothing in steady state. The
-// (possibly grown) scratch is returned for the caller to keep.
-func (b *Briefcase) appendTo(dst []byte, scratch []string) ([]byte, []string) {
 	dst = append(dst, wireMagic[:]...)
 	dst = binary.AppendUvarint(dst, wireVersion)
-	names := scratch[:0]
-	for n := range b.folders {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	dst = binary.AppendUvarint(dst, uint64(len(names)))
-	for _, name := range names {
-		f := b.folders[name]
-		dst = binary.AppendUvarint(dst, uint64(len(name)))
-		dst = append(dst, name...)
+	dst = binary.AppendUvarint(dst, uint64(len(b.list)))
+	for _, f := range b.list {
+		dst = binary.AppendUvarint(dst, uint64(len(f.name)))
+		dst = append(dst, f.name...)
 		if f.raw != nil {
 			dst = binary.AppendUvarint(dst, uint64(f.nraw))
 			dst = append(dst, f.raw...)
@@ -88,15 +76,14 @@ func (b *Briefcase) appendTo(dst []byte, scratch []string) ([]byte, []string) {
 			dst = append(dst, e...)
 		}
 	}
-	return dst, names
+	return dst
 }
 
-// encodeBuf is one pooled encode context: the frame buffer, the sorted
-// folder-name scratch, and a release closure built once per pool item
-// so EncodePooled allocates nothing in steady state.
+// encodeBuf is one pooled encode context: the frame buffer and a
+// release closure built once per pool item so EncodePooled allocates
+// nothing in steady state.
 type encodeBuf struct {
 	buf     []byte
-	names   []string
 	release func()
 }
 
@@ -128,7 +115,7 @@ func (b *Briefcase) EncodePooled() (frame []byte, release func()) {
 	if cap(eb.buf) < need {
 		eb.buf = make([]byte, 0, need)
 	}
-	frame, eb.names = b.appendTo(eb.buf[:0], eb.names)
+	frame = b.AppendTo(eb.buf[:0])
 	eb.buf = frame[:0]
 	return frame, eb.release
 }
@@ -136,9 +123,9 @@ func (b *Briefcase) EncodePooled() (frame []byte, release func()) {
 // EncodedSize returns the exact length Encode will produce without
 // allocating the frame.
 func (b *Briefcase) EncodedSize() int {
-	n := len(wireMagic) + uvarintLen(wireVersion) + uvarintLen(uint64(len(b.folders)))
-	for name, f := range b.folders {
-		n += uvarintLen(uint64(len(name))) + len(name)
+	n := len(wireMagic) + uvarintLen(wireVersion) + uvarintLen(uint64(len(b.list)))
+	for _, f := range b.list {
+		n += uvarintLen(uint64(len(f.name))) + len(f.name)
 		if f.raw != nil {
 			n += uvarintLen(uint64(f.nraw)) + len(f.raw)
 			continue
@@ -194,46 +181,94 @@ func Decode(data []byte) (*Briefcase, error) {
 	if nfold > MaxFolders {
 		return nil, fmt.Errorf("%w: %d folders exceeds limit", ErrCorrupt, nfold)
 	}
-	b := New()
+	// One chunk and one list for every folder the frame claims — but a
+	// folder takes at least three bytes (name length, a name byte,
+	// element count), so a short frame cannot buy more slots than it
+	// could hold. Past the pre-size, carve grows geometrically.
+	n := min(nfold, uint64(len(data)-d.off)/3)
+	b := &Briefcase{list: make([]*Folder, 0, n), spare: make([]Folder, n)}
+	canonical, err := b.readFolders(&d, nfold)
+	if !canonical {
+		// Out of canonical order: sort once, then compare neighbours.
+		// A duplicate is reported as the reference decoder reports it:
+		// the first name repeated in wire order, ahead of anything
+		// wrong after it.
+		byName := slices.Clone(b.list)
+		slices.SortFunc(byName, func(x, y *Folder) int { return strings.Compare(x.name, y.name) })
+		for i := 1; i < len(byName); i++ {
+			if byName[i-1].name == byName[i].name {
+				return nil, firstDuplicate(b.list)
+			}
+		}
+		b.list = byName
+	}
+	if err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// readFolders reads nfold folders into b.list in wire order, validating
+// every element region and leaving it undecoded, and then requires the
+// frame to end. It reports whether the names arrived in the canonical,
+// strictly ascending order; the folders read before an error are in
+// b.list either way.
+func (b *Briefcase) readFolders(d *decoder, nfold uint64) (canonical bool, err error) {
+	canonical = true
 	for i := uint64(0); i < nfold; i++ {
 		nameLen, ok := d.uvarint()
 		if !ok || nameLen > MaxNameSize {
-			return nil, fmt.Errorf("%w: folder name length", ErrCorrupt)
+			return canonical, fmt.Errorf("%w: folder name length", ErrCorrupt)
 		}
 		name, ok := d.slice(int(nameLen))
 		if !ok {
-			return nil, fmt.Errorf("%w: short folder name", ErrCorrupt)
+			return canonical, fmt.Errorf("%w: short folder name", ErrCorrupt)
 		}
 		if len(name) == 0 {
-			return nil, fmt.Errorf("%w: empty folder name", ErrCorrupt)
+			return canonical, fmt.Errorf("%w: empty folder name", ErrCorrupt)
 		}
-		if b.Has(string(name)) {
-			return nil, fmt.Errorf("%w: duplicate folder %q", ErrCorrupt, name)
+		if k := len(b.list); k > 0 && b.list[k-1].name >= string(name) {
+			canonical = false
 		}
-		f := b.Ensure(string(name))
+		f := b.carve(string(name))
+		b.list = append(b.list, f)
 		nelem, ok := d.uvarint()
 		if !ok || nelem > MaxElements {
-			return nil, fmt.Errorf("%w: element count", ErrCorrupt)
+			return canonical, fmt.Errorf("%w: element count", ErrCorrupt)
 		}
 		start := d.off
 		for j := uint64(0); j < nelem; j++ {
 			elemLen, ok := d.uvarint()
 			if !ok || elemLen > MaxElementSize {
-				return nil, fmt.Errorf("%w: element length", ErrCorrupt)
+				return canonical, fmt.Errorf("%w: element length", ErrCorrupt)
 			}
 			if !d.skip(int(elemLen)) {
-				return nil, fmt.Errorf("%w: short element", ErrCorrupt)
+				return canonical, fmt.Errorf("%w: short element", ErrCorrupt)
 			}
 		}
 		if nelem > 0 {
-			f.raw = data[start:d.off:d.off]
+			f.raw = d.buf[start:d.off:d.off]
 			f.nraw = int(nelem)
 		}
 	}
 	if len(d.buf) != d.off {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(d.buf)-d.off)
+		return canonical, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(d.buf)-d.off)
 	}
-	return b, nil
+	return canonical, nil
+}
+
+// firstDuplicate returns the error for the first folder, in wire order,
+// whose name an earlier folder already took. It is called only on a
+// list known to hold a duplicate.
+func firstDuplicate(wire []*Folder) error {
+	seen := make(map[string]bool, len(wire))
+	for _, f := range wire {
+		if seen[f.name] {
+			return fmt.Errorf("%w: duplicate folder %q", ErrCorrupt, f.name)
+		}
+		seen[f.name] = true
+	}
+	panic("briefcase: firstDuplicate on a list without duplicates")
 }
 
 type decoder struct {

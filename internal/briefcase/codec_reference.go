@@ -18,13 +18,13 @@ import (
 // It produces exactly the same bytes as Encode.
 func ReferenceEncode(b *Briefcase) []byte {
 	// Pre-size: payload + a generous varint/name allowance.
-	buf := make([]byte, 0, b.Size()+32+16*len(b.folders))
+	buf := make([]byte, 0, b.Size()+32+16*b.Len())
 	buf = append(buf, wireMagic[:]...)
 	buf = binary.AppendUvarint(buf, wireVersion)
 	names := b.Names()
 	buf = binary.AppendUvarint(buf, uint64(len(names)))
 	for _, name := range names {
-		f := b.folders[name]
+		f := b.lookup(name)
 		f.load()
 		buf = binary.AppendUvarint(buf, uint64(len(name)))
 		buf = append(buf, name...)

@@ -35,7 +35,7 @@ func (b *Briefcase) CoreDigest() [CoreDigestSize]byte {
 	var present [len(coreFolders)]*Folder
 	n := 0
 	for i, name := range coreFolders {
-		if f, ok := b.folders[name]; ok {
+		if f := b.lookup(name); f != nil {
 			present[i] = f
 			n++
 		}
@@ -102,7 +102,7 @@ func (b *Briefcase) StampCore(digest [CoreDigestSize]byte, principal string) {
 	s := b.stamp
 	*s = coreStamp{digest: digest, principal: principal}
 	for i, name := range stampFolders {
-		if f, ok := b.folders[name]; ok {
+		if f := b.lookup(name); f != nil {
 			s.folders[i], s.gens[i] = f, f.gen
 		}
 	}
@@ -119,7 +119,7 @@ func (b *Briefcase) CoreStamp() (digest [CoreDigestSize]byte, principal string, 
 		return digest, "", false
 	}
 	for i, name := range stampFolders {
-		f := b.folders[name]
+		f := b.lookup(name)
 		if f != s.folders[i] || (f != nil && f.gen != s.gens[i]) {
 			return digest, "", false
 		}

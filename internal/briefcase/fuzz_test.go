@@ -44,6 +44,8 @@ func fuzzSeedFrames() [][]byte {
 		[]byte("TAXB\x7f\x00"),     // unsupported version
 		[]byte("TAXB\x01\xff\xff"), // folder-count varint runs off the end
 	)
+	// Well-formed but out of name order: accepted, re-encoded canonically.
+	frames = append(frames, outOfOrderFrame())
 	return frames
 }
 

@@ -251,8 +251,10 @@ func TestForwardPathStageAllocs(t *testing.T) {
 	if origin > 4 {
 		t.Errorf("origin stage allocates %.0f, budget 4", origin)
 	}
-	if deliver > 40 {
-		t.Errorf("deliver stage allocates %.0f, budget 40", deliver)
+	// One decode (briefcase, folder chunk, folder list, a string per
+	// folder name), routing, and the mailbox hand-off.
+	if deliver > 9 {
+		t.Errorf("deliver stage allocates %.0f, budget 9", deliver)
 	}
 }
 
