@@ -197,16 +197,20 @@ func (c *Context) ActivateDirectCtx(ctx context.Context, target string, payload 
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	tu, err := uri.Parse(target)
+	a, err := uri.ParseString(target)
 	if err != nil {
 		return fmt.Errorf("agent: activate: %w", err)
 	}
-	payload.SetString(briefcase.FolderSysTarget, target)
+	// An interned target's bytes are the table's own and immutable, so
+	// _TARGET aliases them; any other is copied, as SetString would.
+	f := payload.Ensure(briefcase.FolderSysTarget)
+	f.Clear()
+	f.AppendAlias(a.Bytes())
 	c.propagateTrace(payload)
 	// §3.3: virtual machines may resolve internal communication without
 	// involving the firewall. Fully qualified URIs naming this host are
 	// just as local as bare ones.
-	if c.local != nil && (tu.IsLocal() || tu.Host == c.fw.HostName()) {
+	if tu := a.URI; c.local != nil && (tu.IsLocal() || tu.Host == c.fw.HostName()) {
 		if r := c.local(tu, c.Principal()); r != nil {
 			payload.SetString(briefcase.FolderSysSender, c.URI().String())
 			return r.Inject(payload)
@@ -232,22 +236,29 @@ func (c *Context) AwaitCtx(ctx context.Context, timeout time.Duration) (*briefca
 		c.backlog = c.backlog[1:]
 		return bc, nil
 	}
-	return c.receive(ctx, timeout)
+	return c.receive(ctx, deadlineAfter(timeout))
+}
+
+// deadlineAfter is the instant a wait of timeout starting now ends: the
+// zero time, meaning none, when timeout is not positive. A wait reads
+// the clock for its deadline once, here, and every receive under it
+// measures against the same instant.
+func deadlineAfter(timeout time.Duration) time.Time {
+	if timeout <= 0 {
+		return time.Time{}
+	}
+	return time.Now().Add(timeout)
 }
 
 // receive takes one briefcase from the mailbox, running the wrapper
-// receive hook; consumed briefcases do not count against the caller —
-// it keeps waiting within the same timeout budget.
-func (c *Context) receive(ctx context.Context, timeout time.Duration) (*briefcase.Briefcase, error) {
-	var deadline time.Time
-	if timeout > 0 {
-		deadline = time.Now().Add(timeout)
-	}
+// receive hook, before deadline (the zero time waits forever); consumed
+// briefcases do not count against the caller — it keeps waiting for the
+// same deadline.
+func (c *Context) receive(ctx context.Context, deadline time.Time) (*briefcase.Briefcase, error) {
 	for {
 		remain := time.Duration(0)
-		if timeout > 0 {
-			remain = time.Until(deadline)
-			if remain <= 0 {
+		if !deadline.IsZero() {
+			if remain = time.Until(deadline); remain <= 0 {
 				return nil, fmt.Errorf("agent: %w", firewall.ErrRecvTimeout)
 			}
 		}
@@ -320,10 +331,14 @@ func (c *Context) MeetDirectCtx(ctx context.Context, target string, payload *bri
 // response is routed to the request's authenticated sender and correlated
 // with its message id.
 func (c *Context) Reply(request, response *briefcase.Briefcase) error {
-	sender, ok := request.GetString(briefcase.FolderSysSender)
+	raw, ok := request.Peek(briefcase.FolderSysSender)
 	if !ok {
 		return errors.New("agent: reply: request has no sender")
 	}
+	// Read in place and interned: a sender that writes again costs no
+	// copy. A sender that does not parse is passed on as written, for
+	// Activate to refuse.
+	sender, _ := uri.ParseBytes(raw)
 	if id, ok := request.GetString(firewall.FolderMsgID); ok {
 		response.SetString(firewall.FolderReplyTo, id)
 	}
@@ -334,28 +349,22 @@ func (c *Context) Reply(request, response *briefcase.Briefcase) error {
 			response.SetString(briefcase.FolderSysRetry, pol)
 		}
 	}
-	return c.Activate(sender, response)
+	return c.Activate(sender.Text, response)
 }
 
-// awaitReply receives until a briefcase with _REPLYTO == id arrives.
+// awaitReply receives until a briefcase with _REPLYTO == id arrives, for
+// at most timeout: unrelated briefcases go to the backlog and do not
+// extend the wait.
 func (c *Context) awaitReply(ctx context.Context, id string, timeout time.Duration) (*briefcase.Briefcase, error) {
-	var deadline time.Time
-	if timeout > 0 {
-		deadline = time.Now().Add(timeout)
-	}
+	deadline := deadlineAfter(timeout)
 	for {
-		remain := time.Duration(0)
-		if timeout > 0 {
-			remain = time.Until(deadline)
-			if remain <= 0 {
-				return nil, fmt.Errorf("agent: meet: %w", firewall.ErrRecvTimeout)
-			}
-		}
-		bc, err := c.receive(ctx, remain)
-		if err != nil {
+		bc, err := c.receive(ctx, deadline)
+		if errors.Is(err, firewall.ErrRecvTimeout) {
+			return nil, fmt.Errorf("agent: meet: %w", firewall.ErrRecvTimeout)
+		} else if err != nil {
 			return nil, err
 		}
-		if got, ok := bc.GetString(firewall.FolderReplyTo); ok && got == id {
+		if got, ok := bc.Peek(firewall.FolderReplyTo); ok && string(got) == id {
 			if firewall.Kind(bc) == firewall.KindError {
 				// The reply carries the failure as _ERROR/_ERRCODE folders;
 				// surface it as a wrapped RemoteError so callers can use

@@ -163,6 +163,66 @@ func TestMeetTimeout(t *testing.T) {
 	}
 }
 
+// TestMeetTimeoutWithBacklog: unrelated briefcases arriving all through
+// a Meet go to the backlog without pushing its deadline out. The call
+// times out on time, and every one of them is still there for Await.
+func TestMeetTimeoutWithBacklog(t *testing.T) {
+	f := newFixture(t)
+	caller := f.ctx(t, "caller")
+	_ = f.ctx(t, "mute") // never replies
+	noise := f.ctx(t, "noise")
+	const timeout = 300 * time.Millisecond
+	stop, sent := make(chan struct{}), make(chan int, 1)
+	go func() {
+		n := 0
+		defer func() { sent <- n }()
+		tick := time.NewTicker(5 * time.Millisecond)
+		defer tick.Stop()
+		// Bounded, so a Meet whose deadline moves with each arrival
+		// fails the test instead of hanging it.
+		quit := time.After(10 * timeout)
+		for {
+			select {
+			case <-stop:
+				return
+			case <-quit:
+				return
+			case <-tick.C:
+			}
+			bc := briefcase.New()
+			bc.SetString("BODY", "noise")
+			if err := noise.Activate("system/caller", bc); err != nil {
+				t.Error(err)
+				return
+			}
+			n++
+		}
+	}()
+	start := time.Now()
+	_, err := caller.Meet("system/mute", briefcase.New(), timeout)
+	took := time.Since(start)
+	close(stop)
+	n := <-sent
+	if !errors.Is(err, firewall.ErrRecvTimeout) {
+		t.Fatalf("err = %v, want ErrRecvTimeout", err)
+	}
+	if took < timeout || took > timeout+500*time.Millisecond {
+		t.Errorf("a %v Meet timed out after %v", timeout, took)
+	}
+	if n < 10 {
+		t.Fatalf("only %d unrelated briefcases arrived during the Meet", n)
+	}
+	got := 0
+	for ; ; got++ {
+		if _, err := caller.Await(100 * time.Millisecond); err != nil {
+			break
+		}
+	}
+	if got != n {
+		t.Errorf("Await returned %d of the %d unrelated briefcases", got, n)
+	}
+}
+
 func TestMeetRemoteErrorSurfaced(t *testing.T) {
 	f := newFixture(t)
 	caller := f.ctx(t, "caller")

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"tax/internal/briefcase"
+	"tax/internal/firewall"
 )
 
 // §4 lists "combinations of streamed, group and/or location independent
@@ -156,20 +157,12 @@ func (c *Context) ReceiveStream(streamID string, timeout time.Duration) ([]byte,
 // ReceiveStreamCtx is ReceiveStream with cancellation.
 func (c *Context) ReceiveStreamCtx(ctx context.Context, streamID string, timeout time.Duration) ([]byte, error) {
 	buf := NewStreamBuffer(streamID)
-	var deadline time.Time
-	if timeout > 0 {
-		deadline = time.Now().Add(timeout)
-	}
+	deadline := deadlineAfter(timeout)
 	for {
-		remain := time.Duration(0)
-		if timeout > 0 {
-			remain = time.Until(deadline)
-			if remain <= 0 {
-				return nil, fmt.Errorf("agent: stream %s: timeout", streamID)
-			}
-		}
-		bc, err := c.receive(ctx, remain)
-		if err != nil {
+		bc, err := c.receive(ctx, deadline)
+		if errors.Is(err, firewall.ErrRecvTimeout) {
+			return nil, fmt.Errorf("agent: stream %s: %w", streamID, firewall.ErrRecvTimeout)
+		} else if err != nil {
 			return nil, err
 		}
 		mine, done, err := buf.Feed(bc)

@@ -532,15 +532,27 @@ func (b *Briefcase) SetString(folder, value string) {
 // GetString returns the first element of the named folder as a string.
 // It returns "" and false when the folder is absent or empty.
 func (b *Briefcase) GetString(folder string) (string, bool) {
+	e, ok := b.Peek(folder)
+	return string(e), ok
+}
+
+// Peek is GetString without the copy: the first element of the named
+// folder as the briefcase holds it, aliasing the briefcase and, for a
+// decoded one, its frame. The bytes must not be modified. Elements are
+// never written in place, so they stay valid after the folder changes;
+// a caller that keeps what it read copies it (or interns it, as the
+// firewall does with addresses), so a small string does not pin a
+// whole frame.
+func (b *Briefcase) Peek(folder string) ([]byte, bool) {
 	f := b.lookup(folder)
 	if f == nil {
-		return "", false
+		return nil, false
 	}
 	f.load()
 	if len(f.elems) == 0 {
-		return "", false
+		return nil, false
 	}
-	return string(f.elems[0]), true
+	return f.elems[0], true
 }
 
 // SetInt replaces the named folder's contents with one decimal element.

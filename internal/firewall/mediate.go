@@ -67,7 +67,7 @@ type mediation struct {
 	bc        *briefcase.Briefcase // nil for a relayed frame, and once a receiver owns it
 	principal string               // whom the gate judges and the audit log names
 
-	targetStr  string // _TARGET as written
+	targetStr  string // _TARGET as written, interned: it never aliases a frame
 	target     uri.URI
 	addressed  bool
 	local      bool
@@ -134,14 +134,17 @@ func (c *handoffClock) Now() time.Duration {
 	return c.Clock.Now()
 }
 
-// header reads a single-string envelope folder from whichever form the
-// unit is in: the decoded briefcase, or the wire bytes of a frame that
-// has not been (and, relayed, never will be) decoded.
-func (m *mediation) header(name string) (string, bool) {
+// header reads a single-element envelope folder in place from whichever
+// form the unit is in: the decoded briefcase, or the wire bytes of a
+// frame that has not been (and, relayed, never will be) decoded. The
+// bytes alias the unit; what outlives the mediation is interned or
+// copied from them.
+func (m *mediation) header(name string) ([]byte, bool) {
 	if m.bc != nil {
-		return m.bc.GetString(name)
+		return m.bc.Peek(name)
 	}
-	return briefcase.PeekString(m.inner, name)
+	e, err := briefcase.Peek(m.inner, name)
+	return e, err == nil
 }
 
 // verdict classes an outcome. Each terminal verdict owns one counter
@@ -255,8 +258,11 @@ func (fw *Firewall) admitSend(m *mediation) bool {
 	}
 	if reg != nil && reg.GlobalURI() == m.sender {
 		// The usual sender: a registration speaking under its own global
-		// URI, which is rendered once per registration, not per message.
-		m.bc.SetString(briefcase.FolderSysSender, reg.senderStamp())
+		// URI, which is rendered once per registration and aliased by
+		// every message it sends.
+		f := m.bc.Ensure(briefcase.FolderSysSender)
+		f.Clear()
+		f.AppendAlias(reg.senderStamp())
 	} else {
 		m.bc.SetString(briefcase.FolderSysSender, m.sender.String())
 	}
@@ -342,18 +348,19 @@ func (fw *Firewall) peek(m *mediation, frame []byte) (sealed, elsewhere bool) {
 func (fw *Firewall) address(m *mediation) bool {
 	frame := m.origin == originFrame
 	if m.origin != originHeld {
-		var ok bool
-		var err error
-		if m.targetStr, ok = m.header(briefcase.FolderSysTarget); !ok && frame {
+		raw, ok := m.header(briefcase.FolderSysTarget)
+		if !ok && frame {
 			return m.stop(vDropped, "inbound briefcase has no target", nil)
 		} else if !ok {
 			return m.stop(vFailed, "briefcase has no target", ErrNoTarget)
 		}
-		if m.target, err = uri.Parse(m.targetStr); err != nil && frame {
+		a, err := uri.ParseBytes(raw)
+		m.targetStr, m.target = a.Text, a.URI
+		if err != nil {
 			m.out.target = m.targetStr
-			return m.stop(vDropped, "target not on this host", nil)
-		} else if err != nil {
-			m.out.target = m.targetStr
+			if frame {
+				return m.stop(vDropped, "bad target: "+err.Error(), nil)
+			}
 			return m.stop(vFailed, "bad target: "+err.Error(), fmt.Errorf("firewall: bad target: %w", err))
 		}
 	}
@@ -557,7 +564,7 @@ func (fw *Firewall) forward(ctx context.Context, m *mediation) {
 	if batched {
 		// Agent transfers flush inline so Go/Spawn keep synchronous errors.
 		kind, _ := m.header(FolderKind)
-		err = fw.batch.enqueue(m.addr, frame, kind == KindTransfer)
+		err = fw.batch.enqueue(m.addr, frame, string(kind) == KindTransfer)
 		m.tsp.SetAttr("batched", "true")
 	} else if attempts, err = fw.transmit(ctx, m, frame, rp, label); attempts > 1 {
 		m.tsp.SetAttr("attempts", strconv.Itoa(attempts))
@@ -708,11 +715,12 @@ func (fw *Firewall) span(m *mediation, name string) *telemetry.Span {
 	return spans.Start(m.clk, fw.cfg.HostName, trace, parent, name)
 }
 
-// replyTo parses a briefcase's _SENDER as the address for a reply; ok is
-// false when it names nobody a reply could reach.
+// replyTo parses a briefcase's _SENDER, read in place, as the address
+// for a reply; ok is false when it names nobody a reply could reach.
 func replyTo(bc *briefcase.Briefcase) (uri.URI, bool) {
-	s, _ := bc.GetString(briefcase.FolderSysSender)
-	sender, err := uri.Parse(s)
+	s, _ := bc.Peek(briefcase.FolderSysSender)
+	a, err := uri.ParseBytes(s)
+	sender := a.URI
 	return sender, err == nil && (sender.Name != "" || sender.HasInstance || sender.Principal != "")
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"runtime"
 	"runtime/debug"
+	"strconv"
 	"testing"
 	"time"
 
@@ -242,19 +243,58 @@ func TestForwardPathStageAllocs(t *testing.T) {
 	// Ceilings, not exact pins: the exact values are recorded (and
 	// double-run-verified) in BENCH_hotpath.json. A relay is the hot
 	// multiplier — every extra hop pays it — so its budget is the tight
-	// one.
-	if relay > 2 {
-		t.Errorf("relay stage allocates %.0f, budget 2: header-only forwarding regressed", relay)
+	// one: its peek reads _TARGET in place and the intern table parses
+	// it, so it allocates nothing.
+	if relay > 0 {
+		t.Errorf("relay stage allocates %.0f, budget 0: header-only forwarding regressed", relay)
 	}
-	// 3, and one more under the race detector, where sync.Pool drops
-	// encode buffers at random.
-	if origin > 4 {
-		t.Errorf("origin stage allocates %.0f, budget 4", origin)
+	// The link copy, and one more under the race detector, where
+	// sync.Pool drops encode buffers at random: _SENDER aliases the
+	// registration's stamp and _TARGET is read in place.
+	if origin > 2 {
+		t.Errorf("origin stage allocates %.0f, budget 2", origin)
 	}
 	// One decode (briefcase, folder chunk, folder list, a string per
-	// folder name), routing, and the mailbox hand-off.
-	if deliver > 9 {
-		t.Errorf("deliver stage allocates %.0f, budget 9", deliver)
+	// folder name), routing, and the mailbox hand-off. _TARGET and
+	// _SENDER are interned, not copied.
+	if deliver > 7 {
+		t.Errorf("deliver stage allocates %.0f, budget 7", deliver)
+	}
+}
+
+// TestFreshSenderDeliverAllocs pins the intern table's admission rule:
+// a stream of frames whose _SENDER is never seen twice, like a touring
+// agent's new instance at every hop, costs no more per delivery than
+// before addresses were interned — 9, the deliver stage's count when
+// every read of _SENDER and _TARGET copied. Admitting on first sighting
+// would cost each such frame an entry.
+func TestFreshSenderDeliverAllocs(t *testing.T) {
+	ch := newPathChain(t, nil)
+	const runs = 200
+	frames := make([][]byte, runs+1) // AllocsPerRun calls once more to warm up
+	for i := range frames {
+		bc := pathBriefcase()
+		bc.SetString(briefcase.FolderSysSender, "tacoma://a/system/src:"+strconv.FormatInt(int64(1e6+i), 16))
+		frames[i] = bc.Encode()
+	}
+	for range 2 { // _TARGET is a hot address, admitted before the count
+		ch.fws["d"].cfg.Node.(*pathNode).handler("c", pathBriefcase().Encode())
+		if _, ok := ch.dst.TryRecv(); !ok {
+			t.Fatal("warm-up produced no delivery")
+		}
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	i := 0
+	fresh := testing.AllocsPerRun(runs, func() {
+		ch.fws["d"].cfg.Node.(*pathNode).handler("c", frames[i])
+		i++
+		if _, ok := ch.dst.TryRecv(); !ok {
+			t.Fatal("no delivery")
+		}
+	})
+	t.Logf("deliver with a never-seen sender: %.2f allocs", fresh)
+	if fresh > 9 {
+		t.Errorf("a never-seen sender costs %.2f allocations a delivery, budget 9", fresh)
 	}
 }
 

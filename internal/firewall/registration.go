@@ -62,7 +62,7 @@ type Registration struct {
 	mailbox chan *briefcase.Briefcase
 
 	mu           sync.Mutex
-	sender       string // GlobalURI().String(), rendered by the first send
+	sender       []byte // GlobalURI().String(), rendered by the first send; immutable
 	state        State
 	resumed      chan struct{} // closed on resume; replaced on stop
 	killed       chan struct{}
@@ -80,12 +80,15 @@ func (r *Registration) GlobalURI() uri.URI {
 
 // senderStamp is the registration's _SENDER value. A registration's URI
 // never changes, so it is rendered once, by the first send: one that
-// only ever receives pays nothing.
-func (r *Registration) senderStamp() string {
+// only ever receives pays nothing. The bytes are never written again,
+// so every send's _SENDER aliases them (Folder.AppendAlias). They stay
+// out of the address intern table: a registration that sends once, like
+// a touring agent's instance at each hop, must not spend a sighting.
+func (r *Registration) senderStamp() []byte {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.sender == "" {
-		r.sender = r.GlobalURI().String()
+	if r.sender == nil {
+		r.sender = []byte(r.GlobalURI().String())
 	}
 	return r.sender
 }

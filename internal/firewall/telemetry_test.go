@@ -7,6 +7,7 @@ import (
 
 	"tax/internal/briefcase"
 	"tax/internal/telemetry"
+	"tax/internal/uri"
 )
 
 // telFixture is a fixture whose firewalls share one full-collection
@@ -115,6 +116,29 @@ func TestAuditEventsParkExpireDeliver(t *testing.T) {
 		if e.Type == telemetry.EventExpire && !strings.Contains(e.Target, "nobody") {
 			t.Errorf("expire event target = %q", e.Target)
 		}
+	}
+}
+
+// TestInboundBadTargetCause: a frame whose _TARGET does not parse is
+// dropped with the parse error as its cause, the cause a local send of
+// the same target fails with, not as a target on another host.
+func TestInboundBadTargetCause(t *testing.T) {
+	f, tel := telFixture(t, "h1")
+	fw := f.sites["h1"].fw
+	const bad = "tacoma://h1:99999/alice/dst"
+	_, perr := uri.Parse(bad)
+	if perr == nil {
+		t.Fatal("the bad target parses")
+	}
+	fw.handleInbound("h2", frame("alice", bad))
+	var drops []telemetry.Event
+	for _, e := range tel.Events().Snapshot() {
+		if e.Type == telemetry.EventDrop {
+			drops = append(drops, e)
+		}
+	}
+	if want := "bad target: " + perr.Error(); len(drops) != 1 || drops[0].Cause != want || drops[0].Target != bad {
+		t.Fatalf("drop events %+v, want one with cause %q and target %q", drops, want, bad)
 	}
 }
 

@@ -11,6 +11,20 @@ func BenchmarkParseFull(b *testing.B) {
 	}
 }
 
+// BenchmarkParseBytesHit is BenchmarkParseFull's address read from bytes
+// once the intern table holds it.
+func BenchmarkParseBytesHit(b *testing.B) {
+	addr := []byte("tacoma://cl2.cs.uit.no:27017/tacoma@cl2/vm_c:933821661")
+	_, _ = ParseBytes(addr)
+	_, _ = ParseBytes(addr)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := ParseBytes(addr); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkParseLocal(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
