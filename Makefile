@@ -4,7 +4,7 @@ GO ?= go
 # chaos stress tests drive (internal/chaostest/parallel_test.go).
 CHAOS_PARALLEL ?= 16
 
-.PHONY: all build vet test race check ci chaos frontier-sweep fuzz-short policy-fuzz bench bench-check obsv-demo loc clean
+.PHONY: all build vet test race check ci chaos determinism frontier-sweep fuzz-short policy-fuzz bench bench-check obsv-demo loc clean
 
 all: check
 
@@ -74,6 +74,16 @@ chaos:
 	$(GO) test -race -timeout 120s -count=1 -run 'Partition|Crash|Injector|TransferTime|TCP' ./internal/simnet/
 	$(GO) test -race -timeout 120s -count=1 -run 'Retry|Forward|Dedup|Expiry|Pending|Park|Batch|Relay' ./internal/firewall/
 	$(GO) test -race -timeout 120s -count=1 -run 'Prop' ./internal/briefcase/
+
+# determinism runs the two same-seed tests a hundred times each under the
+# race detector at 1, 2 and 8 Ps: two runs of seed 42 must journal the
+# same fault log (TestChaosDeterministicFaultLog) and merge the same
+# cross-host timeline, every span and audit stamp included
+# (TestObservabilityTimelineDeterministic). A clock read that a
+# concurrent delivery can move shows up here as a rare diff, so one run
+# proves nothing; the sweep is the test.
+determinism:
+	$(GO) test -race -timeout 3600s -count=100 -cpu 1,2,8 -run '^(TestChaosDeterministicFaultLog|TestObservabilityTimelineDeterministic)$$' ./internal/chaostest/
 
 # frontier-sweep runs two thousand eight-agent fleet crawls at depth 4,
 # where admission cuts the site (internal/linkmine/frontier_test.go,

@@ -74,7 +74,7 @@ func main() {
 	fleetN := flag.Int("fleet", 1, "with -launch: number of agent copies to launch through the fleet scheduler")
 	workers := flag.Int("workers", 4, "with -fleet: concurrent launch bound (fleet pool width)")
 	fsyncCost := flag.Duration("fsync-cost", cabinet.DefaultSyncLatency, "modeled fsync latency of the node's file cabinet (slept for on a live node)")
-	snapEvery := flag.Int("snapshot-every", cabinet.DefaultSnapshotEvery, "cabinet transactions between WAL compactions (negative disables snapshots)")
+	snapEvery := flag.Int("snapshot-every", 0, "cabinet transactions between WAL compactions (0 compacts once the WAL since the last snapshot outweighs the table; negative disables snapshots)")
 	batchFrames := flag.Int("batch", 0, "coalesce up to N outbound same-destination frames per network transfer (0 disables batching)")
 	policyFile := flag.String("policy", "", "policy ruleset file: default-deny mediation rules + per-principal quotas (hot-reload with 'taxctl policyload')")
 	dirPlane := flag.String("dir", "", "comma-separated host:port membership of the leased directory plane; must include this node's address (enrolls an ag_nsd shard, inspect with 'taxctl dir')")

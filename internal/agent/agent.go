@@ -87,12 +87,19 @@ type Context struct {
 	// finalizer runs when the hosting VM reaps the agent (see Finish);
 	// wrappers use it for end-of-life work such as pruning checkpoints.
 	finalizer func(err error)
+
+	// leaving is set while Go moves the agent; left is the instant its
+	// transfer left this host's monitor (firewall.SendAt), negative
+	// until it has. Only sends made while leaving write left: other
+	// goroutines may send on the same context (ag_cron's ticker).
+	leaving bool
+	left    time.Duration
 }
 
 // NewContext binds an agent to its briefcase and registration. mover and
 // local may be nil (stationary agent, no bypass).
 func NewContext(fw *firewall.Firewall, reg *firewall.Registration, bc *briefcase.Briefcase, mover Mover, local LocalResolver) *Context {
-	return &Context{fw: fw, reg: reg, bc: bc, mover: mover, local: local}
+	return &Context{fw: fw, reg: reg, bc: bc, mover: mover, local: local, left: -1}
 }
 
 // Briefcase returns the agent's own briefcase. The agent always has
@@ -216,7 +223,14 @@ func (c *Context) ActivateDirectCtx(ctx context.Context, target string, payload 
 			return r.Inject(payload)
 		}
 	}
-	return c.fw.SendCtx(ctx, c.URI(), payload)
+	if !c.leaving {
+		return c.fw.SendCtx(ctx, c.URI(), payload)
+	}
+	at, err := c.fw.SendAt(ctx, c.URI(), payload)
+	if err == nil {
+		c.left = at
+	}
+	return err
 }
 
 // Await blocks until a briefcase arrives (the paper's await()). A zero
@@ -402,13 +416,31 @@ func (c *Context) Go(dest string) error {
 	if sp != nil {
 		c.bc.SetString(briefcase.FolderSysSpan, sp.ID())
 	}
-	if _, err := c.mover.Move(c, du, false); err != nil {
+	c.leaving, c.left = true, -1
+	_, err = c.mover.Move(c, du, false)
+	c.leaving = false
+	if err != nil {
 		sp.SetErr(err)
 		sp.End()
 		return fmt.Errorf("agent: go %s: %w", dest, err)
 	}
-	sp.End()
+	if at, ok := c.Departure(); ok {
+		// The hop ends when the transfer left, not when Move returned:
+		// a delivery to this host may have advanced the clock since.
+		sp.EndAt(at)
+	} else {
+		sp.End()
+	}
 	return ErrMoved
+}
+
+// Departure reports the virtual instant the agent's last Go handed its
+// transfer off to the destination, and whether it did: false before a
+// move, after a failed one, and when nothing sent during the move passed
+// the firewall (a wrapper swallowed it, or the bypass delivered it). A
+// VM ends a moved agent's activation span there.
+func (c *Context) Departure() (time.Duration, bool) {
+	return c.left, c.left >= 0
 }
 
 // Spawn creates a new agent with the same code and a copy of the

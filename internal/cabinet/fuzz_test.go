@@ -118,14 +118,15 @@ func FuzzWALDecode(f *testing.F) {
 // deletions and re-additions in every order. Each image must equal the
 // reference encoder's byte for byte and decode back to the table; a
 // damaged or truncated image must never panic and must fall back to the
-// empty table.
+// empty table. The input's length picks the compaction cadence: every 8
+// transactions, or the default proportional one.
 func FuzzSnapshotImage(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{4, 1, 9, 4, 2, 200, 2, 0, 0, 0, 1, 0, 4, 1, 3, 2, 0, 0})          // put, put, snap, del, re-add, snap
 	f.Add([]byte{4, 250, 64, 3, 7, 1, 0, 7, 0, 3, 7, 2, 4, 7, 3, 2, 0, 0, 0, 250}) // long key, unsynced puts, trailing byte
 	f.Add([]byte{5, 3, 0, 2, 0, 0, 0, 3, 0, 2, 0, 0, 5, 3, 255, 2, 0, 0})          // empty value; snapshot of an emptied table
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s := NewStore(Options{Clock: vclock.NewVirtual(), SnapshotEvery: 8})
+		s := NewStore(Options{Clock: vclock.NewVirtual(), SnapshotEvery: []int{8, 0}[len(data)%2]})
 		model := map[string][]byte{}
 		ops := 0
 		snapshot := func() {

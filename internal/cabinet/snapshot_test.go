@@ -7,6 +7,7 @@ import (
 	"maps"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 	"unsafe"
@@ -87,13 +88,14 @@ func diffOps(rng *rand.Rand) []Op {
 }
 
 // TestSnapshotDifferential drives random transactions through every
-// commit entry point at three snapshot cadences, crashing and reopening
+// commit entry point at four snapshot cadences (every 1, 4 and 64
+// transactions, and the default proportional one), crashing and reopening
 // midway, and holds the disk to the reference encoders byte for byte:
 // every snapshot the store publishes equals encodeSnapshot of the model
 // table, the live WAL equals the reference framing of the transactions
 // since, and RecoverBytes of the durable files rebuilds the model.
 func TestSnapshotDifferential(t *testing.T) {
-	for _, every := range []int{1, 4, 64} {
+	for _, every := range []int{1, 4, 64, 0} {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("every=%d/seed=%d", every, seed), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
@@ -314,5 +316,90 @@ func TestWriteAmplificationCounters(t *testing.T) {
 		if got := testing.AllocsPerRun(50, func() { _ = s.Commit(ops) }); got != 1 {
 			t.Errorf("telemetry=%v: Commit allocates %v times, want 1", tel != nil, got)
 		}
+	}
+}
+
+// TestProportionalCadence drives the default cadence with the frontier's
+// shape: 2,000 keys put once and overwritten once by a larger value (a
+// URL admitted, then completed), 4,000 transactions in all. Compaction
+// follows the bytes: the snapshots together never outweigh the WAL by
+// more than the last image, a handful of them replace the 62 that one
+// every 64 transactions would write, and a store that crashes with a WAL
+// tail and reopens compacts at the same transactions as its uncrashed
+// twin.
+func TestProportionalCadence(t *testing.T) {
+	const keys, lag = 2000, 100
+	type store struct {
+		s     *Store
+		reg   *telemetry.Registry
+		snaps []uint64
+	}
+	open := func() *store {
+		st := &store{reg: telemetry.NewRegistry()}
+		st.s = NewStore(Options{
+			Clock:     vclock.NewVirtual(),
+			Telemetry: st.reg,
+			Host:      "h",
+			Observer: func(op string, _ time.Duration, seq uint64) {
+				if op == "snapshot" {
+					st.snaps = append(st.snaps, seq)
+				}
+			},
+		})
+		return st
+	}
+	key := func(i int) string { return fmt.Sprintf("frontier/u/%06d", i*7919%1000003) }
+	small, large := bytes.Repeat([]byte{'q'}, 24), bytes.Repeat([]byte{'d'}, 96)
+	// The crawl's order: each key is overwritten lag puts after its own
+	// put, and the last lag overwrites drain at the end.
+	var order []Op
+	for i := 0; i < keys; i++ {
+		order = append(order, Op{Key: key(i), Value: small})
+		if i >= lag {
+			order = append(order, Op{Key: key(i - lag), Value: large})
+		}
+	}
+	for i := keys - lag; i < keys; i++ {
+		order = append(order, Op{Key: key(i), Value: large})
+	}
+
+	// The crash lands mid-crawl, between two compactions: recovery must
+	// count the WAL tail it replays toward the next one.
+	twin, crashed := open(), open()
+	crashAt := len(order) / 3
+	for i, op := range order {
+		for _, st := range []*store{twin, crashed} {
+			if err := st.s.Commit([]Op{op}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if i == crashAt {
+			if wal, _ := crashed.s.Disk().DurableBytes(walFile); len(wal) == 0 {
+				t.Fatal("no WAL tail at the crash")
+			}
+			crashed.s.Disk().Crash()
+			if _, err := crashed.s.Reopen(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if !slices.Equal(crashed.snaps, twin.snaps) {
+		t.Errorf("compactions at seqs %v after a crash at seq %d, %v uncrashed", crashed.snaps, crashAt+1, twin.snaps)
+	}
+	if k := len(twin.snaps); k < 2 || twin.snaps[k-1] <= uint64(crashAt+1) || twin.snaps[0] > uint64(crashAt+1) {
+		t.Errorf("compactions at seqs %v: want one before the crash at seq %d and one after", twin.snaps, crashAt+1)
+	}
+
+	n := twin.reg.Counter("cabinet.snapshots", "host", "h").Value()
+	walBytes := twin.reg.Counter("cabinet.wal_bytes", "host", "h").Value()
+	snapBytes := twin.reg.Counter("cabinet.snapshot_bytes", "host", "h").Value()
+	last, _ := twin.s.Disk().DurableBytes(snapFile)
+	t.Logf("%d transactions: %d snapshots at seqs %v, %d snapshot bytes over %d WAL bytes (%.2f)",
+		len(order), n, twin.snaps, snapBytes, walBytes, float64(snapBytes)/float64(walBytes))
+	if snapBytes > walBytes+int64(len(last)) {
+		t.Errorf("snapshot bytes %d exceed WAL bytes %d plus the last image's %d", snapBytes, walBytes, len(last))
+	}
+	if n < 2 || n > 8 {
+		t.Errorf("%d snapshots, want 2 to 8", n)
 	}
 }

@@ -33,7 +33,12 @@ type Options struct {
 	// its own disk.
 	FsyncCost time.Duration
 	// SnapshotEvery compacts the WAL into a snapshot after this many
-	// committed transactions (default 64; negative disables).
+	// committed transactions; negative disables compaction. Zero, the
+	// default, compacts in proportion to what was written: once the WAL
+	// bytes journaled since the last compaction reach the size of the
+	// image a compaction would write (and at least compactFloor), so
+	// snapshot bytes never exceed WAL bytes and recovery replays at most
+	// about one image's worth of log.
 	SnapshotEvery int
 	// GroupCommit coalesces concurrent Commit callers into shared
 	// fsyncs: the first caller to arrive becomes the batch leader,
@@ -64,9 +69,9 @@ type Options struct {
 	Observer func(op string, at time.Duration, seq uint64)
 }
 
-// DefaultSnapshotEvery is the WAL-transactions-per-snapshot compaction
-// interval when Options leaves it zero.
-const DefaultSnapshotEvery = 64
+// compactFloor is the least WAL a proportional compaction waits for, so
+// that a tiny or empty table is not rewritten after every transaction.
+const compactFloor = 4 << 10
 
 // DefaultGroupMaxTxns is the group-commit coalesce bound when Options
 // leaves it zero: at most this many transactions share one fsync.
@@ -92,7 +97,8 @@ type Store struct {
 	opts      Options
 	table     map[string][]byte
 	seq       uint64 // last committed transaction sequence number
-	sinceSnap int
+	sinceSnap int    // transactions journaled since the last compaction
+	walSince  int    // WAL bytes journaled since the last compaction
 	// Snapshot bookkeeping, maintained by apply so a snapshot is one pass
 	// at a known size. tableBytes is the encoded size of every entry in
 	// table (entrySize summed). sorted is the key list of the last
@@ -127,9 +133,6 @@ type Store struct {
 func NewStore(opts Options) *Store {
 	if opts.Disk == nil {
 		opts.Disk = NewDisk(DiskConfig{Clock: opts.Clock, SyncLatency: opts.FsyncCost})
-	}
-	if opts.SnapshotEvery == 0 {
-		opts.SnapshotEvery = DefaultSnapshotEvery
 	}
 	s := &Store{disk: opts.Disk, opts: opts, table: make(map[string][]byte)}
 	if opts.Telemetry != nil {
@@ -280,10 +283,8 @@ func (s *Store) commit(ops []Op, sync bool) error {
 		s.walBytes.Add(int64(walBytes))
 	}
 	s.sinceSnap++
-	snapped := false
-	if s.opts.SnapshotEvery > 0 && s.sinceSnap >= s.opts.SnapshotEvery {
-		snapped = s.snapshotLocked()
-	}
+	s.walSince += walBytes
+	snapped := s.due() && s.snapshotLocked()
 	hook := s.hook
 	obs := s.opts.Observer
 	s.mu.Unlock()
@@ -434,10 +435,8 @@ func (s *Store) commitBatch(batch []*gcWaiter) error {
 		s.walBytes.Add(int64(walBytes))
 	}
 	s.sinceSnap += len(batch)
-	snapped := false
-	if s.opts.SnapshotEvery > 0 && s.sinceSnap >= s.opts.SnapshotEvery {
-		snapped = s.snapshotLocked()
-	}
+	s.walSince += walBytes
+	snapped := s.due() && s.snapshotLocked()
 	hook := s.hook
 	obs := s.opts.Observer
 	s.mu.Unlock()
@@ -488,6 +487,21 @@ func (s *Store) CommitMany(txns [][]Op) error {
 	return nil
 }
 
+// due reports whether the commit just journaled makes a compaction due:
+// every SnapshotEvery transactions when it is positive, never when it is
+// negative, and by default once the WAL written since the last
+// compaction outweighs the image the compaction would write. The caller
+// holds s.mu.
+func (s *Store) due() bool {
+	switch every := s.opts.SnapshotEvery; {
+	case every > 0:
+		return s.sinceSnap >= every
+	case every < 0:
+		return false
+	}
+	return s.walSince >= max(s.imageSize(), compactFloor)
+}
+
 // Snapshot forces a compaction: the full table is written to snap.tmp,
 // fsynced, renamed over the snapshot, and the WAL truncated.
 func (s *Store) Snapshot() error {
@@ -527,7 +541,7 @@ func (s *Store) snapshotLocked() bool {
 	if s.disk.Truncate(walFile) != nil {
 		return false
 	}
-	s.sinceSnap = 0
+	s.sinceSnap, s.walSince = 0, 0
 	if s.snapshots != nil {
 		s.snapshots.Inc()
 		s.snapshotBytes.Add(int64(len(image)))
@@ -556,9 +570,12 @@ func (s *Store) Reopen() (time.Duration, error) {
 	if err != nil {
 		return cost, err
 	}
+	// The valid WAL is what the next compaction will fold, so the
+	// proportional cadence resumes where the crashed store left it.
+	valid, _ := ReplayWAL(walBytes, func([]byte) error { return nil })
 	s.table = table
 	s.seq = seq
-	s.sinceSnap = 0
+	s.sinceSnap, s.walSince = 0, valid
 	s.tableBytes, s.sorted, s.added = 0, nil, make([]string, 0, len(table))
 	for k, v := range table {
 		s.tableBytes += entrySize(k, v)
@@ -567,7 +584,6 @@ func (s *Store) Reopen() (time.Duration, error) {
 	// Drop any torn WAL suffix so new appends start at a frame boundary:
 	// rewrite the valid prefix. Truncate+Append+Sync is safe here — the
 	// content is exactly what recovery accepted.
-	valid, _ := ReplayWAL(walBytes, func([]byte) error { return nil })
 	if valid != len(walBytes) {
 		if err := s.disk.Truncate(walFile); err == nil {
 			_ = s.disk.Append(walFile, walBytes[:valid])
@@ -706,12 +722,10 @@ var snapMagic = []byte("TAXC")
 // the merged list becomes the next snapshot's starting point. The caller
 // holds s.mu and owns the returned image.
 func (s *Store) snapshotImage() []byte {
-	count := uint64(len(s.table))
-	size := len(snapMagic) + 8 + uvarintLen(count) + s.tableBytes + 4
-	buf := make([]byte, 0, size)
+	buf := make([]byte, 0, s.imageSize())
 	buf = append(buf, snapMagic...)
 	buf = binary.LittleEndian.AppendUint64(buf, s.seq)
-	buf = binary.AppendUvarint(buf, count)
+	buf = binary.AppendUvarint(buf, uint64(len(s.table)))
 
 	slices.Sort(s.added)
 	old, added := s.sorted, s.added
@@ -738,6 +752,12 @@ func (s *Store) snapshotImage() []byte {
 	}
 	s.sorted, s.added = merged, s.added[:0]
 	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+}
+
+// imageSize is the exact size of the snapshot image of the current table.
+// The caller holds s.mu.
+func (s *Store) imageSize() int {
+	return len(snapMagic) + 8 + uvarintLen(uint64(len(s.table))) + s.tableBytes + 4
 }
 
 // entrySize is the encoded size of one snapshot entry.

@@ -76,8 +76,9 @@ type NodeOptions struct {
 	// cabinet disk; zero uses cabinet.DefaultSyncLatency.
 	FsyncCost time.Duration
 	// SnapshotEvery is the cabinet's WAL-compaction interval in committed
-	// transactions; zero uses the cabinet default, negative disables
-	// snapshots (pure WAL).
+	// transactions; negative disables snapshots (pure WAL). Zero, the
+	// default, compacts once the WAL written since the last snapshot
+	// outweighs the table (cabinet.Options.SnapshotEvery).
 	SnapshotEvery int
 	// Batch enables coalesced outbound mediation on the node's firewall
 	// (see firewall.BatchConfig); nil sends every frame individually.
@@ -308,7 +309,7 @@ func (s *System) EnableTower() *tower.Collector {
 	c.Attach(tel)
 	// Fault-plan decisions that actually touched a transfer (drop,
 	// duplicate, delay, corrupt) journal against the sending host, stamped
-	// with the trace context the firewall threaded through SendTraced.
+	// with the trace context the firewall threaded through SendStamped.
 	s.Net.SetFaultObserver(func(p simnet.FaultPoint) {
 		detail := "to=" + p.To
 		if p.Detail != "" {

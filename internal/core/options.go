@@ -84,7 +84,9 @@ func WithTelemetry(t *telemetry.Telemetry) Option {
 func WithFsyncCost(d time.Duration) Option { return func(o *NodeOptions) { o.FsyncCost = d } }
 
 // WithSnapshotEvery sets the cabinet's WAL-compaction interval in
-// committed transactions; negative disables snapshots (pure WAL).
+// committed transactions; negative disables snapshots (pure WAL). Zero,
+// the default, compacts in proportion to what was written: once the WAL
+// since the last snapshot outweighs the image a snapshot would write.
 func WithSnapshotEvery(n int) Option { return func(o *NodeOptions) { o.SnapshotEvery = n } }
 
 // WithBatching enables coalesced outbound mediation on the node's

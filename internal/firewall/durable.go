@@ -17,6 +17,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"strconv"
+	"strings"
 
 	"tax/internal/briefcase"
 	"tax/internal/cabinet"
@@ -100,11 +101,34 @@ func (fw *Firewall) unjournalPark(p *pendingMsg) {
 }
 
 // journalDedup appends one observed frame hash to the cabinet, unsynced:
-// it becomes durable at the host's next synced transaction.
+// it becomes durable at the host's next synced transaction. The slot's
+// key is prebuilt, the value is the window's own buffer and the op stays
+// on the stack, so the table's copy of the value is the only allocation.
 func (fw *Firewall) journalDedup(slot int, sum uint64) {
-	var v [8]byte
-	binary.LittleEndian.PutUint64(v[:], sum)
-	_ = fw.cfg.Durable.CommitNoSync([]cabinet.Op{{Key: dedupKeyPrefix + strconv.Itoa(slot), Value: v[:]}})
+	d := fw.dedup
+	d.jmu.Lock()
+	binary.LittleEndian.PutUint64(d.val[:], sum)
+	op := [1]cabinet.Op{{Key: d.keys[slot], Value: d.val[:]}}
+	_ = fw.cfg.Durable.CommitNoSync(op[:])
+	d.jmu.Unlock()
+}
+
+// dedupKeys returns the cabinet keys of a window's n slots. Each is a
+// substring of one string, written once into a buffer sized up front
+// and never changed after, so a host that boots with a window costs two
+// allocations however wide the window is.
+func dedupKeys(n int) []string {
+	var sb strings.Builder
+	var digits [20]byte
+	sb.Grow(n * (len(dedupKeyPrefix) + len(strconv.AppendInt(digits[:0], int64(n), 10))))
+	keys := make([]string, n)
+	for i := range keys {
+		start := sb.Len()
+		sb.WriteString(dedupKeyPrefix)
+		sb.Write(strconv.AppendInt(digits[:0], int64(i), 10))
+		keys[i] = sb.String()[start:]
+	}
+	return keys
 }
 
 // CrashWipe discards the firewall's volatile state, as losing power

@@ -1,6 +1,7 @@
 package firewall
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -107,6 +108,41 @@ func TestRecoveredParkExpiresWithTypedErrorEnvelope(t *testing.T) {
 	}
 	if msg, _ := rep.GetString(briefcase.FolderSysError); !strings.Contains(msg, "expired") {
 		t.Fatalf("report = %q, want queue-timeout expiry", msg)
+	}
+}
+
+// TestJournalDedupAllocs: once every slot's record exists, journaling a
+// hash allocates only the cabinet table's copy of its value — no key
+// string and no op slice per delivery. The keys are the ones earlier
+// journals used, "fwdedup/<slot>", and building a window's keys costs
+// two allocations, not one a slot.
+func TestJournalDedupAllocs(t *testing.T) {
+	keys := dedupKeys(1000)
+	for i, k := range keys {
+		if want := dedupKeyPrefix + strconv.Itoa(i); k != want {
+			t.Fatalf("slot %d key %q, want %q", i, k, want)
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { dedupKeys(256) }); n > 2 {
+		t.Errorf("dedupKeys(256): %.0f allocs, want at most 2", n)
+	}
+
+	const window = 16
+	f := newFixture(t)
+	f.config = func(c *Config) {
+		c.Durable = cabinet.NewStore(cabinet.Options{Clock: vclock.NewVirtual(), SnapshotEvery: -1})
+		c.DedupWindow = window
+	}
+	fw := f.addHost("h1").fw
+	for slot := 0; slot < window; slot++ {
+		fw.journalDedup(slot, uint64(slot))
+	}
+	sum := uint64(0)
+	if n := testing.AllocsPerRun(100, func() {
+		sum++
+		fw.journalDedup(int(sum%window), sum)
+	}); n > 1 {
+		t.Errorf("journalDedup: %.0f allocs per journaled hash, want at most 1", n)
 	}
 }
 

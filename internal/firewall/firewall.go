@@ -340,6 +340,7 @@ func New(cfg Config) (*Firewall, error) {
 	if cfg.DedupWindow > 0 {
 		fw.dedup = newDedupWindow(cfg.DedupWindow)
 		if cfg.Durable != nil {
+			fw.dedup.keys = dedupKeys(cfg.DedupWindow)
 			fw.dedup.onInsert = fw.journalDedup
 		}
 	}
@@ -541,12 +542,29 @@ func (fw *Firewall) Send(sender uri.URI, bc *briefcase.Briefcase) error {
 // backoff, which on virtual clocks would otherwise advance simulated
 // time with no one waiting for the result.
 func (fw *Firewall) SendCtx(ctx context.Context, sender uri.URI, bc *briefcase.Briefcase) error {
+	var m mediation
+	return fw.send(ctx, &m, sender, bc)
+}
+
+// SendAt is SendCtx reporting the virtual instant the briefcase left the
+// monitor: into a local receiver's mailbox, or onto the wire when the
+// transport finished sending it. That hand-off is stamped when spans or
+// audit events are on; otherwise, and for a briefcase that did not
+// leave (parked or refused), it is the clock when the mediation ended.
+func (fw *Firewall) SendAt(ctx context.Context, sender uri.URI, bc *briefcase.Briefcase) (time.Duration, error) {
+	var m mediation
+	err := fw.send(ctx, &m, sender, bc)
+	return m.now(fw.clock), err
+}
+
+func (fw *Firewall) send(ctx context.Context, m *mediation, sender uri.URI, bc *briefcase.Briefcase) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	var m mediation // assigned, not a literal: a literal this size is built in a temporary and copied
+	// Assigned, not a literal: a literal this size is built in a
+	// temporary and copied.
 	m.origin, m.sender, m.principal, m.bc, m.hist = originSend, sender, sender.Principal, bc, fw.histSend
-	return fw.mediate(ctx, &m, stageAdmit)
+	return fw.mediate(ctx, m, stageAdmit)
 }
 
 // handleInbound is the transport handler. A batch container is

@@ -88,6 +88,7 @@ type mediation struct {
 	tsp           *telemetry.Span // forward: the net.transfer child span
 	clk           *handoffClock   // the clock sp, route and tsp read; nil until a span opens
 	at            time.Duration   // handoff: the virtual instant the unit left the monitor
+	stamped       bool            // transmit: at is the transport's own send instant
 	handed        bool
 	hist          *telemetry.Histogram
 	t0            time.Time
@@ -98,13 +99,18 @@ type mediation struct {
 // acts concurrently — a reply it sends back advances this host's clock
 // when it arrives — so the audit event and spans that close the
 // mediation read this instant, not the live clock, and a seed replays
-// the same timeline however the goroutines were scheduled. With neither
-// spans nor audit on, nothing reads it and the clock is not read.
+// the same timeline however the goroutines were scheduled. A send the
+// transport stamped (transmit) hands off at the stamp; otherwise the
+// clock is read now. With neither spans nor audit on, nothing reads it
+// and the clock is not read.
 func (fw *Firewall) handoff(m *mediation) {
 	if m.clk == nil && !fw.eventsOn() {
 		return
 	}
-	m.at, m.handed = fw.clock.Now(), true
+	if !m.stamped {
+		m.at = fw.clock.Now()
+	}
+	m.handed = true
 	if m.clk != nil {
 		m.clk.at, m.clk.frozen = m.at, true
 	}

@@ -38,7 +38,10 @@
 // alter what the final monitor sees — FuzzForward holds it to that.
 package firewall
 
-import "context"
+import (
+	"context"
+	"time"
+)
 
 // ownedSender is the transport's zero-copy send: ownership of the
 // payload buffer passes to the network, which delivers it without the
@@ -46,6 +49,15 @@ import "context"
 // that don't fall back to Send.
 type ownedSender interface {
 	SendOwned(to string, payload []byte) error
+}
+
+// stampedSender is the simulated transport's send (simnet.Host): it also
+// reports the sender-side instant the frame finished serializing, and
+// carries the frame's trace out of band. The forward's hand-off is that
+// instant: read from the clock after the send, it would land late
+// whenever a fast reply had already advanced the clock.
+type stampedSender interface {
+	SendStamped(to string, payload []byte, owned bool, traceID, spanID string) (time.Duration, error)
 }
 
 // relayContainer forwards a whole inbound batch container verbatim when

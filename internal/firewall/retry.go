@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"tax/internal/briefcase"
-	"tax/internal/simnet"
 	"tax/internal/telemetry"
 )
 
@@ -116,35 +115,37 @@ func (fw *Firewall) forwardPolicy(bc *briefcase.Briefcase) RetryPolicy {
 // flushed container — goes out through it. Up to rp.Attempts tries with
 // exponential backoff; the host clock pays the backoff, so virtual
 // clocks advance without sleeping and real clocks really wait. It
-// returns the attempts made and the last error.
+// returns the attempts made and the last error. A transport that reports
+// when the frame left (stampedSender) pre-stamps the mediation's hand-off
+// with that instant.
 //
 // A unit with no briefcase sends bytes that are the firewall's own — a
 // relayed frame or container (a delivery-private inbound buffer or a
 // fresh seal), or a flushed batch container — and they pass to a
 // zero-copy transport outright. An encoded briefcase's bytes may be a
-// pooled buffer, so it takes the copying Send. A traced briefcase's
-// itinerary rides out of band on a tracing transport, so fault
-// injections on the wire are journaled under the right trace; payload
-// bytes, and so simulated transfer cost, are the same either way.
+// pooled buffer, so it takes the copying Send. On the simulated
+// transport (stampedSender) a traced briefcase's itinerary rides out of
+// band, so fault injections on the wire are journaled under the right
+// trace; payload bytes, and so simulated transfer cost, are the same
+// either way.
 func (fw *Firewall) transmit(ctx context.Context, m *mediation, frame []byte, rp RetryPolicy, label string) (attempt int, err error) {
 	var owned ownedSender
-	var traced simnet.TracedNode
+	stamped, _ := fw.cfg.Node.(stampedSender)
 	trace, evTarget := "", m.addr
 	if m.bc == nil {
 		owned, _ = fw.cfg.Node.(ownedSender)
 	} else {
 		evTarget = ""
-		if trace, _ = m.bc.GetString(briefcase.FolderSysTrace); trace != "" {
-			traced, _ = fw.cfg.Node.(simnet.TracedNode)
-		}
+		trace, _ = m.bc.GetString(briefcase.FolderSysTrace)
 	}
 	backoff, start := rp.Backoff, fw.clock.Now()
 	for attempt = 1; ; attempt++ {
 		switch {
+		case stamped != nil:
+			m.at, err = stamped.SendStamped(m.addr, frame, m.bc == nil, trace, m.tsp.ID())
+			m.stamped = err == nil
 		case owned != nil:
 			err = owned.SendOwned(m.addr, frame)
-		case traced != nil:
-			err = traced.SendTraced(m.addr, frame, trace, m.tsp.ID())
 		default:
 			err = fw.cfg.Node.Send(m.addr, frame)
 		}
@@ -186,6 +187,12 @@ type dedupWindow struct {
 	// onInsert, when set, journals each newly observed hash (slot, sum)
 	// to the host's cabinet; it runs outside d.mu.
 	onInsert func(slot int, sum uint64)
+	// keys are the slots' cabinet keys, built once when the window
+	// journals, and val the buffer journalDedup encodes a hash into,
+	// lent to one commit at a time under jmu (the cabinet keeps a copy).
+	jmu  sync.Mutex
+	keys []string
+	val  [8]byte
 }
 
 func newDedupWindow(size int) *dedupWindow {

@@ -103,17 +103,6 @@ type Node interface {
 	Close() error
 }
 
-// TracedNode is a Node that can carry trace context alongside a transfer,
-// so fault injections on the wire are attributable to the itinerary that
-// suffered them. The context rides out of band — it does not change the
-// payload or its simulated cost. Senders (the firewall) type-assert for it
-// and fall back to plain Send when absent.
-type TracedNode interface {
-	Node
-	// SendTraced is Send with the payload's active trace/span attached.
-	SendTraced(to string, payload []byte, traceID, spanID string) error
-}
-
 // Profile describes one link class: how long a message of a given size
 // takes to cross it.
 type Profile struct {
@@ -532,13 +521,8 @@ func (h *Host) Send(to string, payload []byte) error {
 
 // SendTimed is Send returning the virtual arrival time.
 func (h *Host) SendTimed(to string, payload []byte) (time.Duration, error) {
-	return h.sendTimed(to, payload, "", "", true)
-}
-
-// SendTraced is Send with trace context attached for fault attribution.
-func (h *Host) SendTraced(to string, payload []byte, traceID, spanID string) error {
-	_, err := h.sendTimed(to, payload, traceID, spanID, true)
-	return err
+	_, arrive, err := h.sendTimed(to, payload, "", "", true)
+	return arrive, err
 }
 
 // SendOwned is Send for payloads whose ownership passes to the network:
@@ -552,16 +536,28 @@ func (h *Host) SendTraced(to string, payload []byte, traceID, spanID string) err
 // only an unbatched origin forward — a pooled encode buffer — pays
 // Send's copy. Simulated cost is identical to Send's.
 func (h *Host) SendOwned(to string, payload []byte) error {
-	_, err := h.sendTimed(to, payload, "", "", false)
+	_, _, err := h.sendTimed(to, payload, "", "", false)
 	return err
 }
 
-var _ TracedNode = (*Host)(nil)
+// SendStamped is Send, or SendOwned when owned, that also reports txEnd,
+// the sender-side instant the payload finished serializing onto the
+// link: the moment the sender let go of it. The receiver runs
+// concurrently from then on, and a fast reply can advance the sender's
+// clock before the send returns, so a caller that stamps its hand-off
+// reads txEnd rather than the clock. traceID and spanID name the
+// itinerary the payload belongs to, so a fault injected on the wire is
+// attributed to it; they ride out of band and change neither the
+// payload nor its simulated cost.
+func (h *Host) SendStamped(to string, payload []byte, owned bool, traceID, spanID string) (txEnd time.Duration, err error) {
+	txEnd, _, err = h.sendTimed(to, payload, traceID, spanID, !owned)
+	return txEnd, err
+}
 
-func (h *Host) sendTimed(to string, payload []byte, traceID, spanID string, copyPayload bool) (time.Duration, error) {
+func (h *Host) sendTimed(to string, payload []byte, traceID, spanID string, copyPayload bool) (txEnd, arrive time.Duration, err error) {
 	select {
 	case <-h.done:
-		return 0, ErrClosed
+		return 0, 0, ErrClosed
 	default:
 	}
 
@@ -612,12 +608,12 @@ func (h *Host) sendTimed(to string, payload []byte, traceID, spanID string, copy
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
-		return 0, ErrClosed
+		return 0, 0, ErrClosed
 	}
 	dst, ok := n.hosts[to]
 	if !ok {
 		n.mu.Unlock()
-		return 0, fmt.Errorf("%w: %q", ErrUnknownHost, to)
+		return 0, 0, fmt.Errorf("%w: %q", ErrUnknownHost, to)
 	}
 	if n.crashed[h.name] || n.crashed[to] {
 		down := to
@@ -625,11 +621,11 @@ func (h *Host) sendTimed(to string, payload []byte, traceID, spanID string, copy
 			down = h.name
 		}
 		n.mu.Unlock()
-		return 0, fmt.Errorf("%w: %s", ErrHostDown, down)
+		return 0, 0, fmt.Errorf("%w: %s", ErrHostDown, down)
 	}
 	if n.partitioned[pairKey{h.name, to}] {
 		n.mu.Unlock()
-		return 0, fmt.Errorf("%w: %s <-> %s", ErrPartitioned, h.name, to)
+		return 0, 0, fmt.Errorf("%w: %s <-> %s", ErrPartitioned, h.name, to)
 	}
 	key := pairKey{h.name, to}
 	l, ok := n.links[key]
@@ -650,9 +646,9 @@ func (h *Host) sendTimed(to string, payload []byte, traceID, spanID string, copy
 	if l.busyUntil > start {
 		start = l.busyUntil
 	}
-	txEnd := start + l.profile.TransferTime(len(payload))
+	txEnd = start + l.profile.TransferTime(len(payload))
 	l.busyUntil = txEnd
-	arrive := txEnd + l.profile.Latency + dec.Delay
+	arrive = txEnd + l.profile.Latency + dec.Delay
 	l.messages++
 	l.bytes += int64(len(payload))
 	l.ctrMsgs.Inc()
@@ -667,7 +663,7 @@ func (h *Host) sendTimed(to string, payload []byte, traceID, spanID string, copy
 	observe()
 	if dec.Drop {
 		// The link time was spent, but the message is lost in flight.
-		return 0, fmt.Errorf("%w: %s -> %s", ErrDropped, h.name, to)
+		return txEnd, 0, fmt.Errorf("%w: %s -> %s", ErrDropped, h.name, to)
 	}
 
 	// Send gives the receiver a delivery-private copy; SendOwned was
@@ -686,7 +682,7 @@ func (h *Host) sendTimed(to string, payload []byte, traceID, spanID string, copy
 	}
 	msg := delivery{from: h.name, payload: data, arriveAt: arrive}
 	if err := dst.enqueue(msg); err != nil {
-		return 0, err
+		return txEnd, 0, err
 	}
 	if dec.Duplicate {
 		// The original is delivered, so the send succeeded: a duplicate
@@ -695,7 +691,7 @@ func (h *Host) sendTimed(to string, payload []byte, traceID, spanID string, copy
 		// network already holds.
 		_ = dst.enqueue(delivery{from: h.name, payload: append([]byte(nil), data...), arriveAt: arrive})
 	}
-	return arrive, nil
+	return txEnd, arrive, nil
 }
 
 // enqueue places one delivery on the inbox for its sending peer,

@@ -92,7 +92,17 @@ func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	s.rec.End = s.clock.Now()
+	s.EndAt(s.clock.Now())
+}
+
+// EndAt is End at a given instant on the span's clock: for an operation
+// that finished when its unit was handed off, which later deliveries to
+// the host may have moved the clock past by the time the caller returns.
+func (s *Span) EndAt(at time.Duration) {
+	if s == nil {
+		return
+	}
+	s.rec.End = at
 	s.store.add(s.rec)
 }
 

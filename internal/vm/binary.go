@@ -166,12 +166,15 @@ func (s *BinaryStore) Execute(carried Binary) (Handler, error) {
 // bytes, so carried and deployed images match exactly when — and only
 // when — they denote the same program.
 func SyntheticImage(name, arch, version string, size int) []byte {
-	seedSum := sha256.Sum256([]byte(name + "\x00" + arch + "\x00" + version))
+	// Each block hashes seed ‖ offset from one buffer: the seed half is
+	// written once and only the offset changes.
+	var in [sha256.Size + 8]byte
+	seed := sha256.Sum256([]byte(name + "\x00" + arch + "\x00" + version))
+	copy(in[:], seed[:])
 	out := make([]byte, size)
-	var counter [8]byte
 	for off := 0; off < size; off += sha256.Size {
-		binary.BigEndian.PutUint64(counter[:], uint64(off))
-		block := sha256.Sum256(append(seedSum[:], counter[:]...))
+		binary.BigEndian.PutUint64(in[sha256.Size:], uint64(off))
+		block := sha256.Sum256(in[:])
 		copy(out[off:], block[:])
 	}
 	return out
@@ -461,10 +464,7 @@ func (v *BinVM) run(principal, name string, handler Handler, bc *briefcase.Brief
 		if err == nil {
 			err = runHandler(handler, ctx)
 		}
-		if err != nil && !errors.Is(err, agent.ErrMoved) {
-			sp.SetErr(err)
-		}
-		sp.End()
+		endExec(sp, ctx, err)
 		// Wrapper finalizers run before the registration is torn down so
 		// they can still communicate on the agent's behalf.
 		ctx.Finish(err)

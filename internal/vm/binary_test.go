@@ -2,6 +2,8 @@ package vm
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -141,6 +143,36 @@ func TestSyntheticImageDeterministic(t *testing.T) {
 	}
 	if len(SyntheticImage("x", "y", "z", 0)) != 0 {
 		t.Error("zero size not honored")
+	}
+}
+
+// TestSyntheticImagePinned holds the generator to the bytes every
+// deployed store and carried binary already agree on: the images of
+// mwWebbot/x86/1.0 at four sizes, full, partial and empty last block.
+func TestSyntheticImagePinned(t *testing.T) {
+	for _, c := range []struct {
+		size int
+		sum  string
+	}{
+		{64 << 10, "fd1cf76266046310735e31569791a4f6f3d4e1b9a2e1dd094a17b2ea5ece0080"},
+		{100, "75fbdbeaf74499a43ba3ffd1aab7a7df2df80f2aedf4ec5d92962bf68e37a354"},
+		{33, "6f8ce5fde51d33002aa0afb2ab01f909c66fce00382f17b537d6d48fc14ddd14"},
+		{0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+	} {
+		sum := sha256.Sum256(SyntheticImage("mwWebbot", "x86", "1.0", c.size))
+		if got := hex.EncodeToString(sum[:]); got != c.sum {
+			t.Errorf("%d-byte image: sha256 %s, want %s", c.size, got, c.sum)
+		}
+	}
+}
+
+// TestSyntheticImageAllocs: one allocation for the seed string and one
+// for the image, however many blocks it has.
+func TestSyntheticImageAllocs(t *testing.T) {
+	if n := testing.AllocsPerRun(20, func() {
+		SyntheticImage("mwWebbot", "x86", "1.0", 64<<10)
+	}); n > 2 {
+		t.Errorf("SyntheticImage: %.0f allocs per 64 KiB image, want at most 2", n)
 	}
 }
 

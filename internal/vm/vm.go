@@ -432,10 +432,7 @@ func (v *GoVM) launch(principal, name, program string, bc *briefcase.Briefcase) 
 		if v.histRun != nil {
 			v.histRun.Observe(time.Since(t0))
 		}
-		if err != nil && !errors.Is(err, agent.ErrMoved) {
-			sp.SetErr(err)
-		}
-		sp.End()
+		endExec(sp, ctx, err)
 		// Wrapper finalizers run before the registration is torn down so
 		// they can still communicate on the agent's behalf.
 		ctx.Finish(err)
@@ -470,6 +467,22 @@ func (v *GoVM) execSpan(bc *briefcase.Briefcase, program string) *telemetry.Span
 	sp.SetAttr("program", program)
 	bc.SetString(briefcase.FolderSysSpan, sp.ID())
 	return sp
+}
+
+// endExec closes an activation span. An agent that moved ends where it
+// left, at its transfer's hand-off, not at the clock after the handler
+// returned, which deliveries to this host may since have advanced.
+func endExec(sp *telemetry.Span, ctx *agent.Context, err error) {
+	if !errors.Is(err, agent.ErrMoved) {
+		sp.SetErr(err)
+		sp.End()
+		return
+	}
+	if at, ok := ctx.Departure(); ok {
+		sp.EndAt(at)
+		return
+	}
+	sp.End()
 }
 
 // runHandler isolates handler panics the way OS memory protection

@@ -116,6 +116,9 @@ var (
 
 // Functional node options, re-exported from core. Each sets one
 // NodeOptions field; see the core package for per-option documentation.
+// WithSnapshotEvery(n) compacts a node's cabinet every n committed
+// transactions and never when n is negative; n = 0, the default,
+// compacts once the WAL since the last snapshot outweighs the table.
 var (
 	WithArch           = core.WithArch
 	WithBypass         = core.WithBypass
