@@ -269,6 +269,9 @@ func TestForwardPathStageAllocs(t *testing.T) {
 // every read of _SENDER and _TARGET copied. Admitting on first sighting
 // would cost each such frame an entry.
 func TestFreshSenderDeliverAllocs(t *testing.T) {
+	if raceBuild {
+		t.Skip("exact allocation counts do not hold under the race detector")
+	}
 	ch := newPathChain(t, nil)
 	const runs = 200
 	frames := make([][]byte, runs+1) // AllocsPerRun calls once more to warm up

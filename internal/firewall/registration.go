@@ -150,14 +150,9 @@ func (r *Registration) RecvCtx(ctx context.Context, timeout time.Duration) (*bri
 		t := recvTimers.Get().(*time.Timer)
 		t.Reset(timeout)
 		defer func() {
-			// Back to the pool stopped and drained, so the next Reset
-			// starts from a quiet channel.
-			if !t.Stop() {
-				select {
-				case <-t.C:
-				default:
-				}
-			}
+			// Since Go 1.23 Stop leaves no stale value in t.C, so a
+			// stopped timer goes back to the pool as it is.
+			t.Stop()
 			recvTimers.Put(t)
 		}()
 		deadline = t.C

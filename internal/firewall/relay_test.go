@@ -95,7 +95,13 @@ func TestRelayThreeHopDelivery(t *testing.T) {
 	if err != nil || df.Size() != 2048 {
 		t.Fatalf("DATA folder damaged in transit: %v", err)
 	}
+	// A relay bumps fw.relayed after it hands the frame on, so the
+	// delivery can beat the count: wait for it, then pin it.
 	for _, relay := range []string{"b", "c"} {
+		deadline := time.Now().Add(2 * time.Second)
+		for fws[relay].ctr.relayed.Value() == 0 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
 		if n := fws[relay].ctr.relayed.Value(); n != 1 {
 			t.Errorf("relay %s: fw.relayed = %d, want 1", relay, n)
 		}

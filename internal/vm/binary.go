@@ -2,6 +2,7 @@ package vm
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -15,7 +16,6 @@ import (
 	"tax/internal/firewall"
 	"tax/internal/identity"
 	"tax/internal/telemetry"
-	"tax/internal/uri"
 )
 
 // DefaultArch is the architecture tag used by simulated hosts unless
@@ -195,8 +195,6 @@ type BinConfig struct {
 	Trust *identity.TrustStore
 	// Signer signs outgoing transfers (moving binary agents onward).
 	Signer *identity.Principal
-	// SpawnTimeout bounds the spawn handshake; zero means 10 seconds.
-	SpawnTimeout time.Duration
 	// Trace receives instrumentation events.
 	Trace func(event string)
 	// OnAgentDone is called as each hosted agent finishes.
@@ -206,27 +204,20 @@ type BinConfig struct {
 	PreLaunch func(ctx *agent.Context) error
 }
 
-// BinVM executes signed native binaries resolved against the local store.
+// BinVM executes signed native binaries resolved against the local
+// store: its loader verifies the core, unpacks the carried images and
+// runs the deployed handler of the one matching the local architecture.
 type BinVM struct {
-	cfg BinConfig
-	reg *firewall.Registration
+	*runtime
+	arch  string
+	store *BinaryStore
+	trust *identity.TrustStore
 
-	// ctrActivated/ctrRejected count activations; histResolve times the
-	// verify/unpack/select/store-check pipeline an arriving binary passes
-	// through (nil unless detailed telemetry is on).
-	ctrActivated *telemetry.Counter
-	ctrRejected  *telemetry.Counter
-	ctrSigned    *telemetry.Counter // vm.core_signed, see signCore
-	histResolve  *telemetry.Histogram
-
-	mu     sync.Mutex
-	agents map[uint64]*firewall.Registration
-	closed bool
-
-	wg sync.WaitGroup
+	// histResolve times the verify/unpack/select/store-check pipeline an
+	// arriving binary passes through (nil unless detailed telemetry is
+	// on).
+	histResolve *telemetry.Histogram
 }
-
-var _ agent.Mover = (*BinVM)(nil)
 
 // NewBin registers a BinVM with the firewall and starts its control loop.
 func NewBin(cfg BinConfig) (*BinVM, error) {
@@ -239,111 +230,25 @@ func NewBin(cfg BinConfig) (*BinVM, error) {
 	if cfg.Trust == nil {
 		return nil, errors.New("vm: bin config needs a trust store")
 	}
-	if cfg.Name == "" {
-		cfg.Name = "vm_bin"
+	v := &BinVM{
+		runtime: newRuntime(cmp.Or(cfg.Name, "vm_bin"), cfg.FW, cfg.Signer, cfg.Trace),
+		arch:    cmp.Or(cfg.Arch, DefaultArch),
+		store:   cfg.Store,
+		trust:   cfg.Trust,
 	}
-	if cfg.Arch == "" {
-		cfg.Arch = DefaultArch
+	v.load, v.preLaunch, v.onAgentDone = v, cfg.PreLaunch, cfg.OnAgentDone
+	if tel := cfg.FW.Telemetry(); tel.Detailed() {
+		v.histResolve = tel.Registry().Histogram("vm.resolve", "host", cfg.FW.HostName(), "vm", v.name)
 	}
-	if cfg.SpawnTimeout == 0 {
-		cfg.SpawnTimeout = 10 * time.Second
+	if err := v.open(v.loop); err != nil {
+		return nil, err
 	}
-	reg, err := cfg.FW.Register(cfg.Name, cfg.FW.SystemPrincipal(), cfg.Name)
-	if err != nil {
-		return nil, fmt.Errorf("vm: register %s: %w", cfg.Name, err)
-	}
-	v := &BinVM{cfg: cfg, reg: reg, agents: make(map[uint64]*firewall.Registration)}
-	tel := cfg.FW.Telemetry()
-	mreg := tel.Registry()
-	v.ctrActivated = mreg.Counter("vm.activated", "host", cfg.FW.HostName(), "vm", cfg.Name)
-	v.ctrRejected = mreg.Counter("vm.rejected", "host", cfg.FW.HostName(), "vm", cfg.Name)
-	v.ctrSigned = coreSignedCounter(cfg.FW, cfg.Name)
-	if tel.Detailed() {
-		v.histResolve = mreg.Histogram("vm.resolve", "host", cfg.FW.HostName(), "vm", cfg.Name)
-	}
-	v.wg.Add(1)
-	go v.loop(reg)
 	return v, nil
 }
 
-// Name returns the VM's registration name.
-func (v *BinVM) Name() string { return v.cfg.Name }
-
-// registration returns the VM's current firewall registration (replaced
-// by Reattach after a host crash).
-func (v *BinVM) registration() *firewall.Registration {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.reg
-}
-
-// Reattach re-registers the VM after a host crash wiped every
-// registration and restarts its control loop; in-flight agents are gone
-// with the wipe.
-func (v *BinVM) Reattach() error {
-	v.mu.Lock()
-	if v.closed {
-		v.mu.Unlock()
-		return ErrClosed
-	}
-	v.mu.Unlock()
-	reg, err := v.cfg.FW.Register(v.cfg.Name, v.cfg.FW.SystemPrincipal(), v.cfg.Name)
-	if err != nil {
-		return fmt.Errorf("vm: reattach %s: %w", v.cfg.Name, err)
-	}
-	v.mu.Lock()
-	v.reg = reg
-	v.agents = make(map[uint64]*firewall.Registration)
-	v.mu.Unlock()
-	v.wg.Add(1)
-	go v.loop(reg)
-	return nil
-}
-
-// URI returns the VM's routable URI.
-func (v *BinVM) URI() uri.URI { return v.registration().GlobalURI() }
-
-// Arch returns the local architecture tag.
-func (v *BinVM) Arch() string { return v.cfg.Arch }
-
-func (v *BinVM) trace(format string, args ...any) {
-	if v.cfg.Trace != nil {
-		v.cfg.Trace(v.cfg.Name + ": " + fmt.Sprintf(format, args...))
-	}
-}
-
-func (v *BinVM) loop(self *firewall.Registration) {
-	defer v.wg.Done()
-	for {
-		bc, err := self.Recv(0)
-		if err != nil {
-			return
-		}
-		if firewall.Kind(bc) == firewall.KindTransfer {
-			v.acceptTransfer(self, bc)
-		}
-	}
-}
-
-func (v *BinVM) acceptTransfer(self *firewall.Registration, bc *briefcase.Briefcase) {
-	sender, _ := bc.GetString(briefcase.FolderSysSender)
-	msgID, hasMsgID := bc.GetString(firewall.FolderMsgID)
-	reject := func(reason string) {
-		v.trace("rejected: %s", reason)
-		v.ctrRejected.Inc()
-		if sender == "" {
-			return
-		}
-		report := briefcase.New()
-		report.SetString(briefcase.FolderSysTarget, sender)
-		report.SetString(firewall.FolderKind, firewall.KindError)
-		report.SetString(briefcase.FolderSysError, reason)
-		if hasMsgID {
-			report.SetString(firewall.FolderReplyTo, msgID)
-		}
-		_ = v.cfg.FW.Send(self.GlobalURI(), report)
-	}
-
+// arrive loads a carried binary. The agent acts for the core's signer;
+// its default name is the binary's.
+func (v *BinVM) arrive(bc *briefcase.Briefcase) (activation, error) {
 	var t0 time.Time
 	if v.histResolve != nil {
 		t0 = time.Now()
@@ -354,211 +259,48 @@ func (v *BinVM) acceptTransfer(self *firewall.Registration, bc *briefcase.Briefc
 	// verified this core at admission, its stamp spares the second hash
 	// and the trust store's cache the second ed25519; the signer's key
 	// and its Trusted level are still read live.
-	principal, err := firewall.VerifyCore(bc, v.cfg.Trust, identity.Trusted)
+	principal, err := firewall.VerifyCore(bc, v.trust, identity.Trusted)
 	if err != nil {
-		reject(fmt.Sprintf("signature: %v", err))
-		return
+		return activation{}, fmt.Errorf("signature: %w", err)
 	}
 	bins, err := UnpackBinaries(bc)
 	if err != nil {
-		reject(fmt.Sprintf("binaries: %v", err))
-		return
+		return activation{}, fmt.Errorf("binaries: %w", err)
 	}
-	carried, err := SelectBinary(bins, v.cfg.Arch)
+	carried, err := SelectBinary(bins, v.arch)
 	if err != nil {
-		reject(err.Error())
-		return
+		return activation{}, err
 	}
-	handler, err := v.cfg.Store.Execute(carried)
+	h, err := v.store.Execute(carried)
 	if err != nil {
-		reject(err.Error())
-		return
+		return activation{}, err
 	}
 	if v.histResolve != nil {
 		v.histResolve.Observe(time.Since(t0))
 	}
-
-	name, ok := bc.GetString(FolderAgentName)
-	if !ok {
-		name = carried.Name
-	}
-	spawned := bc.Has(agent.FolderSpawn)
-	scrubTransferFolders(bc)
-
-	reg, err := v.run(principal, name, handler, bc)
-	if err != nil {
-		reject(err.Error())
-		return
-	}
-	v.trace("activated %s (binary %s/%s)", reg.URI(), carried.Name, carried.Arch)
-	if spawned && hasMsgID && sender != "" {
-		reply := briefcase.New()
-		reply.SetString(briefcase.FolderSysTarget, sender)
-		reply.SetString(firewall.FolderReplyTo, msgID)
-		reply.SetString(agent.FolderInstance, fmt.Sprintf("%x", reg.URI().Instance))
-		_ = v.cfg.FW.Send(self.GlobalURI(), reply)
-	}
+	return activation{principal, agentName(bc, carried.Name), carried.Name, h}, nil
 }
 
-// Launch starts a deployed binary directly (the local system starting an
-// agent, not a migration): the local architecture's image is added to
-// the briefcase — alongside any images for other architectures the
-// caller packed (§5: agents may carry several) — and the core is signed
-// by the configured signer so onward moves keep working.
-func (v *BinVM) Launch(principal, name, binaryName string, bc *briefcase.Briefcase) (*firewall.Registration, error) {
-	dep, ok := v.cfg.Store.Resolve(binaryName, v.cfg.Arch)
+// prepare starts a deployed binary directly (the local system starting
+// an agent, not a migration): the local architecture's image is added to
+// the briefcase, alongside any images for other architectures the caller
+// packed (§5: agents may carry several). A local-architecture image the
+// caller packed must be the deployed one.
+func (v *BinVM) prepare(binaryName string, bc *briefcase.Briefcase) (Handler, error) {
+	dep, ok := v.store.Resolve(binaryName, v.arch)
 	if !ok {
-		return nil, fmt.Errorf("%w: %s/%s", ErrNotDeployed, binaryName, v.cfg.Arch)
-	}
-	if bc == nil {
-		bc = briefcase.New()
+		return nil, fmt.Errorf("%w: %s/%s", ErrNotDeployed, binaryName, v.arch)
 	}
 	if bc.Has(briefcase.FolderBinaries) {
 		carried, err := UnpackBinaries(bc)
 		if err != nil {
 			return nil, err
 		}
-		if cur, err := SelectBinary(carried, v.cfg.Arch); err == nil {
-			// The caller already packed a local-architecture image; it
-			// must be the deployed one.
-			if _, execErr := v.cfg.Store.Execute(cur); execErr != nil {
-				return nil, execErr
-			}
-		} else {
-			PackBinaries(bc, dep)
+		if cur, err := SelectBinary(carried, v.arch); err == nil {
+			_, err := v.store.Execute(cur)
+			return dep.Handler, err
 		}
-	} else {
-		PackBinaries(bc, dep)
 	}
-	if v.cfg.Signer != nil && principal == v.cfg.Signer.Name() {
-		signCore(bc, v.cfg.Signer, v.ctrSigned)
-	}
-	return v.run(principal, name, dep.Handler, bc)
-}
-
-func (v *BinVM) run(principal, name string, handler Handler, bc *briefcase.Briefcase) (*firewall.Registration, error) {
-	v.mu.Lock()
-	if v.closed {
-		v.mu.Unlock()
-		return nil, ErrClosed
-	}
-	v.mu.Unlock()
-	reg, err := v.cfg.FW.Register(v.cfg.Name, principal, name)
-	if err != nil {
-		return nil, err
-	}
-	v.mu.Lock()
-	v.agents[reg.URI().Instance] = reg
-	v.mu.Unlock()
-
-	ctx := agent.NewContext(v.cfg.FW, reg, bc, v, nil)
-	v.ctrActivated.Inc()
-	v.wg.Add(1)
-	go func() {
-		defer v.wg.Done()
-		sp := v.execSpan(bc, name)
-		var err error
-		if v.cfg.PreLaunch != nil {
-			err = v.cfg.PreLaunch(ctx)
-		}
-		if err == nil {
-			err = runHandler(handler, ctx)
-		}
-		endExec(sp, ctx, err)
-		// Wrapper finalizers run before the registration is torn down so
-		// they can still communicate on the agent's behalf.
-		ctx.Finish(err)
-		v.mu.Lock()
-		delete(v.agents, reg.URI().Instance)
-		v.mu.Unlock()
-		v.cfg.FW.Unregister(reg)
-		if v.cfg.OnAgentDone != nil {
-			v.cfg.OnAgentDone(name, err)
-		}
-	}()
-	return reg, nil
-}
-
-// execSpan mirrors GoVM.execSpan for binary activations.
-func (v *BinVM) execSpan(bc *briefcase.Briefcase, name string) *telemetry.Span {
-	spans := v.cfg.FW.Telemetry().Spans()
-	if spans == nil {
-		return nil
-	}
-	trace, ok := bc.GetString(briefcase.FolderSysTrace)
-	if !ok {
-		return nil
-	}
-	parent, _ := bc.GetString(briefcase.FolderSysSpan)
-	sp := spans.Start(v.cfg.FW.Clock(), v.cfg.FW.HostName(), trace, parent, "vm.exec")
-	sp.SetAttr("vm", v.cfg.Name)
-	sp.SetAttr("program", name)
-	bc.SetString(briefcase.FolderSysSpan, sp.ID())
-	return sp
-}
-
-// Move implements agent.Mover for binary agents: the BINARIES folder
-// already carries the images, so the briefcase is forwarded as it is,
-// re-signed (signTransfer) only if its core changed since it was last
-// signed or verified.
-func (v *BinVM) Move(c *agent.Context, dest uri.URI, spawn bool) (uint64, error) {
-	if dest.Name == "" {
-		dest.Name = v.cfg.Name
-	}
-	out := c.Briefcase()
-	if spawn {
-		out = out.Clone()
-	}
-	out.SetString(firewall.FolderKind, firewall.KindTransfer)
-	out.SetString(FolderAgentName, c.Registration().URI().Name)
-	out.SetString(briefcase.FolderSysTarget, dest.String())
-	var msgID string
-	if spawn {
-		msgID = agent.NextMsgID()
-		out.SetString(agent.FolderSpawn, "1")
-		out.SetString(firewall.FolderMsgID, msgID)
-	}
-	signTransfer(out, c.Registration().URI().Principal, v.cfg.Signer, v.ctrSigned)
-	if err := c.Activate(dest.String(), out); err != nil {
-		scrubTransferFolders(out)
-		out.Drop(FolderAgentName)
-		return 0, err
-	}
-	if !spawn {
-		return 0, nil
-	}
-	reply, err := c.AwaitReply(msgID, v.cfg.SpawnTimeout)
-	if err != nil {
-		return 0, fmt.Errorf("vm: spawn reply: %w", err)
-	}
-	instStr, ok := reply.GetString(agent.FolderInstance)
-	if !ok {
-		return 0, errors.New("vm: spawn reply lacks instance")
-	}
-	var inst uint64
-	if _, err := fmt.Sscanf(instStr, "%x", &inst); err != nil {
-		return 0, fmt.Errorf("vm: spawn reply instance: %w", err)
-	}
-	return inst, nil
-}
-
-// Close kills hosted agents, unregisters the VM and waits.
-func (v *BinVM) Close() error {
-	v.mu.Lock()
-	if v.closed {
-		v.mu.Unlock()
-		return nil
-	}
-	v.closed = true
-	regs := make([]*firewall.Registration, 0, len(v.agents))
-	for _, r := range v.agents {
-		regs = append(regs, r)
-	}
-	v.mu.Unlock()
-	for _, r := range regs {
-		v.cfg.FW.Unregister(r)
-	}
-	v.cfg.FW.Unregister(v.registration())
-	v.wg.Wait()
-	return nil
+	PackBinaries(bc, dep)
+	return dep.Handler, nil
 }

@@ -27,10 +27,6 @@ func TestRegistry(t *testing.T) {
 	if !called {
 		t.Error("wrong handler returned")
 	}
-	r.Register("y", nil)
-	if n := len(r.Names()); n != 2 {
-		t.Errorf("Names len = %d", n)
-	}
 }
 
 func TestManifestRoundTrip(t *testing.T) {

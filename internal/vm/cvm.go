@@ -1,9 +1,9 @@
 package vm
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"tax/internal/agent"
@@ -53,13 +53,11 @@ type CConfig struct {
 // CVM is the C-language virtual machine of figure 3. An agent arrives as
 // toy-C source in its CODE folder; the VM drives the compile pipeline
 // (ag_cc → ag_exec → compiler) and hands the resulting binary briefcase
-// to vm_bin for activation.
+// to vm_bin for activation. It runs on the shared runtime with its own
+// control loop in place of the loader's.
 type CVM struct {
-	cfg  CConfig
-	mu   sync.Mutex
-	reg  *firewall.Registration
-	ctx  *agent.Context
-	done chan struct{}
+	rt  *runtime
+	cfg CConfig
 }
 
 // NewC registers a CVM with the firewall and starts its control loop.
@@ -70,80 +68,33 @@ func NewC(cfg CConfig) (*CVM, error) {
 	if cfg.Signer == nil {
 		return nil, errors.New("vm: c config needs a signer")
 	}
-	if cfg.Name == "" {
-		cfg.Name = "vm_c"
+	cfg.Name = cmp.Or(cfg.Name, "vm_c")
+	cfg.Arch = cmp.Or(cfg.Arch, DefaultArch)
+	cfg.BinVM = cmp.Or(cfg.BinVM, "vm_bin")
+	cfg.CCService = cmp.Or(cfg.CCService, "ag_cc")
+	cfg.Compiler = cmp.Or(cfg.Compiler, "gcc")
+	cfg.Timeout = cmp.Or(cfg.Timeout, 30*time.Second)
+	v := &CVM{rt: newRuntime(cfg.Name, cfg.FW, cfg.Signer, cfg.Trace), cfg: cfg}
+	if err := v.rt.open(v.loop); err != nil {
+		return nil, err
 	}
-	if cfg.Arch == "" {
-		cfg.Arch = DefaultArch
-	}
-	if cfg.BinVM == "" {
-		cfg.BinVM = "vm_bin"
-	}
-	if cfg.CCService == "" {
-		cfg.CCService = "ag_cc"
-	}
-	if cfg.Compiler == "" {
-		cfg.Compiler = "gcc"
-	}
-	if cfg.Timeout == 0 {
-		cfg.Timeout = 30 * time.Second
-	}
-	reg, err := cfg.FW.Register(cfg.Name, cfg.FW.SystemPrincipal(), cfg.Name)
-	if err != nil {
-		return nil, fmt.Errorf("vm: register %s: %w", cfg.Name, err)
-	}
-	v := &CVM{cfg: cfg, reg: reg, done: make(chan struct{})}
-	v.ctx = agent.NewContext(cfg.FW, reg, briefcase.New(), nil, nil)
-	go v.loop(v.ctx, reg, v.done)
 	return v, nil
-}
-
-// registration returns the VM's current firewall registration (replaced
-// by Reattach after a host crash).
-func (v *CVM) registration() *firewall.Registration {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.reg
-}
-
-// doneCh returns the channel closed when the current loop exits.
-func (v *CVM) doneCh() chan struct{} {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.done
 }
 
 // Reattach re-registers the VM after a host crash wiped every
 // registration and starts a fresh control loop over a new context.
-func (v *CVM) Reattach() error {
-	reg, err := v.cfg.FW.Register(v.cfg.Name, v.cfg.FW.SystemPrincipal(), v.cfg.Name)
-	if err != nil {
-		return fmt.Errorf("vm: reattach %s: %w", v.cfg.Name, err)
-	}
-	ctx := agent.NewContext(v.cfg.FW, reg, briefcase.New(), nil, nil)
-	done := make(chan struct{})
-	v.mu.Lock()
-	v.reg = reg
-	v.ctx = ctx
-	v.done = done
-	v.mu.Unlock()
-	go v.loop(ctx, reg, done)
-	return nil
-}
+func (v *CVM) Reattach() error { return v.rt.Reattach() }
 
 // URI returns the VM's routable URI.
-func (v *CVM) URI() uri.URI { return v.registration().GlobalURI() }
+func (v *CVM) URI() uri.URI { return v.rt.URI() }
 
-func (v *CVM) trace(format string, args ...any) {
-	if v.cfg.Trace != nil {
-		v.cfg.Trace(v.cfg.Name + ": " + fmt.Sprintf(format, args...))
-	}
-}
+// Close unregisters the VM and waits for its loop to exit.
+func (v *CVM) Close() error { return v.rt.Close() }
 
 // loop serves arriving C agents sequentially, like the single vm_c
 // process of the paper.
-func (v *CVM) loop(ctx *agent.Context, self *firewall.Registration, done chan struct{}) {
-	defer close(done)
+func (v *CVM) loop(self *firewall.Registration) {
+	ctx := agent.NewContext(v.cfg.FW, self, briefcase.New(), nil, nil)
 	for {
 		bc, err := ctx.Await(0)
 		if err != nil {
@@ -153,8 +104,9 @@ func (v *CVM) loop(ctx *agent.Context, self *firewall.Registration, done chan st
 			continue
 		}
 		if err := v.activate(ctx, self, bc); err != nil {
-			v.trace("activation failed: %v", err)
-			v.reject(self, bc, err.Error())
+			sender, _ := bc.GetString(briefcase.FolderSysSender)
+			msgID, hasMsgID := bc.GetString(firewall.FolderMsgID)
+			v.rt.reject(self, sender, msgID, hasMsgID, err.Error())
 		}
 	}
 }
@@ -172,7 +124,7 @@ func (v *CVM) activate(ctx *agent.Context, self *firewall.Registration, bc *brie
 	if !bc.Has(briefcase.FolderCode) {
 		return errors.New("vm: C transfer carries no CODE folder")
 	}
-	v.trace("step 1: briefcase delivered")
+	v.rt.tracef("step 1: briefcase delivered")
 
 	// Steps 2–6: the compile RPC. The whole briefcase travels so ag_exec
 	// can store the binary into it, as the paper describes.
@@ -180,7 +132,7 @@ func (v *CVM) activate(ctx *agent.Context, self *firewall.Registration, bc *brie
 	scrubTransferFolders(req)
 	req.SetString(FolderArch, v.cfg.Arch)
 	req.SetString(FolderCompiler, v.cfg.Compiler)
-	v.trace("step 2: activate %s", v.cfg.CCService)
+	v.rt.tracef("step 2: activate %s", v.cfg.CCService)
 	compiled, err := ctx.Meet(v.cfg.CCService, req, v.cfg.Timeout)
 	if err != nil {
 		return fmt.Errorf("vm: compile via %s: %w", v.cfg.CCService, err)
@@ -188,7 +140,7 @@ func (v *CVM) activate(ctx *agent.Context, self *firewall.Registration, bc *brie
 	if e, ok := compiled.GetString(briefcase.FolderSysError); ok {
 		return fmt.Errorf("vm: compile: %s", e)
 	}
-	v.trace("step 6: binary returned")
+	v.rt.tracef("step 6: binary returned")
 
 	// Step 7: hand to vm_bin. The compiled core (CODE unchanged,
 	// BINARIES added) is re-signed by the VM's principal: vm_c vouches
@@ -201,30 +153,7 @@ func (v *CVM) activate(ctx *agent.Context, self *firewall.Registration, bc *brie
 	compiled.Drop(FolderArch)
 	compiled.Drop(FolderCompiler)
 	compiled.Drop(firewall.FolderReplyTo)
-	signCore(compiled, v.cfg.Signer, coreSignedCounter(v.cfg.FW, v.cfg.Name))
-	v.trace("step 7: activate via %s", v.cfg.BinVM)
+	signCore(compiled, v.cfg.Signer, v.rt.ctrSigned)
+	v.rt.tracef("step 7: activate via %s", v.cfg.BinVM)
 	return v.cfg.FW.Send(self.GlobalURI(), compiled)
-}
-
-// reject reports an activation failure to the transfer's sender.
-func (v *CVM) reject(self *firewall.Registration, bc *briefcase.Briefcase, reason string) {
-	sender, ok := bc.GetString(briefcase.FolderSysSender)
-	if !ok {
-		return
-	}
-	report := briefcase.New()
-	report.SetString(briefcase.FolderSysTarget, sender)
-	report.SetString(firewall.FolderKind, firewall.KindError)
-	report.SetString(briefcase.FolderSysError, reason)
-	if id, ok := bc.GetString(firewall.FolderMsgID); ok {
-		report.SetString(firewall.FolderReplyTo, id)
-	}
-	_ = v.cfg.FW.Send(self.GlobalURI(), report)
-}
-
-// Close unregisters the VM and waits for its loop to exit.
-func (v *CVM) Close() error {
-	v.cfg.FW.Unregister(v.registration())
-	<-v.doneCh()
-	return nil
 }

@@ -2,6 +2,7 @@ package wrapper_test
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -25,9 +26,16 @@ func TestGroupWrapperTotalOrder(t *testing.T) {
 		msgs []string
 	}
 	results := make(chan result, 3)
+	// Senders wait until every member has installed its group wrapper:
+	// a message reaching a member before its boot briefcase would be
+	// taken for the boot.
+	var installed sync.WaitGroup
+	installed.Add(3) // one per member below
 
 	mkMember := func(sends bool, prefix string) func(ctx *agent.Context) error {
 		return func(ctx *agent.Context) error {
+			release := sync.OnceFunc(installed.Done)
+			defer release()
 			boot, err := ctx.Await(10 * time.Second)
 			if err != nil {
 				return err
@@ -45,7 +53,9 @@ func TestGroupWrapperTotalOrder(t *testing.T) {
 			if err := wrapper.NewStack(g).Install(ctx); err != nil {
 				return err
 			}
+			release()
 			if sends {
+				installed.Wait()
 				for i := 0; i < perSender; i++ {
 					bc := briefcase.New()
 					bc.SetString("BODY", prefix+string(rune('0'+i)))
