@@ -113,6 +113,8 @@ frontier-sweep:
 # check (mutated wire bytes of signed transfers through Decode and
 # VerifyCore, seeded with the tamper table: whatever verifies must
 # reference-decode to a principal and a core that principal signed), the
+# digest memo (the same mutations against a warm memo: the memo's path
+# agrees with memo-less VerifyCore on principal and error class), the
 # policy layer: the ruleset parser (accept-or-reject, installed invariants
 # hold, Describe never panics) and the evaluator (differential against
 # a literal reference evaluator, deny never widens to allow), the
@@ -132,6 +134,7 @@ fuzz-short:
 	$(GO) test -fuzz FuzzForward -fuzztime 30s ./internal/firewall/
 	$(GO) test -fuzz FuzzBatchContainer -fuzztime 30s ./internal/firewall/
 	$(GO) test -fuzz FuzzVerifyCore -fuzztime 30s ./internal/firewall/
+	$(GO) test -fuzz FuzzCoreMemo -fuzztime 30s ./internal/firewall/
 	$(GO) test -fuzz FuzzPolicyParse -fuzztime 30s ./internal/policy/
 	$(GO) test -fuzz FuzzPolicyEval -fuzztime 30s ./internal/policy/
 	$(GO) test -fuzz FuzzRobots -fuzztime 30s ./internal/webbot/

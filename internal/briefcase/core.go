@@ -1,6 +1,7 @@
 package briefcase
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"hash"
@@ -10,9 +11,10 @@ import (
 // BINARIES folders. Arguments and results mutate in flight and are
 // deliberately not covered; the paper's "signed agent core" is the code.
 // This file gives the signing layer (firewall.SignCore/VerifyCore) the
-// two things it needs from the briefcase: the core's digest without
-// materializing its encoding, and a place to remember that digest for as
-// long as the core provably has not changed.
+// three things it needs from the briefcase: the core's digest without
+// materializing its encoding, a place to remember that digest for as
+// long as the core provably has not changed, and a copy of the core that
+// tells, by a byte compare, whether another briefcase carries it too.
 
 // coreFolders are the folders CoreDigest covers, in wire (lexicographic)
 // order; stampFolders adds the two a signature check also reads.
@@ -126,3 +128,91 @@ func (b *Briefcase) CoreStamp() (digest [CoreDigestSize]byte, principal string, 
 	}
 	return s.digest, s.principal, true
 }
+
+// CoreImage is a private copy of a core's wire form — which of CODE and
+// BINARIES are present, each one's element count and its wire region —
+// and the digest a successful sign or verify computed over it. The
+// digest is a pure function of exactly those bytes, so a briefcase whose
+// core matches the image byte for byte digests to it too: Match is what
+// lets a host reuse a digest without trusting anything but a compare.
+type CoreImage struct {
+	digest [CoreDigestSize]byte
+	buf    []byte                // the regions, back to back
+	count  [len(coreFolders)]int // element count; -1 where the folder is absent
+	end    [len(coreFolders)]int // where each folder's region ends in buf
+}
+
+// region returns the folder's wire region and element count while it
+// has one: still undecoded, or empty (whose region is no bytes at all).
+// A folder loaded into elements has none, and ok is false.
+func (f *Folder) region() (raw []byte, n int, ok bool) {
+	switch {
+	case f.raw != nil:
+		return f.raw, f.nraw, true
+	case len(f.elems) == 0:
+		return nil, 0, true
+	}
+	return nil, 0, false
+}
+
+// CopyCore copies b's core into an image carrying the stamped digest.
+// ok is false — and nothing is copied — unless a core stamp holds (only
+// a successful sign or verify leaves one), every present core folder
+// still has its wire region, and the regions total at most limit bytes.
+// The image owns its bytes: it never aliases the briefcase or the frame
+// it was decoded from.
+func (b *Briefcase) CopyCore(limit int) (img *CoreImage, ok bool) {
+	digest, _, ok := b.CoreStamp()
+	if !ok {
+		return nil, false
+	}
+	img = &CoreImage{digest: digest}
+	var regions [len(coreFolders)][]byte
+	size := 0
+	for i, name := range coreFolders {
+		img.count[i] = -1
+		f := b.lookup(name)
+		if f == nil {
+			continue
+		}
+		if regions[i], img.count[i], ok = f.region(); !ok {
+			return nil, false
+		}
+		size += len(regions[i])
+	}
+	if size > limit {
+		return nil, false
+	}
+	img.buf = make([]byte, 0, size)
+	for i, raw := range regions {
+		img.buf = append(img.buf, raw...)
+		img.end[i] = len(img.buf)
+	}
+	return img, true
+}
+
+// Match returns the image's digest if b's core is the image's: the same
+// core folders present, each with its wire region, the same element
+// count and byte-equal bytes. Anything else — a loaded folder included —
+// is not a match, and b's core must be hashed.
+func (img *CoreImage) Match(b *Briefcase) (digest [CoreDigestSize]byte, ok bool) {
+	start := 0
+	for i, name := range coreFolders {
+		f := b.lookup(name)
+		if f == nil {
+			if img.count[i] >= 0 {
+				return digest, false
+			}
+			continue
+		}
+		raw, n, ok := f.region()
+		if !ok || n != img.count[i] || !bytes.Equal(raw, img.buf[start:img.end[i]]) {
+			return digest, false
+		}
+		start = img.end[i]
+	}
+	return img.digest, true
+}
+
+// Size returns the core bytes the image retains.
+func (img *CoreImage) Size() int { return len(img.buf) }

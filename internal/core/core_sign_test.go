@@ -281,3 +281,80 @@ func TestBinArrivalChecksTrustLive(t *testing.T) {
 	default:
 	}
 }
+
+// TestTourHashesOncePerHost pins what a host's digest memo spares a
+// migration. On the tour TestTourSignsTwiceVerifiesFromCache takes, each
+// of the four RequireAuth hosts hashes the arriving core once on the
+// core's first tour, and none does on its second: every later
+// arrival is byte-compared against the memo instead. A crash takes the
+// memo with the rest of the host's volatile state, so after a restart
+// that host hashes exactly once more, and no other host does.
+func TestTourHashesOncePerHost(t *testing.T) {
+	hosts := []string{"h1", "h2", "h3", "h4"}
+	s := newSystem(t, NodeOptions{NoCVM: true, RequireAuth: true}, hosts...)
+	home, _ := s.Node("h1")
+	collector, err := home.FW.Register("test", s.SystemPrincipal.Name(), "collector")
+	if err != nil {
+		t.Fatal(err)
+	}
+	image := []byte(strings.Repeat("carried image ", 4096))
+	s.DeployProgram("tour", func(ctx *agent.Context) error {
+		err := agent.RunItinerary(ctx, func(ctx *agent.Context) error {
+			if code := ctx.Briefcase().Ensure(briefcase.FolderCode); code.Len() == 1 {
+				code.Append(image)
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		return ctx.Activate("tacoma://h1//collector", briefcase.New())
+	})
+	itinerary := []string{"h2", "h3", "h4", "h2", "h4", "h3", "h2", "h3", "h4", "h3", "h2", "h1"}
+
+	hashed := func() map[string]int64 {
+		out := map[string]int64{}
+		for _, h := range hosts {
+			n, _ := s.Node(h)
+			out[h] = n.FW.Telemetry().Registry().Counter("fw.core_hashed", "host", h).Value()
+		}
+		return out
+	}
+	tour := func() map[string]int64 {
+		t.Helper()
+		before := hashed()
+		bc := briefcase.New()
+		for _, h := range itinerary {
+			bc.Ensure(briefcase.FolderHosts).AppendString("tacoma://" + h + "//vm_go")
+		}
+		if _, err := home.VM.Launch(s.SystemPrincipal.Name(), "tourist", "tour", bc); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := collector.Recv(10 * time.Second); err != nil {
+			t.Fatalf("tour did not come home: %v", err)
+		}
+		after := hashed()
+		for h := range after {
+			after[h] -= before[h]
+		}
+		return after
+	}
+
+	if first := tour(); first["h1"] != 1 || first["h2"] != 1 || first["h3"] != 1 || first["h4"] != 1 {
+		t.Errorf("first tour hashed: %v, want every host exactly once", first)
+	}
+	if second := tour(); second["h1"]+second["h2"]+second["h3"]+second["h4"] != 0 {
+		t.Errorf("second tour hashed: %v, want no host", second)
+	}
+
+	s.Net.Crash("h3")
+	s.Net.Restart("h3")
+	if third := tour(); third["h3"] != 1 || third["h1"]+third["h2"]+third["h4"] != 0 {
+		t.Errorf("tour after h3's restart hashed: %v, want h3 once and no other host", third)
+	}
+	for _, n := range s.Nodes() {
+		if st := n.FW.Stats(); st.AuthFailures != 0 || st.Errors != 0 {
+			t.Errorf("%s: %+v", n.Name, st)
+		}
+	}
+}

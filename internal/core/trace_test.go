@@ -81,9 +81,19 @@ func TestThreeHopItineraryTrace(t *testing.T) {
 	if got != "h1,h2,h3" {
 		t.Fatalf("visited %s", got)
 	}
-	// The final vm.exec span ends after the agent function returns; give
-	// the VM goroutine a moment to commit it.
-	waitForSpan(t, tel, trace, "vm.exec", "h3")
+	// A host records its spans on its own goroutines, and a moved agent's
+	// vm.exec and agent.go end only once its hop has returned — after
+	// the next host may have run the rest of the tour. Give every span
+	// the checks below read a moment to be committed.
+	for _, want := range [][2]string{
+		{"vm.exec", "h1"}, {"vm.exec", "h2"}, {"vm.exec", "h3"},
+		{"agent.go", "h1"}, {"agent.go", "h2"},
+		{"fw.send", "h1"}, {"fw.send", "h2"},
+		{"net.transfer", "h1"}, {"net.transfer", "h2"},
+		{"fw.inbound", "h2"}, {"fw.inbound", "h3"},
+	} {
+		waitForSpan(t, tel, trace, want[0], want[1])
+	}
 
 	spans := tel.Spans().ForTrace(trace)
 	if len(spans) < 6 {

@@ -47,11 +47,13 @@ func BenchmarkRegisterUnregister(b *testing.B) {
 	}
 }
 
-// BenchmarkCoreSignature prices the three states a 64 KiB core's
-// signature check can be in (EXPERIMENTS E11): cold — a fresh decode, so
-// the core is hashed, and the trust store has never seen it, so ed25519
-// runs; an arrival — hashed, but answered from the verified-manifest
-// cache; and warm — a stamped briefcase, neither. SignCore likewise:
+// BenchmarkCoreSignature prices the four states a 64 KiB core's
+// signature check can be in (EXPERIMENTS E11, E20): cold — a fresh
+// decode, so the core is hashed, and the trust store has never seen it,
+// so ed25519 runs; an arrival — hashed, but answered from the
+// verified-manifest cache; memo — an arrival at a firewall whose digest
+// memo holds the core, so it is compared, not hashed; and warm — a
+// stamped briefcase, neither. SignCore likewise:
 // over an unstamped core (hash + ed25519 over the manifest) and over a
 // stamped one (ed25519 only).
 func BenchmarkCoreSignature(b *testing.B) {
@@ -93,6 +95,22 @@ func BenchmarkCoreSignature(b *testing.B) {
 		trust := trusting()
 		for _, bc := range arrivals(b) {
 			verify(b, bc, trust)
+		}
+	})
+	b.Run("verify/memo", func(b *testing.B) {
+		trust := trusting()
+		var memo coreMemo
+		first, err := briefcase.Decode(wire) // fills the memo
+		if err == nil {
+			_, _, _, err = verifyCore(first, trust, identity.Untrusted, &memo)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, bc := range arrivals(b) {
+			if _, _, _, err := verifyCore(bc, trust, identity.Untrusted, &memo); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 	b.Run("verify/warm", func(b *testing.B) {

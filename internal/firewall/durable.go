@@ -133,14 +133,17 @@ func dedupKeys(n int) []string {
 
 // CrashWipe discards the firewall's volatile state, as losing power
 // would: every registration (including the VMs' own, so in-flight agent
-// state dies with the host), every parked message and its timer, and
-// the in-memory dedup window. The firewall object itself stays open —
-// it models the machine, not the process — and the durable cabinet is
-// untouched: RecoverDurable rebuilds from it after Restart.
+// state dies with the host), every parked message and its timer, the
+// in-memory dedup window and the digest memo. The firewall object itself
+// stays open — it models the machine, not the process — and the durable
+// cabinet is untouched: RecoverDurable rebuilds from it after Restart.
 func (fw *Firewall) CrashWipe() {
 	regs, pend := fw.vacate()
 	if fw.dedup != nil {
 		fw.dedup.reset()
+	}
+	if fw.memo != nil {
+		fw.memo.reset()
 	}
 	if fw.batch != nil {
 		// Queued batch frames lived only in process memory; the crash

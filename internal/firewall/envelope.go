@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 
 	"tax/internal/briefcase"
 	"tax/internal/identity"
@@ -94,33 +95,111 @@ func SignCore(bc *briefcase.Briefcase, p *identity.Principal) {
 // level the signer must hold. Success leaves a core stamp behind; any
 // failure leaves the briefcase as it was.
 func VerifyCore(bc *briefcase.Briefcase, trust *identity.TrustStore, required identity.Level) (string, error) {
-	principal, _, err := verifyCore(bc, trust, required)
+	principal, _, _, err := verifyCore(bc, trust, required, nil)
 	return principal, err
 }
 
-// verifyCore is VerifyCore that also reports whether the signature check
-// was answered by the trust store's verified-manifest cache.
-func verifyCore(bc *briefcase.Briefcase, trust *identity.TrustStore, required identity.Level) (principal string, cached bool, err error) {
+// verifyCore is VerifyCore that also takes the digest from memo when the
+// stamp misses and memo holds this core, and reports whether the
+// signature check was answered by the trust store's verified-manifest
+// cache and whether the core was hashed. A nil memo is VerifyCore's.
+func verifyCore(bc *briefcase.Briefcase, trust *identity.TrustStore, required identity.Level, memo *coreMemo) (principal string, cached, hashed bool, err error) {
 	principal, ok := bc.GetString(briefcase.FolderSysPrincipal)
 	if !ok {
-		return "", false, fmt.Errorf("%w: no principal", ErrUnsigned)
+		return "", false, false, fmt.Errorf("%w: no principal", ErrUnsigned)
 	}
 	f, err := bc.Folder(briefcase.FolderSysSignature)
 	if err != nil || f.Len() == 0 {
-		return "", false, fmt.Errorf("%w: no signature", ErrUnsigned)
+		return "", false, false, fmt.Errorf("%w: no signature", ErrUnsigned)
 	}
 	sig, err := f.Element(0)
 	if err != nil {
-		return "", false, fmt.Errorf("%w: %v", ErrUnsigned, err)
+		return "", false, false, fmt.Errorf("%w: %v", ErrUnsigned, err)
 	}
-	digest := coreDigest(bc)
+	digest, _, ok := bc.CoreStamp()
+	if !ok && memo != nil {
+		digest, ok = memo.lookup(sig, bc)
+	}
+	if !ok {
+		digest, hashed = bc.CoreDigest(), true
+	}
 	var buf [128]byte
 	cached, err = trust.VerifyManifest(principal, appendCoreManifest(buf[:0], principal, digest), sig, required)
 	if err != nil {
-		return "", false, err
+		return "", false, hashed, err
 	}
 	bc.StampCore(digest, principal)
-	return principal, cached, nil
+	if hashed && memo != nil {
+		memo.remember(sig, bc)
+	}
+	return principal, cached, hashed, nil
+}
+
+// coreMemoBudget bounds the core bytes one host's digest memo retains.
+// A core larger than the whole budget is never retained.
+const coreMemoBudget = 4 << 20
+
+// coreMemo is a host's digest memo: what the cores that verified here
+// hash to, so a core arriving again is byte-compared rather than hashed.
+// It is keyed by the transfer's signature, and each entry is a private
+// copy of the core's wire regions with the digest computed over them
+// (briefcase.CoreImage). It memoizes a pure function — bytes to SHA-256
+// — and a hit is proven by a full compare, so it decides nothing: the
+// signature is still checked against the trust store, live, on every
+// arrival. Only a successful verification adds an entry, so a hostile
+// sender can plant nothing; evicting one costs a re-hash. The memo is
+// volatile state, and CrashWipe empties it.
+type coreMemo struct {
+	mu      sync.RWMutex
+	entries map[string]*briefcase.CoreImage
+	size    int // core bytes retained, at most coreMemoBudget
+}
+
+// lookup returns the digest the memo holds for bc's core under sig, if
+// bc's core is byte for byte the one retained. Images never change once
+// stored, so the compare runs outside the lock.
+func (m *coreMemo) lookup(sig []byte, bc *briefcase.Briefcase) (digest [briefcase.CoreDigestSize]byte, ok bool) {
+	m.mu.RLock()
+	img := m.entries[string(sig)]
+	m.mu.RUnlock()
+	if img == nil {
+		return digest, false
+	}
+	return img.Match(bc)
+}
+
+// remember retains bc's just-verified core under sig, evicting arbitrary
+// entries until it fits the budget.
+func (m *coreMemo) remember(sig []byte, bc *briefcase.Briefcase) {
+	img, ok := bc.CopyCore(coreMemoBudget)
+	if !ok {
+		return
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.entries == nil {
+		m.entries = make(map[string]*briefcase.CoreImage)
+	}
+	if old := m.entries[string(sig)]; old != nil {
+		m.size -= old.Size()
+		delete(m.entries, string(sig))
+	}
+	for k, e := range m.entries {
+		if m.size+img.Size() <= coreMemoBudget {
+			break
+		}
+		m.size -= e.Size()
+		delete(m.entries, k)
+	}
+	m.entries[string(sig)] = img
+	m.size += img.Size()
+}
+
+// reset forgets every entry.
+func (m *coreMemo) reset() {
+	m.mu.Lock()
+	m.entries, m.size = nil, 0
+	m.mu.Unlock()
 }
 
 // Channel-authentication folders: a sealed frame is an outer briefcase

@@ -215,6 +215,10 @@ type fwCounters struct {
 	coreVerifyHit  *telemetry.Counter
 	coreVerifyMiss *telemetry.Counter
 	coreVerifyFail *telemetry.Counter
+	// fw.core_hashed: transfer authentications that hashed the core,
+	// neither the core stamp nor the digest memo knowing its digest.
+	// Registered on RequireAuth hosts, the only ones that hash arrivals.
+	coreHashed *telemetry.Counter
 }
 
 // Firewall is the per-host broker. Create with New, shut down with Close.
@@ -246,6 +250,12 @@ type Firewall struct {
 	// dedup suppresses duplicate inbound frames; it carries its own
 	// lock (nil unless cfg.DedupWindow > 0).
 	dedup *dedupWindow
+
+	// memo remembers what the cores verified here digest to, so an
+	// arriving core this host has seen is compared, not hashed
+	// (envelope.go). It carries its own lock; nil unless
+	// cfg.RequireAuth, as only then are arrivals verified.
+	memo *coreMemo
 
 	// batch holds the per-link outbound queues of batched mediation
 	// (nil unless cfg.Batch is set).
@@ -343,6 +353,10 @@ func New(cfg Config) (*Firewall, error) {
 			fw.dedup.keys = dedupKeys(cfg.DedupWindow)
 			fw.dedup.onInsert = fw.journalDedup
 		}
+	}
+	if cfg.RequireAuth {
+		fw.memo = new(coreMemo)
+		fw.ctr.coreHashed = reg.Counter("fw.core_hashed", "host", cfg.HostName)
 	}
 	if cfg.Batch != nil {
 		fw.batch = newBatcher(fw, *cfg.Batch)

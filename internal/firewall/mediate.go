@@ -322,7 +322,10 @@ func (fw *Firewall) admitFrame(m *mediation) bool {
 	// First-level authentication (§3.2): inbound agent transfers must
 	// carry a core signed by a principal this host knows.
 	if Kind(bc) == KindTransfer && fw.cfg.RequireAuth {
-		_, cached, err := verifyCore(bc, fw.cfg.Trust, identity.Untrusted)
+		_, cached, hashed, err := verifyCore(bc, fw.cfg.Trust, identity.Untrusted, fw.memo)
+		if hashed {
+			fw.ctr.coreHashed.Inc()
+		}
 		switch {
 		case err != nil:
 			fw.ctr.coreVerifyFail.Inc()
@@ -498,6 +501,12 @@ func (fw *Firewall) deliver(m *mediation, r *Registration, matched int) {
 		fw.clock.Advance(fw.cfg.LocalHopCost)
 	}
 	fw.handoff(m)
+	// The spans end at the hand-off instant, before the receiver holds
+	// bc: what it records on this host next is recorded after them. A
+	// mailbox that then refuses bc is named by the drop event alone.
+	m.route.End()
+	m.sp.End()
+	m.route, m.sp = nil, nil
 	switch err := r.deliver(bc); {
 	case err != nil && flush:
 		m.stop(vDropped, "unpark failed: "+err.Error(), err)
