@@ -24,9 +24,10 @@ race:
 # detector.
 check: vet build race
 
-# ci is the pipeline entry point: vet, staticcheck when installed, the
-# full suite twice under the race detector (flushes order-dependent
-# flakes), the crash-point recovery sweep under the race detector
+# ci is the pipeline entry point: vet, gofmt (any file `gofmt -l`
+# lists fails the run), staticcheck when installed, the full suite
+# twice under the race detector (flushes order-dependent flakes), the
+# crash-point recovery sweep under the race detector
 # (fixed seeds 11 clean / 13 torn / 17 under faults / 19 every-byte
 # prefix, baked into internal/chaostest/crashpoint_test.go — reruns
 # crash at identical WAL boundaries), the ten-thousand-principal quota
@@ -48,6 +49,8 @@ check: vet build race
 # overwritten).
 ci:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "ci: gofmt drift in:"; echo "$$unformatted"; exit 1; fi
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 	else echo "ci: staticcheck not installed, skipping"; fi
 	$(GO) test -race -count=2 ./...

@@ -44,7 +44,7 @@ func runPolicyReloadScenario(t *testing.T, seed int64) {
 	nb, err := s.AddNodeWith("hb",
 		core.WithoutCVM(), core.WithoutServices(),
 		core.WithDedupWindow(256),
-		core.WithQueueTimeout(time.Minute), // parks must outlive the fault storm
+		core.WithQueueTimeout(time.Minute),              // parks must outlive the fault storm
 		core.WithPolicy("hold: park tourist send **\n"), // default deny
 	)
 	if err != nil {

@@ -640,17 +640,24 @@ func (s *System) DeployProgram(name string, h vm.Handler) {
 	}
 }
 
-// DeployBinary installs a binary on every node: all hosts hold the
-// bit-identical synthetic image (vm.SyntheticImage is deterministic) but
-// each binds its own handler closure, which is how pre-deployed code
-// captures host-local resources.
+// DeployBinary installs a binary on every node: all hosts of one
+// architecture hold the bit-identical synthetic image (vm.SyntheticImage
+// is deterministic, so it is computed once per architecture and shared
+// read-only) but each binds its own handler closure, which is how
+// pre-deployed code captures host-local resources.
 func (s *System) DeployBinary(name, version string, size int, mkHandler func(n *Node) vm.Handler) {
+	images := make(map[string][]byte)
 	for _, n := range s.Nodes() {
+		img, ok := images[n.Arch]
+		if !ok {
+			img = vm.SyntheticImage(name, n.Arch, version, size)
+			images[n.Arch] = img
+		}
 		n.Binaries.Deploy(vm.Binary{
 			Name:    name,
 			Arch:    n.Arch,
 			Version: version,
-			Payload: vm.SyntheticImage(name, n.Arch, version, size),
+			Payload: img,
 			Handler: mkHandler(n),
 		})
 	}

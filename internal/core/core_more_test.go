@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -130,6 +131,48 @@ func TestHeterogeneousArchitectures(t *testing.T) {
 	}
 	if got[0].arch != "sparc-sunos5" || got[1].arch != "i386-linux" {
 		t.Errorf("architectures: %+v", got)
+	}
+}
+
+// TestDeployBinaryImageOncePerArch: nodes of one architecture share one
+// computed image, byte-equal to vm.SyntheticImage, while each keeps its
+// own handler; a node of another architecture gets that architecture's
+// image.
+func TestDeployBinaryImageOncePerArch(t *testing.T) {
+	s := newSystem(t, NodeOptions{}, "s1", "s2")
+	if _, err := s.AddNode("i1", NodeOptions{Arch: "i386-linux"}); err != nil {
+		t.Fatal(err)
+	}
+	handlers := map[string]bool{}
+	s.DeployBinary("shared", "1.0", 4096, func(n *Node) vm.Handler {
+		handlers[n.Name] = true
+		return func(*agent.Context) error { return nil }
+	})
+	if len(handlers) != 3 {
+		t.Fatalf("handlers built for %v, want one per node", handlers)
+	}
+	resolve := func(host string) vm.Binary {
+		t.Helper()
+		n, _ := s.Node(host)
+		b, ok := n.Binaries.Resolve("shared", n.Arch)
+		if !ok {
+			t.Fatalf("%s: binary not deployed for %s", host, n.Arch)
+		}
+		return b
+	}
+	s1, s2, i1 := resolve("s1"), resolve("s2"), resolve("i1")
+	want := vm.SyntheticImage("shared", vm.DefaultArch, "1.0", 4096)
+	if !bytes.Equal(s1.Payload, want) || !bytes.Equal(s2.Payload, want) {
+		t.Fatal("same-architecture payloads differ from SyntheticImage")
+	}
+	if &s1.Payload[0] != &s2.Payload[0] {
+		t.Error("same-architecture nodes hold separately computed images, want one")
+	}
+	if !bytes.Equal(i1.Payload, vm.SyntheticImage("shared", "i386-linux", "1.0", 4096)) {
+		t.Error("second architecture's payload is not its own SyntheticImage")
+	}
+	if bytes.Equal(i1.Payload, want) {
+		t.Error("second architecture got the first architecture's image")
 	}
 }
 

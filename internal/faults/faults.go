@@ -88,11 +88,11 @@ type pairState struct {
 type Plan struct {
 	cfg Config
 
-	mu      sync.Mutex
-	net     *simnet.Network
-	pairs   map[[2]string]*pairState
-	events  []Event // sorted by At, stable
-	nextEv  int
+	mu       sync.Mutex
+	net      *simnet.Network
+	pairs    map[[2]string]*pairState
+	events   []Event // sorted by At, stable
+	nextEv   int
 	applied  []Event
 	records  []Record
 	applyObs func(Event)

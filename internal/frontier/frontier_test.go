@@ -1,9 +1,12 @@
 package frontier
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -610,5 +613,213 @@ func TestModelMakespan(t *testing.T) {
 	rev := []*PageRecord{recs[3], recs[1], recs[0], recs[2]}
 	if ModelMakespan(rev, 4, 30*time.Millisecond) != got {
 		t.Fatal("makespan depends on input order")
+	}
+}
+
+// TestFrontierDifferential drives seeded operation sequences through the
+// one-map frontier and the three-map reference (frontier_reference_test.go),
+// each on its own cabinet, and holds them to identical results at every
+// step: the claims and records each call returns, Counts, Records,
+// Failures and Drained, and the cabinet write set each transition commits
+// — key, value, delete flag and order, compared as WAL bytes. The one
+// exception is BeginRecrawl, whose write set both implementations order
+// by map iteration: there the committed tables and the frame sizes must
+// match. Each seed also runs without a store, minus the reopen step.
+func TestFrontierDifferential(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		for _, durable := range []bool{true, false} {
+			t.Run(fmt.Sprintf("seed%d/durable=%v", seed, durable), func(t *testing.T) {
+				runDifferential(t, seed, durable, 300)
+			})
+		}
+	}
+}
+
+// diffPair is the one-map frontier and the reference, driven in step.
+type diffPair struct {
+	t          *testing.T
+	f          *Frontier
+	ref        *refFrontier
+	fs, rs     *cabinet.Store // nil when volatile
+	walF, walR int            // WAL bytes already compared
+}
+
+func newDiffStore() *cabinet.Store {
+	return cabinet.NewStore(cabinet.Options{Clock: vclock.NewVirtual(), SnapshotEvery: -1})
+}
+
+// open (re)opens both frontiers on their stores.
+func (p *diffPair) open(adopt bool) {
+	p.t.Helper()
+	f, err := New(Options{Store: p.fs, AdoptClaims: adopt, MaxAttempts: 2})
+	ref, rerr := newReference(Options{Store: p.rs, AdoptClaims: adopt, MaxAttempts: 2})
+	if err != nil || rerr != nil {
+		p.t.Fatalf("open(adopt=%v): %v, reference %v", adopt, err, rerr)
+	}
+	p.f, p.ref = f, ref
+}
+
+// check compares the write sets committed since the last check and the
+// two frontiers' observable state.
+func (p *diffPair) check(step string, ordered bool) {
+	p.t.Helper()
+	if p.fs != nil {
+		wf, _ := p.fs.Disk().ReadFile("wal")
+		wr, _ := p.rs.Disk().ReadFile("wal")
+		nf, nr := wf[p.walF:], wr[p.walR:]
+		switch {
+		case ordered && !bytes.Equal(nf, nr):
+			p.t.Fatalf("%s: committed %x, reference %x", step, nf, nr)
+		case len(nf) != len(nr):
+			p.t.Fatalf("%s: committed %d WAL bytes, reference %d", step, len(nf), len(nr))
+		}
+		p.walF, p.walR = len(wf), len(wr)
+		kf, kr := p.fs.Keys(""), p.rs.Keys("")
+		if !reflect.DeepEqual(kf, kr) {
+			p.t.Fatalf("%s: store keys %q, reference %q", step, kf, kr)
+		}
+		for _, k := range kf {
+			vf, _ := p.fs.Get(k)
+			vr, _ := p.rs.Get(k)
+			if !bytes.Equal(vf, vr) {
+				p.t.Fatalf("%s: %s = %x, reference %x", step, k, vf, vr)
+			}
+		}
+	}
+	if a, b := p.f.Counts(), p.ref.Counts(); a != b {
+		p.t.Fatalf("%s: counts %+v, reference %+v", step, a, b)
+	}
+	if a, b := p.f.Records(), p.ref.Records(); !reflect.DeepEqual(a, b) {
+		p.t.Fatalf("%s: records differ: %d vs reference %d", step, len(a), len(b))
+	}
+	if a, b := p.f.Failures(), p.ref.Failures(); !reflect.DeepEqual(a, b) {
+		p.t.Fatalf("%s: failures %+v, reference %+v", step, a, b)
+	}
+	if a, b := p.f.Drained(), p.ref.Drained(); a != b {
+		p.t.Fatalf("%s: drained %v, reference %v", step, a, b)
+	}
+}
+
+func (p *diffPair) same(step string, got, want any) {
+	p.t.Helper()
+	if !reflect.DeepEqual(got, want) {
+		p.t.Fatalf("%s: got %+v, reference %+v", step, got, want)
+	}
+}
+
+func runDifferential(t *testing.T, seed int64, durable bool, steps int) {
+	rng := rand.New(rand.NewSource(seed))
+	p := &diffPair{t: t}
+	if durable {
+		p.fs, p.rs = newDiffStore(), newDiffStore()
+	}
+	p.open(false)
+	urlOf := func(i int) string { return fmt.Sprintf("http://h/u%02d", i) }
+	randURL := func() string { return urlOf(rng.Intn(30)) }
+	workers := []string{"w0", "w1", "w2"}
+	links := func(n int) []Link {
+		out := make([]Link, n)
+		for i := range out {
+			out[i] = Link{URL: randURL(), Referrer: randURL(), Depth: rng.Intn(6)}
+		}
+		return out
+	}
+	// record returns two equal, unshared records for url: complete
+	// stores its argument and may lower its depth later.
+	record := func(url string) (*PageRecord, *PageRecord) {
+		r := &PageRecord{URL: url, Referrer: randURL(), Depth: rng.Intn(6), Status: 200,
+			Bytes: rng.Intn(5000), Type: "text/html", AgeDays: rng.Intn(900),
+			FetchCost: time.Duration(rng.Intn(1e6)), Digest: fmt.Sprint(rng.Intn(9)),
+			Links: links(rng.Intn(4))}
+		c := *r
+		c.Links = slices.Clone(r.Links)
+		return r, &c
+	}
+	admit := upTo(4)
+	held := map[string]string{} // worker → URL it last claimed
+	var completed []string
+	p.check("open", true)
+	for i := 0; i < steps; i++ {
+		w := workers[rng.Intn(len(workers))]
+		var step string
+		ordered := true
+		switch op := rng.Intn(20); {
+		case op < 3:
+			ls := links(1 + rng.Intn(4))
+			step = fmt.Sprintf("%d Add %v", i, ls)
+			fresh, low, err := p.f.Add(ls)
+			rfresh, rlow, rerr := p.ref.Add(ls)
+			p.same(step, []any{fresh, low, err}, []any{rfresh, rlow, rerr})
+		case op < 5:
+			ls := links(1 + rng.Intn(4))
+			step = fmt.Sprintf("%d Offer %v", i, ls)
+			p.same(step, p.f.Offer(ls, admit), p.ref.Offer(ls, admit))
+		case op < 8:
+			step = fmt.Sprintf("%d Claim %s", i, w)
+			cl, ok := p.f.Claim(w)
+			rcl, rok := p.ref.Claim(w)
+			p.same(step, []any{cl, ok}, []any{rcl, rok})
+			if ok {
+				held[w] = cl.URL
+			}
+		case op < 12:
+			url, ok := held[w]
+			if !ok || rng.Intn(5) == 0 {
+				url = randURL() // pending, done, failed or unknown
+			}
+			step = fmt.Sprintf("%d CompleteNext %s %s", i, url, w)
+			a, b := record(url)
+			next, err := p.f.CompleteNext(url, w, a, admit)
+			rnext, rerr := p.ref.CompleteNext(url, w, b, admit)
+			p.same(step, []any{next, err}, []any{rnext, rerr})
+			delete(held, w)
+			if next != nil {
+				held[w] = next.URL
+			}
+			completed = append(completed, url)
+		case op < 13:
+			if len(completed) == 0 {
+				continue
+			}
+			url := completed[rng.Intn(len(completed))]
+			step = fmt.Sprintf("%d Complete (duplicate) %s %s", i, url, w)
+			a, b := record(url)
+			first, err := p.f.Complete(url, w, a)
+			rfirst, rerr := p.ref.Complete(url, w, b)
+			p.same(step, []any{first, err}, []any{rfirst, rerr})
+		case op < 16:
+			url, ok := held[w]
+			if !ok || rng.Intn(4) == 0 {
+				url = randURL()
+			}
+			retry := rng.Intn(3) > 0
+			step = fmt.Sprintf("%d Fail %s %s retryable=%v", i, url, w, retry)
+			re, err := p.f.Fail(url, w, "wb_fetch_failed", "boom", retry)
+			rre, rerr := p.ref.Fail(url, w, "wb_fetch_failed", "boom", retry)
+			p.same(step, []any{re, err}, []any{rre, rerr})
+			delete(held, w)
+		case op < 17:
+			fl := Failure{URL: randURL(), Referrer: randURL(), Depth: rng.Intn(6), Code: "wb_depth_unstable", Reason: "deep"}
+			step = fmt.Sprintf("%d Journal %s", i, fl.URL)
+			p.same(step, p.f.Journal(fl), p.ref.Journal(fl))
+		case op < 18:
+			if rng.Intn(3) > 0 {
+				continue // keep recrawls rarer than the other steps
+			}
+			step = fmt.Sprintf("%d BeginRecrawl", i)
+			p.same(step, p.f.BeginRecrawl(), p.ref.BeginRecrawl())
+			ordered = false
+		default:
+			if !durable {
+				continue
+			}
+			adopt := rng.Intn(2) == 0
+			step = fmt.Sprintf("%d reopen adopt=%v", i, adopt)
+			p.open(adopt)
+			if adopt {
+				held = map[string]string{}
+			}
+		}
+		p.check(step, ordered)
 	}
 }

@@ -29,8 +29,8 @@ type PageRecord struct {
 	Referrer    string
 	Depth       int
 	Status      int
-	Bytes       int           // response body bytes (for client accounting)
-	Type        string        // content type of OK pages; "" when the response had no page
+	Bytes       int    // response body bytes (for client accounting)
+	Type        string // content type of OK pages; "" when the response had no page
 	AgeDays     int
 	FetchCost   time.Duration // virtual fetch time on a private clock, politeness excluded
 	Digest      string        // cheap change detector: "status|size|age"
@@ -153,7 +153,17 @@ func decodeFailure(b []byte) (*Failure, error) {
 	return f, nil
 }
 
-// entry is a pending or claimed URL's durable state.
+// entryState is where a URL stands in the frontier.
+type entryState uint8
+
+const (
+	statePending entryState = iota
+	stateClaimed
+	stateDone
+)
+
+// entry is one URL the frontier holds. A pending or claimed entry's
+// durable state is the fields encode writes; a done entry's is rec.
 type entry struct {
 	url      string
 	referrer string
@@ -161,6 +171,8 @@ type entry struct {
 	attempts int
 	worker   string // set only while claimed
 	index    int    // heap position while pending
+	state    entryState
+	rec      *PageRecord // the fetch record, once done
 }
 
 func (e *entry) encode() []byte {

@@ -163,6 +163,13 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newDeployment(cfg, site)
+}
+
+// newDeployment boots a deployment of cfg (defaults filled) that serves
+// site. The site is read-only input: nothing a crawl does writes to it,
+// so deployments may share one.
+func newDeployment(cfg Config, site *websim.Site) (*Deployment, error) {
 	sys, err := core.NewSystem(cfg.Link)
 	if err != nil {
 		return nil, err
@@ -573,25 +580,37 @@ func (c *Comparison) SpeedupPercent() float64 {
 
 // Run executes the stationary baseline and the mobile agent on fresh
 // deployments of the same configuration (fresh virtual clocks make the
-// two elapsed times directly comparable).
+// two elapsed times directly comparable). The site is generated once and
+// served by both: it is the workload, not deployment state.
 func Run(cfg Config) (*Comparison, error) {
-	ds, err := NewDeployment(cfg)
+	cmp, _, err := run(cfg)
+	return cmp, err
+}
+
+// run is Run, also returning its two deployments, closed, stationary
+// first (nil past a failure).
+func run(cfg Config) (*Comparison, [2]*Deployment, error) {
+	var ds [2]*Deployment
+	cfg = cfg.withDefaults()
+	site, err := websim.Generate(cfg.Spec)
 	if err != nil {
-		return nil, err
+		return nil, ds, err
 	}
-	defer func() { _ = ds.Close() }()
-	stationary, err := ds.RunStationary()
+	if ds[0], err = newDeployment(cfg, site); err != nil {
+		return nil, ds, err
+	}
+	defer func() { _ = ds[0].Close() }()
+	stationary, err := ds[0].RunStationary()
 	if err != nil {
-		return nil, err
+		return nil, ds, err
 	}
-	dm, err := NewDeployment(cfg)
+	if ds[1], err = newDeployment(cfg, site); err != nil {
+		return nil, ds, err
+	}
+	defer func() { _ = ds[1].Close() }()
+	mobile, err := ds[1].RunMobile()
 	if err != nil {
-		return nil, err
+		return nil, ds, err
 	}
-	defer func() { _ = dm.Close() }()
-	mobile, err := dm.RunMobile()
-	if err != nil {
-		return nil, err
-	}
-	return &Comparison{Stationary: stationary, Mobile: mobile}, nil
+	return &Comparison{Stationary: stationary, Mobile: mobile}, ds, nil
 }

@@ -148,6 +148,37 @@ func TestPaperHeadlineShape(t *testing.T) {
 		cmp.Stationary.ScanElapsed, cmp.Mobile.ScanElapsed, speedup)
 }
 
+// TestRunSharesOneSite: Run generates the site once and both deployments
+// serve that one site, which the two scans leave exactly as generated;
+// systems and clocks stay per deployment.
+func TestRunSharesOneSite(t *testing.T) {
+	cfg := Config{}.withDefaults()
+	fresh, err := websim.Generate(cfg.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmp, ds, err := run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cmp.Stationary.PagesVisited != 917 || cmp.Mobile.PagesVisited != 917 {
+		t.Fatalf("pages %d stationary, %d mobile, want 917", cmp.Stationary.PagesVisited, cmp.Mobile.PagesVisited)
+	}
+	stat, mob := ds[0], ds[1]
+	if stat.Site != mob.Site {
+		t.Error("deployments serve different sites, want one shared site")
+	}
+	if stat.Site.Fingerprint() != fresh.Fingerprint() {
+		t.Error("the scans changed the shared site")
+	}
+	if stat.Sys == mob.Sys || stat.Client == mob.Client || stat.Server == mob.Server {
+		t.Error("deployments share a system or node")
+	}
+	if stat.Client.Host.Clock() == mob.Client.Host.Clock() || stat.Server.Host.Clock() == mob.Server.Host.Clock() {
+		t.Error("deployments share a clock")
+	}
+}
+
 func TestWANAmplifiesSpeedup(t *testing.T) {
 	// §5's closing claim: across a WAN the mobile Webbot wins by much
 	// more.

@@ -118,18 +118,18 @@ func TestPatternMatchTable(t *testing.T) {
 func TestParsePatternErrors(t *testing.T) {
 	bad := []string{
 		"",
-		"tacoma://h",               // missing '/' after hostport
-		"tacoma:///ag_fs",          // empty host glob
-		"tacoma://h:0/ag_fs",       // port out of range
-		"tacoma://h:99999/ag_fs",   // port out of range
-		"tacoma://h:x/ag_fs",       // non-numeric port
-		"tacoma://h^host/ag_fs",    // bad host rune
-		"bad^principal/ag_fs",      // bad principal rune
-		"ag fs",                    // space in name glob
-		"ag_fs:",                   // empty instance glob
-		"ag_fs:zz!",                // bad instance rune
-		"**:5",                     // '**' takes no instance glob
-		strings.Repeat("a", 513),   // longer than MaxPatternLen
+		"tacoma://h",                    // missing '/' after hostport
+		"tacoma:///ag_fs",               // empty host glob
+		"tacoma://h:0/ag_fs",            // port out of range
+		"tacoma://h:99999/ag_fs",        // port out of range
+		"tacoma://h:x/ag_fs",            // non-numeric port
+		"tacoma://h^host/ag_fs",         // bad host rune
+		"bad^principal/ag_fs",           // bad principal rune
+		"ag fs",                         // space in name glob
+		"ag_fs:",                        // empty instance glob
+		"ag_fs:zz!",                     // bad instance rune
+		"**:5",                          // '**' takes no instance glob
+		strings.Repeat("a", 513),        // longer than MaxPatternLen
 		"x/" + strings.Repeat("a", 300), // component over MaxGlobLen
 	}
 	for _, s := range bad {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -107,7 +108,7 @@ func (r *Robot) RunCtx(ctx context.Context, startURL string) (*Stats, error) {
 		if cfg.store == nil {
 			return fail(errors.New("webbot: WithRecrawl requires WithFrontier"))
 		}
-		if len(fr.Records()) > 0 {
+		if fr.Counts().Done > 0 {
 			if err := fr.BeginRecrawl(); err != nil {
 				return fail(err)
 			}
@@ -115,28 +116,25 @@ func (r *Robot) RunCtx(ctx context.Context, startURL string) (*Stats, error) {
 	}
 
 	rp := &replayer{
-		cfg:       cfg,
-		effDepth:  effDepth,
-		rules:     rules,
-		fr:        fr,
-		clock:     r.Clock,
-		fetcher:   r.Fetcher,
-		records:   map[string]*frontier.PageRecord{},
-		bestDepth: map[string]int{},
-		pages:     map[string]*replayPage{},
-		st:        st,
+		cfg:      cfg,
+		effDepth: effDepth,
+		rules:    rules,
+		fr:       fr,
+		clock:    r.Clock,
+		fetcher:  r.Fetcher,
+		st:       st,
 	}
 	if forkable {
 		// Stage 1, acquisition: workers drain the frontier on forked
-		// fetchers, recording one PageRecord per URL.
+		// fetchers, recording one PageRecord per URL. The replay reads
+		// the records where they are.
 		if err := r.acquire(ctx, ff, fr, rules, cfg, effDepth, startURL); err != nil {
 			return fail(err)
 		}
 		rp.parent = ff
-		for _, rec := range fr.Records() {
-			rp.records[rec.URL] = rec
-		}
+		rp.record = fr.Record
 	}
+	rp.pages = make(map[string]*replayPage, fr.Counts().Done)
 	// Stage 2, canonical replay: the seed's recursive traversal over
 	// the records (or live fetches for non-forkable fetchers).
 	if err := rp.crawl(startURL, "", 0); err != nil {
@@ -212,7 +210,7 @@ func (r *Robot) acquire(ctx context.Context, ff websim.ForkableFetcher, fr *fron
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			errs[w] = r.mine(fmt.Sprintf("w%d", w), ff, fr, rules, lim, cfg, effDepth)
+			errs[w] = r.mine("w"+strconv.Itoa(w), ff, fr, rules, lim, cfg, effDepth)
 		}(w)
 	}
 	wg.Wait()
@@ -300,8 +298,11 @@ func RecordFetch(resp *websim.Response, cl *frontier.Claim, cost time.Duration) 
 	if resp.Page != nil {
 		rec.Type = string(resp.Page.Type)
 		rec.AgeDays = resp.Page.AgeDays
-		for _, l := range resp.Page.Links {
-			rec.Links = append(rec.Links, frontier.Link{URL: l.URL, Referrer: l.Referrer})
+		if links := resp.Page.Links; len(links) > 0 {
+			rec.Links = make([]frontier.Link, len(links))
+			for i, l := range links {
+				rec.Links[i] = frontier.Link{URL: l.URL, Referrer: l.Referrer}
+			}
 		}
 	}
 	return rec
@@ -315,12 +316,20 @@ func digestOfResponse(resp *websim.Response) string {
 	if resp.Page != nil {
 		size, age = resp.Page.Size, resp.Page.AgeDays
 	}
-	return fmt.Sprintf("%d|%d|%d", resp.Status, size, age)
+	var buf [3 * 20]byte
+	b := strconv.AppendInt(buf[:0], int64(resp.Status), 10)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(size), 10)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(age), 10)
+	return string(b)
 }
 
-// replayPage caches one fetched page's links for re-expansion (nil
-// entry: the URL was invalid).
+// replayPage is one URL the replay has reached: the shallowest depth it
+// was reached at, and the links it re-expands when reached shallower
+// (none when the URL was invalid).
 type replayPage struct {
+	depth int
 	links []frontier.Link
 }
 
@@ -338,31 +347,32 @@ type replayer struct {
 	rules    *Robots
 	fr       *frontier.Frontier // journal target for unstable subtrees (may be nil)
 	clock    vclock.Clock
-	fetcher  websim.Fetcher          // live fallback (nil in StatsFromRecords)
-	parent   websim.ForkableFetcher  // Replay target for recorded fetches (may be nil)
-	records  map[string]*frontier.PageRecord
-	bestDepth map[string]int
-	pages    map[string]*replayPage
-	st       *Stats
+	fetcher  websim.Fetcher         // live fallback (nil in StatsFromRecords)
+	parent   websim.ForkableFetcher // Replay target for recorded fetches (may be nil)
+	// record finds a URL's completed acquisition record (nil: every
+	// fetch is live).
+	record func(url string) (*frontier.PageRecord, bool)
+	pages  map[string]*replayPage
+	st     *Stats
 }
 
 // crawl fetches (once) and expands one page depth-first.
 func (rp *replayer) crawl(url, referrer string, depth int) error {
-	if prev, seen := rp.bestDepth[url]; seen {
-		if depth >= prev {
+	if pg, seen := rp.pages[url]; seen {
+		if depth >= pg.depth {
 			return nil
 		}
-		rp.bestDepth[url] = depth
-		return rp.expand(url, depth)
+		pg.depth = depth
+		return rp.expand(pg, depth)
 	}
-	rp.bestDepth[url] = depth
+	pg := &replayPage{depth: depth}
+	rp.pages[url] = pg
 
 	rec, err := rp.fetch(url, referrer, depth)
 	if err != nil {
 		return err
 	}
 	if rec.Status != websim.StatusOK {
-		rp.pages[url] = nil
 		rp.st.Invalid = append(rp.st.Invalid, LinkReport{
 			URL: url, Referrer: referrer, Status: rec.Status, Reason: "invalid",
 		})
@@ -392,20 +402,22 @@ func (rp *replayer) crawl(url, referrer string, depth int) error {
 	// Parsing cost scales with transferred bytes (a revalidated page
 	// transferred none and needs no re-parse).
 	rp.clock.Advance(time.Duration(rec.Bytes) * ParseCostPerKB / 1024)
-	rp.pages[url] = &replayPage{links: rec.Links}
-	return rp.expand(url, depth)
+	pg.links = rec.Links
+	return rp.expand(pg, depth)
 }
 
 // fetch resolves one URL: from the acquisition records (charging the
 // parent fetcher, or the bare clock when there is none), or live.
 func (rp *replayer) fetch(url, referrer string, depth int) (*frontier.PageRecord, error) {
-	if rec, ok := rp.records[url]; ok {
-		if rp.parent != nil {
-			rp.parent.Replay(&websim.Response{URL: url, Status: rec.Status, Bytes: rec.Bytes}, rec.FetchCost)
-		} else {
-			rp.clock.Advance(rec.FetchCost)
+	if rp.record != nil {
+		if rec, ok := rp.record(url); ok {
+			if rp.parent != nil {
+				rp.parent.Replay(&websim.Response{URL: url, Status: rec.Status, Bytes: rec.Bytes}, rec.FetchCost)
+			} else {
+				rp.clock.Advance(rec.FetchCost)
+			}
+			return rec, nil
 		}
-		return rec, nil
 	}
 	if rp.fetcher == nil {
 		return nil, fmt.Errorf("%w: no completed record for %s", ErrFetchFailed, url)
@@ -419,11 +431,7 @@ func (rp *replayer) fetch(url, referrer string, depth int) (*frontier.PageRecord
 }
 
 // expand recurses over a fetched page's links.
-func (rp *replayer) expand(url string, depth int) error {
-	page := rp.pages[url]
-	if page == nil {
-		return nil
-	}
+func (rp *replayer) expand(page *replayPage, depth int) error {
 	for _, link := range page.links {
 		rp.st.LinksChecked++
 		if rp.cfg.prefix != "" && !strings.HasPrefix(link.URL, rp.cfg.prefix) {
@@ -487,17 +495,20 @@ func StatsFromRecords(startURL string, recs []*frontier.PageRecord, opts ...Opti
 	}
 	clock := vclock.NewVirtual()
 	st := &Stats{TypeCounts: make(map[string]int)}
-	rp := &replayer{
-		cfg:       cfg,
-		effDepth:  effDepth,
-		clock:     clock,
-		records:   make(map[string]*frontier.PageRecord, len(recs)),
-		bestDepth: map[string]int{},
-		pages:     map[string]*replayPage{},
-		st:        st,
-	}
+	records := make(map[string]*frontier.PageRecord, len(recs))
 	for _, rec := range recs {
-		rp.records[rec.URL] = rec
+		records[rec.URL] = rec
+	}
+	rp := &replayer{
+		cfg:      cfg,
+		effDepth: effDepth,
+		clock:    clock,
+		record: func(url string) (*frontier.PageRecord, bool) {
+			rec, ok := records[url]
+			return rec, ok
+		},
+		pages: make(map[string]*replayPage, len(recs)),
+		st:    st,
 	}
 	if err := rp.crawl(startURL, "", 0); err != nil {
 		return nil, err

@@ -12,10 +12,12 @@
 package websim
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -149,7 +151,7 @@ func Generate(spec SiteSpec) (*Site, error) {
 	s := &Site{
 		Host:          spec.Host,
 		Root:          "http://" + spec.Host + "/index.html",
-		pages:         make(map[string]*Page),
+		pages:         make(map[string]*Page, spec.Pages+max(spec.ExtraPages, 0)),
 		externalAlive: make(map[string]bool),
 		deadInternal:  make(map[string]bool),
 	}
@@ -161,12 +163,14 @@ func Generate(spec SiteSpec) (*Site, error) {
 	meanSize := spec.TotalBytes / spec.Pages
 	var prev, lastNonEmpty []*Page
 	pageNo := 0
+	hostURL := "http://" + spec.Host
 	for depth, count := range levels {
-		var cur []*Page
+		cur := make([]*Page, 0, count)
+		dir := hostURL + "/d" + strconv.Itoa(depth) + "/p"
 		for i := 0; i < count; i++ {
 			url := s.Root
 			if pageNo > 0 {
-				url = fmt.Sprintf("http://%s/d%d/p%04d.html", spec.Host, depth, pageNo)
+				url = pageURL(dir, pageNo)
 			}
 			p := &Page{URL: url, Depth: depth, Size: pageSize(rng, meanSize)}
 			s.pages[url] = p
@@ -198,9 +202,14 @@ func Generate(spec SiteSpec) (*Site, error) {
 	if len(deepParents) > 0 && deepParents[0].Depth < spec.MaxDepth {
 		deepParents = nil
 	}
+	deepDirs := make([]string, max(spec.ExtraDepth, 0))
+	for i := range deepDirs {
+		deepDirs[i] = hostURL + "/deep" + strconv.Itoa(spec.MaxDepth+1+i) + "/p"
+	}
 	for i := 0; i < spec.ExtraPages && spec.ExtraDepth > 0 && len(deepParents) > 0; i++ {
-		depth := spec.MaxDepth + 1 + rng.Intn(spec.ExtraDepth)
-		url := fmt.Sprintf("http://%s/deep%d/p%04d.html", spec.Host, depth, pageNo)
+		level := rng.Intn(spec.ExtraDepth)
+		depth := spec.MaxDepth + 1 + level
+		url := pageURL(deepDirs[level], pageNo)
 		p := &Page{URL: url, Depth: depth, Size: pageSize(rng, meanSize)}
 		s.pages[url] = p
 		parent := deepParents[rng.Intn(len(deepParents))]
@@ -246,6 +255,11 @@ func Generate(spec SiteSpec) (*Site, error) {
 		sort.Strings(level)
 	}
 	deadNo, extNo := 0, 0
+	deadDir := hostURL + "/missing/m"
+	extDirs := make([]string, len(spec.ExternalHosts))
+	for i, h := range spec.ExternalHosts {
+		extDirs[i] = "http://" + h + "/page"
+	}
 	for _, u := range urls {
 		p := s.pages[u]
 		// Every document gets an age; childless documents are sometimes
@@ -273,14 +287,13 @@ func Generate(spec SiteSpec) (*Site, error) {
 		// a depth-constrained crawl still fetches (and detects) them;
 		// the paper's robot only finds what it can reach.
 		if p.Depth < spec.MaxDepth && rng.Float64() < spec.DeadLinkRate {
-			dead := fmt.Sprintf("http://%s/missing/m%04d.html", spec.Host, deadNo)
+			dead := pageURL(deadDir, deadNo)
 			deadNo++
 			s.deadInternal[dead] = true
 			p.Links = append(p.Links, Link{URL: dead, Referrer: p.URL})
 		}
 		if rng.Float64() < spec.ExternalRate && len(spec.ExternalHosts) > 0 {
-			h := spec.ExternalHosts[rng.Intn(len(spec.ExternalHosts))]
-			ext := fmt.Sprintf("http://%s/page%04d.html", h, extNo)
+			ext := pageURL(extDirs[rng.Intn(len(extDirs))], extNo)
 			extNo++
 			alive := rng.Float64() >= spec.ExternalDeadRate
 			s.externalAlive[ext] = alive
@@ -337,6 +350,23 @@ func (s *Site) generateRobots(spec SiteSpec, rng *rand.Rand, sortedURLs []string
 		AgeDays: 1,
 		Body:    body,
 	}
+}
+
+// pageURL is the generator's URL shape: dir, then n as fmt's %04d, then
+// ".html".
+func pageURL(dir string, n int) string {
+	var buf [128]byte
+	b := appendPageNo(append(buf[:0], dir...), n)
+	return string(append(b, ".html"...))
+}
+
+// appendPageNo appends n >= 0 as fmt's %04d does: zero-padded to four
+// digits, longer numbers in full.
+func appendPageNo(b []byte, n int) []byte {
+	for pad := 1000; pad > 1 && n < pad; pad /= 10 {
+		b = append(b, '0')
+	}
+	return strconv.AppendInt(b, int64(n), 10)
 }
 
 // levelSizes splits n pages over depths 0..maxDepth with a geometric
@@ -440,6 +470,48 @@ func (s *Site) ExternalLinks() []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// Fingerprint is the SHA-256 of the site's canonical dump: host, root
+// and total size; every page in URL order with its size, depth, type,
+// age and links; then robots.txt with its crawl delay and disallow list,
+// the dead internal links, the external links and the dead external
+// links. Equal fingerprints mean sites no crawl can tell apart, which is
+// what pins the generator's output across refactors and shows that a
+// crawl left a shared site as it found it.
+func (s *Site) Fingerprint() [sha256.Size]byte {
+	urls := make([]string, 0, len(s.pages))
+	for u := range s.pages {
+		urls = append(urls, u)
+	}
+	sort.Strings(urls)
+	h := sha256.New()
+	fmt.Fprintf(h, "site %s %s %d\n", s.Host, s.Root, s.totalBytes)
+	for _, u := range urls {
+		p := s.pages[u]
+		fmt.Fprintf(h, "page %s %d %d %s %d %d\n", p.URL, p.Size, p.Depth, p.Type, p.AgeDays, len(p.Links))
+		for _, l := range p.Links {
+			fmt.Fprintf(h, "\tlink %s %s\n", l.URL, l.Referrer)
+		}
+	}
+	fmt.Fprintf(h, "robots %d %d\n%s", s.robotsDelay, len(s.RobotsTxt()), s.RobotsTxt())
+	for _, list := range []struct {
+		name string
+		urls []string
+	}{
+		{"disallow", s.robotsDisallow},
+		{"dead-internal", s.DeadInternalLinks()},
+		{"external", s.ExternalLinks()},
+		{"dead-external", s.DeadExternalLinks()},
+	} {
+		fmt.Fprintf(h, "%s %d\n", list.name, len(list.urls))
+		for _, u := range list.urls {
+			fmt.Fprintf(h, "\t%s\n", u)
+		}
+	}
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return sum
 }
 
 // Lookup returns the page at url, or nil.
