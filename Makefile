@@ -176,12 +176,14 @@ obsv-demo:
 
 # loc prints code size the way ISSUE 15 counts it — non-test source lines
 # that are neither blank nor comment-only — for the tree outside
-# benchmark/, the evaluation harness, and the firewall.
+# benchmark/, the evaluation harness, the firewall, and the crawler
+# (the robot plus the case study around it).
 count = find $(1) -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -print0 | xargs -0 cat | grep -cvE '^\s*(//|$$)'
 loc:
 	@echo "tree (outside benchmark/)        $$($(call count,.))"
 	@echo "internal/bench + cmd/taxbench    $$($(call count,internal/bench cmd/taxbench))"
 	@echo "internal/firewall                $$($(call count,internal/firewall))"
+	@echo "internal/webbot + internal/linkmine $$($(call count,internal/webbot internal/linkmine))"
 
 clean:
 	$(GO) clean ./...

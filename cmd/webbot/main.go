@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -88,7 +89,7 @@ func run(pages, bytes, depth int, seed int64, link string, workers int, robots b
 		Link:     p,
 		Clock:    clock,
 	}, opts...)
-	st, err := robot.Run(site.Root)
+	st, err := robot.RunCtx(context.Background(), site.Root)
 	if err != nil {
 		return err
 	}
@@ -100,7 +101,7 @@ func run(pages, bytes, depth int, seed int64, link string, workers int, robots b
 	if robots {
 		var pruned int
 		for _, r := range st.Rejected {
-			if r.Reason == "robots" {
+			if r.Reason == string(webbot.ReasonRobots) {
 				pruned++
 			}
 		}

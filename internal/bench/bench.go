@@ -23,6 +23,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -222,17 +223,13 @@ func SiteStats() (*Table, error) {
 		return nil, err
 	}
 	clock := vclock.NewVirtual()
-	robot := &webbot.Robot{
-		Fetcher: &websim.Client{
-			Server:   websim.DefaultServer(site),
-			Universe: &websim.Universe{Origin: site},
-			Link:     simnet.Loopback,
-			Clock:    clock,
-		},
-		Clock:       clock,
-		Constraints: webbot.Constraints{MaxDepth: 4, Prefix: "http://" + site.Host + "/"},
-	}
-	st, err := robot.Run(site.Root)
+	robot := webbot.New(&websim.Client{
+		Server:   websim.DefaultServer(site),
+		Universe: &websim.Universe{Origin: site},
+		Link:     simnet.Loopback,
+		Clock:    clock,
+	}, webbot.WithClock(clock), webbot.WithMaxDepth(4), webbot.WithPrefix("http://"+site.Host+"/"))
+	st, err := robot.RunCtx(context.Background(), site.Root)
 	if err != nil {
 		return nil, err
 	}

@@ -105,7 +105,7 @@ func Frontier() (*Table, any, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	serialStats, err := serialBot.Run(serialSite.Root)
+	serialStats, err := serialBot.RunCtx(context.Background(), serialSite.Root)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -119,7 +119,7 @@ func Frontier() (*Table, any, error) {
 			if err != nil {
 				return nil, nil, err
 			}
-			st, err := r.Run(site.Root)
+			st, err := r.RunCtx(context.Background(), site.Root)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -198,7 +198,7 @@ func frontierResume(checks *FrontierChecks, serial *webbot.Stats) error {
 	if err != nil {
 		return err
 	}
-	st, err := r2.Run(site2.Root)
+	st, err := r2.RunCtx(context.Background(), site2.Root)
 	if err != nil {
 		return err
 	}
@@ -215,7 +215,7 @@ func frontierRecrawl(checks *FrontierChecks) error {
 	if err != nil {
 		return err
 	}
-	st1, err := r1.Run(site.Root)
+	st1, err := r1.RunCtx(context.Background(), site.Root)
 	if err != nil {
 		return err
 	}
@@ -236,7 +236,7 @@ func frontierRecrawl(checks *FrontierChecks) error {
 		return err
 	}
 	site2.SetAgeDays(aged, 4000)
-	st2, err := r2.Run(site2.Root)
+	st2, err := r2.RunCtx(context.Background(), site2.Root)
 	if err != nil {
 		return err
 	}
@@ -253,7 +253,7 @@ func frontierRobots(checks *FrontierChecks) error {
 	if err != nil {
 		return err
 	}
-	st, err := r.Run(site.Root)
+	st, err := r.RunCtx(context.Background(), site.Root)
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"time"
@@ -122,23 +123,16 @@ func parallelCrawlIdentical() (bool, error) {
 			return nil, err
 		}
 		clock := vclock.NewVirtual()
-		r := &webbot.Robot{
-			Fetcher: &websim.Client{
-				Server:   websim.DefaultServer(site),
-				Universe: &websim.Universe{Origin: site},
-				Link:     simnet.Loopback,
-				Clock:    clock,
-			},
-			Clock:   clock,
-			Workers: workers,
-			Constraints: webbot.Constraints{
-				MaxDepth: 4,
-				Prefix:   "http://webserv/",
-			},
-		}
-		return r.Run(site.Root)
+		r := webbot.New(&websim.Client{
+			Server:   websim.DefaultServer(site),
+			Universe: &websim.Universe{Origin: site},
+			Link:     simnet.Loopback,
+			Clock:    clock,
+		}, webbot.WithClock(clock), webbot.WithWorkers(workers),
+			webbot.WithMaxDepth(4), webbot.WithPrefix("http://webserv/"))
+		return r.RunCtx(context.Background(), site.Root)
 	}
-	serial, err := run(0)
+	serial, err := run(1)
 	if err != nil {
 		return false, err
 	}

@@ -1,10 +1,10 @@
 package linkmine
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -117,11 +117,8 @@ func RunFrontierFleet(cfg FrontierFleetConfig) (*FrontierFleetReport, error) {
 
 	// The baseline: one serial robot over the same site and link.
 	serialClock := vclock.NewVirtual()
-	serial := webbot.New(newFetcher(serialClock),
-		webbot.WithClock(serialClock),
-		webbot.WithMaxDepth(cfg.MaxDepth),
-		webbot.WithPrefix(prefix))
-	serialStats, err := serial.Run(site.Root)
+	serial := newRobot(newFetcher(serialClock), serialClock, cfg.MaxDepth, prefix)
+	serialStats, err := serial.RunCtx(context.Background(), site.Root)
 	if err != nil {
 		return nil, err
 	}
@@ -157,8 +154,15 @@ func RunFrontierFleet(cfg FrontierFleetConfig) (*FrontierFleetReport, error) {
 	// server-side. AdoptClaims stays false — the claiming workers live
 	// on other hosts and survive mine's crash.
 	mine := nodes["mine"]
+	gate, err := webbot.NewGate(nil, webbot.WithMaxDepth(cfg.MaxDepth), webbot.WithPrefix(prefix))
+	if err != nil {
+		return nil, err
+	}
+	// Fleet fetchers are not the legacy recursive robot: they fetch past
+	// the stable depth too, and only the aggregate's replay clamps there.
 	admit := func(url string, depth int) bool {
-		return strings.HasPrefix(url, prefix) && depth <= cfg.MaxDepth
+		v := gate.Verdict(url, depth)
+		return v == webbot.ReasonOK || v == webbot.ReasonUnstable
 	}
 	sysName := sys.SystemPrincipal.Name()
 	launchFrontier := func() error {

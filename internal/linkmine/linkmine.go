@@ -17,6 +17,7 @@
 package linkmine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strconv"
@@ -28,6 +29,7 @@ import (
 	"tax/internal/core"
 	"tax/internal/services"
 	"tax/internal/simnet"
+	"tax/internal/vclock"
 	"tax/internal/vm"
 	"tax/internal/webbot"
 	"tax/internal/websim"
@@ -249,20 +251,7 @@ func (d *Deployment) webbotHandler(n *core.Node) vm.Handler {
 			return errors.New("webbot: no START folder")
 		}
 		prefix, _ := bc.GetString(FolderPrefix)
-		depth64, ok := bc.GetInt(FolderDepth)
-		if !ok {
-			return errors.New("webbot: no DEPTH folder")
-		}
-		fetcher := d.fetcherFor(n)
-		robot := &webbot.Robot{
-			Fetcher: fetcher,
-			Clock:   n.Host.Clock(),
-			Constraints: webbot.Constraints{
-				MaxDepth: int(depth64),
-				Prefix:   prefix,
-			},
-		}
-		st, err := robot.Run(start)
+		st, err := crawlBriefcase(bc, d.fetcherFor(n), n.Host.Clock(), start, prefix)
 		if err != nil {
 			return err
 		}
@@ -275,6 +264,24 @@ func (d *Deployment) webbotHandler(n *core.Node) vm.Handler {
 		encodeReports(bc.Ensure(FolderRejected), st.RejectedByPrefix())
 		return nil
 	}
+}
+
+// newRobot builds every robot the case study runs, on the clock of the
+// host it runs on (E1's figures depend on it). A variable so a test can
+// read a robot's failure journal.
+var newRobot = func(f websim.Fetcher, clock vclock.Clock, depth int, prefix string) *webbot.Robot {
+	return webbot.New(f, webbot.WithClock(clock), webbot.WithMaxDepth(depth), webbot.WithPrefix(prefix))
+}
+
+// crawlBriefcase is the Webbot binary's crawl: it runs a robot to the
+// depth the briefcase's DEPTH folder names. A missing or negative depth
+// is an error, and one beyond the stable limit clamps and journals.
+func crawlBriefcase(bc *briefcase.Briefcase, f websim.Fetcher, clock vclock.Clock, start, prefix string) (*webbot.Stats, error) {
+	depth, ok := bc.GetInt(FolderDepth)
+	if !ok {
+		return nil, errors.New("webbot: no DEPTH folder")
+	}
+	return newRobot(f, clock, int(depth), prefix).RunCtx(context.Background(), start)
 }
 
 // mwWebbot is the mobility wrapper's program on node n (figure 5): carry
@@ -412,15 +419,8 @@ func (d *Deployment) RunStationary() (*Report, error) {
 	start := clock.Now()
 
 	fetcher := d.fetcherFor(d.Client)
-	robot := &webbot.Robot{
-		Fetcher: fetcher,
-		Clock:   clock,
-		Constraints: webbot.Constraints{
-			MaxDepth: d.cfg.MaxDepth,
-			Prefix:   "http://" + d.cfg.ServerHost + "/",
-		},
-	}
-	st, err := robot.Run(d.Site.Root)
+	robot := newRobot(fetcher, clock, d.cfg.MaxDepth, "http://"+d.cfg.ServerHost+"/")
+	st, err := robot.RunCtx(context.Background(), d.Site.Root)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package linkmine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strconv"
@@ -156,16 +157,7 @@ func (d *MultiDeployment) webbotHandler(n *core.Node) vm.Handler {
 		if err != nil {
 			return err
 		}
-		depth64, _ := bc.GetInt(FolderDepth)
-		robot := &webbot.Robot{
-			Fetcher: fetcher,
-			Clock:   n.Host.Clock(),
-			Constraints: webbot.Constraints{
-				MaxDepth: int(depth64),
-				Prefix:   "http://" + n.Name + "/",
-			},
-		}
-		st, err := robot.Run(d.Sites[n.Name].Root)
+		st, err := crawlBriefcase(bc, fetcher, n.Host.Clock(), d.Sites[n.Name].Root, "http://"+n.Name+"/")
 		if err != nil {
 			return err
 		}
@@ -265,15 +257,8 @@ func (d *MultiDeployment) RunStationaryMulti() (*MultiReport, error) {
 	var linkBytes int64
 	for _, server := range d.cfg.Servers {
 		fetcher := d.remoteFetcher(server)
-		robot := &webbot.Robot{
-			Fetcher: fetcher,
-			Clock:   clock,
-			Constraints: webbot.Constraints{
-				MaxDepth: d.cfg.MaxDepth,
-				Prefix:   "http://" + server + "/",
-			},
-		}
-		st, err := robot.Run(d.Sites[server].Root)
+		robot := newRobot(fetcher, clock, d.cfg.MaxDepth, "http://"+server+"/")
+		st, err := robot.RunCtx(context.Background(), d.Sites[server].Root)
 		if err != nil {
 			return nil, err
 		}

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"tax/internal/cabinet"
+	"tax/internal/frontier"
 	"tax/internal/simnet"
 	"tax/internal/vclock"
 	"tax/internal/websim"
@@ -25,51 +27,6 @@ func newClient(t *testing.T) (*websim.Client, *websim.Site) {
 		Link:     simnet.Loopback,
 		Clock:    clock,
 	}, site
-}
-
-// TestRunShimIdenticalToRunCtx is the API-redesign contract: a legacy
-// struct-literal robot driven through the deprecated Run produces Stats
-// byte-identical to a robot built with New and driven with RunCtx, on
-// the 917-page case-study site.
-func TestRunShimIdenticalToRunCtx(t *testing.T) {
-	legacyClient, site := newClient(t)
-	legacy := &Robot{
-		Fetcher:     legacyClient,
-		Clock:       legacyClient.Clock,
-		Constraints: Constraints{MaxDepth: 4, Prefix: "http://webserv/"},
-	}
-	want, err := legacy.Run(site.Root)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	newClientv, site2 := newClient(t)
-	r := New(newClientv,
-		WithClock(newClientv.Clock),
-		WithMaxDepth(4),
-		WithPrefix("http://webserv/"),
-	)
-	got, err := r.RunCtx(context.Background(), site2.Root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("New/RunCtx Stats differ from legacy Run:\n got %+v\nwant %+v", got, want)
-	}
-	if got.PagesVisited != 917 {
-		t.Errorf("pages visited = %d, want 917", got.PagesVisited)
-	}
-	// The option surface drives the parallel engine too.
-	par, site3 := newClient(t)
-	r8 := New(par, WithClock(par.Clock), WithMaxDepth(4),
-		WithPrefix("http://webserv/"), WithWorkers(8))
-	got8, err := r8.RunCtx(context.Background(), site3.Root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got8, want) {
-		t.Errorf("8-worker Stats differ from serial legacy Stats")
-	}
 }
 
 func TestOptionValidation(t *testing.T) {
@@ -184,15 +141,7 @@ func TestUnstableDepthJournaled(t *testing.T) {
 	if journaled == 0 {
 		t.Error("no wb_depth_unstable events journaled")
 	}
-	// WithDepthAbort restores the legacy strict refusal.
-	c2, site2 := newClient(t)
-	strict := New(c2, WithClock(c2.Clock), WithMaxDepth(5),
-		WithPrefix("http://webserv/"), WithDepthAbort())
-	if _, err := strict.RunCtx(context.Background(), site2.Root); !errors.Is(err, ErrUnstable) {
-		t.Fatalf("strict err = %v, want ErrUnstable", err)
-	}
-	// Raising the stable limit unlocks the deeper crawl, exactly as the
-	// legacy MaxStableDepth did.
+	// Raising the stable limit unlocks the deeper crawl.
 	c3, site3 := newClient(t)
 	deep := New(c3, WithClock(c3.Clock), WithMaxDepth(5),
 		WithPrefix("http://webserv/"), WithStableDepth(8))
@@ -335,8 +284,27 @@ func TestStatsFromRecords(t *testing.T) {
 	}
 	// A missing record is a lost URL: loudly ErrFetchFailed.
 	if _, err := StatsFromRecords(site.Root, r.Records()[1:],
-		WithMaxDepth(4), WithPrefix("http://webserv/")); err == nil {
-		t.Error("truncated record set must fail")
+		WithMaxDepth(4), WithPrefix("http://webserv/")); !errors.Is(err, ErrFetchFailed) {
+		t.Errorf("truncated record set: err = %v, want ErrFetchFailed", err)
+	}
+	// The replay has no robots.txt rules: asking it to honour them is
+	// refused by name, over any record set, never answered with the
+	// robots-ignoring Stats or mistaken for a lost URL.
+	c2, site2 := newClient(t)
+	honour := New(c2, WithClock(c2.Clock), WithMaxDepth(4),
+		WithPrefix("http://webserv/"), WithRobotsPolicy(RobotsHonor))
+	if _, err := honour.RunCtx(context.Background(), site2.Root); err != nil {
+		t.Fatal(err)
+	}
+	for name, recs := range map[string][]*frontier.PageRecord{
+		"robots-honouring": honour.Records(),
+		"robots-ignoring":  r.Records(),
+	} {
+		_, err := StatsFromRecords(site.Root, recs, WithMaxDepth(4),
+			WithPrefix("http://webserv/"), WithRobotsPolicy(RobotsHonor))
+		if err == nil || errors.Is(err, ErrFetchFailed) || !strings.Contains(err.Error(), "WithRobotsPolicy(RobotsHonor)") {
+			t.Errorf("%s records under RobotsHonor: err = %v, want one naming WithRobotsPolicy(RobotsHonor)", name, err)
+		}
 	}
 }
 

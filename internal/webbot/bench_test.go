@@ -1,28 +1,18 @@
 package webbot
 
 import (
+	"context"
 	"testing"
 
 	"tax/internal/simnet"
-	"tax/internal/vclock"
 	"tax/internal/websim"
 )
 
 // crawl917 runs the paper's full crawl, serially, through a fresh
 // client on link.
 func crawl917(tb testing.TB, site *websim.Site, link simnet.Profile) {
-	clock := vclock.NewVirtual()
-	r := &Robot{
-		Fetcher: &websim.Client{
-			Server:   websim.DefaultServer(site),
-			Universe: &websim.Universe{Origin: site},
-			Link:     link,
-			Clock:    clock,
-		},
-		Clock:       clock,
-		Constraints: Constraints{MaxDepth: 4, Prefix: "http://webserv/"},
-	}
-	st, err := r.Run(site.Root)
+	r, _ := siteRobot(site, link, 4)
+	st, err := r.RunCtx(context.Background(), site.Root)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -14,33 +13,6 @@ import (
 	"tax/internal/websim"
 )
 
-// runConfig resolves the effective configuration: the option set for
-// robots built with New, or a strict legacy translation of the public
-// Constraints fields for struct-literal robots.
-func (r *Robot) runConfig() config {
-	if r.cfg != nil {
-		return *r.cfg
-	}
-	stable := r.Constraints.MaxStableDepth
-	if stable == 0 {
-		stable = DefaultMaxStableDepth
-	}
-	workers := r.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	return config{
-		maxDepth:    r.Constraints.MaxDepth,
-		stable:      stable,
-		prefix:      r.Constraints.Prefix,
-		workers:     workers,
-		strict:      true, // the seed's semantics: too-deep crawls abort
-		agent:       "webbot",
-		ns:          "fr/",
-		maxAttempts: 3,
-	}
-}
-
 // RunCtx crawls from startURL: the staged acquisition pipeline (frontier
 // + K fetcher workers + parser feedback) fetches every reachable page
 // exactly once, then the canonical serial traversal replays the
@@ -48,28 +20,20 @@ func (r *Robot) runConfig() config {
 // recursive crawl, whatever the worker count, politeness delay, or
 // crash/resume history.
 func (r *Robot) RunCtx(ctx context.Context, startURL string) (*Stats, error) {
-	cfg := r.runConfig()
+	cfg := &r.cfg
 	if cfg.err != nil {
 		return nil, cfg.err
 	}
-	if cfg.strict && cfg.maxDepth > cfg.stable {
-		return nil, fmt.Errorf("%w: depth %d > stable limit %d",
-			ErrUnstable, cfg.maxDepth, cfg.stable)
-	}
-	if r.Fetcher == nil || r.Clock == nil {
-		return nil, errors.New("webbot: robot needs a fetcher and a clock")
+	if r.fetcher == nil {
+		return nil, errors.New("webbot: robot needs a fetcher")
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	effDepth := cfg.maxDepth
-	if effDepth > cfg.stable {
-		effDepth = cfg.stable
-	}
 
 	st := &Stats{TypeCounts: make(map[string]int)}
-	start := r.Clock.Now()
-	sp := r.Telemetry.Spans().Start(r.Clock, r.Telemetry.Host(), r.TraceID, r.SpanParent, "bot.crawl")
+	start := cfg.clock.Now()
+	sp := cfg.telemetry.Spans().Start(cfg.clock, cfg.telemetry.Host(), cfg.traceID, cfg.spanParent, "bot.crawl")
 	sp.SetAttr("start", startURL)
 	fail := func(err error) (*Stats, error) {
 		sp.SetErr(err)
@@ -77,7 +41,7 @@ func (r *Robot) RunCtx(ctx context.Context, startURL string) (*Stats, error) {
 		return nil, err
 	}
 
-	ff, forkable := r.Fetcher.(websim.ForkableFetcher)
+	ff, forkable := r.fetcher.(websim.ForkableFetcher)
 	if cfg.workers > 1 && !forkable {
 		return fail(ErrNotForkable)
 	}
@@ -116,19 +80,18 @@ func (r *Robot) RunCtx(ctx context.Context, startURL string) (*Stats, error) {
 	}
 
 	rp := &replayer{
-		cfg:      cfg,
-		effDepth: effDepth,
-		rules:    rules,
-		fr:       fr,
-		clock:    r.Clock,
-		fetcher:  r.Fetcher,
-		st:       st,
+		gate:    newGate(cfg, rules),
+		fr:      fr,
+		clock:   cfg.clock,
+		fetcher: r.fetcher,
+		st:      st,
 	}
 	if forkable {
 		// Stage 1, acquisition: workers drain the frontier on forked
 		// fetchers, recording one PageRecord per URL. The replay reads
 		// the records where they are.
-		if err := r.acquire(ctx, ff, fr, rules, cfg, effDepth, startURL); err != nil {
+		delay := max(cfg.politeness, rules.CrawlDelay(cfg.agent))
+		if err := acquire(ctx, ff, fr, rp.gate, cfg.workers, delay, startURL); err != nil {
 			return fail(err)
 		}
 		rp.parent = ff
@@ -140,9 +103,9 @@ func (r *Robot) RunCtx(ctx context.Context, startURL string) (*Stats, error) {
 	if err := rp.crawl(startURL, "", 0); err != nil {
 		return fail(err)
 	}
-	st.Elapsed = r.Clock.Now() - start
+	st.Elapsed = cfg.clock.Now() - start
 	sp.End()
-	if reg := r.Telemetry.Registry(); reg != nil {
+	if reg := cfg.telemetry.Registry(); reg != nil {
 		reg.Counter("bot.pages").Add(int64(st.PagesVisited))
 		reg.Counter("bot.bytes").Add(int64(st.BytesFetched))
 		reg.Counter("bot.links").Add(int64(st.LinksChecked))
@@ -157,7 +120,7 @@ func (r *Robot) loadRobots(startURL string) (*Robots, error) {
 	if u == "" {
 		return nil, nil
 	}
-	resp, err := r.Fetcher.Fetch(u)
+	resp, err := r.fetcher.Fetch(u)
 	if err != nil {
 		return nil, fmt.Errorf("webbot: fetch %s: %w", u, err)
 	}
@@ -167,30 +130,12 @@ func (r *Robot) loadRobots(startURL string) (*Robots, error) {
 	return ParseRobots(resp.Page.Body), nil
 }
 
-// followable is the frontier admission predicate: the links a crawl
-// will fetch. It must agree exactly with the replay's expansion filter
-// — acquisition fetches precisely what replay will visit.
-func followable(url string, depth int, rules *Robots, cfg *config, effDepth int) bool {
-	if cfg.prefix != "" && !strings.HasPrefix(url, cfg.prefix) {
-		return false
-	}
-	if rules != nil && !rules.Allowed(cfg.agent, urlPath(url)) {
-		return false
-	}
-	return depth <= effDepth
-}
-
-// acquire runs the fetcher-worker stage until the frontier drains.
-func (r *Robot) acquire(ctx context.Context, ff websim.ForkableFetcher, fr *frontier.Frontier,
-	rules *Robots, cfg config, effDepth int, startURL string) error {
+// acquire runs the fetcher-worker stage until the frontier drains,
+// spacing fetches to one host at least delay apart.
+func acquire(ctx context.Context, ff websim.ForkableFetcher, fr *frontier.Frontier,
+	gate *Gate, workers int, delay time.Duration, startURL string) error {
 	if _, _, err := fr.Add([]frontier.Link{{URL: startURL, Depth: 0}}); err != nil {
 		return err
-	}
-	delay := cfg.politeness
-	if rules != nil {
-		if d := rules.CrawlDelay(cfg.agent); d > delay {
-			delay = d
-		}
 	}
 	lim := frontier.NewLimiter(delay)
 	if done := ctx.Done(); done != nil {
@@ -205,12 +150,12 @@ func (r *Robot) acquire(ctx context.Context, ff websim.ForkableFetcher, fr *fron
 		}()
 	}
 	var wg sync.WaitGroup
-	errs := make([]error, cfg.workers)
-	for w := 0; w < cfg.workers; w++ {
+	errs := make([]error, workers)
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			errs[w] = r.mine("w"+strconv.Itoa(w), ff, fr, rules, lim, cfg, effDepth)
+			errs[w] = mine("w"+strconv.Itoa(w), ff, fr, gate, lim)
 		}(w)
 	}
 	wg.Wait()
@@ -230,12 +175,11 @@ func (r *Robot) acquire(ctx context.Context, ff websim.ForkableFetcher, fr *fron
 // and leasing the next claim in one frontier transaction. Each worker
 // fetches on a fork with a private clock so recorded costs are
 // independent of scheduling.
-func (r *Robot) mine(wid string, ff websim.ForkableFetcher, fr *frontier.Frontier,
-	rules *Robots, lim *frontier.Limiter, cfg config, effDepth int) error {
+func mine(wid string, ff websim.ForkableFetcher, fr *frontier.Frontier, gate *Gate, lim *frontier.Limiter) error {
 	clk := vclock.NewVirtual()
 	fork := ff.Fork(clk)
 	header, _ := fork.(websim.HeadFetcher)
-	admit := func(url string, depth int) bool { return followable(url, depth, rules, &cfg, effDepth) }
+	admit := func(url string, depth int) bool { return gate.Verdict(url, depth) == ReasonOK }
 	cl, state := fr.ClaimWait(wid)
 	for state == frontier.WaitClaimed {
 		rec, err := fetchOne(cl, fork, header, clk, lim)
@@ -342,13 +286,11 @@ type replayPage struct {
 // depth constraint prunes by the page's best-known depth (as the W3C
 // robot's breadth bookkeeping does).
 type replayer struct {
-	cfg      config
-	effDepth int
-	rules    *Robots
-	fr       *frontier.Frontier // journal target for unstable subtrees (may be nil)
-	clock    vclock.Clock
-	fetcher  websim.Fetcher         // live fallback (nil in StatsFromRecords)
-	parent   websim.ForkableFetcher // Replay target for recorded fetches (may be nil)
+	gate    *Gate
+	fr      *frontier.Frontier // journal target for unstable subtrees (may be nil)
+	clock   vclock.Clock
+	fetcher websim.Fetcher         // live fallback (nil in StatsFromRecords)
+	parent  websim.ForkableFetcher // Replay target for recorded fetches (may be nil)
 	// record finds a URL's completed acquisition record (nil: every
 	// fetch is live).
 	record func(url string) (*frontier.PageRecord, bool)
@@ -430,41 +372,23 @@ func (rp *replayer) fetch(url, referrer string, depth int) (*frontier.PageRecord
 	return RecordFetch(resp, &frontier.Claim{URL: url, Referrer: referrer, Depth: depth}, rp.clock.Now()-before), nil
 }
 
-// expand recurses over a fetched page's links.
+// expand recurses over a fetched page's links, logging the ones the
+// gate rejects.
 func (rp *replayer) expand(page *replayPage, depth int) error {
 	for _, link := range page.links {
 		rp.st.LinksChecked++
-		if rp.cfg.prefix != "" && !strings.HasPrefix(link.URL, rp.cfg.prefix) {
+		if v := rp.gate.Verdict(link.URL, depth+1); v != ReasonOK {
 			rp.st.Rejected = append(rp.st.Rejected, LinkReport{
-				URL: link.URL, Referrer: link.Referrer, Reason: "prefix",
+				URL: link.URL, Referrer: link.Referrer, Reason: string(v),
 			})
-			continue
-		}
-		if rp.rules != nil && !rp.rules.Allowed(rp.cfg.agent, urlPath(link.URL)) {
-			rp.st.Rejected = append(rp.st.Rejected, LinkReport{
-				URL: link.URL, Referrer: link.Referrer, Reason: "robots",
-			})
-			continue
-		}
-		if depth+1 > rp.cfg.maxDepth {
-			rp.st.Rejected = append(rp.st.Rejected, LinkReport{
-				URL: link.URL, Referrer: link.Referrer, Reason: "depth",
-			})
-			continue
-		}
-		if depth+1 > rp.effDepth {
-			// Beyond the stable limit: the legacy robot aborted the
-			// whole crawl here. The staged crawler journals the
-			// abandoned subtree as a typed event and carries on — the
-			// wrapper's second pass reads the journal.
-			rp.st.Rejected = append(rp.st.Rejected, LinkReport{
-				URL: link.URL, Referrer: link.Referrer, Reason: "unstable",
-			})
-			if rp.fr != nil {
+			if v == ReasonUnstable && rp.fr != nil {
+				// The legacy robot aborted the whole crawl here. The
+				// staged crawler journals the abandoned subtree as a
+				// typed event and carries on.
 				_ = rp.fr.Journal(frontier.Failure{
 					URL: link.URL, Referrer: link.Referrer, Depth: depth + 1,
 					Code:   CodeDepthUnstable,
-					Reason: fmt.Sprintf("subtree at depth %d beyond stable limit %d", depth+1, rp.effDepth),
+					Reason: fmt.Sprintf("subtree at depth %d beyond stable limit %d", depth+1, rp.gate.stable),
 				})
 			}
 			continue
@@ -483,15 +407,15 @@ func (rp *replayer) expand(page *replayPage, depth int) error {
 // pure function of (records, options), so any claim interleaving that
 // completes the same record set yields byte-identical Stats. A URL the
 // traversal needs but the records lack returns ErrFetchFailed (a lost
-// URL — exactly what the exactly-once invariant forbids).
+// URL — exactly what the exactly-once invariant forbids). The replay
+// has no robots.txt rules, so WithRobotsPolicy(RobotsHonor) is refused.
 func StatsFromRecords(startURL string, recs []*frontier.PageRecord, opts ...Option) (*Stats, error) {
 	cfg := buildConfig(opts)
 	if cfg.err != nil {
 		return nil, cfg.err
 	}
-	effDepth := cfg.maxDepth
-	if effDepth > cfg.stable {
-		effDepth = cfg.stable
+	if cfg.robots == RobotsHonor {
+		return nil, errors.New("webbot: StatsFromRecords cannot replay WithRobotsPolicy(RobotsHonor): it has no robots.txt rules")
 	}
 	clock := vclock.NewVirtual()
 	st := &Stats{TypeCounts: make(map[string]int)}
@@ -500,9 +424,8 @@ func StatsFromRecords(startURL string, recs []*frontier.PageRecord, opts ...Opti
 		records[rec.URL] = rec
 	}
 	rp := &replayer{
-		cfg:      cfg,
-		effDepth: effDepth,
-		clock:    clock,
+		gate:  newGate(&cfg, nil),
+		clock: clock,
 		record: func(url string) (*frontier.PageRecord, bool) {
 			rec, ok := records[url]
 			return rec, ok

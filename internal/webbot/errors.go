@@ -11,10 +11,10 @@ import (
 // worker reporting to its coordinator) survives as the same errors.Is
 // sentinel on the far side.
 var (
-	// ErrUnstable reports a crawl aborted (or a subtree journaled)
-	// because the requested depth exceeds the stable limit — the
-	// paper's observation that the robot's recursive expansion is only
-	// trustworthy to depth 4 on the case-study server.
+	// ErrUnstable reports a subtree clamped and journaled because it
+	// lies beyond the stable limit — the paper's observation that the
+	// robot's recursive expansion is only trustworthy to depth 4 on the
+	// case-study server.
 	ErrUnstable = errors.New("webbot: unstable beyond max stable depth")
 	// ErrRobotsDenied reports a URL the site's robots.txt forbids for
 	// this crawler.

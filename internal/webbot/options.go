@@ -29,7 +29,6 @@ type config struct {
 	stable      int
 	prefix      string
 	workers     int
-	strict      bool // abort (legacy) instead of journaling beyond-stable subtrees
 	robots      RobotsPolicy
 	agent       string
 	politeness  time.Duration
@@ -66,7 +65,10 @@ func WithPrefix(p string) Option {
 }
 
 // WithWorkers sets the number of concurrent fetcher workers (default
-// 1). More than one requires a ForkableFetcher.
+// 1). More than one requires a ForkableFetcher. Stats stay
+// byte-identical to the serial crawl: workers fetch on forks with
+// private clocks, and the serial replay charges the robot's clock the
+// recorded costs.
 func WithWorkers(n int) Option {
 	return func(c *config) {
 		if n < 1 {
@@ -109,13 +111,6 @@ func WithStableDepth(d int) Option {
 		}
 		c.stable = d
 	}
-}
-
-// WithDepthAbort restores the legacy strict semantics: a crawl whose
-// max depth exceeds the stable limit fails up front with ErrUnstable
-// instead of clamping and journaling.
-func WithDepthAbort() Option {
-	return func(c *config) { c.strict = true }
 }
 
 // WithFrontier backs the crawl's URL frontier with a cabinet store
@@ -182,28 +177,12 @@ func buildConfig(opts []Option) config {
 }
 
 // New builds a Robot around fetcher with the staged-crawler defaults:
-// depth 4, one worker, robots ignored, volatile frontier. The returned
-// Robot is driven with RunCtx. The legacy Constraints/Run surface
-// remains usable on the same value (Run is a shim over RunCtx).
+// depth 4, one worker, robots ignored, volatile frontier, a fresh
+// virtual clock. The returned Robot is driven with RunCtx.
 func New(fetcher websim.Fetcher, opts ...Option) *Robot {
-	c := buildConfig(opts)
-	clock := c.clock
-	if clock == nil {
-		clock = vclock.NewVirtual()
-	}
-	r := &Robot{
-		Fetcher: fetcher,
-		Clock:   clock,
-		Constraints: Constraints{
-			MaxDepth:       c.maxDepth,
-			Prefix:         c.prefix,
-			MaxStableDepth: c.stable,
-		},
-		Workers:    c.workers,
-		Telemetry:  c.telemetry,
-		TraceID:    c.traceID,
-		SpanParent: c.spanParent,
-		cfg:        &c,
+	r := &Robot{fetcher: fetcher, cfg: buildConfig(opts)}
+	if r.cfg.clock == nil {
+		r.cfg.clock = vclock.NewVirtual()
 	}
 	return r
 }

@@ -1,6 +1,7 @@
 package webbot
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"testing"
@@ -16,15 +17,14 @@ import (
 // logs in order, age/type histograms, and the simulated Elapsed.
 func TestParallelCrawlIdenticalToSerial(t *testing.T) {
 	serialBot, site := newLocalRobot(t, 4)
-	serial, err := serialBot.Run(site.Root)
+	serial, err := serialBot.RunCtx(context.Background(), site.Root)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	for _, workers := range []int{2, 8} {
-		par, _ := newLocalRobot(t, 4)
-		par.Workers = workers
-		got, err := par.Run(site.Root)
+		par, _ := siteRobot(site, simnet.Loopback, 4, WithWorkers(workers))
+		got, err := par.RunCtx(context.Background(), site.Root)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -42,22 +42,20 @@ func TestParallelCrawlIdenticalToSerial(t *testing.T) {
 // just Stats.Elapsed) advances identically, and the fetcher's traffic
 // counters match: the fleet and bench layers read both.
 func TestParallelCrawlClockIdentical(t *testing.T) {
-	serialBot, site := newLocalRobot(t, 4)
-	if _, err := serialBot.Run(site.Root); err != nil {
+	site := caseSite(t)
+	serialBot, serialClient := siteRobot(site, simnet.Loopback, 4)
+	if _, err := serialBot.RunCtx(context.Background(), site.Root); err != nil {
 		t.Fatal(err)
 	}
-	serialClock := serialBot.Clock.Now()
-	serialClient := serialBot.Fetcher.(*websim.Client)
+	serialClock := serialClient.Clock.Now()
 
-	par, _ := newLocalRobot(t, 4)
-	par.Workers = 8
-	if _, err := par.Run(site.Root); err != nil {
+	par, parClient := siteRobot(site, simnet.Loopback, 4, WithWorkers(8))
+	if _, err := par.RunCtx(context.Background(), site.Root); err != nil {
 		t.Fatal(err)
 	}
-	if got := par.Clock.Now(); got != serialClock {
+	if got := parClient.Clock.Now(); got != serialClock {
 		t.Errorf("parallel clock = %v, serial clock = %v", got, serialClock)
 	}
-	parClient := par.Fetcher.(*websim.Client)
 	if parClient.Requests != serialClient.Requests || parClient.BytesFetched != serialClient.BytesFetched {
 		t.Errorf("parallel client counters (%d req, %d B) != serial (%d req, %d B)",
 			parClient.Requests, parClient.BytesFetched, serialClient.Requests, serialClient.BytesFetched)
@@ -69,13 +67,12 @@ func TestParallelCrawlClockIdentical(t *testing.T) {
 func TestParallelCrawlDepthSweep(t *testing.T) {
 	for _, depth := range []int{0, 1, 2, 3} {
 		serialBot, site := newLocalRobot(t, depth)
-		serial, err := serialBot.Run(site.Root)
+		serial, err := serialBot.RunCtx(context.Background(), site.Root)
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, _ := newLocalRobot(t, depth)
-		par.Workers = 4
-		got, err := par.Run(site.Root)
+		par, _ := siteRobot(site, simnet.Loopback, depth, WithWorkers(4))
+		got, err := par.RunCtx(context.Background(), site.Root)
 		if err != nil {
 			t.Fatalf("depth=%d: %v", depth, err)
 		}
@@ -85,16 +82,13 @@ func TestParallelCrawlDepthSweep(t *testing.T) {
 	}
 }
 
-// TestParallelNeedsForkableFetcher: a Workers > 1 robot over a fetcher
+// TestParallelNeedsForkableFetcher: a multi-worker robot over a fetcher
 // that cannot be forked reports the typed error instead of racing.
 func TestParallelNeedsForkableFetcher(t *testing.T) {
 	clock := vclock.NewVirtual()
-	r := &Robot{
-		Fetcher: &websim.ExternalChecker{Link: simnet.WAN10, Clock: clock},
-		Clock:   clock,
-		Workers: 4,
-	}
-	if _, err := r.Run("http://x/"); !errors.Is(err, ErrNotForkable) {
+	r := New(&websim.ExternalChecker{Link: simnet.WAN10, Clock: clock},
+		WithClock(clock), WithWorkers(4))
+	if _, err := r.RunCtx(context.Background(), "http://x/"); !errors.Is(err, ErrNotForkable) {
 		t.Fatalf("err = %v, want ErrNotForkable", err)
 	}
 }
@@ -104,23 +98,11 @@ func TestParallelNeedsForkableFetcher(t *testing.T) {
 // everything, so nothing is prefix-rejected) and a prefix longer than
 // the URL (rejects it).
 func TestPrefixBoundaries(t *testing.T) {
-	site, err := websim.Generate(websim.CaseStudySpec("webserv"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	site := caseSite(t)
 	run := func(prefix string, maxDepth int) *Stats {
-		clock := vclock.NewVirtual()
-		r := &Robot{
-			Fetcher: &websim.Client{
-				Server:   websim.DefaultServer(site),
-				Universe: &websim.Universe{Origin: site},
-				Link:     simnet.Loopback,
-				Clock:    clock,
-			},
-			Clock:       clock,
-			Constraints: Constraints{MaxDepth: maxDepth, Prefix: prefix},
-		}
-		st, err := r.Run(site.Root)
+		c := siteClient(site, simnet.Loopback)
+		r := New(c, WithClock(c.Clock), WithMaxDepth(maxDepth), WithPrefix(prefix))
+		st, err := r.RunCtx(context.Background(), site.Root)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -116,7 +116,12 @@ func (r *Robots) group(agent string) *robotsGroup {
 // Allowed reports whether agent may fetch path ("/a/b.html"). A nil
 // Robots (no robots.txt served) allows everything.
 func (r *Robots) Allowed(agent, path string) bool {
-	g := r.group(agent)
+	return r.group(agent).allowed(path)
+}
+
+// allowed applies one group's rules to path. A nil group (no rules for
+// the agent) allows everything.
+func (g *robotsGroup) allowed(path string) bool {
 	if g == nil {
 		return true
 	}
@@ -151,15 +156,14 @@ func (r *Robots) CrawlDelay(agent string) time.Duration {
 // match unless anchored, with '*' matching any run of characters.
 // Iterative single-backtrack glob matching, O(len(pattern)·len(path)).
 func robotsMatch(pattern string, anchored bool, path string) bool {
-	if !anchored {
-		// Prefix semantics: the pattern only has to consume a prefix of
-		// the path, which is exactly a trailing wildcard.
-		pattern += "*"
-	}
 	pi, si := 0, 0
 	star, mark := -1, 0
 	for si < len(path) {
 		switch {
+		case pi == len(pattern) && !anchored:
+			// Prefix semantics: the pattern only has to consume a
+			// prefix of the path, as if it ended in a wildcard.
+			return true
 		case pi < len(pattern) && pattern[pi] == '*':
 			star, mark = pi, si
 			pi++

@@ -13,21 +13,19 @@
 // and re-crawls incrementally (WithRecrawl), while Stats stay
 // byte-identical to the serial crawl of the seed.
 //
-// Robots are built with New(fetcher, opts...) and driven with
-// RunCtx(ctx, startURL); the legacy Constraints/Run surface remains as
-// deprecated shims over the same engine.
+// A robot is configured only through New(fetcher, opts...) and driven
+// with RunCtx(ctx, startURL). What it fetches is decided in one place,
+// the crawl's Gate: acquisition admits, the replay logs rejections and
+// a fleet's frontier service admits by the same verdicts.
 package webbot
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
 	"time"
 
 	"tax/internal/frontier"
-	"tax/internal/telemetry"
-	"tax/internal/vclock"
 	"tax/internal/websim"
 )
 
@@ -41,22 +39,6 @@ const DefaultMaxStableDepth = 4
 // LAN-vs-local ratio is reproduced; see EXPERIMENTS.md.
 const ParseCostPerKB = 800 * time.Microsecond
 
-// Constraints bound a crawl.
-//
-// Deprecated: build robots with New and the WithMaxDepth / WithPrefix /
-// WithStableDepth options. The struct remains for the legacy Run
-// surface and is honored verbatim by robots built as struct literals.
-type Constraints struct {
-	// MaxDepth limits the search tree depth (root = 0).
-	MaxDepth int
-	// Prefix restricts followed URIs; links not matching are logged as
-	// rejected, not followed.
-	Prefix string
-	// MaxStableDepth models the robot's crash depth; zero means
-	// DefaultMaxStableDepth.
-	MaxStableDepth int
-}
-
 // LinkReport is one problem or constraint row in the robot's log.
 type LinkReport struct {
 	// URL is the link target.
@@ -66,8 +48,8 @@ type LinkReport struct {
 	// Status is the HTTP-like status observed (0 for rejected links,
 	// which were never fetched).
 	Status int
-	// Reason explains the entry ("invalid", "depth", "prefix",
-	// "robots", "unstable").
+	// Reason explains the entry: "invalid" for a failed fetch, or the
+	// Gate's Reason for a rejected link.
 	Reason string
 }
 
@@ -105,7 +87,7 @@ func (s *Stats) RejectedByPrefix() []LinkReport {
 	seen := map[string]bool{}
 	var out []LinkReport
 	for _, r := range s.Rejected {
-		if r.Reason == "prefix" && !seen[r.URL] {
+		if r.Reason == string(ReasonPrefix) && !seen[r.URL] {
 			seen[r.URL] = true
 			out = append(out, r)
 		}
@@ -114,60 +96,22 @@ func (s *Stats) RejectedByPrefix() []LinkReport {
 	return out
 }
 
-// Robot is a web robot: it crawls through whatever Fetcher it is given
+// Robot is a web robot: it crawls through whatever fetcher it is given
 // — a local or remote websim client, which is exactly the difference
-// the paper's experiment measures. Build with New; the exported fields
-// remain for the legacy struct-literal surface (a Robot built that way
-// behaves exactly like the seed's, including the strict stable-depth
-// abort).
+// the paper's experiment measures. Build one with New; its options fix
+// the constraints, the clock charged for parsing, the worker count and
+// the telemetry for the robot's lifetime.
 type Robot struct {
-	// Fetcher retrieves pages and charges simulated time.
-	Fetcher websim.Fetcher
-	// Clock is the robot's host clock, charged for parsing.
-	Clock vclock.Clock
-	// Constraints bound the crawl (legacy surface; ignored when the
-	// Robot was built with New, whose options win).
-	Constraints Constraints
-	// Telemetry, when set, receives crawl totals (bot.pages, bot.bytes,
-	// bot.links) and — with spans enabled and TraceID set — one bot.crawl
-	// span per Run, so a mobile robot's crawl phase shows up inside its
-	// itinerary's trace tree.
-	Telemetry *telemetry.Telemetry
-	// TraceID attaches the crawl span to an existing trace ("" records
-	// none).
-	TraceID string
-	// SpanParent optionally parents the crawl span (a vm.exec span id).
-	SpanParent string
-	// Workers, when > 1, fetches with that many concurrent workers
-	// (the Fetcher must implement websim.ForkableFetcher). The crawl's
-	// Stats — visit order, link logs, byte counts and Elapsed — stay
-	// byte-identical to the serial crawl: workers drain the frontier on
-	// forked fetchers with private clocks, then the canonical serial
-	// traversal replays from the completed records, charging the
-	// robot's clock the recorded per-fetch costs.
-	Workers int
-
-	// cfg is the option set when built with New (nil for legacy
-	// struct-literal robots, which imply strict Constraints semantics).
-	cfg *config
+	fetcher websim.Fetcher
+	cfg     config
 	// last is the frontier of the most recent RunCtx (Records feeds
 	// ModelMakespan and StatsFromRecords).
 	last *frontier.Frontier
 }
 
-// ErrNotForkable is returned when Workers > 1 but the Fetcher cannot be
-// forked for concurrent use.
-var ErrNotForkable = errors.New("webbot: Workers > 1 needs a websim.ForkableFetcher")
-
-// Run crawls from startURL under the legacy surface and returns the
-// gathered statistics. The crawl is deterministic: links are followed
-// in page order.
-//
-// Deprecated: use New and RunCtx. Run is a shim over the same engine
-// and produces byte-identical Stats.
-func (r *Robot) Run(startURL string) (*Stats, error) {
-	return r.RunCtx(context.Background(), startURL)
-}
+// ErrNotForkable is returned when WithWorkers asks for more than one
+// worker but the fetcher cannot be forked for concurrent use.
+var ErrNotForkable = errors.New("webbot: more than one worker needs a websim.ForkableFetcher")
 
 // Records returns the completed frontier records of the robot's most
 // recent RunCtx, sorted by URL — the input frontier.ModelMakespan and

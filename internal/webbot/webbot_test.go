@@ -1,7 +1,7 @@
 package webbot
 
 import (
-	"errors"
+	"context"
 	"strings"
 	"testing"
 
@@ -10,32 +10,44 @@ import (
 	"tax/internal/websim"
 )
 
-func newLocalRobot(t *testing.T, maxDepth int) (*Robot, *websim.Site) {
+// siteClient is a fresh client, on its own virtual clock, for site
+// across link.
+func siteClient(site *websim.Site, link simnet.Profile) *websim.Client {
+	return &websim.Client{
+		Server:   websim.DefaultServer(site),
+		Universe: &websim.Universe{Origin: site},
+		Link:     link,
+		Clock:    vclock.NewVirtual(),
+	}
+}
+
+// siteRobot is the case-study robot over site: prefix
+// "http://webserv/", the client's clock, maxDepth, then opts.
+func siteRobot(site *websim.Site, link simnet.Profile, maxDepth int, opts ...Option) (*Robot, *websim.Client) {
+	c := siteClient(site, link)
+	base := []Option{WithClock(c.Clock), WithMaxDepth(maxDepth), WithPrefix("http://webserv/")}
+	return New(c, append(base, opts...)...), c
+}
+
+func caseSite(t *testing.T) *websim.Site {
 	t.Helper()
 	site, err := websim.Generate(websim.CaseStudySpec("webserv"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	clock := vclock.NewVirtual()
-	r := &Robot{
-		Fetcher: &websim.Client{
-			Server:   websim.DefaultServer(site),
-			Universe: &websim.Universe{Origin: site},
-			Link:     simnet.Loopback,
-			Clock:    clock,
-		},
-		Clock: clock,
-		Constraints: Constraints{
-			MaxDepth: maxDepth,
-			Prefix:   "http://webserv/",
-		},
-	}
+	return site
+}
+
+func newLocalRobot(t *testing.T, maxDepth int, opts ...Option) (*Robot, *websim.Site) {
+	t.Helper()
+	site := caseSite(t)
+	r, _ := siteRobot(site, simnet.Loopback, maxDepth, opts...)
 	return r, site
 }
 
 func TestCrawlVisits917Pages(t *testing.T) {
 	r, site := newLocalRobot(t, 4)
-	st, err := r.Run(site.Root)
+	st, err := r.RunCtx(context.Background(), site.Root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +68,7 @@ func TestCrawlVisits917Pages(t *testing.T) {
 
 func TestCrawlFindsAllDeadInternalLinks(t *testing.T) {
 	r, site := newLocalRobot(t, 4)
-	st, err := r.Run(site.Root)
+	st, err := r.RunCtx(context.Background(), site.Root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +91,7 @@ func TestCrawlFindsAllDeadInternalLinks(t *testing.T) {
 
 func TestRejectedLogsPrefixAndDepth(t *testing.T) {
 	r, site := newLocalRobot(t, 4)
-	st, err := r.Run(site.Root)
+	st, err := r.RunCtx(context.Background(), site.Root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +129,7 @@ func TestRejectedLogsPrefixAndDepth(t *testing.T) {
 
 func TestTypeAndAgeStatistics(t *testing.T) {
 	r, site := newLocalRobot(t, 4)
-	st, err := r.Run(site.Root)
+	st, err := r.RunCtx(context.Background(), site.Root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,12 +160,12 @@ func TestTypeAndAgeStatistics(t *testing.T) {
 
 func TestDepthConstraintShrinksCrawl(t *testing.T) {
 	shallow, site := newLocalRobot(t, 2)
-	st2, err := shallow.Run(site.Root)
+	st2, err := shallow.RunCtx(context.Background(), site.Root)
 	if err != nil {
 		t.Fatal(err)
 	}
 	deep, _ := newLocalRobot(t, 4)
-	st4, err := deep.Run(site.Root)
+	st4, err := deep.RunCtx(context.Background(), site.Root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,14 +176,10 @@ func TestDepthConstraintShrinksCrawl(t *testing.T) {
 }
 
 func TestInstabilityBeyondDepth4(t *testing.T) {
-	// "Webbot became unstable with a search tree deeper than 4."
-	r, site := newLocalRobot(t, 5)
-	if _, err := r.Run(site.Root); !errors.Is(err, ErrUnstable) {
-		t.Errorf("depth-5 crawl err = %v, want ErrUnstable", err)
-	}
-	// A raised stability limit (a fixed robot) permits deeper crawls.
-	r.Constraints.MaxStableDepth = 8
-	st, err := r.Run(site.Root)
+	// "Webbot became unstable with a search tree deeper than 4." A
+	// raised stability limit (a fixed robot) permits deeper crawls.
+	r, site := newLocalRobot(t, 5, WithStableDepth(8))
+	st, err := r.RunCtx(context.Background(), site.Root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,9 +189,8 @@ func TestInstabilityBeyondDepth4(t *testing.T) {
 }
 
 func TestRobotValidationErrors(t *testing.T) {
-	r, site := newLocalRobot(t, 4)
-	r.Fetcher = nil
-	if _, err := r.Run(site.Root); err == nil {
+	r := New(nil, WithMaxDepth(4))
+	if _, err := r.RunCtx(context.Background(), "http://webserv/"); err == nil {
 		t.Error("fetcherless robot ran")
 	}
 }
@@ -191,11 +198,11 @@ func TestRobotValidationErrors(t *testing.T) {
 func TestCrawlDeterministic(t *testing.T) {
 	a, site := newLocalRobot(t, 4)
 	b, _ := newLocalRobot(t, 4)
-	sa, err := a.Run(site.Root)
+	sa, err := a.RunCtx(context.Background(), site.Root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb, err := b.Run(site.Root)
+	sb, err := b.RunCtx(context.Background(), site.Root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,22 +215,12 @@ func TestCrawlDeterministic(t *testing.T) {
 func TestRemoteCrawlSlowerThanLocal(t *testing.T) {
 	// The heart of E1: same crawl, loopback vs LAN link.
 	local, site := newLocalRobot(t, 4)
-	stLocal, err := local.Run(site.Root)
+	stLocal, err := local.RunCtx(context.Background(), site.Root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clock := vclock.NewVirtual()
-	remote := &Robot{
-		Fetcher: &websim.Client{
-			Server:   websim.DefaultServer(site),
-			Universe: &websim.Universe{Origin: site},
-			Link:     simnet.LAN100,
-			Clock:    clock,
-		},
-		Clock:       clock,
-		Constraints: Constraints{MaxDepth: 4, Prefix: "http://webserv/"},
-	}
-	stRemote, err := remote.Run(site.Root)
+	remote, _ := siteRobot(site, simnet.LAN100, 4)
+	stRemote, err := remote.RunCtx(context.Background(), site.Root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +236,7 @@ func TestRemoteCrawlSlowerThanLocal(t *testing.T) {
 
 func TestValidateLinks(t *testing.T) {
 	r, site := newLocalRobot(t, 4)
-	st, err := r.Run(site.Root)
+	st, err := r.RunCtx(context.Background(), site.Root)
 	if err != nil {
 		t.Fatal(err)
 	}

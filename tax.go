@@ -353,10 +353,6 @@ type (
 	// Robot is the stationary Webbot-style crawler, rebuilt as a staged
 	// pipeline over a durable URL frontier. Build with NewRobot.
 	Robot = webbot.Robot
-	// RobotConstraints bound a crawl.
-	//
-	// Deprecated: build robots with NewRobot and RobotOption values.
-	RobotConstraints = webbot.Constraints
 	// RobotStats is a crawl's gathered output.
 	RobotStats = webbot.Stats
 	// RobotOption tunes a robot at NewRobot time.
@@ -386,7 +382,6 @@ var (
 	RobotRobots      = webbot.WithRobotsPolicy
 	RobotUserAgent   = webbot.WithUserAgent
 	RobotStableDepth = webbot.WithStableDepth
-	RobotDepthAbort  = webbot.WithDepthAbort
 	RobotFrontier    = webbot.WithFrontier
 	RobotRecrawl     = webbot.WithRecrawl
 	RobotRetries     = webbot.WithRetries
@@ -407,9 +402,8 @@ var (
 	// ErrRobotsDenied: the site's robots.txt forbids the URL for this
 	// robot's user-agent. Wire code wb_robots_denied.
 	ErrRobotsDenied = webbot.ErrRobotsDenied
-	// ErrCrawlUnstable: a subtree beyond the stable depth was journaled
-	// (or, with RobotDepthAbort, the crawl aborted). Wire code
-	// wb_depth_unstable.
+	// ErrCrawlUnstable: a subtree beyond the stable depth was clamped
+	// and journaled. Wire code wb_depth_unstable.
 	ErrCrawlUnstable = webbot.ErrUnstable
 	// ErrFetchFailed: a URL's fetch failed after the frontier's retry
 	// budget. Wire code wb_fetch_failed.
