@@ -89,8 +89,9 @@ determinism:
 	$(GO) test -race -timeout 3600s -count=100 -cpu 1,2,8 -run '^(TestChaosDeterministicFaultLog|TestObservabilityTimelineDeterministic)$$' ./internal/chaostest/
 
 # frontier-sweep runs two thousand eight-agent fleet crawls at depth 4,
-# where admission cuts the site (internal/linkmine/frontier_test.go,
-# TestFleetDepth4): every URL fetched exactly once and aggregate Stats
+# where admission cuts the site, at each of two leases, one URL and
+# eight (internal/linkmine/frontier_test.go, TestFleetDepth4's two
+# subtests): every URL fetched exactly once and aggregate Stats
 # identical to the serial robot on every crawl. Before completions took
 # their depth from the frontier, about one crawl in five thousand lost
 # a subtree here, so a sweep is the test, not one run.

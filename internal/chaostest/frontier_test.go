@@ -28,9 +28,11 @@ func TestFrontierChaosFleetClean(t *testing.T) {
 func TestFrontierChaosHostCrash(t *testing.T) {
 	rep, err := RunFrontier(FrontierScenario{
 		Agents: 8,
-		// Mid-crawl: a full run commits ~1,890 appends on the frontier
-		// host, one frontier and one dedup-journal transaction a URL.
-		CrashAppend:  700,
+		// Mid-crawl, about a third of the way: a full run commits about
+		// 256 appends on the frontier host, one frontier and one
+		// dedup-journal transaction a round trip of eight URLs.
+		// linkmine's TestFleetLeaseOneCrash crashes a one-URL lease.
+		CrashAppend:  85,
 		RestartDelay: 50 * time.Millisecond,
 	})
 	if err != nil {
@@ -55,7 +57,7 @@ func TestFrontierChaosFaultsAndCrash(t *testing.T) {
 		Drop:         0.02,
 		Duplicate:    0.02,
 		Delay:        0.05,
-		CrashAppend:  500,
+		CrashAppend:  64, // about a quarter of the way through the crawl
 		RestartDelay: 50 * time.Millisecond,
 	})
 	if err != nil {

@@ -9,20 +9,24 @@
 // wavefront) whose durable state transitions are each one synced WAL
 // transaction on the PR 4 cabinet:
 //
-//	Add           →  put p/<url>                (pending)
-//	Claim         →  del p/<url>, put c/<url>   (claimed, tagged with the worker)
-//	Complete      →  del c/<url>, put d/<url>   (done: the PageRecord)
-//	CompleteNext  →  Complete, Add of the record's admitted links, and
-//	                 Claim of the worker's next URL, in one transaction
-//	Fail          →  del c/<url>, put p/ or f/  (re-pend, or journal terminally)
+//	Add            →  put p/<url>                (pending)
+//	Claim          →  del p/<url>, put c/<url>   (claimed, tagged with the worker)
+//	Complete       →  del c/<url>, put d/<url>   (done: the PageRecord)
+//	Fail           →  del c/<url>, put p/ or f/  (re-pend, or journal terminally)
+//	CompleteBatch  →  Complete of each record, with Add of its admitted
+//	                  links; Fail of each failure; then Claim until the
+//	                  worker holds k URLs — one transaction for the lot
+//	CompleteNext   →  CompleteBatch of one record at k = 1
 //
-// Because a claim is journaled before the worker sees it, a worker that
-// re-asks after a lost reply gets the same URL back (claims are keyed
-// by worker), and a frontier host that crashes recovers every claim
-// from the WAL — no URL is ever handed to two workers and none is
-// lost. Complete is idempotent by done-key, so retried completions are
-// counted, not double-applied. Exactly-once per URL follows from the
-// store's atomicity, not from timing.
+// A worker's lease is the set of c/ entries tagged with it, one per
+// URL, so a multi-URL lease needs no key of its own. Because a claim is
+// journaled before the worker sees it, a worker that re-asks after a
+// lost reply gets the same URLs back (claims are keyed by worker), and
+// a frontier host that crashes recovers every claim from the WAL — no
+// URL is ever handed to two workers and none is lost. Complete is
+// idempotent by done-key, so retried completions are counted, not
+// double-applied. Exactly-once per URL follows from the store's
+// atomicity, not from timing.
 //
 // A transition changes memory first and commits after, so a failed
 // commit leaves memory ahead of the store: the frontier then closes
@@ -32,6 +36,7 @@ package frontier
 import (
 	"container/heap"
 	"errors"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -110,10 +115,14 @@ type Frontier struct {
 	// says which, so a transition changes a field, not a map. Pending
 	// entries are also in heap, so the pending count is its length;
 	// claimed and done count the other two states.
-	urls     map[string]*entry
-	claimed  int
-	done     int
-	byWorker map[string]string      // worker → claimed url, for re-issue
+	urls    map[string]*entry
+	claimed int
+	done    int
+	// byWorker holds each worker's claimed entries in lease order, for
+	// re-issue: e is in byWorker[w] exactly while e is claimed by w. A
+	// worker's slice stays in the map when it empties, so the next lease
+	// reuses it.
+	byWorker map[string][]*entry
 	prior    map[string]*PageRecord // previous cycle's records (recrawl)
 	failed   map[string]*Failure    // terminal failures only
 	journal  int                    // total journal entries written
@@ -137,7 +146,7 @@ func New(opts Options) (*Frontier, error) {
 		ns:       opts.Namespace,
 		maxTry:   opts.MaxAttempts,
 		urls:     make(map[string]*entry),
-		byWorker: make(map[string]string),
+		byWorker: make(map[string][]*entry),
 		prior:    make(map[string]*PageRecord),
 		failed:   make(map[string]*Failure),
 	}
@@ -176,7 +185,7 @@ func New(opts Options) (*Frontier, error) {
 				f.urls[e.url] = e
 				f.claimed++
 				if e.worker != "" {
-					f.byWorker[e.worker] = e.url
+					f.byWorker[e.worker] = append(f.byWorker[e.worker], e)
 				}
 			}
 		case "d":
@@ -307,7 +316,7 @@ func (f *Frontier) Add(links []Link) (fresh int, lowered []*PageRecord, err erro
 }
 
 // Offer adds the links admit accepts, in one transaction, and re-expands
-// every done record they lower, as CompleteNext does. admit is called
+// every done record they lower, as CompleteBatch does. admit is called
 // with the frontier locked and must not call back into it.
 func (f *Frontier) Offer(links []Link, admit func(url string, depth int) bool) error {
 	f.mu.Lock()
@@ -402,37 +411,54 @@ func (f *Frontier) Claim(worker string) (*Claim, bool) {
 	return cl, cl != nil
 }
 
-// claimLocked leases and commits; nil when there is nothing to lease or
-// the commit failed, which closed the frontier.
+// claimLocked leases one URL and commits; nil when there is nothing to
+// lease or the commit failed, which closed the frontier.
 func (f *Frontier) claimLocked(worker string) *Claim {
-	cl := f.lease(worker)
-	if f.commitTx() != nil {
+	var buf [1]*Claim
+	claims := f.lease(worker, 1, buf[:0])
+	if f.commitTx() != nil || len(claims) == 0 {
 		return nil
 	}
-	return cl
+	return claims[0]
 }
 
-// lease re-issues worker's unresolved claim, or moves the shallowest
-// pending URL to worker; nil when there is neither.
-func (f *Frontier) lease(worker string) *Claim {
-	if url, ok := f.byWorker[worker]; ok {
-		if e := f.urls[url]; e != nil && e.state == stateClaimed {
-			f.reclaims++
-			return f.claimView(e)
-		}
-		delete(f.byWorker, worker)
+// lease appends to claims every claim worker still holds, re-issued,
+// then tops the worker up to k claims from the shallowest pending URLs.
+// A top-up short of k waits while other workers hold claims: their
+// reports can still fill it, and a lease cut short costs a round trip.
+// At k = 1 the only short top-up is none, so this changes nothing.
+func (f *Frontier) lease(worker string, k int, claims []*Claim) []*Claim {
+	held := f.byWorker[worker]
+	for _, e := range held {
+		f.reclaims++
+		claims = append(claims, f.claimView(e))
 	}
-	if f.heap.Len() == 0 {
-		return nil
+	n := len(held)
+	if f.heap.Len() < k-n && f.claimed > n {
+		return claims
 	}
-	e := heap.Pop(&f.heap).(*entry)
-	e.state = stateClaimed
-	e.worker = worker
-	f.claimed++
-	f.del("p/", e.url)
-	f.putEntry("c/", e)
-	f.byWorker[worker] = e.url
-	return f.claimView(e)
+	for len(held) < k && f.heap.Len() > 0 {
+		e := heap.Pop(&f.heap).(*entry)
+		e.state = stateClaimed
+		e.worker = worker
+		f.claimed++
+		f.del("p/", e.url)
+		f.putEntry("c/", e)
+		held = append(held, e)
+		claims = append(claims, f.claimView(e))
+	}
+	if len(held) > n {
+		f.byWorker[worker] = held
+	}
+	return claims
+}
+
+// release drops a claimed entry from its worker's held claims.
+func (f *Frontier) release(e *entry) {
+	held := f.byWorker[e.worker]
+	if i := slices.Index(held, e); i >= 0 {
+		f.byWorker[e.worker] = slices.Delete(held, i, i+1)
+	}
 }
 
 func (f *Frontier) claimView(e *entry) *Claim {
@@ -461,100 +487,146 @@ func (f *Frontier) ClaimWait(worker string) (*Claim, WaitState) {
 // Complete marks url done with its fetch record. Idempotent: a retried
 // completion (lost ack) is absorbed and counted. Returns whether this
 // call was the first completion. It admits none of the record's links
-// and leases nothing; CompleteNext does both.
+// and leases nothing; CompleteBatch does both. A record is the same
+// whoever fetched it, so unlike Fail, Complete takes any worker's
+// report: the claim is released from whichever worker holds it.
 func (f *Frontier) Complete(url, worker string, rec *PageRecord) (bool, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	_, first, err := f.complete(url, worker, rec, nil, false)
-	return first, err
-}
-
-// CompleteNext is one worker's whole turn, in one transaction: it
-// completes url as Complete does, offers the record's links at its
-// depth + 1 through admit (nil admits none) and re-expands every done
-// record they lower, then leases the worker's next URL as Claim does.
-// next is nil when nothing is pending. admit is called with the frontier
-// locked and must not call back into it.
-//
-// The record's depth is the frontier's, not the worker's: a claim
-// re-discovered shallower while in flight completes, and expands, at
-// the shallower depth.
-func (f *Frontier) CompleteNext(url, worker string, rec *PageRecord, admit func(url string, depth int) bool) (next *Claim, err error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	next, _, err = f.complete(url, worker, rec, admit, true)
-	return next, err
-}
-
-// complete is the body of Complete and CompleteNext. A repeated
-// completion changes nothing but the duplicate count: the first one
-// admitted the links in the same transaction.
-func (f *Frontier) complete(url, worker string, rec *PageRecord, admit func(url string, depth int) bool, next bool) (*Claim, bool, error) {
 	if f.closed {
-		return nil, false, errClosed
+		return false, errClosed
 	}
-	if cur, ok := f.byWorker[worker]; ok && cur == url {
-		delete(f.byWorker, worker)
-	}
-	e := f.urls[url]
-	dup := e != nil && e.state == stateDone
-	if dup {
-		f.dups++
-	} else {
-		switch {
-		case e == nil:
-			e = &entry{url: url}
-			f.urls[url] = e
-		case e.state == stateClaimed:
-			rec.Depth = e.depth
-			f.claimed--
-			f.del("c/", url)
-			if e.worker != "" && e.worker != worker {
-				delete(f.byWorker, e.worker)
-			}
-		default: // pending
-			rec.Depth = e.depth
-			heap.Remove(&f.heap, e.index)
-			f.del("p/", url)
-		}
-		e.state = stateDone
-		e.rec = rec
-		f.done++
-		f.putRecord("d/", rec)
-		if admit != nil {
-			f.expand(rec, admit)
-		}
-	}
-	var cl *Claim
-	if next {
-		cl = f.lease(worker)
-	}
+	first := f.completeLocked(url, rec, nil)
 	if err := f.commitTx(); err != nil {
-		return nil, false, err
+		return false, err
 	}
 	f.cond.Broadcast()
-	return cl, !dup, nil
+	return first, nil
 }
 
-// Fail reports a fetch failure for a claimed URL. Retryable failures
-// below the attempt cap re-pend the URL (and journal the attempt);
-// anything else is journaled terminally. Returns whether the URL was
-// re-queued.
+// FetchFailure is a worker's report that it could not fetch a URL it
+// holds: Fail's arguments, for a batch.
+type FetchFailure struct {
+	URL       string
+	Code      string
+	Reason    string
+	Retryable bool
+}
+
+// CompleteBatch is one worker's whole turn over a lease of up to k URLs,
+// in one transaction: it completes each record as Complete does, offers
+// its links at its depth + 1 through admit (nil admits none) and
+// re-expands every done record they lower; applies each failure as
+// Fail does; then re-issues every claim the worker still holds and
+// leases the shallowest pending URLs until it holds k (see lease for a
+// short top-up). claims is empty when the worker is left holding
+// nothing. admit is called with the frontier locked and must not call
+// back into it.
+//
+// A record's depth is the frontier's, not the worker's: a claim
+// re-discovered shallower while in flight completes, and expands, at
+// the shallower depth.
+func (f *Frontier) CompleteBatch(worker string, recs []*PageRecord, fails []FetchFailure, k int, admit func(url string, depth int) bool) (claims []*Claim, err error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.completeBatch(worker, recs, fails, k, admit, nil)
+}
+
+// CompleteNext is CompleteBatch of one record at k = 1: the worker's
+// next claim, or nil when nothing is pending.
+func (f *Frontier) CompleteNext(worker string, rec *PageRecord, admit func(url string, depth int) bool) (*Claim, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	recs := [1]*PageRecord{rec}
+	var buf [1]*Claim
+	claims, err := f.completeBatch(worker, recs[:], nil, 1, admit, buf[:0])
+	if err != nil || len(claims) == 0 {
+		return nil, err
+	}
+	return claims[0], nil
+}
+
+// completeBatch is CompleteBatch's body, leasing into claims.
+func (f *Frontier) completeBatch(worker string, recs []*PageRecord, fails []FetchFailure, k int, admit func(url string, depth int) bool, claims []*Claim) ([]*Claim, error) {
+	if f.closed {
+		return nil, errClosed
+	}
+	for _, rec := range recs {
+		f.completeLocked(rec.URL, rec, admit)
+	}
+	for _, fl := range fails {
+		f.failLocked(fl.URL, worker, fl.Code, fl.Reason, fl.Retryable)
+	}
+	claims = f.lease(worker, k, claims)
+	if err := f.commitTx(); err != nil {
+		return nil, err
+	}
+	f.cond.Broadcast()
+	return claims, nil
+}
+
+// completeLocked is the body of every completion: it marks url done
+// with rec and, when admit is non-nil, expands rec. A repeated
+// completion changes nothing but the duplicate count — the first one
+// admitted the links in the same transaction — and returns false.
+func (f *Frontier) completeLocked(url string, rec *PageRecord, admit func(url string, depth int) bool) bool {
+	e := f.urls[url]
+	if e != nil && e.state == stateDone {
+		f.dups++
+		return false
+	}
+	switch {
+	case e == nil:
+		e = &entry{url: url}
+		f.urls[url] = e
+	case e.state == stateClaimed:
+		rec.Depth = e.depth
+		f.claimed--
+		f.del("c/", url)
+		f.release(e)
+	default: // pending
+		rec.Depth = e.depth
+		heap.Remove(&f.heap, e.index)
+		f.del("p/", url)
+	}
+	e.state = stateDone
+	e.rec = rec
+	f.done++
+	f.putRecord("d/", rec)
+	if admit != nil {
+		f.expand(rec, admit)
+	}
+	return true
+}
+
+// Fail reports worker's fetch failure for a URL it holds. Retryable
+// failures below the attempt cap re-pend the URL (and journal the
+// attempt); anything else is journaled terminally. Returns whether the
+// URL was re-queued.
 func (f *Frontier) Fail(url, worker, code, reason string, retryable bool) (bool, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
 		return false, errClosed
 	}
-	if cur, ok := f.byWorker[worker]; ok && cur == url {
-		delete(f.byWorker, worker)
+	retry := f.failLocked(url, worker, code, reason, retryable)
+	if err := f.commitTx(); err != nil {
+		return false, err
 	}
+	f.cond.Broadcast()
+	return retry, nil
+}
+
+// failLocked is the body of every failure. A failure speaks only for
+// the reporting worker's own claim: a URL no longer claimed by worker —
+// a failure repeated after a lost reply, once the URL was re-pended and
+// perhaps leased to another worker — is left alone.
+func (f *Frontier) failLocked(url, worker, code, reason string, retryable bool) bool {
 	e := f.urls[url]
-	if e == nil || e.state != stateClaimed {
-		// Already resolved (dup fail after a lost ack): nothing to do.
-		f.cond.Broadcast()
-		return false, nil
+	if e == nil || e.state != stateClaimed || e.worker != worker {
+		return false
 	}
+	f.release(e)
 	e.attempts++
 	fl := &Failure{URL: url, Referrer: e.referrer, Depth: e.depth, Attempts: e.attempts, Code: code, Reason: reason}
 	retry := retryable && e.attempts < f.maxTry
@@ -571,11 +643,7 @@ func (f *Frontier) Fail(url, worker, code, reason string, retryable bool) (bool,
 		delete(f.urls, url)
 		f.failed[url] = fl
 	}
-	if err := f.commitTx(); err != nil {
-		return false, err
-	}
-	f.cond.Broadcast()
-	return retry, nil
+	return retry
 }
 
 // Journal records a failure event that never entered the queue — e.g.

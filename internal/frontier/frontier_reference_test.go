@@ -11,9 +11,10 @@ import (
 // The reference frontier: the three-map implementation the staged
 // crawler shipped with, a URL living in one of pending, claims or done
 // and moving between them on every transition. It stays here, untouched
-// but for its names, as the oracle TestFrontierDifferential holds the
-// one-map frontier to: the same claims, counts, records and failures,
-// and the same cabinet write set at every transition.
+// but for its names and two worker checks (in lease and Fail), as the
+// oracle TestFrontierDifferential holds the one-map frontier to: the
+// same claims, counts, records and failures, and the same cabinet write
+// set at every transition.
 
 // refFrontier is the reference Frontier.
 type refFrontier struct {
@@ -315,7 +316,11 @@ func (f *refFrontier) claimLocked(worker string) *Claim {
 // pending URL to worker; nil when there is neither.
 func (f *refFrontier) lease(worker string) *Claim {
 	if url, ok := f.byWorker[worker]; ok {
-		if e, live := f.claims[url]; live {
+		// The worker check is the one change to the shipped code: without
+		// it, a claim failed by another worker, re-pended and re-claimed
+		// by a third was re-issued to its old holder too — one URL held
+		// by two workers (TestNoURLHeldByTwoWorkers).
+		if e, live := f.claims[url]; live && e.worker == worker {
 			f.reclaims++
 			return f.claimView(e)
 		}
@@ -443,7 +448,9 @@ func (f *refFrontier) Fail(url, worker, code, reason string, retryable bool) (bo
 		delete(f.byWorker, worker)
 	}
 	e, ok := f.claims[url]
-	if !ok {
+	// The worker check is the second change to the shipped code: a
+	// failure speaks only for the reporting worker's own claim.
+	if !ok || e.worker != worker {
 		// Already resolved (dup fail after a lost ack): nothing to do.
 		f.cond.Broadcast()
 		return false, nil

@@ -133,7 +133,7 @@ func TestCompleteNextUsesFrontierDepth(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := &PageRecord{URL: cl.URL, Depth: cl.Depth, Status: 200, Links: []Link{{URL: "http://h/k", Referrer: cl.URL}}}
-	next, err := f.CompleteNext(cl.URL, "w", rec, upTo(3))
+	next, err := f.CompleteNext("w", rec, upTo(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,12 +155,12 @@ func TestCompleteNextReexpandsLowered(t *testing.T) {
 	b, _ := f.Claim("w")
 	a, _ := f.Claim("w2")
 	// a completes at depth 3: its child at 4 is refused.
-	next, err := f.CompleteNext(a.URL, "w2", &PageRecord{URL: a.URL, Depth: 3, Links: []Link{{URL: "http://h/x", Referrer: a.URL}}}, admit)
+	next, err := f.CompleteNext("w2", &PageRecord{URL: a.URL, Depth: 3, Links: []Link{{URL: "http://h/x", Referrer: a.URL}}}, admit)
 	if err != nil || next != nil {
 		t.Fatalf("CompleteNext(a) = %+v, %v; want nothing to lease", next, err)
 	}
 	// b at depth 1 links to a: a drops to 2, and x enters at 3.
-	next, err = f.CompleteNext(b.URL, "w", &PageRecord{URL: b.URL, Depth: 1, Links: []Link{{URL: "http://h/a", Referrer: b.URL}}}, admit)
+	next, err = f.CompleteNext("w", &PageRecord{URL: b.URL, Depth: 1, Links: []Link{{URL: "http://h/a", Referrer: b.URL}}}, admit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,14 +185,14 @@ func TestCompleteNextIsOneTransaction(t *testing.T) {
 	cl, _ := f.Claim("w")
 	rec := &PageRecord{URL: cl.URL, Status: 200, Links: []Link{{URL: "http://h/a"}, {URL: "http://h/b"}}}
 	before := store.Seq()
-	next, err := f.CompleteNext(cl.URL, "w", rec, upTo(1))
+	next, err := f.CompleteNext("w", rec, upTo(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := store.Seq() - before; got != 1 {
 		t.Fatalf("CompleteNext committed %d transactions, want 1", got)
 	}
-	again, err := f.CompleteNext(cl.URL, "w", rec, upTo(1))
+	again, err := f.CompleteNext("w", rec, upTo(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestVolatileFrontierEncodesNothing(t *testing.T) {
 	f := volatileFrontier(t)
 	f.Add([]Link{{URL: "http://h/", Depth: 0}})
 	cl, _ := f.Claim("w")
-	next, _ := f.CompleteNext(cl.URL, "w", &PageRecord{URL: cl.URL, Links: []Link{{URL: "http://h/a"}}}, upTo(1))
+	next, _ := f.CompleteNext("w", &PageRecord{URL: cl.URL, Links: []Link{{URL: "http://h/a"}}}, upTo(1))
 	f.Fail(next.URL, "w", "wb_fetch_failed", "boom", true)
 	f.Journal(Failure{URL: "http://h/z"})
 	if cap(f.tx) != 0 {
@@ -618,6 +618,7 @@ func TestModelMakespan(t *testing.T) {
 
 // TestFrontierDifferential drives seeded operation sequences through the
 // one-map frontier and the three-map reference (frontier_reference_test.go),
+// CompleteBatch at k = 1 standing for the reference's CompleteNext,
 // each on its own cabinet, and holds them to identical results at every
 // step: the claims and records each call returns, Counts, Records,
 // Failures and Drained, and the cabinet write set each transition commits
@@ -767,11 +768,16 @@ func runDifferential(t *testing.T, seed int64, durable bool, steps int) {
 			if !ok || rng.Intn(5) == 0 {
 				url = randURL() // pending, done, failed or unknown
 			}
-			step = fmt.Sprintf("%d CompleteNext %s %s", i, url, w)
+			// CompleteBatch at k = 1 is the reference's CompleteNext.
+			step = fmt.Sprintf("%d CompleteBatch k=1 %s %s", i, url, w)
 			a, b := record(url)
-			next, err := p.f.CompleteNext(url, w, a, admit)
+			claims, err := p.f.CompleteBatch(w, []*PageRecord{a}, nil, 1, admit)
 			rnext, rerr := p.ref.CompleteNext(url, w, b, admit)
-			p.same(step, []any{next, err}, []any{rnext, rerr})
+			var next *Claim
+			if len(claims) > 0 {
+				next = claims[0]
+			}
+			p.same(step, []any{len(claims) <= 1, next, err}, []any{true, rnext, rerr})
 			delete(held, w)
 			if next != nil {
 				held[w] = next.URL
@@ -821,5 +827,296 @@ func runDifferential(t *testing.T, seed int64, durable bool, steps int) {
 			}
 		}
 		p.check(step, ordered)
+	}
+}
+
+// leaseURLs lists the URLs of a lease, in order.
+func leaseURLs(cls []*Claim) []string {
+	var out []string
+	for _, cl := range cls {
+		out = append(out, cl.URL)
+	}
+	return out
+}
+
+// site returns n links at depth 1, http://h/p00 onwards.
+func site(n int) []Link {
+	out := make([]Link, n)
+	for i := range out {
+		out[i] = Link{URL: fmt.Sprintf("http://h/p%02d", i), Referrer: "http://h/", Depth: 1}
+	}
+	return out
+}
+
+// TestCompleteBatchIsOneTransaction: a turn over a lease of k URLs —
+// completing them, admitting their links, failing one, and leasing the
+// next k — is one WAL transaction, and a lease is taken shallowest
+// first.
+func TestCompleteBatchIsOneTransaction(t *testing.T) {
+	store := newDiffStore()
+	f, err := New(Options{Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Add(site(3))
+	before := store.Seq()
+	cls, err := f.CompleteBatch("w", nil, nil, 4, upTo(2))
+	if err != nil || !reflect.DeepEqual(leaseURLs(cls), []string{"http://h/p00", "http://h/p01", "http://h/p02"}) {
+		t.Fatalf("first lease = (%v, %v), want the three pending URLs", leaseURLs(cls), err)
+	}
+	if got := store.Seq() - before; got != 1 {
+		t.Fatalf("leasing three claims committed %d transactions, want 1", got)
+	}
+	recs := []*PageRecord{
+		{URL: "http://h/p00", Status: 200, Links: []Link{{URL: "http://h/q0"}, {URL: "http://h/q1"}, {URL: "http://h/q2"}}},
+		{URL: "http://h/p01", Status: 200, Links: []Link{{URL: "http://h/q3"}, {URL: "http://h/q4"}}},
+	}
+	fails := []FetchFailure{{URL: "http://h/p02", Code: "wb_fetch_failed", Reason: "boom", Retryable: true}}
+	before = store.Seq()
+	cls, err = f.CompleteBatch("w", recs, fails, 4, upTo(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := store.Seq() - before; got != 1 {
+		t.Fatalf("a turn over the lease committed %d transactions, want 1", got)
+	}
+	// p02 re-pended at depth 1 sorts before the depth-2 links.
+	if want := []string{"http://h/p02", "http://h/q0", "http://h/q1", "http://h/q2"}; !reflect.DeepEqual(leaseURLs(cls), want) {
+		t.Fatalf("next lease %v, want %v", leaseURLs(cls), want)
+	}
+	if c := f.Counts(); c.Done != 2 || c.Claimed != 4 || c.Pending != 2 || c.Journal != 1 {
+		t.Fatalf("counts %+v", c)
+	}
+}
+
+// TestCompleteBatchDuplicateReissuesLease: a batch repeated after a lost
+// reply completes nothing twice, commits nothing, and re-issues the
+// very lease the first one took.
+func TestCompleteBatchDuplicateReissuesLease(t *testing.T) {
+	store := newDiffStore()
+	f, err := New(Options{Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Add(site(8))
+	first, _ := f.CompleteBatch("w", nil, nil, 3, upTo(1))
+	recs := make([]*PageRecord, len(first))
+	for i, cl := range first {
+		recs[i] = &PageRecord{URL: cl.URL, Status: 200}
+	}
+	next, err := f.CompleteBatch("w", recs, nil, 3, upTo(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := store.Seq()
+	again, err := f.CompleteBatch("w", recs, nil, 3, upTo(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if store.Seq() != before || !reflect.DeepEqual(again, next) {
+		t.Fatalf("repeat committed %d and leased %v, want 0 and %v", store.Seq()-before, leaseURLs(again), leaseURLs(next))
+	}
+	if c := f.Counts(); c.DupCompletions != 3 || c.Reclaims != 3 || c.Done != 3 || c.Claimed != 3 || c.Pending != 2 {
+		t.Fatalf("counts %+v", c)
+	}
+}
+
+// TestCompleteBatchFailsAsFail: a failure inside a batch re-pends the
+// URL below the attempt cap and journals it terminally at the cap, with
+// the same journal, counts and write sets as Fail on a twin frontier.
+func TestCompleteBatchFailsAsFail(t *testing.T) {
+	bs, fs := newDiffStore(), newDiffStore()
+	b, _ := New(Options{Store: bs, MaxAttempts: 2})
+	f, _ := New(Options{Store: fs, MaxAttempts: 2})
+	for _, fr := range []*Frontier{b, f} {
+		fr.Add([]Link{{URL: "http://h/flaky", Depth: 0}})
+		fr.Claim("w")
+	}
+	fail := FetchFailure{URL: "http://h/flaky", Code: "wb_fetch_failed", Reason: "reset|by peer", Retryable: true}
+	for attempt := 1; attempt <= 2; attempt++ {
+		cls, err := b.CompleteBatch("w", nil, []FetchFailure{fail}, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requeued, err := f.Fail(fail.URL, "w", fail.Code, fail.Reason, fail.Retryable)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl, _ := f.Claim("w")
+		switch {
+		case attempt == 1 && (!requeued || len(cls) != 1 || cls[0].Attempts != 1 || !reflect.DeepEqual(cls[0], cl)):
+			t.Fatalf("attempt 1: batch leased %+v, Fail requeued %v and Claim leased %+v; want the URL back at attempt 1", cls, requeued, cl)
+		case attempt == 2 && (requeued || len(cls) != 0 || cl != nil):
+			t.Fatalf("attempt 2: batch leased %+v, Fail requeued %v; want the URL terminal", cls, requeued)
+		}
+	}
+	if a, c := b.Counts(), f.Counts(); a != c || a.TerminalFailed != 1 || a.Journal != 2 {
+		t.Fatalf("batch counts %+v, Fail counts %+v; want one terminal failure and two journal entries", a, c)
+	}
+	if a, c := b.Failures(), f.Failures(); !reflect.DeepEqual(a, c) {
+		t.Fatalf("batch failures %+v, Fail failures %+v", a, c)
+	}
+	for _, k := range bs.Keys("") {
+		vb, _ := bs.Get(k)
+		vf, _ := fs.Get(k)
+		if !bytes.Equal(vb, vf) {
+			t.Fatalf("%s = %x after the batch, %x after Fail", k, vb, vf)
+		}
+	}
+	if kb, kf := bs.Keys(""), fs.Keys(""); !reflect.DeepEqual(kb, kf) {
+		t.Fatalf("batch store keys %q, Fail store keys %q", kb, kf)
+	}
+}
+
+// TestCompleteBatchShortLeaseWaits: a lease short of k is taken only
+// when no other worker holds a claim, since until then the other
+// leases' reports may still fill it.
+func TestCompleteBatchShortLeaseWaits(t *testing.T) {
+	f := volatileFrontier(t)
+	f.Add(site(6))
+	w1, _ := f.CompleteBatch("w1", nil, nil, 4, nil)
+	if cls, _ := f.CompleteBatch("w2", nil, nil, 4, nil); len(cls) != 0 {
+		t.Fatalf("w2 leased %v while w1 holds claims, want nothing", leaseURLs(cls))
+	}
+	recs := make([]*PageRecord, len(w1))
+	for i, cl := range w1 {
+		recs[i] = &PageRecord{URL: cl.URL, Status: 200}
+	}
+	// w1's report leaves two pending and nobody else holding: it takes
+	// them, short as that lease is.
+	if cls, _ := f.CompleteBatch("w1", recs, nil, 4, nil); !reflect.DeepEqual(leaseURLs(cls), []string{"http://h/p04", "http://h/p05"}) {
+		t.Fatalf("w1 leased %v, want the last two", leaseURLs(cls))
+	}
+}
+
+// TestCompleteBatchRecoversLease: a frontier reopened from its store
+// re-issues every claim of a worker's lease, from the c/ entries alone,
+// and commits nothing to do it.
+func TestCompleteBatchRecoversLease(t *testing.T) {
+	store := newDiffStore()
+	f, _ := New(Options{Store: store})
+	f.Add(site(8))
+	held, _ := f.CompleteBatch("w1", nil, nil, 4, nil)
+	f.CompleteBatch("w2", nil, nil, 4, nil)
+	g, err := New(Options{Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := store.Seq()
+	got, err := g.CompleteBatch("w1", nil, nil, 4, nil)
+	if err != nil || store.Seq() != before {
+		t.Fatalf("re-issue after reopen: %v, committed %d", err, store.Seq()-before)
+	}
+	if !reflect.DeepEqual(leaseURLs(got), leaseURLs(held)) {
+		t.Fatalf("reopened frontier re-issued %v, want %v", leaseURLs(got), leaseURLs(held))
+	}
+	if c := g.Counts(); c.Reclaims != 4 || c.Claimed != 8 || c.Pending != 0 {
+		t.Fatalf("counts %+v", c)
+	}
+}
+
+// TestNoURLHeldByTwoWorkers drives workers through seeded turns at
+// leases of one to four URLs — reports, repeated reports, failures and
+// reopens — and holds every URL to at most one worker's lease. It also
+// pins the two cases that broke that before leases were tracked per
+// claim: another worker's failure re-pended a claim, and a third
+// worker's claim of it left it re-issued to its old holder too; and a
+// failure repeated after a lost reply failed the URL again once another
+// worker held it.
+func TestNoURLHeldByTwoWorkers(t *testing.T) {
+	f := volatileFrontier(t)
+	f.Add([]Link{{URL: "http://h/a", Depth: 0}})
+	a, _ := f.Claim("w0")
+	if requeued, _ := f.Fail(a.URL, "w2", "wb_fetch_failed", "boom", true); requeued || f.Counts().Journal != 0 {
+		t.Fatalf("w2's failure of w0's claim requeued=%v with %d journal entries, want it left alone", requeued, f.Counts().Journal)
+	}
+	if b, ok := f.Claim("w1"); ok {
+		t.Fatalf("w1 claimed %s, which w0 holds", b.URL)
+	}
+	if cl, _ := f.Claim("w0"); cl == nil || cl.URL != a.URL {
+		t.Fatalf("w0 was re-issued %+v, want its claim on %s", cl, a.URL)
+	}
+	// And a failure repeated after a lost reply: w0's report re-pends a
+	// and leases it the shallower 0, w1 leases a, and w0's repeated
+	// report leaves w1's claim alone.
+	f.Add([]Link{{URL: "http://h/0", Depth: 0}})
+	report := []FetchFailure{{URL: a.URL, Code: "wb_fetch_failed", Reason: "boom", Retryable: true}}
+	f.CompleteBatch("w0", nil, report, 1, nil)
+	if cls, _ := f.CompleteBatch("w1", nil, nil, 1, nil); len(cls) != 1 || cls[0].URL != a.URL {
+		t.Fatalf("w1 leased %v, want the re-pended %s", leaseURLs(cls), a.URL)
+	}
+	f.CompleteBatch("w0", nil, report, 1, nil)
+	if cls, _ := f.CompleteBatch("w1", nil, nil, 1, nil); len(cls) != 1 || cls[0].URL != a.URL || f.Counts().Journal != 1 {
+		t.Fatalf("after w0's repeated failure w1 holds %v with %d journal entries, want %s and 1", leaseURLs(cls), f.Counts().Journal, a.URL)
+	}
+
+	for seed := int64(1); seed <= 30; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			store := newDiffStore()
+			f, err := New(Options{Store: store, MaxAttempts: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.Add([]Link{{URL: "http://h/u00", Depth: 0}})
+			workers := []string{"w0", "w1", "w2"}
+			type turn struct {
+				recs  []*PageRecord
+				fails []FetchFailure
+			}
+			lease := map[string][]*Claim{} // worker → its last lease
+			report := map[string]*turn{}   // worker → its last report, for repeats
+			children := func(url string) []Link {
+				out := make([]Link, rng.Intn(4))
+				for i := range out {
+					out[i] = Link{URL: fmt.Sprintf("http://h/u%02d", rng.Intn(60)), Referrer: url}
+				}
+				return out
+			}
+			for step := 0; step < 200; step++ {
+				w := workers[rng.Intn(len(workers))]
+				k := 1 + rng.Intn(4)
+				var recs []*PageRecord
+				var fails []FetchFailure
+				switch op := rng.Intn(10); {
+				case op < 2 && report[w] != nil: // the last reply was lost
+					recs, fails = report[w].recs, report[w].fails
+				case op < 3:
+					g, err := New(Options{Store: store, MaxAttempts: 2})
+					if err != nil {
+						t.Fatal(err)
+					}
+					f = g
+					continue
+				default:
+					for _, cl := range lease[w] {
+						if rng.Intn(6) == 0 {
+							fails = append(fails, FetchFailure{URL: cl.URL, Code: "wb_fetch_failed", Reason: "boom", Retryable: rng.Intn(2) == 0})
+							continue
+						}
+						recs = append(recs, &PageRecord{URL: cl.URL, Status: 200, Links: children(cl.URL)})
+					}
+				}
+				cls, err := f.CompleteBatch(w, recs, fails, k, upTo(5))
+				if err != nil {
+					t.Fatal(err)
+				}
+				lease[w], report[w] = cls, &turn{recs, fails}
+				holder := map[string]string{}
+				held := 0
+				for _, v := range workers {
+					for _, cl := range lease[v] {
+						if other, ok := holder[cl.URL]; ok {
+							t.Fatalf("step %d: %s held by %s and %s", step, cl.URL, other, v)
+						}
+						holder[cl.URL] = v
+						held++
+					}
+				}
+				if c := f.Counts(); c.Claimed != held {
+					t.Fatalf("step %d: %d claimed, the workers' leases hold %d", step, c.Claimed, held)
+				}
+			}
+		})
 	}
 }

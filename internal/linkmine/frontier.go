@@ -94,6 +94,11 @@ type FrontierFleetReport struct {
 	RPCs int64
 }
 
+// fleetLease is how many URLs a fetcher holds at once: each round trip
+// reports a whole lease's records and brings the next. A variable so a
+// test can run the fleet at other leases.
+var fleetLease = 8
+
 // RunFrontierFleet boots base + mine + N worker hosts, serves one
 // durable frontier from mine, seeds the root URL, lets the fleet drain
 // it — optionally through message faults and a mid-crawl crash of the
@@ -101,6 +106,7 @@ type FrontierFleetReport struct {
 // to compare against the serial robot's.
 func RunFrontierFleet(cfg FrontierFleetConfig) (*FrontierFleetReport, error) {
 	cfg = cfg.withDefaults()
+	lease := fleetLease
 	site, err := websim.Generate(websim.CaseStudySpec(cfg.Host))
 	if err != nil {
 		return nil, err
@@ -243,26 +249,31 @@ func RunFrontierFleet(cfg FrontierFleetConfig) (*FrontierFleetReport, error) {
 			// they depend only on the URL — not on claim interleaving.
 			clk := vclock.NewVirtual()
 			fetcher := newFetcher(clk)
-			// One round trip per URL: each report brings the next claim.
-			op := "claim"
-			cl, state, err := client.Claim(ctx, worker)
+			// One round trip per lease: each report brings the next.
+			var (
+				recs  []*frontier.PageRecord
+				fails []frontier.FetchFailure
+			)
+			cls, state, err := client.Batch(ctx, worker, nil, nil, lease)
 			for err == nil && state == services.FrontierStateClaimed {
-				mu.Lock()
-				fetched[cl.URL]++
-				mu.Unlock()
-				before := clk.Now()
-				resp, ferr := fetcher.Fetch(cl.URL)
-				if ferr != nil {
-					op = "fail"
-					cl, state, err = client.Fail(ctx, cl.URL, worker, webbot.CodeFetchFailed, ferr.Error(), true)
-					continue
+				recs, fails = recs[:0], fails[:0]
+				for _, cl := range cls {
+					mu.Lock()
+					fetched[cl.URL]++
+					mu.Unlock()
+					before := clk.Now()
+					resp, ferr := fetcher.Fetch(cl.URL)
+					if ferr != nil {
+						fails = append(fails, frontier.FetchFailure{URL: cl.URL, Code: webbot.CodeFetchFailed, Reason: ferr.Error(), Retryable: true})
+						continue
+					}
+					recs = append(recs, webbot.RecordFetch(resp, cl, clk.Now()-before))
 				}
-				op = "complete"
-				cl, state, err = client.Complete(ctx, cl.URL, worker, webbot.RecordFetch(resp, cl, clk.Now()-before))
+				cls, state, err = client.Batch(ctx, worker, recs, fails, lease)
 			}
 			if err != nil {
 				mu.Lock()
-				werrs = append(werrs, worker+": "+op+": "+err.Error())
+				werrs = append(werrs, worker+": batch: "+err.Error())
 				mu.Unlock()
 			}
 		}(i)

@@ -1,6 +1,9 @@
 package linkmine
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // checkFleet fails t unless a clean fleet crawl fetched every URL
 // exactly once and its aggregate Stats equal the serial robot's.
@@ -15,37 +18,93 @@ func checkFleet(t *testing.T, rep *FrontierFleetReport) {
 		t.Fatalf("fetches %d != completed records %d", rep.TotalFetches, rep.Records)
 	case rep.Counts.Pending != 0 || rep.Counts.Claimed != 0:
 		t.Fatalf("frontier not drained: %+v", rep.Counts)
+	case rep.Counts.TerminalFailed != 0:
+		t.Fatalf("%d URLs terminally failed", rep.Counts.TerminalFailed)
 	case !rep.Identical:
 		t.Fatalf("aggregate Stats differ from the serial robot's:\n fleet  %+v\n serial %+v", rep.Aggregate, rep.Serial)
 	}
 }
 
+// withLease runs the fleet at a lease of k URLs for the rest of t.
+func withLease(t *testing.T, k int) {
+	old := fleetLease
+	fleetLease = k
+	t.Cleanup(func() { fleetLease = old })
+}
+
 // TestFleetDepth4 is one eight-agent crawl at the default depth of 4,
-// where admission cuts the site. A link enqueued at a claim's stale
-// depth used to lose its subtree here about once in five thousand
-// crawls; `make frontier-sweep` runs this test two thousand times.
+// where admission cuts the site, once at a lease of one URL and once at
+// the default of eight. A link enqueued at a claim's stale depth used
+// to lose its subtree here about once in five thousand crawls; `make
+// frontier-sweep` runs this test two thousand times.
 func TestFleetDepth4(t *testing.T) {
-	rep, err := RunFrontierFleet(FrontierFleetConfig{MaxDepth: 4})
-	if err != nil {
-		t.Fatal(err)
+	for _, lease := range []int{1, 8} {
+		t.Run(fmt.Sprintf("lease%d", lease), func(t *testing.T) {
+			withLease(t, lease)
+			rep, err := RunFrontierFleet(FrontierFleetConfig{MaxDepth: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkFleet(t, rep)
+		})
 	}
-	checkFleet(t, rep)
 }
 
 // TestFleetOneRoundTripPerURL pins the fleet's RPCs: a clean crawl of
-// the whole site (1,136 URLs at depth 8) costs one round trip per URL,
-// plus each agent's first claim and one spare, plus the coordinator's
-// add, records and counts.
+// the whole site (1,136 URLs at depth 8) costs one round trip per lease
+// of k URLs, plus each agent's first request and one spare, plus the
+// coordinator's add, records and counts. A lease comes back short of k
+// only while no other agent holds one, so the count does not depend on
+// scheduling.
 func TestFleetOneRoundTripPerURL(t *testing.T) {
-	rep, err := RunFrontierFleet(FrontierFleetConfig{Agents: 8, MaxDepth: 8})
-	if err != nil {
-		t.Fatal(err)
+	for _, lease := range []int{1, 4, 8, 16} {
+		t.Run(fmt.Sprintf("lease%d", lease), func(t *testing.T) {
+			withLease(t, lease)
+			rep, err := RunFrontierFleet(FrontierFleetConfig{Agents: 8, MaxDepth: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkFleet(t, rep)
+			if rep.Records != 1136 {
+				t.Fatalf("crawl completed %d URLs, want the site's 1136", rep.Records)
+			}
+			limit := int64((rep.Records+lease-1)/lease + 2*rep.Agents + 3)
+			t.Logf("lease %d: %d RPCs (limit %d)", lease, rep.RPCs, limit)
+			if rep.RPCs > limit {
+				t.Fatalf("crawl took %d RPCs, want at most %d", rep.RPCs, limit)
+			}
+		})
 	}
-	checkFleet(t, rep)
-	if rep.Records != 1136 {
-		t.Fatalf("crawl completed %d URLs, want the site's 1136", rep.Records)
-	}
-	if limit := int64(rep.Records + 2*rep.Agents + 3); rep.RPCs > limit {
-		t.Fatalf("crawl took %d RPCs, want at most %d", rep.RPCs, limit)
+}
+
+// TestFleetLeaseOneCrash runs chaostest's two frontier-host crashes at
+// a lease of one URL, the protocol before leases, at the crash points
+// those tests used then: a full run commits about 1,890 appends on the
+// frontier host, one frontier and one dedup-journal transaction a URL.
+func TestFleetLeaseOneCrash(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  FrontierFleetConfig
+	}{
+		{"crash", FrontierFleetConfig{CrashAppend: 700}},
+		{"faults_and_crash", FrontierFleetConfig{FaultSeed: 42, Drop: 0.02, Duplicate: 0.02, Delay: 0.05, CrashAppend: 500}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if testing.Short() && tc.cfg.Drop > 0 {
+				t.Skip("fault sweep is slow under -short")
+			}
+			withLease(t, 1)
+			rep, err := RunFrontierFleet(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkFleet(t, rep)
+			if !rep.Crashed {
+				t.Fatalf("crash at append %d never fired", tc.cfg.CrashAppend)
+			}
+			if rep.Aggregate.PagesVisited != 917 {
+				t.Errorf("aggregate pages = %d, want 917", rep.Aggregate.PagesVisited)
+			}
+		})
 	}
 }

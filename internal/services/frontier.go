@@ -2,6 +2,7 @@ package services
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -21,9 +22,10 @@ import (
 // worker after a lost reply, completions are idempotent — so clients
 // simply retry through crashes and drops.
 //
-// A fetcher's turn is one round trip: complete (or fail) answers with
-// the worker's next claim, committed in the same frontier transaction
-// as the completion. A request that finds no work is parked, not
+// A fetcher's turn is one round trip for a lease of up to k URLs: the
+// batch reports the records and failures of the worker's last lease
+// and answers with its next, committed in one frontier transaction
+// (frontier.CompleteBatch). A request that finds no work is parked, not
 // answered "wait": the service answers it when work arrives or the
 // crawl drains. Parking is volatile — a crash forgets it, and the
 // worker's retry after its reply timeout asks again.
@@ -31,17 +33,17 @@ import (
 // Link admission is server-side: completions feed their records' links
 // back through the service's admit predicate, keeping the policy (and
 // the depth-lowering re-expansion it entails) in exactly one place.
+//
+// Lists travel as parallel folders, one element per item in each: a
+// failure's reason and a link's referrer are free text, so no field is
+// joined to another with a separator that could occur in it.
 
 // Frontier operations (FolderOp values).
 const (
-	// FrontierClaim leases the next pending URL to the caller's worker id.
-	FrontierClaim = "claim"
-	// FrontierComplete marks a claimed URL done with its fetch record,
-	// enqueues the record's admissible links and leases the next URL.
-	FrontierComplete = "complete"
-	// FrontierFail reports a fetch failure (retryable or terminal) and
-	// leases the next URL.
-	FrontierFail = "fail"
+	// FrontierBatch marks the worker's fetched URLs done with their
+	// records, enqueues the records' admissible links, applies its fetch
+	// failures, and leases it up to FolderFrLease URLs.
+	FrontierBatch = "batch"
 	// FrontierAdd seeds links directly (the coordinator's start URL).
 	FrontierAdd = "add"
 	// FrontierCounts returns the frontier's state snapshot.
@@ -54,22 +56,28 @@ const (
 const (
 	// FolderFrWorker is the caller's stable worker id.
 	FolderFrWorker = "_FRWORKER"
-	// FolderFrURL is the operation's subject URL.
+	// FolderFrURL carries URLs: a reply's claims, a batch's failures or
+	// the links an add seeds, one element each.
 	FolderFrURL = "_FRURL"
 	// FolderFrState is a claim reply's outcome: "claimed" or "drained".
 	FolderFrState = "_FRSTATE"
-	// FolderFrClaim carries a claim as "depth|attempts|referrer".
+	// FolderFrClaim carries each claim as "depth|attempts|referrer".
 	FolderFrClaim = "_FRCLAIM"
 	// FolderFrRecord carries frontier.PageRecords, one Encode per element.
 	FolderFrRecord = "_FRRECORD"
-	// FolderFrPrior carries the previous cycle's record on a claim.
+	// FolderFrPrior carries each claim's previous-cycle record, an empty
+	// element for a claim without one; absent when no claim has one.
 	FolderFrPrior = "_FRPRIOR"
-	// FolderFrLinks carries seed links as "depth|referrer|url" rows.
-	FolderFrLinks = "_FRLINKS"
-	// FolderFrCode / FolderFrReason classify a failure.
+	// FolderFrLease is a batch's k, the most URLs the worker will hold.
+	FolderFrLease = "_FRLEASE"
+	// FolderFrDepth and FolderFrReferrer carry each seeded link's depth
+	// and referrer.
+	FolderFrDepth    = "_FRDEPTH"
+	FolderFrReferrer = "_FRREFERRER"
+	// FolderFrCode / FolderFrReason classify each failure.
 	FolderFrCode   = "_FRCODE"
 	FolderFrReason = "_FRREASON"
-	// FolderFrRetryable marks a failure retryable ("1") or terminal.
+	// FolderFrRetryable marks each failure retryable ("1") or terminal ("0").
 	FolderFrRetryable = "_FRRETRY"
 	// FolderFrCounts carries a counts snapshot as
 	// "pending|claimed|done|failed|journal|dups|reclaims".
@@ -82,9 +90,11 @@ const (
 	FrontierStateDrained = "drained"
 )
 
-// parkedClaim is a request owed a claim the frontier could not yet give.
+// parkedClaim is a request owed up to k claims the frontier could not
+// yet give.
 type parkedClaim struct {
 	worker string
+	k      int
 	req    *briefcase.Briefcase
 }
 
@@ -109,14 +119,14 @@ func NewAgFrontier(fr *frontier.Frontier, admit func(url string, depth int) bool
 				}
 			}
 		}
-		// answer is the reply owed a worker whose next claim is cl: the
-		// claim, "drained", or nil while outstanding claims may still
-		// feed the queue.
-		answer := func(cl *frontier.Claim) *briefcase.Briefcase {
+		// answer is the reply owed a worker whose next claims are cls:
+		// the claims, "drained", or nil while outstanding claims may
+		// still feed the queue.
+		answer := func(cls []*frontier.Claim) *briefcase.Briefcase {
 			resp := briefcase.New()
 			switch {
-			case cl != nil:
-				setClaim(resp, cl)
+			case len(cls) > 0:
+				setClaims(resp, cls)
 			case fr.Drained():
 				resp.SetString(FolderFrState, FrontierStateDrained)
 			default:
@@ -125,10 +135,10 @@ func NewAgFrontier(fr *frontier.Frontier, admit func(url string, depth int) bool
 			return resp
 		}
 		// next answers req, or parks it when there is no answer yet.
-		next := func(req *briefcase.Briefcase, worker string, cl *frontier.Claim) *briefcase.Briefcase {
-			resp := answer(cl)
+		next := func(req *briefcase.Briefcase, worker string, k int, cls []*frontier.Claim) *briefcase.Briefcase {
+			resp := answer(cls)
 			if resp == nil {
-				parked = append(parked, parkedClaim{worker, req})
+				parked = append(parked, parkedClaim{worker, k, req})
 			}
 			return resp
 		}
@@ -138,9 +148,9 @@ func NewAgFrontier(fr *frontier.Frontier, admit func(url string, depth int) bool
 		serveParked := func() {
 			for len(parked) > 0 {
 				p := parked[0]
-				cl, _ := fr.Claim(p.worker)
-				resp := answer(cl)
-				if resp == nil {
+				cls, err := fr.CompleteBatch(p.worker, nil, nil, p.k, nil)
+				resp := answer(cls)
+				if err != nil || resp == nil {
 					return
 				}
 				parked = parked[1:]
@@ -151,66 +161,23 @@ func NewAgFrontier(fr *frontier.Frontier, admit func(url string, depth int) bool
 			op, _ := req.GetString(FolderOp)
 			resp := briefcase.New()
 			switch op {
-			case FrontierClaim:
-				worker, ok := req.GetString(FolderFrWorker)
-				if !ok {
-					return nil, fmt.Errorf("ag_frontier: %w: claim without worker", ErrBadRequest)
+			case FrontierBatch:
+				worker, k, recs, fails, err := parseBatch(req)
+				if err != nil {
+					return nil, err
 				}
 				unpark(worker)
-				cl, _ := fr.Claim(worker)
-				return next(req, worker, cl), nil
-			case FrontierComplete:
-				worker, url, err := subject(req, op)
+				cls, err := fr.CompleteBatch(worker, recs, fails, k, admit)
 				if err != nil {
 					return nil, err
 				}
-				rec, ok, err := recordIn(req, FolderFrRecord)
-				if err != nil {
-					return nil, fmt.Errorf("ag_frontier: %w: bad record: %v", ErrBadRequest, err)
-				}
-				if !ok {
-					return nil, fmt.Errorf("ag_frontier: %w: complete without record", ErrBadRequest)
-				}
-				unpark(worker)
-				cl, err := fr.CompleteNext(url, worker, rec, admit)
-				if err != nil {
-					return nil, err
-				}
-				resp = next(req, worker, cl)
-				serveParked()
-				return resp, nil
-			case FrontierFail:
-				worker, url, err := subject(req, op)
-				if err != nil {
-					return nil, err
-				}
-				code, _ := req.GetString(FolderFrCode)
-				reason, _ := req.GetString(FolderFrReason)
-				retryable, _ := req.GetString(FolderFrRetryable)
-				unpark(worker)
-				if _, err := fr.Fail(url, worker, code, reason, retryable == "1"); err != nil {
-					return nil, err
-				}
-				cl, _ := fr.Claim(worker)
-				resp = next(req, worker, cl)
+				resp = next(req, worker, k, cls)
 				serveParked()
 				return resp, nil
 			case FrontierAdd:
-				f, err := req.Folder(FolderFrLinks)
+				links, err := parseLinks(req)
 				if err != nil {
-					return nil, fmt.Errorf("ag_frontier: %w: add without links", ErrBadRequest)
-				}
-				var links []frontier.Link
-				for _, row := range f.Strings() {
-					parts := strings.SplitN(row, "|", 3)
-					if len(parts) != 3 {
-						return nil, fmt.Errorf("ag_frontier: %w: bad link row %q", ErrBadRequest, row)
-					}
-					depth, err := strconv.Atoi(parts[0])
-					if err != nil || depth < 0 {
-						return nil, fmt.Errorf("ag_frontier: %w: bad depth in %q", ErrBadRequest, row)
-					}
-					links = append(links, frontier.Link{URL: parts[2], Referrer: parts[1], Depth: depth})
+					return nil, err
 				}
 				if err := fr.Offer(links, admit); err != nil {
 					return nil, err
@@ -235,33 +202,113 @@ func NewAgFrontier(fr *frontier.Frontier, admit func(url string, depth int) bool
 	}
 }
 
-// subject reads the worker and URL a complete or fail names.
-func subject(req *briefcase.Briefcase, op string) (worker, url string, err error) {
+// parseBatch reads a batch request: the worker, its lease size k, the
+// records it completes and the failures it reports.
+func parseBatch(req *briefcase.Briefcase) (worker string, k int, recs []*frontier.PageRecord, fails []frontier.FetchFailure, err error) {
 	worker, ok := req.GetString(FolderFrWorker)
 	if !ok {
-		return "", "", fmt.Errorf("ag_frontier: %w: %s without worker", ErrBadRequest, op)
+		return "", 0, nil, nil, fmt.Errorf("ag_frontier: %w: batch without worker", ErrBadRequest)
 	}
-	url, ok = req.GetString(FolderFrURL)
-	if !ok {
-		return "", "", fmt.Errorf("ag_frontier: %w: %s without URL", ErrBadRequest, op)
+	lease, _ := req.GetString(FolderFrLease)
+	if k, err = strconv.Atoi(lease); err != nil || k < 1 {
+		return "", 0, nil, nil, fmt.Errorf("ag_frontier: %w: batch lease %q", ErrBadRequest, lease)
 	}
-	return worker, url, nil
+	if f, ferr := req.Folder(FolderFrRecord); ferr == nil {
+		for _, raw := range f.Bytes() {
+			rec, err := frontier.DecodeRecord(raw)
+			if err != nil {
+				return "", 0, nil, nil, fmt.Errorf("ag_frontier: %w: bad record: %v", ErrBadRequest, err)
+			}
+			recs = append(recs, rec)
+		}
+	}
+	n := count(req, FolderFrURL)
+	cols, err := columns(req, n, FolderFrURL, FolderFrCode, FolderFrReason, FolderFrRetryable)
+	if err != nil {
+		return "", 0, nil, nil, err
+	}
+	for i := 0; i < n; i++ {
+		retry := cols[3][i]
+		if retry != "0" && retry != "1" {
+			return "", 0, nil, nil, fmt.Errorf("ag_frontier: %w: failure retryable %q", ErrBadRequest, retry)
+		}
+		fails = append(fails, frontier.FetchFailure{URL: cols[0][i], Code: cols[1][i], Reason: cols[2][i], Retryable: retry == "1"})
+	}
+	return worker, k, recs, fails, nil
 }
 
-// setClaim writes a claim reply.
-func setClaim(resp *briefcase.Briefcase, cl *frontier.Claim) {
+// parseLinks reads the links an add request seeds.
+func parseLinks(req *briefcase.Briefcase) ([]frontier.Link, error) {
+	n := count(req, FolderFrURL)
+	if n == 0 {
+		return nil, fmt.Errorf("ag_frontier: %w: add without links", ErrBadRequest)
+	}
+	cols, err := columns(req, n, FolderFrURL, FolderFrReferrer, FolderFrDepth)
+	if err != nil {
+		return nil, err
+	}
+	links := make([]frontier.Link, n)
+	for i := range links {
+		depth, err := strconv.Atoi(cols[2][i])
+		if err != nil || depth < 0 {
+			return nil, fmt.Errorf("ag_frontier: %w: bad depth %q", ErrBadRequest, cols[2][i])
+		}
+		links[i] = frontier.Link{URL: cols[0][i], Referrer: cols[1][i], Depth: depth}
+	}
+	return links, nil
+}
+
+// count is the number of elements in b's folder name; 0 when absent.
+func count(b *briefcase.Briefcase, name string) int {
+	f, err := b.Folder(name)
+	if err != nil {
+		return 0
+	}
+	return f.Len()
+}
+
+// columns reads parallel folders that must each hold n elements (an
+// absent folder holds none), one column per name.
+func columns(b *briefcase.Briefcase, n int, names ...string) ([][]string, error) {
+	cols := make([][]string, len(names))
+	for i, name := range names {
+		if got := count(b, name); got != n {
+			return nil, fmt.Errorf("ag_frontier: %w: %s has %d elements, want %d", ErrBadRequest, name, got, n)
+		}
+		if n > 0 {
+			f, _ := b.Folder(name)
+			cols[i] = f.Strings()
+		}
+	}
+	return cols, nil
+}
+
+// setClaims writes a reply carrying cls, one element per claim in each
+// claim folder.
+func setClaims(resp *briefcase.Briefcase, cls []*frontier.Claim) {
 	resp.SetString(FolderFrState, FrontierStateClaimed)
-	resp.SetString(FolderFrURL, cl.URL)
-	resp.SetString(FolderFrClaim, strconv.Itoa(cl.Depth)+"|"+strconv.Itoa(cl.Attempts)+"|"+cl.Referrer)
-	if cl.Prior != nil {
-		resp.Ensure(FolderFrPrior).AppendAlias(cl.Prior.Encode())
+	urls, meta := resp.Ensure(FolderFrURL), resp.Ensure(FolderFrClaim)
+	for _, cl := range cls {
+		urls.AppendString(cl.URL)
+		meta.AppendString(strconv.Itoa(cl.Depth) + "|" + strconv.Itoa(cl.Attempts) + "|" + cl.Referrer)
+	}
+	if !slices.ContainsFunc(cls, func(cl *frontier.Claim) bool { return cl.Prior != nil }) {
+		return
+	}
+	priors := resp.Ensure(FolderFrPrior)
+	for _, cl := range cls {
+		var raw []byte
+		if cl.Prior != nil {
+			raw = cl.Prior.Encode()
+		}
+		priors.AppendAlias(raw)
 	}
 }
 
-// parseClaim reads a claim reply: the state, and for "claimed" the
-// claim. A reply that does not parse is an ErrBadRequest, never a claim
-// at depth 0.
-func parseClaim(resp *briefcase.Briefcase) (*frontier.Claim, string, error) {
+// parseClaims reads a claim reply: the state, and for "claimed" the
+// claims. A reply that does not parse is an ErrBadRequest, never a
+// claim at depth 0.
+func parseClaims(resp *briefcase.Briefcase) ([]*frontier.Claim, string, error) {
 	state, _ := resp.GetString(FolderFrState)
 	switch state {
 	case FrontierStateDrained:
@@ -270,40 +317,41 @@ func parseClaim(resp *briefcase.Briefcase) (*frontier.Claim, string, error) {
 	default:
 		return nil, "", fmt.Errorf("ag_frontier: %w: claim state %q", ErrBadRequest, state)
 	}
-	url, ok := resp.GetString(FolderFrURL)
-	if !ok {
+	n := count(resp, FolderFrURL)
+	if n == 0 {
 		return nil, "", fmt.Errorf("ag_frontier: %w: claim without URL", ErrBadRequest)
 	}
-	meta, _ := resp.GetString(FolderFrClaim)
-	parts := strings.SplitN(meta, "|", 3)
-	if len(parts) != 3 {
-		return nil, "", fmt.Errorf("ag_frontier: %w: claim metadata %q", ErrBadRequest, meta)
-	}
-	depth, derr := strconv.Atoi(parts[0])
-	attempts, aerr := strconv.Atoi(parts[1])
-	if derr != nil || aerr != nil || depth < 0 || attempts < 0 {
-		return nil, "", fmt.Errorf("ag_frontier: %w: claim metadata %q", ErrBadRequest, meta)
-	}
-	prior, _, err := recordIn(resp, FolderFrPrior)
+	cols, err := columns(resp, n, FolderFrURL, FolderFrClaim)
 	if err != nil {
-		return nil, "", fmt.Errorf("ag_frontier: %w: bad prior record: %v", ErrBadRequest, err)
+		return nil, "", err
 	}
-	return &frontier.Claim{URL: url, Referrer: parts[2], Depth: depth, Attempts: attempts, Prior: prior}, state, nil
-}
-
-// recordIn decodes the record in folder's first element; ok is false
-// when the folder is absent.
-func recordIn(b *briefcase.Briefcase, folder string) (rec *frontier.PageRecord, ok bool, err error) {
-	f, ferr := b.Folder(folder)
-	if ferr != nil {
-		return nil, false, nil
+	var priors [][]byte
+	if f, ferr := resp.Folder(FolderFrPrior); ferr == nil {
+		if f.Len() != n {
+			return nil, "", fmt.Errorf("ag_frontier: %w: %d prior records for %d claims", ErrBadRequest, f.Len(), n)
+		}
+		priors = f.Bytes()
 	}
-	raw, err := f.Element(0)
-	if err != nil {
-		return nil, true, err
+	cls := make([]*frontier.Claim, n)
+	for i, meta := range cols[1] {
+		parts := strings.SplitN(meta, "|", 3)
+		if len(parts) != 3 {
+			return nil, "", fmt.Errorf("ag_frontier: %w: claim metadata %q", ErrBadRequest, meta)
+		}
+		depth, derr := strconv.Atoi(parts[0])
+		attempts, aerr := strconv.Atoi(parts[1])
+		if derr != nil || aerr != nil || depth < 0 || attempts < 0 {
+			return nil, "", fmt.Errorf("ag_frontier: %w: claim metadata %q", ErrBadRequest, meta)
+		}
+		cl := &frontier.Claim{URL: cols[0][i], Referrer: parts[2], Depth: depth, Attempts: attempts}
+		if priors != nil && len(priors[i]) > 0 {
+			if cl.Prior, err = frontier.DecodeRecord(priors[i]); err != nil {
+				return nil, "", fmt.Errorf("ag_frontier: %w: bad prior record: %v", ErrBadRequest, err)
+			}
+		}
+		cls[i] = cl
 	}
-	rec, err = frontier.DecodeRecord(raw)
-	return rec, true, err
+	return cls, state, nil
 }
 
 // FrontierClient drives a remote ag_frontier from a fetcher agent. All
@@ -362,48 +410,52 @@ func (c FrontierClient) call(ctx *agent.Context, req *briefcase.Briefcase) (*bri
 	return nil, fmt.Errorf("ag_frontier unreachable after %d attempts: %w", attempts, lastErr)
 }
 
-// Claim leases the next URL. The state is FrontierStateClaimed, with a
-// non-nil claim, or FrontierStateDrained: a claim that finds no work
-// waits at the service until work arrives or the crawl drains.
+// Claim leases the next URL: a Batch at k = 1 that reports nothing.
+// The state is FrontierStateClaimed, with a non-nil claim, or
+// FrontierStateDrained.
 func (c FrontierClient) Claim(ctx *agent.Context, worker string) (*frontier.Claim, string, error) {
-	req := briefcase.New()
-	req.SetString(FolderOp, FrontierClaim)
-	req.SetString(FolderFrWorker, worker)
-	return c.next(ctx, req)
-}
-
-// Complete reports a fetch record for a claimed URL and returns the
-// worker's next claim, as Claim does.
-func (c FrontierClient) Complete(ctx *agent.Context, url, worker string, rec *frontier.PageRecord) (*frontier.Claim, string, error) {
-	req := briefcase.New()
-	req.SetString(FolderOp, FrontierComplete)
-	req.SetString(FolderFrWorker, worker)
-	req.SetString(FolderFrURL, url)
-	req.Ensure(FolderFrRecord).AppendAlias(rec.Encode())
-	return c.next(ctx, req)
-}
-
-// Fail reports a fetch failure for a claimed URL and returns the
-// worker's next claim, as Claim does.
-func (c FrontierClient) Fail(ctx *agent.Context, url, worker, code, reason string, retryable bool) (*frontier.Claim, string, error) {
-	req := briefcase.New()
-	req.SetString(FolderOp, FrontierFail)
-	req.SetString(FolderFrWorker, worker)
-	req.SetString(FolderFrURL, url)
-	req.SetString(FolderFrCode, code)
-	req.SetString(FolderFrReason, reason)
-	if retryable {
-		req.SetString(FolderFrRetryable, "1")
+	cls, state, err := c.Batch(ctx, worker, nil, nil, 1)
+	if len(cls) == 0 {
+		return nil, state, err
 	}
-	return c.next(ctx, req)
+	return cls[0], state, nil
 }
 
-func (c FrontierClient) next(ctx *agent.Context, req *briefcase.Briefcase) (*frontier.Claim, string, error) {
+// Batch reports the records and fetch failures of the worker's lease
+// and returns its next lease of up to k URLs: the claims it still
+// holds, then fresh ones. The state is FrontierStateClaimed, with at
+// least one claim, or FrontierStateDrained: a batch that finds no work
+// waits at the service until work arrives or the crawl drains.
+func (c FrontierClient) Batch(ctx *agent.Context, worker string, recs []*frontier.PageRecord, fails []frontier.FetchFailure, k int) ([]*frontier.Claim, string, error) {
+	req := briefcase.New()
+	req.SetString(FolderOp, FrontierBatch)
+	req.SetString(FolderFrWorker, worker)
+	req.SetString(FolderFrLease, strconv.Itoa(k))
+	if len(recs) > 0 {
+		f := req.Ensure(FolderFrRecord)
+		for _, rec := range recs {
+			f.AppendAlias(rec.Encode())
+		}
+	}
+	if len(fails) > 0 {
+		urls, codes := req.Ensure(FolderFrURL), req.Ensure(FolderFrCode)
+		reasons, retry := req.Ensure(FolderFrReason), req.Ensure(FolderFrRetryable)
+		for _, fl := range fails {
+			urls.AppendString(fl.URL)
+			codes.AppendString(fl.Code)
+			reasons.AppendString(fl.Reason)
+			if fl.Retryable {
+				retry.AppendString("1")
+			} else {
+				retry.AppendString("0")
+			}
+		}
+	}
 	resp, err := c.call(ctx, req)
 	if err != nil {
 		return nil, "", err
 	}
-	return parseClaim(resp)
+	return parseClaims(resp)
 }
 
 // Add seeds links into the frontier (subject to the service's admit
@@ -411,9 +463,11 @@ func (c FrontierClient) next(ctx *agent.Context, req *briefcase.Briefcase) (*fro
 func (c FrontierClient) Add(ctx *agent.Context, links []frontier.Link) error {
 	req := briefcase.New()
 	req.SetString(FolderOp, FrontierAdd)
-	f := req.Ensure(FolderFrLinks)
+	urls, refs, depths := req.Ensure(FolderFrURL), req.Ensure(FolderFrReferrer), req.Ensure(FolderFrDepth)
 	for _, l := range links {
-		f.AppendString(fmt.Sprintf("%d|%s|%s", l.Depth, l.Referrer, l.URL))
+		urls.AppendString(l.URL)
+		refs.AppendString(l.Referrer)
+		depths.AppendString(strconv.Itoa(l.Depth))
 	}
 	_, err := c.call(ctx, req)
 	return err

@@ -1,6 +1,8 @@
 package services_test
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -86,6 +88,19 @@ func (r *frontierRig) async(t *testing.T, call func() (*frontier.Claim, string, 
 	return out
 }
 
+// complete reports rec in a batch at k = 1 and returns the one claim
+// the reply carries, if any.
+func (r *frontierRig) complete(caller, worker string, rec *frontier.PageRecord) (*frontier.Claim, string, error) {
+	cls, state, err := r.client.Batch(r.ctx[caller], worker, []*frontier.PageRecord{rec}, nil, 1)
+	if err != nil || len(cls) == 0 {
+		return nil, state, err
+	}
+	if len(cls) > 1 {
+		return nil, state, fmt.Errorf("a k = 1 batch leased %d claims", len(cls))
+	}
+	return cls[0], state, nil
+}
+
 type result struct {
 	cl    *frontier.Claim
 	state string
@@ -116,7 +131,7 @@ func TestAgFrontierCompletesAtFrontierDepth(t *testing.T) {
 	}
 	rec := &frontier.PageRecord{URL: cl.URL, Depth: cl.Depth, Status: 200,
 		Links: []frontier.Link{{URL: "http://h/k", Referrer: cl.URL}}}
-	cl, state, err = r.client.Complete(w1, cl.URL, "w1", rec)
+	cl, state, err = r.complete("w1", "w1", rec)
 	wantClaim(t, "complete's next claim", cl, state, err, "http://h/k", 3)
 }
 
@@ -138,7 +153,7 @@ func TestAgFrontierOneRoundTripPerURL(t *testing.T) {
 	seq := r.store.Seq()
 	root := &frontier.PageRecord{URL: "http://h/", Status: 200,
 		Links: []frontier.Link{{URL: "http://h/a"}, {URL: "http://h/b"}}}
-	cl, state, err = r.client.Complete(w1, "http://h/", "w1", root)
+	cl, state, err = r.complete("w1", "w1", root)
 	wantClaim(t, "w1 complete", cl, state, err, "http://h/a", 1)
 	got := <-parked
 	wantClaim(t, "w2 parked claim", got.cl, got.state, got.err, "http://h/b", 1)
@@ -150,9 +165,9 @@ func TestAgFrontierOneRoundTripPerURL(t *testing.T) {
 	// last completion drains the crawl and answers both.
 	seq = r.store.Seq()
 	parked = r.async(t, func() (*frontier.Claim, string, error) {
-		return r.client.Complete(w1, "http://h/a", "w1", &frontier.PageRecord{URL: "http://h/a", Status: 200})
+		return r.complete("w1", "w1", &frontier.PageRecord{URL: "http://h/a", Status: 200})
 	})
-	cl, state, err = r.client.Complete(w2, "http://h/b", "w2", &frontier.PageRecord{URL: "http://h/b", Status: 404})
+	cl, state, err = r.complete("w2", "w2", &frontier.PageRecord{URL: "http://h/b", Status: 404})
 	if err != nil || cl != nil || state != services.FrontierStateDrained {
 		t.Fatalf("last complete = (%+v, %q, %v), want drained", cl, state, err)
 	}
@@ -168,5 +183,94 @@ func TestAgFrontierOneRoundTripPerURL(t *testing.T) {
 	}
 	if c := r.fr.Counts(); c.Done != 3 || c.Reclaims != 0 || c.DupCompletions != 0 {
 		t.Fatalf("counts %+v", c)
+	}
+}
+
+// TestAgFrontierBatchLease walks a lease of k URLs through the service:
+// one batch leases k claims in one transaction, a repeated batch (its
+// reply lost) re-issues the same claims and commits nothing, a batch of
+// k records and a failure is again one transaction, and a parked batch
+// is answered with as many claims as it asked for.
+func TestAgFrontierBatchLease(t *testing.T) {
+	r := newFrontierRig(t, nil, "base", "w1", "w2")
+	w1, w2 := r.ctx["w1"], r.ctx["w2"]
+	var seed []frontier.Link
+	for _, u := range []string{"a", "b", "c", "d"} {
+		seed = append(seed, frontier.Link{URL: "http://h/" + u, Depth: 1})
+	}
+	if err := r.client.Add(r.ctx["base"], seed); err != nil {
+		t.Fatal(err)
+	}
+	urls := func(cls []*frontier.Claim) []string {
+		var out []string
+		for _, cl := range cls {
+			out = append(out, cl.URL)
+		}
+		return out
+	}
+	seq := r.store.Seq()
+	cls, state, err := r.client.Batch(w1, "w1", nil, nil, 3)
+	if err != nil || state != services.FrontierStateClaimed || !reflect.DeepEqual(urls(cls), []string{"http://h/a", "http://h/b", "http://h/c"}) {
+		t.Fatalf("first batch = (%v, %q, %v), want a, b and c", urls(cls), state, err)
+	}
+	again, _, err := r.client.Batch(w1, "w1", nil, nil, 3)
+	if err != nil || !reflect.DeepEqual(again, cls) {
+		t.Fatalf("repeated batch = (%+v, %v), want %+v", again, err, cls)
+	}
+	if d := r.store.Seq() - seq; d != 1 {
+		t.Fatalf("a batch and its repeat committed %d transactions, want 1", d)
+	}
+
+	// d is w2's; w2 asks for two more and parks.
+	cls2, _, err := r.client.Batch(w2, "w2", nil, nil, 1)
+	if err != nil || !reflect.DeepEqual(urls(cls2), []string{"http://h/d"}) {
+		t.Fatalf("w2's batch = (%v, %v), want d", urls(cls2), err)
+	}
+	d := &frontier.PageRecord{URL: "http://h/d", Status: 200}
+	parked := r.async(t, func() (*frontier.Claim, string, error) {
+		cls, state, err := r.client.Batch(w2, "w2", []*frontier.PageRecord{d}, nil, 2)
+		if err == nil && !reflect.DeepEqual(urls(cls), []string{"http://h/y", "http://h/z"}) {
+			return nil, state, fmt.Errorf("parked batch leased %v, want y and z", urls(cls))
+		}
+		return nil, state, err
+	})
+
+	// w1 completes a (linking x, y and z) and b, fails c, and asks for
+	// two: c and x. w2's parked batch is answered with y and z.
+	seq = r.store.Seq()
+	a := &frontier.PageRecord{URL: "http://h/a", Status: 200, Links: []frontier.Link{{URL: "http://h/x"}, {URL: "http://h/y"}, {URL: "http://h/z"}}}
+	b := &frontier.PageRecord{URL: "http://h/b", Status: 200}
+	fail := frontier.FetchFailure{URL: "http://h/c", Code: "wb_fetch_failed", Reason: "reset|by peer", Retryable: true}
+	cls, state, err = r.client.Batch(w1, "w1", []*frontier.PageRecord{a, b}, []frontier.FetchFailure{fail}, 2)
+	if err != nil || state != services.FrontierStateClaimed || !reflect.DeepEqual(urls(cls), []string{"http://h/c", "http://h/x"}) {
+		t.Fatalf("w1's report = (%v, %q, %v), want c (re-pended) then x", urls(cls), state, err)
+	}
+	if cls[0].Attempts != 1 {
+		t.Fatalf("re-pended c leased at attempt %d, want 1", cls[0].Attempts)
+	}
+	if got := <-parked; got.err != nil || got.state != services.FrontierStateClaimed {
+		t.Fatalf("parked batch = %+v", got)
+	}
+	if d := r.store.Seq() - seq; d != 2 {
+		t.Fatalf("w1's report and w2's parked lease committed %d transactions, want 2", d)
+	}
+	c := r.fr.Counts()
+	if c.Done != 3 || c.Claimed != 4 || c.Journal != 1 || c.Reclaims != 3 {
+		t.Fatalf("counts %+v", c)
+	}
+}
+
+// TestAgFrontierAddKeepsReferrerBars: a seeded link's referrer is free
+// text. Joined into one "depth|referrer|url" row, a referrer with a bar
+// in it shifted the URL: the service admitted "b|http://h/c".
+func TestAgFrontierAddKeepsReferrerBars(t *testing.T) {
+	r := newFrontierRig(t, nil, "base", "w1")
+	if err := r.client.Add(r.ctx["base"], []frontier.Link{{URL: "http://h/c", Referrer: "http://h/a|b", Depth: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	cl, state, err := r.client.Claim(r.ctx["w1"], "w1")
+	wantClaim(t, "claim", cl, state, err, "http://h/c", 2)
+	if cl.Referrer != "http://h/a|b" {
+		t.Fatalf("claim's referrer %q, want %q", cl.Referrer, "http://h/a|b")
 	}
 }

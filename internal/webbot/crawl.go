@@ -190,7 +190,7 @@ func mine(wid string, ff websim.ForkableFetcher, fr *frontier.Frontier, gate *Ga
 			cl, state = fr.ClaimWait(wid)
 			continue
 		}
-		if cl, err = fr.CompleteNext(cl.URL, wid, rec, admit); err != nil {
+		if cl, err = fr.CompleteNext(wid, rec, admit); err != nil {
 			return err
 		}
 		if cl == nil {
