@@ -125,10 +125,14 @@ frontier-sweep:
 # robots.txt parser (arbitrary text: never panics, and a parse that
 # yields no rules for the agent allows every path), and the frontier's
 # page-record decoder, which reads records fetchers send from other
-# hosts (no field decodes negative, and whatever decodes re-encodes to
-# bytes that decode equal), and the address intern table (on a miss, on
-# the sighting that admits and on a hit, through the byte and the string
-# entry point, the result is uri.Parse's: URI, text and error).
+# hosts (no field decodes negative, whatever decodes re-encodes to bytes
+# that decode equal, and no record aliases the bytes it came from), the
+# frontier service's batch wire (arbitrary briefcases through the
+# request and reply parsers never panic, and any claim list, URLs and
+# referrers empty or full of bars, round-trips through a reply), and
+# the address intern table (on a miss, on the sighting that admits and
+# on a hit, through the byte and the string entry point, the result is
+# uri.Parse's: URI, text and error).
 fuzz-short:
 	$(GO) test -fuzz 'FuzzDecode$$' -fuzztime 30s ./internal/briefcase/
 	$(GO) test -fuzz FuzzCrossCodec -fuzztime 30s ./internal/briefcase/
@@ -143,6 +147,7 @@ fuzz-short:
 	$(GO) test -fuzz FuzzPolicyEval -fuzztime 30s ./internal/policy/
 	$(GO) test -fuzz FuzzRobots -fuzztime 30s ./internal/webbot/
 	$(GO) test -fuzz FuzzDecodeRecord -fuzztime 30s ./internal/frontier/
+	$(GO) test -fuzz FuzzBatchWire -fuzztime 30s ./internal/services/
 	$(GO) test -fuzz FuzzParseBytes -fuzztime 30s ./internal/uri/
 
 # policy-fuzz soaks the policy layer's fuzzers longer than fuzz-short:

@@ -282,6 +282,16 @@ func (f *Folder) Strings() []string {
 	return out
 }
 
+// Peek is Element without the copy: the i-th element, 0 ≤ i < Len, as
+// the folder holds it, under Briefcase.Peek's contract. It aliases the
+// briefcase and, for a decoded one, its frame; the bytes must not be
+// modified, and a caller that keeps them past the briefcase copies
+// them.
+func (f *Folder) Peek(i int) []byte {
+	f.load()
+	return f.elems[i]
+}
+
 // Bytes returns copies of all elements, in order.
 func (f *Folder) Bytes() [][]byte {
 	f.load()

@@ -1,6 +1,7 @@
 package briefcase
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -150,4 +151,32 @@ func ExamplePeek() {
 	target, _ := Peek(frame, FolderSysTarget)
 	fmt.Println(string(target))
 	// Output: tacoma://d:27017/op/dst
+}
+
+// TestFolderPeek: Folder.Peek reads the i-th element as Element does,
+// without a copy: on a decoded briefcase it aliases the frame, and
+// once the folder is loaded a read allocates nothing.
+func TestFolderPeek(t *testing.T) {
+	b := New()
+	b.Ensure("ROWS").AppendString("alpha", "", "gamma")
+	frame := b.Encode()
+	d, err := Decode(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, _ := d.Folder("ROWS")
+	for i := 0; i < f.Len(); i++ {
+		e, _ := f.Element(i)
+		if got := f.Peek(i); string(got) != string(e) {
+			t.Fatalf("Peek(%d) = %q, Element(%d) = %q", i, got, i, e)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = f.Peek(2) }); n != 0 {
+		t.Fatalf("Peek: %v allocs, want 0", n)
+	}
+	at := bytes.Index(frame, []byte("gamma"))
+	frame[at] = 'G'
+	if got := string(f.Peek(2)); got != "Gamma" {
+		t.Fatalf("Peek(2) after the frame changed = %q, want the frame's bytes", got)
+	}
 }

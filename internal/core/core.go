@@ -592,9 +592,6 @@ func (s *System) launchServices(node *Node, opts NodeOptions) error {
 	if srv := s.directoryServer(node); srv != nil {
 		svcs[directory.ServiceName] = srv.Handler()
 	}
-	if srv := s.directoryServer(node); srv != nil {
-		svcs[directory.ServiceName] = srv.Handler()
-	}
 	names := make([]string, 0, len(svcs))
 	for n := range svcs {
 		names = append(names, n)

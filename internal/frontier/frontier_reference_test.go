@@ -11,10 +11,10 @@ import (
 // The reference frontier: the three-map implementation the staged
 // crawler shipped with, a URL living in one of pending, claims or done
 // and moving between them on every transition. It stays here, untouched
-// but for its names and two worker checks (in lease and Fail), as the
-// oracle TestFrontierDifferential holds the one-map frontier to: the
-// same claims, counts, records and failures, and the same cabinet write
-// set at every transition.
+// but for its names, two worker checks (in lease and Fail) and one
+// attempt check (in Fail), as the oracle TestFrontierDifferential holds
+// the one-map frontier to: the same claims, counts, records and
+// failures, and the same cabinet write set at every transition.
 
 // refFrontier is the reference Frontier.
 type refFrontier struct {
@@ -438,22 +438,25 @@ func (f *refFrontier) complete(url, worker string, rec *PageRecord, admit func(u
 // below the attempt cap re-pend the URL (and journal the attempt);
 // anything else is journaled terminally. Returns whether the URL was
 // re-queued.
-func (f *refFrontier) Fail(url, worker, code, reason string, retryable bool) (bool, error) {
+func (f *refFrontier) Fail(url, worker string, attempt int, code, reason string, retryable bool) (bool, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
 		return false, errClosed
 	}
-	if cur, ok := f.byWorker[worker]; ok && cur == url {
-		delete(f.byWorker, worker)
-	}
 	e, ok := f.claims[url]
 	// The worker check is the second change to the shipped code: a
-	// failure speaks only for the reporting worker's own claim.
-	if !ok || e.worker != worker {
+	// failure speaks only for the reporting worker's own claim. The
+	// attempt check is the third, and it moved the byWorker release
+	// below the check: a failure speaks only for the attempt it names,
+	// so a repeat leaves the re-issued claim with its worker.
+	if !ok || e.worker != worker || e.attempts != attempt {
 		// Already resolved (dup fail after a lost ack): nothing to do.
 		f.cond.Broadcast()
 		return false, nil
+	}
+	if cur, ok := f.byWorker[worker]; ok && cur == url {
+		delete(f.byWorker, worker)
 	}
 	e.attempts++
 	fl := &Failure{URL: url, Referrer: e.referrer, Depth: e.depth, Attempts: e.attempts, Code: code, Reason: reason}

@@ -219,7 +219,7 @@ func TestVolatileFrontierEncodesNothing(t *testing.T) {
 	f.Add([]Link{{URL: "http://h/", Depth: 0}})
 	cl, _ := f.Claim("w")
 	next, _ := f.CompleteNext("w", &PageRecord{URL: cl.URL, Links: []Link{{URL: "http://h/a"}}}, upTo(1))
-	f.Fail(next.URL, "w", "wb_fetch_failed", "boom", true)
+	f.Fail(next.URL, "w", next.Attempts, "wb_fetch_failed", "boom", true)
 	f.Journal(Failure{URL: "http://h/z"})
 	if cap(f.tx) != 0 {
 		t.Fatalf("volatile frontier built a write set of capacity %d", cap(f.tx))
@@ -233,7 +233,7 @@ func TestFailRetriesThenTurnsTerminal(t *testing.T) {
 	}
 	f.Add([]Link{{URL: "http://h/flaky", Depth: 0}})
 	cl, _ := f.Claim("w")
-	requeued, err := f.Fail(cl.URL, "w", "wb_fetch_failed", "boom", true)
+	requeued, err := f.Fail(cl.URL, "w", cl.Attempts, "wb_fetch_failed", "boom", true)
 	if err != nil || !requeued {
 		t.Fatalf("first Fail = (%v, %v), want requeued", requeued, err)
 	}
@@ -241,7 +241,7 @@ func TestFailRetriesThenTurnsTerminal(t *testing.T) {
 	if !ok || cl2.Attempts != 1 {
 		t.Fatalf("reclaim after fail = %+v", cl2)
 	}
-	requeued, err = f.Fail(cl2.URL, "w", "wb_fetch_failed", "boom", true)
+	requeued, err = f.Fail(cl2.URL, "w", cl2.Attempts, "wb_fetch_failed", "boom", true)
 	if err != nil || requeued {
 		t.Fatalf("second Fail = (%v, %v), want terminal", requeued, err)
 	}
@@ -543,8 +543,28 @@ func TestDecodeRecordRejectsOverflow(t *testing.T) {
 	}
 }
 
-// FuzzDecodeRecord: whatever decodes re-encodes to bytes that decode to
-// an equal record.
+// TestRecordCodecAllocs: a record of ten links encodes into one
+// allocation and decodes in three (one copy of its bytes, the record,
+// its links). A string per field and two per link made it 30.
+func TestRecordCodecAllocs(t *testing.T) {
+	r := &PageRecord{URL: "http://h/d1/p001.html", Referrer: "http://h/", Depth: 1, Status: 200,
+		Bytes: 3145, Type: "text/html", AgeDays: 17, FetchCost: 4 * time.Millisecond, Digest: "200|3145|17"}
+	for i := 0; i < 10; i++ {
+		r.Links = append(r.Links, Link{URL: fmt.Sprintf("http://h/d2/p%03d.html", i), Referrer: r.URL})
+	}
+	enc := r.Encode()
+	if n := testing.AllocsPerRun(100, func() { enc = r.Encode() }); n != 1 {
+		t.Errorf("Encode: %v allocs, want 1", n)
+	}
+	var err error
+	if n := testing.AllocsPerRun(100, func() { _, err = DecodeRecord(enc) }); n != 3 || err != nil {
+		t.Errorf("DecodeRecord: %v allocs (%v), want 3", n, err)
+	}
+}
+
+// FuzzDecodeRecord: whatever decodes re-encodes, into exactly its size,
+// to bytes that decode to an equal record; and the record does not
+// alias its input, which a caller may overwrite once it is decoded.
 func FuzzDecodeRecord(f *testing.F) {
 	f.Add((&PageRecord{URL: "http://h/p", Referrer: "http://h/", Depth: 2, Status: 200, Bytes: 4096,
 		Type: "text/html", AgeDays: 9, FetchCost: time.Millisecond, Digest: "200|4096|9", Revalidated: true,
@@ -559,12 +579,22 @@ func FuzzDecodeRecord(f *testing.F) {
 		if r.Depth < 0 || r.Status < 0 || r.Bytes < 0 || r.AgeDays < 0 || r.FetchCost < 0 {
 			t.Fatalf("decoded a negative field: %+v", r)
 		}
-		again, err := DecodeRecord(r.Encode())
+		enc := r.Encode()
+		if len(enc) != cap(enc) {
+			t.Fatalf("Encode allocated %d bytes for a %d-byte record", cap(enc), len(enc))
+		}
+		again, err := DecodeRecord(enc)
 		if err != nil {
 			t.Fatalf("re-encoding of %+v does not decode: %v", r, err)
 		}
 		if !reflect.DeepEqual(again, r) {
 			t.Fatalf("round trip %+v != %+v", again, r)
+		}
+		for i := range b {
+			b[i] ^= 0xff
+		}
+		if !reflect.DeepEqual(again, r) {
+			t.Fatalf("overwriting the input changed the record to %+v", r)
 		}
 	})
 }
@@ -737,7 +767,7 @@ func runDifferential(t *testing.T, seed int64, durable bool, steps int) {
 		return r, &c
 	}
 	admit := upTo(4)
-	held := map[string]string{} // worker → URL it last claimed
+	held := map[string]*Claim{} // worker → the claim it last took
 	var completed []string
 	p.check("open", true)
 	for i := 0; i < steps; i++ {
@@ -761,12 +791,12 @@ func runDifferential(t *testing.T, seed int64, durable bool, steps int) {
 			rcl, rok := p.ref.Claim(w)
 			p.same(step, []any{cl, ok}, []any{rcl, rok})
 			if ok {
-				held[w] = cl.URL
+				held[w] = cl
 			}
 		case op < 12:
-			url, ok := held[w]
-			if !ok || rng.Intn(5) == 0 {
-				url = randURL() // pending, done, failed or unknown
+			url := randURL() // pending, done, failed or unknown
+			if cl, ok := held[w]; ok && rng.Intn(5) != 0 {
+				url = cl.URL
 			}
 			// CompleteBatch at k = 1 is the reference's CompleteNext.
 			step = fmt.Sprintf("%d CompleteBatch k=1 %s %s", i, url, w)
@@ -780,7 +810,7 @@ func runDifferential(t *testing.T, seed int64, durable bool, steps int) {
 			p.same(step, []any{len(claims) <= 1, next, err}, []any{true, rnext, rerr})
 			delete(held, w)
 			if next != nil {
-				held[w] = next.URL
+				held[w] = next
 			}
 			completed = append(completed, url)
 		case op < 13:
@@ -794,14 +824,19 @@ func runDifferential(t *testing.T, seed int64, durable bool, steps int) {
 			rfirst, rerr := p.ref.Complete(url, w, b)
 			p.same(step, []any{first, err}, []any{rfirst, rerr})
 		case op < 16:
-			url, ok := held[w]
-			if !ok || rng.Intn(4) == 0 {
-				url = randURL()
+			url, attempt := randURL(), 0
+			if cl, ok := held[w]; ok && rng.Intn(4) != 0 {
+				url, attempt = cl.URL, cl.Attempts
+			}
+			// Now and then the report is stale: the claim has moved on
+			// to a later attempt since.
+			if rng.Intn(4) == 0 {
+				attempt--
 			}
 			retry := rng.Intn(3) > 0
-			step = fmt.Sprintf("%d Fail %s %s retryable=%v", i, url, w, retry)
-			re, err := p.f.Fail(url, w, "wb_fetch_failed", "boom", retry)
-			rre, rerr := p.ref.Fail(url, w, "wb_fetch_failed", "boom", retry)
+			step = fmt.Sprintf("%d Fail %s %s attempt=%d retryable=%v", i, url, w, attempt, retry)
+			re, err := p.f.Fail(url, w, attempt, "wb_fetch_failed", "boom", retry)
+			rre, rerr := p.ref.Fail(url, w, attempt, "wb_fetch_failed", "boom", retry)
 			p.same(step, []any{re, err}, []any{rre, rerr})
 			delete(held, w)
 		case op < 17:
@@ -823,7 +858,7 @@ func runDifferential(t *testing.T, seed int64, durable bool, steps int) {
 			step = fmt.Sprintf("%d reopen adopt=%v", i, adopt)
 			p.open(adopt)
 			if adopt {
-				held = map[string]string{}
+				held = map[string]*Claim{}
 			}
 		}
 		p.check(step, ordered)
@@ -934,11 +969,12 @@ func TestCompleteBatchFailsAsFail(t *testing.T) {
 	}
 	fail := FetchFailure{URL: "http://h/flaky", Code: "wb_fetch_failed", Reason: "reset|by peer", Retryable: true}
 	for attempt := 1; attempt <= 2; attempt++ {
+		fail.Attempt = attempt - 1
 		cls, err := b.CompleteBatch("w", nil, []FetchFailure{fail}, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		requeued, err := f.Fail(fail.URL, "w", fail.Code, fail.Reason, fail.Retryable)
+		requeued, err := f.Fail(fail.URL, "w", fail.Attempt, fail.Code, fail.Reason, fail.Retryable)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -965,6 +1001,40 @@ func TestCompleteBatchFailsAsFail(t *testing.T) {
 	}
 	if kb, kf := bs.Keys(""), fs.Keys(""); !reflect.DeepEqual(kb, kf) {
 		t.Fatalf("batch store keys %q, Fail store keys %q", kb, kf)
+	}
+}
+
+// TestCompleteBatchRepeatedFailureCountsOnce: a batch reports a
+// failure, and its reply, which leases the re-pended URL back to the
+// same worker, is lost. The replayed batch names the attempt the
+// frontier has moved past, so it fails nothing again: one journal
+// entry, the URL at attempt 1, and the replay re-issues the lost lease.
+func TestCompleteBatchRepeatedFailureCountsOnce(t *testing.T) {
+	store := newDiffStore()
+	f, err := New(Options{Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Add([]Link{{URL: "http://h/flaky", Depth: 0}})
+	cl, _ := f.Claim("w")
+	report := []FetchFailure{{URL: cl.URL, Attempt: cl.Attempts, Code: "wb_fetch_failed", Reason: "boom", Retryable: true}}
+	lost, err := f.CompleteBatch("w", nil, report, 1, nil)
+	if err != nil || len(lost) != 1 || lost[0].URL != cl.URL || lost[0].Attempts != 1 {
+		t.Fatalf("the failing batch leased (%v, %v), want %s back at attempt 1", leaseURLs(lost), err, cl.URL)
+	}
+	before := store.Seq()
+	again, err := f.CompleteBatch("w", nil, report, 1, nil)
+	if err != nil || len(again) != 1 || *again[0] != *lost[0] {
+		for _, cl := range again {
+			t.Logf("replay leased %s at attempt %d", cl.URL, cl.Attempts)
+		}
+		t.Fatalf("the replay leased %d claims (%v), want the lost lease of %s at attempt 1", len(again), err, cl.URL)
+	}
+	if store.Seq() != before {
+		t.Fatalf("the replay committed %d transactions, want 0", store.Seq()-before)
+	}
+	if c := f.Counts(); c.Journal != 1 || c.Claimed != 1 || c.TerminalFailed != 0 || c.Reclaims != 1 {
+		t.Fatalf("counts %+v, want one journal entry and the URL still claimed", c)
 	}
 }
 
@@ -1027,7 +1097,7 @@ func TestNoURLHeldByTwoWorkers(t *testing.T) {
 	f := volatileFrontier(t)
 	f.Add([]Link{{URL: "http://h/a", Depth: 0}})
 	a, _ := f.Claim("w0")
-	if requeued, _ := f.Fail(a.URL, "w2", "wb_fetch_failed", "boom", true); requeued || f.Counts().Journal != 0 {
+	if requeued, _ := f.Fail(a.URL, "w2", a.Attempts, "wb_fetch_failed", "boom", true); requeued || f.Counts().Journal != 0 {
 		t.Fatalf("w2's failure of w0's claim requeued=%v with %d journal entries, want it left alone", requeued, f.Counts().Journal)
 	}
 	if b, ok := f.Claim("w1"); ok {
@@ -1091,7 +1161,7 @@ func TestNoURLHeldByTwoWorkers(t *testing.T) {
 				default:
 					for _, cl := range lease[w] {
 						if rng.Intn(6) == 0 {
-							fails = append(fails, FetchFailure{URL: cl.URL, Code: "wb_fetch_failed", Reason: "boom", Retryable: rng.Intn(2) == 0})
+							fails = append(fails, FetchFailure{URL: cl.URL, Attempt: cl.Attempts, Code: "wb_fetch_failed", Reason: "boom", Retryable: rng.Intn(2) == 0})
 							continue
 						}
 						recs = append(recs, &PageRecord{URL: cl.URL, Status: 200, Links: children(cl.URL)})

@@ -40,9 +40,17 @@ type PageRecord struct {
 
 const recordVersion = 1
 
-// Encode serializes the record for a cabinet value.
+// Encode serializes the record for a cabinet value, into one
+// allocation of exactly its size.
 func (r *PageRecord) Encode() []byte {
-	b := make([]byte, 0, 64+len(r.URL)+len(r.Referrer)+24*len(r.Links))
+	n := 1 + strLen(r.URL) + strLen(r.Referrer) + uvarintLen(uint64(r.Depth)) +
+		uvarintLen(uint64(r.Status)) + uvarintLen(uint64(r.Bytes)) + strLen(r.Type) +
+		uvarintLen(uint64(r.AgeDays)) + uvarintLen(uint64(r.FetchCost)) + strLen(r.Digest) +
+		1 + uvarintLen(uint64(len(r.Links)))
+	for _, l := range r.Links {
+		n += strLen(l.URL) + strLen(l.Referrer)
+	}
+	b := make([]byte, 0, n)
 	b = append(b, recordVersion)
 	b = appendString(b, r.URL)
 	b = appendString(b, r.Referrer)
@@ -69,8 +77,11 @@ func (r *PageRecord) Encode() []byte {
 // DecodeRecord parses a record previously produced by Encode. Records
 // arrive from fetchers on other hosts, so decoding is strict: a number
 // that does not fit its field, or bytes after the last link, fail it.
+// Every string field and link of the record is a slice of one copy of
+// b, so the record never aliases b and costs three allocations (that
+// copy, the record and its links) whatever its link count.
 func DecodeRecord(b []byte) (*PageRecord, error) {
-	d := &decoder{b: b}
+	d := newDecoder(b)
 	if v := d.byte(); v != recordVersion {
 		return nil, fmt.Errorf("frontier: record version %d (want %d)", v, recordVersion)
 	}
@@ -89,6 +100,9 @@ func DecodeRecord(b []byte) (*PageRecord, error) {
 	n := d.uvarint()
 	if d.err == nil && n > uint64(len(d.b))/2 {
 		return nil, fmt.Errorf("frontier: record claims %d links in %d bytes", n, len(d.b))
+	}
+	if n > 0 && d.err == nil {
+		r.Links = make([]Link, 0, n)
 	}
 	for i := uint64(0); i < n && d.err == nil; i++ {
 		r.Links = append(r.Links, Link{URL: d.str(), Referrer: d.str()})
@@ -134,7 +148,7 @@ func (f *Failure) encode() []byte {
 }
 
 func decodeFailure(b []byte) (*Failure, error) {
-	d := &decoder{b: b}
+	d := newDecoder(b)
 	if v := d.byte(); v != recordVersion {
 		return nil, fmt.Errorf("frontier: failure version %d (want %d)", v, recordVersion)
 	}
@@ -187,7 +201,7 @@ func (e *entry) encode() []byte {
 }
 
 func decodeEntry(b []byte) (*entry, error) {
-	d := &decoder{b: b}
+	d := newDecoder(b)
 	if v := d.byte(); v != recordVersion {
 		return nil, fmt.Errorf("frontier: entry version %d (want %d)", v, recordVersion)
 	}
@@ -209,10 +223,28 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
+// uvarintLen is the length of x's uvarint encoding.
+func uvarintLen(x uint64) int {
+	n := 1
+	for ; x >= 0x80; x >>= 7 {
+		n++
+	}
+	return n
+}
+
+// strLen is the length of appendString's encoding of s.
+func strLen(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
+
+// decoder reads a value's fields in order. Its strings are slices of
+// s, one copy of the whole input, so a decoded value never aliases the
+// caller's bytes however many strings it holds.
 type decoder struct {
-	b   []byte
+	b   []byte // the bytes not yet read
+	s   string // the whole input
 	err error
 }
+
+func newDecoder(b []byte) *decoder { return &decoder{b: b, s: string(b)} }
 
 func (d *decoder) byte() byte {
 	if d.err != nil {
@@ -263,7 +295,7 @@ func (d *decoder) str() string {
 		d.err = fmt.Errorf("truncated string of %d bytes", n)
 		return ""
 	}
-	s := string(d.b[:n])
+	off := len(d.s) - len(d.b)
 	d.b = d.b[n:]
-	return s
+	return d.s[off : off+int(n)]
 }

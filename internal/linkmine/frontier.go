@@ -264,7 +264,7 @@ func RunFrontierFleet(cfg FrontierFleetConfig) (*FrontierFleetReport, error) {
 					before := clk.Now()
 					resp, ferr := fetcher.Fetch(cl.URL)
 					if ferr != nil {
-						fails = append(fails, frontier.FetchFailure{URL: cl.URL, Code: webbot.CodeFetchFailed, Reason: ferr.Error(), Retryable: true})
+						fails = append(fails, frontier.FetchFailure{URL: cl.URL, Attempt: cl.Attempts, Code: webbot.CodeFetchFailed, Reason: ferr.Error(), Retryable: true})
 						continue
 					}
 					recs = append(recs, webbot.RecordFetch(resp, cl, clk.Now()-before))

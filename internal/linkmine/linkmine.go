@@ -366,8 +366,8 @@ func copyFolder(src, dst *briefcase.Briefcase, name string) {
 	}
 	t := dst.Ensure(name)
 	t.Clear()
-	for _, e := range f.Bytes() {
-		t.Append(e)
+	for i := 0; i < f.Len(); i++ {
+		t.Append(f.Peek(i))
 	}
 }
 

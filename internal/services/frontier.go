@@ -79,6 +79,10 @@ const (
 	FolderFrReason = "_FRREASON"
 	// FolderFrRetryable marks each failure retryable ("1") or terminal ("0").
 	FolderFrRetryable = "_FRRETRY"
+	// FolderFrAttempt carries each failure's attempt: the Attempts of
+	// the claim it fails, so a failure repeated after a lost reply
+	// fails nothing twice.
+	FolderFrAttempt = "_FRATTEMPT"
 	// FolderFrCounts carries a counts snapshot as
 	// "pending|claimed|done|failed|journal|dups|reclaims".
 	FolderFrCounts = "_FRCOUNTS"
@@ -158,9 +162,9 @@ func NewAgFrontier(fr *frontier.Frontier, admit func(url string, depth int) bool
 			}
 		}
 		return serveLoop(ctx, func(req *briefcase.Briefcase) (*briefcase.Briefcase, error) {
-			op, _ := req.GetString(FolderOp)
+			op, _ := req.Peek(FolderOp)
 			resp := briefcase.New()
-			switch op {
+			switch string(op) {
 			case FrontierBatch:
 				worker, k, recs, fails, err := parseBatch(req)
 				if err != nil {
@@ -209,30 +213,33 @@ func parseBatch(req *briefcase.Briefcase) (worker string, k int, recs []*frontie
 	if !ok {
 		return "", 0, nil, nil, fmt.Errorf("ag_frontier: %w: batch without worker", ErrBadRequest)
 	}
-	lease, _ := req.GetString(FolderFrLease)
-	if k, err = strconv.Atoi(lease); err != nil || k < 1 {
+	lease, _ := req.Peek(FolderFrLease)
+	if k, err = strconv.Atoi(string(lease)); err != nil || k < 1 {
 		return "", 0, nil, nil, fmt.Errorf("ag_frontier: %w: batch lease %q", ErrBadRequest, lease)
 	}
-	if f, ferr := req.Folder(FolderFrRecord); ferr == nil {
-		for _, raw := range f.Bytes() {
-			rec, err := frontier.DecodeRecord(raw)
-			if err != nil {
+	if f := folder(req, FolderFrRecord); f != nil {
+		recs = make([]*frontier.PageRecord, f.Len())
+		for i := range recs {
+			if recs[i], err = frontier.DecodeRecord(f.Peek(i)); err != nil {
 				return "", 0, nil, nil, fmt.Errorf("ag_frontier: %w: bad record: %v", ErrBadRequest, err)
 			}
-			recs = append(recs, rec)
 		}
 	}
 	n := count(req, FolderFrURL)
-	cols, err := columns(req, n, FolderFrURL, FolderFrCode, FolderFrReason, FolderFrRetryable)
+	cols, err := columns(req, n, FolderFrURL, FolderFrAttempt, FolderFrCode, FolderFrReason, FolderFrRetryable)
 	if err != nil {
 		return "", 0, nil, nil, err
 	}
 	for i := 0; i < n; i++ {
-		retry := cols[3][i]
+		attempt, aerr := strconv.Atoi(cols[1][i])
+		if aerr != nil || attempt < 0 {
+			return "", 0, nil, nil, fmt.Errorf("ag_frontier: %w: failure attempt %q", ErrBadRequest, cols[1][i])
+		}
+		retry := cols[4][i]
 		if retry != "0" && retry != "1" {
 			return "", 0, nil, nil, fmt.Errorf("ag_frontier: %w: failure retryable %q", ErrBadRequest, retry)
 		}
-		fails = append(fails, frontier.FetchFailure{URL: cols[0][i], Code: cols[1][i], Reason: cols[2][i], Retryable: retry == "1"})
+		fails = append(fails, frontier.FetchFailure{URL: cols[0][i], Attempt: attempt, Code: cols[2][i], Reason: cols[3][i], Retryable: retry == "1"})
 	}
 	return worker, k, recs, fails, nil
 }
@@ -258,39 +265,69 @@ func parseLinks(req *briefcase.Briefcase) ([]frontier.Link, error) {
 	return links, nil
 }
 
-// count is the number of elements in b's folder name; 0 when absent.
-func count(b *briefcase.Briefcase, name string) int {
-	f, err := b.Folder(name)
-	if err != nil {
-		return 0
+// folder is b's folder name, or nil when absent: a miss costs no error.
+func folder(b *briefcase.Briefcase, name string) *briefcase.Folder {
+	if !b.Has(name) {
+		return nil
 	}
-	return f.Len()
+	f, _ := b.Folder(name)
+	return f
 }
 
-// columns reads parallel folders that must each hold n elements (an
-// absent folder holds none), one column per name.
+// count is the number of elements in b's folder name; 0 when absent.
+func count(b *briefcase.Briefcase, name string) int {
+	if f := folder(b, name); f != nil {
+		return f.Len()
+	}
+	return 0
+}
+
+// sameLength checks that parallel folders each hold n elements (an
+// absent folder holds none).
+func sameLength(b *briefcase.Briefcase, n int, names ...string) error {
+	for _, name := range names {
+		if got := count(b, name); got != n {
+			return fmt.Errorf("ag_frontier: %w: %s has %d elements, want %d", ErrBadRequest, name, got, n)
+		}
+	}
+	return nil
+}
+
+// columns reads parallel folders that must each hold n elements, one
+// column per name.
 func columns(b *briefcase.Briefcase, n int, names ...string) ([][]string, error) {
+	if err := sameLength(b, n, names...); err != nil || n == 0 {
+		return nil, err
+	}
 	cols := make([][]string, len(names))
 	for i, name := range names {
-		if got := count(b, name); got != n {
-			return nil, fmt.Errorf("ag_frontier: %w: %s has %d elements, want %d", ErrBadRequest, name, got, n)
-		}
-		if n > 0 {
-			f, _ := b.Folder(name)
-			cols[i] = f.Strings()
-		}
+		cols[i] = folder(b, name).Strings()
 	}
 	return cols, nil
 }
 
 // setClaims writes a reply carrying cls, one element per claim in each
-// claim folder.
+// claim folder. Every URL and metadata element is a slice of one
+// buffer, aliased rather than copied into the reply.
 func setClaims(resp *briefcase.Briefcase, cls []*frontier.Claim) {
 	resp.SetString(FolderFrState, FrontierStateClaimed)
+	size := 0
+	for _, cl := range cls {
+		size += len(cl.URL) + decLen(cl.Depth) + 1 + decLen(cl.Attempts) + 1 + len(cl.Referrer)
+	}
+	buf := make([]byte, 0, size)
 	urls, meta := resp.Ensure(FolderFrURL), resp.Ensure(FolderFrClaim)
 	for _, cl := range cls {
-		urls.AppendString(cl.URL)
-		meta.AppendString(strconv.Itoa(cl.Depth) + "|" + strconv.Itoa(cl.Attempts) + "|" + cl.Referrer)
+		at := len(buf)
+		buf = append(buf, cl.URL...)
+		urls.AppendAlias(buf[at:len(buf):len(buf)])
+		at = len(buf)
+		buf = strconv.AppendInt(buf, int64(cl.Depth), 10)
+		buf = append(buf, '|')
+		buf = strconv.AppendInt(buf, int64(cl.Attempts), 10)
+		buf = append(buf, '|')
+		buf = append(buf, cl.Referrer...)
+		meta.AppendAlias(buf[at:len(buf):len(buf)])
 	}
 	if !slices.ContainsFunc(cls, func(cl *frontier.Claim) bool { return cl.Prior != nil }) {
 		return
@@ -305,14 +342,25 @@ func setClaims(resp *briefcase.Briefcase, cls []*frontier.Claim) {
 	}
 }
 
+// decLen is the length of n's decimal form, n ≥ 0. (A negative n only
+// undersizes setClaims' buffer, which append then grows.)
+func decLen(n int) int {
+	l := 1
+	for ; n >= 10; n /= 10 {
+		l++
+	}
+	return l
+}
+
 // parseClaims reads a claim reply: the state, and for "claimed" the
 // claims. A reply that does not parse is an ErrBadRequest, never a
-// claim at depth 0.
+// claim at depth 0. The claims are one block, and their strings are
+// slices of one copy of the reply's URL and metadata elements.
 func parseClaims(resp *briefcase.Briefcase) ([]*frontier.Claim, string, error) {
-	state, _ := resp.GetString(FolderFrState)
-	switch state {
+	state, _ := resp.Peek(FolderFrState)
+	switch string(state) {
 	case FrontierStateDrained:
-		return nil, state, nil
+		return nil, FrontierStateDrained, nil
 	case FrontierStateClaimed:
 	default:
 		return nil, "", fmt.Errorf("ag_frontier: %w: claim state %q", ErrBadRequest, state)
@@ -321,37 +369,65 @@ func parseClaims(resp *briefcase.Briefcase) ([]*frontier.Claim, string, error) {
 	if n == 0 {
 		return nil, "", fmt.Errorf("ag_frontier: %w: claim without URL", ErrBadRequest)
 	}
-	cols, err := columns(resp, n, FolderFrURL, FolderFrClaim)
-	if err != nil {
+	if err := sameLength(resp, n, FolderFrURL, FolderFrClaim); err != nil {
 		return nil, "", err
 	}
-	var priors [][]byte
-	if f, ferr := resp.Folder(FolderFrPrior); ferr == nil {
-		if f.Len() != n {
-			return nil, "", fmt.Errorf("ag_frontier: %w: %d prior records for %d claims", ErrBadRequest, f.Len(), n)
-		}
-		priors = f.Bytes()
+	urls, metas, priors := folder(resp, FolderFrURL), folder(resp, FolderFrClaim), folder(resp, FolderFrPrior)
+	if priors != nil && priors.Len() != n {
+		return nil, "", fmt.Errorf("ag_frontier: %w: %d prior records for %d claims", ErrBadRequest, priors.Len(), n)
 	}
+	var sb strings.Builder
+	size := 0
+	for i := 0; i < n; i++ {
+		size += len(urls.Peek(i)) + len(metas.Peek(i))
+	}
+	sb.Grow(size)
+	for i := 0; i < n; i++ {
+		sb.Write(urls.Peek(i))
+		sb.Write(metas.Peek(i))
+	}
+	rest := sb.String()
+	block := make([]frontier.Claim, n)
 	cls := make([]*frontier.Claim, n)
-	for i, meta := range cols[1] {
-		parts := strings.SplitN(meta, "|", 3)
-		if len(parts) != 3 {
+	for i := range block {
+		cl := &block[i]
+		u, m := len(urls.Peek(i)), len(metas.Peek(i))
+		cl.URL = rest[:u]
+		meta := rest[u : u+m]
+		rest = rest[u+m:]
+		if !parseClaimMeta(cl, meta) {
 			return nil, "", fmt.Errorf("ag_frontier: %w: claim metadata %q", ErrBadRequest, meta)
 		}
-		depth, derr := strconv.Atoi(parts[0])
-		attempts, aerr := strconv.Atoi(parts[1])
-		if derr != nil || aerr != nil || depth < 0 || attempts < 0 {
-			return nil, "", fmt.Errorf("ag_frontier: %w: claim metadata %q", ErrBadRequest, meta)
-		}
-		cl := &frontier.Claim{URL: cols[0][i], Referrer: parts[2], Depth: depth, Attempts: attempts}
-		if priors != nil && len(priors[i]) > 0 {
-			if cl.Prior, err = frontier.DecodeRecord(priors[i]); err != nil {
+		if priors != nil && len(priors.Peek(i)) > 0 {
+			var err error
+			if cl.Prior, err = frontier.DecodeRecord(priors.Peek(i)); err != nil {
 				return nil, "", fmt.Errorf("ag_frontier: %w: bad prior record: %v", ErrBadRequest, err)
 			}
 		}
 		cls[i] = cl
 	}
-	return cls, state, nil
+	return cls, FrontierStateClaimed, nil
+}
+
+// parseClaimMeta reads "depth|attempts|referrer" into cl. The referrer
+// is the rest after the second bar, bars and all.
+func parseClaimMeta(cl *frontier.Claim, meta string) bool {
+	i := strings.IndexByte(meta, '|')
+	if i < 0 {
+		return false
+	}
+	j := strings.IndexByte(meta[i+1:], '|')
+	if j < 0 {
+		return false
+	}
+	j += i + 1
+	depth, derr := strconv.Atoi(meta[:i])
+	attempts, aerr := strconv.Atoi(meta[i+1 : j])
+	if derr != nil || aerr != nil || depth < 0 || attempts < 0 {
+		return false
+	}
+	cl.Depth, cl.Attempts, cl.Referrer = depth, attempts, meta[j+1:]
+	return true
 }
 
 // FrontierClient drives a remote ag_frontier from a fetcher agent. All
@@ -427,6 +503,15 @@ func (c FrontierClient) Claim(ctx *agent.Context, worker string) (*frontier.Clai
 // least one claim, or FrontierStateDrained: a batch that finds no work
 // waits at the service until work arrives or the crawl drains.
 func (c FrontierClient) Batch(ctx *agent.Context, worker string, recs []*frontier.PageRecord, fails []frontier.FetchFailure, k int) ([]*frontier.Claim, string, error) {
+	resp, err := c.call(ctx, batchRequest(worker, recs, fails, k))
+	if err != nil {
+		return nil, "", err
+	}
+	return parseClaims(resp)
+}
+
+// batchRequest is the request Batch sends.
+func batchRequest(worker string, recs []*frontier.PageRecord, fails []frontier.FetchFailure, k int) *briefcase.Briefcase {
 	req := briefcase.New()
 	req.SetString(FolderOp, FrontierBatch)
 	req.SetString(FolderFrWorker, worker)
@@ -438,10 +523,11 @@ func (c FrontierClient) Batch(ctx *agent.Context, worker string, recs []*frontie
 		}
 	}
 	if len(fails) > 0 {
-		urls, codes := req.Ensure(FolderFrURL), req.Ensure(FolderFrCode)
+		urls, attempts, codes := req.Ensure(FolderFrURL), req.Ensure(FolderFrAttempt), req.Ensure(FolderFrCode)
 		reasons, retry := req.Ensure(FolderFrReason), req.Ensure(FolderFrRetryable)
 		for _, fl := range fails {
 			urls.AppendString(fl.URL)
+			attempts.AppendString(strconv.Itoa(fl.Attempt))
 			codes.AppendString(fl.Code)
 			reasons.AppendString(fl.Reason)
 			if fl.Retryable {
@@ -451,11 +537,7 @@ func (c FrontierClient) Batch(ctx *agent.Context, worker string, recs []*frontie
 			}
 		}
 	}
-	resp, err := c.call(ctx, req)
-	if err != nil {
-		return nil, "", err
-	}
-	return parseClaims(resp)
+	return req
 }
 
 // Add seeds links into the frontier (subject to the service's admit
@@ -499,17 +581,15 @@ func (c FrontierClient) Records(ctx *agent.Context) ([]*frontier.PageRecord, err
 	if err != nil {
 		return nil, err
 	}
-	f, ferr := resp.Folder(FolderFrRecord)
-	if ferr != nil {
+	f := folder(resp, FolderFrRecord)
+	if f == nil {
 		return nil, nil
 	}
-	recs := make([]*frontier.PageRecord, 0, f.Len())
-	for _, raw := range f.Bytes() {
-		rec, err := frontier.DecodeRecord(raw)
-		if err != nil {
+	recs := make([]*frontier.PageRecord, f.Len())
+	for i := range recs {
+		if recs[i], err = frontier.DecodeRecord(f.Peek(i)); err != nil {
 			return nil, fmt.Errorf("ag_frontier: bad record: %w", err)
 		}
-		recs = append(recs, rec)
 	}
 	return recs, nil
 }

@@ -120,7 +120,8 @@ func TestParseClaimsLease(t *testing.T) {
 
 // TestParseBatch: a batch request's failures travel as parallel
 // folders, so a reason may hold any text; folders of unequal length, a
-// missing lease and an unknown retry flag are ErrBadRequest.
+// missing lease, a negative attempt and an unknown retry flag are
+// ErrBadRequest.
 func TestParseBatch(t *testing.T) {
 	build := func() *briefcase.Briefcase {
 		req := briefcase.New()
@@ -128,6 +129,7 @@ func TestParseBatch(t *testing.T) {
 		req.SetString(FolderFrLease, "4")
 		req.Ensure(FolderFrRecord).Append((&frontier.PageRecord{URL: "http://h/a", Status: 200}).Encode())
 		req.Ensure(FolderFrURL).AppendString("http://h/b", "http://h/c")
+		req.Ensure(FolderFrAttempt).AppendString("2", "0")
 		req.Ensure(FolderFrCode).AppendString("wb_fetch_failed", "wb_fetch_failed")
 		req.Ensure(FolderFrReason).AppendString("reset|by peer", "")
 		req.Ensure(FolderFrRetryable).AppendString("1", "0")
@@ -135,7 +137,7 @@ func TestParseBatch(t *testing.T) {
 	}
 	worker, k, recs, fails, err := parseBatch(build())
 	wantFails := []frontier.FetchFailure{
-		{URL: "http://h/b", Code: "wb_fetch_failed", Reason: "reset|by peer", Retryable: true},
+		{URL: "http://h/b", Attempt: 2, Code: "wb_fetch_failed", Reason: "reset|by peer", Retryable: true},
 		{URL: "http://h/c", Code: "wb_fetch_failed"},
 	}
 	if err != nil || worker != "w1" || k != 4 || len(recs) != 1 || recs[0].URL != "http://h/a" || !reflect.DeepEqual(fails, wantFails) {
@@ -151,6 +153,11 @@ func TestParseBatch(t *testing.T) {
 		{"bad record", func(b *briefcase.Briefcase) { b.Ensure(FolderFrRecord).AppendString("junk") }},
 		{"reason missing", func(b *briefcase.Briefcase) { b.Ensure(FolderFrReason).Pop() }},
 		{"code missing", func(b *briefcase.Briefcase) { b.Drop(FolderFrCode) }},
+		{"attempt missing", func(b *briefcase.Briefcase) { b.Drop(FolderFrAttempt) }},
+		{"attempt negative", func(b *briefcase.Briefcase) {
+			b.SetString(FolderFrAttempt, "-1")
+			b.Ensure(FolderFrAttempt).AppendString("0")
+		}},
 		{"retry flag unknown", func(b *briefcase.Briefcase) {
 			b.SetString(FolderFrRetryable, "yes")
 			b.Ensure(FolderFrRetryable).AppendString("0")

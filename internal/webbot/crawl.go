@@ -184,7 +184,7 @@ func mine(wid string, ff websim.ForkableFetcher, fr *frontier.Frontier, gate *Ga
 	for state == frontier.WaitClaimed {
 		rec, err := fetchOne(cl, fork, header, clk, lim)
 		if err != nil {
-			if _, ferr := fr.Fail(cl.URL, wid, CodeFetchFailed, err.Error(), true); ferr != nil {
+			if _, ferr := fr.Fail(cl.URL, wid, cl.Attempts, CodeFetchFailed, err.Error(), true); ferr != nil {
 				return ferr
 			}
 			cl, state = fr.ClaimWait(wid)
