@@ -25,7 +25,9 @@ race:
 check: vet build race
 
 # ci is the pipeline entry point: vet, gofmt (any file `gofmt -l`
-# lists fails the run), staticcheck when installed, the full suite
+# lists fails the run), staticcheck when installed, the evaluation
+# harness's line budget (internal/bench + cmd/taxbench at most 2,000
+# code lines, counted as `make loc` counts them), the full suite
 # twice under the race detector (flushes order-dependent flakes), the
 # crash-point recovery sweep under the race detector
 # (fixed seeds 11 clean / 13 torn / 17 under faults / 19 every-byte
@@ -43,7 +45,8 @@ check: vet build race
 # Stats byte-identical to the serial robot;
 # internal/chaostest/frontier_test.go), the allocation budgets without
 # the race detector (the exact pins, TestTCPMeetAllocBudget among them,
-# skip under it: sync.Pool drops Puts at random there), and the
+# skip under it: sync.Pool drops Puts at random there; every allocation
+# count lives in a test named *Alloc*, never in a baseline), and the
 # benchmark regression gate (bench-check: fresh documents byte-compared
 # with all six committed BENCH_*.json baselines, which are never
 # overwritten).
@@ -53,6 +56,8 @@ ci:
 		echo "ci: gofmt drift in:"; echo "$$unformatted"; exit 1; fi
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 	else echo "ci: staticcheck not installed, skipping"; fi
+	@n=$$($(call count,internal/bench cmd/taxbench)); if [ $$n -gt 2000 ]; then \
+		echo "ci: internal/bench + cmd/taxbench is $$n code lines, budget 2000 (make loc)"; exit 1; fi
 	$(GO) test -race -count=2 ./...
 	$(GO) test -race -timeout 300s -count=1 -run 'CrashPoint' ./internal/chaostest/
 	$(GO) test -race -timeout 300s -count=1 -run 'TestPolicyQuotaStarvation10k' ./internal/firewall/

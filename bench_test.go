@@ -20,7 +20,7 @@ import (
 func BenchmarkExperiments(b *testing.B) {
 	for _, e := range bench.Experiments {
 		b.Run(e.Name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
+			for b.Loop() {
 				_, doc, err := e.Run()
 				if err != nil {
 					b.Fatal(err)

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -59,6 +60,51 @@ func TestExperimentsClaimEveryBaseline(t *testing.T) {
 		if n := claims[filepath.Base(path)]; n != 1 {
 			t.Errorf("%s is claimed by %d experiments, want exactly 1", filepath.Base(path), n)
 		}
+	}
+}
+
+// TestBaselinesHoldNoAllocCounts keeps allocation counts out of the
+// baselines: what a path allocates is a property of the package that
+// pays it and is pinned in that package's Alloc tests, so a baseline key
+// that records one (allocs_per_op, send_allocs_delta_per_op) pins the
+// same number twice. The directory's shard-primitive counts are the one
+// exception: no test in internal/directory pins them yet, so deleting
+// them here would lose the pin.
+func TestBaselinesHoldNoAllocCounts(t *testing.T) {
+	pending := map[string]bool{
+		"BENCH_directory.json register_allocs_per_op": true,
+		"BENCH_directory.json lookup_allocs_per_op":   true,
+	}
+	committed, err := filepath.Glob(filepath.Join("../..", "BENCH_*.json"))
+	if err != nil || len(committed) == 0 {
+		t.Fatalf("no committed baselines found: %v", err)
+	}
+	var walk func(file string, v any)
+	walk = func(file string, v any) {
+		switch v := v.(type) {
+		case map[string]any:
+			for k, child := range v {
+				if strings.Contains(k, "allocs") && !pending[filepath.Base(file)+" "+k] {
+					t.Errorf("%s: key %q records an allocation count; pin it in the owning package's test", filepath.Base(file), k)
+				}
+				walk(file, child)
+			}
+		case []any:
+			for _, child := range v {
+				walk(file, child)
+			}
+		}
+	}
+	for _, path := range committed {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc any
+		if err := json.Unmarshal(data, &doc); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		walk(path, doc)
 	}
 }
 

@@ -2,8 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"runtime/debug"
-	"testing"
 	"time"
 
 	"tax/internal/briefcase"
@@ -11,25 +9,6 @@ import (
 	"tax/internal/identity"
 	"tax/internal/simnet"
 )
-
-// HotpathCodecResult is one codec measurement for BENCH_hotpath.json.
-// Only allocation counts are recorded — they are exact integers from
-// the runtime's malloc counter, so the JSON is byte-identical run to
-// run. Wall-clock ns/op is benchmark/'s briefcase.encode_*_ns and
-// decode_*_ns.
-type HotpathCodecResult struct {
-	// Op is "encode" or "decode".
-	Op string `json:"op"`
-	// Codec is "reference" (the frozen pre-optimization codec) or
-	// "fast" (the pooled single-buffer encoder / lazy decoder).
-	Codec string `json:"codec"`
-	// AllocsPerOp is the exact allocation count of one operation on the
-	// case-study-sized briefcase.
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	// FrameBytes is the encoded frame size (identical across codecs —
-	// the fast path is wire-compatible).
-	FrameBytes int `json:"frame_bytes"`
-}
 
 // HotpathMediationResult is one (fleet width, batching) point of the
 // mediation throughput sweep. Throughput is virtual-clock messages per
@@ -56,75 +35,11 @@ type HotpathMediationResult struct {
 
 // HotpathResult is the BENCH_hotpath.json document.
 type HotpathResult struct {
-	Codec     []HotpathCodecResult     `json:"codec"`
 	Mediation []HotpathMediationResult `json:"mediation"`
 	// Forwarding is the 3-hop zero-copy forwarding throughput sweep
 	// (hotpath_forward.go): relays route wire bytes verbatim off header
 	// peeks, unbatched and as whole containers.
 	Forwarding []HotpathForwardingResult `json:"forwarding"`
-	// Path is the exact per-stage allocation budget of the forwarded
-	// send→route→deliver path; the path_alloc_test ceilings guard it.
-	Path []HotpathPathResult `json:"path"`
-	// GroupCommit is the WAL group-commit fsync amortization sweep.
-	GroupCommit []HotpathGroupCommitResult `json:"group_commit"`
-}
-
-// hotpathBriefcase builds the workload briefcase: a webbot mid-crawl,
-// sized after the case study (results for ~120 pages plus itinerary and
-// status folders, ~5 KB encoded).
-func hotpathBriefcase() *briefcase.Briefcase {
-	bc := briefcase.New()
-	bc.SetString(briefcase.FolderCode, "webbot")
-	bc.SetString(briefcase.FolderStatus, "crawling depth=3")
-	args := bc.Ensure(briefcase.FolderArgs)
-	args.AppendString("maxdepth=4")
-	args.AppendString("maxpages=917")
-	hosts := bc.Ensure(briefcase.FolderHosts)
-	for _, h := range []string{"tacoma://w2//vm_go", "tacoma://w3//vm_go", "tacoma://home//vm_go"} {
-		hosts.AppendString(h)
-	}
-	results := bc.Ensure(briefcase.FolderResults)
-	for i := 0; i < 120; i++ {
-		results.AppendString(fmt.Sprintf("/page-%03d.html|200|%5d bytes|links=%2d", i, 1024+i*17, i%23))
-	}
-	return bc
-}
-
-// hotpathCodec measures exact allocations for both codecs on the
-// workload briefcase. GC is paused so the encoder's buffer pool is not
-// drained mid-measurement.
-func hotpathCodec() ([]HotpathCodecResult, error) {
-	bc := hotpathBriefcase()
-	frame := bc.Encode()
-	if ref := briefcase.ReferenceEncode(bc); len(ref) != len(frame) {
-		return nil, fmt.Errorf("bench: hotpath codecs disagree: fast %d bytes, reference %d", len(frame), len(ref))
-	}
-
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	const runs = 200
-	cases := []struct {
-		op, codec string
-		fn        func()
-	}{
-		{"encode", "reference", func() { _ = briefcase.ReferenceEncode(bc) }},
-		{"encode", "fast", func() {
-			f, release := bc.EncodePooled()
-			_ = f
-			release()
-		}},
-		{"decode", "reference", func() { _, _ = briefcase.ReferenceDecode(frame) }},
-		{"decode", "fast", func() { _, _ = briefcase.Decode(frame) }},
-	}
-	var results []HotpathCodecResult
-	for _, c := range cases {
-		results = append(results, HotpathCodecResult{
-			Op:          c.op,
-			Codec:       c.codec,
-			AllocsPerOp: testing.AllocsPerRun(runs, c.fn),
-			FrameBytes:  len(frame),
-		})
-	}
-	return results, nil
 }
 
 // hotpathMediation mediates a fixed message stream from one sender host
@@ -228,18 +143,14 @@ func hotpathMediation(width int, batched bool) (HotpathMediationResult, error) {
 	return r, nil
 }
 
-// Hotpath runs the fast-path benchmark: codec allocations for the
-// pooled encoder and lazy decoder against the frozen reference codec,
-// and mediated message throughput (virtual-clock) with batching on and
-// off across fleet widths. Everything recorded is exact — allocation
-// counts and virtual-clock arithmetic — so reruns are byte-identical.
+// Hotpath runs the fast-path benchmark: mediated message throughput
+// with batching on and off across fleet widths, and 3-hop forwarding
+// throughput, both on the virtual clock, so reruns are byte-identical.
+// What the path allocates is pinned by the tests of the code that pays
+// it (firewall's TestForwardPathStageAllocs and TestPolicySendAllocs,
+// briefcase's TestBriefcaseStructuralAllocs), not recorded here.
 func Hotpath() (*Table, any, error) {
-	codec, err := hotpathCodec()
-	if err != nil {
-		return nil, nil, err
-	}
-	res := &HotpathResult{Codec: codec}
-
+	res := &HotpathResult{}
 	for _, width := range []int{1, 4, 16} {
 		for _, batched := range []bool{false, true} {
 			p, err := hotpathMediation(width, batched)
@@ -249,7 +160,6 @@ func Hotpath() (*Table, any, error) {
 			res.Mediation = append(res.Mediation, p)
 		}
 	}
-
 	for _, batched := range []bool{false, true} {
 		f, err := hotpathForwarding(batched)
 		if err != nil {
@@ -258,32 +168,10 @@ func Hotpath() (*Table, any, error) {
 		res.Forwarding = append(res.Forwarding, f)
 	}
 
-	path, err := hotpathPath()
-	if err != nil {
-		return nil, nil, err
-	}
-	res.Path = path
-
-	for _, groupMax := range []int{1, 8, 64} {
-		g, err := hotpathGroupCommit(groupMax)
-		if err != nil {
-			return nil, nil, err
-		}
-		res.GroupCommit = append(res.GroupCommit, g)
-	}
-
 	t := &Table{
-		Title:  "HOTPATH — zero-copy codec, batched mediation, forwarding, group commit",
-		Note:   "codec: case-study briefcase, allocs exact; mediation + 3-hop forwarding: virtual-clock msgs/s, lockstep driver; group commit: fsyncs per txn, virtual clock",
-		Header: []string{"measurement", "allocs/op", "msgs/vsec", "detail"},
-	}
-	for _, c := range res.Codec {
-		t.Rows = append(t.Rows, []string{
-			c.Op + " " + c.Codec,
-			fmt.Sprintf("%.0f", c.AllocsPerOp),
-			"",
-			fmt.Sprintf("%d B frame", c.FrameBytes),
-		})
+		Title:  "HOTPATH — batched mediation and zero-copy forwarding",
+		Note:   "virtual-clock msgs/s, lockstep driver",
+		Header: []string{"measurement", "msgs/vsec", "detail"},
 	}
 	for _, p := range res.Mediation {
 		mode := "unbatched"
@@ -294,7 +182,6 @@ func Hotpath() (*Table, any, error) {
 		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("mediate w=%d %s", p.Width, mode),
-			"",
 			fmt.Sprintf("%.0f", p.MsgsPerVirtualSec),
 			detail,
 		})
@@ -308,25 +195,8 @@ func Hotpath() (*Table, any, error) {
 		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("forward %dhop %s", f.Hops, mode),
-			"",
 			fmt.Sprintf("%.0f", f.MsgsPerVirtualSec),
 			detail,
-		})
-	}
-	for _, p := range res.Path {
-		t.Rows = append(t.Rows, []string{
-			"path " + p.Stage,
-			fmt.Sprintf("%.0f", p.AllocsPerOp),
-			"",
-			"full-stage allocs, synchronous transport",
-		})
-	}
-	for _, g := range res.GroupCommit {
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("group commit max=%d", g.GroupMax),
-			"", "",
-			fmt.Sprintf("%d txns, %d fsyncs (%.4f/txn), %.1f ms virtual",
-				g.Txns, g.Fsyncs, g.FsyncsPerTxn, g.WriteCostMS),
 		})
 	}
 	return t, res, nil

@@ -1,24 +1,16 @@
 // hotpath_forward.go is the forwarded-path half of the hotpath
-// experiment: 3-hop zero-copy forwarding throughput (virtual clock),
-// per-stage allocation budgets over the full send→route→deliver path,
-// and the cabinet's group-commit fsync amortization. Everything
-// recorded to JSON is exact — virtual-clock arithmetic and runtime
-// malloc counts — so BENCH_hotpath.json stays byte-identical run to
-// run.
+// experiment: 3-hop zero-copy forwarding throughput on the virtual
+// clock, so BENCH_hotpath.json stays byte-identical run to run.
 package bench
 
 import (
 	"fmt"
-	"runtime/debug"
-	"testing"
 	"time"
 
 	"tax/internal/briefcase"
-	"tax/internal/cabinet"
 	"tax/internal/firewall"
 	"tax/internal/identity"
 	"tax/internal/simnet"
-	"tax/internal/vclock"
 )
 
 // HotpathForwardingResult is one mode of the 3-hop forwarding bench:
@@ -41,39 +33,6 @@ type HotpathForwardingResult struct {
 	// send to last delivery; MsgsPerVirtualSec is Messages over it.
 	VirtualMS         float64 `json:"virtual_ms"`
 	MsgsPerVirtualSec float64 `json:"msgs_per_virtual_sec"`
-}
-
-// HotpathPathResult is one stage's exact allocation budget over the
-// full forwarded path, measured on synchronous in-process transports
-// so testing.AllocsPerRun prices a whole stage in one call. These are
-// the committed per-stage budgets the alloc-regression test
-// (internal/firewall/path_alloc_test.go) enforces ceilings for.
-type HotpathPathResult struct {
-	// Stage is "origin" (mediate + encode + first-link copy), "relay"
-	// (header-only inbound mediation + verbatim forward), "deliver"
-	// (final decode + route + mailbox), or "decode" (one lazy Decode of
-	// the same frame — the reference the relay stage must undercut).
-	Stage string `json:"stage"`
-	// AllocsPerOp is the exact allocation count of the stage.
-	AllocsPerOp float64 `json:"allocs_per_op"`
-}
-
-// HotpathGroupCommitResult is one coalesce-window point of the WAL
-// group-commit bench: a fixed transaction stream committed through
-// CommitMany, every batch sharing one fsync.
-type HotpathGroupCommitResult struct {
-	// GroupMax is the coalesce window (transactions per shared fsync).
-	GroupMax int `json:"group_max"`
-	// Txns is the number of committed transactions; Fsyncs the disk's
-	// total fsync count for the stream.
-	Txns   int   `json:"txns"`
-	Fsyncs int64 `json:"fsyncs"`
-	// FsyncsPerTxn is Fsyncs over Txns — the amortization the tentpole
-	// claims (≪ 1 for real coalesce windows).
-	FsyncsPerTxn float64 `json:"fsyncs_per_txn"`
-	// WriteCostMS is the virtual-clock cost of the whole stream at
-	// cabinet.DefaultSyncLatency per fsync.
-	WriteCostMS float64 `json:"write_cost_ms"`
 }
 
 // hotpathForwardChain is the 3-hop simnet fixture: origin a, relays b
@@ -220,170 +179,4 @@ func hotpathForwarding(batched bool) (HotpathForwardingResult, error) {
 		r.MsgsPerVirtualSec = float64(r.Messages) / s
 	}
 	return r, nil
-}
-
-// benchPathNode is a synchronous in-process transport (the bench-side
-// twin of the firewall package's path_alloc_test fixture): Send and
-// SendOwned invoke the peer's handler on the caller's goroutine, so an
-// entire forwarding stage runs inside one function call and
-// testing.AllocsPerRun can price it exactly. Send makes the per-link
-// defensive copy exactly like simnet; SendOwned aliases.
-type benchPathNode struct {
-	addr    string
-	handler func(from string, payload []byte)
-	peers   map[string]*benchPathNode
-	// drop discards instead of delivering (after Send's copy),
-	// isolating one stage for measurement.
-	drop bool
-	// tap observes the bytes each delivery hands to the peer.
-	tap func(payload []byte)
-}
-
-func (n *benchPathNode) Addr() string                             { return n.addr }
-func (n *benchPathNode) SetHandler(h func(from string, p []byte)) { n.handler = h }
-func (n *benchPathNode) Close() error                             { return nil }
-
-func (n *benchPathNode) Send(to string, payload []byte) error {
-	data := append([]byte(nil), payload...)
-	return n.deliver(to, data)
-}
-
-func (n *benchPathNode) SendOwned(to string, payload []byte) error {
-	return n.deliver(to, payload)
-}
-
-func (n *benchPathNode) deliver(to string, data []byte) error {
-	if n.drop {
-		return nil
-	}
-	if n.tap != nil {
-		n.tap(data)
-	}
-	if peer := n.peers[to]; peer != nil {
-		peer.handler(n.addr, data)
-	}
-	return nil
-}
-
-// hotpathPath measures the exact per-stage allocation budgets of the
-// forwarded path — origin mediation, relay mediation, final delivery —
-// plus one lazy Decode of the same frame as the bound the relay stage
-// must stay under (a relay that decodes cannot beat Decode). GC is
-// paused for the malloc counts, like hotpathCodec.
-func hotpathPath() ([]HotpathPathResult, error) {
-	trust := &identity.TrustStore{}
-	names := []string{"a", "b", "c", "d"}
-	next := map[string]string{"a": "b", "b": "c", "c": "d", "d": "d"}
-	nodes := make(map[string]*benchPathNode)
-	fws := make(map[string]*firewall.Firewall)
-	for _, name := range names {
-		nodes[name] = &benchPathNode{addr: name, peers: nodes}
-	}
-	for _, name := range names {
-		hop := next[name]
-		self := name
-		fw, err := firewall.New(firewall.Config{
-			HostName: name, Node: nodes[name], Trust: trust, SystemPrincipal: "system",
-			Relay: name == "b" || name == "c",
-			Resolve: func(host string, _ int) (string, error) {
-				if host == self {
-					return self, nil
-				}
-				return hop, nil
-			},
-		})
-		if err != nil {
-			return nil, err
-		}
-		defer func() { _ = fw.Close() }()
-		fws[name] = fw
-	}
-	src, err := fws["a"].Register("vm", "system", "src")
-	if err != nil {
-		return nil, err
-	}
-	dst, err := fws["d"].Register("vm", "system", "dst")
-	if err != nil {
-		return nil, err
-	}
-
-	// One warm pass end to end, tapping the frame off the last link.
-	var frame []byte
-	nodes["c"].tap = func(payload []byte) { frame = append([]byte(nil), payload...) }
-	if err := fws["a"].Send(src.GlobalURI(), forwardBriefcase(0)); err != nil {
-		return nil, err
-	}
-	if _, ok := dst.TryRecv(); !ok {
-		return nil, fmt.Errorf("bench: path warm-up frame was not delivered")
-	}
-	nodes["c"].tap = nil
-
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	const runs = 200
-	bc := forwardBriefcase(0)
-
-	nodes["a"].drop = true
-	origin := testing.AllocsPerRun(runs, func() {
-		if err := fws["a"].Send(src.GlobalURI(), bc); err != nil {
-			panic(err)
-		}
-	})
-	nodes["a"].drop = false
-
-	nodes["b"].drop = true
-	relay := testing.AllocsPerRun(runs, func() { nodes["b"].handler("a", frame) })
-	nodes["b"].drop = false
-
-	deliver := testing.AllocsPerRun(runs, func() {
-		nodes["d"].handler("c", frame)
-		if _, ok := dst.TryRecv(); !ok {
-			panic("bench: deliver stage produced no delivery")
-		}
-	})
-
-	decode := testing.AllocsPerRun(runs, func() { _, _ = briefcase.Decode(frame) })
-
-	return []HotpathPathResult{
-		{Stage: "origin", AllocsPerOp: origin},
-		{Stage: "relay", AllocsPerOp: relay},
-		{Stage: "deliver", AllocsPerOp: deliver},
-		{Stage: "decode", AllocsPerOp: decode},
-	}, nil
-}
-
-// hotpathGroupCommit commits a fixed transaction stream through
-// CommitMany under one coalesce window and reports the fsync
-// amortization on the virtual clock. CommitMany drains explicit
-// batches through the same commitBatch path concurrent committers
-// coalesce into, so the fsync counts are exact and deterministic —
-// the concurrent variant (whose batch boundaries depend on goroutine
-// timing) is exercised by the cabinet and chaostest race tests, not
-// recorded here.
-func hotpathGroupCommit(groupMax int) (HotpathGroupCommitResult, error) {
-	const txns = 192
-	clock := vclock.NewVirtual()
-	store := cabinet.NewStore(cabinet.Options{
-		Clock:         clock,
-		SnapshotEvery: -1, // pure WAL: every fsync below is a commit fsync
-		GroupCommit:   true,
-		GroupMaxTxns:  groupMax,
-	})
-	stream := make([][]cabinet.Op, txns)
-	for i := range stream {
-		key := fmt.Sprintf("gc/%03d", i)
-		stream[i] = []cabinet.Op{{Key: key, Value: []byte("v:" + key)}}
-	}
-	start := clock.Now()
-	if err := store.CommitMany(stream); err != nil {
-		return HotpathGroupCommitResult{}, fmt.Errorf("bench: group commit max=%d: %w", groupMax, err)
-	}
-	elapsed := clock.Now() - start
-	fsyncs := store.Disk().Syncs()
-	return HotpathGroupCommitResult{
-		GroupMax:     groupMax,
-		Txns:         txns,
-		Fsyncs:       fsyncs,
-		FsyncsPerTxn: float64(fsyncs) / float64(txns),
-		WriteCostMS:  float64(elapsed.Microseconds()) / 1000,
-	}, nil
 }

@@ -361,7 +361,7 @@ func BenchmarkEncode1KBx16(b *testing.B) {
 	}
 	b.SetBytes(int64(bc.EncodedSize()))
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		_ = bc.Encode()
 	}
 }
@@ -374,7 +374,7 @@ func BenchmarkDecode1KBx16(b *testing.B) {
 	enc := bc.Encode()
 	b.SetBytes(int64(len(enc)))
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		if _, err := Decode(enc); err != nil {
 			b.Fatal(err)
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
 	"time"
@@ -285,4 +286,49 @@ func TestBriefcaseStructuralAllocs(t *testing.T) {
 			t.Errorf("decoding %d folders costs %v allocations: %d structural, want 3", k, n, structural)
 		}
 	}
+	// The case-study briefcase: five folders, so a decode is the three
+	// structural allocations and five names, and a pooled encode reuses
+	// a warm buffer. Exact only with the collector paused and no race
+	// detector, whose sync.Pool drops Puts at random.
+	t.Run("case-study", func(t *testing.T) {
+		if raceBuild {
+			t.Skip("exact allocation counts do not hold under the race detector")
+		}
+		bc := caseStudyBriefcase()
+		frame := bc.Encode()
+		if len(frame) != 4949 {
+			t.Fatalf("case-study frame is %d bytes, want 4949", len(frame))
+		}
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		encode := testing.AllocsPerRun(200, func() {
+			_, release := bc.EncodePooled()
+			release()
+		})
+		if encode != 0 {
+			t.Errorf("EncodePooled of the case-study briefcase costs %v allocations, want 0", encode)
+		}
+		if n := testing.AllocsPerRun(200, func() { sinkBriefcase, _ = Decode(frame) }); n != 8 {
+			t.Errorf("decoding the case-study briefcase costs %v allocations, want 8", n)
+		}
+	})
+}
+
+// caseStudyBriefcase is a webbot mid-crawl, sized after the case study:
+// results for 120 pages beside its code, status, args and hosts.
+func caseStudyBriefcase() *Briefcase {
+	bc := New()
+	bc.SetString(FolderCode, "webbot")
+	bc.SetString(FolderStatus, "crawling depth=3")
+	args := bc.Ensure(FolderArgs)
+	args.AppendString("maxdepth=4")
+	args.AppendString("maxpages=917")
+	hosts := bc.Ensure(FolderHosts)
+	for _, h := range []string{"tacoma://w2//vm_go", "tacoma://w3//vm_go", "tacoma://home//vm_go"} {
+		hosts.AppendString(h)
+	}
+	results := bc.Ensure(FolderResults)
+	for i := 0; i < 120; i++ {
+		results.AppendString(fmt.Sprintf("/page-%03d.html|200|%5d bytes|links=%2d", i, 1024+i*17, i%23))
+	}
+	return bc
 }

@@ -184,6 +184,33 @@ func TestGroupCommitMaxTxnsBound(t *testing.T) {
 	}
 }
 
+// TestGroupCommitWindowSweep prices one 192-transaction stream under
+// three coalesce windows on the virtual clock: window w costs
+// ceil(192/w) fsyncs (192, 24, 3) at the default half-millisecond sync,
+// 96, 12 and 1.5 ms of write time.
+func TestGroupCommitWindowSweep(t *testing.T) {
+	for _, c := range []struct {
+		window int
+		fsyncs int64
+		cost   time.Duration
+	}{{1, 192, 96 * time.Millisecond}, {8, 24, 12 * time.Millisecond}, {64, 3, 1500 * time.Microsecond}} {
+		clock := vclock.NewVirtual()
+		s := NewStore(Options{Clock: clock, SnapshotEvery: -1, GroupCommit: true, GroupMaxTxns: c.window})
+		txns := make([][]Op, 192)
+		for i := range txns {
+			key := fmt.Sprintf("gc/%03d", i)
+			txns[i] = []Op{{Key: key, Value: gcTestValue(key)}}
+		}
+		start := clock.Now()
+		if err := s.CommitMany(txns); err != nil {
+			t.Fatalf("window %d: %v", c.window, err)
+		}
+		if got, cost := s.Disk().Syncs(), clock.Now()-start; got != c.fsyncs || cost != c.cost {
+			t.Errorf("window %d: %d fsyncs in %v, want %d in %v", c.window, got, cost, c.fsyncs, c.cost)
+		}
+	}
+}
+
 // TestGroupCommitCrashFailsWaiters: once the disk is down, concurrent
 // group commits all fail with ErrCrashed — no waiter hangs, none reports
 // success.

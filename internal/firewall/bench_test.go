@@ -38,7 +38,7 @@ func BenchmarkRegisterUnregister(b *testing.B) {
 	fw, cleanup := benchFirewall(b)
 	defer cleanup()
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		r, err := fw.Register("vm", "system", "churn")
 		if err != nil {
 			b.Fatal(err)
@@ -65,16 +65,26 @@ func BenchmarkCoreSignature(b *testing.B) {
 	bc.Ensure(briefcase.FolderCode).Append([]byte("tour"), make([]byte, 64<<10))
 	SignCore(bc, signer)
 	wire := bc.Encode()
-	arrivals := func(b *testing.B) []*briefcase.Briefcase {
-		out := make([]*briefcase.Briefcase, b.N)
-		for i := range out {
-			if out[i], err = briefcase.Decode(wire); err != nil {
-				b.Fatal(err)
+	// arrivals yields fresh decodes of wire, cores never hashed, made off
+	// the clock a batch at a time: a timer stop per iteration would cost
+	// the microsecond rows a fifth of their time.
+	arrivals := func(b *testing.B) func() *briefcase.Briefcase {
+		var batch []*briefcase.Briefcase
+		return func() *briefcase.Briefcase {
+			if len(batch) == 0 {
+				b.StopTimer()
+				batch = make([]*briefcase.Briefcase, 256)
+				for i := range batch {
+					if batch[i], err = briefcase.Decode(wire); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StartTimer()
 			}
+			bc := batch[0]
+			batch = batch[1:]
+			return bc
 		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		return out
 	}
 	verify := func(b *testing.B, bc *briefcase.Briefcase, trust *identity.TrustStore) {
 		if _, err := VerifyCore(bc, trust, identity.Untrusted); err != nil {
@@ -87,14 +97,17 @@ func BenchmarkCoreSignature(b *testing.B) {
 		return trust
 	}
 	b.Run("verify/cold", func(b *testing.B) {
-		for _, bc := range arrivals(b) {
-			verify(b, bc, trusting())
+		next := arrivals(b)
+		b.ReportAllocs()
+		for b.Loop() {
+			verify(b, next(), trusting())
 		}
 	})
 	b.Run("verify/arrival", func(b *testing.B) {
-		trust := trusting()
-		for _, bc := range arrivals(b) {
-			verify(b, bc, trust)
+		trust, next := trusting(), arrivals(b)
+		b.ReportAllocs()
+		for b.Loop() {
+			verify(b, next(), trust)
 		}
 	})
 	b.Run("verify/memo", func(b *testing.B) {
@@ -107,8 +120,10 @@ func BenchmarkCoreSignature(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, bc := range arrivals(b) {
-			if _, _, _, err := verifyCore(bc, trust, identity.Untrusted, &memo); err != nil {
+		next := arrivals(b)
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, _, _, err := verifyCore(next(), trust, identity.Untrusted, &memo); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -116,18 +131,20 @@ func BenchmarkCoreSignature(b *testing.B) {
 	b.Run("verify/warm", func(b *testing.B) {
 		trust := trusting()
 		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
+		for b.Loop() {
 			verify(b, bc, trust)
 		}
 	})
 	b.Run("sign/unstamped", func(b *testing.B) {
-		for _, bc := range arrivals(b) {
-			SignCore(bc, signer)
+		next := arrivals(b)
+		b.ReportAllocs()
+		for b.Loop() {
+			SignCore(next(), signer)
 		}
 	})
 	b.Run("sign/stamped", func(b *testing.B) {
 		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
+		for b.Loop() {
 			SignCore(bc, signer)
 		}
 	})

@@ -10,7 +10,9 @@ import (
 
 	"tax/internal/briefcase"
 	"tax/internal/identity"
+	"tax/internal/policy"
 	"tax/internal/simnet"
+	"tax/internal/vclock"
 )
 
 // pathNode is a synchronous in-process transport: Send and SendOwned
@@ -194,11 +196,11 @@ func TestForwardPathSingleEncodeSingleDecode(t *testing.T) {
 
 // TestForwardPathStageAllocs pins the per-stage allocation budgets of
 // the forwarded path: origin mediation (encode + link copy), relay
-// mediation (header peeks + verbatim forward), and final delivery
-// (single decode + route + mailbox). The exact stage numbers live in
-// BENCH_hotpath.json's "path" section (written by taxbench, gated by
-// taxbench -check); this test enforces ceilings so a regression fails
-// here first, with a name, rather than in the bench diff.
+// mediation (header peeks + verbatim forward), final delivery (single
+// decode + route + mailbox), and one lazy Decode of the same frame, the
+// bound a header-only relay must stay under. The counts are exact with
+// the collector paused; under the race detector, where sync.Pool drops
+// Puts at random, only the ceilings hold.
 func TestForwardPathStageAllocs(t *testing.T) {
 	ch := newPathChain(t, nil)
 	var frame []byte
@@ -239,26 +241,114 @@ func TestForwardPathStageAllocs(t *testing.T) {
 		}
 	})
 
-	t.Logf("stage allocs: origin=%.0f relay=%.0f deliver=%.0f", origin, relay, deliver)
-	// Ceilings, not exact pins: the exact values are recorded (and
-	// double-run-verified) in BENCH_hotpath.json. A relay is the hot
-	// multiplier — every extra hop pays it — so its budget is the tight
-	// one: its peek reads _TARGET in place and the intern table parses
-	// it, so it allocates nothing.
-	if relay > 0 {
-		t.Errorf("relay stage allocates %.0f, budget 0: header-only forwarding regressed", relay)
+	decode := testing.AllocsPerRun(runs, func() { _, _ = briefcase.Decode(frame) })
+
+	t.Logf("stage allocs: origin=%.0f relay=%.0f deliver=%.0f decode=%.0f", origin, relay, deliver, decode)
+	if relay >= decode {
+		t.Errorf("relay stage allocates %.0f >= decode's %.0f: the relay cannot be header-only", relay, decode)
 	}
-	// The link copy, and one more under the race detector, where
-	// sync.Pool drops encode buffers at random: _SENDER aliases the
-	// registration's stamp and _TARGET is read in place.
-	if origin > 2 {
-		t.Errorf("origin stage allocates %.0f, budget 2", origin)
+	// origin: the link copy; _SENDER aliases the registration's stamp
+	// and _TARGET is read in place. relay: its peek reads _TARGET in
+	// place and the intern table parses it, so it allocates nothing — a
+	// relay is the hot multiplier, every extra hop pays it. decode: the
+	// briefcase, folder chunk and folder list, and a string per folder
+	// name. deliver: one decode, routing and the mailbox hand-off, with
+	// _TARGET and _SENDER interned, not copied. Under the race detector
+	// the origin may pay one more for an encode buffer the pool dropped.
+	stages := []struct {
+		name         string
+		got          float64
+		want, budget float64
+	}{
+		{"origin", origin, 1, 2},
+		{"relay", relay, 0, 0},
+		{"deliver", deliver, 7, 7},
+		{"decode", decode, 6, 6},
 	}
-	// One decode (briefcase, folder chunk, folder list, a string per
-	// folder name), routing, and the mailbox hand-off. _TARGET and
-	// _SENDER are interned, not copied.
-	if deliver > 7 {
-		t.Errorf("deliver stage allocates %.0f, budget 7", deliver)
+	for _, s := range stages {
+		switch {
+		case raceBuild && s.got > s.budget:
+			t.Errorf("%s stage allocates %.0f, budget %.0f", s.name, s.got, s.budget)
+		case !raceBuild && s.got != s.want:
+			t.Errorf("%s stage allocates %.0f, want exactly %.0f", s.name, s.got, s.want)
+		}
+	}
+}
+
+// TestPolicySendAllocs pins what the policy gate adds to a send: local,
+// remote and batched-remote sends from a tenant (the system principal
+// bypasses the gate) cost 1, 1 and 0 allocations, with no engine and
+// with an AllowAll engine on the sender alike. Remote sends are dropped
+// at a's transport, after the link copy, so the count prices the
+// sender's work alone.
+func TestPolicySendAllocs(t *testing.T) {
+	if raceBuild {
+		t.Skip("exact allocation counts do not hold under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for path, want := range map[string]float64{"local": 1, "remote": 1, "remote-batched": 0} {
+		var allocs [2]float64 // no engine, AllowAll
+		for i, engine := range []bool{false, true} {
+			ch := newPathChain(t, func(c *Config) {
+				if c.HostName != "a" {
+					return
+				}
+				if engine {
+					c.Policy = policy.New(vclock.NewVirtual(), policy.AllowAll(), policy.Quota{})
+				}
+				if path == "remote-batched" {
+					c.Batch = &BatchConfig{MaxFrames: 16, MaxBytes: 1 << 20, MaxDelay: time.Hour, FlushEvery: -1}
+				}
+			})
+			a := ch.fws["a"]
+			src, err := a.Register("vm", "tenant", "src")
+			if err != nil {
+				t.Fatal(err)
+			}
+			local, err := a.Register("vm", "tenant", "dst")
+			if err != nil {
+				t.Fatal(err)
+			}
+			target, inbox := "tacoma://d/system/dst", ch.dst
+			if path == "local" {
+				target, inbox = "tenant/dst", local
+			}
+			bc := briefcase.New()
+			bc.SetString("BODY", "policy gate pricing payload: a plausible mid-crawl status line of ordinary size")
+			bc.SetString(briefcase.FolderSysTarget, target)
+			// Warm the path end to end: folder writes, bucket resolution,
+			// encoder pools and, batched, the link's container.
+			for range 32 {
+				if err := a.Send(src.GlobalURI(), bc); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := a.FlushBatches(); err != nil {
+				t.Fatal(err)
+			}
+			for range 32 {
+				if _, ok := inbox.TryRecv(); !ok {
+					t.Fatalf("%s warm-up send was not delivered", path)
+				}
+			}
+			ch.nodes["a"].drop = path != "local"
+			allocs[i] = testing.AllocsPerRun(200, func() {
+				if err := a.Send(src.GlobalURI(), bc); err != nil {
+					t.Fatal(err)
+				}
+				if path == "local" {
+					if _, ok := inbox.TryRecv(); !ok {
+						t.Fatal("local send produced no delivery")
+					}
+				}
+			})
+		}
+		off, on := allocs[0], allocs[1]
+		t.Logf("%s send: %.0f allocs with no engine, %.0f with AllowAll", path, off, on)
+		if off != want || on != want {
+			t.Errorf("%s send allocates %.0f with no engine and %.0f with AllowAll (the gate's delta %+.0f), want %.0f and a delta of 0",
+				path, off, on, on-off, want)
+		}
 	}
 }
 

@@ -10,7 +10,7 @@ func BenchmarkFIFOStampReceive(b *testing.B) {
 	snd, _ := NewEngine("a", members, FIFO)
 	rcv, _ := NewEngine("b", members, FIFO)
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		env := snd.Stamp(nil)
 		if _, err := rcv.Receive(env); err != nil {
 			b.Fatal(err)
@@ -23,7 +23,7 @@ func BenchmarkCausalStampReceive(b *testing.B) {
 	snd, _ := NewEngine("a", members, Causal)
 	rcv, _ := NewEngine("b", members, Causal)
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		env := snd.Stamp(nil)
 		if _, err := rcv.Receive(env); err != nil {
 			b.Fatal(err)
@@ -38,7 +38,7 @@ func BenchmarkTotalSequencedReceive(b *testing.B) {
 	rcv, _ := NewEngine("seq", members, Total)
 	_ = rcv
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		env := snd.Stamp(nil)
 		seq.Sequence(&env)
 		if _, err := seq.Receive(env); err != nil {
@@ -53,7 +53,7 @@ func BenchmarkVCEncodeDecode(b *testing.B) {
 		vc[fmt.Sprintf("member-%d", i)] = uint64(i * 1000)
 	}
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		if _, err := DecodeVC(vc.Encode()); err != nil {
 			b.Fatal(err)
 		}

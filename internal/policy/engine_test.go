@@ -2,6 +2,8 @@ package policy
 
 import (
 	"fmt"
+	"runtime/debug"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -89,6 +91,49 @@ allow tourist* send tacoma://*.uit.no/*/vm_*
 	if allocs != 0 {
 		t.Errorf("Eval allocates %v per run, want 0", allocs)
 	}
+	t.Run("10k-warm-buckets", func(t *testing.T) {
+		e, tenants := warmTenants(t)
+		u := target(t, "tacoma://h1/system/dst")
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		i := 0
+		allocs := testing.AllocsPerRun(200, func() {
+			if v := e.Eval(tenants[i%len(tenants)], OpSend, u); v.Effect != Allow {
+				t.Fatalf("verdict %+v, want allow", v)
+			}
+			i++
+		})
+		if allocs != 0 {
+			t.Errorf("Eval with %d warm buckets allocates %v per run, want 0", len(tenants), allocs)
+		}
+	})
+}
+
+// warmTenants is an engine with ten thousand tenant buckets behind it,
+// each resolved by a first Charge, so a measurement prices the steady
+// state. The clock is virtual and frozen: refill arithmetic runs but
+// never sees time pass. It skips under the race detector, where exact
+// allocation counts do not hold.
+func warmTenants(t *testing.T) (*Engine, []string) {
+	if raceBuild {
+		t.Skip("exact allocation counts do not hold under the race detector")
+	}
+	e := New(vclock.NewVirtual(), MustParse(`
+default deny
+mgmt: deny * mgmt **
+ok: allow tenant* send tacoma://h*/**
+lim: quota tenant* rate=1000 burst=1000 bytes=1048576
+`), Quota{})
+	tenants := make([]string, 10_000)
+	for i := range tenants {
+		tenants[i] = "tenant" + strconv.Itoa(i)
+		if _, ok := e.Charge(tenants[i], 1); !ok {
+			t.Fatalf("warm-up charge refused for %s", tenants[i])
+		}
+	}
+	if got := e.Principals(); got != len(tenants) {
+		t.Fatalf("%d buckets after warm-up, want %d", got, len(tenants))
+	}
+	return e, tenants
 }
 
 func TestChargeRateQuota(t *testing.T) {
@@ -185,6 +230,20 @@ func TestChargeAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("steady-state Charge allocates %v per run, want 0", allocs)
 	}
+	t.Run("10k-warm-buckets", func(t *testing.T) {
+		e, tenants := warmTenants(t)
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		i := 0
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, ok := e.Charge(tenants[i%len(tenants)], 64); !ok {
+				t.Fatal("charge refused")
+			}
+			i++
+		})
+		if allocs != 0 {
+			t.Errorf("Charge with %d warm buckets allocates %v per run, want 0", len(tenants), allocs)
+		}
+	})
 }
 
 // TestRefillOverflow: a huge idle gap must clamp to the cap, not wrap

@@ -340,8 +340,7 @@ func BenchmarkSendLAN(b *testing.B) {
 	h.SetHandler(func(string, []byte) {})
 	payload := make([]byte, 1024)
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		if err := a.Send("b", payload); err != nil {
 			b.Fatal(err)
 		}

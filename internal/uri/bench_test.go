@@ -4,7 +4,7 @@ import "testing"
 
 func BenchmarkParseFull(b *testing.B) {
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		if _, err := Parse("tacoma://cl2.cs.uit.no:27017/tacoma@cl2/vm_c:933821661"); err != nil {
 			b.Fatal(err)
 		}
@@ -18,7 +18,7 @@ func BenchmarkParseBytesHit(b *testing.B) {
 	_, _ = ParseBytes(addr)
 	_, _ = ParseBytes(addr)
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		if _, err := ParseBytes(addr); err != nil {
 			b.Fatal(err)
 		}
@@ -27,7 +27,7 @@ func BenchmarkParseBytesHit(b *testing.B) {
 
 func BenchmarkParseLocal(b *testing.B) {
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		if _, err := Parse("ag_exec"); err != nil {
 			b.Fatal(err)
 		}
@@ -37,7 +37,7 @@ func BenchmarkParseLocal(b *testing.B) {
 func BenchmarkString(b *testing.B) {
 	u := MustParse("tacoma://cl2.cs.uit.no:27018/alice/webbot:2a")
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		_ = u.String()
 	}
 }
@@ -46,7 +46,7 @@ func BenchmarkMatches(b *testing.B) {
 	reg := MustParse("alice/webbot:2a")
 	q := MustParse("webbot")
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		if !reg.Matches(q) {
 			b.Fatal("mismatch")
 		}

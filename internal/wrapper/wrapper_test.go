@@ -458,6 +458,11 @@ func TestGroupWrapperFIFOBroadcast(t *testing.T) {
 		msgs []string
 	}
 	results := make(chan memberResult, 3)
+	// The sender waits until every member has installed its group
+	// wrapper: a message reaching a member before its boot briefcase
+	// would be taken for the boot.
+	var installed sync.WaitGroup
+	installed.Add(3) // one per member below
 
 	members := []string{
 		"tacoma://h1/system/m1:1100",
@@ -470,6 +475,8 @@ func TestGroupWrapperFIFOBroadcast(t *testing.T) {
 	// the membership list, then install the wrapper.
 	mkMember := func(idx int, sender bool) func(ctx *agent.Context) error {
 		return func(ctx *agent.Context) error {
+			release := sync.OnceFunc(installed.Done)
+			defer release()
 			boot, err := ctx.Await(5 * time.Second)
 			if err != nil {
 				return err
@@ -488,7 +495,9 @@ func TestGroupWrapperFIFOBroadcast(t *testing.T) {
 			if err := wrapper.NewStack(g).Install(ctx); err != nil {
 				return err
 			}
+			release()
 			if sender {
+				installed.Wait()
 				for i := 0; i < sends; i++ {
 					bc := briefcase.New()
 					bc.SetString("BODY", string(rune('a'+i)))
