@@ -1,6 +1,7 @@
 package linkmine
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -126,9 +127,9 @@ func TestMobileMovesLessData(t *testing.T) {
 
 func TestPaperHeadlineShape(t *testing.T) {
 	// E1: on the full 917-page / 3 MB workload over a 100 Mbit LAN the
-	// mobile (locally executing) Webbot is ≈16% faster. The simulator is
-	// calibrated to land in the paper's neighborhood; the test accepts
-	// the shape: a clear single-digit-to-tens percent win.
+	// mobile (locally executing) Webbot is 16.9% faster (the paper
+	// reports 16%). Every figure is virtual-clock arithmetic, so the
+	// test holds EXPERIMENTS E1's row digit for digit.
 	if testing.Short() {
 		t.Skip("full workload")
 	}
@@ -139,14 +140,16 @@ func TestPaperHeadlineShape(t *testing.T) {
 	if cmp.Stationary.PagesVisited != 917 {
 		t.Errorf("stationary pages = %d, want 917", cmp.Stationary.PagesVisited)
 	}
-	speedup := cmp.SpeedupPercent()
-	if speedup < 5 || speedup > 35 {
-		t.Errorf("LAN speedup = %.1f%%, want in the paper's neighborhood (5..35, reported 16)",
-			speedup)
+	got := fmt.Sprintf("%.1f / %.1f ms, %.1f%%, %d / %d B",
+		msOf(cmp.Stationary.ScanElapsed), msOf(cmp.Mobile.ScanElapsed), cmp.SpeedupPercent(),
+		cmp.Stationary.LinkBytes, cmp.Mobile.LinkBytes)
+	if want := "4572.6 / 3798.5 ms, 16.9%, 3351202 / 70043 B"; got != want {
+		t.Errorf("E1 = %s, want %s", got, want)
 	}
-	t.Logf("E1: stationary %v, mobile %v, speedup %.1f%%",
-		cmp.Stationary.ScanElapsed, cmp.Mobile.ScanElapsed, speedup)
 }
+
+// msOf is d in milliseconds, as the evaluation tables print it.
+func msOf(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // TestRunSharesOneSite: Run generates the site once and both deployments
 // serve that one site, which the two scans leave exactly as generated;

@@ -1,6 +1,7 @@
 package linkmine
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -103,5 +104,49 @@ func TestMultiSkipsUnreachableServer(t *testing.T) {
 	want := d.Sites["www1"].PagesWithinDepth(4) + d.Sites["www3"].PagesWithinDepth(4)
 	if rep.PagesVisited != want {
 		t.Errorf("pages = %d, want %d", rep.PagesVisited, want)
+	}
+}
+
+// TestCampusFigures holds EXPERIMENTS E1-campus's first two rows (200
+// pages per server) digit for digit: elapsed and link bytes, fixed
+// client then itinerant agent.
+func TestCampusFigures(t *testing.T) {
+	for _, tc := range []struct {
+		servers int
+		want    string
+	}{
+		{1, "2011.3 / 1854.2 ms, 730340 / 132476 B"},
+		{2, "4152.6 / 3831.4 ms, 1461121 / 200094 B"},
+	} {
+		t.Run(fmt.Sprintf("K%d", tc.servers), func(t *testing.T) {
+			servers := make([]string, tc.servers)
+			for i := range servers {
+				servers[i] = fmt.Sprintf("www%d", i+1)
+			}
+			cfg := MultiConfig{Servers: servers, PagesPerServer: 200}
+			ds, err := NewMultiDeployment(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = ds.Close() }()
+			stationary, err := ds.RunStationaryMulti()
+			if err != nil {
+				t.Fatal(err)
+			}
+			dm, err := NewMultiDeployment(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = dm.Close() }()
+			mobile, err := dm.RunMobileMulti()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := fmt.Sprintf("%.1f / %.1f ms, %d / %d B", msOf(stationary.Elapsed), msOf(mobile.Elapsed),
+				stationary.LinkBytes, mobile.LinkBytes)
+			if got != tc.want {
+				t.Errorf("campus K=%d = %s, want %s", tc.servers, got, tc.want)
+			}
+		})
 	}
 }
