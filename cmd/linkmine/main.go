@@ -49,22 +49,18 @@ func runCampus(servers, pagesPerServer int, link string) error {
 	default:
 		return fmt.Errorf("unknown link %q", link)
 	}
-	names := make([]string, servers)
-	for i := range names {
-		names[i] = fmt.Sprintf("www%d", i+1)
-	}
-	cfg := linkmine.MultiConfig{Servers: names, PagesPerServer: pagesPerServer, Link: p}
+	cfg := linkmine.Config{Link: p, Servers: servers, Spec: linkmine.CampusSpec(pagesPerServer)}
 
-	ds, err := linkmine.NewMultiDeployment(cfg)
+	ds, err := linkmine.NewDeployment(cfg)
 	if err != nil {
 		return err
 	}
-	stationary, err := ds.RunStationaryMulti()
+	stationary, err := ds.RunStationary()
 	_ = ds.Close()
 	if err != nil {
 		return err
 	}
-	dm, err := linkmine.NewMultiDeployment(cfg)
+	dm, err := linkmine.NewDeployment(cfg)
 	if err != nil {
 		return err
 	}
@@ -75,11 +71,11 @@ func runCampus(servers, pagesPerServer int, link string) error {
 	}
 	fmt.Printf("campus: %d servers x %d pages over %s\n\n", servers, pagesPerServer, link)
 	fmt.Printf("%-12s %12s %12s %10s %10s\n", "mode", "elapsed", "link bytes", "pages", "dead")
-	for _, r := range []*linkmine.MultiReport{stationary, mobile} {
+	for _, r := range []*linkmine.Report{stationary, mobile} {
 		fmt.Printf("%-12s %12v %12d %10d %10d\n",
-			r.Mode, r.Elapsed.Round(1e6), r.LinkBytes, r.PagesVisited, r.DeadLinks)
+			r.Mode, r.TotalElapsed.Round(1e6), r.LinkBytes, r.PagesVisited, r.InvalidTotal())
 	}
-	speedup := (stationary.Elapsed.Seconds() - mobile.Elapsed.Seconds()) / stationary.Elapsed.Seconds() * 100
+	speedup := (stationary.TotalElapsed.Seconds() - mobile.TotalElapsed.Seconds()) / stationary.TotalElapsed.Seconds() * 100
 	fmt.Printf("\nitinerant agent is %.1f%% faster and moves %.0fx less data\n",
 		speedup, float64(stationary.LinkBytes)/float64(mobile.LinkBytes))
 	return nil

@@ -42,14 +42,12 @@ import (
 	"tax/internal/cabinet"
 	"tax/internal/directory"
 	"tax/internal/firewall"
-	"tax/internal/fleet"
 	"tax/internal/identity"
 	"tax/internal/policy"
 	"tax/internal/services"
 	"tax/internal/simnet"
 	"tax/internal/telemetry"
 	"tax/internal/tower"
-	"tax/internal/uri"
 	"tax/internal/vclock"
 	"tax/internal/vm"
 )
@@ -71,8 +69,7 @@ func main() {
 	telDump := flag.String("telemetry-dump", "", "file to periodically write a telemetry JSON snapshot to")
 	telEvery := flag.Duration("telemetry-interval", 30*time.Second, "telemetry dump period")
 	retry := flag.String("retry", "", "default forward-retry policy 'attempts|backoff|deadline' (durations in ns) for agents without a _RETRY folder")
-	fleetN := flag.Int("fleet", 1, "with -launch: number of agent copies to launch through the fleet scheduler")
-	workers := flag.Int("workers", 4, "with -fleet: concurrent launch bound (fleet pool width)")
+	fleetN := flag.Int("fleet", 1, "with -launch: number of agent copies to launch")
 	fsyncCost := flag.Duration("fsync-cost", cabinet.DefaultSyncLatency, "modeled fsync latency of the node's file cabinet (slept for on a live node)")
 	snapEvery := flag.Int("snapshot-every", 0, "cabinet transactions between WAL compactions (0 compacts once the WAL since the last snapshot outweighs the table; negative disables snapshots)")
 	batchFrames := flag.Int("batch", 0, "coalesce up to N outbound same-destination frames per network transfer (0 disables batching)")
@@ -86,13 +83,13 @@ func main() {
 	otlpFile := flag.String("otlp-file", "", "write an OTLP/JSON trace export to this file on shutdown; implies -telemetry")
 	flag.Parse()
 	obsv := obsvConfig{httpAddr: *httpAddr, pprofOn: *pprofOn, otlpFile: *otlpFile}
-	if err := run(*listen, *launch, *telOn, *telDump, *telEvery, *retry, *fleetN, *workers, *fsyncCost, *snapEvery, *batchFrames, *policyFile, *launchAs, *dirPlane, *dirReplicas, *dirTTL, obsv); err != nil {
+	if err := run(*listen, *launch, *telOn, *telDump, *telEvery, *retry, *fleetN, *fsyncCost, *snapEvery, *batchFrames, *policyFile, *launchAs, *dirPlane, *dirReplicas, *dirTTL, obsv); err != nil {
 		fmt.Fprintln(os.Stderr, "taxd:", err)
 		os.Exit(1)
 	}
 }
 
-func run(listen, launch string, telOn bool, telDump string, telEvery time.Duration, retry string, fleetN, workers int, fsyncCost time.Duration, snapEvery int, batchFrames int, policyFile, launchAs, dirPlane string, dirReplicas int, dirTTL time.Duration, obsv obsvConfig) error {
+func run(listen, launch string, telOn bool, telDump string, telEvery time.Duration, retry string, fleetN int, fsyncCost time.Duration, snapEvery int, batchFrames int, policyFile, launchAs, dirPlane string, dirReplicas int, dirTTL time.Duration, obsv obsvConfig) error {
 	if obsv.httpAddr != "" || obsv.otlpFile != "" {
 		telOn = true
 	}
@@ -330,35 +327,15 @@ func run(listen, launch string, telOn bool, telDump string, telEvery time.Durati
 				return err
 			}
 		} else {
-			// Launch N copies through the fleet scheduler: the pool
-			// bounds concurrent launches, and each task holds an
-			// admission slot on its itinerary's first-hop host so one
-			// peer is not swamped by the whole fleet at once.
-			firstHop := ""
-			if len(stops) > 0 {
-				if u, err := uri.Parse(strings.TrimSpace(stops[0])); err == nil {
-					firstHop = u.Host
+			// Every copy runs under the launch principal, so peers'
+			// -policy rules judge each one as they judge a single launch.
+			failed := 0
+			for i := 0; i < fleetN; i++ {
+				if _, err := gvm.Launch(launchAs, fmt.Sprintf("hello-%d", i), "hello_world", buildBC()); err != nil {
+					failed++
 				}
 			}
-			tasks := make([]fleet.Task, fleetN)
-			for i := range tasks {
-				name := fmt.Sprintf("hello-%d", i)
-				var hosts []string
-				if firstHop != "" {
-					hosts = []string{firstHop}
-				}
-				tasks[i] = fleet.Task{
-					ID:    name,
-					Hosts: hosts,
-					Run: func() (any, time.Duration, error) {
-						_, err := gvm.Launch("system", name, "hello_world", buildBC())
-						return name, 0, err
-					},
-				}
-			}
-			rep := fleet.New(fleet.Config{Workers: workers, HostLimit: workers, Telemetry: tel}).Run(tasks)
-			fmt.Printf("taxd: fleet launched %d agents (%d failed) in %v\n",
-				fleetN, rep.Failed(), rep.Wall)
+			fmt.Printf("taxd: fleet launched %d agents (%d failed)\n", fleetN, failed)
 		}
 	}
 

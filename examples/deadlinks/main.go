@@ -33,9 +33,9 @@ func run() error {
 		return err
 	}
 	fmt.Printf("site: %d pages total, %d reachable at depth <= 4, %d dead internal links, %d external links (%d dead)\n\n",
-		d.Site.Pages(), d.Site.PagesWithinDepth(4),
-		len(d.Site.DeadInternalLinks()), len(d.Site.ExternalLinks()),
-		len(d.Site.DeadExternalLinks()))
+		d.Sites[0].Pages(), d.Sites[0].PagesWithinDepth(4),
+		len(d.Sites[0].DeadInternalLinks()), len(d.Sites[0].ExternalLinks()),
+		len(d.Sites[0].DeadExternalLinks()))
 
 	fmt.Println("== stationary Webbot (client pulls every page across the LAN) ==")
 	stationary, err := d.RunStationary()

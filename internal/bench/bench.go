@@ -270,36 +270,31 @@ func Campus() (*Table, error) {
 		Header: []string{"servers", "stationary", "mobile", "speedup", "bytes s", "bytes m"},
 	}
 	for _, k := range []int{1, 2, 4, 8} {
-		servers := make([]string, k)
-		for i := range servers {
-			servers[i] = fmt.Sprintf("www%d", i+1)
-		}
-		cfg := linkmine.MultiConfig{Servers: servers, PagesPerServer: 200}
-
-		ds, err := linkmine.NewMultiDeployment(cfg)
+		cfg := linkmine.Config{Servers: k, Spec: linkmine.CampusSpec(200)}
+		ds, err := linkmine.NewDeployment(cfg)
 		if err != nil {
 			return nil, err
 		}
-		stationary, err := ds.RunStationaryMulti()
-		closeQuietM(ds)
+		stationary, err := ds.RunStationary()
+		closeQuietD(ds)
 		if err != nil {
 			return nil, err
 		}
-		dm, err := linkmine.NewMultiDeployment(cfg)
+		dm, err := linkmine.NewDeployment(cfg)
 		if err != nil {
 			return nil, err
 		}
 		mobile, err := dm.RunMobileMulti()
-		closeQuietM(dm)
+		closeQuietD(dm)
 		if err != nil {
 			return nil, err
 		}
-		speedup := (stationary.Elapsed.Seconds() - mobile.Elapsed.Seconds()) /
-			stationary.Elapsed.Seconds() * 100
+		speedup := (stationary.TotalElapsed.Seconds() - mobile.TotalElapsed.Seconds()) /
+			stationary.TotalElapsed.Seconds() * 100
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", k),
-			ms(stationary.Elapsed),
-			ms(mobile.Elapsed),
+			ms(stationary.TotalElapsed),
+			ms(mobile.TotalElapsed),
 			fmt.Sprintf("%.1f%%", speedup),
 			fmt.Sprintf("%d", stationary.LinkBytes),
 			fmt.Sprintf("%d", mobile.LinkBytes),
@@ -307,8 +302,6 @@ func Campus() (*Table, error) {
 	}
 	return t, nil
 }
-
-func closeQuietM(d *linkmine.MultiDeployment) { _ = d.Close() }
 
 // Crossover finds where mobility stops paying: tiny sites on fast links,
 // where migration overhead exceeds the network savings. It reports the

@@ -67,14 +67,8 @@ func TestExperimentsClaimEveryBaseline(t *testing.T) {
 // baselines: what a path allocates is a property of the package that
 // pays it and is pinned in that package's Alloc tests, so a baseline key
 // that records one (allocs_per_op, send_allocs_delta_per_op) pins the
-// same number twice. The directory's shard-primitive counts are the one
-// exception: no test in internal/directory pins them yet, so deleting
-// them here would lose the pin.
+// same number twice.
 func TestBaselinesHoldNoAllocCounts(t *testing.T) {
-	pending := map[string]bool{
-		"BENCH_directory.json register_allocs_per_op": true,
-		"BENCH_directory.json lookup_allocs_per_op":   true,
-	}
 	committed, err := filepath.Glob(filepath.Join("../..", "BENCH_*.json"))
 	if err != nil || len(committed) == 0 {
 		t.Fatalf("no committed baselines found: %v", err)
@@ -84,7 +78,7 @@ func TestBaselinesHoldNoAllocCounts(t *testing.T) {
 		switch v := v.(type) {
 		case map[string]any:
 			for k, child := range v {
-				if strings.Contains(k, "allocs") && !pending[filepath.Base(file)+" "+k] {
+				if strings.Contains(k, "allocs") {
 					t.Errorf("%s: key %q records an allocation count; pin it in the owning package's test", filepath.Base(file), k)
 				}
 				walk(file, child)

@@ -2,16 +2,14 @@
 // cost of the leased, sharded name service at mobile-web-robot scale.
 // One hundred thousand agents register, renew and resolve against shard
 // counts {1, 4, 16}; every number recorded to BENCH_directory.json is
-// exact — shard ops really execute (exact versions, exact balance),
-// allocation counts come from testing.AllocsPerRun with the GC off, and
+// exact — shard ops really execute (exact versions, exact balance), and
 // the virtual-clock makespan is simnet LAN100 arithmetic over exact
-// frame counts — so reruns are byte-identical.
+// frame counts — so reruns are byte-identical. The shard primitives'
+// allocation counts are pinned by internal/directory's TestShardAllocs.
 package bench
 
 import (
 	"fmt"
-	"runtime/debug"
-	"testing"
 	"time"
 
 	"tax/internal/directory"
@@ -40,10 +38,6 @@ type DirectoryShardResult struct {
 	// per-shard owned-name counts the consistent-hash ring produced.
 	MaxShardLoad int `json:"max_shard_load"`
 	MinShardLoad int `json:"min_shard_load"`
-	// RegisterAllocsPerOp / LookupAllocsPerOp are exact steady-state
-	// allocation counts of one shard-local Coordinate / LookupAt.
-	RegisterAllocsPerOp float64 `json:"register_allocs_per_op"`
-	LookupAllocsPerOp   float64 `json:"lookup_allocs_per_op"`
 	// RegisterMakespanMS is the virtual-clock makespan of registering
 	// the whole population: shards serve their owned names in parallel,
 	// so the makespan is the busiest shard's serial cost — client RPC
@@ -78,17 +72,14 @@ func Directory() (*Table, any, error) {
 	}
 
 	tbl := &Table{
-		Title: fmt.Sprintf("directory plane: %d agents register+renew+resolve, LAN100", directoryBenchAgents),
-		Header: []string{"shards", "replicas", "max/min load", "reg allocs", "lookup allocs",
-			"reg makespan", "regs/vsec", "lookup", "failover"},
+		Title:  fmt.Sprintf("directory plane: %d agents register+renew+resolve, LAN100", directoryBenchAgents),
+		Header: []string{"shards", "replicas", "max/min load", "reg makespan", "regs/vsec", "lookup", "failover"},
 	}
 	for _, p := range res.Results {
 		tbl.Rows = append(tbl.Rows, []string{
 			fmt.Sprint(p.Shards),
 			fmt.Sprint(p.Replicas),
 			fmt.Sprintf("%d/%d", p.MaxShardLoad, p.MinShardLoad),
-			fmt.Sprintf("%.0f", p.RegisterAllocsPerOp),
-			fmt.Sprintf("%.0f", p.LookupAllocsPerOp),
 			fmt.Sprintf("%.1fms", p.RegisterMakespanMS),
 			fmt.Sprintf("%.0f", p.RegsPerVirtualSec),
 			fmt.Sprintf("%.0fµs", p.LookupDirectUS),
@@ -153,31 +144,6 @@ func directorySweepPoint(shards int) (DirectoryShardResult, error) {
 		}
 	}
 
-	// Exact allocation counts for the shard-local primitives, steady
-	// state (every name already bound), GC parked.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	probe := byNode[owners[0]]
-	idx := 0
-	regAllocs := testing.AllocsPerRun(200, func() {
-		name := names[idx%directoryBenchAgents]
-		if owners[idx%directoryBenchAgents] == owners[0] {
-			if _, err := probe.Coordinate(name, "tacoma://h2//vm_go", false, time.Second); err != nil {
-				panic(err)
-			}
-		}
-		idx++
-	})
-	idx = 0
-	lookAllocs := testing.AllocsPerRun(200, func() {
-		name := names[idx%directoryBenchAgents]
-		if owners[idx%directoryBenchAgents] == owners[0] {
-			if _, err := probe.LookupAt(name, time.Second); err != nil {
-				panic(err)
-			}
-		}
-		idx++
-	})
-
 	// Virtual-clock model, LAN100 arithmetic over exact frame counts.
 	// One registration = client→owner request + owner→client ack (one
 	// round trip) plus, with replication, an owner→replica apply and its
@@ -192,17 +158,15 @@ func directorySweepPoint(shards int) (DirectoryShardResult, error) {
 	}
 	makespan := time.Duration(maxLoad) * perWrite
 	p := DirectoryShardResult{
-		Shards:              shards,
-		Replicas:            replicas,
-		Agents:              directoryBenchAgents,
-		MaxShardLoad:        maxLoad,
-		MinShardLoad:        minLoad,
-		RegisterAllocsPerOp: regAllocs,
-		LookupAllocsPerOp:   lookAllocs,
-		RegisterMakespanMS:  float64(makespan.Microseconds()) / 1000,
-		RegsPerVirtualSec:   float64(directoryBenchAgents) / makespan.Seconds(),
-		LookupDirectUS:      float64(rtt.Microseconds()),
-		LookupFailoverUS:    float64((2 * rtt).Microseconds()),
+		Shards:             shards,
+		Replicas:           replicas,
+		Agents:             directoryBenchAgents,
+		MaxShardLoad:       maxLoad,
+		MinShardLoad:       minLoad,
+		RegisterMakespanMS: float64(makespan.Microseconds()) / 1000,
+		RegsPerVirtualSec:  float64(directoryBenchAgents) / makespan.Seconds(),
+		LookupDirectUS:     float64(rtt.Microseconds()),
+		LookupFailoverUS:   float64((2 * rtt).Microseconds()),
 	}
 	return p, nil
 }

@@ -40,11 +40,7 @@ type ParallelResult struct {
 // speedup, and it would make the document differ run to run.
 func Parallel() (*Table, any, error) {
 	const agents = 8
-	servers := make([]string, agents)
-	for i := range servers {
-		servers[i] = fmt.Sprintf("www%d", i+1)
-	}
-	cfg := linkmine.MultiConfig{Servers: servers, PagesPerServer: 120}
+	cfg := linkmine.Config{Servers: agents, Spec: linkmine.CampusSpec(120)}
 
 	t := &Table{
 		Title:  "E3-parallel — fleet execution: N concurrent mwWebbot itineraries",
@@ -54,14 +50,14 @@ func Parallel() (*Table, any, error) {
 	var results []ParallelResult
 	var serialThroughput float64
 	for _, w := range []int{1, 2, 4, 8} {
-		d, err := linkmine.NewMultiDeployment(cfg)
+		d, err := linkmine.NewDeployment(cfg)
 		if err != nil {
 			return nil, nil, err
 		}
 		start := time.Now()
 		rep, err := d.RunFleet(linkmine.FleetOptions{Agents: agents, Workers: w})
 		wall := time.Since(start)
-		closeQuietM(d)
+		closeQuietD(d)
 		if err != nil {
 			return nil, nil, err
 		}

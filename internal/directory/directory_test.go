@@ -2,6 +2,8 @@ package directory
 
 import (
 	"errors"
+	"fmt"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -179,5 +181,42 @@ func TestShardRecoverFromCabinet(t *testing.T) {
 	}
 	if b, ok := s2.Get("bob"); !ok || !b.Dropped {
 		t.Fatalf("recovered tombstone = %+v, %v", b, ok)
+	}
+}
+
+// TestShardAllocs pins the shard-local primitives at zero allocations
+// with 100,000 names bound: a renewing Coordinate and a LookupAt of a
+// bound name allocate nothing.
+func TestShardAllocs(t *testing.T) {
+	if raceBuild {
+		t.Skip("exact allocation counts do not hold under the race detector")
+	}
+	const bound = 100_000
+	sh := NewShard(nil, time.Minute)
+	names := make([]string, bound)
+	for i := range names {
+		names[i] = fmt.Sprintf("agent-%06d", i)
+		if _, err := sh.Coordinate(names[i], "tacoma://h1//vm_go", false, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	i := 0
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := sh.Coordinate(names[i%bound], "tacoma://h2//vm_go", false, time.Second); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}); n != 0 {
+		t.Errorf("Coordinate allocates %v per run, want 0", n)
+	}
+	i = 0
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := sh.LookupAt(names[i%bound], time.Second); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}); n != 0 {
+		t.Errorf("LookupAt allocates %v per run, want 0", n)
 	}
 }

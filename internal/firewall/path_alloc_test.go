@@ -130,16 +130,12 @@ func pathBriefcase() *briefcase.Briefcase {
 }
 
 // TestForwardPathSingleEncodeSingleDecode drives one frame through the
-// full 3-hop chain and proves the tentpole claim with two measurements:
-//
-//  1. Byte identity: the wire bytes on every link are identical, so no
-//     relay re-encoded the payload — the one encode happened at a.
-//  2. Allocation ceiling: a relay's whole inbound mediation costs fewer
-//     allocations than a single lazy Decode of this frame, so no relay
-//     decoded the payload — the one decode happens at d.
-//
-// Together: a 3-hop forwarded itinerary performs exactly one payload
-// encode (origin) and one payload decode (final receiver).
+// full 3-hop chain: the wire bytes on every link are identical, so no
+// relay re-encoded the payload — the one encode happened at a — and
+// the origin copies once onto its link while each relay hands the
+// buffer on. That no relay decodes the payload (a relay stage costs
+// fewer allocations than one Decode of the frame) is
+// TestForwardPathStageAllocs' rule.
 func TestForwardPathSingleEncodeSingleDecode(t *testing.T) {
 	ch := newPathChain(t, nil)
 	var wires [][]byte
@@ -178,20 +174,6 @@ func TestForwardPathSingleEncodeSingleDecode(t *testing.T) {
 				relay, n.ownedSends, n.sends)
 		}
 	}
-
-	// The allocation half of the proof: decode cost of this very frame,
-	// versus a relay's whole inbound stage.
-	frame := wires[0]
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	decodeAllocs := testing.AllocsPerRun(200, func() { _, _ = briefcase.Decode(frame) })
-	ch.nodes["b"].drop = true
-	relayAllocs := testing.AllocsPerRun(200, func() { ch.fws["b"].cfg.Node.(*pathNode).handler("a", frame) })
-	ch.nodes["b"].drop = false
-	if relayAllocs >= decodeAllocs {
-		t.Fatalf("relay stage allocates %.0f >= decode's %.0f: the relay cannot be header-only",
-			relayAllocs, decodeAllocs)
-	}
-	t.Logf("relay stage %.0f allocs vs decode %.0f", relayAllocs, decodeAllocs)
 }
 
 // TestForwardPathStageAllocs pins the per-stage allocation budgets of

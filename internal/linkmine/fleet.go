@@ -1,18 +1,16 @@
 package linkmine
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
-	"tax/internal/agent"
 	"tax/internal/briefcase"
-	"tax/internal/fleet"
-	"tax/internal/telemetry"
-	"tax/internal/vm"
 )
 
 // FolderTask tags each fleet agent's briefcase with its task id so the
@@ -179,42 +177,19 @@ func (a *Aggregator) Malformed() int {
 	return a.malformed
 }
 
-// FleetOptions parameterizes a fleet run over an existing campus.
+// FleetOptions parameterizes a fleet run.
 type FleetOptions struct {
 	// Agents is the number of single-server itineraries to launch;
-	// zero means one per server. Agents are assigned to servers
-	// round-robin, so Agents > len(Servers) queues scans per host.
+	// zero means one per server. Agent i scans server i mod K, so
+	// Agents > K queues scans per server.
 	Agents int
-	// Workers bounds concurrently running itineraries (default 4).
+	// Workers is the width of the pool the makespan is modelled on;
+	// below one means one.
 	Workers int
-	// HostLimit bounds agents concurrently occupying one server
-	// (default 1: one scan per server at a time).
-	HostLimit int
-	// Timeout bounds each task's wall-clock wait (default 120s).
-	Timeout time.Duration
-	// Telemetry, when set, receives the fleet scheduler's gauges.
-	Telemetry *telemetry.Telemetry
-}
-
-func (o FleetOptions) withDefaults(servers int) FleetOptions {
-	if o.Agents <= 0 {
-		o.Agents = servers
-	}
-	if o.Workers <= 0 {
-		o.Workers = 4
-	}
-	if o.HostLimit == 0 {
-		o.HostLimit = 1
-	}
-	if o.Timeout <= 0 {
-		o.Timeout = 120 * time.Second
-	}
-	return o
 }
 
 // FleetReport is one fleet run's outcome.
 type FleetReport struct {
-	Mode    string
 	Agents  int
 	Workers int
 	// Totals over every completed scan.
@@ -226,138 +201,120 @@ type FleetReport struct {
 	Duplicates int
 	// Skipped lists stops recorded unreachable (sorted).
 	Skipped []string
-	// Makespan is the fleet's virtual completion time: the maximum
-	// per-worker sum of intrinsic task costs (each task's crawl
-	// Elapsed, carried home in its CRAWL row). A 1-worker fleet's
-	// makespan is the summed scan time; W workers shrink it roughly
-	// W-fold. Computed from per-task virtual costs, the metric is
-	// deterministic and meaningful even on a single-core host, where
-	// wall-clock speedup is unavailable by construction.
+	// Makespan is the fleet's virtual completion time: the per-task
+	// costs list-scheduled, in task order, onto Workers workers. A
+	// 1-worker fleet's makespan is the summed scan time; W workers
+	// shrink it roughly W-fold. Computed from per-task virtual costs,
+	// the metric is deterministic and meaningful even on a single-core
+	// host, where wall-clock speedup is unavailable by construction.
 	Makespan time.Duration
-	// Wall is the run's wall-clock duration.
-	Wall time.Duration
 	// PerTask is each task's intrinsic virtual cost, in task order.
 	PerTask []time.Duration
-	// WorkerCost is each pool worker's summed virtual task cost.
-	WorkerCost []time.Duration
-	// LinkBytes is total campus traffic attributable to the run.
+	// LinkBytes is the traffic between hosts attributable to the run.
 	LinkBytes int64
 }
 
-// RunFleet scans the campus with a fleet of concurrent single-server
-// mwWebbot itineraries: each agent carries the Webbot binary to one
-// server, scans it there, and returns its condensed results to the
-// client, where a single collector fans every delivery into an
-// exactly-once Aggregator. The fleet scheduler bounds pool width and
-// per-server admission.
-func (d *MultiDeployment) RunFleet(opts FleetOptions) (*FleetReport, error) {
-	opts = opts.withDefaults(len(d.cfg.Servers))
-	bytesBefore := d.allLinkBytes()
+// RunFleet scans the servers with a fleet of single-server mwWebbot
+// itineraries: each agent carries the Webbot binary to one server,
+// scans it there, and returns its condensed results to the client,
+// where a single collector fans every delivery into an exactly-once
+// Aggregator. Each server's agents run one after another, on one
+// goroutine per server, so a scan never shares its server and its cost
+// is its own.
+func (d *Deployment) RunFleet(opts FleetOptions) (*FleetReport, error) {
+	agents := opts.Agents
+	if agents <= 0 {
+		agents = len(d.Servers)
+	}
+	workers := max(opts.Workers, 1)
+	bytesBefore := d.linkBytes()
 
 	agg := NewAggregator()
-	done := make(map[string]chan struct{}, opts.Agents)
+	done := make(map[string]chan struct{}, agents)
 	taskID := func(i int) string { return fmt.Sprintf("task-%d", i) }
-	for i := 0; i < opts.Agents; i++ {
+	for i := 0; i < agents; i++ {
 		done[taskID(i)] = make(chan struct{})
 	}
-
-	// One collector instance loops over all deliveries; the aggregator
-	// drops duplicates, the done channels wake the waiting tasks.
-	d.Client.Programs.Register(CollectorName, func(ctx *agent.Context) error {
-		for fresh := 0; fresh < opts.Agents; {
-			bc, err := ctx.Await(opts.Timeout)
-			if err != nil {
-				return err
-			}
-			id, ok := agg.Add(bc)
-			if !ok {
-				continue
-			}
+	// One collector loops over all deliveries; the aggregator drops
+	// duplicates, the done channels wake the waiting tasks.
+	fresh := 0
+	if err := d.collect(func(bc *briefcase.Briefcase) bool {
+		if id, ok := agg.Add(bc); ok {
 			fresh++
 			if ch, exists := done[id]; exists {
 				close(ch)
 			}
 		}
-		return nil
-	})
-	sysName := d.Sys.SystemPrincipal.Name()
-	if _, err := d.Client.VM.Launch(sysName, CollectorName, CollectorName, nil); err != nil {
+		return fresh == agents
+	}); err != nil {
 		return nil, err
 	}
 
-	tasks := make([]fleet.Task, opts.Agents)
-	for i := range tasks {
-		i := i
-		id := taskID(i)
-		server := d.cfg.Servers[i%len(d.cfg.Servers)]
-		tasks[i] = fleet.Task{
-			ID:    id,
-			Hosts: []string{server},
-			Run: func() (any, time.Duration, error) {
-				bc := briefcase.New()
-				if b, ok := d.Client.Binaries.Resolve(BinaryName, d.Client.Arch); ok {
-					vm.PackBinaries(bc, vm.Binary{
-						Name: b.Name, Arch: b.Arch, Version: b.Version, Payload: b.Payload,
-					})
-				}
-				bc.SetInt(FolderDepth, int64(d.cfg.MaxDepth))
+	errs := make([]error, len(d.Servers))
+	var wg sync.WaitGroup
+	for s, server := range d.Servers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := s; i < agents && errs[s] == nil; i += len(d.Servers) {
+				id := taskID(i)
+				bc := d.itinerary(server.Name)
 				bc.SetString(FolderTask, id)
-				hosts := bc.Ensure(briefcase.FolderHosts)
-				hosts.AppendString("tacoma://" + server + "//vm_go")
-				hosts.AppendString("tacoma://" + d.cfg.ClientHost + "//vm_go")
-				if _, err := d.Client.VM.Launch(sysName, "mwWebbot-"+id, MultiProgram, bc); err != nil {
-					return nil, 0, err
+				if _, err := d.Client.VM.Launch(d.Sys.SystemPrincipal.Name(), "mwWebbot-"+id, MultiProgram, bc); err != nil {
+					errs[s] = err
+					break
 				}
 				select {
 				case <-done[id]:
-				case <-time.After(opts.Timeout):
-					return nil, 0, fmt.Errorf("linkmine: fleet task %s timed out", id)
+				case <-time.After(scanTimeout):
+					errs[s] = fmt.Errorf("linkmine: fleet task %s timed out", id)
 				}
-				// The task's virtual cost is its scan's intrinsic
-				// elapsed time, carried home in the CRAWL row: it
-				// depends only on the (seeded) site and the crawl, not
-				// on how other chains advanced shared clocks, so the
-				// fleet makespan is deterministic.
-				tr, ok := agg.Task(id)
-				if !ok {
-					return nil, 0, fmt.Errorf("linkmine: fleet task %s not aggregated", id)
-				}
-				return id, tr.Elapsed, nil
-			},
-		}
+			}
+		}()
 	}
-
-	sched := fleet.New(fleet.Config{
-		Workers:   opts.Workers,
-		HostLimit: opts.HostLimit,
-		Telemetry: opts.Telemetry,
-	})
-	frep := sched.Run(tasks)
-	for _, res := range frep.Results {
-		if res.Err != nil {
-			return nil, res.Err
-		}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
 	}
 
 	tot := agg.Totals()
 	rep := &FleetReport{
-		Mode:         "fleet",
-		Agents:       opts.Agents,
-		Workers:      opts.Workers,
+		Agents:       agents,
+		Workers:      workers,
 		PagesVisited: tot.Pages,
 		BytesFetched: tot.Bytes,
 		LinksChecked: tot.Links,
 		DeadLinks:    tot.DeadLinks,
 		Duplicates:   agg.Duplicates(),
 		Skipped:      tot.Skipped,
-		Makespan:     frep.Makespan,
-		Wall:         frep.Wall,
-		PerTask:      make([]time.Duration, len(frep.Results)),
-		WorkerCost:   frep.WorkerCost,
-		LinkBytes:    d.allLinkBytes() - bytesBefore,
+		PerTask:      make([]time.Duration, agents),
+		LinkBytes:    d.linkBytes() - bytesBefore,
 	}
-	for i, res := range frep.Results {
-		rep.PerTask[i] = res.Cost
+	for i := range rep.PerTask {
+		// A task's cost is its scan's intrinsic elapsed time, carried
+		// home in its CRAWLS row: it depends only on the (seeded) site
+		// and the crawl, not on how other agents advanced shared
+		// clocks, so the makespan is deterministic.
+		tr, _ := agg.Task(taskID(i))
+		rep.PerTask[i] = tr.Elapsed
 	}
+	rep.Makespan = makespan(rep.PerTask, workers)
 	return rep, nil
+}
+
+// makespan list-schedules costs, in order, onto workers: each to the
+// least-loaded worker, the first of equals, and returns the heaviest
+// load.
+func makespan(costs []time.Duration, workers int) time.Duration {
+	loads := make([]time.Duration, workers)
+	for _, c := range costs {
+		least := 0
+		for w := range loads {
+			if loads[w] < loads[least] {
+				least = w
+			}
+		}
+		loads[least] += c
+	}
+	return slices.Max(loads)
 }

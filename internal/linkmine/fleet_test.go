@@ -135,11 +135,8 @@ func TestAggregatorSingleServerShape(t *testing.T) {
 // fleet finds the identical aggregate page/byte/dead-link counts while
 // finishing in less virtual time than one agent's serial makespan.
 func TestRunFleetMatchesSequential(t *testing.T) {
-	cfg := MultiConfig{
-		Servers:        []string{"www1", "www2", "www3", "www4"},
-		PagesPerServer: 60,
-	}
-	seq, err := NewMultiDeployment(cfg)
+	cfg := Config{Servers: 4, Spec: CampusSpec(60)}
+	seq, err := NewDeployment(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +146,7 @@ func TestRunFleetMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	par, err := NewMultiDeployment(cfg)
+	par, err := NewDeployment(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,8 +162,8 @@ func TestRunFleetMatchesSequential(t *testing.T) {
 	if fleetRep.BytesFetched != seqRep.BytesFetched {
 		t.Errorf("fleet bytes = %d, sequential = %d", fleetRep.BytesFetched, seqRep.BytesFetched)
 	}
-	if fleetRep.DeadLinks != seqRep.DeadLinks {
-		t.Errorf("fleet dead links = %d, sequential = %d", fleetRep.DeadLinks, seqRep.DeadLinks)
+	if fleetRep.DeadLinks != seqRep.InvalidTotal() {
+		t.Errorf("fleet dead links = %d, sequential = %d", fleetRep.DeadLinks, seqRep.InvalidTotal())
 	}
 	if len(fleetRep.Skipped) != 0 {
 		t.Errorf("fleet skipped stops: %v", fleetRep.Skipped)
@@ -174,9 +171,9 @@ func TestRunFleetMatchesSequential(t *testing.T) {
 	if fleetRep.Duplicates != 0 {
 		t.Errorf("fleet duplicates: %d", fleetRep.Duplicates)
 	}
-	if fleetRep.Makespan <= 0 || fleetRep.Makespan >= seqRep.Elapsed {
+	if fleetRep.Makespan <= 0 || fleetRep.Makespan >= seqRep.TotalElapsed {
 		t.Errorf("fleet virtual makespan %v not under sequential %v",
-			fleetRep.Makespan, seqRep.Elapsed)
+			fleetRep.Makespan, seqRep.TotalElapsed)
 	}
 }
 
@@ -184,11 +181,8 @@ func TestRunFleetMatchesSequential(t *testing.T) {
 // makespan is exactly the sum of per-task costs — the baseline every
 // parallel speedup is measured against.
 func TestRunFleetSerialMakespanIsSum(t *testing.T) {
-	cfg := MultiConfig{
-		Servers:        []string{"www1", "www2"},
-		PagesPerServer: 40,
-	}
-	d, err := NewMultiDeployment(cfg)
+	cfg := Config{Servers: 2, Spec: CampusSpec(40)}
+	d, err := NewDeployment(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,25 +203,20 @@ func TestRunFleetSerialMakespanIsSum(t *testing.T) {
 	}
 }
 
-// TestRunFleetMoreAgentsThanServers: round-robin assignment with a
-// per-host admission limit still aggregates every scan exactly once.
+// TestRunFleetMoreAgentsThanServers: round-robin assignment, with each
+// server's scans queued one after another, aggregates every scan
+// exactly once.
 func TestRunFleetMoreAgentsThanServers(t *testing.T) {
-	d, err := NewMultiDeployment(MultiConfig{
-		Servers:        []string{"www1", "www2"},
-		PagesPerServer: 30,
-	})
+	d, err := NewDeployment(Config{Servers: 2, Spec: CampusSpec(30)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	rep, err := d.RunFleet(FleetOptions{Agents: 6, Workers: 4, HostLimit: 1})
+	rep, err := d.RunFleet(FleetOptions{Agents: 6, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := NewMultiDeployment(MultiConfig{
-		Servers:        []string{"www1", "www2"},
-		PagesPerServer: 30,
-	})
+	single, err := NewDeployment(Config{Servers: 2, Spec: CampusSpec(30)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,5 +234,29 @@ func TestRunFleetMoreAgentsThanServers(t *testing.T) {
 	}
 	if len(rep.PerTask) != 6 {
 		t.Errorf("PerTask has %d entries, want 6", len(rep.PerTask))
+	}
+}
+
+// TestFleetMakespan: the makespan list-schedules per-task costs in task
+// order onto the workers, each task to the least-loaded worker, the
+// first of equals; with one worker it is the summed cost, the baseline
+// every parallel speedup is measured against.
+func TestFleetMakespan(t *testing.T) {
+	s := time.Second
+	eight := []time.Duration{s, s, s, s, s, s, s, s}
+	for _, tc := range []struct {
+		costs   []time.Duration
+		workers int
+		want    time.Duration
+	}{
+		// w0 = 3s; w1 = 1+1+1 = 3s; the 2s task ties and lands on w0.
+		{[]time.Duration{3 * s, s, s, s, 2 * s}, 2, 5 * s},
+		{eight, 1, 8 * s},
+		{eight, 3, 3 * s},
+		{eight, 8, s},
+	} {
+		if got := makespan(tc.costs, tc.workers); got != tc.want {
+			t.Errorf("makespan(%v, %d) = %v, want %v", tc.costs, tc.workers, got, tc.want)
+		}
 	}
 }

@@ -111,42 +111,25 @@ func RunFrontierFleet(cfg FrontierFleetConfig) (*FrontierFleetReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	prefix := "http://" + cfg.Host + "/"
-	newFetcher := func(clock vclock.Clock) *websim.Client {
-		return &websim.Client{
-			Server:   websim.DefaultServer(site),
-			Universe: &websim.Universe{Origin: site},
-			Link:     simnet.LAN100,
-			Clock:    clock,
-		}
-	}
+	prefix := prefixOf(site)
 
 	// The baseline: one serial robot over the same site and link.
 	serialClock := vclock.NewVirtual()
-	serial := newRobot(newFetcher(serialClock), serialClock, cfg.MaxDepth, prefix)
+	serial := newRobot(fetcher(site, simnet.LAN100, serialClock), serialClock, cfg.MaxDepth, prefix)
 	serialStats, err := serial.RunCtx(context.Background(), site.Root)
 	if err != nil {
 		return nil, err
 	}
 
-	sys, err := core.NewSystem(simnet.LAN100)
-	if err != nil {
-		return nil, err
-	}
-	defer sys.Close()
-
 	hosts := []string{"base", "mine"}
 	for i := 0; i < cfg.Agents; i++ {
 		hosts = append(hosts, fmt.Sprintf("w%d", i+1))
 	}
-	nodes := make(map[string]*core.Node, len(hosts))
-	for _, h := range hosts {
-		n, err := sys.AddNodeWith(h, core.WithoutCVM(), core.WithDedupWindow(256))
-		if err != nil {
-			return nil, err
-		}
-		nodes[h] = n
+	sys, nodes, err := boot(simnet.LAN100, hosts, 256)
+	if err != nil {
+		return nil, err
 	}
+	defer sys.Close()
 	if cfg.Drop > 0 || cfg.Duplicate > 0 || cfg.Delay > 0 {
 		faults.New(faults.Config{
 			Seed:      cfg.FaultSeed,
@@ -159,7 +142,7 @@ func RunFrontierFleet(cfg FrontierFleetConfig) (*FrontierFleetReport, error) {
 	// The frontier service: durable in mine's cabinet, admission
 	// server-side. AdoptClaims stays false — the claiming workers live
 	// on other hosts and survive mine's crash.
-	mine := nodes["mine"]
+	mine := nodes[1]
 	gate, err := webbot.NewGate(nil, webbot.WithMaxDepth(cfg.MaxDepth), webbot.WithPrefix(prefix))
 	if err != nil {
 		return nil, err
@@ -211,14 +194,14 @@ func RunFrontierFleet(cfg FrontierFleetConfig) (*FrontierFleetReport, error) {
 		Retry:   firewall.RetryPolicy{Attempts: 8, Backoff: 200 * time.Microsecond},
 		Timeout: time.Second,
 	}
-	newCtx := func(host, name string) (*agent.Context, error) {
-		reg, err := nodes[host].FW.Register("test", "system", name)
+	newCtx := func(n *core.Node, name string) (*agent.Context, error) {
+		reg, err := n.FW.Register("test", "system", name)
 		if err != nil {
 			return nil, err
 		}
-		return agent.NewContext(nodes[host].FW, reg, briefcase.New(), nil, nil), nil
+		return agent.NewContext(n.FW, reg, briefcase.New(), nil, nil), nil
 	}
-	coord, err := newCtx("base", "coordinator")
+	coord, err := newCtx(nodes[0], "coordinator")
 	if err != nil {
 		return nil, err
 	}
@@ -236,8 +219,8 @@ func RunFrontierFleet(cfg FrontierFleetConfig) (*FrontierFleetReport, error) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			host := fmt.Sprintf("w%d", i+1)
-			worker := fmt.Sprintf("agent-%s", host)
+			host := nodes[2+i]
+			worker := "agent-" + host.Name
 			ctx, err := newCtx(host, worker)
 			if err != nil {
 				mu.Lock()
@@ -248,7 +231,7 @@ func RunFrontierFleet(cfg FrontierFleetConfig) (*FrontierFleetReport, error) {
 			// Fetch costs are recorded on a private virtual clock, so
 			// they depend only on the URL — not on claim interleaving.
 			clk := vclock.NewVirtual()
-			fetcher := newFetcher(clk)
+			f := fetcher(site, simnet.LAN100, clk)
 			// One round trip per lease: each report brings the next.
 			var (
 				recs  []*frontier.PageRecord
@@ -262,7 +245,7 @@ func RunFrontierFleet(cfg FrontierFleetConfig) (*FrontierFleetReport, error) {
 					fetched[cl.URL]++
 					mu.Unlock()
 					before := clk.Now()
-					resp, ferr := fetcher.Fetch(cl.URL)
+					resp, ferr := f.Fetch(cl.URL)
 					if ferr != nil {
 						fails = append(fails, frontier.FetchFailure{URL: cl.URL, Attempt: cl.Attempts, Code: webbot.CodeFetchFailed, Reason: ferr.Error(), Retryable: true})
 						continue

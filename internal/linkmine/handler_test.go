@@ -14,10 +14,10 @@ import (
 	"tax/internal/websim"
 )
 
-// TestWebbotHandlerDepth drives both deployments' Webbot binaries with
-// the crawl depth a briefcase can carry: none, a negative one, and one
-// past the stable limit, which clamps to depth 4 and journals the
-// abandoned subtrees as wb_depth_unstable.
+// TestWebbotHandlerDepth drives the Webbot binary, on the paper's server
+// and on a campus server, with the crawl depth a briefcase can carry:
+// none, a negative one, and one past the stable limit, which clamps to
+// depth 4 and journals the abandoned subtrees as wb_depth_unstable.
 func TestWebbotHandlerDepth(t *testing.T) {
 	var robots []*webbot.Robot
 	build := newRobot
@@ -33,15 +33,11 @@ func TestWebbotHandlerDepth(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = single.Close() }()
-	multi, err := NewMultiDeployment(smallMulti())
+	campus, err := NewDeployment(smallMulti())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = multi.Close() }()
-	www1, err := multi.Sys.Node("www1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	defer func() { _ = campus.Close() }()
 
 	for _, h := range []struct {
 		name    string
@@ -49,8 +45,8 @@ func TestWebbotHandlerDepth(t *testing.T) {
 		handler vm.Handler
 		site    *websim.Site
 	}{
-		{"single", single.Server, single.webbotHandler(single.Server), single.Site},
-		{"multi", www1, multi.webbotHandler(www1), multi.Sites["www1"]},
+		{"single", single.Servers[0], single.webbotHandler(single.Servers[0]), single.Sites[0]},
+		{"campus", campus.Servers[0], campus.webbotHandler(campus.Servers[0]), campus.Sites[0]},
 	} {
 		for i, tc := range []struct {
 			name    string

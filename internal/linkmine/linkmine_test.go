@@ -36,12 +36,12 @@ func TestStationaryScan(t *testing.T) {
 	if rep.Mode != "stationary" {
 		t.Errorf("mode = %q", rep.Mode)
 	}
-	if rep.PagesVisited != d.Site.PagesWithinDepth(4) {
-		t.Errorf("pages = %d, want %d", rep.PagesVisited, d.Site.PagesWithinDepth(4))
+	if rep.PagesVisited != d.Sites[0].PagesWithinDepth(4) {
+		t.Errorf("pages = %d, want %d", rep.PagesVisited, d.Sites[0].PagesWithinDepth(4))
 	}
-	if len(rep.InvalidInternal) != len(d.Site.DeadInternalLinks()) {
+	if len(rep.InvalidInternal) != len(d.Sites[0].DeadInternalLinks()) {
 		t.Errorf("invalid internal = %d, want %d",
-			len(rep.InvalidInternal), len(d.Site.DeadInternalLinks()))
+			len(rep.InvalidInternal), len(d.Sites[0].DeadInternalLinks()))
 	}
 	if rep.ScanElapsed <= 0 || rep.TotalElapsed < rep.ScanElapsed {
 		t.Errorf("elapsed: scan %v total %v", rep.ScanElapsed, rep.TotalElapsed)
@@ -62,12 +62,12 @@ func TestMobileScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.PagesVisited != d.Site.PagesWithinDepth(4) {
-		t.Errorf("pages = %d, want %d", rep.PagesVisited, d.Site.PagesWithinDepth(4))
+	if rep.PagesVisited != d.Sites[0].PagesWithinDepth(4) {
+		t.Errorf("pages = %d, want %d", rep.PagesVisited, d.Sites[0].PagesWithinDepth(4))
 	}
-	if len(rep.InvalidInternal) != len(d.Site.DeadInternalLinks()) {
+	if len(rep.InvalidInternal) != len(d.Sites[0].DeadInternalLinks()) {
 		t.Errorf("invalid internal = %d, want %d",
-			len(rep.InvalidInternal), len(d.Site.DeadInternalLinks()))
+			len(rep.InvalidInternal), len(d.Sites[0].DeadInternalLinks()))
 	}
 	if rep.ExternalChecks == 0 {
 		t.Error("second pass never ran")
@@ -168,16 +168,16 @@ func TestRunSharesOneSite(t *testing.T) {
 		t.Fatalf("pages %d stationary, %d mobile, want 917", cmp.Stationary.PagesVisited, cmp.Mobile.PagesVisited)
 	}
 	stat, mob := ds[0], ds[1]
-	if stat.Site != mob.Site {
+	if stat.Sites[0] != mob.Sites[0] {
 		t.Error("deployments serve different sites, want one shared site")
 	}
-	if stat.Site.Fingerprint() != fresh.Fingerprint() {
+	if stat.Sites[0].Fingerprint() != fresh.Fingerprint() {
 		t.Error("the scans changed the shared site")
 	}
-	if stat.Sys == mob.Sys || stat.Client == mob.Client || stat.Server == mob.Server {
+	if stat.Sys == mob.Sys || stat.Client == mob.Client || stat.Servers[0] == mob.Servers[0] {
 		t.Error("deployments share a system or node")
 	}
-	if stat.Client.Host.Clock() == mob.Client.Host.Clock() || stat.Server.Host.Clock() == mob.Server.Host.Clock() {
+	if stat.Client.Host.Clock() == mob.Client.Host.Clock() || stat.Servers[0].Host.Clock() == mob.Servers[0].Host.Clock() {
 		t.Error("deployments share a clock")
 	}
 }
@@ -261,7 +261,7 @@ func TestReportEncodingRoundTrip(t *testing.T) {
 	}
 	encodeReports(bc.Ensure("R"), in)
 	f, _ := bc.Folder("R")
-	out := decodeReports(f)
+	out := decodeReports(f.Strings())
 	if len(out) != 2 || out[0] != in[0] || out[1] != in[1] {
 		t.Errorf("round trip: %+v", out)
 	}

@@ -5,20 +5,17 @@ import (
 	"testing"
 )
 
-func smallMulti() MultiConfig {
-	return MultiConfig{
-		Servers:        []string{"www1", "www2", "www3"},
-		PagesPerServer: 60,
-	}
+func smallMulti() Config {
+	return Config{Servers: 3, Spec: CampusSpec(60)}
 }
 
 func TestMultiStationary(t *testing.T) {
-	d, err := NewMultiDeployment(smallMulti())
+	d, err := NewDeployment(smallMulti())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = d.Close() }()
-	rep, err := d.RunStationaryMulti()
+	rep, err := d.RunStationary()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,26 +28,26 @@ func TestMultiStationary(t *testing.T) {
 	if rep.PagesVisited != wantPages {
 		t.Errorf("pages = %d, want %d", rep.PagesVisited, wantPages)
 	}
-	if rep.DeadLinks != wantDead {
-		t.Errorf("dead links = %d, want %d", rep.DeadLinks, wantDead)
+	if rep.InvalidTotal() != wantDead {
+		t.Errorf("dead links = %d, want %d", rep.InvalidTotal(), wantDead)
 	}
-	if rep.Elapsed <= 0 {
+	if rep.TotalElapsed <= 0 {
 		t.Error("no elapsed time")
 	}
 }
 
 func TestMultiMobileMatchesStationary(t *testing.T) {
-	ds, err := NewMultiDeployment(smallMulti())
+	ds, err := NewDeployment(smallMulti())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = ds.Close() }()
-	stationary, err := ds.RunStationaryMulti()
+	stationary, err := ds.RunStationary()
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	dm, err := NewMultiDeployment(smallMulti())
+	dm, err := NewDeployment(smallMulti())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,18 +61,18 @@ func TestMultiMobileMatchesStationary(t *testing.T) {
 		t.Errorf("coverage differs: mobile %d, stationary %d",
 			mobile.PagesVisited, stationary.PagesVisited)
 	}
-	if mobile.DeadLinks != stationary.DeadLinks {
+	if mobile.InvalidTotal() != stationary.InvalidTotal() {
 		t.Errorf("dead links differ: mobile %d, stationary %d",
-			mobile.DeadLinks, stationary.DeadLinks)
+			mobile.InvalidTotal(), stationary.InvalidTotal())
 	}
 	if len(mobile.Skipped) != 0 {
 		t.Errorf("skipped servers: %v", mobile.Skipped)
 	}
 	// The itinerant agent must beat the fixed client on the campus LAN
 	// and move far less data.
-	if mobile.Elapsed >= stationary.Elapsed {
+	if mobile.TotalElapsed >= stationary.TotalElapsed {
 		t.Errorf("mobile %v not faster than stationary %v",
-			mobile.Elapsed, stationary.Elapsed)
+			mobile.TotalElapsed, stationary.TotalElapsed)
 	}
 	if mobile.LinkBytes >= stationary.LinkBytes {
 		t.Errorf("mobile moved %d bytes, stationary %d",
@@ -84,7 +81,7 @@ func TestMultiMobileMatchesStationary(t *testing.T) {
 }
 
 func TestMultiSkipsUnreachableServer(t *testing.T) {
-	d, err := NewMultiDeployment(smallMulti())
+	d, err := NewDeployment(smallMulti())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +98,7 @@ func TestMultiSkipsUnreachableServer(t *testing.T) {
 		t.Fatalf("skipped = %v, want exactly www2", rep.Skipped)
 	}
 	// Two of three servers still scanned.
-	want := d.Sites["www1"].PagesWithinDepth(4) + d.Sites["www3"].PagesWithinDepth(4)
+	want := d.Sites[0].PagesWithinDepth(4) + d.Sites[2].PagesWithinDepth(4)
 	if rep.PagesVisited != want {
 		t.Errorf("pages = %d, want %d", rep.PagesVisited, want)
 	}
@@ -119,21 +116,17 @@ func TestCampusFigures(t *testing.T) {
 		{2, "4152.6 / 3831.4 ms, 1461121 / 200094 B"},
 	} {
 		t.Run(fmt.Sprintf("K%d", tc.servers), func(t *testing.T) {
-			servers := make([]string, tc.servers)
-			for i := range servers {
-				servers[i] = fmt.Sprintf("www%d", i+1)
-			}
-			cfg := MultiConfig{Servers: servers, PagesPerServer: 200}
-			ds, err := NewMultiDeployment(cfg)
+			cfg := Config{Servers: tc.servers, Spec: CampusSpec(200)}
+			ds, err := NewDeployment(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer func() { _ = ds.Close() }()
-			stationary, err := ds.RunStationaryMulti()
+			stationary, err := ds.RunStationary()
 			if err != nil {
 				t.Fatal(err)
 			}
-			dm, err := NewMultiDeployment(cfg)
+			dm, err := NewDeployment(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -142,7 +135,7 @@ func TestCampusFigures(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := fmt.Sprintf("%.1f / %.1f ms, %d / %d B", msOf(stationary.Elapsed), msOf(mobile.Elapsed),
+			got := fmt.Sprintf("%.1f / %.1f ms, %d / %d B", msOf(stationary.TotalElapsed), msOf(mobile.TotalElapsed),
 				stationary.LinkBytes, mobile.LinkBytes)
 			if got != tc.want {
 				t.Errorf("campus K=%d = %s, want %s", tc.servers, got, tc.want)
