@@ -29,7 +29,9 @@ check: vet build race
 # harness's line budget (internal/bench + cmd/taxbench at most 2,000
 # code lines, counted as `make loc` counts them), the case study's line
 # budget (internal/linkmine at most 1,100 code lines, counted the same
-# way: one deployment, not one per shape), the full suite
+# way: one deployment, not one per shape), the chaos harness's line
+# budget (internal/chaostest at most 950 code lines: one tour world
+# under Run, RunParallel and the crash-point sweep), the full suite
 # twice under the race detector (flushes order-dependent flakes), the
 # crash-point recovery sweep under the race detector
 # (fixed seeds 11 clean / 13 torn / 17 under faults / 19 every-byte
@@ -45,7 +47,7 @@ check: vet build race
 # durable frontier service through message faults and a mid-crawl
 # frontier-host crash — zero URLs fetched twice, zero lost, aggregate
 # Stats byte-identical to the serial robot;
-# internal/chaostest/frontier_test.go), the allocation budgets without
+# internal/linkmine/frontier_test.go), the allocation budgets without
 # the race detector (the exact pins, TestTCPMeetAllocBudget among them,
 # skip under it: sync.Pool drops Puts at random there; every allocation
 # count lives in a test named *Alloc*, never in a baseline), and the
@@ -62,11 +64,13 @@ ci:
 		echo "ci: internal/bench + cmd/taxbench is $$n code lines, budget 2000 (make loc)"; exit 1; fi
 	@n=$$($(call count,internal/linkmine)); if [ $$n -gt 1100 ]; then \
 		echo "ci: internal/linkmine is $$n code lines, budget 1100 (make loc)"; exit 1; fi
+	@n=$$($(call count,internal/chaostest)); if [ $$n -gt 950 ]; then \
+		echo "ci: internal/chaostest is $$n code lines, budget 950 (make loc)"; exit 1; fi
 	$(GO) test -race -count=2 ./...
 	$(GO) test -race -timeout 300s -count=1 -run 'CrashPoint' ./internal/chaostest/
 	$(GO) test -race -timeout 300s -count=1 -run 'TestPolicyQuotaStarvation10k' ./internal/firewall/
 	$(GO) test -race -timeout 600s -count=1 -run 'TestDirectory' ./internal/chaostest/
-	$(GO) test -race -timeout 600s -count=1 -run 'TestFrontierChaos' ./internal/chaostest/
+	$(GO) test -race -timeout 600s -count=1 -run 'TestFrontierChaos' ./internal/linkmine/
 	$(GO) test -count=1 -run 'Alloc' ./internal/...
 	$(GO) run ./cmd/taxbench -check
 
@@ -192,7 +196,8 @@ obsv-demo:
 # loc prints code size the way ISSUE 15 counts it — non-test source lines
 # that are neither blank nor comment-only — for the tree outside
 # benchmark/, the evaluation harness, the firewall, the crawler (the
-# robot plus the case study around it), and the case study alone.
+# robot plus the case study around it), the case study alone, and the
+# chaos harness.
 count = find $(1) -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -print0 | xargs -0 cat | grep -cvE '^\s*(//|$$)'
 loc:
 	@echo "tree (outside benchmark/)        $$($(call count,.))"
@@ -200,6 +205,7 @@ loc:
 	@echo "internal/firewall                $$($(call count,internal/firewall))"
 	@echo "internal/webbot + internal/linkmine $$($(call count,internal/webbot internal/linkmine))"
 	@echo "internal/linkmine                $$($(call count,internal/linkmine))"
+	@echo "internal/chaostest               $$($(call count,internal/chaostest))"
 
 clean:
 	$(GO) clean ./...

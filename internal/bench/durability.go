@@ -225,7 +225,7 @@ func Durability() (*Table, any, error) {
 			r.RecoveredKeys = st.Len()
 
 			points, err := chaostest.RunCrashPoints(chaostest.CrashPointScenario{
-				Seed:          int64(100 + 10*gi + gj),
+				Scenario:      chaostest.Scenario{Seed: int64(100 + 10*gi + gj)},
 				FsyncCost:     fs,
 				SnapshotEvery: interval,
 			})

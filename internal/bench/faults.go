@@ -11,8 +11,10 @@ import (
 // chaos itinerary: completion rate, recovery count and mean run time per
 // drop rate. The §4 claim in numbers: checkpoint + rear-guard holds the
 // completion rate up as the network degrades. Mean run time is the
-// wall-clock time of a completed run — the end-to-end recovery latency
-// signal: runs needing the rear-guard pay at least one hop deadline.
+// wall-clock time of a completed RunParallel(sc, 1) — boot, tour and
+// teardown, without Run's settle polls — the end-to-end recovery
+// latency signal: runs needing the rear-guard pay at least one hop
+// deadline.
 func Faults() (*Table, error) {
 	const seedsPerPoint = 10
 	t := &Table{
@@ -25,16 +27,17 @@ func Faults() (*Table, error) {
 		var totalMs, meanMs float64
 		for seed := 0; seed < seedsPerPoint; seed++ {
 			start := time.Now()
-			res, err := chaostest.Run(chaostest.Scenario{
+			results, err := chaostest.RunParallel(chaostest.Scenario{
 				Seed:        int64(1000*drop) + int64(seed),
 				Drop:        drop,
 				Duplicate:   drop / 3,
 				Delay:       drop,
 				WaitTimeout: 15 * time.Second,
-			})
+			}, 1)
 			if err != nil {
 				return nil, err
 			}
+			res := results[0]
 			recoveries += res.Recoveries
 			if res.Completed() {
 				completed++

@@ -10,22 +10,19 @@
 // end-to-end guarantee: under injected faults every run either completes
 // with exactly-once effects on every non-skipped stop, or ends in a
 // typed failure. No hangs, no silent loss.
+//
+// Run, RunParallel and the crash-point sweep drive one tour world
+// (world.go); the group-commit sweep and the directory storm build
+// their own.
 package chaostest
 
 import (
-	"sort"
-	"sync"
 	"time"
 
 	"tax/internal/agent"
-	"tax/internal/briefcase"
 	"tax/internal/core"
 	"tax/internal/faults"
 	"tax/internal/firewall"
-	"tax/internal/rearguard"
-	"tax/internal/simnet"
-	"tax/internal/tower"
-	"tax/internal/wrapper"
 )
 
 // Stops is the fixed 3-hop itinerary every scenario drives.
@@ -54,7 +51,8 @@ type Scenario struct {
 	CrashOnArrival string
 	// RestartDelay, when positive, restarts the crashed host after this
 	// much wall-clock time, letting the reinserted stop be reached on
-	// recovery instead of skipped.
+	// recovery instead of skipped. In the crash-point sweep it is how
+	// long the home host stays down.
 	RestartDelay time.Duration
 	// HopDeadline is the guard's silence threshold (default 500ms).
 	HopDeadline time.Duration
@@ -129,157 +127,31 @@ func (r Result) ExactlyOnce() (string, bool) {
 
 func stopURI(host string) string { return "tacoma://" + host + "//vm_go" }
 
-// Run executes one scenario to its terminal outcome.
+// Run executes one scenario to its terminal outcome: one guarded tour,
+// its canonical fault log and, with Observability, its timeline.
 func Run(sc Scenario) (Result, error) {
-	if sc.HopDeadline <= 0 {
-		sc.HopDeadline = 500 * time.Millisecond
-	}
-	if sc.MaxRecoveries <= 0 {
-		sc.MaxRecoveries = 5
-	}
-	if !sc.Retry.Enabled() {
-		sc.Retry = firewall.RetryPolicy{Attempts: 8, Backoff: 200 * time.Microsecond}
-	}
-	if sc.WaitTimeout <= 0 {
-		sc.WaitTimeout = 20 * time.Second
-	}
-
-	s, err := core.NewSystem(simnet.LAN100)
+	w, err := newWorld(sc, 1, "ag_fs", core.NodeOptions{})
 	if err != nil {
 		return Result{}, err
 	}
-	defer s.Close()
-	var twr *tower.Collector
-	if sc.Observability {
-		twr = s.EnableTower()
-	}
-	for i, h := range append([]string{home}, Stops...) {
-		opts := core.NodeOptions{NoCVM: true, DedupWindow: 256}
-		if i == 0 {
-			opts.NameService = true
-		}
-		if _, err := s.AddNode(h, opts); err != nil {
-			return Result{}, err
-		}
-	}
-
-	plan := faults.New(faults.Config{
-		Seed:      sc.Seed,
-		Drop:      sc.Drop,
-		Duplicate: sc.Duplicate,
-		Delay:     sc.Delay,
-		MaxDelay:  sc.MaxDelay,
-		Corrupt:   sc.Corrupt,
-	})
-	if twr != nil {
-		// Scheduled topology faults journal as they apply. Crash/restart are
-		// skipped: the core crash/restart hooks already journal those, and a
-		// double entry would shift the rendered timeline.
-		plan.SetApplyObserver(func(ev faults.Event) {
-			if ev.Op == faults.OpCrash || ev.Op == faults.OpRestart {
-				return
-			}
-			detail := ""
-			if ev.B != "" {
-				detail = "peer=" + ev.B
-			}
-			twr.Record(tower.Entry{
-				Time:   ev.At,
-				Host:   ev.A,
-				Kind:   tower.KindFault,
-				Name:   ev.Op,
-				Detail: detail,
-			})
-		})
-	}
-	plan.Schedule(sc.Events...)
-	plan.Bind(s.Net)
-
-	s.DeployWrapper("checkpoint:"+ckptPath, func() wrapper.Wrapper {
-		return &wrapper.Checkpoint{
-			StoreURI: "tacoma://" + home + "//ag_fs",
-			Path:     ckptPath,
-			Retry:    sc.Retry,
-		}
-	})
-	s.DeployWrapper(rearguard.WrapperName, func() wrapper.Wrapper {
-		return &rearguard.Beacon{}
-	})
-
-	// Idempotent visit effects: every execution is counted in attempts,
-	// but the effect applies once per stop — the discipline that turns
-	// at-least-once execution into exactly-once outcomes.
-	var mu sync.Mutex
-	attempts := make(map[string]int)
-	effects := make(map[string]int)
-	var skipped []string
-	s.DeployProgram(program, func(ctx *agent.Context) error {
-		err := agent.RunItinerary(ctx, func(ctx *agent.Context) error {
-			h := ctx.Host()
-			if h == home {
-				return nil // launch/recovery site, not an itinerary stop
-			}
-			mu.Lock()
-			attempts[h]++
-			first := attempts[h] == 1
-			if first {
-				effects[h]++
-			}
-			mu.Unlock()
-			if first && h == sc.CrashOnArrival {
-				s.Net.Crash(h)
-				if sc.RestartDelay > 0 {
-					time.AfterFunc(sc.RestartDelay, func() { s.Net.Restart(h) })
-				}
-			}
-			return nil
-		})
-		if err == nil {
-			mu.Lock()
-			skipped = append(skipped, agent.Skipped(ctx)...)
-			mu.Unlock()
-		}
-		return err
-	})
-
-	homeNode, err := s.Node(home)
-	if err != nil {
-		return Result{}, err
-	}
-	guard, err := rearguard.NewGuard(rearguard.Config{
-		FW: homeNode.FW,
-		Launch: func(p, n, prog string, bc *briefcase.Briefcase) (*firewall.Registration, error) {
-			return homeNode.VM.Launch(p, n, prog, bc)
-		},
-		Program:         program,
-		Checkpoint:      ckptPath,
-		HopDeadline:     sc.HopDeadline,
-		MaxRecoveries:   sc.MaxRecoveries,
-		ReinsertLastHop: true,
-	})
+	defer w.s.Close()
+	guard, err := w.guard(0)
 	if err != nil {
 		return Result{}, err
 	}
 	defer guard.Close()
 
-	bc := briefcase.New()
-	bc.Ensure(briefcase.FolderSysWrap).AppendString("checkpoint:"+ckptPath, rearguard.WrapperName)
-	stops := bc.Ensure(briefcase.FolderHosts)
-	for _, stop := range Stops {
-		stops.AppendString(stopURI(stop))
-	}
-	firewall.SetRetryPolicy(bc, sc.Retry)
+	bc := w.briefcase(0)
 	var traceID string
-	if sc.Observability {
+	if w.twr != nil {
 		// Root the whole itinerary in one trace so the tower's merged
 		// timeline reads every hop, mediation and recovery as one story.
 		traceID = agent.StampTrace(bc, home)
 	}
-
 	if _, err := guard.Launch(bc); err != nil {
 		return Result{}, err
 	}
-	waitErr := guard.Wait(sc.WaitTimeout)
+	waitErr := guard.Wait(w.sc.WaitTimeout)
 
 	// Wait returns on the guard's done report, but trailing traffic can
 	// still be in flight (the checkpoint wrapper prunes its snapshot at
@@ -287,11 +159,11 @@ func Run(sc Scenario) (Result, error) {
 	// Settle until the fault log stops growing before snapshotting it,
 	// so the same seed yields the same — complete — canonical log.
 	settle := func() int {
-		n := len(plan.Log())
-		if twr != nil {
+		n := len(w.plan.Log())
+		if w.twr != nil {
 			// The timeline must also be complete: spans and journal entries
 			// arrive via push feeds that can trail the guard's done report.
-			spans, journal := twr.Counts()
+			spans, journal := w.twr.Counts()
 			n += spans + int(journal)
 		}
 		return n
@@ -305,32 +177,13 @@ func Run(sc Scenario) (Result, error) {
 		}
 	}
 
-	logJSON, err := plan.LogJSON()
-	if err != nil {
+	res := w.result(0, guard, waitErr)
+	if res.FaultLog, err = w.plan.LogJSON(); err != nil {
 		return Result{}, err
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	res := Result{
-		Err:        waitErr,
-		Recoveries: guard.Recoveries(),
-		Attempts:   copyCounts(attempts),
-		Effects:    copyCounts(effects),
-		Skipped:    append([]string(nil), skipped...),
-		FaultLog:   logJSON,
-	}
-	if twr != nil {
+	if w.twr != nil {
 		res.TraceID = traceID
-		res.Timeline = twr.Trace(traceID).ExplainLines()
+		res.Timeline = w.twr.Trace(traceID).ExplainLines()
 	}
-	sort.Strings(res.Skipped)
 	return res, nil
-}
-
-func copyCounts(m map[string]int) map[string]int {
-	out := make(map[string]int, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }

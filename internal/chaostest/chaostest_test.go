@@ -3,18 +3,12 @@ package chaostest
 import (
 	"bytes"
 	"errors"
-	"fmt"
-	"sync"
 	"testing"
 	"time"
 
-	"tax/internal/agent"
 	"tax/internal/briefcase"
 	"tax/internal/core"
-	"tax/internal/firewall"
 	"tax/internal/rearguard"
-	"tax/internal/simnet"
-	"tax/internal/wrapper"
 )
 
 // chaosSeeds are the documented fixed seeds `make chaos` replays; keep in
@@ -154,69 +148,33 @@ func TestChaosCrashWithRestartRecoversTheStop(t *testing.T) {
 // already completed — converges to the same exactly-once effects. The
 // replayed visits are absorbed by the idempotent-effect discipline.
 func TestRecoveryFromAnyPrefixIsIdempotent(t *testing.T) {
-	s, err := core.NewSystem(simnet.LAN100)
+	w, err := newWorld(Scenario{}, 1, "ag_fs", core.NodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = s.Close() })
-	for i, h := range append([]string{home}, Stops...) {
-		opts := core.NodeOptions{NoCVM: true, DedupWindow: 64}
-		if i == 0 {
-			opts.NameService = true
-		}
-		if _, err := s.AddNode(h, opts); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.DeployWrapper(rearguard.WrapperName, func() wrapper.Wrapper { return &rearguard.Beacon{} })
-
-	var mu sync.Mutex
-	effects := make(map[string]int)
-	attempts := make(map[string]int)
-	done := make(chan struct{}, 16)
-	s.DeployProgram(program, func(ctx *agent.Context) error {
-		err := agent.RunItinerary(ctx, func(ctx *agent.Context) error {
-			h := ctx.Host()
-			if h == home {
-				return nil
-			}
-			mu.Lock()
-			attempts[h]++
-			if attempts[h] == 1 {
-				effects[h]++
-			}
-			mu.Unlock()
-			return nil
-		})
-		if err == nil {
-			done <- struct{}{}
-		}
-		return err
-	})
-
-	homeNode, err := s.Node(home)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Cleanup(func() { _ = w.s.Close() })
 	launch := func(k int) {
 		t.Helper()
 		// The k-prefix snapshot: the briefcase as sent toward stop k+1 —
 		// stops 0..k-1 already popped from HOSTS.
-		bc := briefcase.New()
-		bc.Ensure(briefcase.FolderSysWrap).AppendString(rearguard.WrapperName)
-		hosts := bc.Ensure(briefcase.FolderHosts)
-		for _, stop := range Stops[k:] {
-			hosts.AppendString(stopURI(stop))
+		bc := w.briefcase(0)
+		hosts, err := bc.Folder(briefcase.FolderHosts)
+		if err != nil {
+			t.Fatal(err)
 		}
-		firewall.SetRetryPolicy(bc, firewall.RetryPolicy{Attempts: 4, Backoff: 100 * time.Microsecond})
-		name := fmt.Sprintf("prefix-%d", k)
-		if _, err := homeNode.VM.Launch(homeNode.FW.SystemPrincipal(), name, program, bc); err != nil {
+		for i := 0; i < k; i++ {
+			hosts.Pop()
+		}
+		guard, err := w.guard(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer guard.Close()
+		if _, err := guard.Launch(bc); err != nil {
 			t.Fatalf("prefix %d: %v", k, err)
 		}
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("prefix %d relaunch never completed", k)
+		if err := guard.Wait(10 * time.Second); err != nil {
+			t.Fatalf("prefix %d relaunch never completed: %v", k, err)
 		}
 	}
 
@@ -226,16 +184,16 @@ func TestRecoveryFromAnyPrefixIsIdempotent(t *testing.T) {
 		if k > 0 {
 			launch(k)
 		}
-		mu.Lock()
+		w.mu.Lock()
 		for _, stop := range Stops {
-			if effects[stop] != 1 {
+			if n := w.effects[visit{"", stop}]; n != 1 {
 				t.Fatalf("after prefix %d replay: effects[%s] = %d, want 1 (attempts=%v)",
-					k, stop, effects[stop], attempts)
+					k, stop, n, w.attempts)
 			}
 		}
 		// Reset for the next prefix so each round checks independently.
-		effects = make(map[string]int)
-		attempts = make(map[string]int)
-		mu.Unlock()
+		w.effects = make(map[visit]int)
+		w.attempts = make(map[visit]int)
+		w.mu.Unlock()
 	}
 }

@@ -11,33 +11,26 @@ package chaostest
 import (
 	"errors"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"tax/internal/agent"
 	"tax/internal/briefcase"
 	"tax/internal/cabinet"
 	"tax/internal/core"
-	"tax/internal/faults"
-	"tax/internal/firewall"
 	"tax/internal/rearguard"
-	"tax/internal/simnet"
-	"tax/internal/wrapper"
 )
 
 // ckptKey is the checkpoint's key inside the home cabinet (the
 // ag_cabinet service prefixes paths with "cab/").
 const ckptKey = "cab/" + ckptPath
 
-// CrashPointScenario configures one crash-point sweep.
+// CrashPointScenario configures one crash-point sweep. Its Scenario
+// supplies the seed, the message faults layered on top of the crash
+// (zero runs the sweep on a clean network) and the guard's timeouts;
+// MaxRecoveries defaults to 8 and RestartDelay, how long the home host
+// stays down, to 50ms.
 type CrashPointScenario struct {
-	// Seed drives the optional message-level fault plan.
-	Seed int64
-	// Drop, Duplicate, Delay, Corrupt are per-transfer probabilities
-	// layered on top of the crash (see faults.Config). Zero runs the
-	// sweep on a clean network.
-	Drop, Duplicate, Delay, Corrupt float64
+	Scenario
 	// Torn additionally tears the WAL's unsynced tail at each crash
 	// point: half the in-flight bytes reach the platter, the rest are
 	// lost — the classic partially-completed sector write.
@@ -47,15 +40,10 @@ type CrashPointScenario struct {
 	// snapshots). The durability benchmark sweeps them.
 	FsyncCost     time.Duration
 	SnapshotEvery int
-	// RestartDelay is how long the home host stays down (default 50ms).
-	RestartDelay time.Duration
 	// MaxPoints bounds the sweep (default 64); the sweep also ends at
 	// the first run whose k-th append was never reached, because the
 	// itinerary completed with fewer WAL writes.
 	MaxPoints int
-	// HopDeadline and WaitTimeout are as in Scenario.
-	HopDeadline time.Duration
-	WaitTimeout time.Duration
 }
 
 // CrashPoint is the outcome of one run crashed at the k-th WAL append.
@@ -124,91 +112,22 @@ func RunCrashPoints(sc CrashPointScenario) ([]CrashPoint, error) {
 // runCrashPoint executes one guarded itinerary, crashing the home host
 // at its k-th cabinet WAL append.
 func runCrashPoint(sc CrashPointScenario, k int) (CrashPoint, error) {
-	hopDeadline := sc.HopDeadline
-	if hopDeadline <= 0 {
-		hopDeadline = 500 * time.Millisecond
+	if sc.MaxRecoveries <= 0 {
+		sc.MaxRecoveries = 8
 	}
-	waitTimeout := sc.WaitTimeout
-	if waitTimeout <= 0 {
-		waitTimeout = 20 * time.Second
+	if sc.RestartDelay <= 0 {
+		sc.RestartDelay = 50 * time.Millisecond
 	}
-	restartDelay := sc.RestartDelay
-	if restartDelay <= 0 {
-		restartDelay = 50 * time.Millisecond
-	}
-	retry := firewall.RetryPolicy{Attempts: 8, Backoff: 200 * time.Microsecond}
-
-	s, err := core.NewSystem(simnet.LAN100)
-	if err != nil {
-		return CrashPoint{}, err
-	}
-	defer s.Close()
-	for i, h := range append([]string{home}, Stops...) {
-		opts := core.NodeOptions{
-			NoCVM:         true,
-			DedupWindow:   256,
-			FsyncCost:     sc.FsyncCost,
-			SnapshotEvery: sc.SnapshotEvery,
-		}
-		if i == 0 {
-			opts.NameService = true
-		}
-		if _, err := s.AddNode(h, opts); err != nil {
-			return CrashPoint{}, err
-		}
-	}
-	plan := faults.New(faults.Config{
-		Seed:      sc.Seed,
-		Drop:      sc.Drop,
-		Duplicate: sc.Duplicate,
-		Delay:     sc.Delay,
-		Corrupt:   sc.Corrupt,
-	})
-	plan.Bind(s.Net)
-
 	// Checkpoints go to the durable cabinet, not ag_fs: surviving the
 	// home host's own crash is the whole point of this sweep.
-	s.DeployWrapper("checkpoint:"+ckptPath, func() wrapper.Wrapper {
-		return &wrapper.Checkpoint{
-			StoreURI: "tacoma://" + home + "//ag_cabinet",
-			Path:     ckptPath,
-			Retry:    retry,
-		}
+	w, err := newWorld(sc.Scenario, 1, "ag_cabinet", core.NodeOptions{
+		FsyncCost:     sc.FsyncCost,
+		SnapshotEvery: sc.SnapshotEvery,
 	})
-	s.DeployWrapper(rearguard.WrapperName, func() wrapper.Wrapper {
-		return &rearguard.Beacon{}
-	})
-
-	var mu sync.Mutex
-	attempts := make(map[string]int)
-	effects := make(map[string]int)
-	var skipped []string
-	s.DeployProgram(program, func(ctx *agent.Context) error {
-		err := agent.RunItinerary(ctx, func(ctx *agent.Context) error {
-			h := ctx.Host()
-			if h == home {
-				return nil
-			}
-			mu.Lock()
-			attempts[h]++
-			if attempts[h] == 1 {
-				effects[h]++
-			}
-			mu.Unlock()
-			return nil
-		})
-		if err == nil {
-			mu.Lock()
-			skipped = append(skipped, agent.Skipped(ctx)...)
-			mu.Unlock()
-		}
-		return err
-	})
-
-	homeNode, err := s.Node(home)
 	if err != nil {
 		return CrashPoint{}, err
 	}
+	defer w.s.Close()
 
 	// The crash trigger: the k-th WAL append on the home cabinet tears
 	// the in-flight tail (Torn mode), kills the machine, and freezes the
@@ -218,8 +137,8 @@ func runCrashPoint(sc CrashPointScenario, k int) (CrashPoint, error) {
 	point := CrashPoint{K: k}
 	crashed := make(chan struct{})
 	var appends int32
-	disk := homeNode.Disk
-	homeNode.Cabinet.SetAppendHook(func(seq uint64) {
+	disk := w.home.Disk
+	w.home.Cabinet.SetAppendHook(func(seq uint64) {
 		if atomic.AddInt32(&appends, 1) != int32(k) {
 			return
 		}
@@ -230,7 +149,7 @@ func runCrashPoint(sc CrashPointScenario, k int) (CrashPoint, error) {
 				disk.Crash(cabinet.TornWrite{File: "wal", Keep: (tail + 1) / 2})
 			}
 		}
-		s.Net.Crash(home)
+		w.s.Net.Crash(home)
 		snapB, _ := disk.DurableBytes("snap")
 		walB, _ := disk.DurableBytes("wal")
 		table, rseq, _ := cabinet.RecoverBytes(snapB, walB)
@@ -246,37 +165,16 @@ func runCrashPoint(sc CrashPointScenario, k int) (CrashPoint, error) {
 		close(crashed)
 	})
 
-	guardCfg := rearguard.Config{
-		FW: homeNode.FW,
-		Launch: func(p, n, prog string, bc *briefcase.Briefcase) (*firewall.Registration, error) {
-			return homeNode.VM.Launch(p, n, prog, bc)
-		},
-		Program:         program,
-		Checkpoint:      ckptPath,
-		Store:           "ag_cabinet",
-		HopDeadline:     hopDeadline,
-		MaxRecoveries:   8,
-		ReinsertLastHop: true,
-	}
-	guard, err := rearguard.NewGuard(guardCfg)
+	guard, err := w.guard(0)
 	if err != nil {
 		return CrashPoint{}, err
 	}
 	defer guard.Close()
-
-	bc := briefcase.New()
-	bc.Ensure(briefcase.FolderSysWrap).AppendString("checkpoint:"+ckptPath, rearguard.WrapperName)
-	stops := bc.Ensure(briefcase.FolderHosts)
-	for _, stop := range Stops {
-		stops.AppendString(stopURI(stop))
-	}
-	firewall.SetRetryPolicy(bc, retry)
-
-	if _, err := guard.Launch(bc); err != nil {
+	if _, err := guard.Launch(w.briefcase(0)); err != nil {
 		return CrashPoint{}, err
 	}
 	g1done := make(chan error, 1)
-	go func() { g1done <- guard.Wait(waitTimeout) }()
+	go func() { g1done <- guard.Wait(w.sc.WaitTimeout) }()
 
 	var waitErr error
 	g1Done := false
@@ -296,12 +194,12 @@ func runCrashPoint(sc CrashPointScenario, k int) (CrashPoint, error) {
 	}
 
 	if !point.Crashed {
-		homeNode.Cabinet.SetAppendHook(nil)
+		w.home.Cabinet.SetAppendHook(nil)
 		point.SnapBytes, _ = disk.ReadFile("snap")
 		point.WALBytes, _ = disk.ReadFile("wal")
 	} else {
-		time.Sleep(restartDelay)
-		s.Net.Restart(home)
+		time.Sleep(sc.RestartDelay)
+		w.s.Net.Restart(home)
 		if !g1Done {
 			select {
 			case waitErr = <-g1done:
@@ -313,26 +211,16 @@ func runCrashPoint(sc CrashPointScenario, k int) (CrashPoint, error) {
 		// fresh guard adopts the itinerary from the durable checkpoint.
 		// Only a done report that beat the crash counts as completion.
 		if !g1Done || waitErr != nil {
-			g2, err := rearguard.NewGuard(guardCfg)
-			if err != nil {
+			if guard, err = w.guard(0); err != nil {
 				return CrashPoint{}, err
 			}
-			defer g2.Close()
+			defer guard.Close()
 			point.Resumed = true
-			g2.Resume("home host restarted at WAL append " + strconv.Itoa(k))
-			waitErr = g2.Wait(waitTimeout)
+			guard.Resume("home host restarted at WAL append " + strconv.Itoa(k))
+			waitErr = guard.Wait(w.sc.WaitTimeout)
 		}
 	}
-
-	mu.Lock()
-	res := Result{
-		Err:      waitErr,
-		Attempts: copyCounts(attempts),
-		Effects:  copyCounts(effects),
-		Skipped:  append([]string(nil), skipped...),
-	}
-	mu.Unlock()
-	point.Result = res
+	point.Result = w.result(0, guard, waitErr)
 
 	// Recovery failing with every effect applied means the itinerary
 	// finished on its own and durably pruned its checkpoint before the
@@ -340,7 +228,7 @@ func runCrashPoint(sc CrashPointScenario, k int) (CrashPoint, error) {
 	if point.Crashed && waitErr != nil && errors.Is(waitErr, rearguard.ErrRecoveryFailed) {
 		full := true
 		for _, stop := range Stops {
-			if res.Effects[stop] != 1 {
+			if point.Result.Effects[stop] != 1 {
 				full = false
 			}
 		}

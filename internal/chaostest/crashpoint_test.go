@@ -49,7 +49,7 @@ func assertCrashPoints(t *testing.T, points []CrashPoint) {
 // guarded 3-hop itinerary and asserts the recovery contract at each
 // boundary. Seed 11 is fixed; the sweep is deterministic per seed.
 func TestCrashPointSweep(t *testing.T) {
-	points, err := RunCrashPoints(CrashPointScenario{Seed: 11})
+	points, err := RunCrashPoints(CrashPointScenario{Scenario: Scenario{Seed: 11}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestCrashPointSweep(t *testing.T) {
 // cut the log at the last whole record and never surface a partial
 // checkpoint. Seed 13 is fixed.
 func TestCrashPointSweepTorn(t *testing.T) {
-	points, err := RunCrashPoints(CrashPointScenario{Seed: 13, Torn: true})
+	points, err := RunCrashPoints(CrashPointScenario{Scenario: Scenario{Seed: 13}, Torn: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,11 +75,11 @@ func TestCrashPointSweepUnderFaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep under faults is the long variant")
 	}
-	points, err := RunCrashPoints(CrashPointScenario{
+	points, err := RunCrashPoints(CrashPointScenario{Scenario: Scenario{
 		Seed:      17,
 		Duplicate: 0.05,
 		Delay:     0.05,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestCrashPointSweepUnderFaults(t *testing.T) {
 // record. Recovery must be total, monotone in sequence, deterministic,
 // and must never surface a checkpoint that does not decode.
 func TestCrashPointEveryBytePrefix(t *testing.T) {
-	p, err := runCrashPoint(CrashPointScenario{Seed: 19}, 1<<30)
+	p, err := runCrashPoint(CrashPointScenario{Scenario: Scenario{Seed: 19}}, 1<<30)
 	if err != nil {
 		t.Fatal(err)
 	}

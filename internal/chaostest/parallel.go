@@ -1,23 +1,15 @@
 package chaostest
 
 import (
-	"fmt"
-	"sort"
 	"sync"
-	"time"
 
-	"tax/internal/agent"
-	"tax/internal/briefcase"
 	"tax/internal/core"
-	"tax/internal/faults"
-	"tax/internal/firewall"
 	"tax/internal/rearguard"
-	"tax/internal/simnet"
-	"tax/internal/wrapper"
 )
 
 // FolderAgent tags each concurrent tour's briefcase with its agent id,
 // so one shared program can key its idempotent visit effects per agent.
+// A lone tour carries none.
 const FolderAgent = "AGENT"
 
 // RunParallel executes one scenario with n concurrent guarded tours on
@@ -25,7 +17,8 @@ const FolderAgent = "AGENT"
 // the same fault plan, each with its own rear guard and checkpoint
 // path. It returns one Result per agent (FaultLog unset: the shared
 // plan's log interleaves all tours, so per-run log determinism is a
-// serial-harness property — see Run).
+// serial-harness property — see Run). RunParallel(sc, 1) is Run's tour
+// without Run's settle, fault log and timeline.
 //
 // The per-agent contract is unchanged: each tour either completes with
 // exactly-once effects on every non-skipped stop or ends in a typed
@@ -37,157 +30,37 @@ func RunParallel(sc Scenario, n int) ([]Result, error) {
 	if n <= 0 {
 		n = 1
 	}
-	if sc.HopDeadline <= 0 {
-		sc.HopDeadline = 500 * time.Millisecond
-	}
-	if sc.MaxRecoveries <= 0 {
-		sc.MaxRecoveries = 5
-	}
-	if !sc.Retry.Enabled() {
-		sc.Retry = firewall.RetryPolicy{Attempts: 8, Backoff: 200 * time.Microsecond}
-	}
-	if sc.WaitTimeout <= 0 {
-		sc.WaitTimeout = 20 * time.Second
-	}
-
-	s, err := core.NewSystem(simnet.LAN100)
+	w, err := newWorld(sc, n, "ag_fs", core.NodeOptions{})
 	if err != nil {
 		return nil, err
 	}
-	defer s.Close()
-	for i, h := range append([]string{home}, Stops...) {
-		opts := core.NodeOptions{NoCVM: true, DedupWindow: 256}
-		if i == 0 {
-			opts.NameService = true
-		}
-		if _, err := s.AddNode(h, opts); err != nil {
-			return nil, err
-		}
-	}
-
-	plan := faults.New(faults.Config{
-		Seed:      sc.Seed,
-		Drop:      sc.Drop,
-		Duplicate: sc.Duplicate,
-		Delay:     sc.Delay,
-		MaxDelay:  sc.MaxDelay,
-		Corrupt:   sc.Corrupt,
-	})
-	plan.Schedule(sc.Events...)
-	plan.Bind(s.Net)
-
-	ckpt := func(i int) string { return fmt.Sprintf("%s-%d", ckptPath, i) }
-	for i := 0; i < n; i++ {
-		path := ckpt(i)
-		s.DeployWrapper("checkpoint:"+path, func() wrapper.Wrapper {
-			return &wrapper.Checkpoint{
-				StoreURI: "tacoma://" + home + "//ag_fs",
-				Path:     path,
-				Retry:    sc.Retry,
-			}
-		})
-	}
-	s.DeployWrapper(rearguard.WrapperName, func() wrapper.Wrapper {
-		return &rearguard.Beacon{}
-	})
-
-	// One shared program; effects are idempotent per (agent, stop).
-	type key struct{ agent, host string }
-	var mu sync.Mutex
-	attempts := make(map[key]int)
-	effects := make(map[key]int)
-	skipped := make(map[string][]string)
-	s.DeployProgram(program, func(ctx *agent.Context) error {
-		id, _ := ctx.Briefcase().GetString(FolderAgent)
-		err := agent.RunItinerary(ctx, func(ctx *agent.Context) error {
-			h := ctx.Host()
-			if h == home {
-				return nil
-			}
-			mu.Lock()
-			k := key{id, h}
-			attempts[k]++
-			if attempts[k] == 1 {
-				effects[k]++
-			}
-			mu.Unlock()
-			return nil
-		})
-		if err == nil {
-			mu.Lock()
-			skipped[id] = append(skipped[id], agent.Skipped(ctx)...)
-			mu.Unlock()
-		}
-		return err
-	})
-
-	homeNode, err := s.Node(home)
-	if err != nil {
-		return nil, err
-	}
-
+	defer w.s.Close()
 	guards := make([]*rearguard.Guard, n)
 	for i := range guards {
-		guards[i], err = rearguard.NewGuard(rearguard.Config{
-			FW: homeNode.FW,
-			Launch: func(p, name, prog string, bc *briefcase.Briefcase) (*firewall.Registration, error) {
-				return homeNode.VM.Launch(p, name, prog, bc)
-			},
-			Program:         program,
-			AgentName:       fmt.Sprintf("tour-%d", i),
-			Checkpoint:      ckpt(i),
-			HopDeadline:     sc.HopDeadline,
-			MaxRecoveries:   sc.MaxRecoveries,
-			ReinsertLastHop: true,
-		})
-		if err != nil {
+		if guards[i], err = w.guard(i); err != nil {
 			return nil, err
 		}
 		defer guards[i].Close()
 	}
 
 	// Launch every tour, then wait for each terminal outcome.
-	results := make([]Result, n)
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		bc := briefcase.New()
-		bc.SetString(FolderAgent, fmt.Sprintf("agent-%d", i))
-		bc.Ensure(briefcase.FolderSysWrap).AppendString("checkpoint:"+ckpt(i), rearguard.WrapperName)
-		stops := bc.Ensure(briefcase.FolderHosts)
-		for _, stop := range Stops {
-			stops.AppendString(stopURI(stop))
-		}
-		firewall.SetRetryPolicy(bc, sc.Retry)
-		if _, err := guards[i].Launch(bc); err != nil {
+	for i, g := range guards {
+		if _, err := g.Launch(w.briefcase(i)); err != nil {
 			return nil, err
 		}
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			results[i].Err = guards[i].Wait(sc.WaitTimeout)
-		}(i)
+			errs[i] = g.Wait(w.sc.WaitTimeout)
+		}()
 	}
 	wg.Wait()
 
-	mu.Lock()
-	defer mu.Unlock()
-	for i := range results {
-		id := fmt.Sprintf("agent-%d", i)
-		results[i].Recoveries = guards[i].Recoveries()
-		results[i].Attempts = make(map[string]int)
-		results[i].Effects = make(map[string]int)
-		for k, v := range attempts {
-			if k.agent == id {
-				results[i].Attempts[k.host] = v
-			}
-		}
-		for k, v := range effects {
-			if k.agent == id {
-				results[i].Effects[k.host] = v
-			}
-		}
-		results[i].Skipped = append([]string(nil), skipped[id]...)
-		sort.Strings(results[i].Skipped)
+	results := make([]Result, n)
+	for i, g := range guards {
+		results[i] = w.result(i, g, errs[i])
 	}
 	return results, nil
 }

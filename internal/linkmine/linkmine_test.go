@@ -225,31 +225,36 @@ func TestMonitorWrapperInMobileRun(t *testing.T) {
 	}
 }
 
+// TestKeepBinaryOnReturnMovesMore: figure 5's agent and the itinerant
+// both drop the carried binary before the last leg home unless
+// KeepBinaryOnReturn is set (§3.1 state dropping).
 func TestKeepBinaryOnReturnMovesMore(t *testing.T) {
-	drop, err := NewDeployment(smallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = drop.Close() }()
-	dropRep, err := drop.RunMobile()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cfg := smallConfig()
-	cfg.KeepBinaryOnReturn = true
-	keep, err := NewDeployment(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = keep.Close() }()
-	keepRep, err := keep.RunMobile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if keepRep.LinkBytes <= dropRep.LinkBytes {
-		t.Errorf("state dropping saved nothing: keep %d, drop %d",
-			keepRep.LinkBytes, dropRep.LinkBytes)
+	for _, tc := range []struct {
+		name string
+		run  func(*Deployment) (*Report, error)
+	}{
+		{"figure5", (*Deployment).RunMobile},
+		{"itinerant", (*Deployment).RunMobileMulti},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			linkBytes := func(keep bool) int64 {
+				cfg := smallConfig()
+				cfg.KeepBinaryOnReturn = keep
+				d, err := NewDeployment(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer func() { _ = d.Close() }()
+				rep, err := tc.run(d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rep.LinkBytes
+			}
+			if keep, drop := linkBytes(true), linkBytes(false); keep <= drop {
+				t.Errorf("state dropping saved nothing: keep %d, drop %d", keep, drop)
+			}
+		})
 	}
 }
 

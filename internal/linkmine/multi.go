@@ -91,6 +91,11 @@ func (d *Deployment) itinerant(n *core.Node) vm.Handler {
 			if !ok {
 				return errors.New("mwWebbotMulti: itinerary exhausted remotely")
 			}
+			if hosts.Len() == 0 && !d.cfg.KeepBinaryOnReturn {
+				// The last leg goes home: drop the carried binary as
+				// figure 5 does (§3.1 state dropping).
+				bc.Drop(briefcase.FolderBinaries)
+			}
 			if err := ctx.Go(next.String()); errors.Is(err, agent.ErrMoved) {
 				return err
 			}

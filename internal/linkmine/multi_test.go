@@ -112,8 +112,8 @@ func TestCampusFigures(t *testing.T) {
 		servers int
 		want    string
 	}{
-		{1, "2011.3 / 1854.2 ms, 730340 / 132476 B"},
-		{2, "4152.6 / 3831.4 ms, 1461121 / 200094 B"},
+		{1, "2011.3 / 1849.0 ms, 730340 / 66886 B"},
+		{2, "4152.6 / 3826.1 ms, 1461121 / 134504 B"},
 	} {
 		t.Run(fmt.Sprintf("K%d", tc.servers), func(t *testing.T) {
 			cfg := Config{Servers: tc.servers, Spec: CampusSpec(200)}
