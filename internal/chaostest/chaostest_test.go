@@ -176,6 +176,11 @@ func TestRecoveryFromAnyPrefixIsIdempotent(t *testing.T) {
 		if err := guard.Wait(10 * time.Second); err != nil {
 			t.Fatalf("prefix %d relaunch never completed: %v", k, err)
 		}
+		// The guard is only the launcher here: each prefix must converge
+		// in one relaunch, not by the guard's quiet retries.
+		if n := guard.Recoveries(); n != 0 {
+			t.Fatalf("prefix %d relaunch needed %d guard recoveries, want 0", k, n)
+		}
 	}
 
 	// Baseline full run, then a relaunch from every prefix.

@@ -28,7 +28,9 @@ const ckptKey = "cab/" + ckptPath
 // supplies the seed, the message faults layered on top of the crash
 // (zero runs the sweep on a clean network) and the guard's timeouts;
 // MaxRecoveries defaults to 8 and RestartDelay, how long the home host
-// stays down, to 50ms.
+// stays down, to 50ms. Observability has no use here (the sweep returns
+// no timeline), and CrashOnArrival adds a stop crash on top of the
+// home host's; no sweep in the tree sets either.
 type CrashPointScenario struct {
 	Scenario
 	// Torn additionally tears the WAL's unsynced tail at each crash
@@ -173,8 +175,10 @@ func runCrashPoint(sc CrashPointScenario, k int) (CrashPoint, error) {
 	if _, err := guard.Launch(w.briefcase(0)); err != nil {
 		return CrashPoint{}, err
 	}
+	// The first guard goes to its waiter by value: guard is reassigned
+	// below to the adopting guard while that Wait may still be running.
 	g1done := make(chan error, 1)
-	go func() { g1done <- guard.Wait(w.sc.WaitTimeout) }()
+	go func(g1 *rearguard.Guard) { g1done <- g1.Wait(w.sc.WaitTimeout) }(guard)
 
 	var waitErr error
 	g1Done := false
