@@ -146,6 +146,16 @@ func (f *Folder) grow(n int) {
 	}
 }
 
+// Grow readies the folder to take n more elements without moving its
+// list again, as slices.Grow does for a slice: a caller that knows how
+// many elements it will append pays one allocation, not one per
+// doubling. It changes no element, so it is not a mutation.
+func (f *Folder) Grow(n int) {
+	f.load()
+	f.grow(n)
+	f.elems = slices.Grow(f.elems, n)
+}
+
 // load materializes a lazily decoded folder. The region was fully
 // validated by Decode, so parsing cannot fail; the resulting elements
 // alias the region (elements are immutable by convention — every

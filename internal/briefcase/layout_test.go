@@ -332,3 +332,48 @@ func caseStudyBriefcase() *Briefcase {
 	}
 	return bc
 }
+
+// TestFolderGrowAllocs: a folder grown to n takes its n elements in one
+// allocation, where appending alone moves the list at every doubling;
+// one element still takes the inline slot. Grow changes no element, so
+// it leaves the folder's contents and mutation count alone, and a lazy
+// folder keeps its elements.
+func TestFolderGrowAllocs(t *testing.T) {
+	elem := []byte("e")
+	fill := func(n int, grow bool) {
+		f := New().Ensure("F")
+		if grow {
+			f.Grow(n)
+		}
+		for range n {
+			f.AppendAlias(elem)
+		}
+	}
+	for _, tc := range []struct {
+		n          int
+		plain, pre float64
+	}{{1, 2, 2}, {2, 3, 3}, {8, 5, 3}, {100, 9, 3}} {
+		if raceBuild {
+			break // the race detector adds allocations of its own
+		}
+		// Two allocations are the briefcase and its folder chunk.
+		plain := testing.AllocsPerRun(50, func() { fill(tc.n, false) })
+		pre := testing.AllocsPerRun(50, func() { fill(tc.n, true) })
+		if plain != tc.plain || pre != tc.pre {
+			t.Errorf("%d elements: %v allocations appended, %v grown first; want %v and %v", tc.n, plain, pre, tc.plain, tc.pre)
+		}
+	}
+
+	bc := New()
+	bc.Ensure("F").AppendString("a", "b")
+	lazy, err := Decode(bc.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := lazy.Ensure("F")
+	gen := f.gen
+	f.Grow(4)
+	if got := f.Strings(); f.gen != gen || len(got) != 2 || got[0] != "a" || got[1] != "b" {
+		t.Fatalf("Grow of a lazy folder left %q at generation %d, want [a b] at %d", got, f.gen, gen)
+	}
+}

@@ -132,6 +132,11 @@ type Frontier struct {
 	// across transitions. It stays empty without a store.
 	tx []cabinet.Op
 
+	// entries and claims hand out every entry the frontier creates and
+	// every claim block lease returns, a chunk at a time.
+	entries chunk[entry]
+	claims  chunk[Claim]
+
 	dups     int
 	reclaims int
 }
@@ -193,7 +198,7 @@ func New(opts Options) (*Frontier, error) {
 			if err != nil {
 				return nil, err
 			}
-			f.urls[r.URL] = &entry{url: r.URL, state: stateDone, rec: r}
+			f.urls[r.URL] = f.entries.add(entry{url: r.URL, state: stateDone, rec: r})
 			f.done++
 		case "r":
 			r, err := DecodeRecord(val)
@@ -370,7 +375,7 @@ func (f *Frontier) relax(url, referrer string, depth int) (fresh bool, lowered *
 	if _, ok := f.failed[url]; ok {
 		return false, nil
 	}
-	e := &entry{url: url, referrer: referrer, depth: depth}
+	e := f.entries.add(entry{url: url, referrer: referrer, depth: depth})
 	f.pend(e)
 	f.putEntry("p/", e)
 	return true, nil
@@ -435,12 +440,12 @@ func (f *Frontier) lease(worker string, k int, claims []*Claim) []*Claim {
 		fresh = 0
 	}
 	// The lease's claims, re-issued and fresh, are one block.
-	block := make([]Claim, 0, n+max(fresh, 0))
-	for _, e := range held {
+	block := f.claims.take(n + max(fresh, 0))
+	for i, e := range held {
 		f.reclaims++
-		block = append(block, f.claimView(e))
+		block[i] = f.claimView(e)
 	}
-	for range fresh {
+	for i := range fresh {
 		e := heap.Pop(&f.heap).(*entry)
 		e.state = stateClaimed
 		e.worker = worker
@@ -448,7 +453,7 @@ func (f *Frontier) lease(worker string, k int, claims []*Claim) []*Claim {
 		f.del("p/", e.url)
 		f.putEntry("c/", e)
 		held = append(held, e)
-		block = append(block, f.claimView(e))
+		block[n+i] = f.claimView(e)
 	}
 	for i := range block {
 		claims = append(claims, &block[i])
@@ -585,7 +590,7 @@ func (f *Frontier) completeLocked(url string, rec *PageRecord, admit func(url st
 	}
 	switch {
 	case e == nil:
-		e = &entry{url: url}
+		e = f.entries.add(entry{url: url})
 		f.urls[url] = e
 	case e.state == stateClaimed:
 		rec.Depth = e.depth
@@ -800,6 +805,40 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(b[i:])
+}
+
+// chunk hands out T values a block at a time: the blocks start at
+// chunkMin slots and double up to chunkMax, so a small frontier stays
+// small and a large one allocates once per chunkMax values. A block is
+// never reused, so every value handed out stays valid, and no other
+// caller's, for as long as anyone holds it.
+type chunk[T any] struct {
+	free []T
+	next int // slots in the next block
+}
+
+const (
+	chunkMin = 16
+	chunkMax = 256
+)
+
+// take returns n zeroed values, contiguous.
+func (c *chunk[T]) take(n int) []T {
+	if n > len(c.free) {
+		size := max(c.next, chunkMin)
+		c.next = min(2*size, chunkMax)
+		c.free = make([]T, max(size, n))
+	}
+	vals := c.free[:n:n]
+	c.free = c.free[n:]
+	return vals
+}
+
+// add returns a pointer to a copy of v.
+func (c *chunk[T]) add(v T) *T {
+	p := &c.take(1)[0]
+	*p = v
+	return p
 }
 
 // entryHeap orders pending entries by (depth, url): the crawl expands

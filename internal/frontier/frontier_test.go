@@ -1190,3 +1190,117 @@ func TestNoURLHeldByTwoWorkers(t *testing.T) {
 		})
 	}
 }
+
+// TestHeldClaimsStayTheirOwn: claims come a block at a time from chunks
+// that are never reused. Across a 1,000-URL drain through Claim,
+// ClaimWait, CompleteNext and CompleteBatch at k = 8, with fetches
+// failing and retried, every claim held to the end still reads the URL,
+// depth and attempts it was issued with, and no two claims returned
+// share an address.
+func TestHeldClaimsStayTheirOwn(t *testing.T) {
+	const urls = 1000
+	url := func(i int) string { return fmt.Sprintf("http://h/u%04d", i) }
+	// children are a claim's links: u0000 links to u0001–u0010, u0001
+	// to u0011–u0020, and so on below u1000, at the claim's depth + 1.
+	children := func(cl *Claim) []Link {
+		var i int
+		fmt.Sscanf(cl.URL, "http://h/u%04d", &i)
+		var out []Link
+		for c := 10*i + 1; c <= 10*i+10 && c < urls; c++ {
+			out = append(out, Link{URL: url(c), Referrer: cl.URL, Depth: cl.Depth + 1})
+		}
+		return out
+	}
+	f := volatileFrontier(t)
+	f.Add([]Link{{URL: url(0), Depth: 0}})
+	rng := rand.New(rand.NewSource(1))
+	type issued struct {
+		cl   *Claim
+		want Claim
+	}
+	var held []issued
+	seen := map[*Claim]bool{}
+	keep := func(cls ...*Claim) {
+		for _, cl := range cls {
+			if seen[cl] {
+				t.Fatalf("claim on %s returned at the address of an earlier claim", cl.URL)
+			}
+			seen[cl] = true
+			held = append(held, issued{cl, *cl})
+		}
+	}
+	fails := func(cl *Claim) bool { return cl.Attempts == 0 && rng.Intn(8) == 0 }
+	record := func(cl *Claim) *PageRecord {
+		return &PageRecord{URL: cl.URL, Status: 200, Links: children(cl)}
+	}
+	// resolve completes (or fails) a claim held through Claim or
+	// ClaimWait, admitting its links.
+	resolve := func(w string, cl *Claim) {
+		if fails(cl) {
+			if _, err := f.Fail(cl.URL, w, cl.Attempts, "wb_fetch_failed", "boom", true); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+		if _, err := f.Complete(cl.URL, w, record(cl)); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Offer(children(cl), upTo(10)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var w0, w1, w2 *Claim
+	var w3 []*Claim
+	for !f.Drained() || w0 != nil || w1 != nil || w2 != nil || len(w3) > 0 {
+		if w0 != nil {
+			resolve("w0", w0)
+		}
+		if w0, _ = f.Claim("w0"); w0 != nil {
+			keep(w0)
+		}
+		if w1 != nil {
+			resolve("w1", w1)
+			w1 = nil
+		}
+		if f.Counts().Pending > 0 {
+			w1, _ = f.ClaimWait("w1")
+			keep(w1)
+		}
+		var err error
+		if w2 == nil || fails(w2) {
+			if w2 != nil {
+				if _, err := f.Fail(w2.URL, "w2", w2.Attempts, "wb_fetch_failed", "boom", true); err != nil {
+					t.Fatal(err)
+				}
+			}
+			w2, _ = f.Claim("w2")
+		} else if w2, err = f.CompleteNext("w2", record(w2), upTo(10)); err != nil {
+			t.Fatal(err)
+		}
+		if w2 != nil {
+			keep(w2)
+		}
+		var recs []*PageRecord
+		var fl []FetchFailure
+		for _, cl := range w3 {
+			if fails(cl) {
+				fl = append(fl, FetchFailure{URL: cl.URL, Attempt: cl.Attempts, Code: "wb_fetch_failed", Reason: "boom", Retryable: true})
+			} else {
+				recs = append(recs, record(cl))
+			}
+		}
+		if w3, err = f.CompleteBatch("w3", recs, fl, 8, upTo(10)); err != nil {
+			t.Fatal(err)
+		}
+		keep(w3...)
+	}
+	if c := f.Counts(); c.Done != urls || c.Journal == 0 {
+		t.Fatalf("drain left %+v, want %d done and some retried failures", c, urls)
+	}
+	for _, h := range held {
+		if *h.cl != h.want {
+			t.Fatalf("a held claim changed from %+v to %+v", h.want, *h.cl)
+		}
+	}
+	t.Logf("%d claims held to the end", len(held))
+}

@@ -178,3 +178,33 @@ func TestFrontierChaosFaultsAndCrash(t *testing.T) {
 		t.Errorf("aggregate pages = %d, want 917", rep.Aggregate.PagesVisited)
 	}
 }
+
+// TestFleetCrawlAllocs pins the allocations of one clean eight-agent
+// fleet crawl, the serial baseline inside it included: boot, the
+// frontier service's transactions and RPCs, the fetch records and both
+// replays. Eight agents interleave their leases differently run to run,
+// which moves the count by a few dozen, so the budget is the measured
+// count plus 1 %.
+func TestFleetCrawlAllocs(t *testing.T) {
+	if raceBuild {
+		t.Skip("allocation counts do not hold under the race detector")
+	}
+	var err error
+	allocs := testing.AllocsPerRun(3, func() {
+		var rep *FrontierFleetReport
+		if rep, err = RunFrontierFleet(FrontierFleetConfig{}); err == nil {
+			checkFleet(t, rep)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("one clean eight-agent fleet crawl: %.0f allocs", allocs)
+	// Measured 40,125–40,205 (49,520–49,591 before the chunked frontier,
+	// the prebuilt responses, the by-value replay pages and the sized
+	// RPC folders).
+	const budget = 40550
+	if allocs > budget {
+		t.Errorf("a clean eight-agent fleet crawl costs %.0f allocations, budget %d", allocs, budget)
+	}
+}

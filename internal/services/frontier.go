@@ -194,8 +194,10 @@ func NewAgFrontier(fr *frontier.Frontier, admit func(url string, depth int) bool
 					c.Pending, c.Claimed, c.Done, c.TerminalFailed, c.Journal,
 					c.DupCompletions, c.Reclaims))
 			case FrontierRecords:
+				recs := fr.Records()
 				f := resp.Ensure(FolderFrRecord)
-				for _, rec := range fr.Records() {
+				f.Grow(len(recs))
+				for _, rec := range recs {
 					f.AppendAlias(rec.Encode())
 				}
 			default:
@@ -229,6 +231,9 @@ func parseBatch(req *briefcase.Briefcase) (worker string, k int, recs []*frontie
 	cols, err := columns(req, n, FolderFrURL, FolderFrAttempt, FolderFrCode, FolderFrReason, FolderFrRetryable)
 	if err != nil {
 		return "", 0, nil, nil, err
+	}
+	if n > 0 {
+		fails = make([]frontier.FetchFailure, 0, n)
 	}
 	for i := 0; i < n; i++ {
 		attempt, aerr := strconv.Atoi(cols[1][i])
@@ -317,6 +322,8 @@ func setClaims(resp *briefcase.Briefcase, cls []*frontier.Claim) {
 	}
 	buf := make([]byte, 0, size)
 	urls, meta := resp.Ensure(FolderFrURL), resp.Ensure(FolderFrClaim)
+	urls.Grow(len(cls))
+	meta.Grow(len(cls))
 	for _, cl := range cls {
 		at := len(buf)
 		buf = append(buf, cl.URL...)
@@ -333,6 +340,7 @@ func setClaims(resp *briefcase.Briefcase, cls []*frontier.Claim) {
 		return
 	}
 	priors := resp.Ensure(FolderFrPrior)
+	priors.Grow(len(cls))
 	for _, cl := range cls {
 		var raw []byte
 		if cl.Prior != nil {
@@ -518,6 +526,7 @@ func batchRequest(worker string, recs []*frontier.PageRecord, fails []frontier.F
 	req.SetString(FolderFrLease, strconv.Itoa(k))
 	if len(recs) > 0 {
 		f := req.Ensure(FolderFrRecord)
+		f.Grow(len(recs))
 		for _, rec := range recs {
 			f.AppendAlias(rec.Encode())
 		}
@@ -525,6 +534,9 @@ func batchRequest(worker string, recs []*frontier.PageRecord, fails []frontier.F
 	if len(fails) > 0 {
 		urls, attempts, codes := req.Ensure(FolderFrURL), req.Ensure(FolderFrAttempt), req.Ensure(FolderFrCode)
 		reasons, retry := req.Ensure(FolderFrReason), req.Ensure(FolderFrRetryable)
+		for _, col := range []*briefcase.Folder{urls, attempts, codes, reasons, retry} {
+			col.Grow(len(fails))
+		}
 		for _, fl := range fails {
 			urls.AppendString(fl.URL)
 			attempts.AppendString(strconv.Itoa(fl.Attempt))
@@ -546,6 +558,9 @@ func (c FrontierClient) Add(ctx *agent.Context, links []frontier.Link) error {
 	req := briefcase.New()
 	req.SetString(FolderOp, FrontierAdd)
 	urls, refs, depths := req.Ensure(FolderFrURL), req.Ensure(FolderFrReferrer), req.Ensure(FolderFrDepth)
+	urls.Grow(len(links))
+	refs.Grow(len(links))
+	depths.Grow(len(links))
 	for _, l := range links {
 		urls.AppendString(l.URL)
 		refs.AppendString(l.Referrer)

@@ -97,7 +97,7 @@ func (r *Robot) RunCtx(ctx context.Context, startURL string) (*Stats, error) {
 		rp.parent = ff
 		rp.record = fr.Record
 	}
-	rp.pages = make(map[string]*replayPage, fr.Counts().Done)
+	rp.pages = make(map[string]replayPage, fr.Counts().Done)
 	// Stage 2, canonical replay: the seed's recursive traversal over
 	// the records (or live fetches for non-forkable fetchers).
 	if err := rp.crawl(startURL, "", 0); err != nil {
@@ -271,7 +271,8 @@ func digestOfResponse(resp *websim.Response) string {
 
 // replayPage is one URL the replay has reached: the shallowest depth it
 // was reached at, and the links it re-expands when reached shallower
-// (none when the URL was invalid).
+// (none when the URL was invalid). The replay keeps it by value and
+// writes it back when the depth changes.
 type replayPage struct {
 	depth int
 	links []frontier.Link
@@ -294,8 +295,11 @@ type replayer struct {
 	// record finds a URL's completed acquisition record (nil: every
 	// fetch is live).
 	record func(url string) (*frontier.PageRecord, bool)
-	pages  map[string]*replayPage
+	pages  map[string]replayPage
 	st     *Stats
+	// resp is lent to parent.Replay for each recorded fetch, which
+	// keeps none of them.
+	resp websim.Response
 }
 
 // crawl fetches (once) and expands one page depth-first.
@@ -305,16 +309,18 @@ func (rp *replayer) crawl(url, referrer string, depth int) error {
 			return nil
 		}
 		pg.depth = depth
-		return rp.expand(pg, depth)
+		rp.pages[url] = pg
+		return rp.expand(pg.links, depth)
 	}
-	pg := &replayPage{depth: depth}
-	rp.pages[url] = pg
 
+	// The fetch recurses into nothing, so the page enters the map once,
+	// after it, with the links it will re-expand.
 	rec, err := rp.fetch(url, referrer, depth)
 	if err != nil {
 		return err
 	}
 	if rec.Status != websim.StatusOK {
+		rp.pages[url] = replayPage{depth: depth}
 		rp.st.Invalid = append(rp.st.Invalid, LinkReport{
 			URL: url, Referrer: referrer, Status: rec.Status, Reason: "invalid",
 		})
@@ -344,8 +350,8 @@ func (rp *replayer) crawl(url, referrer string, depth int) error {
 	// Parsing cost scales with transferred bytes (a revalidated page
 	// transferred none and needs no re-parse).
 	rp.clock.Advance(time.Duration(rec.Bytes) * ParseCostPerKB / 1024)
-	pg.links = rec.Links
-	return rp.expand(pg, depth)
+	rp.pages[url] = replayPage{depth: depth, links: rec.Links}
+	return rp.expand(rec.Links, depth)
 }
 
 // fetch resolves one URL: from the acquisition records (charging the
@@ -354,7 +360,8 @@ func (rp *replayer) fetch(url, referrer string, depth int) (*frontier.PageRecord
 	if rp.record != nil {
 		if rec, ok := rp.record(url); ok {
 			if rp.parent != nil {
-				rp.parent.Replay(&websim.Response{URL: url, Status: rec.Status, Bytes: rec.Bytes}, rec.FetchCost)
+				rp.resp = websim.Response{URL: url, Status: rec.Status, Bytes: rec.Bytes}
+				rp.parent.Replay(&rp.resp, rec.FetchCost)
 			} else {
 				rp.clock.Advance(rec.FetchCost)
 			}
@@ -374,8 +381,8 @@ func (rp *replayer) fetch(url, referrer string, depth int) (*frontier.PageRecord
 
 // expand recurses over a fetched page's links, logging the ones the
 // gate rejects.
-func (rp *replayer) expand(page *replayPage, depth int) error {
-	for _, link := range page.links {
+func (rp *replayer) expand(links []frontier.Link, depth int) error {
+	for _, link := range links {
 		rp.st.LinksChecked++
 		if v := rp.gate.Verdict(link.URL, depth+1); v != ReasonOK {
 			rp.st.Rejected = append(rp.st.Rejected, LinkReport{
@@ -430,7 +437,7 @@ func StatsFromRecords(startURL string, recs []*frontier.PageRecord, opts ...Opti
 			rec, ok := records[url]
 			return rec, ok
 		},
-		pages: make(map[string]*replayPage, len(recs)),
+		pages: make(map[string]replayPage, len(recs)),
 		st:    st,
 	}
 	if err := rp.crawl(startURL, "", 0); err != nil {

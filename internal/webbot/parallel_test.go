@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"sync"
 	"testing"
 
 	"tax/internal/simnet"
@@ -59,6 +60,39 @@ func TestParallelCrawlClockIdentical(t *testing.T) {
 	if parClient.Requests != serialClient.Requests || parClient.BytesFetched != serialClient.BytesFetched {
 		t.Errorf("parallel client counters (%d req, %d B) != serial (%d req, %d B)",
 			parClient.Requests, parClient.BytesFetched, serialClient.Requests, serialClient.BytesFetched)
+	}
+}
+
+// TestParallelCrawlsShareOneSite: two eight-worker crawls of one fresh
+// site at once, sixteen fetchers reading the same prebuilt responses,
+// each produce the serial crawl's Stats. Under -race this is the check
+// that a fetch, the site's first included, only reads the site.
+func TestParallelCrawlsShareOneSite(t *testing.T) {
+	serialBot, other := newLocalRobot(t, 4)
+	serial, err := serialBot.RunCtx(context.Background(), other.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	site := caseSite(t)
+	var got [2]*Stats
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			par, _ := siteRobot(site, simnet.Loopback, 4, WithWorkers(8))
+			got[i], errs[i] = par.RunCtx(context.Background(), site.Root)
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !reflect.DeepEqual(got[i], serial) {
+			t.Errorf("crawl %d of the shared site: Stats differ from serial", i)
+		}
 	}
 }
 

@@ -121,7 +121,7 @@ type Site struct {
 	Host string
 	// Root is the topmost index page's URL.
 	Root  string
-	pages map[string]*Page // by URL
+	pages map[string]*doc // by URL
 	// externalAlive records, for every external URL generated into the
 	// site, whether the (simulated) remote end serves it.
 	externalAlive map[string]bool
@@ -131,12 +131,21 @@ type Site struct {
 	// robots is the generated /robots.txt document. It lives outside
 	// the pages map so the page-count and byte-count contracts of the
 	// site are untouched by its existence.
-	robots *Page
+	robots *doc
 	// robotsDisallow lists the page URLs the robots file disallows for
 	// well-behaved crawlers (sorted).
 	robotsDisallow []string
 	// robotsDelay is the Crawl-delay the robots file requests.
 	robotsDelay time.Duration
+}
+
+// doc is one document the site serves: the page, and the Response
+// every fetch of it returns. The response lives beside the page, not
+// in it, so a copied Page carries no Response pointing back at the
+// original.
+type doc struct {
+	page Page
+	resp Response
 }
 
 // Generate builds a site from a spec, deterministically.
@@ -148,18 +157,33 @@ func Generate(spec SiteSpec) (*Site, error) {
 		return nil, fmt.Errorf("websim: bad spec: %d pages, depth %d", spec.Pages, spec.MaxDepth)
 	}
 	rng := rand.New(rand.NewSource(spec.Seed))
-	s := &Site{
-		Host:          spec.Host,
-		Root:          "http://" + spec.Host + "/index.html",
-		pages:         make(map[string]*Page, spec.Pages+max(spec.ExtraPages, 0)),
-		externalAlive: make(map[string]bool),
-		deadInternal:  make(map[string]bool),
-	}
 
 	// Lay out the main tree level by level so every page is reachable
 	// within MaxDepth. Level sizes follow a geometric profile summing to
-	// spec.Pages.
+	// spec.Pages. The deep pages below it exist only when the tree
+	// reaches MaxDepth (see deepParents), so the page count is known
+	// here and every page is a slot of one slice.
 	levels := levelSizes(spec.Pages, spec.MaxDepth)
+	extra := 0
+	if spec.ExtraDepth > 0 && levels[spec.MaxDepth] > 0 {
+		extra = max(spec.ExtraPages, 0)
+	}
+	docs := make([]doc, spec.Pages+extra)
+	s := &Site{
+		Host:          spec.Host,
+		Root:          "http://" + spec.Host + "/index.html",
+		pages:         make(map[string]*doc, len(docs)),
+		externalAlive: make(map[string]bool),
+		deadInternal:  make(map[string]bool),
+	}
+	n := 0
+	add := func(p Page) *Page {
+		d := &docs[n]
+		n++
+		d.page = p
+		s.pages[p.URL] = d
+		return &d.page
+	}
 	meanSize := spec.TotalBytes / spec.Pages
 	var prev, lastNonEmpty []*Page
 	pageNo := 0
@@ -172,8 +196,7 @@ func Generate(spec SiteSpec) (*Site, error) {
 			if pageNo > 0 {
 				url = pageURL(dir, pageNo)
 			}
-			p := &Page{URL: url, Depth: depth, Size: pageSize(rng, meanSize)}
-			s.pages[url] = p
+			p := add(Page{URL: url, Depth: depth, Size: pageSize(rng, meanSize)})
 			s.totalBytes += p.Size
 			cur = append(cur, p)
 			if depth > 0 {
@@ -210,8 +233,7 @@ func Generate(spec SiteSpec) (*Site, error) {
 		level := rng.Intn(spec.ExtraDepth)
 		depth := spec.MaxDepth + 1 + level
 		url := pageURL(deepDirs[level], pageNo)
-		p := &Page{URL: url, Depth: depth, Size: pageSize(rng, meanSize)}
-		s.pages[url] = p
+		add(Page{URL: url, Depth: depth, Size: pageSize(rng, meanSize)})
 		parent := deepParents[rng.Intn(len(deepParents))]
 		parent.Links = append(parent.Links, Link{URL: url, Referrer: parent.URL})
 		pageNo++
@@ -222,14 +244,15 @@ func Generate(spec SiteSpec) (*Site, error) {
 	// paper's 3 MB).
 	if spec.TotalBytes > 0 {
 		mainBytes := 0
-		for _, p := range s.pages {
-			if p.Depth <= spec.MaxDepth {
+		for i := range docs {
+			if p := &docs[i].page; p.Depth <= spec.MaxDepth {
 				mainBytes += p.Size
 			}
 		}
 		factor := float64(spec.TotalBytes) / float64(mainBytes)
 		s.totalBytes = 0
-		for _, p := range s.pages {
+		for i := range docs {
+			p := &docs[i].page
 			if p.Depth <= spec.MaxDepth {
 				p.Size = int(float64(p.Size) * factor)
 				if p.Size < 128 {
@@ -244,10 +267,10 @@ func Generate(spec SiteSpec) (*Site, error) {
 	// the main tree (deterministic order: sorted URLs).
 	urls := make([]string, 0, len(s.pages))
 	byDepth := make([][]string, spec.MaxDepth+1)
-	for u, p := range s.pages {
+	for u, d := range s.pages {
 		urls = append(urls, u)
-		if p.Depth <= spec.MaxDepth {
-			byDepth[p.Depth] = append(byDepth[p.Depth], u)
+		if depth := d.page.Depth; depth <= spec.MaxDepth {
+			byDepth[depth] = append(byDepth[depth], u)
 		}
 	}
 	sort.Strings(urls)
@@ -261,7 +284,7 @@ func Generate(spec SiteSpec) (*Site, error) {
 		extDirs[i] = "http://" + h + "/page"
 	}
 	for _, u := range urls {
-		p := s.pages[u]
+		p := &s.pages[u].page
 		// Every document gets an age; childless documents are sometimes
 		// non-HTML assets (images, PDFs, plain text) — the type mix the
 		// Webbot's statistics classify.
@@ -305,8 +328,8 @@ func Generate(spec SiteSpec) (*Site, error) {
 		// path and the depth-constrained page count stays exact.
 		if rng.Float64() < 0.10 {
 			lvl := byDepth[rng.Intn(p.Depth+1)]
-			t := s.pages[lvl[rng.Intn(len(lvl))]]
-			p.Links = append(p.Links, Link{URL: t.URL, Referrer: p.URL})
+			t := lvl[rng.Intn(len(lvl))]
+			p.Links = append(p.Links, Link{URL: t, Referrer: p.URL})
 		}
 	}
 
@@ -314,7 +337,17 @@ func Generate(spec SiteSpec) (*Site, error) {
 	// every page draw above, so a given seed generates a byte-identical
 	// page tree whether or not a crawler ever reads the robots file.
 	s.generateRobots(spec, rng, urls)
+	for i := range docs {
+		docs[i].respond()
+	}
 	return s, nil
+}
+
+// respond builds the Response every fetch of the document returns,
+// once the page's size is final. It points at the page, so a fetch
+// reads the page's metadata as it is then (SetAgeDays).
+func (d *doc) respond() {
+	d.resp = Response{URL: d.page.URL, Status: StatusOK, Page: &d.page, Bytes: d.page.Size}
 }
 
 // generateRobots writes the site's robots.txt: a blanket ban for the
@@ -332,7 +365,7 @@ func (s *Site) generateRobots(spec SiteSpec, rng *rand.Rand, sortedURLs []string
 	fmt.Fprintf(&b, "Crawl-delay: %g\n", s.robotsDelay.Seconds())
 	n := 0
 	for _, u := range sortedURLs {
-		p := s.pages[u]
+		p := &s.pages[u].page
 		if p.Depth < 2 || p.Depth > spec.MaxDepth {
 			continue
 		}
@@ -343,13 +376,14 @@ func (s *Site) generateRobots(spec SiteSpec, rng *rand.Rand, sortedURLs []string
 		fmt.Fprintf(&b, "Disallow: %s\n", strings.TrimPrefix(u, prefix))
 	}
 	body := b.String()
-	s.robots = &Page{
+	s.robots = &doc{page: Page{
 		URL:     s.RobotsURL(),
 		Size:    len(body),
 		Type:    TypePlain,
 		AgeDays: 1,
 		Body:    body,
-	}
+	}}
+	s.robots.respond()
 }
 
 // pageURL is the generator's URL shape: dir, then n as fmt's %04d, then
@@ -421,8 +455,8 @@ func (s *Site) Pages() int { return len(s.pages) }
 // PagesWithinDepth returns how many pages sit at depth ≤ d.
 func (s *Site) PagesWithinDepth(d int) int {
 	n := 0
-	for _, p := range s.pages {
-		if p.Depth <= d {
+	for _, doc := range s.pages {
+		if doc.page.Depth <= d {
 			n++
 		}
 	}
@@ -432,9 +466,9 @@ func (s *Site) PagesWithinDepth(d int) int {
 // BytesWithinDepth returns the total size of pages at depth ≤ d.
 func (s *Site) BytesWithinDepth(d int) int {
 	n := 0
-	for _, p := range s.pages {
-		if p.Depth <= d {
-			n += p.Size
+	for _, doc := range s.pages {
+		if doc.page.Depth <= d {
+			n += doc.page.Size
 		}
 	}
 	return n
@@ -488,7 +522,7 @@ func (s *Site) Fingerprint() [sha256.Size]byte {
 	h := sha256.New()
 	fmt.Fprintf(h, "site %s %s %d\n", s.Host, s.Root, s.totalBytes)
 	for _, u := range urls {
-		p := s.pages[u]
+		p := &s.pages[u].page
 		fmt.Fprintf(h, "page %s %d %d %s %d %d\n", p.URL, p.Size, p.Depth, p.Type, p.AgeDays, len(p.Links))
 		for _, l := range p.Links {
 			fmt.Fprintf(h, "\tlink %s %s\n", l.URL, l.Referrer)
@@ -516,7 +550,10 @@ func (s *Site) Fingerprint() [sha256.Size]byte {
 
 // Lookup returns the page at url, or nil.
 func (s *Site) Lookup(url string) *Page {
-	return s.pages[url]
+	if d := s.pages[url]; d != nil {
+		return &d.page
+	}
+	return nil
 }
 
 // RobotsURL returns the site's robots.txt address.
@@ -528,7 +565,7 @@ func (s *Site) RobotsTxt() string {
 	if s.robots == nil {
 		return ""
 	}
-	return s.robots.Body
+	return s.robots.page.Body
 }
 
 // RobotsDisallowed returns the page URLs robots.txt disallows for the
@@ -547,11 +584,11 @@ func (s *Site) RobotsCrawlDelay() time.Duration { return s.robotsDelay }
 // crawl cycles: the page's revalidation digest changes while the site
 // stays otherwise identical.
 func (s *Site) SetAgeDays(url string, age int) bool {
-	p := s.pages[url]
-	if p == nil {
+	d := s.pages[url]
+	if d == nil {
 		return false
 	}
-	p.AgeDays = age
+	d.page.AgeDays = age
 	return true
 }
 
@@ -599,13 +636,15 @@ func (s *Server) process(resp *Response) time.Duration {
 	return s.PerRequest + time.Duration(resp.Bytes)*s.PerByte
 }
 
-// serve resolves a URL to a response (no cost charging; Client does that).
+// serve resolves a URL to a response (no cost charging; Client does
+// that). A page's response is the one Generate built for it, shared by
+// every fetch; a 404 is fresh and echoes the request.
 func (s *Server) serve(url string) *Response {
-	if p := s.Site.Lookup(url); p != nil {
-		return &Response{URL: url, Status: StatusOK, Page: p, Bytes: p.Size}
+	if d := s.Site.pages[url]; d != nil {
+		return &d.resp
 	}
-	if p := s.Site.robots; p != nil && url == s.Site.RobotsURL() {
-		return &Response{URL: url, Status: StatusOK, Page: p, Bytes: p.Size}
+	if d := s.Site.robots; d != nil && url == s.Site.RobotsURL() {
+		return &d.resp
 	}
 	return &Response{URL: url, Status: StatusNotFound, Bytes: 256}
 }
@@ -615,7 +654,9 @@ const requestSize = 220
 
 // Fetcher is what a robot crawls through.
 type Fetcher interface {
-	// Fetch retrieves one URL, charging simulated time.
+	// Fetch retrieves one URL, charging simulated time. The Response
+	// may be shared with every other fetch of the URL, concurrent ones
+	// included, and is read-only: a caller copies what it keeps.
 	Fetch(url string) (*Response, error)
 }
 
@@ -640,7 +681,8 @@ type ForkableFetcher interface {
 	// Fork returns an independent fetcher charging costs to clock.
 	Fork(clock vclock.Clock) Fetcher
 	// Replay charges the parent for one fetch previously served by a
-	// fork (resp and the fork-measured cost).
+	// fork (resp and the fork-measured cost). resp is lent for the
+	// call: the caller reuses it afterwards, so Replay must not keep it.
 	Replay(resp *Response, cost time.Duration)
 }
 

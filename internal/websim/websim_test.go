@@ -2,6 +2,7 @@ package websim
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -132,6 +133,90 @@ func TestServerServe(t *testing.T) {
 	miss := srv.serve("http://webserv/nope.html")
 	if miss.Status != StatusNotFound || miss.Page != nil {
 		t.Errorf("missing serve: %+v", miss)
+	}
+}
+
+// TestFetchSharesPageResponse: a page's Response is built once, by
+// Generate, after the sizes are normalised, and every fetch of the page
+// returns it — the parent's and a fork's, concurrent ones included (run
+// under -race, a response filled in on first fetch races here). HEAD
+// and 404 answers stay the caller's own.
+func TestFetchSharesPageResponse(t *testing.T) {
+	site := caseStudySite(t)
+	c := &Client{Server: DefaultServer(site), Link: simnet.LAN100, Clock: vclock.NewVirtual()}
+	missing := site.DeadInternalLinks()[0] // a 404
+	for _, url := range []string{site.Root, site.RobotsURL(), missing} {
+		a, err := c.Fetch(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := c.Fork(vclock.NewVirtual()).Fetch(url)
+		if url == missing {
+			if a == b || a.URL != url || b.URL != url || a.Status != StatusNotFound {
+				t.Errorf("404s of %s: %p %+v and %p %+v, want two responses echoing it", url, a, a, b, b)
+			}
+			continue
+		}
+		if a != b {
+			t.Errorf("two fetches of %s returned %p and %p, want one shared response", url, a, b)
+		}
+		if a.URL != url || a.Status != StatusOK || a.Page == nil || a.Bytes != a.Page.Size {
+			t.Errorf("fetch of %s = %+v, want status 200 and Bytes == Page.Size", url, a)
+		}
+		if p := site.Lookup(url); p != nil && a.Page != p {
+			t.Errorf("fetch of %s points at %p, the site's page is %p", url, a.Page, p)
+		}
+		h, _ := c.Head(url)
+		if h == a || h.Bytes != 0 || h.Page != a.Page {
+			t.Errorf("HEAD of %s = %p %+v, want its own response, Bytes 0, the same page", url, h, h)
+		}
+	}
+	if got := site.BytesWithinDepth(4); got < 3<<20-917 || got > 3<<20 {
+		t.Errorf("normalised main tree holds %d bytes, want 3 MiB less rounding", got)
+	}
+
+	root, _ := c.Fetch(site.Root)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fork := c.Fork(vclock.NewVirtual())
+			for _, url := range []string{site.Root, site.RobotsURL(), root.Page.Links[0].URL} {
+				r, err := fork.Fetch(url)
+				if err != nil || r.Bytes != r.Page.Size {
+					t.Errorf("concurrent fetch of %s = %+v, %v", url, r, err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestGeneratePlacesEveryPage: the pages live in one slice sized from
+// the spec, whether or not the tree reaches MaxDepth and so carries
+// the deep pages; a miscount would panic or leave a page out.
+func TestGeneratePlacesEveryPage(t *testing.T) {
+	for pages := 1; pages <= 24; pages++ {
+		for depth := 1; depth <= 5; depth++ {
+			spec := SiteSpec{Host: "h", Seed: int64(pages), Pages: pages, MaxDepth: depth,
+				ExtraDepth: 2, ExtraPages: 7, TotalBytes: 1 << 16}
+			site, err := Generate(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := site.PagesWithinDepth(depth); got != pages {
+				t.Fatalf("%d pages to depth %d: %d within depth", pages, depth, got)
+			}
+			if deep := site.Pages() - pages; deep != 0 && deep != spec.ExtraPages {
+				t.Fatalf("%d pages to depth %d: %d deep pages, want none or %d", pages, depth, deep, spec.ExtraPages)
+			}
+			for url := range site.pages {
+				if r := DefaultServer(site).serve(url); r.Status != StatusOK || r.Page.URL != url || r.Bytes != r.Page.Size {
+					t.Fatalf("%d pages to depth %d: %s serves %+v", pages, depth, url, r)
+				}
+			}
+		}
 	}
 }
 
