@@ -4,7 +4,7 @@ GO ?= go
 # chaos stress tests drive (internal/chaostest/parallel_test.go).
 CHAOS_PARALLEL ?= 16
 
-.PHONY: all build vet test race check ci chaos determinism frontier-sweep crawl-allocs fuzz-short policy-fuzz bench bench-check obsv-demo loc clean
+.PHONY: all build vet test race check ci chaos determinism frontier-sweep allocs fuzz-short policy-fuzz bench bench-check obsv-demo loc clean
 
 all: check
 
@@ -111,21 +111,26 @@ determinism:
 frontier-sweep:
 	$(GO) test -timeout 3600s -count=2000 -run '^TestFleetDepth4$$' ./internal/linkmine/
 
-# crawl-allocs prices the staged crawler's allocations, object by
-# object: it runs the serial 917-page crawl (BenchmarkCrawl917) and the
-# case-study site's generation (BenchmarkGenerateCaseStudySite) with
-# every allocation sampled, each into its own profile in a temporary
-# directory, and prints where the objects come from. Divide a row by
-# the benchmark's iteration count (the warm-up run included) for its
-# count per crawl, and a crawl's by 917 for its count per fetched URL.
-crawl-allocs:
+# allocs prices a package's allocations, object by object: it runs each
+# benchmark named in BENCH (without its Benchmark prefix) from the
+# package directory PKG with every allocation sampled, each into its own
+# profile in a temporary directory, and prints where the objects come
+# from. The defaults are the serial 917-page crawl (BenchmarkCrawl917)
+# and the case-study site's generation (BenchmarkGenerateCaseStudySite);
+# `make allocs PKG=./internal/briefcase BENCH=Decode1KBx16` prices a
+# decoded briefcase. Divide a row by the benchmark's iteration count
+# (20, plus one warm-up run) for its count per op, and a crawl's by 917
+# for its count per fetched URL.
+PKG ?= ./internal/webbot
+BENCH ?= Crawl917 GenerateCaseStudySite
+allocs:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
-	$(GO) test -c -o "$$dir/webbot.test" ./internal/webbot/ && \
-	for b in Crawl917 GenerateCaseStudySite; do \
-		(cd internal/webbot && "$$dir/webbot.test" -test.run '^$$' -test.bench "^Benchmark$$b\$$" \
+	$(GO) test -c -o "$$dir/pkg.test" $(PKG) && \
+	for b in $(BENCH); do \
+		(cd $(PKG) && "$$dir/pkg.test" -test.run '^$$' -test.bench "^Benchmark$$b\$$" \
 			-test.benchtime 20x -test.benchmem -test.memprofilerate 1 \
 			-test.memprofile "$$dir/$$b.mem") || exit 1; \
-		$(GO) tool pprof -top -sample_index=alloc_objects "$$dir/webbot.test" "$$dir/$$b.mem" | head -30; \
+		$(GO) tool pprof -top -sample_index=alloc_objects "$$dir/pkg.test" "$$dir/$$b.mem" | head -30; \
 	done
 
 # fuzz-short runs the wire-format fuzzers briefly — enough to exercise

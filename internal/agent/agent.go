@@ -537,8 +537,18 @@ func (c *Context) propagateTrace(payload *briefcase.Briefcase) {
 // same reason as trace ids (see telemetry.NewTraceID): the id travels in
 // the briefcase, so its length feeds the simulated transfer-time model and
 // must not vary with how many ids the process minted before.
-func nextMsgID() string {
-	return fmt.Sprintf("m%016x", msgIDCounter.Add(1))
+func nextMsgID() string { return msgID(msgIDCounter.Add(1)) }
+
+// msgID renders n as fmt's "m%016x" does: "m" and sixteen lower-case
+// hex digits, encoded into a fixed buffer and made one string.
+func msgID(n uint64) string {
+	var b [17]byte
+	b[0] = 'm'
+	for i := len(b) - 1; i > 0; i-- {
+		b[i] = "0123456789abcdef"[n&0xf]
+		n >>= 4
+	}
+	return string(b[:])
 }
 
 // NextMsgID exposes id generation for movers and wrappers that speak the

@@ -357,6 +357,9 @@ func (f *Folder) cloneInto(c *Folder) {
 // is handed out once and never reused — Drop only unlinks it — so a
 // folder's address names that folder for as long as anything holds it,
 // which is what the core stamp's identity test (core.go) relies on.
+//
+// A Briefcase must never be copied by value: list may point at the
+// briefcase's own inline backing.
 type Briefcase struct {
 	list  []*Folder // sorted by name, names unique
 	spare []Folder  // the current chunk's slots not yet handed out
@@ -365,6 +368,12 @@ type Briefcase struct {
 	// behind (core.go). It is in-memory only: never encoded, and not
 	// carried by Clone.
 	stamp *coreStamp
+
+	// inline backs list for the first four folders. New, Clone and
+	// Decode start list on it, so a briefcase of up to four folders —
+	// every small message — needs no list of its own; a fifth moves
+	// list to the heap as append does.
+	inline [4]*Folder
 }
 
 // minChunk is the size of a briefcase's first chunk of folder slots.
@@ -376,7 +385,19 @@ type Briefcase struct {
 const minChunk = 4
 
 // New returns an empty briefcase.
-func New() *Briefcase { return &Briefcase{} }
+func New() *Briefcase { return newSized(0) }
+
+// newSized returns an empty briefcase whose list has room for n folders:
+// on its inline backing when that holds n.
+func newSized(n int) *Briefcase {
+	b := &Briefcase{}
+	if n <= len(b.inline) {
+		b.list = b.inline[:0]
+	} else {
+		b.list = make([]*Folder, 0, n)
+	}
+	return b
+}
 
 // find returns the index of the named folder in b.list and whether it is
 // there; when it is not, the index is where it would be inserted.
@@ -478,14 +499,14 @@ func (b *Briefcase) Size() int {
 	return n
 }
 
-// Clone returns a deep copy of the briefcase: one chunk and one list,
-// both exactly sized.
+// Clone returns a deep copy of the briefcase: one exactly sized chunk,
+// and a list of its own, inline for up to four folders.
 func (b *Briefcase) Clone() *Briefcase {
 	chunk := make([]Folder, len(b.list))
-	c := &Briefcase{list: make([]*Folder, len(b.list))}
+	c := newSized(len(b.list))
 	for i, f := range b.list {
 		f.cloneInto(&chunk[i])
-		c.list[i] = &chunk[i]
+		c.list = append(c.list, &chunk[i])
 	}
 	return c
 }

@@ -7,6 +7,8 @@ import (
 	"slices"
 	"strings"
 	"sync"
+
+	"tax/internal/intern"
 )
 
 // Wire format (version 1):
@@ -185,8 +187,9 @@ func Decode(data []byte) (*Briefcase, error) {
 	// folder takes at least three bytes (name length, a name byte,
 	// element count), so a short frame cannot buy more slots than it
 	// could hold. Past the pre-size, carve grows geometrically.
-	n := min(nfold, uint64(len(data)-d.off)/3)
-	b := &Briefcase{list: make([]*Folder, 0, n), spare: make([]Folder, n)}
+	n := int(min(nfold, uint64(len(data)-d.off)/3))
+	b := newSized(n)
+	b.spare = make([]Folder, n)
 	canonical, err := b.readFolders(&d, nfold)
 	if !canonical {
 		// Out of canonical order: sort once, then compare neighbours.
@@ -208,11 +211,16 @@ func Decode(data []byte) (*Briefcase, error) {
 	return b, nil
 }
 
+// names interns folder names. The same few names arrive on every frame,
+// so a decoded name is the table's string once it has been seen twice,
+// and a fresh copy before that: never a slice of the frame.
+var names = intern.New(func(name string, _ bool) (string, error) { return name, nil })
+
 // readFolders reads nfold folders into b.list in wire order, validating
 // every element region and leaving it undecoded, and then requires the
-// frame to end. It reports whether the names arrived in the canonical,
-// strictly ascending order; the folders read before an error are in
-// b.list either way.
+// frame to end. Folder names come from the names table. It reports
+// whether the names arrived in the canonical, strictly ascending order;
+// the folders read before an error are in b.list either way.
 func (b *Briefcase) readFolders(d *decoder, nfold uint64) (canonical bool, err error) {
 	canonical = true
 	for i := uint64(0); i < nfold; i++ {
@@ -227,10 +235,11 @@ func (b *Briefcase) readFolders(d *decoder, nfold uint64) (canonical bool, err e
 		if len(name) == 0 {
 			return canonical, fmt.Errorf("%w: empty folder name", ErrCorrupt)
 		}
-		if k := len(b.list); k > 0 && b.list[k-1].name >= string(name) {
+		nm, _ := names.Bytes(name)
+		if k := len(b.list); k > 0 && b.list[k-1].name >= nm {
 			canonical = false
 		}
-		f := b.carve(string(name))
+		f := b.carve(nm)
 		b.list = append(b.list, f)
 		nelem, ok := d.uvarint()
 		if !ok || nelem > MaxElements {

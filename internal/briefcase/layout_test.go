@@ -265,31 +265,114 @@ func TestCloneOfDecodedSharesNothing(t *testing.T) {
 	}
 }
 
+// TestInlineListNeverShared: a briefcase of up to four folders keeps its
+// list inline, and Clone gives the copy an inline list of its own. Each
+// side then grows past four folders (moving its list to the heap),
+// drops and re-creates folders, and the other side — new, decoded or
+// cloned — keeps exactly its names and contents.
+func TestInlineListNeverShared(t *testing.T) {
+	fresh := func() *Briefcase {
+		b := New()
+		for _, n := range []string{"A", "B", "C", "D"} {
+			b.SetString(n, "v"+n)
+		}
+		return b
+	}
+	frame := fresh().Encode()
+	sources := map[string]func() *Briefcase{
+		"new":     fresh,
+		"decoded": func() *Briefcase { return mustDecode(t, frame) },
+		"cloned":  func() *Briefcase { return fresh().Clone() },
+	}
+	grow := func(b *Briefcase) {
+		b.Drop("B")
+		for _, n := range []string{"E", "F", "G", "B", "H"} {
+			b.Ensure(n).AppendString("new" + n)
+		}
+		b.Drop("A")
+		b.SetString("C", "changed")
+	}
+	for name, source := range sources {
+		for _, growClone := range []bool{true, false} {
+			src := source()
+			if cap(src.list) != len(src.inline) || &src.list[:1][0] != &src.inline[0] {
+				t.Fatalf("%s: a four-folder briefcase's list is not inline", name)
+			}
+			clone := src.Clone()
+			if &clone.list[0] != &clone.inline[0] {
+				t.Fatalf("%s: a four-folder clone's list is not its own inline list", name)
+			}
+			victim, other := clone, src
+			if !growClone {
+				victim, other = src, clone
+			}
+			grow(victim)
+			if got := other.Names(); !slices.Equal(got, []string{"A", "B", "C", "D"}) {
+				t.Errorf("%s, grew clone=%v: the other side's names became %v", name, growClone, got)
+			}
+			if !other.Equal(mustDecode(t, frame)) {
+				t.Errorf("%s, grew clone=%v: the other side became %v", name, growClone, other)
+			}
+			if got := victim.Names(); !slices.Equal(got, []string{"B", "C", "D", "E", "F", "G", "H"}) {
+				t.Errorf("%s, grew clone=%v: the grown side holds %v", name, growClone, got)
+			}
+			if c, _ := victim.GetString("C"); c != "changed" {
+				t.Errorf("%s, grew clone=%v: the grown side's C = %q", name, growClone, c)
+			}
+			if again := victim.Clone(); !again.Equal(victim) || len(again.list) != 7 {
+				t.Errorf("%s: a clone of the grown side is %v", name, again)
+			}
+		}
+	}
+}
+
 var sinkBriefcase *Briefcase
 
 // TestBriefcaseStructuralAllocs pins the representation's allocation
 // shape: an empty briefcase is one allocation, and decoding a k-folder
-// frame costs the same three structural allocations (briefcase, folder
-// chunk, folder list) whatever k is, beside one string per folder name.
+// frame costs two structural allocations (briefcase, folder chunk) for
+// up to four folders, whose list is the briefcase's inline backing, and
+// three (and a folder list) past four, whatever k is. A folder name
+// costs what the names table costs for it: nothing once it is held. The
+// table is bounded, so some of 300 names share a set and keep evicting
+// each other; the same names looked up on their own, in the same order,
+// price that share, and the rest is structural.
 func TestBriefcaseStructuralAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { sinkBriefcase = New() }); n != 1 {
 		t.Errorf("New() costs %v allocations, want 1", n)
 	}
-	for _, k := range []int{1, 2, 5, 16, 300} {
-		names := make([]string, k)
-		for i := range names {
-			names[i] = fmt.Sprintf("F%04d", i) // multi-byte: one allocation each
+	for _, k := range []int{1, 2, 4, 5, 16, 300} {
+		folders := make([]string, k)
+		keys := make([][]byte, k)
+		for i := range folders {
+			folders[i] = fmt.Sprintf("F%04d", i) // multi-byte: a copy would allocate
+			keys[i] = []byte(folders[i])
 		}
-		frame := frameOf(names...)
+		frame := frameOf(folders...)
+		lookup := func() {
+			for _, key := range keys {
+				_, _ = names.Bytes(key)
+			}
+		}
+		for range 4 {
+			lookup()
+		}
+		named := testing.AllocsPerRun(100, lookup)
 		n := testing.AllocsPerRun(100, func() { sinkBriefcase, _ = Decode(frame) })
-		if structural := int(n) - k; structural != 3 {
-			t.Errorf("decoding %d folders costs %v allocations: %d structural, want 3", k, n, structural)
+		t.Logf("%d folders: %v allocations, %v of them names", k, n, named)
+		want := 2
+		if k > len(sinkBriefcase.inline) {
+			want = 3
+		}
+		if structural := n - named; structural != float64(want) {
+			t.Errorf("decoding %d folders costs %v allocations, %v of them names: %v structural, want %d", k, n, named, structural, want)
 		}
 	}
 	// The case-study briefcase: five folders, so a decode is the three
-	// structural allocations and five names, and a pooled encode reuses
-	// a warm buffer. Exact only with the collector paused and no race
-	// detector, whose sync.Pool drops Puts at random.
+	// structural allocations and no name (the table holds all five),
+	// and a pooled encode reuses a warm buffer. Exact only with the
+	// collector paused and no race detector, whose sync.Pool drops Puts
+	// at random.
 	t.Run("case-study", func(t *testing.T) {
 		if raceBuild {
 			t.Skip("exact allocation counts do not hold under the race detector")
@@ -307,8 +390,8 @@ func TestBriefcaseStructuralAllocs(t *testing.T) {
 		if encode != 0 {
 			t.Errorf("EncodePooled of the case-study briefcase costs %v allocations, want 0", encode)
 		}
-		if n := testing.AllocsPerRun(200, func() { sinkBriefcase, _ = Decode(frame) }); n != 8 {
-			t.Errorf("decoding the case-study briefcase costs %v allocations, want 8", n)
+		if n := testing.AllocsPerRun(200, func() { sinkBriefcase, _ = Decode(frame) }); n != 3 {
+			t.Errorf("decoding the case-study briefcase costs %v allocations, want 3", n)
 		}
 	})
 }

@@ -505,10 +505,13 @@ func (fw *Firewall) Unregister(r *Registration) {
 func (fw *Firewall) Lookup(q uri.URI, senderPrincipal string) []*Registration {
 	fw.mu.RLock()
 	defer fw.mu.RUnlock()
-	return fw.lookupLocked(q, senderPrincipal, false)
+	return fw.lookupLocked(nil, q, senderPrincipal, false)
 }
 
-func (fw *Firewall) lookupLocked(q uri.URI, senderPrincipal string, mgmt bool) []*Registration {
+// lookupLocked appends the registrations q names to out and returns the
+// extended slice. route hands it a one-slot buffer of its own, so the
+// usual single match costs no allocation.
+func (fw *Firewall) lookupLocked(out []*Registration, q uri.URI, senderPrincipal string, mgmt bool) []*Registration {
 	names := []string{q.Name}
 	if q.Name == "" {
 		// Name-less query: scan deterministically by name.
@@ -518,7 +521,6 @@ func (fw *Firewall) lookupLocked(q uri.URI, senderPrincipal string, mgmt bool) [
 		}
 		slices.Sort(names)
 	}
-	var out []*Registration
 	for _, n := range names {
 		for _, r := range fw.regs[n] {
 			if fw.reaches(q, senderPrincipal, r) || (mgmt && r.uri.Matches(q)) {
@@ -880,7 +882,7 @@ func (fw *Firewall) applyOp(op string, bc *briefcase.Briefcase) ([]string, error
 		// Management matching ignores the empty-principal restriction:
 		// the caller already proved System/Trusted privileges.
 		fw.mu.RLock()
-		matches := fw.lookupLocked(q, "", true)
+		matches := fw.lookupLocked(nil, q, "", true)
 		fw.mu.RUnlock()
 		if len(matches) == 0 {
 			return nil, fmt.Errorf("%w: %s", ErrNoAgent, q)

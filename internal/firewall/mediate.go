@@ -445,11 +445,12 @@ func (fw *Firewall) route(m *mediation) {
 		m.stop(vDone, "firewall closed", ErrClosed)
 		return
 	}
+	var one [1]*Registration
 	var matches []*Registration
 	var chosen *Registration
 	if !m.held {
 		// Prefer an exact instance match, then registration order.
-		matches = fw.lookupLocked(m.target, m.principal, false)
+		matches = fw.lookupLocked(one[:0], m.target, m.principal, false)
 		for _, r := range matches {
 			if chosen == nil || (m.target.HasInstance && r.uri.Instance == m.target.Instance) {
 				chosen = r

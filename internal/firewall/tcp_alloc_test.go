@@ -71,13 +71,15 @@ func tcpMeetSite(t *testing.T, trust *identity.TrustStore) (*firewall.Firewall, 
 // mediation and encode at the client, the frame over loopback TCP,
 // decode, mediation and delivery at the server, the echo's reply and the
 // same again on the way back. The transport's share is one per frame, the
-// payload; the receive timer costs nothing per message. A briefcase is
-// one allocation built empty and three decoded, and a single-element
-// folder needs no element slice. _TARGET and _SENDER are read in place
-// and written by aliasing the intern table's bytes, so an address costs
+// payload; the receive timer costs nothing per message. A briefcase of
+// up to four folders is one allocation built empty and two decoded (its
+// folder list is inline), a folder name comes from the names table, a
+// single-element folder needs no element slice, and routing matches
+// into a one-slot buffer. _TARGET and _SENDER are read in place and
+// written by aliasing the intern table's bytes, so an address costs
 // nothing once both hosts have seen it twice. Lower it when it falls,
 // and treat a rise as a regression to explain.
-const tcpMeetAllocs = 36
+const tcpMeetAllocs = 20
 
 // TestTCPMeetAllocBudget pins what a small message between two nodes
 // costs in allocations, so the gain cannot erode silently.

@@ -200,10 +200,12 @@ func TestFleetCrawlAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("one clean eight-agent fleet crawl: %.0f allocs", allocs)
-	// Measured 40,125–40,205 (49,520–49,591 before the chunked frontier,
-	// the prebuilt responses, the by-value replay pages and the sized
-	// RPC folders).
-	const budget = 40550
+	// Measured 37,321–37,420 (40,125–40,205 before a small briefcase
+	// kept its folder list inline and took its folder names from the
+	// names table, and message ids were minted without fmt; 49,520–
+	// 49,591 before the chunked frontier, the prebuilt responses, the
+	// by-value replay pages and the sized RPC folders).
+	const budget = 37700
 	if allocs > budget {
 		t.Errorf("a clean eight-agent fleet crawl costs %.0f allocations, budget %d", allocs, budget)
 	}
