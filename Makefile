@@ -25,12 +25,14 @@ race:
 check: vet build race
 
 # ci is the pipeline entry point: vet, gofmt (any file `gofmt -l`
-# lists fails the run), staticcheck when installed, the evaluation
-# harness's line budget (internal/bench + cmd/taxbench at most 2,000
+# lists fails the run), staticcheck when installed, the whole tree's
+# line budget (at most TREE_LOC_CAP code lines outside benchmark/,
+# counted as `make loc` counts them: the tree may shrink, not grow), the
+# evaluation harness's line budget (internal/bench + cmd/taxbench at most 2,000
 # code lines, counted as `make loc` counts them), the case study's line
 # budget (internal/linkmine at most 1,100 code lines, counted the same
 # way: one deployment, not one per shape), the chaos harness's line
-# budget (internal/chaostest at most 950 code lines: one tour world
+# budget (internal/chaostest at most 945 code lines: one tour world
 # under Run, RunParallel and the crash-point sweep), the full suite
 # twice under the race detector (flushes order-dependent flakes), the
 # crash-point recovery sweep under the race detector
@@ -60,12 +62,14 @@ ci:
 		echo "ci: gofmt drift in:"; echo "$$unformatted"; exit 1; fi
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 	else echo "ci: staticcheck not installed, skipping"; fi
+	@n=$$($(call count,.)); if [ $$n -gt $(TREE_LOC_CAP) ]; then \
+		echo "ci: the tree outside benchmark/ is $$n code lines, budget $(TREE_LOC_CAP) (make loc)"; exit 1; fi
 	@n=$$($(call count,internal/bench cmd/taxbench)); if [ $$n -gt 2000 ]; then \
 		echo "ci: internal/bench + cmd/taxbench is $$n code lines, budget 2000 (make loc)"; exit 1; fi
 	@n=$$($(call count,internal/linkmine)); if [ $$n -gt 1100 ]; then \
 		echo "ci: internal/linkmine is $$n code lines, budget 1100 (make loc)"; exit 1; fi
-	@n=$$($(call count,internal/chaostest)); if [ $$n -gt 950 ]; then \
-		echo "ci: internal/chaostest is $$n code lines, budget 950 (make loc)"; exit 1; fi
+	@n=$$($(call count,internal/chaostest)); if [ $$n -gt 945 ]; then \
+		echo "ci: internal/chaostest is $$n code lines, budget 945 (make loc)"; exit 1; fi
 	$(GO) test -race -count=2 ./...
 	$(GO) test -race -timeout 300s -count=1 -run 'CrashPoint' ./internal/chaostest/
 	$(GO) test -race -timeout 300s -count=1 -run 'TestPolicyQuotaStarvation10k' ./internal/firewall/
@@ -118,9 +122,11 @@ frontier-sweep:
 # from. The defaults are the serial 917-page crawl (BenchmarkCrawl917)
 # and the case-study site's generation (BenchmarkGenerateCaseStudySite);
 # `make allocs PKG=./internal/briefcase BENCH=Decode1KBx16` prices a
-# decoded briefcase. Divide a row by the benchmark's iteration count
-# (20, plus one warm-up run) for its count per op, and a crawl's by 917
-# for its count per fetched URL.
+# decoded briefcase. Each benchmark runs 1,000 ops, so the one warm-up
+# op the testing package runs first, and an intern table's first two
+# sightings of each name, stay under 1 % of the profile: divide a row by
+# 1,000 for its count per op, and a crawl's by 917 more for its count
+# per fetched URL.
 PKG ?= ./internal/webbot
 BENCH ?= Crawl917 GenerateCaseStudySite
 allocs:
@@ -128,7 +134,7 @@ allocs:
 	$(GO) test -c -o "$$dir/pkg.test" $(PKG) && \
 	for b in $(BENCH); do \
 		(cd $(PKG) && "$$dir/pkg.test" -test.run '^$$' -test.bench "^Benchmark$$b\$$" \
-			-test.benchtime 20x -test.benchmem -test.memprofilerate 1 \
+			-test.benchtime 1000x -test.benchmem -test.memprofilerate 1 \
 			-test.memprofile "$$dir/$$b.mem") || exit 1; \
 		$(GO) tool pprof -top -sample_index=alloc_objects "$$dir/pkg.test" "$$dir/$$b.mem" | head -30; \
 	done
@@ -220,9 +226,10 @@ obsv-demo:
 # benchmark/, the evaluation harness, the firewall, the crawler (the
 # robot plus the case study around it), the case study alone, and the
 # chaos harness.
+TREE_LOC_CAP = 20595
 count = find $(1) -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -print0 | xargs -0 cat | grep -cvE '^\s*(//|$$)'
 loc:
-	@echo "tree (outside benchmark/)        $$($(call count,.))"
+	@echo "tree (outside benchmark/)        $$($(call count,.)) (make ci cap $(TREE_LOC_CAP))"
 	@echo "internal/bench + cmd/taxbench    $$($(call count,internal/bench cmd/taxbench))"
 	@echo "internal/firewall                $$($(call count,internal/firewall))"
 	@echo "internal/webbot + internal/linkmine $$($(call count,internal/webbot internal/linkmine))"

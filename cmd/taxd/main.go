@@ -75,7 +75,7 @@ func main() {
 	batchFrames := flag.Int("batch", 0, "coalesce up to N outbound same-destination frames per network transfer (0 disables batching)")
 	policyFile := flag.String("policy", "", "policy ruleset file: default-deny mediation rules + per-principal quotas (hot-reload with 'taxctl policyload')")
 	dirPlane := flag.String("dir", "", "comma-separated host:port membership of the leased directory plane; must include this node's address (enrolls an ag_nsd shard, inspect with 'taxctl dir')")
-	dirReplicas := flag.Int("dir-replicas", 2, "with -dir: copies of each name binding (clamped to the membership size)")
+	dirReplicas := flag.Int("dir-replicas", directory.DefaultReplicas, "with -dir: copies of each name binding (clamped to the membership size)")
 	dirTTL := flag.Duration("dir-ttl", directory.DefaultTTL, "with -dir: lease length granted to name registrations")
 	launchAs := flag.String("launch-principal", "system", "principal the -launch agent runs under (non-system principals are subject to peers' -policy rules)")
 	httpAddr := flag.String("http", "", "serve observability over HTTP: /metrics (Prometheus text) and /traces (OTLP/JSON); implies -telemetry")

@@ -147,14 +147,9 @@ func (b *StreamBuffer) Bytes() ([]byte, error) {
 	return out, nil
 }
 
-// ReceiveStream blocks until the named stream completes, buffering
-// unrelated briefcases for later Await calls. A zero timeout waits
-// forever.
-func (c *Context) ReceiveStream(streamID string, timeout time.Duration) ([]byte, error) {
-	return c.ReceiveStreamCtx(context.Background(), streamID, timeout)
-}
-
-// ReceiveStreamCtx is ReceiveStream with cancellation.
+// ReceiveStreamCtx blocks until the named stream completes, buffering
+// unrelated briefcases for later Await calls, or until ctx is done. A
+// zero timeout waits forever.
 func (c *Context) ReceiveStreamCtx(ctx context.Context, streamID string, timeout time.Duration) ([]byte, error) {
 	buf := NewStreamBuffer(streamID)
 	deadline := deadlineAfter(timeout)

@@ -109,12 +109,21 @@ func (e Element) Clone() Element {
 	return c
 }
 
+// noCopy, the first field of a struct that must not be copied by value,
+// makes go vet's copylocks check report a copy. It takes no space.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
+
 // Folder is an ordered list of elements with a name.
 //
 // A Folder lives in a slot of its briefcase's chunk (see Briefcase) and
 // must never be copied by value: elems may point at the folder's own
-// inline slot.
+// inline slot. go vet's copylocks check rejects such a copy (noCopy).
 type Folder struct {
+	noCopy noCopy
+
 	name  string
 	elems []Element
 
@@ -359,8 +368,11 @@ func (f *Folder) cloneInto(c *Folder) {
 // which is what the core stamp's identity test (core.go) relies on.
 //
 // A Briefcase must never be copied by value: list may point at the
-// briefcase's own inline backing.
+// briefcase's own inline backing. go vet's copylocks check rejects such
+// a copy (noCopy).
 type Briefcase struct {
+	noCopy noCopy
+
 	list  []*Folder // sorted by name, names unique
 	spare []Folder  // the current chunk's slots not yet handed out
 

@@ -82,11 +82,11 @@ type DirectoryResult struct {
 	FaultLog []byte
 }
 
-// Invariants returns the run's invariant outcomes — and only those, so
+// invariants returns the run's invariant outcomes — and only those, so
 // the sweep's JSON is byte-identical across reruns of the same seed
 // (the raw counters shift with goroutine scheduling; the invariants
 // must not).
-func (r DirectoryResult) Invariants(seed int64) ([]byte, error) {
+func (r DirectoryResult) invariants(seed int64) ([]byte, error) {
 	return json.Marshal(struct {
 		Seed          int64    `json:"seed"`
 		LostAcked     []string `json:"lost_acked"`
@@ -102,12 +102,6 @@ func emptyNotNil(s []string) []string {
 		return []string{}
 	}
 	return s
-}
-
-// Ok reports whether every invariant held.
-func (r DirectoryResult) Ok() bool {
-	return len(r.LostAcked) == 0 && len(r.Divergent) == 0 &&
-		r.UntypedErrors == 0 && r.ExpiredTyped && r.Acked > 0
 }
 
 // dirObservations accumulates every (name, version) → location the

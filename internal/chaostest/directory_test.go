@@ -47,7 +47,7 @@ func TestDirectoryChaosSweep(t *testing.T) {
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}
-			inv, err := res.Invariants(tc.sc.Seed)
+			inv, err := res.invariants(tc.sc.Seed)
 			if err != nil {
 				t.Fatalf("invariants json: %v", err)
 			}
@@ -70,7 +70,7 @@ func TestDirectoryChaosSweep(t *testing.T) {
 			}
 			// The JSON carries invariant outcomes only, so a second
 			// marshal of the same run is byte-identical.
-			inv2, _ := res.Invariants(tc.sc.Seed)
+			inv2, _ := res.invariants(tc.sc.Seed)
 			if string(inv) != string(inv2) {
 				t.Errorf("invariant JSON not stable: %s vs %s", inv, inv2)
 			}

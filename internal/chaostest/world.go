@@ -70,8 +70,7 @@ func newWorld(sc Scenario, n int, store string, opts core.NodeOptions) (*world, 
 		w.twr = s.EnableTower()
 	}
 	opts.NoCVM, opts.DedupWindow = true, 256
-	for i, h := range append([]string{home}, Stops...) {
-		opts.NameService = i == 0
+	for _, h := range append([]string{home}, Stops...) {
 		if _, err := s.AddNode(h, opts); err != nil {
 			_ = s.Close()
 			return nil, err

@@ -20,7 +20,6 @@ import (
 	"tax/internal/directory"
 	"tax/internal/firewall"
 	"tax/internal/identity"
-	"tax/internal/naming"
 	"tax/internal/policy"
 	"tax/internal/services"
 	"tax/internal/simnet"
@@ -52,15 +51,6 @@ type NodeOptions struct {
 	NoServices bool
 	// NoCVM skips the C virtual machine and its compile services.
 	NoCVM bool
-	// NameService additionally launches the ag_ns location registry on
-	// this node (typically only the deployment's home node runs one).
-	NameService bool
-	// NameTTL is the lease length the node's ag_ns table grants on
-	// updates; zero keeps bindings forever (the pre-lease behaviour).
-	// With a TTL, a binding whose owner stopped renewing (say, its host
-	// crashed) expires to a typed naming.ErrExpired instead of
-	// resolving to the dead location.
-	NameTTL time.Duration
 	// OnAgentDone observes every agent completion on this node's VMs
 	// (nil on clean exit, agent.ErrMoved after a move, else the fault).
 	OnAgentDone func(name string, err error)
@@ -134,8 +124,6 @@ type Node struct {
 	// _WRAPSPEC folder (the paper's "automatic generation of layers of
 	// wrappers"); the built-in layer kinds are pre-registered.
 	WrapperSpecs *wrapper.SpecRegistry
-	// Names is the local name table when the node runs ag_ns, else nil.
-	Names *naming.Table
 	// Dir is the node's directory plane member when the deployment
 	// enabled the plane and this node is in its ring, else nil.
 	Dir *directory.Server
@@ -581,13 +569,6 @@ func (s *System) launchServices(node *Node, opts NodeOptions) error {
 	}
 	if !opts.NoCVM {
 		svcs["ag_cc"] = services.NewAgCC("ag_exec", 0, opts.Trace)
-	}
-	if opts.NameService {
-		// Recreated on every (re)launch: the table is volatile state and a
-		// restart boots with an empty one (leases make the loss visible as
-		// typed expiries instead of silent unbounds).
-		node.Names = &naming.Table{TTL: opts.NameTTL}
-		svcs[naming.ServiceName] = naming.NewService(node.Names)
 	}
 	if srv := s.directoryServer(node); srv != nil {
 		svcs[directory.ServiceName] = srv.Handler()

@@ -15,8 +15,8 @@ type DirectoryConfig struct {
 	Nodes []string
 	// VNodes is the virtual-node count per member (0 = default).
 	VNodes int
-	// Replicas is the replication factor R, owner included (0 = 2,
-	// clamped to len(Nodes)).
+	// Replicas is the replication factor R, owner included (0 =
+	// directory.DefaultReplicas, clamped to len(Nodes)).
 	Replicas int
 	// TTL is the binding lease length (0 = directory.DefaultTTL,
 	// negative disables expiry).
@@ -33,7 +33,7 @@ type DirectoryConfig struct {
 // them. Call before AddNode, like EnableTower.
 func (s *System) EnableDirectory(cfg DirectoryConfig) (*directory.Ring, error) {
 	if cfg.Replicas == 0 {
-		cfg.Replicas = 2
+		cfg.Replicas = directory.DefaultReplicas
 	}
 	ring, err := directory.NewRing(cfg.Nodes, cfg.VNodes, cfg.Replicas)
 	if err != nil {

@@ -54,15 +54,6 @@ func WithoutServices() Option { return func(o *NodeOptions) { o.NoServices = tru
 // WithoutCVM skips the C virtual machine and its compile services.
 func WithoutCVM() Option { return func(o *NodeOptions) { o.NoCVM = true } }
 
-// WithNameService additionally launches the ag_ns location registry on
-// this node (typically only the deployment's home node runs one).
-func WithNameService() Option { return func(o *NodeOptions) { o.NameService = true } }
-
-// WithNameTTL leases the node's ag_ns bindings: updates are granted ttl
-// of virtual time and a binding that stops being renewed expires to a
-// typed naming.ErrExpired instead of resolving to a dead location.
-func WithNameTTL(ttl time.Duration) Option { return func(o *NodeOptions) { o.NameTTL = ttl } }
-
 // WithOnAgentDone observes every agent completion on this node's VMs
 // (nil on clean exit, agent.ErrMoved after a move, else the fault).
 func WithOnAgentDone(fn func(name string, err error)) Option {

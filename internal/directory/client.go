@@ -15,8 +15,6 @@ import (
 // Client routes naming RPCs over the directory plane: writes go to the
 // name's shard owner (the only version authority), lookups go to the
 // owner and fail over to the replicas when the owner is unreachable.
-// It satisfies the same Update/Lookup/Drop contract as the single-node
-// naming.Client, so the location-transparent wrapper can ride either.
 type Client struct {
 	// Ring is the plane's ownership function (identical to the servers').
 	Ring *Ring

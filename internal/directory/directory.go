@@ -2,13 +2,13 @@
 // name→location plane behind the §4 "location independent naming"
 // service.
 //
-// The paper keeps naming as infrastructure every agent platform absorbs;
-// this reproduction started with the same shape — one naming.Table on
-// one host — which has two production failures baked in: the table is a
-// scalability bottleneck at fleet scale (10^6 registered agents funnel
-// through one map and one host's link), and a crash of the node holding
-// it silently strands every binding forever. This package replaces it
-// with a directory plane:
+// The paper keeps naming as infrastructure every agent platform absorbs.
+// One name table on one host has two production failures baked in: it
+// is a scalability bottleneck at fleet scale (10^6 registered agents
+// funnel through one map and one host's link), and a crash of the node
+// holding it silently strands every binding forever. This package is a
+// directory plane instead; a single-node deployment is a one-member
+// plane:
 //
 //   - Names are consistent-hashed across N directory nodes (virtual-node
 //     ring, configurable replication factor R). Ring membership is static
@@ -16,12 +16,11 @@
 //     server computes identical ownership with no coordination.
 //
 //   - Every binding is held under a lease on the virtual clock: an
-//     update binds name→location for TTL, renewals (the rearguard /
+//     update binds name→location for TTL, renewals (the
 //     location-transparent wrapper re-binding on every hop) extend it,
 //     and a binding whose lease expired resolves to a typed ErrExpired —
 //     never to a dead location. A crashed agent's binding dies with its
-//     lease instead of lingering forever (the stale-binding bug of the
-//     single-node table).
+//     lease instead of lingering forever.
 //
 //   - Writes are coordinated by the shard owner: it assigns the
 //     binding's next version, journals it in the host's file cabinet
@@ -86,8 +85,7 @@ func init() {
 }
 
 // Directory service operations (services.FolderOp values). The first
-// three are the public client protocol shared with the single-node
-// naming service; the rest are plane-internal.
+// three are the client protocol; the rest are plane-internal.
 const (
 	// OpUpdate binds (or renews) name → location under a fresh lease.
 	OpUpdate = "update"

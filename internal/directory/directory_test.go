@@ -13,8 +13,8 @@ import (
 )
 
 func TestRingOwnershipDeterministic(t *testing.T) {
-	a := MustRing([]string{"d3", "d1", "d2"}, 0, 2)
-	b := MustRing([]string{"d1", "d2", "d3"}, 0, 2)
+	a := mustRing([]string{"d3", "d1", "d2"}, 0, 2)
+	b := mustRing([]string{"d1", "d2", "d3"}, 0, 2)
 	for _, name := range []string{"alice", "bob", "carol", "agent-17", ""} {
 		if got, want := a.Owner(name), b.Owner(name); got != want {
 			t.Fatalf("owner(%q) differs across membership orderings: %q vs %q", name, got, want)
@@ -36,7 +36,7 @@ func TestRingOwnershipDeterministic(t *testing.T) {
 }
 
 func TestRingBalance(t *testing.T) {
-	r := MustRing([]string{"d1", "d2", "d3", "d4"}, 0, 1)
+	r := mustRing([]string{"d1", "d2", "d3", "d4"}, 0, 1)
 	counts := map[string]int{}
 	for i := 0; i < 10_000; i++ {
 		counts[r.Owner("agent-"+string(rune('a'+i%26))+"-"+time.Duration(i).String())]++
@@ -50,7 +50,7 @@ func TestRingBalance(t *testing.T) {
 }
 
 func TestRingReplicasClamped(t *testing.T) {
-	r := MustRing([]string{"only"}, 8, 3)
+	r := mustRing([]string{"only"}, 8, 3)
 	if got := r.Owners("x"); len(got) != 1 || got[0] != "only" {
 		t.Fatalf("single-node ring owners = %v", got)
 	}

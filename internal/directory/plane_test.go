@@ -1,6 +1,7 @@
 package directory_test
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -10,7 +11,6 @@ import (
 	"tax/internal/briefcase"
 	"tax/internal/core"
 	"tax/internal/directory"
-	"tax/internal/naming"
 	"tax/internal/services"
 	"tax/internal/simnet"
 )
@@ -70,6 +70,16 @@ func TestPlaneBindLookupDrop(t *testing.T) {
 			t.Fatalf("resolve %s binding = %+v, want v1 with a lease", n, b)
 		}
 	}
+	// An update without a location binds the authenticated sender.
+	req := briefcase.New()
+	req.SetString(services.FolderOp, directory.OpUpdate)
+	req.SetString(directory.FolderName, "me")
+	if _, err := ctx.MeetDirect(directory.ServiceURI(ring.Owner("me")), req, 2*time.Second); err != nil {
+		t.Fatalf("sender bind: %v", err)
+	}
+	if b, err := c.Resolve(ctx, "me"); err != nil || b.Location != ctx.URI().String() {
+		t.Fatalf("sender bind resolves to %+v, %v; want %s", b, err, ctx.URI())
+	}
 	// Acknowledged writes are on every replica (not just the owner).
 	for _, n := range names {
 		for _, member := range ring.Owners(n) {
@@ -89,16 +99,22 @@ func TestPlaneBindLookupDrop(t *testing.T) {
 	if b, err := c.Resolve(ctx, "alice"); err != nil || b.Version != 2 || b.Location != "tacoma://h9//vm_go" {
 		t.Fatalf("re-bind = %+v, %v", b, err)
 	}
-	// Drop is typed across the wire: errors.Is sees naming.ErrUnbound
-	// even though the verdict came from a remote directory node.
+	// Drop is typed across the wire: errors.Is sees ErrUnbound even
+	// though the verdict came from a remote directory node.
 	if err := c.Drop(ctx, "alice"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Resolve(ctx, "alice"); !errors.Is(err, naming.ErrUnbound) {
+	if _, err := c.Resolve(ctx, "alice"); !errors.Is(err, directory.ErrUnbound) {
 		t.Fatalf("dropped resolve err = %v, want ns_unbound", err)
 	}
 	if _, err := c.Resolve(ctx, "never-bound"); !errors.Is(err, directory.ErrUnbound) {
 		t.Fatalf("unbound resolve err = %v, want ns_unbound", err)
+	}
+	// A cancelled context aborts the RPC instead of failing over.
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := c.ResolveCtx(cancelled, ctx, "bob"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled resolve err = %v, want context.Canceled", err)
 	}
 }
 
@@ -154,8 +170,15 @@ func TestPlaneLeaseExpiresTyped(t *testing.T) {
 		n.Host.Charge(time.Second)
 	}
 	_, err := c.Resolve(ctx, name)
-	if !errors.Is(err, naming.ErrExpired) {
+	if !errors.Is(err, directory.ErrExpired) {
 		t.Fatalf("expired resolve err = %v, want ns_expired", err)
+	}
+	// The silent agent's replacement re-binds the name.
+	if err := c.Bind(ctx, name, "tacoma://h3//vm_go"); err != nil {
+		t.Fatalf("re-bind after expiry: %v", err)
+	}
+	if b, err := c.Resolve(ctx, name); err != nil || b.Location != "tacoma://h3//vm_go" {
+		t.Fatalf("re-bound resolve = %+v, %v", b, err)
 	}
 }
 
@@ -178,6 +201,19 @@ func TestPlaneMisroutedWriteTyped(t *testing.T) {
 	_, err := ctx.MeetDirect(directory.ServiceURI(wrong), req, 2*time.Second)
 	if !errors.Is(err, directory.ErrNotOwner) {
 		t.Fatalf("misrouted write err = %v, want ns_not_owner", err)
+	}
+	// A request without a name, and an unknown operation, are answered
+	// with typed errors too.
+	nameless := briefcase.New()
+	nameless.SetString(services.FolderOp, directory.OpLookup)
+	if _, err := ctx.MeetDirect(directory.ServiceURI(owner), nameless, 2*time.Second); !errors.Is(err, services.ErrBadRequest) {
+		t.Fatalf("nameless request err = %v, want svc_bad_request", err)
+	}
+	unknown := briefcase.New()
+	unknown.SetString(services.FolderOp, "rename")
+	unknown.SetString(directory.FolderName, name)
+	if _, err := ctx.MeetDirect(directory.ServiceURI(owner), unknown, 2*time.Second); !errors.Is(err, services.ErrUnknownOp) {
+		t.Fatalf("unknown op err = %v, want svc_unknown_op", err)
 	}
 }
 

@@ -13,6 +13,11 @@ import (
 // the ring stays small enough to binary-search in nanoseconds.
 const DefaultVNodes = 64
 
+// DefaultReplicas is the replication factor, owner included, of a plane
+// whose configuration names none: every binding lives on its owner and
+// one replica, so a single member's crash loses no acknowledged write.
+const DefaultReplicas = 2
+
 // Ring is a consistent-hash ring over the directory nodes: each node
 // contributes VNodes points, a name hashes to a position, and the next
 // Replicas distinct nodes clockwise own it (the first is the shard
@@ -77,8 +82,8 @@ func NewRing(nodes []string, vnodes, replicas int) (*Ring, error) {
 	return r, nil
 }
 
-// MustRing is NewRing for static configuration; it panics on error.
-func MustRing(nodes []string, vnodes, replicas int) *Ring {
+// mustRing is NewRing for static configuration; it panics on error.
+func mustRing(nodes []string, vnodes, replicas int) *Ring {
 	r, err := NewRing(nodes, vnodes, replicas)
 	if err != nil {
 		panic(err)

@@ -16,8 +16,7 @@ import (
 )
 
 // ServiceName is the directory shard service agent's name on every
-// plane member ("ag_ns" is the single-node registry; "ag_nsd" is a
-// shard daemon of the distributed plane).
+// plane member.
 const ServiceName = "ag_nsd"
 
 // ServiceURI returns the directory service URI on a plane node.
@@ -172,7 +171,7 @@ func (s *Server) serve(ctx *agent.Context, req *briefcase.Briefcase, jobs []chan
 	case OpUpdate, OpDrop:
 		name, _ := req.GetString(FolderName)
 		if name == "" {
-			return nil, errors.New("directory: write without name")
+			return nil, fmt.Errorf("directory: %w: write without name", services.ErrBadRequest)
 		}
 		if s.cfg.Ring.Owner(name) != s.cfg.Node {
 			return nil, fmt.Errorf("%w: %q is owned by %s", ErrNotOwner, name, s.cfg.Ring.Owner(name))
@@ -185,7 +184,7 @@ func (s *Server) serve(ctx *agent.Context, req *briefcase.Briefcase, jobs []chan
 				// Default to the authenticated sender: "I am here now".
 				loc, ok = req.GetString(briefcase.FolderSysSender)
 				if !ok {
-					return nil, errors.New("directory: update without location")
+					return nil, fmt.Errorf("directory: %w: update without location", services.ErrBadRequest)
 				}
 			}
 		}
@@ -201,7 +200,7 @@ func (s *Server) serve(ctx *agent.Context, req *briefcase.Briefcase, jobs []chan
 	case OpLookup:
 		name, _ := req.GetString(FolderName)
 		if name == "" {
-			return nil, errors.New("directory: lookup without name")
+			return nil, fmt.Errorf("directory: %w: lookup without name", services.ErrBadRequest)
 		}
 		b, err := s.shard.LookupAt(name, ctx.Now())
 		if err != nil {
@@ -235,7 +234,7 @@ func (s *Server) serve(ctx *agent.Context, req *briefcase.Briefcase, jobs []chan
 		resp.SetString(FolderRows, EncodeRows(rows))
 		return resp, nil
 	default:
-		return nil, fmt.Errorf("directory: unknown operation %q", op)
+		return nil, fmt.Errorf("directory: %w %q", services.ErrUnknownOp, op)
 	}
 }
 

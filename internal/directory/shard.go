@@ -23,7 +23,7 @@ type Binding struct {
 	// Updated is the owner's virtual time of the write.
 	Updated time.Duration
 	// Expires is the lease deadline in virtual time; 0 means the binding
-	// never expires (single-node compatibility mode).
+	// never expires (a shard built with ttl 0).
 	Expires time.Duration
 	// Dropped marks a tombstone: the name was dropped at this version
 	// and must not be resurrected by older records.
@@ -33,11 +33,6 @@ type Binding struct {
 	// ErrExpired (its agent went silent), an explicitly dropped one to
 	// ErrUnbound.
 	Expired bool
-}
-
-// LiveAt reports whether the binding resolves at virtual time now.
-func (b Binding) LiveAt(now time.Duration) bool {
-	return !b.Dropped && (b.Expires == 0 || now < b.Expires)
 }
 
 // Record encoding: fields joined by the unit separator, rows by the
@@ -134,9 +129,8 @@ type Shard struct {
 	ttl time.Duration
 }
 
-// NewShard builds a shard. store may be nil (volatile, for the
-// single-node table mode); ttl is the lease length granted on writes
-// (0 = leases never expire).
+// NewShard builds a shard. store may be nil (volatile); ttl is the
+// lease length granted on writes (0 = leases never expire).
 func NewShard(store *cabinet.Store, ttl time.Duration) *Shard {
 	return &Shard{m: make(map[string]Binding), st: store, ttl: ttl}
 }

@@ -96,8 +96,8 @@ func (v VectorClock) Clone() VectorClock {
 	return c
 }
 
-// LessEq reports whether v ≤ o componentwise (v happened-before-or-equal).
-func (v VectorClock) LessEq(o VectorClock) bool {
+// lessEq reports whether v ≤ o componentwise (v happened-before-or-equal).
+func (v VectorClock) lessEq(o VectorClock) bool {
 	for k, n := range v {
 		if n > o[k] {
 			return false
@@ -311,8 +311,8 @@ func (e *Engine) applyLocked(env Envelope) {
 	}
 }
 
-// Held returns how many envelopes are buffered awaiting predecessors.
-func (e *Engine) Held() int {
+// numHeld returns how many envelopes are buffered awaiting predecessors.
+func (e *Engine) numHeld() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return len(e.held)

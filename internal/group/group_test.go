@@ -56,8 +56,8 @@ func TestFIFOReordersOutOfOrderArrival(t *testing.T) {
 	if len(out) != 0 {
 		t.Fatalf("delivered ahead of order: %v", out)
 	}
-	if b.Held() != 1 {
-		t.Errorf("held = %d", b.Held())
+	if b.numHeld() != 1 {
+		t.Errorf("held = %d", b.numHeld())
 	}
 	out, _ = b.Receive(e1)
 	if len(out) != 1 || string(out[0].Payload) != "m1" {
@@ -67,8 +67,8 @@ func TestFIFOReordersOutOfOrderArrival(t *testing.T) {
 	if len(out) != 2 || string(out[0].Payload) != "m2" || string(out[1].Payload) != "m3" {
 		t.Fatalf("after e2 (flush): %v", out)
 	}
-	if b.Held() != 0 {
-		t.Errorf("held after flush = %d", b.Held())
+	if b.numHeld() != 0 {
+		t.Errorf("held after flush = %d", b.numHeld())
 	}
 }
 
@@ -189,8 +189,8 @@ func TestSequencerAlsoDelivers(t *testing.T) {
 	if len(out) != 1 || string(out[0].Payload) != "m2" {
 		t.Fatalf("sequencer delivery of slot 2: %v", out)
 	}
-	if seq.Held() != 0 {
-		t.Errorf("sequencer held %d", seq.Held())
+	if seq.numHeld() != 0 {
+		t.Errorf("sequencer held %d", seq.numHeld())
 	}
 }
 
@@ -201,10 +201,10 @@ func TestVectorClockOps(t *testing.T) {
 	if v["a"] != 1 {
 		t.Error("Clone aliases the map")
 	}
-	if !v.LessEq(w) {
+	if !v.lessEq(w) {
 		t.Error("v should be ≤ w")
 	}
-	if w.LessEq(v) {
+	if w.lessEq(v) {
 		t.Error("w should not be ≤ v")
 	}
 	v.Merge(w)
@@ -276,7 +276,7 @@ func TestPropFIFOPermutationSafe(t *testing.T) {
 			}
 			delivered = append(delivered, out...)
 		}
-		if len(delivered) != na+nb || r.Held() != 0 {
+		if len(delivered) != na+nb || r.numHeld() != 0 {
 			return false
 		}
 		// Per-sender order must be send order.
@@ -378,7 +378,7 @@ func TestPropCausalChain(t *testing.T) {
 				got = append(got, d.Payload[0])
 			}
 		}
-		if len(got) != n || c.Held() != 0 {
+		if len(got) != n || c.numHeld() != 0 {
 			return false
 		}
 		// The chain is totally causally ordered: delivery must be 0..n-1.

@@ -86,9 +86,9 @@ func (p *Principal) Name() string { return p.name }
 // PublicKey returns the principal's public key.
 func (p *Principal) PublicKey() ed25519.PublicKey { return p.pub }
 
-// KeyID returns a short hex identifier of the public key, convenient for
+// keyID returns a short hex identifier of the public key, convenient for
 // logs and trust-store listings.
-func (p *Principal) KeyID() string { return hex.EncodeToString(p.pub[:8]) }
+func (p *Principal) keyID() string { return hex.EncodeToString(p.pub[:8]) }
 
 // Sign produces a detached signature over msg.
 func (p *Principal) Sign(msg []byte) []byte {

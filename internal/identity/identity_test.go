@@ -24,8 +24,8 @@ func TestNewPrincipalValidation(t *testing.T) {
 	if p.Name() != "alice" {
 		t.Errorf("Name = %q", p.Name())
 	}
-	if len(p.KeyID()) != 16 {
-		t.Errorf("KeyID length = %d, want 16 hex chars", len(p.KeyID()))
+	if len(p.keyID()) != 16 {
+		t.Errorf("keyID length = %d, want 16 hex chars", len(p.keyID()))
 	}
 }
 

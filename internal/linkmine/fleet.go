@@ -170,8 +170,8 @@ func (a *Aggregator) Duplicates() int {
 	return a.dups
 }
 
-// Malformed reports how many deliveries lacked a TASK folder.
-func (a *Aggregator) Malformed() int {
+// malformedCount reports how many deliveries lacked a TASK folder.
+func (a *Aggregator) malformedCount() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.malformed

@@ -105,8 +105,8 @@ func TestAggregatorMalformed(t *testing.T) {
 	if id, ok := agg.Add(resultBC("", []string{"www1|1|100|1"}, nil, nil, nil, nil)); ok || id != "" {
 		t.Errorf("Add(no TASK) = (%q, %v), want (\"\", false)", id, ok)
 	}
-	if agg.Malformed() != 1 {
-		t.Errorf("Malformed() = %d, want 1", agg.Malformed())
+	if agg.malformedCount() != 1 {
+		t.Errorf("malformedCount() = %d, want 1", agg.malformedCount())
 	}
 	if tot := agg.Totals(); tot.Pages != 0 {
 		t.Errorf("malformed delivery leaked into totals: %+v", tot)

@@ -34,7 +34,6 @@ import (
 	"tax/internal/agent"
 	"tax/internal/briefcase"
 	"tax/internal/firewall"
-	"tax/internal/naming"
 	"tax/internal/telemetry"
 	"tax/internal/wrapper"
 )
@@ -55,9 +54,6 @@ const (
 	// FolderLastStop records, in the travelling briefcase, the
 	// destination of the agent's most recent move.
 	FolderLastStop = "_RGLAST"
-	// FolderStableName travels in the agent's briefcase and names the
-	// binding the Beacon renews in the naming plane on every hop.
-	FolderStableName = "_RGSELF"
 )
 
 // Report statuses.
@@ -86,17 +82,7 @@ var (
 // progress to the guard named in the briefcase's _RGHOME folder. All
 // reports are best-effort sends — a report lost to the fault being
 // survived is exactly the silence the guard's deadline detects.
-type Beacon struct {
-	// Renew, when non-nil, renews the agent's stable-name lease (the
-	// _RGSELF folder) in the naming plane on every hop, the way the
-	// guard renews its watch: a travelling agent that keeps arriving
-	// keeps its directory binding alive, and one that dies stops
-	// renewing and expires to a typed ns_expired. Renewal is
-	// best-effort like every beacon report — a renewal lost to the
-	// fault being survived is exactly a lease the plane should let
-	// lapse.
-	Renew naming.Resolver
-}
+type Beacon struct{}
 
 var (
 	_ wrapper.Wrapper   = (*Beacon)(nil)
@@ -106,15 +92,9 @@ var (
 // Name implements wrapper.Wrapper.
 func (b *Beacon) Name() string { return WrapperName }
 
-// Init implements wrapper.Wrapper: every arrival reports a hop and
-// renews the agent's stable-name lease.
+// Init implements wrapper.Wrapper: every arrival reports a hop.
 func (b *Beacon) Init(ctx *agent.Context) error {
 	b.report(ctx, StatusHop, "")
-	if b.Renew != nil {
-		if name, ok := ctx.Briefcase().GetString(FolderStableName); ok && name != "" {
-			_ = b.Renew.Update(ctx, name)
-		}
-	}
 	return nil
 }
 

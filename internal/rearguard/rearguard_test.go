@@ -27,12 +27,8 @@ func newSystem(t *testing.T, hosts ...string) *core.System {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = s.Close() })
-	for i, h := range hosts {
-		opts := core.NodeOptions{NoCVM: true, DedupWindow: 64}
-		if i == 0 {
-			opts.NameService = true
-		}
-		if _, err := s.AddNode(h, opts); err != nil {
+	for _, h := range hosts {
+		if _, err := s.AddNode(h, core.NodeOptions{NoCVM: true, DedupWindow: 64}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -174,11 +174,9 @@ type link struct {
 type Network struct {
 	mu             sync.Mutex
 	defaultProfile Profile
-	loopback       Profile
 	hosts          map[string]*Host
 	links          map[pairKey]*link
-	profiles       map[pairKey]Profile // per-pair overrides (symmetric)
-	partitioned    map[pairKey]bool    // symmetric
+	partitioned    map[pairKey]bool // symmetric
 	crashed        map[string]bool
 	onCrash        map[string]func()
 	onRestart      map[string]func()
@@ -197,10 +195,8 @@ type Network struct {
 func New(defaultProfile Profile) *Network {
 	return &Network{
 		defaultProfile: defaultProfile,
-		loopback:       Loopback,
 		hosts:          make(map[string]*Host),
 		links:          make(map[pairKey]*link),
-		profiles:       make(map[pairKey]Profile),
 		partitioned:    make(map[pairKey]bool),
 		crashed:        make(map[string]bool),
 		onCrash:        make(map[string]func()),
@@ -274,13 +270,6 @@ func (n *Network) SetTelemetry(t *telemetry.Telemetry) {
 	}
 }
 
-// SetLoopback overrides the profile used for a host talking to itself.
-func (n *Network) SetLoopback(p Profile) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.loopback = p
-}
-
 // AddHost registers a host and starts its dispatcher.
 func (n *Network) AddHost(name string) (*Host, error) {
 	n.mu.Lock()
@@ -314,15 +303,6 @@ func (n *Network) Host(name string) (*Host, error) {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownHost, name)
 	}
 	return h, nil
-}
-
-// SetProfile overrides the link profile between hosts a and b in both
-// directions.
-func (n *Network) SetProfile(a, b string, p Profile) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.profiles[pairKey{a, b}] = p
-	n.profiles[pairKey{b, a}] = p
 }
 
 // Partition cuts communication between hosts a and b in both directions.
@@ -449,14 +429,12 @@ func (n *Network) Close() error {
 	return nil
 }
 
-// profileFor returns the link profile between two hosts (loopback when
-// equal). Callers hold n.mu.
+// profileFor returns the link profile between two hosts: Loopback when
+// they are the same host, else the network's default. A link's profile
+// is fixed when the link is made.
 func (n *Network) profileFor(from, to string) Profile {
 	if from == to {
-		return n.loopback
-	}
-	if p, ok := n.profiles[pairKey{from, to}]; ok {
-		return p
+		return Loopback
 	}
 	return n.defaultProfile
 }
@@ -636,9 +614,6 @@ func (h *Host) sendTimed(to string, payload []byte, traceID, spanID string, copy
 			l.ctrBytes = n.tel.Registry().Counter("net.bytes", "from", key.from, "to", key.to)
 		}
 		n.links[key] = l
-	} else {
-		// Profiles may be re-set between experiments; keep link current.
-		l.profile = n.profileFor(h.name, to)
 	}
 
 	depart := h.clock.Now()

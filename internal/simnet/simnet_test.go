@@ -261,24 +261,6 @@ func TestStatsAccumulate(t *testing.T) {
 	}
 }
 
-func TestSetProfileTakesEffect(t *testing.T) {
-	n, a, b := newPair(t, Profile{Bandwidth: 1e9})
-	b.SetHandler(func(string, []byte) {})
-	// Send once on the fast default, then slow the pair down.
-	if _, err := a.SendTimed("b", make([]byte, 10)); err != nil {
-		t.Fatal(err)
-	}
-	n.SetProfile("a", "b", Profile{Bandwidth: 100, Latency: 0, MsgOverhead: 0})
-	before := a.Clock().Now()
-	arrive, err := a.SendTimed("b", make([]byte, 100)) // 1s at 100 B/s
-	if err != nil {
-		t.Fatal(err)
-	}
-	if arrive-before != time.Second {
-		t.Errorf("profile override ignored: took %v", arrive-before)
-	}
-}
-
 func TestChargeAdvancesClock(t *testing.T) {
 	_, a, _ := newPair(t, LAN100)
 	a.Charge(3 * time.Second)

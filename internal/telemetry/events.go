@@ -118,14 +118,6 @@ func (l *EventLog) Append(e Event) {
 	}
 }
 
-// Cap returns the ring capacity (0 on nil).
-func (l *EventLog) Cap() int {
-	if l == nil {
-		return 0
-	}
-	return cap(l.buf)
-}
-
 // Total returns the number of events ever appended (including overwritten
 // ones); 0 on nil.
 func (l *EventLog) Total() uint64 {

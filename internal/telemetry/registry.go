@@ -123,9 +123,9 @@ func (h *Histogram) Sum() time.Duration {
 	return time.Duration(h.sum.Load())
 }
 
-// Bucket returns the observation count of bucket i (the bucket after the
+// bucket returns the observation count of bucket i (the bucket after the
 // last boundary is the overflow bucket).
-func (h *Histogram) Bucket(i int) int64 {
+func (h *Histogram) bucket(i int) int64 {
 	if h == nil || i < 0 || i >= len(h.counts) {
 		return 0
 	}

@@ -102,7 +102,7 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 		want[c.bucket]++
 	}
 	for i, w := range want {
-		if got := h.Bucket(i); got != w {
+		if got := h.bucket(i); got != w {
 			t.Errorf("bucket %d = %d, want %d", i, got, w)
 		}
 	}

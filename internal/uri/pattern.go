@@ -134,9 +134,9 @@ func ParsePattern(s string) (Pattern, error) {
 	return p, nil
 }
 
-// MustPattern is ParsePattern that panics on error; for tests and
+// mustPattern is ParsePattern that panics on error; for tests and
 // constants.
-func MustPattern(s string) Pattern {
+func mustPattern(s string) Pattern {
 	p, err := ParsePattern(s)
 	if err != nil {
 		panic(err)

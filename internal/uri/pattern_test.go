@@ -211,7 +211,7 @@ func FuzzPatternMatch(f *testing.F) {
 
 // TestMatchGlobAllocs: the hot-path matcher must not allocate.
 func TestMatchGlobAllocs(t *testing.T) {
-	p := MustPattern("tacoma://*.uit.no/tour*/vm_*:9*")
+	p := mustPattern("tacoma://*.uit.no/tour*/vm_*:9*")
 	u := mustURI(t, "tacoma://cl2.cs.uit.no/tourist/vm_c:933821661")
 	allocs := testing.AllocsPerRun(100, func() {
 		if !p.Match(u) {

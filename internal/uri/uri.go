@@ -205,8 +205,8 @@ func (u URI) WithHost(host string, port int) URI {
 	return u
 }
 
-// WithInstance returns a copy of u pinned to the given instance number.
-func (u URI) WithInstance(inst uint64) URI {
+// withInstance returns a copy of u pinned to the given instance number.
+func (u URI) withInstance(inst uint64) URI {
 	u.Instance, u.HasInstance = inst, true
 	return u
 }

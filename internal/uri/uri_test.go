@@ -170,9 +170,9 @@ func TestHelpers(t *testing.T) {
 	if r.IsLocal() || r.Host != "h2" || r.EffectivePort() != DefaultPort {
 		t.Errorf("WithHost: %+v", r)
 	}
-	i := u.WithInstance(0xabc)
+	i := u.withInstance(0xabc)
 	if !i.HasInstance || i.Instance != 0xabc {
-		t.Errorf("WithInstance: %+v", i)
+		t.Errorf("withInstance: %+v", i)
 	}
 	// receiver unchanged (value semantics)
 	if u.HasInstance || !u.IsLocal() {

@@ -19,7 +19,7 @@ func TestGenerateEmitsSeededRobots(t *testing.T) {
 	if !strings.Contains(body, "User-agent: badbot\nDisallow: /\n") {
 		t.Fatalf("robots.txt missing badbot ban:\n%s", body)
 	}
-	if !strings.Contains(body, "Crawl-delay: ") || s.RobotsCrawlDelay() <= 0 {
+	if !strings.Contains(body, "Crawl-delay: ") || s.robotsCrawlDelay() <= 0 {
 		t.Fatalf("robots.txt missing crawl delay:\n%s", body)
 	}
 	dis := s.RobotsDisallowed()

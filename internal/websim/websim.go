@@ -576,8 +576,8 @@ func (s *Site) RobotsDisallowed() []string {
 	return out
 }
 
-// RobotsCrawlDelay returns the Crawl-delay robots.txt requests.
-func (s *Site) RobotsCrawlDelay() time.Duration { return s.robotsDelay }
+// robotsCrawlDelay returns the Crawl-delay robots.txt requests.
+func (s *Site) robotsCrawlDelay() time.Duration { return s.robotsDelay }
 
 // SetAgeDays mutates one page's age in place, reporting whether the
 // page exists. Recrawl tests use it to model content churn between

@@ -2,12 +2,11 @@ package wrapper
 
 import (
 	"fmt"
-	"time"
 
 	"tax/internal/agent"
 	"tax/internal/briefcase"
+	"tax/internal/directory"
 	"tax/internal/firewall"
-	"tax/internal/naming"
 )
 
 // Logging observes traffic without modifying it; the simplest wrapper and
@@ -133,21 +132,19 @@ func (m *Monitor) report(ctx *agent.Context, status string) error {
 }
 
 // LocationTransparent rewrites sends addressed to stable names into sends
-// to the target's current location, resolved through the naming registry;
-// it also re-registers the wrapped agent under its own stable name on
-// every hop. Stacked outside a broadcast wrapper it gives the paper's
-// "location transparent wrapper around the broadcast wrapper".
+// to the target's current location, resolved through the directory
+// plane; it also re-binds the wrapped agent under its own stable name on
+// every hop, which renews the binding's lease. Stacked outside a
+// broadcast wrapper it gives the paper's "location transparent wrapper
+// around the broadcast wrapper".
 type LocationTransparent struct {
-	// Client reaches the naming registry — the single-node naming.Client
-	// or the sharded plane's directory.Client, both satisfy Resolver.
-	Client naming.Resolver
+	// Client reaches the directory plane.
+	Client directory.Client
 	// SelfName, when non-empty, is the stable name to (re)bind to the
 	// agent's current location on every Init.
 	SelfName string
 	// Resolve lists the stable names this wrapper rewrites on send.
 	Resolve map[string]bool
-	// Timeout bounds each lookup; zero means the client default.
-	Timeout time.Duration
 }
 
 var _ Wrapper = (*LocationTransparent)(nil)

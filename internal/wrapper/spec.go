@@ -6,8 +6,8 @@ import (
 
 	"tax/internal/agent"
 	"tax/internal/briefcase"
+	"tax/internal/directory"
 	"tax/internal/group"
-	"tax/internal/naming"
 )
 
 // The paper closes with "we are currently working on ... a framework for
@@ -44,9 +44,12 @@ type SpecRegistry struct {
 //
 //	logging(tag=…)
 //	monitor(uri=…, subject=…)
-//	loctrans(service=…, self=…, resolve=a;b;c)
+//	loctrans(dir=a;b;c, self=…, resolve=a;b;c)
 //	checkpoint(store=…, path=…)
 //	group(name=…, self=…, members=a;b;c, order=fifo|causal|total)
+//
+// loctrans's dir= lists the directory plane's members; its ring assumes
+// the plane runs directory.DefaultVNodes and directory.DefaultReplicas.
 func NewSpecRegistry() *SpecRegistry {
 	r := &SpecRegistry{}
 	r.Register("logging", func(p map[string]string) (Wrapper, error) {
@@ -59,15 +62,20 @@ func NewSpecRegistry() *SpecRegistry {
 		return &Monitor{MonitorURI: p["uri"], Subject: p["subject"]}, nil
 	})
 	r.Register("loctrans", func(p map[string]string) (Wrapper, error) {
-		if p["service"] == "" {
-			return nil, fmt.Errorf("wrapper: loctrans needs service=")
+		members := splitList(p["dir"])
+		if len(members) == 0 {
+			return nil, fmt.Errorf("wrapper: loctrans needs dir=")
+		}
+		ring, err := directory.NewRing(members, 0, directory.DefaultReplicas)
+		if err != nil {
+			return nil, err
 		}
 		resolve := map[string]bool{}
 		for _, name := range splitList(p["resolve"]) {
 			resolve[name] = true
 		}
 		return &LocationTransparent{
-			Client:   naming.Client{Service: p["service"]},
+			Client:   directory.Client{Ring: ring},
 			SelfName: p["self"],
 			Resolve:  resolve,
 		}, nil

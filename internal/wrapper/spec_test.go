@@ -47,7 +47,7 @@ func TestSpecGenerateGroup(t *testing.T) {
 
 func TestSpecGenerateLoctrans(t *testing.T) {
 	r := wrapper.NewSpecRegistry()
-	s, err := r.Generate("loctrans(service=tacoma://home//ag_ns, self=me, resolve=peer;other)")
+	s, err := r.Generate("loctrans(dir=d1;d2;d3, self=me, resolve=peer;other)")
 	if err != nil {
 		t.Fatal(err)
 	}

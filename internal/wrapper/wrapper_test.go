@@ -12,7 +12,6 @@ import (
 	"tax/internal/core"
 	"tax/internal/firewall"
 	"tax/internal/group"
-	"tax/internal/naming"
 	"tax/internal/services"
 	"tax/internal/simnet"
 	"tax/internal/wrapper"
@@ -25,15 +24,12 @@ func newSystem(t *testing.T, hosts ...string) *core.System {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = s.Close() })
-	for i, h := range hosts {
+	for _, h := range hosts {
 		opts := core.NodeOptions{NoCVM: true}
 		opts.OnAgentDone = func(name string, err error) {
 			if err != nil && !errors.Is(err, agent.ErrMoved) {
 				t.Logf("agent %s finished with: %v", name, err)
 			}
-		}
-		if i == 0 {
-			opts.NameService = true
 		}
 		if _, err := s.AddNode(h, opts); err != nil {
 			t.Fatal(err)
@@ -372,16 +368,31 @@ func launchMonitor(t *testing.T, n *core.Node) <-chan services.MonitorEvent {
 	return events
 }
 
+// TestLocationTransparentWrapper runs the wrapper on a three-member
+// directory plane and crashes the name's owner once the moved agent has
+// bound its name: the sender still reaches it through replica failover.
 func TestLocationTransparentWrapper(t *testing.T) {
+	const name = "stable-target"
 	s := newSystem(t, "home", "h2")
 	home, _ := s.Node("home")
-	n2, _ := s.Node("h2")
-
-	client := naming.Client{Service: "tacoma://home//ag_ns"}
+	plane := []string{"d1", "d2", "d3"}
+	ring, err := s.EnableDirectory(core.DirectoryConfig{Nodes: plane, AckTimeout: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range plane {
+		if _, err := s.AddNode(h, core.NodeOptions{NoCVM: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	client, err := s.DirectoryClient()
+	if err != nil {
+		t.Fatal(err)
+	}
 	// The registry key must equal the wrapper's Name() so the _WRAP
 	// folder resolves after a move.
-	s.DeployWrapper("loctrans:stable-target", func() wrapper.Wrapper {
-		return &wrapper.LocationTransparent{Client: client, SelfName: "stable-target"}
+	s.DeployWrapper("loctrans:"+name, func() wrapper.Wrapper {
+		return &wrapper.LocationTransparent{Client: client, SelfName: name}
 	})
 
 	received := make(chan string, 1)
@@ -402,37 +413,44 @@ func TestLocationTransparentWrapper(t *testing.T) {
 		return nil
 	})
 	tb := briefcase.New()
-	tb.Ensure(briefcase.FolderSysWrap).AppendString("loctrans:stable-target")
+	tb.Ensure(briefcase.FolderSysWrap).AppendString("loctrans:" + name)
 	if _, err := home.VM.Launch("system", "roamer", "target", tb); err != nil {
 		t.Fatal(err)
 	}
 
-	// Wait until the registry sees the post-move binding.
+	// Wait until the plane serves the post-move binding, then crash the
+	// name's owner: the binding survives on its replica.
+	reg, err := home.FW.Register("test", "system", "probe")
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := agent.NewContext(home.FW, reg, briefcase.New(), nil, nil)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		b, err := home.Names.Lookup("stable-target")
-		if err == nil && strings.Contains(b.Location, "h2") {
+		loc, err := client.Lookup(probe, name)
+		if err == nil && strings.Contains(loc, "h2") {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("binding never updated: %v (err %v)", b, err)
+			t.Fatalf("binding never updated: %q (err %v)", loc, err)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+	s.Net.Crash(ring.Owner(name))
 
 	// A sender wrapped with a resolving wrapper reaches the moved agent
 	// by its stable name.
 	s.DeployProgram("sender", func(ctx *agent.Context) error {
 		stack := wrapper.NewStack(&wrapper.LocationTransparent{
 			Client:  client,
-			Resolve: map[string]bool{"stable-target": true},
+			Resolve: map[string]bool{name: true},
 		})
 		if err := stack.Install(ctx); err != nil {
 			return err
 		}
 		bc := briefcase.New()
 		bc.SetString("BODY", "found you")
-		return ctx.Activate("stable-target", bc)
+		return ctx.Activate(name, bc)
 	})
 	if _, err := home.VM.Launch("system", "sender", "sender", nil); err != nil {
 		t.Fatal(err)
@@ -445,7 +463,6 @@ func TestLocationTransparentWrapper(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("location-transparent send lost")
 	}
-	_ = n2
 }
 
 func TestGroupWrapperFIFOBroadcast(t *testing.T) {

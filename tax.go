@@ -54,7 +54,6 @@ import (
 	"tax/internal/frontier"
 	"tax/internal/group"
 	"tax/internal/identity"
-	"tax/internal/naming"
 	"tax/internal/policy"
 	"tax/internal/rearguard"
 	"tax/internal/services"
@@ -98,20 +97,20 @@ type (
 	// failing over from a crashed shard owner to its replicas.
 	DirectoryClient = directory.Client
 	// NameBinding is one versioned, leased name→location record.
-	NameBinding = naming.Binding
+	NameBinding = directory.Binding
 )
 
 // Directory-plane errors, typed across the wire: a remote shard's
 // verdict arrives as a RemoteError that errors.Is-matches these.
 var (
 	// ErrNameUnbound: the name was never registered or was dropped.
-	ErrNameUnbound = naming.ErrUnbound
+	ErrNameUnbound = directory.ErrUnbound
 	// ErrNameExpired: the binding's lease ran out (its agent went
 	// silent — crashed host, lost renewal).
-	ErrNameExpired = naming.ErrExpired
+	ErrNameExpired = directory.ErrExpired
 	// ErrNameNoQuorum: a write could not reach every replica; it is
 	// unacknowledged and may or may not survive.
-	ErrNameNoQuorum = naming.ErrNoQuorum
+	ErrNameNoQuorum = directory.ErrNoQuorum
 )
 
 // Functional node options, re-exported from core. Each sets one
@@ -129,8 +128,6 @@ var (
 	WithTrace          = core.WithTrace
 	WithoutServices    = core.WithoutServices
 	WithoutCVM         = core.WithoutCVM
-	WithNameService    = core.WithNameService
-	WithNameTTL        = core.WithNameTTL
 	WithOnAgentDone    = core.WithOnAgentDone
 	WithSecureChannels = core.WithSecureChannels
 	WithTelemetry      = core.WithTelemetry
@@ -221,7 +218,7 @@ func SendStreamContext(ctx context.Context, ac *Context, target, streamID string
 // declarative spec strings (the paper's future-work framework).
 func NewWrapperSpecs() *wrapper.SpecRegistry { return wrapper.NewSpecRegistry() }
 
-// Link profiles for AddNode/SetProfile (calibrated in EXPERIMENTS.md).
+// Link profiles for NewSystem (calibrated in EXPERIMENTS.md).
 var (
 	// Loopback models in-host communication.
 	Loopback = simnet.Loopback
