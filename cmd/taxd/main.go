@@ -358,14 +358,12 @@ func run(listen, launch string, telOn bool, telDump string, telEvery time.Durati
 func obsvServer(twr *tower.Collector, obsv obsvConfig) *http.Server {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		twr.Pull()
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		if err := twr.WriteMetrics(w); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
 	mux.HandleFunc("/traces", func(w http.ResponseWriter, r *http.Request) {
-		twr.Pull()
 		w.Header().Set("Content-Type", "application/json")
 		if err := twr.WriteOTLP(w); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -384,7 +382,6 @@ func obsvServer(twr *tower.Collector, obsv obsvConfig) *http.Server {
 // writeOTLPFile snapshots the collector's merged spans as one OTLP/JSON
 // export.
 func writeOTLPFile(twr *tower.Collector, path string) error {
-	twr.Pull()
 	f, err := os.Create(path)
 	if err != nil {
 		return err

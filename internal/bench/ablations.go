@@ -259,7 +259,7 @@ func bypassRPCs(bypass bool, count int) (time.Duration, int64, error) {
 	if r.err != nil {
 		return 0, 0, r.err
 	}
-	return r.d, n.FW.Stats().Delivered, nil
+	return r.d, n.FW.Telemetry().Registry().Counter("fw.delivered", "host", n.Name).Value(), nil
 }
 
 func closeQuiet(s *core.System)          { _ = s.Close() }

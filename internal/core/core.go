@@ -51,9 +51,6 @@ type NodeOptions struct {
 	NoServices bool
 	// NoCVM skips the C virtual machine and its compile services.
 	NoCVM bool
-	// OnAgentDone observes every agent completion on this node's VMs
-	// (nil on clean exit, agent.ErrMoved after a move, else the fault).
-	OnAgentDone func(name string, err error)
 	// SecureChannels signs every inter-firewall frame with a per-host
 	// firewall principal and rejects unsigned or untrusted inbound
 	// frames (§3.2's "authenticated and trusted sender").
@@ -117,13 +114,10 @@ type Node struct {
 	Programs *vm.Registry
 	// Binaries is the host's deployed-binary inventory.
 	Binaries *vm.BinaryStore
-	// Wrappers is the host's deployed wrapper registry; stacks named in
-	// a travelling agent's _WRAP folder are rebuilt from it on arrival.
+	// Wrappers is the host's wrapper registry: its deployed names plus
+	// the built-in spec layer kinds. A travelling agent's stack is
+	// rebuilt from it, one layer per element of its _WRAP folder.
 	Wrappers *wrapper.Registry
-	// WrapperSpecs generates wrapper stacks declared in a briefcase's
-	// _WRAPSPEC folder (the paper's "automatic generation of layers of
-	// wrappers"); the built-in layer kinds are pre-registered.
-	WrapperSpecs *wrapper.SpecRegistry
 	// Dir is the node's directory plane member when the deployment
 	// enabled the plane and this node is in its ring, else nil.
 	Dir *directory.Server
@@ -435,42 +429,39 @@ func (s *System) AddNode(name string, opts NodeOptions) (*Node, error) {
 		return nil, err
 	}
 	node := &Node{
-		Name:         name,
-		FW:           fw,
-		Programs:     &vm.Registry{},
-		Binaries:     &vm.BinaryStore{},
-		Wrappers:     &wrapper.Registry{},
-		WrapperSpecs: wrapper.NewSpecRegistry(),
-		Host:         host,
-		Arch:         opts.Arch,
-		Disk:         disk,
-		Cabinet:      store,
-		sys:          s,
-		opts:         opts,
-		tel:          nodeTel,
-		ownTel:       twr != nil && opts.Telemetry == nil,
+		Name:     name,
+		FW:       fw,
+		Programs: &vm.Registry{},
+		Binaries: &vm.BinaryStore{},
+		Wrappers: wrapper.NewRegistry(),
+		Host:     host,
+		Arch:     opts.Arch,
+		Disk:     disk,
+		Cabinet:  store,
+		sys:      s,
+		opts:     opts,
+		tel:      nodeTel,
+		ownTel:   twr != nil && opts.Telemetry == nil,
 	}
 	node.VM, err = vm.New(vm.Config{
-		FW:          fw,
-		Programs:    node.Programs,
-		Signer:      s.SystemPrincipal,
-		Bypass:      opts.Bypass,
-		Trace:       opts.Trace,
-		PreLaunch:   node.WrapperSpecs.PreLaunchSpec(node.Wrappers),
-		OnAgentDone: opts.OnAgentDone,
+		FW:        fw,
+		Programs:  node.Programs,
+		Signer:    s.SystemPrincipal,
+		Bypass:    opts.Bypass,
+		Trace:     opts.Trace,
+		PreLaunch: node.Wrappers.PreLaunch(),
 	})
 	if err != nil {
 		return nil, errors.Join(err, fw.Close())
 	}
 	node.BinVM, err = vm.NewBin(vm.BinConfig{
-		FW:          fw,
-		Arch:        opts.Arch,
-		Store:       node.Binaries,
-		Trust:       s.Trust,
-		Signer:      s.SystemPrincipal,
-		Trace:       opts.Trace,
-		PreLaunch:   node.WrapperSpecs.PreLaunchSpec(node.Wrappers),
-		OnAgentDone: opts.OnAgentDone,
+		FW:        fw,
+		Arch:      opts.Arch,
+		Store:     node.Binaries,
+		Trust:     s.Trust,
+		Signer:    s.SystemPrincipal,
+		Trace:     opts.Trace,
+		PreLaunch: node.Wrappers.PreLaunch(),
 	})
 	if err != nil {
 		return nil, errors.Join(err, node.Close())

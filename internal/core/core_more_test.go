@@ -367,15 +367,15 @@ func TestSecureChannelsEndToEnd(t *testing.T) {
 	bc.SetString(briefcase.FolderSysTarget, "tacoma://h2/system/vm_go")
 	bc.SetString(firewall.FolderKind, firewall.KindTransfer)
 	bc.SetString(briefcase.FolderCode, "sec-tour")
-	before := n2.FW.Stats().AuthFailures
+	before := fwCount(n2, "fw.auth_failures")
 	if err := raw.Send("h2", bc.Encode()); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)
-	for n2.FW.Stats().AuthFailures == before && time.Now().Before(deadline) {
+	for fwCount(n2, "fw.auth_failures") == before && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
-	if n2.FW.Stats().AuthFailures == before {
+	if fwCount(n2, "fw.auth_failures") == before {
 		t.Error("unsigned injected frame not rejected")
 	}
 }
@@ -409,13 +409,13 @@ func TestFirewallStatsProgress(t *testing.T) {
 		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for n2.FW.Stats().Delivered < count && time.Now().Before(deadline) {
+	for fwCount(n2, "fw.delivered") < count && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
-	if got := n1.FW.Stats().Forwarded; got < count {
+	if got := fwCount(n1, "fw.forwarded"); got < count {
 		t.Errorf("h1 forwarded = %d", got)
 	}
-	if got := n2.FW.Stats().Delivered; got < count {
+	if got := fwCount(n2, "fw.delivered"); got < count {
 		t.Errorf("h2 delivered = %d", got)
 	}
 }

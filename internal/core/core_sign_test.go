@@ -12,6 +12,11 @@ import (
 	"tax/internal/vm"
 )
 
+// fwCount reads one of a node's firewall counters from its registry.
+func fwCount(n *Node, name string) int64 {
+	return n.FW.Telemetry().Registry().Counter(name, "host", n.Name).Value()
+}
+
 // counterSum adds one counter up over every node's registry.
 func counterSum(s *System, name string, labels ...string) (sum int64) {
 	for _, n := range s.Nodes() {
@@ -103,8 +108,8 @@ func TestTourSignsTwiceVerifiesFromCache(t *testing.T) {
 		t.Errorf("second tour: %+v, want %+v", second, want)
 	}
 	for _, n := range s.Nodes() {
-		if st := n.FW.Stats(); st.AuthFailures != 0 || st.Errors != 0 {
-			t.Errorf("%s: %+v", n.Name, st)
+		if a, e := fwCount(n, "fw.auth_failures"), fwCount(n, "fw.errors"); a != 0 || e != 0 {
+			t.Errorf("%s: auth failures %d, errors %d", n.Name, a, e)
 		}
 	}
 }
@@ -188,7 +193,7 @@ func TestTamperedTransferNotActivated(t *testing.T) {
 				!strings.Contains(reason, identity.ErrBadSignature.Error()) {
 				t.Errorf("report kind %q reason %q", firewall.Kind(rep), reason)
 			}
-			if n := n2.FW.Stats().AuthFailures; n != 1 {
+			if n := fwCount(n2, "fw.auth_failures"); n != 1 {
 				t.Errorf("h2 fw.auth_failures = %d, want 1", n)
 			}
 			if n := activated.Value(); n != before {
@@ -353,8 +358,8 @@ func TestTourHashesOncePerHost(t *testing.T) {
 		t.Errorf("tour after h3's restart hashed: %v, want h3 once and no other host", third)
 	}
 	for _, n := range s.Nodes() {
-		if st := n.FW.Stats(); st.AuthFailures != 0 || st.Errors != 0 {
-			t.Errorf("%s: %+v", n.Name, st)
+		if a, e := fwCount(n, "fw.auth_failures"), fwCount(n, "fw.errors"); a != 0 || e != 0 {
+			t.Errorf("%s: auth failures %d, errors %d", n.Name, a, e)
 		}
 	}
 }

@@ -419,7 +419,7 @@ func TestBypassSkipsFirewall(t *testing.T) {
 	if _, err := n.VM.Launch("system", "peer", "peer", nil); err != nil {
 		t.Fatal(err)
 	}
-	before := n.FW.Stats().Delivered
+	before := fwCount(n, "fw.delivered")
 	if _, err := n.VM.Launch("system", "pusher", "pusher", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +431,7 @@ func TestBypassSkipsFirewall(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("bypass delivery lost")
 	}
-	if after := n.FW.Stats().Delivered; after != before {
+	if after := fwCount(n, "fw.delivered"); after != before {
 		t.Errorf("firewall mediated %d deliveries despite bypass", after-before)
 	}
 }
@@ -502,7 +502,7 @@ func TestUnknownProgramRejectedAtDestination(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if n2.FW.Stats().Errors > 0 || n2.FW.Stats().Delivered > 0 {
+		if fwCount(n2, "fw.errors") > 0 || fwCount(n2, "fw.delivered") > 0 {
 			break
 		}
 		time.Sleep(10 * time.Millisecond)

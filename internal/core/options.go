@@ -54,12 +54,6 @@ func WithoutServices() Option { return func(o *NodeOptions) { o.NoServices = tru
 // WithoutCVM skips the C virtual machine and its compile services.
 func WithoutCVM() Option { return func(o *NodeOptions) { o.NoCVM = true } }
 
-// WithOnAgentDone observes every agent completion on this node's VMs
-// (nil on clean exit, agent.ErrMoved after a move, else the fault).
-func WithOnAgentDone(fn func(name string, err error)) Option {
-	return func(o *NodeOptions) { o.OnAgentDone = fn }
-}
-
 // WithSecureChannels signs every inter-firewall frame with a per-host
 // firewall principal and rejects unsigned or untrusted inbound frames.
 func WithSecureChannels() Option { return func(o *NodeOptions) { o.SecureChannels = true } }

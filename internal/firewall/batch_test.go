@@ -64,7 +64,7 @@ func TestBatchedMediationDelivers(t *testing.T) {
 	if got := fw2.ctr.batchRecv.Value(); got != n {
 		t.Errorf("receiver batch_recv = %d, want %d", got, n)
 	}
-	if got := fw1.Stats().Forwarded; got != n {
+	if got := fw1.ctr.forwarded.Value(); got != n {
 		t.Errorf("forwarded = %d, want %d (batching must not change per-frame accounting)", got, n)
 	}
 }
@@ -177,7 +177,7 @@ func TestBatchHostileContainers(t *testing.T) {
 	if got := fw2.ctr.errors.Value() - errsBefore; got != int64(len(hostile)) {
 		t.Errorf("errors counter advanced %d, want %d (every hostile container audited)", got, len(hostile))
 	}
-	if got := fw2.Stats().Delivered; got != 0 {
+	if got := fw2.ctr.delivered.Value(); got != 0 {
 		t.Errorf("delivered = %d, want 0", got)
 	}
 }
@@ -323,8 +323,8 @@ func TestBatchStressUnderFaultPlan(t *testing.T) {
 	if got > total {
 		t.Errorf("delivered %d > sent %d despite dedup window", got, total)
 	}
-	if st := fw2.Stats().Delivered; st != got {
-		t.Errorf("receiver Stats().Delivered = %d, drained %d", st, got)
+	if st := fw2.ctr.delivered.Value(); st != got {
+		t.Errorf("receiver fw.delivered = %d, drained %d", st, got)
 	}
 	t.Logf("sent=%d delivered=%d sendErrs=%d batchFlushes=%d batchFrames=%d batchRecv=%d dupDropped=%d",
 		total, got, sendErrs.Load(), fw1.ctr.batchFlushes.Value(), fw1.ctr.batchFrames.Value(),

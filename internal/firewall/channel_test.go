@@ -89,10 +89,10 @@ func TestChannelUnsignedFrameRejected(t *testing.T) {
 	}
 	sendAcross(t, a, "tacoma://b/system/recv", "sneaky")
 	deadline := time.Now().Add(2 * time.Second)
-	for b.Stats().AuthFailures == 0 && time.Now().Before(deadline) {
+	for b.ctr.authFailures.Value() == 0 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
-	if b.Stats().AuthFailures == 0 {
+	if b.ctr.authFailures.Value() == 0 {
 		t.Fatal("unsigned frame not rejected")
 	}
 	if _, ok := recv.TryRecv(); ok {
@@ -111,10 +111,10 @@ func TestChannelUntrustedSignerRejected(t *testing.T) {
 	}
 	sendAcross(t, a, "tacoma://b/system/recv", "forged")
 	deadline := time.Now().Add(2 * time.Second)
-	for b.Stats().AuthFailures == 0 && time.Now().Before(deadline) {
+	for b.ctr.authFailures.Value() == 0 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
-	if b.Stats().AuthFailures == 0 {
+	if b.ctr.authFailures.Value() == 0 {
 		t.Fatal("untrusted signer accepted")
 	}
 	if _, ok := recv.TryRecv(); ok {
@@ -150,10 +150,10 @@ func TestGarbageFrameCountedNotFatal(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)
-	for b.Stats().Errors == 0 && time.Now().Before(deadline) {
+	for b.ctr.errors.Value() == 0 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
-	if b.Stats().Errors == 0 {
+	if b.ctr.errors.Value() == 0 {
 		t.Error("garbage frame not counted")
 	}
 	// The firewall survives: a registration still works.

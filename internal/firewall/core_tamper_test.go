@@ -173,7 +173,7 @@ func TestCoreTamperTable(t *testing.T) {
 			if reason, _ := rep.GetString(briefcase.FolderSysError); Kind(rep) != KindError || !strings.Contains(reason, tc.want.Error()) {
 				t.Errorf("report kind %q reason %q, want an error naming %q", Kind(rep), reason, tc.want)
 			}
-			if n := fw2.Stats().AuthFailures; n != 1 {
+			if n := fw2.ctr.authFailures.Value(); n != 1 {
 				t.Errorf("fw.auth_failures = %d, want 1", n)
 			}
 			if n := fw2.ctr.coreVerifyFail.Value(); n != 1 {

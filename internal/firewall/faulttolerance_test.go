@@ -268,10 +268,10 @@ func TestExpiryNoticeParkedWhenReplyPathPartitioned(t *testing.T) {
 	// Cut the reply path before the queue timeout (300ms) fires.
 	f.net.Partition("h1", "h2")
 	deadline = time.Now().Add(3 * time.Second)
-	for fw2.Stats().Expired == 0 && time.Now().Before(deadline) {
+	for fw2.ctr.expired.Value() == 0 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
-	if fw2.Stats().Expired == 0 {
+	if fw2.ctr.expired.Value() == 0 {
 		t.Fatal("parked message never expired")
 	}
 	// The expiry notice could not be sent home: it must be parked as a

@@ -158,18 +158,6 @@ type Config struct {
 	Policy *policy.Engine
 }
 
-// Stats is the legacy counter view, retained as a compatibility facade
-// over the telemetry registry (the single metrics source of truth).
-type Stats struct {
-	Delivered    int64 // briefcases handed to a local mailbox
-	Forwarded    int64 // briefcases sent to a remote firewall
-	Queued       int64 // briefcases parked waiting for their receiver
-	Expired      int64 // parked briefcases dropped on timeout
-	AuthFailures int64 // inbound transfers rejected by authentication
-	MgmtOps      int64 // management operations served
-	Errors       int64 // routing errors (bad target, no principal, ...)
-}
-
 // AgentInfo is one row of the firewall's agent listing.
 type AgentInfo struct {
 	URI     uri.URI
@@ -381,21 +369,6 @@ func (fw *Firewall) Clock() vclock.Clock { return fw.clock }
 
 // SystemPrincipal returns the local system principal's name.
 func (fw *Firewall) SystemPrincipal() string { return fw.cfg.SystemPrincipal }
-
-// Stats returns a snapshot of the counters, read from the telemetry
-// registry (the counters' single home since the registry superseded the
-// ad-hoc struct).
-func (fw *Firewall) Stats() Stats {
-	return Stats{
-		Delivered:    fw.ctr.delivered.Value(),
-		Forwarded:    fw.ctr.forwarded.Value(),
-		Queued:       fw.ctr.queued.Value(),
-		Expired:      fw.ctr.expired.Value(),
-		AuthFailures: fw.ctr.authFailures.Value(),
-		MgmtOps:      fw.ctr.mgmtOps.Value(),
-		Errors:       fw.ctr.errors.Value(),
-	}
-}
 
 // Close shuts the firewall down: kills every registration and stops
 // pending-message timers. The transport node is not closed (it may be

@@ -248,8 +248,8 @@ func TestQueueUntilRegistered(t *testing.T) {
 	sender, _ := fw.Register("vm_go", "alice", "sender")
 
 	send(t, fw, sender, "alice/latecomer", "early bird")
-	if fw.Stats().Queued != 1 {
-		t.Fatalf("stats = %+v, want Queued=1", fw.Stats())
+	if fw.ctr.queued.Value() != 1 {
+		t.Fatalf("queued = %d, want 1", fw.ctr.queued.Value())
 	}
 	late, _ := fw.Register("vm_go", "alice", "latecomer")
 	if got := recvBody(t, late, time.Second); got != "early bird" {
@@ -265,11 +265,11 @@ func TestQueueTimeoutExpiresAndReportsError(t *testing.T) {
 	send(t, fw, sender, "alice/ghost", "lost")
 	// Wait past the queue timeout (300ms in fixture).
 	deadline := time.Now().Add(3 * time.Second)
-	for fw.Stats().Expired == 0 && time.Now().Before(deadline) {
+	for fw.ctr.expired.Value() == 0 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
-	if fw.Stats().Expired != 1 {
-		t.Fatalf("stats = %+v, want Expired=1", fw.Stats())
+	if fw.ctr.expired.Value() != 1 {
+		t.Fatalf("expired = %d, want 1", fw.ctr.expired.Value())
 	}
 	// The sender receives a KindError report.
 	bc, err := sender.Recv(2 * time.Second)
@@ -300,11 +300,11 @@ func TestRemoteDelivery(t *testing.T) {
 	if got := recvBody(t, recv, 2*time.Second); got != "across" {
 		t.Errorf("remote body = %q", got)
 	}
-	if fw1.Stats().Forwarded != 1 {
-		t.Errorf("h1 stats = %+v", fw1.Stats())
+	if fw1.ctr.forwarded.Value() != 1 {
+		t.Errorf("h1 forwarded = %d", fw1.ctr.forwarded.Value())
 	}
-	if fw2.Stats().Delivered != 1 {
-		t.Errorf("h2 stats = %+v", fw2.Stats())
+	if fw2.ctr.delivered.Value() != 1 {
+		t.Errorf("h2 delivered = %d", fw2.ctr.delivered.Value())
 	}
 }
 

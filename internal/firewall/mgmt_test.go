@@ -309,8 +309,8 @@ func TestInboundTransferAuth(t *testing.T) {
 	if Kind(rep) != KindError {
 		t.Errorf("report kind = %q", Kind(rep))
 	}
-	if fw2.Stats().AuthFailures != 1 {
-		t.Errorf("h2 stats = %+v", fw2.Stats())
+	if fw2.ctr.authFailures.Value() != 1 {
+		t.Errorf("h2 auth failures = %d", fw2.ctr.authFailures.Value())
 	}
 
 	// Signed by an unknown principal: rejected.
@@ -320,8 +320,8 @@ func TestInboundTransferAuth(t *testing.T) {
 	if _, err := sender.Recv(2 * time.Second); err != nil {
 		t.Fatalf("no rejection report for unknown principal: %v", err)
 	}
-	if fw2.Stats().AuthFailures != 2 {
-		t.Errorf("h2 stats = %+v", fw2.Stats())
+	if fw2.ctr.authFailures.Value() != 2 {
+		t.Errorf("h2 auth failures = %d", fw2.ctr.authFailures.Value())
 	}
 	if _, ok := vm2.TryRecv(); ok {
 		t.Error("unauthenticated transfer delivered")

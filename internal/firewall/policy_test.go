@@ -276,8 +276,8 @@ func TestPolicyByteQuotaRemote(t *testing.T) {
 	if !errors.Is(err, ErrQuotaExceeded) {
 		t.Fatalf("send = %v, want ErrQuotaExceeded", err)
 	}
-	if fw1.Stats().Forwarded != 0 {
-		t.Errorf("refused frame was forwarded: %+v", fw1.Stats())
+	if fw1.ctr.forwarded.Value() != 0 {
+		t.Error("refused frame was forwarded")
 	}
 	if _, ok := recv.TryRecv(); ok {
 		t.Error("refused frame delivered remotely")

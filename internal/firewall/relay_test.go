@@ -105,7 +105,7 @@ func TestRelayThreeHopDelivery(t *testing.T) {
 		if n := fws[relay].ctr.relayed.Value(); n != 1 {
 			t.Errorf("relay %s: fw.relayed = %d, want 1", relay, n)
 		}
-		if n := fws[relay].Stats().Delivered; n != 0 {
+		if n := fws[relay].ctr.delivered.Value(); n != 0 {
 			t.Errorf("relay %s delivered locally: %d", relay, n)
 		}
 	}
@@ -175,7 +175,7 @@ func TestRelayResealsWithChannelAuth(t *testing.T) {
 	if body, _ := got.GetString("BODY"); body != "sealed per hop" {
 		t.Fatalf("BODY = %q", body)
 	}
-	if n := fws["b"].Stats().AuthFailures + fws["c"].Stats().AuthFailures + fws["d"].Stats().AuthFailures; n != 0 {
+	if n := fws["b"].ctr.authFailures.Value() + fws["c"].ctr.authFailures.Value() + fws["d"].ctr.authFailures.Value(); n != 0 {
 		t.Fatalf("auth failures along the sealed chain: %d", n)
 	}
 }
@@ -198,7 +198,7 @@ func TestRelayRejectsUnsealedWithChannelAuth(t *testing.T) {
 	if _, err := dst.Recv(300 * time.Millisecond); err == nil {
 		t.Fatal("unsealed frame crossed a ChannelAuth relay")
 	}
-	if n := fws["b"].Stats().AuthFailures; n != 1 {
+	if n := fws["b"].ctr.authFailures.Value(); n != 1 {
 		t.Fatalf("relay b auth failures = %d, want 1", n)
 	}
 }
@@ -314,7 +314,7 @@ func TestRelayOffDropsThirdParty(t *testing.T) {
 	if _, err := dst.Recv(300 * time.Millisecond); err == nil {
 		t.Fatal("frame crossed a non-relay host")
 	}
-	if n := fws["b"].Stats().Errors; n == 0 {
+	if n := fws["b"].ctr.errors.Value(); n == 0 {
 		t.Error("dropped third-party frame not counted")
 	}
 }
@@ -334,10 +334,10 @@ func TestRelaySplitHorizon(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(time.Second)
-	for fws["b"].Stats().Errors == 0 && time.Now().Before(deadline) {
+	for fws["b"].ctr.errors.Value() == 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if n := fws["b"].Stats().Errors; n == 0 {
+	if n := fws["b"].ctr.errors.Value(); n == 0 {
 		t.Fatal("relay loop not detected")
 	}
 	if n := fws["b"].ctr.relayed.Value(); n != 0 {

@@ -646,6 +646,33 @@ func TestModelMakespan(t *testing.T) {
 	}
 }
 
+// TestSchedule: the list scheduler puts jobs, in order, onto the
+// workers, each to the least-loaded worker, the first of equals; with
+// one worker the makespan is the summed cost, the baseline every
+// parallel speedup is measured against.
+func TestSchedule(t *testing.T) {
+	s := time.Second
+	eight := []time.Duration{s, s, s, s, s, s, s, s}
+	for _, tc := range []struct {
+		name    string
+		costs   []time.Duration
+		workers int
+		want    time.Duration
+	}{
+		// w0 = 3s; w1 = 1+1+1 = 3s; the 2s job ties and lands on w0.
+		{"tie_to_first", []time.Duration{3 * s, s, s, s, 2 * s}, 2, 5 * s},
+		{"serial", eight, 1, 8 * s},
+		{"three_workers", eight, 3, 3 * s},
+		{"one_each", eight, 8, s},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := Schedule(tc.costs, nil, tc.workers, 0); got != tc.want {
+				t.Errorf("Schedule(%v, %d) = %v, want %v", tc.costs, tc.workers, got, tc.want)
+			}
+		})
+	}
+}
+
 // TestFrontierDifferential drives seeded operation sequences through the
 // one-map frontier and the three-map reference (frontier_reference_test.go),
 // CompleteBatch at k = 1 standing for the reference's CompleteNext,

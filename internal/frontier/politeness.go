@@ -57,15 +57,11 @@ func HostOf(url string) string {
 
 // ModelMakespan computes the virtual-clock makespan of fetching every
 // record with the given worker count and per-site politeness delay:
-// records are dispatched in canonical (depth, URL) order to the
-// least-loaded worker, each fetch starting no earlier than the host's
-// politeness slot and paying its recorded FetchCost. A pure function
-// of the record set, so reruns are byte-identical — this is the
-// schedule model behind BENCH_frontier's workers × politeness grid.
+// records are list-scheduled (Schedule) in canonical (depth, URL) order,
+// each paying its recorded FetchCost. A pure function of the record set,
+// so reruns are byte-identical — this is the schedule model behind
+// BENCH_frontier's workers × politeness grid.
 func ModelMakespan(recs []*PageRecord, workers int, delay time.Duration) time.Duration {
-	if workers < 1 {
-		workers = 1
-	}
 	order := make([]*PageRecord, len(recs))
 	copy(order, recs)
 	sort.Slice(order, func(i, j int) bool {
@@ -74,29 +70,38 @@ func ModelMakespan(recs []*PageRecord, workers int, delay time.Duration) time.Du
 		}
 		return order[i].URL < order[j].URL
 	})
-	free := make([]time.Duration, workers) // per-worker next-free time
-	next := make(map[string]time.Duration) // per-host politeness slot
+	costs := make([]time.Duration, len(order))
+	hosts := make([]string, len(order))
+	for i, r := range order {
+		costs[i], hosts[i] = r.FetchCost, HostOf(r.URL)
+	}
+	return Schedule(costs, hosts, workers, delay)
+}
+
+// Schedule list-schedules jobs, in order, onto workers: each to the
+// least-loaded worker, the first of equals, starting no earlier than its
+// host's politeness slot (starts on one host at least delay apart; hosts
+// may be nil when delay ≤ 0), and returns the time the last job ends.
+func Schedule(costs []time.Duration, hosts []string, workers int, delay time.Duration) time.Duration {
+	free := make([]time.Duration, max(workers, 1)) // per-worker next-free time
+	next := make(map[string]time.Duration)         // per-host politeness slot
 	var makespan time.Duration
-	for _, r := range order {
+	for i, cost := range costs {
 		w := 0
-		for i := 1; i < workers; i++ {
-			if free[i] < free[w] {
-				w = i
+		for j := range free {
+			if free[j] < free[w] {
+				w = j
 			}
 		}
 		start := free[w]
-		host := HostOf(r.URL)
 		if delay > 0 {
-			if nxt, ok := next[host]; ok && nxt > start {
+			if nxt, ok := next[hosts[i]]; ok && nxt > start {
 				start = nxt
 			}
-			next[host] = start + delay
+			next[hosts[i]] = start + delay
 		}
-		end := start + r.FetchCost
-		free[w] = end
-		if end > makespan {
-			makespan = end
-		}
+		free[w] = start + cost
+		makespan = max(makespan, free[w])
 	}
 	return makespan
 }

@@ -3,7 +3,6 @@ package linkmine
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -11,6 +10,7 @@ import (
 	"time"
 
 	"tax/internal/briefcase"
+	"tax/internal/frontier"
 )
 
 // FolderTask tags each fleet agent's briefcase with its task id so the
@@ -298,23 +298,6 @@ func (d *Deployment) RunFleet(opts FleetOptions) (*FleetReport, error) {
 		tr, _ := agg.Task(taskID(i))
 		rep.PerTask[i] = tr.Elapsed
 	}
-	rep.Makespan = makespan(rep.PerTask, workers)
+	rep.Makespan = frontier.Schedule(rep.PerTask, nil, workers, 0)
 	return rep, nil
-}
-
-// makespan list-schedules costs, in order, onto workers: each to the
-// least-loaded worker, the first of equals, and returns the heaviest
-// load.
-func makespan(costs []time.Duration, workers int) time.Duration {
-	loads := make([]time.Duration, workers)
-	for _, c := range costs {
-		least := 0
-		for w := range loads {
-			if loads[w] < loads[least] {
-				least = w
-			}
-		}
-		loads[least] += c
-	}
-	return slices.Max(loads)
 }

@@ -236,30 +236,3 @@ func TestRunFleetMoreAgentsThanServers(t *testing.T) {
 		t.Errorf("PerTask has %d entries, want 6", len(rep.PerTask))
 	}
 }
-
-// TestFleetMakespan: the makespan list-schedules per-task costs in task
-// order onto the workers, each task to the least-loaded worker, the
-// first of equals; with one worker it is the summed cost, the baseline
-// every parallel speedup is measured against.
-func TestFleetMakespan(t *testing.T) {
-	s := time.Second
-	eight := []time.Duration{s, s, s, s, s, s, s, s}
-	for _, tc := range []struct {
-		name    string
-		costs   []time.Duration
-		workers int
-		want    time.Duration
-	}{
-		// w0 = 3s; w1 = 1+1+1 = 3s; the 2s task ties and lands on w0.
-		{"tie_to_first", []time.Duration{3 * s, s, s, s, 2 * s}, 2, 5 * s},
-		{"serial", eight, 1, 8 * s},
-		{"three_workers", eight, 3, 3 * s},
-		{"one_each", eight, 8, s},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := makespan(tc.costs, tc.workers); got != tc.want {
-				t.Errorf("makespan(%v, %d) = %v, want %v", tc.costs, tc.workers, got, tc.want)
-			}
-		})
-	}
-}

@@ -72,14 +72,11 @@ type Options struct {
 	JournalCapacity int
 }
 
-// hostFeed is one attached host's telemetry plus the dedup state that makes
-// push (span-end sinks) and pull (snapshot sweeps) idempotent together.
+// hostFeed is one attached host's telemetry and its crash history.
 type hostFeed struct {
-	tel       *telemetry.Telemetry
-	spanSeen  map[uint64]struct{}
-	eventSeen map[uint64]struct{}
-	crashes   []time.Duration // crash instants, append order
-	restarts  []time.Duration
+	tel      *telemetry.Telemetry
+	crashes  []time.Duration // crash instants, append order
+	restarts []time.Duration
 }
 
 // Collector is the system-wide trace collector and flight recorder. All
@@ -114,121 +111,69 @@ func New(opts Options) *Collector {
 }
 
 // Attach registers a host's telemetry with the collector and installs the
-// push feeds: every span commit and event append is delivered immediately,
-// so the merged view stays ahead of any crash that wipes the host's own
-// rings. Attach is idempotent per host label; re-attaching (a restarted
-// host with a fresh Telemetry) replaces the feed but keeps the dedup state,
-// because sequence counters survive WipeVolatile.
+// push feeds, the collector's one input: every span commit and event append
+// is delivered as it happens, so the merged view stays ahead of any crash
+// that wipes the host's own rings. Attach before the telemetry records
+// anything; what it recorded earlier never reaches the collector.
+// Re-attaching under the same host label (a restarted host with a fresh
+// Telemetry) replaces the feed and keeps the host's crash history.
 func (c *Collector) Attach(tel *telemetry.Telemetry) {
 	if c == nil || tel == nil {
 		return
 	}
 	host := tel.Host()
 	c.mu.Lock()
-	f := c.hosts[host]
-	if f == nil {
-		f = &hostFeed{
-			spanSeen:  make(map[uint64]struct{}),
-			eventSeen: make(map[uint64]struct{}),
-		}
-		c.hosts[host] = f
-	}
-	f.tel = tel
+	c.feedLocked(host).tel = tel
 	c.mu.Unlock()
 
 	// Sinks run outside the ring locks (see telemetry.EventLog.SetSink), so
 	// taking c.mu inside them cannot invert against a Snapshot call.
-	tel.Spans().SetSink(func(r telemetry.SpanRecord) { c.ingestSpans(host, []telemetry.SpanRecord{r}) })
-	tel.Events().SetSink(func(e telemetry.Event) { c.ingestEvents(host, []telemetry.Event{e}) })
-	// Sweep once so history recorded before Attach is not lost.
-	c.pullHost(host, tel)
+	tel.Spans().SetSink(c.ingestSpan)
+	tel.Events().SetSink(func(e telemetry.Event) { c.ingestEvent(host, e) })
 }
 
-// Pull sweeps every attached host's retained rings into the merged view.
-// Push feeds make this redundant in steady state; it exists for history
-// recorded before Attach and as the refresh step before a snapshot.
-func (c *Collector) Pull() {
-	if c == nil {
+func (c *Collector) ingestSpan(r telemetry.SpanRecord) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.spans) >= c.spanCap {
+		c.dropped++
 		return
 	}
-	c.mu.Lock()
-	feeds := make(map[string]*telemetry.Telemetry, len(c.hosts))
-	for h, f := range c.hosts {
-		feeds[h] = f.tel
-	}
-	c.mu.Unlock()
-	for h, tel := range feeds {
-		c.pullHost(h, tel)
-	}
+	c.spans = append(c.spans, r)
 }
 
-// pullHost snapshots outside c.mu (ring locks first), then ingests.
-func (c *Collector) pullHost(host string, tel *telemetry.Telemetry) {
-	spans, _ := tel.Spans().SnapshotTotal()
-	events, _ := tel.Events().SnapshotTotal()
-	c.ingestSpans(host, spans)
-	c.ingestEvents(host, events)
-}
-
-func (c *Collector) ingestSpans(host string, recs []telemetry.SpanRecord) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	f := c.feedLocked(host)
-	for _, r := range recs {
-		if _, dup := f.spanSeen[r.Seq]; dup {
-			continue
-		}
-		f.spanSeen[r.Seq] = struct{}{}
-		if len(c.spans) >= c.spanCap {
-			c.dropped++
-			continue
-		}
-		c.spans = append(c.spans, r)
-	}
-}
-
-// ingestEvents merges audit events and mirrors each into the journal, so
+// ingestEvent merges an audit event by mirroring it into the journal, so
 // the flight recorder interleaves mediation verdicts with infrastructure
 // entries without a second reporting path in the firewall.
-func (c *Collector) ingestEvents(host string, events []telemetry.Event) {
+func (c *Collector) ingestEvent(host string, e telemetry.Event) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	f := c.feedLocked(host)
-	for _, e := range events {
-		if _, dup := f.eventSeen[e.Seq]; dup {
-			continue
-		}
-		f.eventSeen[e.Seq] = struct{}{}
-		detail := ""
-		if e.Principal != "" {
-			detail = "from=" + e.Principal
-		}
-		if e.Target != "" {
-			if detail != "" {
-				detail += " "
-			}
-			detail += "to=" + e.Target
-		}
-		if e.Cause != "" {
-			if detail != "" {
-				detail += " "
-			}
-			detail += "cause=" + e.Cause
-		}
-		c.recordLocked(Entry{
-			Time: e.Time, Host: host, Kind: KindAudit, Name: e.Type,
-			Detail: detail, Trace: e.Trace, Span: e.Span,
-		})
+	detail := ""
+	if e.Principal != "" {
+		detail = "from=" + e.Principal
 	}
+	if e.Target != "" {
+		if detail != "" {
+			detail += " "
+		}
+		detail += "to=" + e.Target
+	}
+	if e.Cause != "" {
+		if detail != "" {
+			detail += " "
+		}
+		detail += "cause=" + e.Cause
+	}
+	c.recordLocked(Entry{
+		Time: e.Time, Host: host, Kind: KindAudit, Name: e.Type,
+		Detail: detail, Trace: e.Trace, Span: e.Span,
+	})
 }
 
 func (c *Collector) feedLocked(host string) *hostFeed {
 	f := c.hosts[host]
 	if f == nil {
-		f = &hostFeed{
-			spanSeen:  make(map[uint64]struct{}),
-			eventSeen: make(map[uint64]struct{}),
-		}
+		f = &hostFeed{}
 		c.hosts[host] = f
 	}
 	return f

@@ -16,9 +16,8 @@ func newHostTel(host string) (*telemetry.Telemetry, *vclock.Virtual) {
 	}), vclock.NewVirtual()
 }
 
-// TestCollectorPushAndPull verifies spans arrive via the push sink as they
-// end, and that Pull dedups against what push already delivered.
-func TestCollectorPushAndPull(t *testing.T) {
+// TestCollectorPush verifies spans arrive via the push sink as they end.
+func TestCollectorPush(t *testing.T) {
 	c := New(Options{})
 	tel, clk := newHostTel("h1")
 	c.Attach(tel)
@@ -31,13 +30,28 @@ func TestCollectorPushAndPull(t *testing.T) {
 	if n, _ := c.Counts(); n != 1 {
 		t.Fatalf("after push: %d spans, want 1", n)
 	}
-	c.Pull()
-	if n, _ := c.Counts(); n != 1 {
-		t.Fatalf("after pull: %d spans, want 1 (pull must dedup push)", n)
-	}
 	got := c.Spans()
 	if got[0].Name != "op.one" || got[0].Host != "h1" {
 		t.Fatalf("merged span = %+v", got[0])
+	}
+}
+
+// TestCollectorReattachKeepsBothInstances: a restarted host attaches a
+// fresh Telemetry under the same label, whose span sequence starts at 1
+// again; a span ended on each instance is two merged spans, not one.
+func TestCollectorReattachKeepsBothInstances(t *testing.T) {
+	c := New(Options{})
+	trace := telemetry.NewTraceID("h1")
+	for _, name := range []string{"before.restart", "after.restart"} {
+		tel, clk := newHostTel("h1")
+		c.Attach(tel)
+		sp := tel.Spans().Start(clk, "h1", trace, "", name)
+		clk.Advance(time.Millisecond)
+		sp.End()
+	}
+	got := c.Spans()
+	if len(got) != 2 || got[0].Name != "before.restart" || got[1].Name != "after.restart" {
+		t.Fatalf("merged spans = %+v, want one per instance", got)
 	}
 }
 

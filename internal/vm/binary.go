@@ -197,8 +197,6 @@ type BinConfig struct {
 	Signer *identity.Principal
 	// Trace receives instrumentation events.
 	Trace func(event string)
-	// OnAgentDone is called as each hosted agent finishes.
-	OnAgentDone func(name string, err error)
 	// PreLaunch runs on the agent goroutine before the handler (wrapper
 	// installation); an error aborts the activation.
 	PreLaunch func(ctx *agent.Context) error
@@ -236,7 +234,7 @@ func NewBin(cfg BinConfig) (*BinVM, error) {
 		store:   cfg.Store,
 		trust:   cfg.Trust,
 	}
-	v.load, v.preLaunch, v.onAgentDone = v, cfg.PreLaunch, cfg.OnAgentDone
+	v.load, v.preLaunch = v, cfg.PreLaunch
 	if tel := cfg.FW.Telemetry(); tel.Detailed() {
 		v.histResolve = tel.Registry().Histogram("vm.resolve", "host", cfg.FW.HostName(), "vm", v.name)
 	}

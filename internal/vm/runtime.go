@@ -41,15 +41,14 @@ type activation struct {
 // table, activation, the spawn and reject replies, Move, Reattach and
 // Close.
 type runtime struct {
-	name        string
-	fw          *firewall.Firewall
-	signer      *identity.Principal
-	trace       func(event string)
-	load        loader // nil on vm_c, which serves its own loop
-	serve       func(self *firewall.Registration)
-	local       agent.LocalResolver // the §3.3 bypass; nil unless enabled
-	preLaunch   func(ctx *agent.Context) error
-	onAgentDone func(name string, err error)
+	name      string
+	fw        *firewall.Firewall
+	signer    *identity.Principal
+	trace     func(event string)
+	load      loader // nil on vm_c, which serves its own loop
+	serve     func(self *firewall.Registration)
+	local     agent.LocalResolver // the §3.3 bypass; nil unless enabled
+	preLaunch func(ctx *agent.Context) error
 
 	// ctrActivated/ctrRejected count activations; histRun times handler
 	// execution in wall-clock terms (vm_go only, and nil unless detailed
@@ -250,13 +249,13 @@ func (rt *runtime) start(principal, name, program string, h Handler, bc *briefca
 		rt.tracef("activated %s (program %s)", reg.URI(), program)
 	}
 	rt.wg.Add(1)
-	go rt.run(ctx, name, program, h)
+	go rt.run(ctx, program, h)
 	return reg, nil
 }
 
 // run is one activation's goroutine: PreLaunch, the handler, the span,
 // then teardown.
-func (rt *runtime) run(ctx *agent.Context, name, program string, h Handler) {
+func (rt *runtime) run(ctx *agent.Context, program string, h Handler) {
 	defer rt.wg.Done()
 	reg := ctx.Registration()
 	sp := rt.execSpan(ctx.Briefcase(), program)
@@ -282,9 +281,6 @@ func (rt *runtime) run(ctx *agent.Context, name, program string, h Handler) {
 	delete(rt.agents, reg.URI().Instance)
 	rt.mu.Unlock()
 	rt.fw.Unregister(reg)
-	if rt.onAgentDone != nil {
-		rt.onAgentDone(name, err)
-	}
 }
 
 // execSpan opens the span covering one local activation — the unit the

@@ -106,10 +106,6 @@ type Config struct {
 	// Trace, when set, receives one event string per noteworthy step
 	// (used by the figure-3 pipeline test). Format: "<vm>: <event>".
 	Trace func(event string)
-	// OnAgentDone, when set, is called as each hosted agent finishes,
-	// with the terminal error (nil on clean exit, agent.ErrMoved after a
-	// move).
-	OnAgentDone func(name string, err error)
 	// PreLaunch, when set, runs on the agent goroutine before the
 	// handler; wiring wrappers carried in the briefcase happens here. An
 	// error aborts the activation.
@@ -133,7 +129,7 @@ func New(cfg Config) (*GoVM, error) {
 		return nil, errors.New("vm: config needs a program registry")
 	}
 	v := &GoVM{runtime: newRuntime(cmp.Or(cfg.Name, "vm_go"), cfg.FW, cfg.Signer, cfg.Trace), programs: cfg.Programs}
-	v.load, v.preLaunch, v.onAgentDone = v, cfg.PreLaunch, cfg.OnAgentDone
+	v.load, v.preLaunch = v, cfg.PreLaunch
 	if cfg.Bypass {
 		v.local = v.resolveLocal
 	}

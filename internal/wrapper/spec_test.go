@@ -2,7 +2,9 @@ package wrapper_test
 
 import (
 	"errors"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -11,9 +13,15 @@ import (
 	"tax/internal/wrapper"
 )
 
+// build rebuilds the stack a _WRAP folder holding layers names.
+func build(r *wrapper.Registry, layers ...string) (*wrapper.Stack, error) {
+	bc := briefcase.New()
+	bc.Ensure(briefcase.FolderSysWrap).AppendString(layers...)
+	return r.Build(bc)
+}
+
 func TestSpecGenerateSingle(t *testing.T) {
-	r := wrapper.NewSpecRegistry()
-	s, err := r.Generate("logging(tag=x)")
+	s, err := build(wrapper.NewRegistry(), "logging(tag=x)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,8 +31,7 @@ func TestSpecGenerateSingle(t *testing.T) {
 }
 
 func TestSpecGenerateStack(t *testing.T) {
-	r := wrapper.NewSpecRegistry()
-	s, err := r.Generate("monitor(uri=tacoma://home//ag_monitor, subject=job) | logging(tag=dbg)")
+	s, err := build(wrapper.NewRegistry(), "monitor(uri=tacoma://home//ag_monitor, subject=job)", "logging(tag=dbg)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,8 +42,7 @@ func TestSpecGenerateStack(t *testing.T) {
 }
 
 func TestSpecGenerateGroup(t *testing.T) {
-	r := wrapper.NewSpecRegistry()
-	s, err := r.Generate("group(name=readers, self=a, members=a;b;c, order=causal)")
+	s, err := build(wrapper.NewRegistry(), "group(name=readers, self=a, members=a;b;c, order=causal)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,8 +52,7 @@ func TestSpecGenerateGroup(t *testing.T) {
 }
 
 func TestSpecGenerateLoctrans(t *testing.T) {
-	r := wrapper.NewSpecRegistry()
-	s, err := r.Generate("loctrans(dir=d1;d2;d3, self=me, resolve=peer;other)")
+	s, err := build(wrapper.NewRegistry(), "loctrans(dir=d1;d2;d3, self=me, resolve=peer;other)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,51 +62,51 @@ func TestSpecGenerateLoctrans(t *testing.T) {
 }
 
 func TestSpecGenerateEmpty(t *testing.T) {
-	r := wrapper.NewSpecRegistry()
-	s, err := r.Generate("  ")
+	s, err := build(wrapper.NewRegistry())
 	if err != nil || s.Depth() != 0 {
-		t.Errorf("empty spec: %v, %v", s, err)
+		t.Errorf("empty _WRAP: %v, %v", s, err)
 	}
 }
 
 func TestSpecGenerateErrors(t *testing.T) {
-	r := wrapper.NewSpecRegistry()
+	r := wrapper.NewRegistry()
 	tests := []struct {
-		name, spec string
+		name   string
+		layers []string
 	}{
-		{"unknown kind", "teleport(x=1)"},
-		{"unterminated params", "logging(tag=x"},
-		{"bad param", "logging(tagx)"},
-		{"empty layer", "logging(tag=a) | | logging(tag=b)"},
-		{"monitor without uri", "monitor(subject=j)"},
-		{"group missing members", "group(name=g, self=a)"},
-		{"group bad order", "group(name=g, self=a, members=a;b, order=psychic)"},
-		{"loctrans without service", "loctrans(self=x)"},
+		{"unknown kind", []string{"teleport(x=1)"}},
+		{"unterminated params", []string{"logging(tag=x"}},
+		{"bad param", []string{"logging(tagx)"}},
+		{"empty layer", []string{"logging(tag=a)", "", "logging(tag=b)"}},
+		{"monitor without uri", []string{"monitor(subject=j)"}},
+		{"group missing members", []string{"group(name=g, self=a)"}},
+		{"group bad order", []string{"group(name=g, self=a, members=a;b, order=psychic)"}},
+		{"loctrans without service", []string{"loctrans(self=x)"}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := r.Generate(tt.spec); err == nil {
-				t.Errorf("spec %q accepted", tt.spec)
+			if _, err := build(r, tt.layers...); err == nil {
+				t.Errorf("_WRAP %q accepted", tt.layers)
 			}
 		})
 	}
 }
 
 func TestSpecCustomKind(t *testing.T) {
-	r := wrapper.NewSpecRegistry()
-	r.Register("rec", func(p map[string]string) (wrapper.Wrapper, error) {
+	r := wrapper.NewRegistry()
+	r.RegisterKind("rec", func(p map[string]string) (wrapper.Wrapper, error) {
 		return &initRecorder{onInit: func(string) {}}, nil
 	})
-	s, err := r.Generate("rec")
+	s, err := build(r, "rec")
 	if err != nil || s.Depth() != 1 {
 		t.Errorf("custom kind: %v, %v", s, err)
 	}
 }
 
 func TestWrapSpecTravelsWithAgent(t *testing.T) {
-	// A _WRAPSPEC-declared monitor stack is regenerated on every hop:
-	// the monitoring tool hears arrivals on both hosts without any
-	// hand-registered wrapper factory.
+	// A monitor layer written into _WRAP as a spec is regenerated on
+	// every hop: the monitoring tool hears arrivals on both hosts
+	// without any deployed wrapper factory.
 	s := newSystem(t, "home", "h2")
 	home, _ := s.Node("home")
 	events := launchMonitor(t, home)
@@ -115,8 +120,7 @@ func TestWrapSpecTravelsWithAgent(t *testing.T) {
 		return nil
 	})
 	bc := briefcase.New()
-	bc.SetString(wrapper.FolderWrapSpec,
-		"monitor(uri=tacoma://home//ag_monitor, subject=roamer)")
+	bc.Ensure(briefcase.FolderSysWrap).AppendString("monitor(uri=tacoma://home//ag_monitor, subject=roamer)")
 	if _, err := home.VM.Launch("system", "roamer", "roamer", bc); err != nil {
 		t.Fatal(err)
 	}
@@ -138,42 +142,79 @@ func TestWrapSpecTravelsWithAgent(t *testing.T) {
 	}
 }
 
-func TestWrapSpecComposesWithNamedStack(t *testing.T) {
-	// _WRAPSPEC layers wrap outside a _WRAP-named stack.
-	s := newSystem(t, "h1")
-	n, _ := s.Node("h1")
-	var mu []string
-	var order = &mu
-	_ = order
-	done := make(chan []string, 1)
-	n.Wrappers.Register("inner-rec", func() wrapper.Wrapper {
-		return &hookWrapper{name: "inner", note: func(tag, ev string) {}}
+// initNoter reports each Init of the layer it wraps.
+type initNoter struct {
+	wrapper.Wrapper
+	note func(string)
+}
+
+func (n initNoter) Init(ctx *agent.Context) error {
+	n.note(n.Name() + "@" + ctx.Host())
+	return n.Wrapper.Init(ctx)
+}
+
+func TestWrapMixesNamesAndSpecs(t *testing.T) {
+	// One _WRAP holds a deployed name and a spec layer; every hop of a
+	// three-host tour rebuilds both, in folder order, and the folder
+	// travels as it was written.
+	hosts := []string{"h1", "h2", "h3"}
+	s := newSystem(t, hosts...)
+	const ckpt = "/ckpt/mixed"
+	layers := []string{"checkpoint:" + ckpt, "logging(tag=outer)"}
+	var mu sync.Mutex
+	var inits []string
+	note := func(ev string) {
+		mu.Lock()
+		inits = append(inits, ev)
+		mu.Unlock()
+	}
+	s.DeployWrapper(layers[0], func() wrapper.Wrapper {
+		return initNoter{&wrapper.Checkpoint{StoreURI: "tacoma://h1//ag_fs", Path: ckpt}, note}
 	})
-	n.Programs.Register("probe", func(ctx *agent.Context) error {
-		// After PreLaunch, the briefcase still names only the inner
-		// stack in _WRAP (the spec travels separately).
+	for _, h := range hosts {
+		n, _ := s.Node(h)
+		n.Wrappers.RegisterKind("logging", func(p map[string]string) (wrapper.Wrapper, error) {
+			return initNoter{&wrapper.Logging{Tag: p["tag"]}, note}, nil
+		})
+	}
+	seen := make(chan []string, len(hosts))
+	s.DeployProgram("tourer", func(ctx *agent.Context) error {
 		f, err := ctx.Briefcase().Folder(briefcase.FolderSysWrap)
 		if err != nil {
-			done <- nil
 			return err
 		}
-		done <- f.Strings()
+		seen <- f.Strings()
+		if i := slices.Index(hosts, ctx.Host()); i+1 < len(hosts) {
+			return ctx.Go("tacoma://" + hosts[i+1] + "//vm_go")
+		}
 		return nil
 	})
 	bc := briefcase.New()
-	bc.Ensure(briefcase.FolderSysWrap).AppendString("inner-rec")
-	bc.SetString(wrapper.FolderWrapSpec, "logging(tag=outer)")
-	if _, err := n.VM.Launch("system", "probe", "probe", bc); err != nil {
+	bc.Ensure(briefcase.FolderSysWrap).AppendString(layers...)
+	n1, _ := s.Node("h1")
+	if _, err := n1.VM.Launch("system", "tourer", "tourer", bc); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case names := <-done:
-		joined := strings.Join(names, ",")
-		if !strings.Contains(joined, "inner") {
-			t.Errorf("_WRAP = %v", names)
+	for range hosts {
+		select {
+		case got := <-seen:
+			if !slices.Equal(got, layers) {
+				t.Errorf("_WRAP = %q, want %q", got, layers)
+			}
+		case <-time.After(5 * time.Second):
+			mu.Lock()
+			defer mu.Unlock()
+			t.Fatalf("tour stalled; inits so far %v", inits)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("probe stalled")
+	}
+	var want []string
+	for _, h := range hosts {
+		want = append(want, "checkpoint:"+ckpt+"@"+h, "logging:outer@"+h)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if !slices.Equal(inits, want) {
+		t.Errorf("layer inits = %v, want %v", inits, want)
 	}
 }
 
@@ -187,7 +228,7 @@ func TestSpecRejectedAtActivation(t *testing.T) {
 		return nil
 	})
 	bc := briefcase.New()
-	bc.SetString(wrapper.FolderWrapSpec, "teleport(beam=up)")
+	bc.Ensure(briefcase.FolderSysWrap).AppendString("teleport(beam=up)")
 	if _, err := n.VM.Launch("system", "naked", "naked", bc); err != nil {
 		t.Fatal(err) // launch enqueues; the failure is at activation
 	}

@@ -62,11 +62,6 @@ func NewStack(outermostFirst ...Wrapper) *Stack {
 	return &Stack{wrappers: outermostFirst}
 }
 
-// Push adds a wrapper outside the current stack.
-func (s *Stack) Push(w Wrapper) {
-	s.wrappers = append([]Wrapper{w}, s.wrappers...)
-}
-
 // Depth returns the number of stacked wrappers.
 func (s *Stack) Depth() int { return len(s.wrappers) }
 
@@ -80,9 +75,21 @@ func (s *Stack) Names() []string {
 }
 
 // Install wires the stack into the agent context and runs each wrapper's
-// Init, outermost first. The stack is also recorded in the briefcase's
-// _WRAP folder so it travels with the agent.
+// Init, outermost first. The stack's names are also recorded in the
+// briefcase's _WRAP folder, so a stack built by hand travels with the
+// agent.
 func (s *Stack) Install(ctx *agent.Context) error {
+	f := ctx.Briefcase().Ensure(briefcase.FolderSysWrap)
+	f.Clear()
+	for _, w := range s.wrappers {
+		f.AppendString(w.Name())
+	}
+	return s.install(ctx)
+}
+
+// install is Install without the _WRAP record: a stack rebuilt from the
+// folder leaves it as it travelled.
+func (s *Stack) install(ctx *agent.Context) error {
 	ctx.SetInterceptors(
 		func(bc *briefcase.Briefcase) (*briefcase.Briefcase, error) {
 			cur := bc
@@ -122,11 +129,6 @@ func (s *Stack) Install(ctx *agent.Context) error {
 			}
 		}
 	})
-	f := ctx.Briefcase().Ensure(briefcase.FolderSysWrap)
-	f.Clear()
-	for _, w := range s.wrappers {
-		f.AppendString(w.Name())
-	}
 	for _, w := range s.wrappers {
 		if err := w.Init(ctx); err != nil {
 			return fmt.Errorf("wrapper %s: init: %w", w.Name(), err)
@@ -138,30 +140,51 @@ func (s *Stack) Install(ctx *agent.Context) error {
 // Factory constructs a fresh wrapper instance for an arriving agent.
 type Factory func() Wrapper
 
-// Registry maps wrapper names to factories; it is the pre-deployed
-// counterpart of the program registry, letting wrapper stacks travel by
-// name in the _WRAP folder. Safe for concurrent use.
+// ParamFactory builds one wrapper layer from a spec layer's parameters
+// (nil when the _WRAP element names the kind bare).
+type ParamFactory func(params map[string]string) (Wrapper, error)
+
+// Registry is a host's one wrapper registry: the names deployed on it
+// and the spec layer kinds it generates (spec.go). It is the wrapper
+// counterpart of the program registry; an arriving agent's stack is
+// rebuilt from it, one layer per element of the _WRAP folder. Safe for
+// concurrent use.
 type Registry struct {
 	mu sync.RWMutex
-	m  map[string]Factory
+	m  map[string]ParamFactory
 }
 
-// ErrUnknownWrapper is returned when a _WRAP folder names a wrapper that
-// is not deployed on this host.
+// ErrUnknownWrapper is returned when a _WRAP element is neither a name
+// deployed on this host nor a spec layer of a registered kind.
 var ErrUnknownWrapper = errors.New("wrapper: unknown wrapper")
 
-// Register deploys a wrapper factory.
+// Register deploys a wrapper factory under name; a _WRAP element equal
+// to name builds it.
 func (r *Registry) Register(name string, f Factory) {
+	r.RegisterKind(name, func(map[string]string) (Wrapper, error) { return f(), nil })
+}
+
+// RegisterKind adds (or replaces) a spec layer kind; a _WRAP element
+// kind(k=v, …) builds it from its parameters.
+func (r *Registry) RegisterKind(kind string, f ParamFactory) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.m == nil {
-		r.m = make(map[string]Factory)
+		r.m = make(map[string]ParamFactory)
 	}
-	r.m[name] = f
+	r.m[kind] = f
+}
+
+func (r *Registry) lookup(name string) (ParamFactory, bool) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	f, ok := r.m[name]
+	return f, ok
 }
 
 // Build constructs the stack named by the briefcase's _WRAP folder
-// (outermost first). A briefcase without the folder yields a nil stack.
+// (outermost first), one layer per element (generateLayer). A briefcase
+// without the folder yields a nil stack.
 func (r *Registry) Build(bc *briefcase.Briefcase) (*Stack, error) {
 	if !bc.Has(briefcase.FolderSysWrap) {
 		return nil, nil
@@ -171,29 +194,25 @@ func (r *Registry) Build(bc *briefcase.Briefcase) (*Stack, error) {
 		return nil, err
 	}
 	var ws []Wrapper
-	for _, name := range f.Strings() {
-		r.mu.RLock()
-		factory, ok := r.m[name]
-		r.mu.RUnlock()
-		if !ok {
-			return nil, fmt.Errorf("%w: %q", ErrUnknownWrapper, name)
+	for _, item := range f.Strings() {
+		w, err := r.generateLayer(item)
+		if err != nil {
+			return nil, err
 		}
-		ws = append(ws, factory())
+		ws = append(ws, w)
 	}
 	return NewStack(ws...), nil
 }
 
 // PreLaunch returns a vm.Config.PreLaunch hook that rebuilds and installs
-// the travelling wrapper stack on every activation.
+// the travelling wrapper stack on every activation, leaving _WRAP as it
+// arrived.
 func (r *Registry) PreLaunch() func(ctx *agent.Context) error {
 	return func(ctx *agent.Context) error {
 		stack, err := r.Build(ctx.Briefcase())
-		if err != nil {
+		if err != nil || stack == nil {
 			return err
 		}
-		if stack == nil {
-			return nil
-		}
-		return stack.Install(ctx)
+		return stack.install(ctx)
 	}
 }

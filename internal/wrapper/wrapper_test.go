@@ -2,6 +2,7 @@ package wrapper_test
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -25,13 +26,7 @@ func newSystem(t *testing.T, hosts ...string) *core.System {
 	}
 	t.Cleanup(func() { _ = s.Close() })
 	for _, h := range hosts {
-		opts := core.NodeOptions{NoCVM: true}
-		opts.OnAgentDone = func(name string, err error) {
-			if err != nil && !errors.Is(err, agent.ErrMoved) {
-				t.Logf("agent %s finished with: %v", name, err)
-			}
-		}
-		if _, err := s.AddNode(h, opts); err != nil {
+		if _, err := s.AddNode(h, core.NodeOptions{NoCVM: true}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -167,7 +162,9 @@ func TestSwallowedSendNeverRoutes(t *testing.T) {
 		sent <- ctx.Activate("system/nowhere", bc)
 		return nil
 	})
-	before := n.FW.Stats()
+	reg := n.FW.Telemetry().Registry()
+	queued, delivered := reg.Counter("fw.queued", "host", "h1"), reg.Counter("fw.delivered", "host", "h1")
+	queuedBefore, deliveredBefore := queued.Value(), delivered.Value()
 	if _, err := n.VM.Launch("system", "mute", "mute", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -179,8 +176,7 @@ func TestSwallowedSendNeverRoutes(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("agent stalled")
 	}
-	after := n.FW.Stats()
-	if after.Queued != before.Queued || after.Delivered != before.Delivered {
+	if queued.Value() != queuedBefore || delivered.Value() != deliveredBefore {
 		t.Error("swallowed send reached the firewall")
 	}
 }
@@ -226,6 +222,51 @@ func TestWrapperStackTravels(t *testing.T) {
 	defer mu.Unlock()
 	if len(inits) != 2 || inits[0] != "h1" || inits[1] != "h2" {
 		t.Errorf("wrapper inits = %v, want [h1 h2]", inits)
+	}
+}
+
+func TestDeployedNameTravelsUnrewritten(t *testing.T) {
+	// A deployed name need not equal its wrapper's Name(): _WRAP travels
+	// as written, so every hop of a three-host tour finds "audit" again.
+	hosts := []string{"h1", "h2", "h3"}
+	s := newSystem(t, hosts...)
+	var mu sync.Mutex
+	var lines []string
+	s.DeployWrapper("audit", func() wrapper.Wrapper {
+		return &wrapper.Logging{Tag: "x", Sink: func(line string) {
+			if strings.Contains(line, "init on") {
+				mu.Lock()
+				lines = append(lines, line)
+				mu.Unlock()
+			}
+		}}
+	})
+	done := make(chan struct{})
+	s.DeployProgram("auditee", func(ctx *agent.Context) error {
+		if i := slices.Index(hosts, ctx.Host()); i+1 < len(hosts) {
+			return ctx.Go("tacoma://" + hosts[i+1] + "//vm_go")
+		}
+		close(done)
+		return nil
+	})
+	bc := briefcase.New()
+	bc.Ensure(briefcase.FolderSysWrap).AppendString("audit")
+	n1, _ := s.Node("h1")
+	if _, err := n1.VM.Launch("system", "auditee", "auditee", bc); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		mu.Lock()
+		defer mu.Unlock()
+		t.Fatalf("tour stalled after %v", lines)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	want := []string{"logging:x: init on h1", "logging:x: init on h2", "logging:x: init on h3"}
+	if !slices.Equal(lines, want) {
+		t.Errorf("inits = %v, want %v", lines, want)
 	}
 }
 
@@ -389,8 +430,6 @@ func TestLocationTransparentWrapper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The registry key must equal the wrapper's Name() so the _WRAP
-	// folder resolves after a move.
 	s.DeployWrapper("loctrans:"+name, func() wrapper.Wrapper {
 		return &wrapper.LocationTransparent{Client: client, SelfName: name}
 	})

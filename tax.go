@@ -128,7 +128,6 @@ var (
 	WithTrace          = core.WithTrace
 	WithoutServices    = core.WithoutServices
 	WithoutCVM         = core.WithoutCVM
-	WithOnAgentDone    = core.WithOnAgentDone
 	WithSecureChannels = core.WithSecureChannels
 	WithTelemetry      = core.WithTelemetry
 	WithFsyncCost      = core.WithFsyncCost
@@ -213,10 +212,6 @@ func SendStream(ctx *Context, target, streamID string, data []byte, chunkSize in
 func SendStreamContext(ctx context.Context, ac *Context, target, streamID string, data []byte, chunkSize int) error {
 	return agent.SendStreamContext(ctx, ac, target, streamID, data, chunkSize)
 }
-
-// NewWrapperSpecs returns a registry generating wrapper stacks from
-// declarative spec strings (the paper's future-work framework).
-func NewWrapperSpecs() *wrapper.SpecRegistry { return wrapper.NewSpecRegistry() }
 
 // Link profiles for NewSystem (calibrated in EXPERIMENTS.md).
 var (

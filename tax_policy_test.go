@@ -248,7 +248,6 @@ func TestPublicPolicyExplainAudit(t *testing.T) {
 		t.Fatal("probe agent stalled")
 	}
 
-	twr.Pull()
 	var all []string
 	for _, tid := range twr.Traces() {
 		all = append(all, twr.Trace(tid).ExplainLines()...)
