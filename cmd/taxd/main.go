@@ -1,7 +1,9 @@
-// Command taxd runs one live TAX node on TCP: a firewall bound to a real
-// socket, the standard VMs and service agents, and a few demo programs.
-// Several taxd processes on one machine (or several machines) form a
-// deployment that agents migrate between and that taxctl manages.
+// Command taxd runs one live TAX node on TCP: the node the simulator
+// builds (firewall, the vm_go/vm_bin/vm_c VMs, the standard service
+// agents, wrapper stacks rebuilt on arrival), bound to a real socket and
+// the real clock, plus the figure-4 hello_world demo program. Several
+// taxd processes on one machine (or several machines) form a deployment
+// that agents migrate between and that taxctl manages.
 //
 //	taxd -listen 127.0.0.1:27017 &
 //	taxd -listen 127.0.0.1:27018 &
@@ -32,7 +34,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strconv"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -40,185 +42,184 @@ import (
 	"tax/internal/agent"
 	"tax/internal/briefcase"
 	"tax/internal/cabinet"
+	"tax/internal/core"
 	"tax/internal/directory"
 	"tax/internal/firewall"
-	"tax/internal/identity"
-	"tax/internal/policy"
-	"tax/internal/services"
 	"tax/internal/simnet"
 	"tax/internal/telemetry"
 	"tax/internal/tower"
-	"tax/internal/vclock"
-	"tax/internal/vm"
 )
 
-// obsvConfig groups the observability-export flags.
-type obsvConfig struct {
-	// httpAddr serves /metrics and /traces when non-empty.
-	httpAddr string
-	// pprofOn mounts net/http/pprof on the httpAddr listener.
-	pprofOn bool
-	// otlpFile receives one OTLP/JSON export on shutdown.
-	otlpFile string
+// config holds taxd's flag values (main documents each one); boot maps
+// them onto core.NodeOptions.
+type config struct {
+	listen, launch, launchAs, retry, policyFile, dirPlane string
+	telDump, httpAddr, otlpFile                           string
+	telOn, pprofOn                                        bool
+	fleetN, snapEvery, batchFrames, dirReplicas           int
+	telEvery, fsyncCost, dirTTL                           time.Duration
 }
 
 func main() {
-	listen := flag.String("listen", "127.0.0.1:27017", "address to listen on")
-	launch := flag.String("launch", "", "comma-separated itinerary; launches the hello_world agent")
-	telOn := flag.Bool("telemetry", false, "collect trace spans and audit events (metrics are always on)")
-	telDump := flag.String("telemetry-dump", "", "file to periodically write a telemetry JSON snapshot to")
-	telEvery := flag.Duration("telemetry-interval", 30*time.Second, "telemetry dump period")
-	retry := flag.String("retry", "", "default forward-retry policy 'attempts|backoff|deadline' (durations in ns) for agents without a _RETRY folder")
-	fleetN := flag.Int("fleet", 1, "with -launch: number of agent copies to launch")
-	fsyncCost := flag.Duration("fsync-cost", cabinet.DefaultSyncLatency, "modeled fsync latency of the node's file cabinet (slept for on a live node)")
-	snapEvery := flag.Int("snapshot-every", 0, "cabinet transactions between WAL compactions (0 compacts once the WAL since the last snapshot outweighs the table; negative disables snapshots)")
-	batchFrames := flag.Int("batch", 0, "coalesce up to N outbound same-destination frames per network transfer (0 disables batching)")
-	policyFile := flag.String("policy", "", "policy ruleset file: default-deny mediation rules + per-principal quotas (hot-reload with 'taxctl policyload')")
-	dirPlane := flag.String("dir", "", "comma-separated host:port membership of the leased directory plane; must include this node's address (enrolls an ag_nsd shard, inspect with 'taxctl dir')")
-	dirReplicas := flag.Int("dir-replicas", directory.DefaultReplicas, "with -dir: copies of each name binding (clamped to the membership size)")
-	dirTTL := flag.Duration("dir-ttl", directory.DefaultTTL, "with -dir: lease length granted to name registrations")
-	launchAs := flag.String("launch-principal", "system", "principal the -launch agent runs under (non-system principals are subject to peers' -policy rules)")
-	httpAddr := flag.String("http", "", "serve observability over HTTP: /metrics (Prometheus text) and /traces (OTLP/JSON); implies -telemetry")
-	pprofOn := flag.Bool("pprof", false, "with -http: also mount net/http/pprof under /debug/pprof/")
-	otlpFile := flag.String("otlp-file", "", "write an OTLP/JSON trace export to this file on shutdown; implies -telemetry")
+	var cfg config
+	flag.StringVar(&cfg.listen, "listen", "127.0.0.1:27017", "address to listen on")
+	flag.StringVar(&cfg.launch, "launch", "", "comma-separated itinerary; launches the hello_world agent")
+	flag.BoolVar(&cfg.telOn, "telemetry", false, "collect trace spans and audit events (metrics are always on)")
+	flag.StringVar(&cfg.telDump, "telemetry-dump", "", "file to periodically write a telemetry JSON snapshot to")
+	flag.DurationVar(&cfg.telEvery, "telemetry-interval", 30*time.Second, "telemetry dump period")
+	flag.StringVar(&cfg.retry, "retry", "", "default forward-retry policy 'attempts|backoff|deadline' (durations in ns) for agents without a _RETRY folder")
+	flag.IntVar(&cfg.fleetN, "fleet", 1, "with -launch: number of agent copies to launch")
+	flag.DurationVar(&cfg.fsyncCost, "fsync-cost", cabinet.DefaultSyncLatency, "modeled fsync latency of the node's file cabinet (slept for on a live node)")
+	flag.IntVar(&cfg.snapEvery, "snapshot-every", 0, "cabinet transactions between WAL compactions (0 compacts once the WAL since the last snapshot outweighs the table; negative disables snapshots)")
+	flag.IntVar(&cfg.batchFrames, "batch", 0, "coalesce up to N outbound same-destination frames per network transfer (0 disables batching)")
+	flag.StringVar(&cfg.policyFile, "policy", "", "policy ruleset file: default-deny mediation rules + per-principal quotas (hot-reload with 'taxctl policyload')")
+	flag.StringVar(&cfg.dirPlane, "dir", "", "comma-separated host:port membership of the leased directory plane; must include this node's address (enrolls an ag_nsd shard, inspect with 'taxctl dir')")
+	flag.IntVar(&cfg.dirReplicas, "dir-replicas", directory.DefaultReplicas, "with -dir: copies of each name binding (clamped to the membership size)")
+	flag.DurationVar(&cfg.dirTTL, "dir-ttl", directory.DefaultTTL, "with -dir: lease length granted to name registrations")
+	flag.StringVar(&cfg.launchAs, "launch-principal", "system", "principal the -launch agent runs under (non-system principals are subject to peers' -policy rules)")
+	flag.StringVar(&cfg.httpAddr, "http", "", "serve observability over HTTP: /metrics (Prometheus text) and /traces (OTLP/JSON); implies -telemetry")
+	flag.BoolVar(&cfg.pprofOn, "pprof", false, "with -http: also mount net/http/pprof under /debug/pprof/")
+	flag.StringVar(&cfg.otlpFile, "otlp-file", "", "write an OTLP/JSON trace export to this file on shutdown; implies -telemetry")
 	flag.Parse()
-	obsv := obsvConfig{httpAddr: *httpAddr, pprofOn: *pprofOn, otlpFile: *otlpFile}
-	if err := run(*listen, *launch, *telOn, *telDump, *telEvery, *retry, *fleetN, *fsyncCost, *snapEvery, *batchFrames, *policyFile, *launchAs, *dirPlane, *dirReplicas, *dirTTL, obsv); err != nil {
+	if err := run(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "taxd:", err)
 		os.Exit(1)
 	}
 }
 
-func run(listen, launch string, telOn bool, telDump string, telEvery time.Duration, retry string, fleetN int, fsyncCost time.Duration, snapEvery int, batchFrames int, policyFile, launchAs, dirPlane string, dirReplicas int, dirTTL time.Duration, obsv obsvConfig) error {
-	if obsv.httpAddr != "" || obsv.otlpFile != "" {
-		telOn = true
+// daemon is one booted taxd: the system holding its one live node, and
+// the socket under it.
+type daemon struct {
+	sys  *core.System
+	node *core.Node
+	tcp  *simnet.TCPNode
+}
+
+// Close shuts the node down, then its socket.
+func (d *daemon) Close() {
+	_ = d.sys.Close()
+	_ = d.tcp.Close()
+}
+
+// boot listens on cfg.listen and adds the node core.AddTCPNode
+// assembles, configured by the flags, with the figure-4 hello_world
+// program deployed on it.
+func boot(cfg config) (d *daemon, err error) {
+	opts := core.NodeOptions{FsyncCost: cfg.fsyncCost, SnapshotEvery: cfg.snapEvery}
+	if cfg.retry != "" {
+		if opts.ForwardRetry, err = firewall.ParseRetryPolicy(cfg.retry); err != nil {
+			return nil, fmt.Errorf("-retry: %w", err)
+		}
 	}
-	var retryPolicy firewall.RetryPolicy
-	if retry != "" {
-		p, err := firewall.ParseRetryPolicy(retry)
+	if cfg.policyFile != "" {
+		text, err := os.ReadFile(cfg.policyFile)
 		if err != nil {
-			return fmt.Errorf("-retry: %w", err)
+			return nil, fmt.Errorf("-policy: %w", err)
 		}
-		retryPolicy = p
+		// An invalid ruleset fails the boot, never the first send.
+		opts.Policy = string(text)
 	}
-
-	node, err := simnet.ListenTCP(listen)
-	if err != nil {
-		return err
-	}
-	defer func() { _ = node.Close() }()
-
-	host, portStr, err := net.SplitHostPort(node.Addr())
-	if err != nil {
-		return err
-	}
-	port, err := strconv.Atoi(portStr)
-	if err != nil {
-		return err
-	}
-
-	// Every taxd trusts the well-known "system" principal by name; the
-	// demo deployment model is one administrative domain (§4: single-hop
-	// agents within one domain need less machinery than Internet-hostile
-	// ones).
-	system, err := identity.NewPrincipal("system")
-	if err != nil {
-		return err
-	}
-	trust := &identity.TrustStore{}
-	trust.AddPrincipal(system, identity.System)
-
-	var tel *telemetry.Telemetry
-	var twr *tower.Collector
-	if telOn || telDump != "" {
-		tel = telemetry.New(telemetry.Options{Host: node.Addr(), Spans: telOn, Events: telOn})
-	}
-	if telOn {
-		// One-node tower: the collector still earns its keep as the flight
-		// recorder behind `taxctl explain` and the /metrics and /traces
-		// exports; multi-node merged timelines come from the simulation's
-		// core.EnableTower.
-		twr = tower.New(tower.Options{})
-		twr.Attach(tel)
-	}
-	// A real clock (not the default idle virtual one) so agent run
-	// times and trace spans carry wall-clock durations on live nodes —
-	// and so the cabinet's fsync cost is actually slept for.
-	clock := vclock.NewReal()
-	cabOpts := cabinet.Options{
-		Clock:         clock,
-		FsyncCost:     fsyncCost,
-		SnapshotEvery: snapEvery,
-		Host:          host,
-	}
-	if tel != nil {
-		cabOpts.Telemetry = tel.Registry()
-	}
-	if twr != nil {
-		cabOpts.Observer = func(op string, at time.Duration, seq uint64) {
-			twr.Record(tower.Entry{
-				Time:   at,
-				Host:   host,
-				Kind:   tower.KindCabinet,
-				Name:   op,
-				Detail: fmt.Sprintf("seq=%d", seq),
-			})
-		}
-	}
-	store := cabinet.NewStore(cabOpts)
-	fwCfg := firewall.Config{
-		HostName:        host,
-		Port:            port,
-		Node:            node,
-		Trust:           trust,
-		Clock:           clock,
-		Durable:         store,
-		SystemPrincipal: "system",
-		Resolve: func(h string, p int) (string, error) {
-			return net.JoinHostPort(h, strconv.Itoa(p)), nil
-		},
-		Telemetry:    tel,
-		ForwardRetry: retryPolicy,
-	}
-	if twr != nil {
-		fwCfg.Explain = func(traceID string) []string {
-			if traceID == "latest" {
-				traceID = twr.LatestTrace()
-			}
-			return twr.Trace(traceID).ExplainLines()
-		}
-	}
-	if batchFrames > 0 {
+	if cfg.batchFrames > 0 {
 		// Live nodes run on the real clock, so the defaults' real-time
 		// safety flush bounds the latency a coalesced frame can gain.
-		fwCfg.Batch = &firewall.BatchConfig{MaxFrames: batchFrames}
+		opts.Batch = &firewall.BatchConfig{MaxFrames: cfg.batchFrames}
 	}
-	if policyFile != "" {
-		text, err := os.ReadFile(policyFile)
-		if err != nil {
-			return fmt.Errorf("-policy: %w", err)
-		}
-		rs, err := policy.Parse(string(text))
-		if err != nil {
-			// An invalid ruleset fails the boot, never the first send.
-			return fmt.Errorf("-policy %s: %w", policyFile, err)
-		}
-		fwCfg.Policy = policy.New(clock, rs, policy.Quota{})
+
+	// Every taxd trusts its own "system" principal by name; the demo
+	// deployment model is one administrative domain (§4: single-hop
+	// agents within one domain need less machinery than Internet-hostile
+	// ones). The simulated network the system also holds stays empty.
+	sys, err := core.NewSystem(simnet.Profile{})
+	if err != nil {
+		return nil, err
 	}
-	fw, err := firewall.New(fwCfg)
+	tcp, err := simnet.ListenTCP(cfg.listen)
+	if err != nil {
+		_ = sys.Close()
+		return nil, err
+	}
+	d = &daemon{sys: sys, tcp: tcp}
+	defer func() {
+		if err != nil {
+			d.Close()
+			d = nil
+		}
+	}()
+	self := tcp.Addr()
+	if cfg.telOn || cfg.httpAddr != "" || cfg.otlpFile != "" {
+		// One-node tower: the collector still earns its keep as the
+		// flight recorder behind `taxctl explain` and the /metrics and
+		// /traces exports; multi-node merged timelines come from the
+		// simulation.
+		d.sys.EnableTower()
+	} else if cfg.telDump != "" {
+		opts.Telemetry = telemetry.New(telemetry.Options{Host: self})
+	}
+	// Directory-plane enrollment: this node serves its consistent-hash
+	// share of the leased name table, replicating writes to its ring
+	// peers; the same membership list (and so the same ring) must be
+	// passed to every member.
+	var ring *directory.Ring
+	if cfg.dirPlane != "" {
+		members := strings.Split(cfg.dirPlane, ",")
+		for i := range members {
+			members[i] = strings.TrimSpace(members[i])
+		}
+		if !slices.Contains(members, self) {
+			return d, fmt.Errorf("-dir: membership %v does not include this node (%s)", members, self)
+		}
+		ring, err = d.sys.EnableDirectory(core.DirectoryConfig{
+			Nodes: members, Replicas: cfg.dirReplicas, TTL: cfg.dirTTL,
+		})
+		if err != nil {
+			return d, fmt.Errorf("-dir: %w", err)
+		}
+	}
+	if d.node, err = d.sys.AddTCPNode(tcp, opts); err != nil {
+		return d, err
+	}
+	if ring != nil {
+		fmt.Printf("taxd: directory shard %s (ring of %d, %d replicas, ttl %v)\n",
+			self, len(ring.Nodes()), ring.Replicas(), cfg.dirTTL)
+	}
+	d.node.Programs.Register("hello_world", func(ctx *agent.Context) error {
+		fmt.Printf("[%s] Hello world (instance %x)\n", self, ctx.URI().Instance)
+		hosts, err := ctx.Briefcase().Folder(briefcase.FolderHosts)
+		if err != nil {
+			return err
+		}
+		for {
+			next, ok := hosts.Pop()
+			if !ok {
+				fmt.Printf("[%s] itinerary complete\n", self)
+				return nil
+			}
+			if err := ctx.Go(next.String()); errors.Is(err, agent.ErrMoved) {
+				return err
+			}
+			fmt.Printf("[%s] unable to reach %s\n", self, next)
+		}
+	})
+	return d, nil
+}
+
+func run(cfg config) error {
+	d, err := boot(cfg)
 	if err != nil {
 		return err
 	}
-	defer func() { _ = fw.Close() }()
+	defer d.Close()
+	node, twr := d.node, d.sys.Tower()
+	self := d.tcp.Addr()
 
-	if telDump != "" {
+	if cfg.telDump != "" {
 		stop := make(chan struct{})
 		defer close(stop)
-		go dumpTelemetry(fw.Telemetry(), telDump, telEvery, stop)
+		go dumpTelemetry(node.FW.Telemetry(), cfg.telDump, cfg.telEvery, stop)
 	}
-	if obsv.httpAddr != "" {
-		srv := obsvServer(twr, obsv)
-		ln, err := net.Listen("tcp", obsv.httpAddr)
+	if cfg.httpAddr != "" {
+		srv := obsvServer(twr, cfg.pprofOn)
+		ln, err := net.Listen("tcp", cfg.httpAddr)
 		if err != nil {
 			return fmt.Errorf("-http: %w", err)
 		}
@@ -231,111 +232,36 @@ func run(listen, launch string, telOn bool, telDump string, telEvery time.Durati
 		fmt.Printf("taxd: observability on http://%s/metrics and /traces\n", ln.Addr())
 	}
 
-	programs := &vm.Registry{}
-	gvm, err := vm.New(vm.Config{FW: fw, Programs: programs, Signer: system})
-	if err != nil {
-		return err
-	}
-	defer func() { _ = gvm.Close() }()
+	fmt.Printf("taxd listening on %s (agent URIs: tacoma://%s/...)\n", self, self)
 
-	// Standard services plus the figure-4 demo agent.
-	programs.Register("ag_fs", services.NewAgFS())
-	programs.Register("ag_cabinet", services.NewAgCabinet(store))
-	programs.Register("ag_cron", services.NewAgCron())
-	for _, svc := range []string{"ag_fs", "ag_cabinet", "ag_cron"} {
-		if _, err := gvm.Launch("system", svc, svc, nil); err != nil {
-			return err
-		}
-	}
-	// Directory-plane enrollment: this node serves its consistent-hash
-	// share of the leased name table, replicating writes to its ring
-	// peers; the same membership list (and so the same ring) must be
-	// passed to every member.
-	if dirPlane != "" {
-		members := strings.Split(dirPlane, ",")
-		for i := range members {
-			members[i] = strings.TrimSpace(members[i])
-		}
-		self := net.JoinHostPort(host, strconv.Itoa(port))
-		enrolled := false
-		for _, m := range members {
-			if m == self {
-				enrolled = true
-			}
-		}
-		if !enrolled {
-			return fmt.Errorf("-dir: membership %v does not include this node (%s)", members, self)
-		}
-		ring, err := directory.NewRing(members, 0, dirReplicas)
-		if err != nil {
-			return fmt.Errorf("-dir: %w", err)
-		}
-		dsrv := directory.NewServer(directory.Config{
-			Node:      self,
-			Ring:      ring,
-			FW:        fw,
-			Principal: "system",
-			Store:     store,
-			TTL:       dirTTL,
-		})
-		programs.Register(directory.ServiceName, dsrv.Handler())
-		if _, err := gvm.Launch("system", directory.ServiceName, directory.ServiceName, nil); err != nil {
-			return err
-		}
-		fw.SetDir(dsrv.Rows)
-		fmt.Printf("taxd: directory shard %s (ring of %d, %d replicas, ttl %v)\n",
-			self, len(ring.Nodes()), ring.Replicas(), dirTTL)
-	}
-
-	programs.Register("hello_world", func(ctx *agent.Context) error {
-		fmt.Printf("[%s] Hello world (instance %x)\n", node.Addr(), ctx.URI().Instance)
-		hosts, err := ctx.Briefcase().Folder(briefcase.FolderHosts)
-		if err != nil {
-			return err
-		}
-		for {
-			next, ok := hosts.Pop()
-			if !ok {
-				fmt.Printf("[%s] itinerary complete\n", node.Addr())
-				return nil
-			}
-			if err := ctx.Go(next.String()); errors.Is(err, agent.ErrMoved) {
-				return err
-			}
-			fmt.Printf("[%s] unable to reach %s\n", node.Addr(), next)
-		}
-	})
-
-	fmt.Printf("taxd listening on %s (agent URIs: tacoma://%s:%d/...)\n", node.Addr(), host, port)
-
-	if launch != "" {
-		stops := strings.Split(launch, ",")
+	if cfg.launch != "" {
+		stops := strings.Split(cfg.launch, ",")
 		buildBC := func() *briefcase.Briefcase {
 			bc := briefcase.New()
 			f := bc.Ensure(briefcase.FolderHosts)
 			for _, stop := range stops {
 				f.AppendString(strings.TrimSpace(stop))
 			}
-			if telOn {
-				id := agent.StampTrace(bc, host)
+			if twr != nil {
+				id := agent.StampTrace(bc, node.FW.HostName())
 				fmt.Printf("taxd: launching with trace %s (taxctl trace '%s')\n", id, id)
 			}
 			return bc
 		}
-		if fleetN <= 1 {
-			if _, err := gvm.Launch(launchAs, "hello", "hello_world", buildBC()); err != nil {
+		if cfg.fleetN <= 1 {
+			if _, err := node.VM.Launch(cfg.launchAs, "hello", "hello_world", buildBC()); err != nil {
 				return err
 			}
 		} else {
 			// Every copy runs under the launch principal, so peers'
 			// -policy rules judge each one as they judge a single launch.
 			failed := 0
-			for i := 0; i < fleetN; i++ {
-				if _, err := gvm.Launch(launchAs, fmt.Sprintf("hello-%d", i), "hello_world", buildBC()); err != nil {
+			for i := 0; i < cfg.fleetN; i++ {
+				if _, err := node.VM.Launch(cfg.launchAs, fmt.Sprintf("hello-%d", i), "hello_world", buildBC()); err != nil {
 					failed++
 				}
 			}
-			fmt.Printf("taxd: fleet launched %d agents (%d failed)\n", fleetN, failed)
+			fmt.Printf("taxd: fleet launched %d agents (%d failed)\n", cfg.fleetN, failed)
 		}
 	}
 
@@ -343,11 +269,11 @@ func run(listen, launch string, telOn bool, telDump string, telEvery time.Durati
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	fmt.Println("taxd: shutting down")
-	if obsv.otlpFile != "" {
-		if err := writeOTLPFile(twr, obsv.otlpFile); err != nil {
+	if cfg.otlpFile != "" {
+		if err := writeOTLPFile(twr, cfg.otlpFile); err != nil {
 			fmt.Fprintln(os.Stderr, "taxd: otlp export:", err)
 		} else {
-			fmt.Println("taxd: wrote", obsv.otlpFile)
+			fmt.Println("taxd: wrote", cfg.otlpFile)
 		}
 	}
 	return nil
@@ -355,7 +281,7 @@ func run(listen, launch string, telOn bool, telDump string, telEvery time.Durati
 
 // obsvServer builds the observability HTTP handler: Prometheus text
 // metrics, OTLP/JSON traces, and (opt-in) the pprof endpoints.
-func obsvServer(twr *tower.Collector, obsv obsvConfig) *http.Server {
+func obsvServer(twr *tower.Collector, pprofOn bool) *http.Server {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -369,7 +295,7 @@ func obsvServer(twr *tower.Collector, obsv obsvConfig) *http.Server {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
-	if obsv.pprofOn {
+	if pprofOn {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

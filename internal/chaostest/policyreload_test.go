@@ -38,15 +38,16 @@ func runPolicyReloadScenario(t *testing.T, seed int64) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if _, err := s.AddNodeWith("ha", core.WithoutCVM(), core.WithoutServices()); err != nil {
+	if _, err := s.AddNode("ha", core.NodeOptions{NoCVM: true, NoServices: true}); err != nil {
 		t.Fatal(err)
 	}
-	nb, err := s.AddNodeWith("hb",
-		core.WithoutCVM(), core.WithoutServices(),
-		core.WithDedupWindow(256),
-		core.WithQueueTimeout(time.Minute),              // parks must outlive the fault storm
-		core.WithPolicy("hold: park tourist send **\n"), // default deny
-	)
+	nb, err := s.AddNode("hb", core.NodeOptions{
+		NoCVM:        true,
+		NoServices:   true,
+		DedupWindow:  256,
+		QueueTimeout: time.Minute,                    // parks must outlive the fault storm
+		Policy:       "hold: park tourist send **\n", // default deny
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,14 +3,17 @@
 // A Node is one machine of figure 1: a firewall fronting a set of virtual
 // machines (vm_go, vm_bin, vm_c) and the standard service agents (ag_cc,
 // ag_exec, ag_fs, ag_cron). A System is a simulated distributed
-// deployment: several nodes joined by a simnet.Network. The public root
-// package tax re-exports this API.
+// deployment: several nodes joined by a simnet.Network (AddNode). The
+// same node boots on a real TCP socket (AddTCPNode), which is what
+// cmd/taxd runs. The public root package tax re-exports this API.
 package core
 
 import (
 	"errors"
 	"fmt"
+	"net"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -25,6 +28,7 @@ import (
 	"tax/internal/simnet"
 	"tax/internal/telemetry"
 	"tax/internal/tower"
+	"tax/internal/vclock"
 	"tax/internal/vm"
 	"tax/internal/wrapper"
 )
@@ -100,7 +104,8 @@ type NodeOptions struct {
 
 // Node is one TAX host: firewall, VMs, service agents and local stores.
 type Node struct {
-	// Name is the host name in agent URIs.
+	// Name names the node in its system: the simulated host name (also
+	// the host in its agent URIs), or a live node's "host:port".
 	Name string
 	// FW is the host firewall.
 	FW *firewall.Firewall
@@ -121,7 +126,8 @@ type Node struct {
 	// Dir is the node's directory plane member when the deployment
 	// enabled the plane and this node is in its ring, else nil.
 	Dir *directory.Server
-	// Host is the simulated machine carrying the node.
+	// Host is the simulated machine carrying the node; nil on a live
+	// node.
 	Host *simnet.Host
 	// Arch is the host architecture tag.
 	Arch string
@@ -169,12 +175,10 @@ func (n *Node) RecoverVia(storeService, principal, name, program, checkpointPath
 	req.SetString(services.FolderPath, checkpointPath)
 	resp, err := ctx.MeetDirect(storeService, req, 10*time.Second)
 	if err != nil {
+		// A store's error reply arrives as a wrapped RemoteError, so
+		// errors.Is(err, services.ErrNoSuchFile) distinguishes a pruned
+		// checkpoint from a store failure.
 		return nil, fmt.Errorf("core: recover %s: %w", checkpointPath, err)
-	}
-	if rerr, ok := firewall.RemoteErrorFrom(resp); ok {
-		// Typed: errors.Is(err, services.ErrNoSuchFile) distinguishes a
-		// pruned checkpoint from a store failure.
-		return nil, fmt.Errorf("core: recover %s: %w", checkpointPath, rerr)
 	}
 	data, err := resp.Folder(services.FolderData)
 	if err != nil {
@@ -318,17 +322,59 @@ func (s *System) Tower() *tower.Collector {
 	return s.twr
 }
 
-// AddNode boots a host: simulated machine, firewall, VMs and the
-// standard service agents.
+// AddNode boots a simulated host: a machine on the system's network
+// running on its virtual clock, with its firewall, VMs and standard
+// service agents, that crashes and restarts with the network.
 func (s *System) AddNode(name string, opts NodeOptions) (*Node, error) {
-	if opts.Arch == "" {
-		opts.Arch = vm.DefaultArch
-	}
 	host, err := s.Net.AddHost(name)
 	if err != nil {
 		return nil, err
 	}
+	// Crossing the firewall between VM processes costs one 1999 IPC
+	// round (~150 µs); figure 3's seven-step pipeline makes this
+	// visible, everything else treats it as noise.
+	node, err := s.boot(name, host, host.Clock(), name, 0, 150*time.Microsecond, opts)
+	if err != nil {
+		return nil, err
+	}
+	s.Net.OnCrash(name, node.crash)
+	s.Net.OnRestart(name, node.restart)
+	return node, nil
+}
+
+// AddTCPNode boots a live host on a listening TCP endpoint: the node
+// AddNode builds, on the real clock. It is named by its address
+// ("host:port"), whose host and port are its agent URIs' authority;
+// Resolve defaults to joining them back into a dial address. A live
+// node charges no local hop cost (the real clock would sleep it) and
+// has no crash hooks: its process is the machine.
+func (s *System) AddTCPNode(tcp *simnet.TCPNode, opts NodeOptions) (*Node, error) {
+	host, portStr, err := net.SplitHostPort(tcp.Addr())
+	if err != nil {
+		return nil, err
+	}
+	port, err := strconv.Atoi(portStr)
+	if err != nil {
+		return nil, err
+	}
+	if opts.Resolve == nil {
+		opts.Resolve = func(h string, p int) (string, error) {
+			return net.JoinHostPort(h, strconv.Itoa(p)), nil
+		}
+	}
+	return s.boot(tcp.Addr(), tcp, vclock.NewReal(), host, port, 0, opts)
+}
+
+// boot assembles a node on transport tr — telemetry, cabinet, policy,
+// firewall, VMs, service agents and directory membership — and
+// registers it under name. host and port are the node's authority in
+// agent URIs; hop is the firewall's local hop cost.
+func (s *System) boot(name string, tr simnet.Node, clock vclock.Clock, host string, port int, hop time.Duration, opts NodeOptions) (*Node, error) {
+	if opts.Arch == "" {
+		opts.Arch = vm.DefaultArch
+	}
 	var channelSigner *identity.Principal
+	var err error
 	if opts.SecureChannels {
 		channelSigner, err = s.NewPrincipal("fw-"+name, identity.Trusted)
 		if err != nil {
@@ -349,7 +395,7 @@ func (s *System) AddNode(name string, opts NodeOptions) (*Node, error) {
 		}
 	}
 	disk := cabinet.NewDisk(cabinet.DiskConfig{
-		Clock:       host.Clock(),
+		Clock:       clock,
 		SyncLatency: opts.FsyncCost,
 	})
 	var cabObserver func(op string, at time.Duration, seq uint64)
@@ -365,7 +411,7 @@ func (s *System) AddNode(name string, opts NodeOptions) (*Node, error) {
 		}
 	}
 	store := cabinet.NewStore(cabinet.Options{
-		Clock:         host.Clock(),
+		Clock:         clock,
 		Disk:          disk,
 		FsyncCost:     opts.FsyncCost,
 		SnapshotEvery: opts.SnapshotEvery,
@@ -400,41 +446,41 @@ func (s *System) AddNode(name string, opts NodeOptions) (*Node, error) {
 		if opts.Quota != nil {
 			dq = *opts.Quota
 		}
-		eng = policy.New(host.Clock(), rs, dq)
+		eng = policy.New(clock, rs, dq)
 	}
 	fw, err := firewall.New(firewall.Config{
-		HostName:        name,
-		Node:            host,
+		HostName:        host,
+		Port:            port,
+		Node:            tr,
+		Clock:           clock,
 		Trust:           s.Trust,
 		SystemPrincipal: s.SystemPrincipal.Name(),
 		QueueTimeout:    opts.QueueTimeout,
 		RequireAuth:     opts.RequireAuth,
-		// Crossing the firewall between VM processes costs one 1999 IPC
-		// round (~150 µs); figure 3's seven-step pipeline makes this
-		// visible, everything else treats it as noise.
-		LocalHopCost:  150 * time.Microsecond,
-		ChannelSigner: channelSigner,
-		ChannelAuth:   opts.SecureChannels,
-		ForwardRetry:  opts.ForwardRetry,
-		DedupWindow:   opts.DedupWindow,
-		Batch:         opts.Batch,
-		Relay:         opts.Relay,
-		Resolve:       opts.Resolve,
-		Telemetry:     nodeTel,
-		Durable:       store,
-		Explain:       explain,
-		Policy:        eng,
+		LocalHopCost:    hop,
+		ChannelSigner:   channelSigner,
+		ChannelAuth:     opts.SecureChannels,
+		ForwardRetry:    opts.ForwardRetry,
+		DedupWindow:     opts.DedupWindow,
+		Batch:           opts.Batch,
+		Relay:           opts.Relay,
+		Resolve:         opts.Resolve,
+		Telemetry:       nodeTel,
+		Durable:         store,
+		Explain:         explain,
+		Policy:          eng,
 	})
 	if err != nil {
 		return nil, err
 	}
+	simHost, _ := tr.(*simnet.Host)
 	node := &Node{
 		Name:     name,
 		FW:       fw,
 		Programs: &vm.Registry{},
 		Binaries: &vm.BinaryStore{},
 		Wrappers: wrapper.NewRegistry(),
-		Host:     host,
+		Host:     simHost,
 		Arch:     opts.Arch,
 		Disk:     disk,
 		Cabinet:  store,
@@ -482,8 +528,6 @@ func (s *System) AddNode(name string, opts NodeOptions) (*Node, error) {
 			return nil, errors.Join(err, node.Close())
 		}
 	}
-	s.Net.OnCrash(name, node.crash)
-	s.Net.OnRestart(name, node.restart)
 	s.mu.Lock()
 	s.nodes[name] = node
 	s.mu.Unlock()

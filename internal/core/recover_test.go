@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -60,9 +61,9 @@ func TestRecoverErrors(t *testing.T) {
 	n, _ := s.Node("home")
 	n.Programs.Register("resumer", func(ctx *agent.Context) error { return nil })
 
-	// Missing checkpoint.
-	if _, err := n.Recover("system", "x", "resumer", "/ckpt/none"); err == nil {
-		t.Error("missing checkpoint accepted")
+	// Missing checkpoint: the store's typed verdict survives the wire.
+	if _, err := n.Recover("system", "x", "resumer", "/ckpt/none"); !errors.Is(err, services.ErrNoSuchFile) {
+		t.Errorf("missing checkpoint: err = %v, want services.ErrNoSuchFile", err)
 	}
 	// Corrupt snapshot bytes.
 	putCheckpoint(t, n, "/ckpt/bad", []byte("not a briefcase"))

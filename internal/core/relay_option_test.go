@@ -11,7 +11,7 @@ import (
 )
 
 // TestWithRelayForwardsAcrossChain boots a 3-hop routed topology with
-// the functional options — origin, relay, destination, each host's
+// NodeOptions.Relay — origin, relay, destination, each host's
 // next-hop table one step toward the destination — and proves a
 // briefcase sent from the origin is forwarded through the relay to a
 // mailbox on the far host, with the relay's zero-copy counter ticking.
@@ -26,17 +26,18 @@ func TestWithRelayForwardsAcrossChain(t *testing.T) {
 	for _, name := range []string{"a", "b", "c"} {
 		self := name
 		hop := next[name]
-		if _, err := s.AddNodeWith(name,
-			WithoutServices(),
-			WithoutCVM(),
-			WithRelay(func(host string, _ int) (string, error) {
+		if _, err := s.AddNode(name, NodeOptions{
+			NoServices: true,
+			NoCVM:      true,
+			Relay:      true,
+			Resolve: func(host string, _ int) (string, error) {
 				if host == self {
 					return self, nil
 				}
 				return hop, nil
-			}),
-		); err != nil {
-			t.Fatalf("AddNodeWith(%s): %v", name, err)
+			},
+		}); err != nil {
+			t.Fatalf("AddNode(%s): %v", name, err)
 		}
 	}
 
@@ -82,12 +83,13 @@ func TestWithGroupCommitCoalescesFsyncs(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = s.Close() })
-	n, err := s.AddNodeWith("h1",
-		WithoutServices(),
-		WithoutCVM(),
-		WithGroupCommit(16),
-		WithSnapshotEvery(-1),
-	)
+	n, err := s.AddNode("h1", NodeOptions{
+		NoServices:    true,
+		NoCVM:         true,
+		GroupCommit:   true,
+		GroupMaxTxns:  16,
+		SnapshotEvery: -1,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -135,8 +135,8 @@ type Config struct {
 	// hosts use it as their next-hop table.
 	Resolve func(host string, port int) (string, error)
 	// Telemetry receives metrics, trace spans and audit events. Nil makes
-	// the firewall create a private counters-only instance (the Stats
-	// compatibility view always works); pass a telemetry.New instance with
+	// the firewall create a private counters-only instance (the fw.*
+	// registry counters always work); pass a telemetry.New instance with
 	// spans/events enabled for full observability.
 	Telemetry *telemetry.Telemetry
 	// Explain, when set, serves the OpExplain management operation: given
@@ -292,8 +292,9 @@ func New(cfg Config) (*Firewall, error) {
 	}
 	tel := cfg.Telemetry
 	if tel == nil {
-		// Counters-only instance so Stats() and the metrics management op
-		// keep working; spans and events stay disabled (near-zero cost).
+		// Counters-only instance so the fw.* registry counters and the
+		// metrics management op keep working; spans and events stay
+		// disabled (near-zero cost).
 		tel = telemetry.New(telemetry.Options{Host: cfg.HostName})
 	}
 	reg := tel.Registry()
@@ -357,8 +358,9 @@ func New(cfg Config) (*Firewall, error) {
 	return fw, nil
 }
 
-// Telemetry returns the firewall's telemetry instance: the Stats-superseding
-// observability API (metrics registry, trace spans, audit event log).
+// Telemetry returns the firewall's telemetry instance: its observability
+// API (the fw.* counters in its metrics registry, trace spans, audit
+// event log).
 func (fw *Firewall) Telemetry() *telemetry.Telemetry { return fw.tel }
 
 // HostName returns the host name this firewall serves.

@@ -200,7 +200,7 @@ func TestChargeRefusalDebitsNothing(t *testing.T) {
 	}
 }
 
-// TestDefaultQuota: the engine-wide default (WithQuotas) applies to
+// TestDefaultQuota: the engine-wide default (NodeOptions.Quota) applies to
 // principals no quota line matches, with Burst normalized from Rate.
 func TestDefaultQuota(t *testing.T) {
 	clk := vclock.NewVirtual()

@@ -16,7 +16,7 @@
 // bottom, first match wins; no match falls through to the default. Quota
 // lines also match first-wins per principal; a principal with no
 // matching quota line gets the engine's default quota (unlimited unless
-// WithQuotas set one). Globs follow internal/uri: '*' inside a
+// NodeOptions.Quota set one). Globs follow internal/uri: '*' inside a
 // component, '**' for whole-tree target patterns.
 //
 // The engine never grants what no rule allows: the zero Effect is Deny,

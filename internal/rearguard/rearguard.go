@@ -362,7 +362,7 @@ func (g *Guard) recover(cause string) bool {
 
 	snap, err := g.readSnapshot()
 	if err != nil {
-		g.finish(fmt.Errorf("%w: %v", ErrRecoveryFailed, err))
+		g.finish(fmt.Errorf("%w: %w", ErrRecoveryFailed, err))
 		return false
 	}
 	if g.cfg.ReinsertLastHop {
@@ -396,7 +396,7 @@ func (g *Guard) recover(cause string) bool {
 	})
 
 	if _, err := g.cfg.Launch(g.cfg.Principal, g.cfg.AgentName, g.cfg.Program, snap); err != nil {
-		g.finish(fmt.Errorf("%w: relaunch: %v", ErrRecoveryFailed, err))
+		g.finish(fmt.Errorf("%w: relaunch: %w", ErrRecoveryFailed, err))
 		return false
 	}
 	return true
@@ -409,6 +409,9 @@ func (g *Guard) readSnapshot() (*briefcase.Briefcase, error) {
 	req.SetString("_PATH", g.cfg.Checkpoint)
 	resp, err := g.ctx.MeetDirect(g.cfg.Store, req, g.cfg.StoreTimeout)
 	if err != nil {
+		// A store's error reply arrives here as a wrapped RemoteError:
+		// errors.Is tells a checkpoint that was never written
+		// (services.ErrNoSuchFile) from a store failure.
 		return nil, fmt.Errorf("checkpoint %s: %w", g.cfg.Checkpoint, err)
 	}
 	data, err := resp.Folder("_DATA")

@@ -12,6 +12,7 @@ import (
 	"tax/internal/core"
 	"tax/internal/firewall"
 	"tax/internal/rearguard"
+	"tax/internal/services"
 	"tax/internal/simnet"
 	"tax/internal/wrapper"
 )
@@ -242,5 +243,22 @@ func TestGuardMissingSnapshotIsTyped(t *testing.T) {
 	err = g.Wait(10 * time.Second)
 	if !errors.Is(err, rearguard.ErrRecoveryFailed) {
 		t.Fatalf("err = %v, want ErrRecoveryFailed", err)
+	}
+}
+
+// TestResumeMissingCheckpointKeepsStoreError: resuming from a checkpoint
+// that was never written fails with ErrRecoveryFailed wrapping the
+// store's own typed verdict, so the caller can tell a missing checkpoint
+// from a store failure.
+func TestResumeMissingCheckpointKeepsStoreError(t *testing.T) {
+	s := newSystem(t, "home")
+	home, _ := s.Node("home")
+	g := newGuard(t, home, "ghost")
+	if g.Resume("test") {
+		t.Fatal("Resume recovered from a checkpoint that was never written")
+	}
+	err := g.Wait(10 * time.Second)
+	if !errors.Is(err, rearguard.ErrRecoveryFailed) || !errors.Is(err, services.ErrNoSuchFile) {
+		t.Fatalf("err = %v, want ErrRecoveryFailed wrapping services.ErrNoSuchFile", err)
 	}
 }

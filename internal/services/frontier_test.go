@@ -43,7 +43,7 @@ func newFrontierRig(t *testing.T, admit func(string, int) bool, callers ...strin
 		t.Fatal(err)
 	}
 	for _, h := range append([]string{"mine"}, callers...) {
-		n, err := sys.AddNodeWith(h, core.WithoutCVM())
+		n, err := sys.AddNode(h, core.NodeOptions{NoCVM: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -325,58 +325,55 @@ func NewAgExec(cfg ExecConfig) vm.Handler {
 // the inline-executed binary shares the service agent's identity.
 func ctxFirewall(ctx *agent.Context) *firewall.Firewall { return ctx.FW() }
 
-// NewAgFS returns the ag_fs / ag_ccabinet handler: a per-host in-memory
-// file store. Operations (FolderOp): "put" (FolderPath + FolderData),
-// "get" (FolderPath), "list" (prefix in FolderPath), "del" (FolderPath).
+// NewAgFS returns the ag_fs handler: a per-host in-memory file store.
+// Operations (FolderOp): "put" (FolderPath + FolderData), "get"
+// (FolderPath), "list" (prefix in FolderPath), "del" (FolderPath).
 // The §3.3 point is architectural — agents reach storage through a
 // service agent rather than the VM — so a faithful in-memory store
 // suffices.
 func NewAgFS() vm.Handler {
-	files := make(map[string][]byte)
-	return func(ctx *agent.Context) error {
-		return serveLoop(ctx, func(req *briefcase.Briefcase) (*briefcase.Briefcase, error) {
-			op, _ := req.GetString(FolderOp)
-			path, _ := req.GetString(FolderPath)
-			resp := briefcase.New()
-			switch op {
-			case "put":
-				f, err := req.Folder(FolderData)
-				if err != nil {
-					return nil, fmt.Errorf("ag_fs: %w: put without data", ErrBadRequest)
-				}
-				if path == "" {
-					return nil, fmt.Errorf("ag_fs: %w: put without path", ErrBadRequest)
-				}
-				data, err := f.Element(0)
-				if err != nil {
-					return nil, err
-				}
-				files[path] = data
-				resp.SetString("OK", path)
-			case "get":
-				data, ok := files[path]
-				if !ok {
-					return nil, fmt.Errorf("ag_fs: %w %q", ErrNoSuchFile, path)
-				}
-				resp.Ensure(FolderData).Append(data)
-			case "del":
-				if _, ok := files[path]; !ok {
-					return nil, fmt.Errorf("ag_fs: %w %q", ErrNoSuchFile, path)
-				}
-				delete(files, path)
-				resp.SetString("OK", path)
-			case "list":
-				f := resp.Ensure(FolderData)
-				for name := range files {
-					if strings.HasPrefix(name, path) {
-						f.AppendString(name)
-					}
-				}
-			default:
-				return nil, fmt.Errorf("ag_fs: %w %q", ErrUnknownOp, op)
-			}
-			return resp, nil
-		})
+	files := memFiles{}
+	return func(ctx *agent.Context) error { return serveLoop(ctx, files.serve) }
+}
+
+// NewAgCabinet returns the ag_cabinet handler: the durable face of the
+// host's file cabinet. It speaks ag_fs's protocol with the same reply
+// shapes, but every put and del is a WAL-journaled cabinet transaction
+// and reads return committed state — so files written here survive a
+// host crash, while ag_fs files (a closure map, rebuilt on restart) do
+// not. That split is the paper's file-cabinet contract: checkpoints and
+// rear-guard state go through ag_cabinet precisely because it is the
+// store that outlives the host.
+func NewAgCabinet(store *cabinet.Store) vm.Handler {
+	files := cabFiles{store}
+	return func(ctx *agent.Context) error { return serveLoop(ctx, files.serve) }
+}
+
+// fileStore is the table a file service serves. Each implementation
+// is one word and binds its service's name in serve, so a launch
+// allocates what a hand-written handler would.
+type fileStore interface {
+	put(path string, data []byte) error
+	get(path string) ([]byte, bool)
+	del(path string) error
+	// list appends every path beginning with prefix to f.
+	list(prefix string, f *briefcase.Folder)
+}
+
+// memFiles is ag_fs's volatile table.
+type memFiles map[string][]byte
+
+func (m memFiles) put(path string, data []byte) error { m[path] = data; return nil }
+func (m memFiles) get(path string) ([]byte, bool)     { d, ok := m[path]; return d, ok }
+func (m memFiles) del(path string) error              { delete(m, path); return nil }
+func (m memFiles) serve(req *briefcase.Briefcase) (*briefcase.Briefcase, error) {
+	return serveFile("ag_fs", m, req)
+}
+func (m memFiles) list(prefix string, f *briefcase.Folder) {
+	for name := range m {
+		if strings.HasPrefix(name, prefix) {
+			f.AppendString(name)
+		}
 	}
 }
 
@@ -384,67 +381,67 @@ func NewAgFS() vm.Handler {
 // cabinet store, away from the firewall's journal keys.
 const cabinetKeyPrefix = "cab/"
 
-// NewAgCabinet returns the ag_cabinet handler: the durable face of the
-// host's file cabinet. It speaks the same protocol with the same reply
-// shapes as ag_fs ("put"/"get"/"del"/"list" over FolderPath/FolderData),
-// but every put and del is a WAL-journaled cabinet transaction and reads
-// return committed state — so files written here survive a host crash,
-// while ag_fs files (a closure map, rebuilt on restart) do not. That
-// split is the paper's file-cabinet contract: checkpoints and rear-guard
-// state go through ag_cabinet precisely because it is the store that
-// outlives the host. With a nil store it degrades to the volatile ag_fs
-// behavior.
-func NewAgCabinet(store *cabinet.Store) vm.Handler {
-	if store == nil {
-		return NewAgFS()
+// cabFiles is ag_cabinet's table: the host's cabinet under
+// cabinetKeyPrefix.
+type cabFiles struct{ store *cabinet.Store }
+
+func (c cabFiles) put(path string, data []byte) error {
+	return c.store.Put(cabinetKeyPrefix+path, data)
+}
+func (c cabFiles) get(path string) ([]byte, bool) { return c.store.Get(cabinetKeyPrefix + path) }
+func (c cabFiles) del(path string) error          { return c.store.Delete(cabinetKeyPrefix + path) }
+func (c cabFiles) serve(req *briefcase.Briefcase) (*briefcase.Briefcase, error) {
+	return serveFile("ag_cabinet", c, req)
+}
+func (c cabFiles) list(prefix string, f *briefcase.Folder) {
+	for _, name := range c.store.Keys(cabinetKeyPrefix + prefix) {
+		f.AppendString(name[len(cabinetKeyPrefix):])
 	}
-	return func(ctx *agent.Context) error {
-		return serveLoop(ctx, func(req *briefcase.Briefcase) (*briefcase.Briefcase, error) {
-			op, _ := req.GetString(FolderOp)
-			path, _ := req.GetString(FolderPath)
-			resp := briefcase.New()
-			switch op {
-			case "put":
-				f, err := req.Folder(FolderData)
-				if err != nil {
-					return nil, fmt.Errorf("ag_cabinet: %w: put without data", ErrBadRequest)
-				}
-				if path == "" {
-					return nil, fmt.Errorf("ag_cabinet: %w: put without path", ErrBadRequest)
-				}
-				data, err := f.Element(0)
-				if err != nil {
-					return nil, err
-				}
-				if err := store.Put(cabinetKeyPrefix+path, data); err != nil {
-					return nil, fmt.Errorf("ag_cabinet: %w", err)
-				}
-				resp.SetString("OK", path)
-			case "get":
-				data, ok := store.Get(cabinetKeyPrefix + path)
-				if !ok {
-					return nil, fmt.Errorf("ag_cabinet: %w %q", ErrNoSuchFile, path)
-				}
-				resp.Ensure(FolderData).Append(data)
-			case "del":
-				if _, ok := store.Get(cabinetKeyPrefix + path); !ok {
-					return nil, fmt.Errorf("ag_cabinet: %w %q", ErrNoSuchFile, path)
-				}
-				if err := store.Delete(cabinetKeyPrefix + path); err != nil {
-					return nil, fmt.Errorf("ag_cabinet: %w", err)
-				}
-				resp.SetString("OK", path)
-			case "list":
-				f := resp.Ensure(FolderData)
-				for _, name := range store.Keys(cabinetKeyPrefix + path) {
-					f.AppendString(name[len(cabinetKeyPrefix):])
-				}
-			default:
-				return nil, fmt.Errorf("ag_cabinet: %w %q", ErrUnknownOp, op)
-			}
-			return resp, nil
-		})
+}
+
+// serveFile answers one file-protocol request from files; svc prefixes
+// its errors.
+func serveFile(svc string, files fileStore, req *briefcase.Briefcase) (*briefcase.Briefcase, error) {
+	op, _ := req.GetString(FolderOp)
+	path, _ := req.GetString(FolderPath)
+	resp := briefcase.New()
+	switch op {
+	case "put":
+		f, err := req.Folder(FolderData)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w: put without data", svc, ErrBadRequest)
+		}
+		if path == "" {
+			return nil, fmt.Errorf("%s: %w: put without path", svc, ErrBadRequest)
+		}
+		data, err := f.Element(0)
+		if err != nil {
+			return nil, err
+		}
+		if err := files.put(path, data); err != nil {
+			return nil, fmt.Errorf("%s: %w", svc, err)
+		}
+		resp.SetString("OK", path)
+	case "get":
+		data, ok := files.get(path)
+		if !ok {
+			return nil, fmt.Errorf("%s: %w %q", svc, ErrNoSuchFile, path)
+		}
+		resp.Ensure(FolderData).Append(data)
+	case "del":
+		if _, ok := files.get(path); !ok {
+			return nil, fmt.Errorf("%s: %w %q", svc, ErrNoSuchFile, path)
+		}
+		if err := files.del(path); err != nil {
+			return nil, fmt.Errorf("%s: %w", svc, err)
+		}
+		resp.SetString("OK", path)
+	case "list":
+		files.list(path, resp.Ensure(FolderData))
+	default:
+		return nil, fmt.Errorf("%s: %w %q", svc, ErrUnknownOp, op)
 	}
+	return resp, nil
 }
 
 // NewAgCron returns the ag_cron handler: a request carries a target URI

@@ -1,6 +1,8 @@
 package services_test
 
 import (
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -97,57 +99,65 @@ func TestCompileBinaryDeterministic(t *testing.T) {
 	}
 }
 
+// fileServices speak one protocol: ag_fs over a volatile map,
+// ag_cabinet over the host's durable cabinet.
+var fileServices = []string{"ag_fs", "ag_cabinet"}
+
 func TestAgFSPutGetListDel(t *testing.T) {
-	n := newNode(t)
-	put := func(path, data string) {
-		resp := rpc(t, n, "ag_fs", func(req *briefcase.Briefcase) {
-			req.SetString(services.FolderOp, "put")
-			req.SetString(services.FolderPath, path)
-			req.Ensure(services.FolderData).AppendString(data)
+	for _, svc := range fileServices {
+		t.Run(svc, func(t *testing.T) {
+			n := newNode(t)
+			put := func(path, data string) {
+				resp := rpc(t, n, svc, func(req *briefcase.Briefcase) {
+					req.SetString(services.FolderOp, "put")
+					req.SetString(services.FolderPath, path)
+					req.Ensure(services.FolderData).AppendString(data)
+				})
+				if firewall.Kind(resp) == firewall.KindError {
+					msg, _ := resp.GetString(briefcase.FolderSysError)
+					t.Fatalf("put %s: %s", path, msg)
+				}
+			}
+			put("/etc/motd", "hello fs")
+			put("/etc/hosts", "localhost")
+			put("/var/log", "x")
+
+			resp := rpc(t, n, svc, func(req *briefcase.Briefcase) {
+				req.SetString(services.FolderOp, "get")
+				req.SetString(services.FolderPath, "/etc/motd")
+			})
+			f, err := resp.Folder(services.FolderData)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := f.Strings()[0]; got != "hello fs" {
+				t.Errorf("get = %q", got)
+			}
+
+			resp = rpc(t, n, svc, func(req *briefcase.Briefcase) {
+				req.SetString(services.FolderOp, "list")
+				req.SetString(services.FolderPath, "/etc/")
+			})
+			f, _ = resp.Folder(services.FolderData)
+			if got := f.Strings(); !slices.Equal(slices.Sorted(slices.Values(got)), []string{"/etc/hosts", "/etc/motd"}) {
+				t.Errorf("list /etc/ = %v", got)
+			}
+
+			resp = rpc(t, n, svc, func(req *briefcase.Briefcase) {
+				req.SetString(services.FolderOp, "del")
+				req.SetString(services.FolderPath, "/etc/motd")
+			})
+			if firewall.Kind(resp) == firewall.KindError {
+				t.Fatal("del failed")
+			}
+			resp = rpc(t, n, svc, func(req *briefcase.Briefcase) {
+				req.SetString(services.FolderOp, "get")
+				req.SetString(services.FolderPath, "/etc/motd")
+			})
+			if firewall.Kind(resp) != firewall.KindError {
+				t.Error("get after del succeeded")
+			}
 		})
-		if firewall.Kind(resp) == firewall.KindError {
-			msg, _ := resp.GetString(briefcase.FolderSysError)
-			t.Fatalf("put %s: %s", path, msg)
-		}
-	}
-	put("/etc/motd", "hello fs")
-	put("/etc/hosts", "localhost")
-	put("/var/log", "x")
-
-	resp := rpc(t, n, "ag_fs", func(req *briefcase.Briefcase) {
-		req.SetString(services.FolderOp, "get")
-		req.SetString(services.FolderPath, "/etc/motd")
-	})
-	f, err := resp.Folder(services.FolderData)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := f.Strings()[0]; got != "hello fs" {
-		t.Errorf("get = %q", got)
-	}
-
-	resp = rpc(t, n, "ag_fs", func(req *briefcase.Briefcase) {
-		req.SetString(services.FolderOp, "list")
-		req.SetString(services.FolderPath, "/etc/")
-	})
-	f, _ = resp.Folder(services.FolderData)
-	if f.Len() != 2 {
-		t.Errorf("list /etc/ = %v", f.Strings())
-	}
-
-	resp = rpc(t, n, "ag_fs", func(req *briefcase.Briefcase) {
-		req.SetString(services.FolderOp, "del")
-		req.SetString(services.FolderPath, "/etc/motd")
-	})
-	if firewall.Kind(resp) == firewall.KindError {
-		t.Fatal("del failed")
-	}
-	resp = rpc(t, n, "ag_fs", func(req *briefcase.Briefcase) {
-		req.SetString(services.FolderOp, "get")
-		req.SetString(services.FolderPath, "/etc/motd")
-	})
-	if firewall.Kind(resp) != firewall.KindError {
-		t.Error("get after del succeeded")
 	}
 }
 
@@ -156,29 +166,37 @@ func TestAgFSErrors(t *testing.T) {
 	for _, tt := range []struct {
 		name  string
 		build func(*briefcase.Briefcase)
+		want  error
 	}{
-		{"unknown op", func(r *briefcase.Briefcase) { r.SetString(services.FolderOp, "chmod") }},
+		{"unknown op", func(r *briefcase.Briefcase) { r.SetString(services.FolderOp, "chmod") }, services.ErrUnknownOp},
 		{"get missing", func(r *briefcase.Briefcase) {
 			r.SetString(services.FolderOp, "get")
 			r.SetString(services.FolderPath, "/nope")
-		}},
+		}, services.ErrNoSuchFile},
 		{"put without data", func(r *briefcase.Briefcase) {
 			r.SetString(services.FolderOp, "put")
 			r.SetString(services.FolderPath, "/x")
-		}},
+		}, services.ErrBadRequest},
 		{"put without path", func(r *briefcase.Briefcase) {
 			r.SetString(services.FolderOp, "put")
 			r.Ensure(services.FolderData).AppendString("d")
-		}},
+		}, services.ErrBadRequest},
 		{"del missing", func(r *briefcase.Briefcase) {
 			r.SetString(services.FolderOp, "del")
 			r.SetString(services.FolderPath, "/nope")
-		}},
+		}, services.ErrNoSuchFile},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
-			resp := rpc(t, n, "ag_fs", tt.build)
-			if firewall.Kind(resp) != firewall.KindError {
-				t.Error("no error reply")
+			for _, svc := range fileServices {
+				resp := rpc(t, n, svc, tt.build)
+				rerr, ok := firewall.RemoteErrorFrom(resp)
+				if !ok {
+					t.Errorf("%s: no error reply", svc)
+					continue
+				}
+				if !errors.Is(rerr, tt.want) || !strings.HasPrefix(rerr.Error(), svc+": ") {
+					t.Errorf("%s: error %q, want %v under the %s: prefix", svc, rerr, tt.want, svc)
+				}
 			}
 		})
 	}

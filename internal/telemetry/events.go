@@ -131,15 +131,15 @@ func (l *EventLog) Total() uint64 {
 
 // Snapshot returns the retained events, oldest first.
 func (l *EventLog) Snapshot() []Event {
-	s, _ := l.SnapshotTotal()
+	s, _ := l.snapshotTotal()
 	return s
 }
 
-// SnapshotTotal returns the retained events (oldest first) together with
+// snapshotTotal returns the retained events (oldest first) together with
 // the total ever appended, read under one lock — the two are mutually
 // consistent even while concurrent appends wrap the ring, which separate
 // Snapshot and Total calls cannot guarantee.
-func (l *EventLog) SnapshotTotal() ([]Event, uint64) {
+func (l *EventLog) snapshotTotal() ([]Event, uint64) {
 	if l == nil {
 		return nil, 0
 	}

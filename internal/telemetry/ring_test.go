@@ -80,10 +80,10 @@ func TestHistogramQuantileEdgeCases(t *testing.T) {
 }
 
 // TestEventLogSnapshotTotalConsistency is the satellite-3 stress test: under
-// concurrent Append and SnapshotTotal at capacity, the snapshot length and
+// concurrent Append and snapshotTotal at capacity, the snapshot length and
 // total read under one lock must always agree (len == min(total, cap)), and
 // the retained window must be the contiguous tail of the sequence. Separate
-// Total() + Snapshot() calls cannot promise this mid-wrap — SnapshotTotal
+// Total() + Snapshot() calls cannot promise this mid-wrap — snapshotTotal
 // exists precisely to close that race. Run with -race.
 func TestEventLogSnapshotTotalConsistency(t *testing.T) {
 	const capacity = 64
@@ -105,7 +105,7 @@ func TestEventLogSnapshotTotalConsistency(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 2000; i++ {
-		snap, total := l.SnapshotTotal()
+		snap, total := l.snapshotTotal()
 		want := int(total)
 		if total > capacity {
 			want = capacity
@@ -147,7 +147,7 @@ func TestSpanStoreSnapshotTotalConsistency(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 2000; i++ {
-		snap, total := st.SnapshotTotal()
+		snap, total := st.snapshotTotal()
 		want := int(total)
 		if total > capacity {
 			want = capacity
@@ -187,11 +187,11 @@ func TestRingSinkAndReset(t *testing.T) {
 	mu.Unlock()
 
 	l.Reset()
-	if snap, total := l.SnapshotTotal(); len(snap) != 0 || total != 3 {
+	if snap, total := l.snapshotTotal(); len(snap) != 0 || total != 3 {
 		t.Fatalf("after reset: len=%d total=%d, want 0/3", len(snap), total)
 	}
 	l.Append(Event{Type: EventDeny})
-	if snap, _ := l.SnapshotTotal(); len(snap) != 1 || snap[0].Seq != 4 {
+	if snap, _ := l.snapshotTotal(); len(snap) != 1 || snap[0].Seq != 4 {
 		t.Fatalf("post-reset append: %+v, want Seq 4", snap)
 	}
 
@@ -204,7 +204,7 @@ func TestRingSinkAndReset(t *testing.T) {
 		t.Fatalf("span sink saw %v, want [1 2]", spanSeqs)
 	}
 	st.Reset()
-	if snap, total := st.SnapshotTotal(); len(snap) != 0 || total != 2 {
+	if snap, total := st.snapshotTotal(); len(snap) != 0 || total != 2 {
 		t.Fatalf("span reset: len=%d total=%d, want 0/2", len(snap), total)
 	}
 }

@@ -190,14 +190,14 @@ func (st *SpanStore) Total() uint64 {
 
 // Snapshot returns the retained spans, oldest first.
 func (st *SpanStore) Snapshot() []SpanRecord {
-	s, _ := st.SnapshotTotal()
+	s, _ := st.snapshotTotal()
 	return s
 }
 
-// SnapshotTotal returns the retained spans (oldest first) together with the
+// snapshotTotal returns the retained spans (oldest first) together with the
 // total ever recorded, read under one lock so the pair is consistent even
 // mid-wrap under concurrent appends.
-func (st *SpanStore) SnapshotTotal() ([]SpanRecord, uint64) {
+func (st *SpanStore) snapshotTotal() ([]SpanRecord, uint64) {
 	if st == nil {
 		return nil, 0
 	}

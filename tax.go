@@ -71,20 +71,15 @@ type (
 	System = core.System
 	// Node is one TAX host: firewall, VMs, services, stores.
 	Node = core.Node
-	// NodeOptions tunes one host at AddNode time.
-	//
-	// Deprecated: prefer System.AddNodeWith with Option values; the
-	// struct remains supported and the two styles are equivalent.
+	// NodeOptions tunes one host at AddNode time; the zero value gives
+	// a standard node.
 	NodeOptions = core.NodeOptions
-	// Option tunes one host at AddNodeWith time (see WithBatching,
-	// WithSecureChannels, ...).
-	Option = core.Option
-	// BatchConfig tunes coalesced outbound mediation for WithBatching.
+	// BatchConfig tunes coalesced outbound mediation (NodeOptions.Batch).
 	BatchConfig = firewall.BatchConfig
 	// RetryPolicy governs firewall forward retries.
 	RetryPolicy = firewall.RetryPolicy
-	// Quota is a per-principal token-bucket limit for WithQuotas (and
-	// the quota lines of a WithPolicy ruleset).
+	// Quota is a per-principal token-bucket limit (NodeOptions.Quota,
+	// and the quota lines of a NodeOptions.Policy ruleset).
 	Quota = policy.Quota
 	// PolicyRuleset is a parsed policy (see ParsePolicy).
 	PolicyRuleset = policy.Ruleset
@@ -113,34 +108,8 @@ var (
 	ErrNameNoQuorum = directory.ErrNoQuorum
 )
 
-// Functional node options, re-exported from core. Each sets one
-// NodeOptions field; see the core package for per-option documentation.
-// WithSnapshotEvery(n) compacts a node's cabinet every n committed
-// transactions and never when n is negative; n = 0, the default,
-// compacts once the WAL since the last snapshot outweighs the table.
-var (
-	WithArch           = core.WithArch
-	WithBypass         = core.WithBypass
-	WithRequireAuth    = core.WithRequireAuth
-	WithQueueTimeout   = core.WithQueueTimeout
-	WithForwardRetry   = core.WithForwardRetry
-	WithDedupWindow    = core.WithDedupWindow
-	WithTrace          = core.WithTrace
-	WithoutServices    = core.WithoutServices
-	WithoutCVM         = core.WithoutCVM
-	WithSecureChannels = core.WithSecureChannels
-	WithTelemetry      = core.WithTelemetry
-	WithFsyncCost      = core.WithFsyncCost
-	WithSnapshotEvery  = core.WithSnapshotEvery
-	WithBatching       = core.WithBatching
-	WithRelay          = core.WithRelay
-	WithGroupCommit    = core.WithGroupCommit
-	WithPolicy         = core.WithPolicy
-	WithQuotas         = core.WithQuotas
-)
-
 // ParsePolicy validates and compiles policy ruleset text without
-// installing it anywhere — the same parser WithPolicy and hot reload
+// installing it anywhere — the same parser NodeOptions.Policy and hot reload
 // run, so configuration pipelines can reject bad rulesets early.
 func ParsePolicy(text string) (*PolicyRuleset, error) { return policy.Parse(text) }
 

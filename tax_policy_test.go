@@ -14,7 +14,7 @@ import (
 // the public façade only: a default-deny node refuses a cross-host RPC
 // with an error that classifies via errors.Is on the sender's side of
 // the wire, a hot reload opens the flow without a reboot, and a
-// WithQuotas node rate-limits a chatty principal typed.
+// node with a NodeOptions.Quota rate-limits a chatty principal typed.
 func TestPublicPolicyDenyReloadAndQuota(t *testing.T) {
 	sys, err := tax.NewSystem(tax.LAN100)
 	if err != nil {
@@ -24,17 +24,11 @@ func TestPublicPolicyDenyReloadAndQuota(t *testing.T) {
 	if _, err := sys.AddNode("home", tax.NodeOptions{NoCVM: true}); err != nil {
 		t.Fatal(err)
 	}
-	edge, err := sys.AddNodeWith("edge",
-		tax.WithoutCVM(),
-		tax.WithPolicy("default deny\n"),
-	)
+	edge, err := sys.AddNode("edge", tax.NodeOptions{NoCVM: true, Policy: "default deny\n"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	meter, err := sys.AddNodeWith("meter",
-		tax.WithoutCVM(),
-		tax.WithQuotas(tax.Quota{Rate: 1, Burst: 1}),
-	)
+	meter, err := sys.AddNode("meter", tax.NodeOptions{NoCVM: true, Quota: &tax.Quota{Rate: 1, Burst: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +83,7 @@ func TestPublicPolicyDenyReloadAndQuota(t *testing.T) {
 		t.Fatal("probe agent stalled")
 	}
 
-	// The quota façade: WithQuotas meters non-system principals.
+	// The quota façade: NodeOptions.Quota meters non-system principals.
 	quotaHit := make(chan error, 1)
 	sys.DeployProgram("chatty", func(ctx *tax.Context) error {
 		for i := 0; i < 10; i++ {
@@ -125,9 +119,9 @@ func TestPublicPolicyDenyReloadAndQuota(t *testing.T) {
 	if err != nil || rs.Default != 0 || len(rs.Rules) != 1 {
 		t.Errorf("ParsePolicy = %+v, %v", rs, err)
 	}
-	// And a bad WithPolicy ruleset fails the boot, not the first send.
-	if _, err := sys.AddNodeWith("broken", tax.WithoutCVM(), tax.WithPolicy("oops\n")); err == nil {
-		t.Error("AddNodeWith accepted an invalid ruleset")
+	// And a bad Policy ruleset fails the boot, not the first send.
+	if _, err := sys.AddNode("broken", tax.NodeOptions{NoCVM: true, Policy: "oops\n"}); err == nil {
+		t.Error("AddNode accepted an invalid ruleset")
 	}
 }
 
@@ -147,9 +141,10 @@ func TestPublicPolicyMovePreservesPrincipal(t *testing.T) {
 	}
 	// edge admits tourist transfers addressed to itself; everything else
 	// — including the onward hop to vault — falls to the deny default.
-	if _, err := sys.AddNodeWith("edge", tax.WithoutCVM(),
-		tax.WithPolicy("default deny\nin: allow tourist transfer tacoma://edge/**\n"),
-	); err != nil {
+	if _, err := sys.AddNode("edge", tax.NodeOptions{
+		NoCVM:  true,
+		Policy: "default deny\nin: allow tourist transfer tacoma://edge/**\n",
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sys.AddNode("vault", tax.NodeOptions{NoCVM: true}); err != nil {
@@ -215,7 +210,7 @@ func TestPublicPolicyExplainAudit(t *testing.T) {
 	if _, err := sys.AddNode("home", tax.NodeOptions{NoCVM: true}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.AddNodeWith("edge", tax.WithoutCVM(), tax.WithPolicy("default deny\n")); err != nil {
+	if _, err := sys.AddNode("edge", tax.NodeOptions{NoCVM: true, Policy: "default deny\n"}); err != nil {
 		t.Fatal(err)
 	}
 

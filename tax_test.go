@@ -89,7 +89,7 @@ func TestPublicSiteGeneration(t *testing.T) {
 }
 
 // TestPublicTypedErrorsAndOptions proves the redesigned façade end to
-// end: a node configured with functional options (including batched
+// end: a node configured through NodeOptions (including batched
 // mediation) runs an agent whose cross-host RPC failure classifies with
 // errors.Is — the error crossed the wire as a KindError briefcase yet
 // still matches tax.ErrNoSuchFile — and whose context-first calls
@@ -103,16 +103,16 @@ func TestPublicTypedErrorsAndOptions(t *testing.T) {
 	if _, err := sys.AddNode("home", tax.NodeOptions{NoCVM: true}); err != nil {
 		t.Fatal(err)
 	}
-	edge, err := sys.AddNodeWith("edge",
-		tax.WithoutCVM(),
-		tax.WithDedupWindow(256),
-		tax.WithBatching(tax.BatchConfig{MaxFrames: 1, FlushEvery: -1}),
-	)
+	edge, err := sys.AddNode("edge", tax.NodeOptions{
+		NoCVM:       true,
+		DedupWindow: 256,
+		Batch:       &tax.BatchConfig{MaxFrames: 1, FlushEvery: -1},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if edge.CVM != nil {
-		t.Error("WithoutCVM did not take")
+		t.Error("NoCVM did not take")
 	}
 
 	type verdict struct {
