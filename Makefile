@@ -226,7 +226,7 @@ obsv-demo:
 # benchmark/, the evaluation harness, the firewall, the crawler (the
 # robot plus the case study around it), the case study alone, and the
 # chaos harness.
-TREE_LOC_CAP = 20294
+TREE_LOC_CAP = 20144
 count = find $(1) -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -print0 | xargs -0 cat | grep -cvE '^\s*(//|$$)'
 loc:
 	@echo "tree (outside benchmark/)        $$($(call count,.)) (make ci cap $(TREE_LOC_CAP))"

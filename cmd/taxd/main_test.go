@@ -127,3 +127,22 @@ func TestBootRejectsDirWithoutSelf(t *testing.T) {
 		t.Errorf("err = %v, want the self-membership error", err)
 	}
 }
+
+// TestTelemetryExportsOnlyTheNode: a -telemetry node's metrics come
+// from the node alone. Its simulated network stays empty, so no series
+// is labelled host="system".
+func TestTelemetryExportsOnlyTheNode(t *testing.T) {
+	d := bootLoopback(t, config{telOn: true})
+	var out strings.Builder
+	if err := d.sys.Tower().WriteMetrics(&out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), `host="`) {
+		t.Fatalf("no host-labelled series exported:\n%s", out.String())
+	}
+	for line := range strings.Lines(out.String()) {
+		if strings.Contains(line, `host="system"`) {
+			t.Errorf("series from the empty simulated network: %s", strings.TrimSpace(line))
+		}
+	}
+}

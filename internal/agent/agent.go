@@ -11,7 +11,6 @@
 package agent
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -165,16 +164,9 @@ func (c *Context) Finish(err error) {
 // system. Wrapper send-interceptors run first and may rewrite or swallow
 // the briefcase.
 func (c *Context) Activate(target string, payload *briefcase.Briefcase) error {
-	return c.ActivateCtx(context.Background(), target, payload)
-}
-
-// ActivateCtx is Activate with cancellation: a context already done
-// fails before the wrapper hooks run, and the firewall send observes
-// the context through its retry loop.
-func (c *Context) ActivateCtx(ctx context.Context, target string, payload *briefcase.Briefcase) error {
 	if c.sendHook != nil {
 		// The hook sees the briefcase addressed; without one,
-		// ActivateDirectCtx's own stamp is the only one needed.
+		// ActivateDirect's own stamp is the only one needed.
 		payload.SetString(briefcase.FolderSysTarget, target)
 		out, err := c.sendHook(payload)
 		if err != nil {
@@ -189,21 +181,13 @@ func (c *Context) ActivateCtx(ctx context.Context, target string, payload *brief
 			target = t
 		}
 	}
-	return c.ActivateDirectCtx(ctx, target, payload)
+	return c.ActivateDirect(target, payload)
 }
 
 // ActivateDirect sends without running wrapper interceptors; wrappers use
 // it for their own traffic (a monitoring report must not re-enter the
 // monitoring wrapper).
 func (c *Context) ActivateDirect(target string, payload *briefcase.Briefcase) error {
-	return c.ActivateDirectCtx(context.Background(), target, payload)
-}
-
-// ActivateDirectCtx is ActivateDirect with cancellation.
-func (c *Context) ActivateDirectCtx(ctx context.Context, target string, payload *briefcase.Briefcase) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
 	a, err := uri.ParseString(target)
 	if err != nil {
 		return fmt.Errorf("agent: activate: %w", err)
@@ -224,9 +208,9 @@ func (c *Context) ActivateDirectCtx(ctx context.Context, target string, payload 
 		}
 	}
 	if !c.leaving {
-		return c.fw.SendCtx(ctx, c.URI(), payload)
+		return c.fw.Send(c.URI(), payload)
 	}
-	at, err := c.fw.SendAt(ctx, c.URI(), payload)
+	at, err := c.fw.SendAt(c.URI(), payload)
 	if err == nil {
 		c.left = at
 	}
@@ -237,20 +221,15 @@ func (c *Context) ActivateDirectCtx(ctx context.Context, target string, payload 
 // timeout waits forever. Briefcases buffered while waiting for an RPC
 // reply are returned first, in arrival order. Wrapper receive-
 // interceptors run on every arrival and may consume briefcases, in which
-// case Await keeps waiting.
+// case Await keeps waiting. The wait also ends, with firewall.ErrKilled,
+// when the agent's registration does (a kill, Close or crash).
 func (c *Context) Await(timeout time.Duration) (*briefcase.Briefcase, error) {
-	return c.AwaitCtx(context.Background(), timeout)
-}
-
-// AwaitCtx is Await with cancellation: the wait additionally ends when
-// ctx is done, returning its error.
-func (c *Context) AwaitCtx(ctx context.Context, timeout time.Duration) (*briefcase.Briefcase, error) {
 	if len(c.backlog) > 0 {
 		bc := c.backlog[0]
 		c.backlog = c.backlog[1:]
 		return bc, nil
 	}
-	return c.receive(ctx, deadlineAfter(timeout))
+	return c.receive(deadlineAfter(timeout))
 }
 
 // deadlineAfter is the instant a wait of timeout starting now ends: the
@@ -268,7 +247,7 @@ func deadlineAfter(timeout time.Duration) time.Time {
 // receive hook, before deadline (the zero time waits forever); consumed
 // briefcases do not count against the caller — it keeps waiting for the
 // same deadline.
-func (c *Context) receive(ctx context.Context, deadline time.Time) (*briefcase.Briefcase, error) {
+func (c *Context) receive(deadline time.Time) (*briefcase.Briefcase, error) {
 	for {
 		remain := time.Duration(0)
 		if !deadline.IsZero() {
@@ -276,7 +255,7 @@ func (c *Context) receive(ctx context.Context, deadline time.Time) (*briefcase.B
 				return nil, fmt.Errorf("agent: %w", firewall.ErrRecvTimeout)
 			}
 		}
-		bc, err := c.reg.RecvCtx(ctx, remain)
+		bc, err := c.reg.Recv(remain)
 		if err != nil {
 			return nil, err
 		}
@@ -296,15 +275,9 @@ func (c *Context) receive(ctx context.Context, deadline time.Time) (*briefcase.B
 
 // Meet performs an RPC (the paper's meet()): it sends payload to the
 // target and blocks until the matching reply arrives. Unrelated
-// briefcases arriving meanwhile are buffered for later Await calls.
+// briefcases arriving meanwhile are buffered for later Await calls. Like
+// Await, the wait ends on its timeout or on the agent's kill.
 func (c *Context) Meet(target string, payload *briefcase.Briefcase, timeout time.Duration) (*briefcase.Briefcase, error) {
-	return c.MeetCtx(context.Background(), target, payload, timeout)
-}
-
-// MeetCtx is Meet with cancellation: the context covers the send and
-// the reply wait, so an abandoned RPC stops blocking as soon as the
-// caller gives up.
-func (c *Context) MeetCtx(ctx context.Context, target string, payload *briefcase.Briefcase, timeout time.Duration) (*briefcase.Briefcase, error) {
 	id := nextMsgID()
 	payload.SetString(firewall.FolderMsgID, id)
 	sp := c.span("agent.meet")
@@ -312,12 +285,12 @@ func (c *Context) MeetCtx(ctx context.Context, target string, payload *briefcase
 	if sp != nil {
 		payload.SetString(briefcase.FolderSysSpan, sp.ID())
 	}
-	if err := c.ActivateCtx(ctx, target, payload); err != nil {
+	if err := c.Activate(target, payload); err != nil {
 		sp.SetErr(err)
 		sp.End()
 		return nil, err
 	}
-	reply, err := c.awaitReply(ctx, id, timeout)
+	reply, err := c.awaitReply(id, timeout)
 	sp.SetErr(err)
 	sp.End()
 	return reply, err
@@ -327,18 +300,12 @@ func (c *Context) MeetCtx(ctx context.Context, target string, payload *briefcase
 // system components performing RPCs on an agent's behalf (a location
 // lookup inside a send-interceptor must not re-enter that interceptor).
 func (c *Context) MeetDirect(target string, payload *briefcase.Briefcase, timeout time.Duration) (*briefcase.Briefcase, error) {
-	return c.MeetDirectCtx(context.Background(), target, payload, timeout)
-}
-
-// MeetDirectCtx is MeetDirect with cancellation: the context covers the
-// send and the reply wait (PR 5 context-first convention).
-func (c *Context) MeetDirectCtx(ctx context.Context, target string, payload *briefcase.Briefcase, timeout time.Duration) (*briefcase.Briefcase, error) {
 	id := nextMsgID()
 	payload.SetString(firewall.FolderMsgID, id)
-	if err := c.ActivateDirectCtx(ctx, target, payload); err != nil {
+	if err := c.ActivateDirect(target, payload); err != nil {
 		return nil, err
 	}
-	return c.awaitReply(ctx, id, timeout)
+	return c.awaitReply(id, timeout)
 }
 
 // Reply answers a briefcase received via Await/Meet service loops: the
@@ -369,10 +336,10 @@ func (c *Context) Reply(request, response *briefcase.Briefcase) error {
 // awaitReply receives until a briefcase with _REPLYTO == id arrives, for
 // at most timeout: unrelated briefcases go to the backlog and do not
 // extend the wait.
-func (c *Context) awaitReply(ctx context.Context, id string, timeout time.Duration) (*briefcase.Briefcase, error) {
+func (c *Context) awaitReply(id string, timeout time.Duration) (*briefcase.Briefcase, error) {
 	deadline := deadlineAfter(timeout)
 	for {
-		bc, err := c.receive(ctx, deadline)
+		bc, err := c.receive(deadline)
 		if errors.Is(err, firewall.ErrRecvTimeout) {
 			return nil, fmt.Errorf("agent: meet: %w", firewall.ErrRecvTimeout)
 		} else if err != nil {
@@ -485,7 +452,7 @@ func (c *Context) Spawn(dest string) (uint64, error) {
 // AwaitReply exposes reply-correlated receive for movers implementing the
 // spawn protocol.
 func (c *Context) AwaitReply(id string, timeout time.Duration) (*briefcase.Briefcase, error) {
-	return c.awaitReply(context.Background(), id, timeout)
+	return c.awaitReply(id, timeout)
 }
 
 // StampTrace marks a briefcase as the root of a fresh telemetry trace and

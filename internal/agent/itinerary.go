@@ -1,7 +1,6 @@
 package agent
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -25,17 +24,6 @@ const FolderSkipped = "_SKIPPED"
 //		})
 //	})
 func RunItinerary(c *Context, visit func(*Context) error) error {
-	return RunItineraryContext(context.Background(), c, visit)
-}
-
-// RunItineraryContext is RunItinerary with cancellation: the context is
-// checked before the visit and before each hop attempt, so a cancelled
-// tour stops on the current host instead of continuing to burn hops.
-// The briefcase keeps its remaining HOSTS, so a later call can resume.
-func RunItineraryContext(ctx context.Context, c *Context, visit func(*Context) error) error {
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("agent: itinerary: %w", err)
-	}
 	if visit != nil {
 		if err := visit(c); err != nil {
 			return err
@@ -46,9 +34,6 @@ func RunItineraryContext(ctx context.Context, c *Context, visit func(*Context) e
 		return fmt.Errorf("agent: itinerary: %w", err)
 	}
 	for {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("agent: itinerary: %w", err)
-		}
 		next, ok := hosts.Pop()
 		if !ok {
 			return nil // itinerary complete

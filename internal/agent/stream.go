@@ -1,7 +1,6 @@
 package agent
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -41,14 +40,6 @@ var ErrStreamCorrupt = errors.New("agent: stream corrupt")
 // under the given stream id. A zero chunkSize uses DefaultChunkSize.
 // Empty payloads send a single empty chunk so the receiver completes.
 func SendStream(c *Context, target, streamID string, data []byte, chunkSize int) error {
-	return SendStreamContext(context.Background(), c, target, streamID, data, chunkSize)
-}
-
-// SendStreamContext is SendStream with cancellation: the context is
-// checked between chunks, so a large transfer stops promptly when the
-// caller gives up instead of pushing the remaining chunks into the
-// firewall.
-func SendStreamContext(ctx context.Context, c *Context, target, streamID string, data []byte, chunkSize int) error {
 	if chunkSize <= 0 {
 		chunkSize = DefaultChunkSize
 	}
@@ -57,9 +48,6 @@ func SendStreamContext(ctx context.Context, c *Context, target, streamID string,
 		total = 1
 	}
 	for seq := 0; seq < total; seq++ {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("agent: stream %s chunk %d: %w", streamID, seq, err)
-		}
 		lo := seq * chunkSize
 		hi := lo + chunkSize
 		if hi > len(data) {
@@ -70,7 +58,7 @@ func SendStreamContext(ctx context.Context, c *Context, target, streamID string,
 		bc.SetInt(FolderStreamSeq, int64(seq))
 		bc.SetInt(FolderStreamTotal, int64(total))
 		bc.Ensure(FolderStreamData).Append(data[lo:hi])
-		if err := c.ActivateCtx(ctx, target, bc); err != nil {
+		if err := c.Activate(target, bc); err != nil {
 			return fmt.Errorf("agent: stream %s chunk %d: %w", streamID, seq, err)
 		}
 	}
@@ -147,14 +135,14 @@ func (b *StreamBuffer) Bytes() ([]byte, error) {
 	return out, nil
 }
 
-// ReceiveStreamCtx blocks until the named stream completes, buffering
-// unrelated briefcases for later Await calls, or until ctx is done. A
-// zero timeout waits forever.
-func (c *Context) ReceiveStreamCtx(ctx context.Context, streamID string, timeout time.Duration) ([]byte, error) {
+// ReceiveStream blocks until the named stream completes, buffering
+// unrelated briefcases for later Await calls. A zero timeout waits
+// forever; like Await, the wait also ends on the agent's kill.
+func (c *Context) ReceiveStream(streamID string, timeout time.Duration) ([]byte, error) {
 	buf := NewStreamBuffer(streamID)
 	deadline := deadlineAfter(timeout)
 	for {
-		bc, err := c.receive(ctx, deadline)
+		bc, err := c.receive(deadline)
 		if errors.Is(err, firewall.ErrRecvTimeout) {
 			return nil, fmt.Errorf("agent: stream %s: %w", streamID, firewall.ErrRecvTimeout)
 		} else if err != nil {

@@ -2,7 +2,6 @@ package agent_test
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -25,7 +24,7 @@ func TestStreamRoundTripLocal(t *testing.T) {
 	got := make(chan []byte, 1)
 	errs := make(chan error, 1)
 	go func() {
-		data, err := receiver.ReceiveStreamCtx(context.Background(), "vid-1", 10*time.Second)
+		data, err := receiver.ReceiveStream("vid-1", 10*time.Second)
 		if err != nil {
 			errs <- err
 			return
@@ -53,7 +52,7 @@ func TestStreamEmptyPayload(t *testing.T) {
 	receiver := f.ctx(t, "dst")
 	got := make(chan []byte, 1)
 	go func() {
-		data, err := receiver.ReceiveStreamCtx(context.Background(), "empty", 5*time.Second)
+		data, err := receiver.ReceiveStream("empty", 5*time.Second)
 		if err == nil {
 			got <- data
 		}
@@ -85,7 +84,7 @@ func TestStreamBuffersUnrelatedTraffic(t *testing.T) {
 	if err := agent.SendStream(sender, "system/dst", "s1", []byte("abc"), 2); err != nil {
 		t.Fatal(err)
 	}
-	data, err := receiver.ReceiveStreamCtx(context.Background(), "s1", 5*time.Second)
+	data, err := receiver.ReceiveStream("s1", 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,8 +17,6 @@ import (
 	"sync"
 	"time"
 
-	"tax/internal/agent"
-	"tax/internal/briefcase"
 	"tax/internal/cabinet"
 	"tax/internal/directory"
 	"tax/internal/firewall"
@@ -60,8 +58,8 @@ type NodeOptions struct {
 	// frames (§3.2's "authenticated and trusted sender").
 	SecureChannels bool
 	// Telemetry overrides the telemetry instance this node's firewall
-	// reports into. Nil uses the system-wide instance when one was enabled
-	// (EnableTelemetry), else a private counters-only instance.
+	// reports into. Nil gives the node its own instance in tower mode
+	// (EnableTower), else the firewall's private counters-only instance.
 	Telemetry *telemetry.Telemetry
 	// FsyncCost is the simulated latency of one fsync on the node's
 	// cabinet disk; zero uses cabinet.DefaultSyncLatency.
@@ -145,55 +143,9 @@ type Node struct {
 }
 
 // Telemetry returns the telemetry instance this node reports into: the
-// per-host instance in tower mode, else the shared or configured one (nil
-// when telemetry was never enabled).
+// per-host instance in tower mode, else the configured one (nil when
+// NodeOptions.Telemetry was not set).
 func (n *Node) Telemetry() *telemetry.Telemetry { return n.tel }
-
-// Recover relaunches an agent from a checkpoint stored by the
-// wrapper.Checkpoint passive-replication wrapper: the snapshot is read
-// back from this node's file service and the program activated with the
-// recovered briefcase — the home site resuming a crashed or lost agent
-// from its last consistent state.
-func (n *Node) Recover(principal, name, program, checkpointPath string) (*firewall.Registration, error) {
-	return n.RecoverVia("ag_fs", principal, name, program, checkpointPath)
-}
-
-// RecoverVia is Recover reading the checkpoint from a chosen store
-// service: "ag_fs" for the fast volatile store, "ag_cabinet" for the
-// crash-surviving file cabinet (a checkpoint that must outlive a home
-// host crash belongs in the cabinet).
-func (n *Node) RecoverVia(storeService, principal, name, program, checkpointPath string) (*firewall.Registration, error) {
-	reg, err := n.FW.Register("recovery", n.FW.SystemPrincipal(), "recovery")
-	if err != nil {
-		return nil, err
-	}
-	defer n.FW.Unregister(reg)
-	ctx := agent.NewContext(n.FW, reg, briefcase.New(), nil, nil)
-
-	req := briefcase.New()
-	req.SetString(services.FolderOp, "get")
-	req.SetString(services.FolderPath, checkpointPath)
-	resp, err := ctx.MeetDirect(storeService, req, 10*time.Second)
-	if err != nil {
-		// A store's error reply arrives as a wrapped RemoteError, so
-		// errors.Is(err, services.ErrNoSuchFile) distinguishes a pruned
-		// checkpoint from a store failure.
-		return nil, fmt.Errorf("core: recover %s: %w", checkpointPath, err)
-	}
-	data, err := resp.Folder(services.FolderData)
-	if err != nil {
-		return nil, fmt.Errorf("core: recover %s: no data", checkpointPath)
-	}
-	raw, err := data.Element(0)
-	if err != nil {
-		return nil, err
-	}
-	snap, err := briefcase.Decode(raw)
-	if err != nil {
-		return nil, fmt.Errorf("core: recover %s: %w", checkpointPath, err)
-	}
-	return n.VM.Launch(principal, name, program, snap)
-}
 
 // Close shuts the node down: VMs first, then the firewall.
 func (n *Node) Close() error {
@@ -218,10 +170,10 @@ type System struct {
 	// SystemPrincipal signs system-launched agents and VM transfers.
 	SystemPrincipal *identity.Principal
 
-	mu    sync.Mutex
-	nodes map[string]*Node
-	tel   *telemetry.Telemetry
-	twr   *tower.Collector
+	mu          sync.Mutex
+	nodes       map[string]*Node
+	twr         *tower.Collector
+	netObserved bool // observeNetwork attached the network to twr
 
 	// dirRing/dirCfg hold the directory plane configuration when
 	// EnableDirectory was called (before the member nodes are added).
@@ -247,55 +199,42 @@ func NewSystem(profile simnet.Profile) (*System, error) {
 	}, nil
 }
 
-// EnableTelemetry switches the deployment to full observability: one
-// shared instance (spans and events on) that every node added afterwards
-// reports into, also attached to the network so transfers feed the
-// registry. Spans record which host they ran on, so one instance serves
-// the whole simulation and a 3-hop itinerary reads back as a single tree.
-// Call before AddNode. Idempotent; returns the instance.
-func (s *System) EnableTelemetry() *telemetry.Telemetry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.tel == nil {
-		s.tel = telemetry.New(telemetry.Options{Host: "system", Spans: true, Events: true})
-		s.Net.SetTelemetry(s.tel)
-	}
-	return s.tel
-}
-
-// Telemetry returns the deployment-wide telemetry instance (nil unless
-// EnableTelemetry was called).
-func (s *System) Telemetry() *telemetry.Telemetry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.tel
-}
-
 // EnableTower turns on the observability tower: every node added afterwards
 // gets its own host-labelled telemetry instance (spans and events on) whose
 // records push into a system-wide tower.Collector, and the infrastructure —
 // simulated network faults, cabinet durability work, host crashes and
-// restarts — journals into the collector's flight recorder. The shared
-// EnableTelemetry instance is still created for network link counters and is
-// attached to the collector under its "system" host label. The collector
-// answers the firewall's OpExplain management operation on every node.
-// Call before AddNode. Idempotent; returns the collector.
+// restarts — journals into the collector's flight recorder. The simulated
+// network's link counters and transfer spans report into one more instance,
+// attached under the "system" host label when the first simulated host is
+// added; a system of live TCP nodes has none. The collector answers the
+// firewall's OpExplain management operation on every node. Call before
+// AddNode. Idempotent; returns the collector.
 func (s *System) EnableTower() *tower.Collector {
-	s.EnableTelemetry()
 	s.mu.Lock()
-	if s.twr != nil {
-		c := s.twr
-		s.mu.Unlock()
-		return c
+	defer s.mu.Unlock()
+	if s.twr == nil {
+		s.twr = tower.New(tower.Options{})
 	}
-	c := tower.New(tower.Options{})
-	s.twr = c
-	tel := s.tel
+	return s.twr
+}
+
+// observeNetwork attaches the simulated network to the tower, once: its
+// "system" instance, and an observer journaling every fault-plan decision
+// that actually touched a transfer (drop, duplicate, delay, corrupt)
+// against the sending host, stamped with the trace context the firewall
+// threaded through SendStamped. Without a tower it does nothing.
+func (s *System) observeNetwork() {
+	s.mu.Lock()
+	c := s.twr
+	if c == nil || s.netObserved {
+		s.mu.Unlock()
+		return
+	}
+	s.netObserved = true
 	s.mu.Unlock()
+	tel := telemetry.New(telemetry.Options{Host: "system", Spans: true, Events: true})
+	s.Net.SetTelemetry(tel)
 	c.Attach(tel)
-	// Fault-plan decisions that actually touched a transfer (drop,
-	// duplicate, delay, corrupt) journal against the sending host, stamped
-	// with the trace context the firewall threaded through SendStamped.
 	s.Net.SetFaultObserver(func(p simnet.FaultPoint) {
 		detail := "to=" + p.To
 		if p.Detail != "" {
@@ -311,7 +250,6 @@ func (s *System) EnableTower() *tower.Collector {
 			Span:   p.Span,
 		})
 	})
-	return c
 }
 
 // Tower returns the system-wide tower collector (nil unless EnableTower
@@ -326,6 +264,7 @@ func (s *System) Tower() *tower.Collector {
 // running on its virtual clock, with its firewall, VMs and standard
 // service agents, that crashes and restarts with the network.
 func (s *System) AddNode(name string, opts NodeOptions) (*Node, error) {
+	s.observeNetwork()
 	host, err := s.Net.AddHost(name)
 	if err != nil {
 		return nil, err
@@ -383,16 +322,12 @@ func (s *System) boot(name string, tr simnet.Node, clock vclock.Clock, host stri
 	}
 	twr := s.Tower()
 	nodeTel := opts.Telemetry
-	if nodeTel == nil {
-		if twr != nil {
-			// Tower mode: each host reports into its own instance so span
-			// and event feeds carry the host label and a crash wipes only
-			// the crashed host's rings.
-			nodeTel = telemetry.New(telemetry.Options{Host: name, Spans: true, Events: true})
-			twr.Attach(nodeTel)
-		} else {
-			nodeTel = s.Telemetry()
-		}
+	if nodeTel == nil && twr != nil {
+		// Tower mode: each host reports into its own instance so span
+		// and event feeds carry the host label and a crash wipes only
+		// the crashed host's rings.
+		nodeTel = telemetry.New(telemetry.Options{Host: name, Spans: true, Events: true})
+		twr.Attach(nodeTel)
 	}
 	disk := cabinet.NewDisk(cabinet.DiskConfig{
 		Clock:       clock,

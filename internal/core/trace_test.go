@@ -12,6 +12,7 @@ import (
 	"tax/internal/briefcase"
 	"tax/internal/simnet"
 	"tax/internal/telemetry"
+	"tax/internal/tower"
 )
 
 // TestThreeHopItineraryTrace is the telemetry acceptance scenario: an
@@ -25,7 +26,7 @@ func TestThreeHopItineraryTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = s.Close() })
-	tel := s.EnableTelemetry()
+	twr := s.EnableTower()
 	for _, h := range []string{"h1", "h2", "h3"} {
 		if _, err := s.AddNode(h, NodeOptions{}); err != nil {
 			t.Fatal(err)
@@ -92,10 +93,10 @@ func TestThreeHopItineraryTrace(t *testing.T) {
 		{"net.transfer", "h1"}, {"net.transfer", "h2"},
 		{"fw.inbound", "h2"}, {"fw.inbound", "h3"},
 	} {
-		waitForSpan(t, tel, trace, want[0], want[1])
+		waitForSpan(t, twr, trace, want[0], want[1])
 	}
 
-	spans := tel.Spans().ForTrace(trace)
+	spans := traceSpans(twr, trace)
 	if len(spans) < 6 {
 		t.Fatalf("trace has %d spans, want >= 6:\n%s", len(spans), spanDump(spans))
 	}
@@ -185,7 +186,7 @@ func TestUntracedItineraryRecordsNoSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = s.Close() })
-	tel := s.EnableTelemetry()
+	twr := s.EnableTower()
 	for _, h := range []string{"h1", "h2"} {
 		if _, err := s.AddNode(h, NodeOptions{}); err != nil {
 			t.Fatal(err)
@@ -217,29 +218,41 @@ func TestUntracedItineraryRecordsNoSpans(t *testing.T) {
 		t.Fatal("itinerary never completed")
 	}
 	time.Sleep(50 * time.Millisecond) // let the final exec goroutine wind down
-	if n := tel.Spans().Total(); n != 0 {
+	if n := len(twr.Spans()); n != 0 {
 		t.Errorf("untraced run recorded %d spans", n)
 	}
 	// Counters still work: the registry is always on.
-	if tel.Registry().Counter("fw.delivered", "host", "h2").Value() == 0 {
+	n2, _ := s.Node("h2")
+	if n2.Telemetry().Registry().Counter("fw.delivered", "host", "h2").Value() == 0 {
 		t.Error("untraced run recorded no deliveries")
 	}
 }
 
 // waitForSpan polls until a span with the given name and host appears in
 // the trace (the recording goroutine may outlive the agent function).
-func waitForSpan(t *testing.T, tel *telemetry.Telemetry, trace, name, host string) {
+func waitForSpan(t *testing.T, twr *tower.Collector, trace, name, host string) {
 	t.Helper()
 	deadline := time.Now().Add(3 * time.Second)
 	for time.Now().Before(deadline) {
-		for _, sp := range tel.Spans().ForTrace(trace) {
+		for _, sp := range traceSpans(twr, trace) {
 			if sp.Name == name && sp.Host == host {
 				return
 			}
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	t.Fatalf("span %s@%s never recorded:\n%s", name, host, spanDump(tel.Spans().ForTrace(trace)))
+	t.Fatalf("span %s@%s never recorded:\n%s", name, host, spanDump(traceSpans(twr, trace)))
+}
+
+// traceSpans returns the trace's spans in the order the tower took them.
+func traceSpans(twr *tower.Collector, trace string) []telemetry.SpanRecord {
+	var out []telemetry.SpanRecord
+	for _, sp := range twr.Spans() {
+		if sp.TraceID == trace {
+			out = append(out, sp)
+		}
+	}
+	return out
 }
 
 func findSpan(spans []telemetry.SpanRecord, name, host string) telemetry.SpanRecord {

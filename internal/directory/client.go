@@ -1,7 +1,6 @@
 package directory
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -41,57 +40,38 @@ func (c Client) service(node string) string {
 // Update binds name to the calling agent's current routable URI (and
 // renews its lease). Acknowledged only once every replica holds it.
 func (c Client) Update(ctx *agent.Context, name string) error {
-	return c.UpdateCtx(context.Background(), ctx, name)
-}
-
-// UpdateCtx is Update with cancellation.
-func (c Client) UpdateCtx(cctx context.Context, ctx *agent.Context, name string) error {
-	return c.BindCtx(cctx, ctx, name, ctx.URI().String())
+	return c.Bind(ctx, name, ctx.URI().String())
 }
 
 // Bind binds name to an explicit location.
 func (c Client) Bind(ctx *agent.Context, name, location string) error {
-	return c.BindCtx(context.Background(), ctx, name, location)
-}
-
-// BindCtx is Bind with cancellation.
-func (c Client) BindCtx(cctx context.Context, ctx *agent.Context, name, location string) error {
 	req := briefcase.New()
 	req.SetString(services.FolderOp, OpUpdate)
 	req.SetString(FolderName, name)
 	req.SetString(FolderLocation, location)
-	_, err := ctx.MeetDirectCtx(cctx, c.service(c.Ring.Owner(name)), req, c.timeout())
+	_, err := ctx.MeetDirect(c.service(c.Ring.Owner(name)), req, c.timeout())
 	return err
 }
 
 // Lookup resolves name to its current routable URI.
 func (c Client) Lookup(ctx *agent.Context, name string) (string, error) {
-	return c.LookupCtx(context.Background(), ctx, name)
-}
-
-// LookupCtx is Lookup with cancellation.
-func (c Client) LookupCtx(cctx context.Context, ctx *agent.Context, name string) (string, error) {
-	b, err := c.ResolveCtx(cctx, ctx, name)
+	b, err := c.Resolve(ctx, name)
 	return b.Location, err
 }
 
-// Resolve is Lookup returning the full binding (version and lease).
+// Resolve is Lookup returning the full binding (version and lease). It
+// asks the owner and fails over to replicas on transport failures
+// (owner crashed or partitioned). A typed answer from any node — bound,
+// unbound, or expired — is definitive and ends the failover walk:
+// acknowledged writes are on every replica, so a reachable replica
+// serves the latest acknowledged version.
 func (c Client) Resolve(ctx *agent.Context, name string) (Binding, error) {
-	return c.ResolveCtx(context.Background(), ctx, name)
-}
-
-// ResolveCtx resolves against the owner and fails over to replicas on
-// transport failures (owner crashed or partitioned). A typed answer
-// from any node — bound, unbound, or expired — is definitive and ends
-// the failover walk: acknowledged writes are on every replica, so a
-// reachable replica serves the latest acknowledged version.
-func (c Client) ResolveCtx(cctx context.Context, ctx *agent.Context, name string) (Binding, error) {
 	var lastErr error
 	for _, node := range c.Ring.Owners(name) {
 		req := briefcase.New()
 		req.SetString(services.FolderOp, OpLookup)
 		req.SetString(FolderName, name)
-		resp, err := ctx.MeetDirectCtx(cctx, c.service(node), req, c.timeout())
+		resp, err := ctx.MeetDirect(c.service(node), req, c.timeout())
 		if err == nil {
 			loc, ok := resp.GetString(FolderLocation)
 			if !ok {
@@ -106,23 +86,15 @@ func (c Client) ResolveCtx(cctx context.Context, ctx *agent.Context, name string
 			return Binding{}, err // the plane answered; don't mask it with failover
 		}
 		lastErr = err
-		if cctx.Err() != nil {
-			break
-		}
 	}
 	return Binding{}, lastErr
 }
 
 // Drop removes a binding (a replicated tombstone).
 func (c Client) Drop(ctx *agent.Context, name string) error {
-	return c.DropCtx(context.Background(), ctx, name)
-}
-
-// DropCtx is Drop with cancellation.
-func (c Client) DropCtx(cctx context.Context, ctx *agent.Context, name string) error {
 	req := briefcase.New()
 	req.SetString(services.FolderOp, OpDrop)
 	req.SetString(FolderName, name)
-	_, err := ctx.MeetDirectCtx(cctx, c.service(c.Ring.Owner(name)), req, c.timeout())
+	_, err := ctx.MeetDirect(c.service(c.Ring.Owner(name)), req, c.timeout())
 	return err
 }

@@ -1,7 +1,6 @@
 package directory_test
 
 import (
-	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -109,12 +108,6 @@ func TestPlaneBindLookupDrop(t *testing.T) {
 	}
 	if _, err := c.Resolve(ctx, "never-bound"); !errors.Is(err, directory.ErrUnbound) {
 		t.Fatalf("unbound resolve err = %v, want ns_unbound", err)
-	}
-	// A cancelled context aborts the RPC instead of failing over.
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := c.ResolveCtx(cancelled, ctx, "bob"); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled resolve err = %v, want context.Canceled", err)
 	}
 }
 

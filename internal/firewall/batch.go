@@ -34,7 +34,6 @@ package firewall
 
 import (
 	"cmp"
-	"context"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -209,7 +208,7 @@ func (b *batcher) flushLocked(lb *linkBatch) error {
 	fw := b.fw
 	var m mediation
 	m.principal, m.addr = fw.cfg.SystemPrincipal, lb.addr
-	_, err := fw.transmit(context.Background(), &m, container, fw.cfg.ForwardRetry, "batch flush ")
+	_, err := fw.transmit(&m, container, fw.cfg.ForwardRetry, "batch flush ")
 	if _, owned := fw.cfg.Node.(ownedSender); !owned {
 		lb.recycle(buf)
 	}

@@ -14,7 +14,6 @@ package firewall
 
 import (
 	"cmp"
-	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -456,7 +455,7 @@ func (fw *Firewall) Register(vmName, principal, name string) (*Registration, err
 		// it joins the pipeline at act with that verdict standing.
 		var m mediation
 		m.origin, m.principal, m.bc, m.reg = originFlush, r.uri.Principal, p.bc, r
-		_ = fw.mediate(context.Background(), &m, stageAct)
+		_ = fw.mediate(&m, stageAct)
 	}
 	return r, nil
 }
@@ -524,38 +523,26 @@ func (fw *Firewall) isLocal(u uri.URI) bool {
 // folder is overwritten with the authenticated sender URI, so receivers
 // can trust it. The target is read from _TARGET.
 func (fw *Firewall) Send(sender uri.URI, bc *briefcase.Briefcase) error {
-	return fw.SendCtx(context.Background(), sender, bc)
-}
-
-// SendCtx is Send with cancellation: a context already done returns
-// its error before any mediation, and a remote forward's retry loop
-// checks the context between attempts — cancellation stops the
-// backoff, which on virtual clocks would otherwise advance simulated
-// time with no one waiting for the result.
-func (fw *Firewall) SendCtx(ctx context.Context, sender uri.URI, bc *briefcase.Briefcase) error {
 	var m mediation
-	return fw.send(ctx, &m, sender, bc)
+	return fw.send(&m, sender, bc)
 }
 
-// SendAt is SendCtx reporting the virtual instant the briefcase left the
+// SendAt is Send reporting the virtual instant the briefcase left the
 // monitor: into a local receiver's mailbox, or onto the wire when the
 // transport finished sending it. That hand-off is stamped when spans or
 // audit events are on; otherwise, and for a briefcase that did not
 // leave (parked or refused), it is the clock when the mediation ended.
-func (fw *Firewall) SendAt(ctx context.Context, sender uri.URI, bc *briefcase.Briefcase) (time.Duration, error) {
+func (fw *Firewall) SendAt(sender uri.URI, bc *briefcase.Briefcase) (time.Duration, error) {
 	var m mediation
-	err := fw.send(ctx, &m, sender, bc)
+	err := fw.send(&m, sender, bc)
 	return m.now(fw.clock), err
 }
 
-func (fw *Firewall) send(ctx context.Context, m *mediation, sender uri.URI, bc *briefcase.Briefcase) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
+func (fw *Firewall) send(m *mediation, sender uri.URI, bc *briefcase.Briefcase) error {
 	// Assigned, not a literal: a literal this size is built in a
 	// temporary and copied.
 	m.origin, m.sender, m.principal, m.bc, m.hist = originSend, sender, sender.Principal, bc, fw.histSend
-	return fw.mediate(ctx, m, stageAdmit)
+	return fw.mediate(m, stageAdmit)
 }
 
 // handleInbound is the transport handler. A batch container is
@@ -577,7 +564,7 @@ func (fw *Firewall) handleInbound(from string, payload []byte) {
 func (fw *Firewall) inbound(from string, frame []byte) {
 	var m mediation
 	m.origin, m.from, m.wire, m.hist = originFrame, from, frame, fw.histInbound
-	_ = fw.mediate(context.Background(), &m, stageAdmit)
+	_ = fw.mediate(&m, stageAdmit)
 }
 
 // parkMsg queues a message for a receiver that has not arrived yet.

@@ -22,7 +22,6 @@ package firewall
 
 import (
 	"cmp"
-	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -207,7 +206,7 @@ func (m *mediation) stop(v verdict, cause string, err error) bool {
 // mediate runs a unit through the pipeline — the stages in order, from
 // the one its entry point names, until one of them stops it (every act
 // does) — and emits the outcome.
-func (fw *Firewall) mediate(ctx context.Context, m *mediation, from stage) error {
+func (fw *Firewall) mediate(m *mediation, from stage) error {
 	if m.hist != nil {
 		m.t0 = time.Now()
 	}
@@ -223,7 +222,7 @@ func (fw *Firewall) mediate(ctx context.Context, m *mediation, from stage) error
 	case m.held:
 		fw.route(m)
 	case !m.local:
-		fw.forward(ctx, m)
+		fw.forward(m)
 	case m.target.Name == FirewallName || Kind(m.bc) == KindManagement:
 		m.stop(vDone, "", fw.handleManagement(m))
 	default:
@@ -524,7 +523,7 @@ func (fw *Firewall) deliver(m *mediation, r *Registration, matched int) {
 // charged against its sender's byte quota. Either joins the link's
 // batch queue when batching is on, else goes out under transmit's retry
 // loop.
-func (fw *Firewall) forward(ctx context.Context, m *mediation) {
+func (fw *Firewall) forward(m *mediation) {
 	label := ""
 	if m.relay {
 		label = "relay "
@@ -582,7 +581,7 @@ func (fw *Firewall) forward(ctx context.Context, m *mediation) {
 		kind, _ := m.header(FolderKind)
 		err = fw.batch.enqueue(m.addr, frame, string(kind) == KindTransfer)
 		m.tsp.SetAttr("batched", "true")
-	} else if attempts, err = fw.transmit(ctx, m, frame, rp, label); attempts > 1 {
+	} else if attempts, err = fw.transmit(m, frame, rp, label); attempts > 1 {
 		m.tsp.SetAttr("attempts", strconv.Itoa(attempts))
 	}
 	fw.handoff(m)

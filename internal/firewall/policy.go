@@ -12,7 +12,6 @@
 package firewall
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -45,7 +44,7 @@ func policyOpFor(target uri.URI, bc *briefcase.Briefcase) string {
 func (fw *Firewall) dispatch(senderPrincipal string, target uri.URI, bc *briefcase.Briefcase) error {
 	var m mediation
 	m.origin, m.principal, m.target, m.bc = originHeld, senderPrincipal, target, bc
-	return fw.mediate(context.Background(), &m, stageAddress)
+	return fw.mediate(&m, stageAddress)
 }
 
 // Policy returns the firewall's policy engine (nil when mediation runs

@@ -1,7 +1,6 @@
 package firewall
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -125,7 +124,7 @@ func (r *Registration) Inject(bc *briefcase.Briefcase) error {
 	return r.deliver(bc)
 }
 
-// recvTimers recycles RecvCtx's deadline timers: a receive with a
+// recvTimers recycles Recv's deadline timers: a receive with a
 // timeout is one per message on an RPC client, and a fresh timer is three
 // allocations.
 var recvTimers = sync.Pool{New: func() any {
@@ -138,13 +137,6 @@ var recvTimers = sync.Pool{New: func() any {
 // wait forever), or the agent is killed. While the agent is stopped,
 // arrived briefcases are held and Recv does not return until resumed.
 func (r *Registration) Recv(timeout time.Duration) (*briefcase.Briefcase, error) {
-	return r.RecvCtx(context.Background(), timeout)
-}
-
-// RecvCtx is Recv with cancellation: the wait additionally ends when
-// ctx is done, returning its error. The timeout still applies (zero
-// means no deadline beyond the context's own).
-func (r *Registration) RecvCtx(ctx context.Context, timeout time.Duration) (*briefcase.Briefcase, error) {
 	var deadline <-chan time.Time
 	if timeout > 0 {
 		t := recvTimers.Get().(*time.Timer)
@@ -180,8 +172,6 @@ func (r *Registration) RecvCtx(ctx context.Context, timeout time.Duration) (*bri
 			return nil, fmt.Errorf("%w: %s", ErrKilled, r.uri)
 		case <-deadline:
 			return nil, fmt.Errorf("%w: %s", ErrRecvTimeout, r.uri)
-		case <-ctx.Done():
-			return nil, ctx.Err()
 		}
 	}
 }

@@ -39,7 +39,6 @@
 package firewall
 
 import (
-	"context"
 	"time"
 )
 
@@ -93,6 +92,6 @@ func (fw *Firewall) relayContainer(from string, payload []byte) bool {
 	if defect != "" || !uniform || m.frames == 0 {
 		return false
 	}
-	_ = fw.mediate(context.Background(), &m, stageAct)
+	_ = fw.mediate(&m, stageAct)
 	return true
 }

@@ -1,7 +1,6 @@
 package firewall
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -128,7 +127,7 @@ func (fw *Firewall) forwardPolicy(bc *briefcase.Briefcase) RetryPolicy {
 // band, so fault injections on the wire are journaled under the right
 // trace; payload bytes, and so simulated transfer cost, are the same
 // either way.
-func (fw *Firewall) transmit(ctx context.Context, m *mediation, frame []byte, rp RetryPolicy, label string) (attempt int, err error) {
+func (fw *Firewall) transmit(m *mediation, frame []byte, rp RetryPolicy, label string) (attempt int, err error) {
 	var owned ownedSender
 	stamped, _ := fw.cfg.Node.(stampedSender)
 	trace, evTarget := "", m.addr
@@ -151,9 +150,6 @@ func (fw *Firewall) transmit(ctx context.Context, m *mediation, frame []byte, rp
 		}
 		if err == nil || attempt >= rp.Attempts {
 			return attempt, err
-		}
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return attempt, ctxErr
 		}
 		if rp.Deadline > 0 && fw.clock.Now()-start+backoff > rp.Deadline {
 			return attempt, err

@@ -6,7 +6,6 @@
 package naming_test
 
 import (
-	"context"
 	"errors"
 	"testing"
 	"time"
@@ -174,32 +173,5 @@ func TestStaleBindingExpiresAfterHostCrash(t *testing.T) {
 	}
 	if loc, err := c.Lookup(ctx, "traveller"); err != nil || loc != "tacoma://h3/alice/webbot:9" {
 		t.Fatalf("re-bound lookup = %q, %v", loc, err)
-	}
-}
-
-// TestClientCtxVariants exercises the context-first API: a cancelled
-// context aborts the RPC, a live one behaves like the plain calls.
-func TestClientCtxVariants(t *testing.T) {
-	_, n, c := newNode(t, 0)
-	ctx := scratchCtx(t, n, "ctxer")
-
-	if err := c.UpdateCtx(context.Background(), ctx, "stable"); err != nil {
-		t.Fatalf("UpdateCtx: %v", err)
-	}
-	loc, err := c.LookupCtx(context.Background(), ctx, "stable")
-	if err != nil || loc == "" {
-		t.Fatalf("LookupCtx = %q, %v", loc, err)
-	}
-	if err := c.DropCtx(context.Background(), ctx, "stable"); err != nil {
-		t.Fatalf("DropCtx: %v", err)
-	}
-	if _, err := c.LookupCtx(context.Background(), ctx, "stable"); !errors.Is(err, directory.ErrUnbound) {
-		t.Fatalf("dropped LookupCtx err = %v, want ErrUnbound", err)
-	}
-
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := c.LookupCtx(cancelled, ctx, "stable"); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled LookupCtx err = %v, want context.Canceled", err)
 	}
 }

@@ -2,6 +2,7 @@ package rearguard_test
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -260,5 +261,90 @@ func TestResumeMissingCheckpointKeepsStoreError(t *testing.T) {
 	err := g.Wait(10 * time.Second)
 	if !errors.Is(err, rearguard.ErrRecoveryFailed) || !errors.Is(err, services.ErrNoSuchFile) {
 		t.Fatalf("err = %v, want ErrRecoveryFailed wrapping services.ErrNoSuchFile", err)
+	}
+}
+
+// putCheckpoint stores raw bytes at ckptPath in the node's ag_fs.
+func putCheckpoint(t *testing.T, n *core.Node, data []byte) {
+	t.Helper()
+	reg, err := n.FW.Register("test", "system", "ckpt-writer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.FW.Unregister(reg)
+	ctx := agent.NewContext(n.FW, reg, briefcase.New(), nil, nil)
+	req := briefcase.New()
+	req.SetString(services.FolderOp, "put")
+	req.SetString(services.FolderPath, ckptPath)
+	req.Ensure(services.FolderData).Append(data)
+	if _, err := ctx.MeetDirect("ag_fs", req, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestResumeLaunchesFromSnapshot: Resume relaunches the program with the
+// checkpointed briefcase — the home site resuming a lost agent from its
+// last consistent state.
+func TestResumeLaunchesFromSnapshot(t *testing.T) {
+	s := newSystem(t, "home")
+	home, _ := s.Node("home")
+	got := make(chan string, 1)
+	s.DeployProgram("resumer", func(ctx *agent.Context) error {
+		v, _ := ctx.Briefcase().GetString("STATE")
+		select {
+		case got <- v:
+		default: // a later relaunch after report silence
+		}
+		return nil
+	})
+	snap := briefcase.New()
+	snap.SetString("STATE", "made it to phase 3")
+	putCheckpoint(t, home, snap.Encode())
+
+	g := newGuard(t, home, "resumer")
+	if !g.Resume("test") {
+		t.Fatalf("resume: %v", g.Wait(time.Second))
+	}
+	select {
+	case v := <-got:
+		if v != "made it to phase 3" {
+			t.Errorf("recovered state = %q", v)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("recovered agent never ran")
+	}
+}
+
+// TestResumeErrors: a recovery that cannot relaunch ends the guard with
+// ErrRecoveryFailed and says why. (A missing checkpoint is
+// TestResumeMissingCheckpointKeepsStoreError.)
+func TestResumeErrors(t *testing.T) {
+	cases := []struct {
+		name    string
+		program string
+		ckpt    []byte
+		want    []string // any one of these in the error text
+	}{
+		{"corrupt snapshot", "resumer", []byte("not a briefcase"), []string{"magic", "corrupt"}},
+		{"unknown program", "ghost-program", briefcase.New().Encode(), []string{"relaunch"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newSystem(t, "home")
+			home, _ := s.Node("home")
+			s.DeployProgram("resumer", func(*agent.Context) error { return nil })
+			putCheckpoint(t, home, tc.ckpt)
+			g := newGuard(t, home, tc.program)
+			if g.Resume("test") {
+				t.Fatal("Resume relaunched")
+			}
+			err := g.Wait(10 * time.Second)
+			if !errors.Is(err, rearguard.ErrRecoveryFailed) {
+				t.Fatalf("err = %v, want ErrRecoveryFailed", err)
+			}
+			if !slices.ContainsFunc(tc.want, func(w string) bool { return strings.Contains(err.Error(), w) }) {
+				t.Errorf("err = %v, want one of %q", err, tc.want)
+			}
+		})
 	}
 }

@@ -33,17 +33,10 @@ func (r *Robot) RunCtx(ctx context.Context, startURL string) (*Stats, error) {
 
 	st := &Stats{TypeCounts: make(map[string]int)}
 	start := cfg.clock.Now()
-	sp := cfg.telemetry.Spans().Start(cfg.clock, cfg.telemetry.Host(), cfg.traceID, cfg.spanParent, "bot.crawl")
-	sp.SetAttr("start", startURL)
-	fail := func(err error) (*Stats, error) {
-		sp.SetErr(err)
-		sp.End()
-		return nil, err
-	}
 
 	ff, forkable := r.fetcher.(websim.ForkableFetcher)
 	if cfg.workers > 1 && !forkable {
-		return fail(ErrNotForkable)
+		return nil, ErrNotForkable
 	}
 
 	var rules *Robots
@@ -51,10 +44,10 @@ func (r *Robot) RunCtx(ctx context.Context, startURL string) (*Stats, error) {
 		var err error
 		rules, err = r.loadRobots(startURL)
 		if err != nil {
-			return fail(err)
+			return nil, err
 		}
 		if !rules.Allowed(cfg.agent, urlPath(startURL)) {
-			return fail(fmt.Errorf("%w: %s for agent %q", ErrRobotsDenied, startURL, cfg.agent))
+			return nil, fmt.Errorf("%w: %s for agent %q", ErrRobotsDenied, startURL, cfg.agent)
 		}
 	}
 
@@ -65,16 +58,16 @@ func (r *Robot) RunCtx(ctx context.Context, startURL string) (*Stats, error) {
 		AdoptClaims: true, // a resumed local crawl owns no live workers
 	})
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
 	r.last = fr
 	if cfg.recrawl {
 		if cfg.store == nil {
-			return fail(errors.New("webbot: WithRecrawl requires WithFrontier"))
+			return nil, errors.New("webbot: WithRecrawl requires WithFrontier")
 		}
 		if fr.Counts().Done > 0 {
 			if err := fr.BeginRecrawl(); err != nil {
-				return fail(err)
+				return nil, err
 			}
 		}
 	}
@@ -92,7 +85,7 @@ func (r *Robot) RunCtx(ctx context.Context, startURL string) (*Stats, error) {
 		// the records where they are.
 		delay := max(cfg.politeness, rules.CrawlDelay(cfg.agent))
 		if err := acquire(ctx, ff, fr, rp.gate, cfg.workers, delay, startURL); err != nil {
-			return fail(err)
+			return nil, err
 		}
 		rp.parent = ff
 		rp.record = fr.Record
@@ -101,15 +94,9 @@ func (r *Robot) RunCtx(ctx context.Context, startURL string) (*Stats, error) {
 	// Stage 2, canonical replay: the seed's recursive traversal over
 	// the records (or live fetches for non-forkable fetchers).
 	if err := rp.crawl(startURL, "", 0); err != nil {
-		return fail(err)
+		return nil, err
 	}
 	st.Elapsed = cfg.clock.Now() - start
-	sp.End()
-	if reg := cfg.telemetry.Registry(); reg != nil {
-		reg.Counter("bot.pages").Add(int64(st.PagesVisited))
-		reg.Counter("bot.bytes").Add(int64(st.BytesFetched))
-		reg.Counter("bot.links").Add(int64(st.LinksChecked))
-	}
 	return st, nil
 }
 

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"tax/internal/cabinet"
-	"tax/internal/telemetry"
 	"tax/internal/vclock"
 	"tax/internal/websim"
 )
@@ -37,9 +36,6 @@ type config struct {
 	ns          string
 	maxAttempts int
 	clock       vclock.Clock
-	telemetry   *telemetry.Telemetry
-	traceID     string
-	spanParent  string
 	err         error // first option error, surfaced by RunCtx
 }
 
@@ -149,16 +145,6 @@ func WithRetries(n int) Option {
 // fresh virtual clock).
 func WithClock(clock vclock.Clock) Option {
 	return func(c *config) { c.clock = clock }
-}
-
-// WithTelemetry publishes crawl counters and spans to tel.
-func WithTelemetry(tel *telemetry.Telemetry) Option {
-	return func(c *config) { c.telemetry = tel }
-}
-
-// WithTrace threads an existing trace through the crawl span.
-func WithTrace(traceID, spanParent string) Option {
-	return func(c *config) { c.traceID, c.spanParent = traceID, spanParent }
 }
 
 func buildConfig(opts []Option) config {

@@ -99,8 +99,8 @@ func (s *Stats) RejectedByPrefix() []LinkReport {
 // Robot is a web robot: it crawls through whatever fetcher it is given
 // — a local or remote websim client, which is exactly the difference
 // the paper's experiment measures. Build one with New; its options fix
-// the constraints, the clock charged for parsing, the worker count and
-// the telemetry for the robot's lifetime.
+// the constraints, the clock charged for parsing and the worker count
+// for the robot's lifetime.
 type Robot struct {
 	fetcher websim.Fetcher
 	cfg     config

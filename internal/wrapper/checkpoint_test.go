@@ -10,6 +10,8 @@ import (
 	"tax/internal/agent"
 	"tax/internal/briefcase"
 	"tax/internal/core"
+	"tax/internal/firewall"
+	"tax/internal/rearguard"
 	"tax/internal/uri"
 	"tax/internal/wrapper"
 )
@@ -213,12 +215,27 @@ func TestCrashRecoveryFromCheckpoint(t *testing.T) {
 		t.Fatalf("crashed agent's snapshot missing: %v", err)
 	}
 
-	// Home recovers the agent from the snapshot taken before the move to
-	// h2: it resumes with h2's work re-done at home... the snapshot was
-	// the state *sent to* h2, so the recovered agent replays h2's visit
-	// from the recovery host and then continues to h3.
-	if _, err := home.Recover("system", "tour", "tour", ckpt); err != nil {
-		t.Fatalf("recover: %v", err)
+	// A home guard recovers the agent from the snapshot taken before the
+	// move to h2: it resumes with h2's work re-done at home... the
+	// snapshot was the state *sent to* h2, so the recovered agent replays
+	// h2's visit from the recovery host and then continues to h3. The
+	// tour sends no beacon reports, so one recovery is the guard's whole
+	// budget: report silence afterwards ends it without a relaunch.
+	g, err := rearguard.NewGuard(rearguard.Config{
+		FW: home.FW,
+		Launch: func(p, n, prog string, bc *briefcase.Briefcase) (*firewall.Registration, error) {
+			return home.VM.Launch(p, n, prog, bc)
+		},
+		Program:       "tour",
+		Checkpoint:    ckpt,
+		MaxRecoveries: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(g.Close)
+	if !g.Resume("crash on h2") {
+		t.Fatalf("recover: %v", g.Wait(time.Second))
 	}
 	select {
 	case v := <-finished:

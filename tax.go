@@ -44,8 +44,6 @@
 package tax
 
 import (
-	"context"
-
 	"tax/internal/agent"
 	"tax/internal/briefcase"
 	"tax/internal/core"
@@ -164,22 +162,9 @@ func RunItinerary(ctx *Context, visit func(*Context) error) error {
 	return agent.RunItinerary(ctx, visit)
 }
 
-// RunItineraryContext is RunItinerary with cancellation: a cancelled
-// context stops the tour on the current host; the briefcase keeps its
-// remaining HOSTS so a later call can resume.
-func RunItineraryContext(ctx context.Context, ac *Context, visit func(*Context) error) error {
-	return agent.RunItineraryContext(ctx, ac, visit)
-}
-
 // SendStream ships a large payload as a chunked briefcase stream.
 func SendStream(ctx *Context, target, streamID string, data []byte, chunkSize int) error {
 	return agent.SendStream(ctx, target, streamID, data, chunkSize)
-}
-
-// SendStreamContext is SendStream with cancellation, checked between
-// chunks so a large transfer stops promptly.
-func SendStreamContext(ctx context.Context, ac *Context, target, streamID string, data []byte, chunkSize int) error {
-	return agent.SendStreamContext(ctx, ac, target, streamID, data, chunkSize)
 }
 
 // Link profiles for NewSystem (calibrated in EXPERIMENTS.md).
