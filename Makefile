@@ -4,7 +4,7 @@ GO ?= go
 # chaos stress tests drive (internal/chaostest/parallel_test.go).
 CHAOS_PARALLEL ?= 16
 
-.PHONY: all build vet test race check ci chaos determinism frontier-sweep allocs fuzz-short policy-fuzz bench bench-check obsv-demo loc clean
+.PHONY: all build vet test race check ci chaos determinism frontier-sweep allocs e1-profile fuzz-short policy-fuzz bench bench-check obsv-demo loc clean
 
 all: check
 
@@ -137,6 +137,22 @@ allocs:
 			-test.benchtime 1000x -test.benchmem -test.memprofilerate 1 \
 			-test.memprofile "$$dir/$$b.mem") || exit 1; \
 		$(GO) tool pprof -top -sample_index=alloc_objects "$$dir/pkg.test" "$$dir/$$b.mem" | head -30; \
+	done
+
+# e1-profile prices the case study's CPU, function by function: it runs
+# BenchmarkRunE1 (one e1_scan op: linkmine.Run, stationary then mobile)
+# and BenchmarkRunFrontierFleet (one fleet_crawl op) from
+# internal/linkmine on 2 CPUs for 5 s each, with a CPU profile into a
+# temporary directory, and prints `go tool pprof -top -cum` with only the
+# tax/internal frames shown: a row's cum% is its share of the op's
+# sampled CPU, callees included.
+e1-profile:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) test -c -o "$$dir/pkg.test" ./internal/linkmine && \
+	for b in RunE1 RunFrontierFleet; do \
+		(cd internal/linkmine && "$$dir/pkg.test" -test.run '^$$' -test.bench "^Benchmark$$b\$$" \
+			-test.benchtime 5s -test.cpu 2 -test.cpuprofile "$$dir/$$b.cpu") || exit 1; \
+		$(GO) tool pprof -top -cum -show 'tax/internal' "$$dir/pkg.test" "$$dir/$$b.cpu" 2>/dev/null | head -40; \
 	done
 
 # fuzz-short runs the wire-format fuzzers briefly — enough to exercise

@@ -102,7 +102,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		bin, err := services.CompileBinary(stageSource(stage), n.Arch, services.DefaultImageSize)
+		bin, err := services.CompileBinary(stageSource(stage), n.Arch)
 		if err != nil {
 			return err
 		}

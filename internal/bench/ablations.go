@@ -41,7 +41,7 @@ func Figure3() (*Table, error) {
 		}
 		source := "// program: cagent\nint agMain(briefcase bc) { }\n"
 		ran := make(chan time.Duration, 1)
-		bin, err := services.CompileBinary(source, n.Arch, 0)
+		bin, err := services.CompileBinary(source, n.Arch)
 		if err != nil {
 			return nil, err
 		}

@@ -167,7 +167,8 @@ type System struct {
 	Net *simnet.Network
 	// Trust is the deployment-wide trust store (every node consults it).
 	Trust *identity.TrustStore
-	// SystemPrincipal signs system-launched agents and VM transfers.
+	// SystemPrincipal signs the cores of system agents when they first
+	// leave their host, and the cores vm_c compiles.
 	SystemPrincipal *identity.Principal
 
 	mu          sync.Mutex
@@ -589,23 +590,16 @@ func (s *System) DeployProgram(name string, h vm.Handler) {
 }
 
 // DeployBinary installs a binary on every node: all hosts of one
-// architecture hold the bit-identical synthetic image (vm.SyntheticImage
-// is deterministic, so it is computed once per architecture and shared
-// read-only) but each binds its own handler closure, which is how
+// architecture hold the one shared, read-only image vm.SyntheticImage
+// lends, but each binds its own handler closure, which is how
 // pre-deployed code captures host-local resources.
 func (s *System) DeployBinary(name, version string, size int, mkHandler func(n *Node) vm.Handler) {
-	images := make(map[string][]byte)
 	for _, n := range s.Nodes() {
-		img, ok := images[n.Arch]
-		if !ok {
-			img = vm.SyntheticImage(name, n.Arch, version, size)
-			images[n.Arch] = img
-		}
 		n.Binaries.Deploy(vm.Binary{
 			Name:    name,
 			Arch:    n.Arch,
 			Version: version,
-			Payload: img,
+			Payload: vm.SyntheticImage(name, n.Arch, version, size),
 			Handler: mkHandler(n),
 		})
 	}

@@ -176,6 +176,33 @@ func TestDeployBinaryImageOncePerArch(t *testing.T) {
 	}
 }
 
+// TestDeployBinaryConcurrentSystems: two systems deploying the same
+// binary at once, the first to ask for its image, both get the one
+// image, byte-equal on every node. Under -race this is the memo's
+// concurrency check.
+func TestDeployBinaryConcurrentSystems(t *testing.T) {
+	systems := []*System{newSystem(t, NodeOptions{NoCVM: true}, "a1", "a2"), newSystem(t, NodeOptions{NoCVM: true}, "b1")}
+	var wg sync.WaitGroup
+	for _, s := range systems {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.DeployBinary("concurrent", "1.0", 8192, func(*Node) vm.Handler {
+				return func(*agent.Context) error { return nil }
+			})
+		}()
+	}
+	wg.Wait()
+	want := vm.SyntheticImage("concurrent", vm.DefaultArch, "1.0", 8192)
+	for _, s := range systems {
+		for _, n := range s.Nodes() {
+			if b, ok := n.Binaries.Resolve("concurrent", n.Arch); !ok || !bytes.Equal(b.Payload, want) {
+				t.Errorf("%s: deployed payload differs from SyntheticImage (deployed %v)", n.Name, ok)
+			}
+		}
+	}
+}
+
 // TestInstancePinnedConversation keeps talking to one specific instance
 // among several same-named agents (§3.2: "The instance number may be
 // used if one wishes to make sure one continues to communicate with the

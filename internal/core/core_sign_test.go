@@ -26,15 +26,15 @@ func counterSum(s *System, name string, labels ...string) (sum int64) {
 	return sum
 }
 
-// TestTourSignsTwiceVerifiesFromCache pins what a migration pays for its
+// TestTourSignsOnceVerifiesFromCache pins what a migration pays for its
 // signature. A 12-hop tour over four RequireAuth nodes, whose agent adds
-// its carried image to CODE at the first stop, is signed exactly twice —
-// at launch, and at the first move because the core changed — and never
-// again: the other eleven moves find the arrival's stamp and re-sign
-// nothing. Its twelve arrivals all verify; ed25519 runs for at most one
+// its carried image to CODE at the first stop, is signed exactly once —
+// at the first move, which takes the core off its launch host — and
+// never again: the other eleven moves find the arrival's stamp and
+// re-sign nothing. Its twelve arrivals all verify; ed25519 runs for at most one
 // of them per host (here once — core nodes share the deployment's trust
 // store) and for none on a second tour of the same core.
-func TestTourSignsTwiceVerifiesFromCache(t *testing.T) {
+func TestTourSignsOnceVerifiesFromCache(t *testing.T) {
 	hosts := []string{"h1", "h2", "h3", "h4"}
 	s := newSystem(t, NodeOptions{NoCVM: true, RequireAuth: true}, hosts...)
 	home, _ := s.Node("h1")
@@ -94,8 +94,8 @@ func TestTourSignsTwiceVerifiesFromCache(t *testing.T) {
 	}
 
 	first := tour()
-	if first.signed != 2 {
-		t.Errorf("first tour: %d core signatures, want 2 (launch, first move)", first.signed)
+	if first.signed != 1 {
+		t.Errorf("first tour: %d core signatures, want 1 (the first move)", first.signed)
 	}
 	if first.hit+first.miss != int64(len(itinerary)) || first.fail != 0 {
 		t.Errorf("first tour: verifies hit=%d miss=%d fail=%d, want %d successes", first.hit, first.miss, first.fail, len(itinerary))
@@ -104,13 +104,57 @@ func TestTourSignsTwiceVerifiesFromCache(t *testing.T) {
 		t.Errorf("first tour: %d cache misses, want between 1 and one per host (%d)", first.miss, len(hosts))
 	}
 	second := tour()
-	if want := (counts{signed: 2, hit: int64(len(itinerary))}); second != want {
+	if want := (counts{signed: 1, hit: int64(len(itinerary))}); second != want {
 		t.Errorf("second tour: %+v, want %+v", second, want)
 	}
 	for _, n := range s.Nodes() {
 		if a, e := fwCount(n, "fw.auth_failures"), fwCount(n, "fw.errors"); a != 0 || e != 0 {
 			t.Errorf("%s: auth failures %d, errors %d", n.Name, a, e)
 		}
+	}
+}
+
+// TestBootSignsNothing: booting a RequireAuth system launches every
+// service agent, and none of them is signed, because none leaves its
+// host. The first core that does leave is signed once, on its way out,
+// and the destination admits it.
+func TestBootSignsNothing(t *testing.T) {
+	s := newSystem(t, NodeOptions{RequireAuth: true}, "h1", "h2")
+	signed := func() (sum int64) {
+		for _, v := range []string{"vm_go", "vm_bin", "vm_c"} {
+			sum += counterSum(s, "vm.core_signed", "vm", v)
+		}
+		return sum
+	}
+	if n := signed(); n != 0 {
+		t.Fatalf("boot signed %d cores, want 0", n)
+	}
+	h1, _ := s.Node("h1")
+	arrived := make(chan string, 1)
+	s.DeployProgram("hop", func(ctx *agent.Context) error {
+		if ctx.Host() == "h1" {
+			return ctx.Go("tacoma://h2//vm_go")
+		}
+		arrived <- ctx.Registration().URI().Principal
+		return nil
+	})
+	if _, err := h1.VM.Launch(s.SystemPrincipal.Name(), "hopper", "hop", nil); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case who := <-arrived:
+		if who != s.SystemPrincipal.Name() {
+			t.Errorf("admitted as %q, want %q", who, s.SystemPrincipal.Name())
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the agent never arrived at h2")
+	}
+	if n := signed(); n != 1 {
+		t.Errorf("a one-hop move signed %d cores, want 1", n)
+	}
+	h2, _ := s.Node("h2")
+	if n := fwCount(h2, "fw.auth_failures"); n != 0 {
+		t.Errorf("h2 fw.auth_failures = %d, want 0", n)
 	}
 }
 
@@ -288,7 +332,7 @@ func TestBinArrivalChecksTrustLive(t *testing.T) {
 }
 
 // TestTourHashesOncePerHost pins what a host's digest memo spares a
-// migration. On the tour TestTourSignsTwiceVerifiesFromCache takes, each
+// migration. On the tour TestTourSignsOnceVerifiesFromCache takes, each
 // of the four RequireAuth hosts hashes the arriving core once on the
 // core's first tour, and none does on its second: every later
 // arrival is byte-compared against the memo instead. A crash takes the

@@ -1,9 +1,9 @@
-// Package naming_test checks location-independent naming as a
-// single-node deployment runs it: a one-member directory plane, the name
-// service the location-transparent wrapper binds stable names in. The
-// multi-member cases (replication, failover, misrouted writes) are in
-// internal/directory's plane tests.
-package naming_test
+package directory_test
+
+// These tests check location-independent naming as a single-node
+// deployment runs it: a one-member directory plane, the name service the
+// location-transparent wrapper binds stable names in. The multi-member
+// cases (replication, failover, misrouted writes) are in plane_test.go.
 
 import (
 	"errors"

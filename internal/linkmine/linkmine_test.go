@@ -148,6 +148,17 @@ func TestPaperHeadlineShape(t *testing.T) {
 	}
 }
 
+// BenchmarkRunE1 is one e1_scan op: Run on the paper's 917-page site,
+// a deployment scanned stationary and another scanned by the mobile
+// mwWebbot. `make e1-profile` reads its CPU profile.
+func BenchmarkRunE1(b *testing.B) {
+	for b.Loop() {
+		if _, err := Run(Config{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // msOf is d in milliseconds, as the evaluation tables print it.
 func msOf(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 

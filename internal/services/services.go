@@ -173,15 +173,13 @@ type ExecConfig struct {
 	// Store is the host's deployed-binary inventory used to resolve and
 	// verify execution requests.
 	Store *vm.BinaryStore
-	// ImageSize sizes the synthetic images the toy compiler emits; zero
-	// means 64 KiB — the carried Webbot-class binary of the case study.
-	ImageSize int
 	// Trace receives instrumentation events.
 	Trace func(string)
 }
 
-// DefaultImageSize is the synthetic binary image size (64 KiB).
-const DefaultImageSize = 64 << 10
+// imageSize is the size of the synthetic images the toy compiler emits:
+// 64 KiB, the carried Webbot-class binary of the case study.
+const imageSize = 64 << 10
 
 // ProgramName extracts the program a toy-C source denotes: the first
 // line of the form "// program: <name>". The toy compiler is
@@ -204,13 +202,10 @@ func ProgramName(source string) (string, error) {
 // CompileBinary produces the deterministic binary image for a toy-C
 // source targeting arch. Deployment-time registration uses the same
 // function, so carried and deployed images are bit-identical.
-func CompileBinary(source, arch string, imageSize int) (vm.Binary, error) {
+func CompileBinary(source, arch string) (vm.Binary, error) {
 	name, err := ProgramName(source)
 	if err != nil {
 		return vm.Binary{}, err
-	}
-	if imageSize <= 0 {
-		imageSize = DefaultImageSize
 	}
 	return vm.Binary{
 		Name:    name,
@@ -230,9 +225,6 @@ func CompileBinary(source, arch string, imageSize int) (vm.Binary, error) {
 func NewAgExec(cfg ExecConfig) vm.Handler {
 	if cfg.Arch == "" {
 		cfg.Arch = vm.DefaultArch
-	}
-	if cfg.ImageSize == 0 {
-		cfg.ImageSize = DefaultImageSize
 	}
 	emit := func(format string, args ...any) {
 		if cfg.Trace != nil {
@@ -256,7 +248,7 @@ func NewAgExec(cfg ExecConfig) vm.Handler {
 				emit("running %s for %s", compiler, arch)
 				// Charge the simulated compiler run time.
 				ctx.Charge(time.Duration(len(source)) * CompileCost)
-				bin, err := CompileBinary(source, arch, cfg.ImageSize)
+				bin, err := CompileBinary(source, arch)
 				if err != nil {
 					return nil, err
 				}

@@ -79,22 +79,22 @@ func TestProgramName(t *testing.T) {
 
 func TestCompileBinaryDeterministic(t *testing.T) {
 	src := "// program: tool\nbody"
-	a, err := services.CompileBinary(src, "archA", 4096)
+	a, err := services.CompileBinary(src, "archA")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := services.CompileBinary(src, "archA", 4096)
+	b, err := services.CompileBinary(src, "archA")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Manifest() != b.Manifest() || string(a.Payload) != string(b.Payload) {
 		t.Error("same source, different binaries")
 	}
-	c, _ := services.CompileBinary(src, "archB", 4096)
+	c, _ := services.CompileBinary(src, "archB")
 	if string(a.Payload) == string(c.Payload) {
 		t.Error("different arch, same payload")
 	}
-	if _, err := services.CompileBinary("no directive", "a", 0); err == nil {
+	if _, err := services.CompileBinary("no directive", "a"); err == nil {
 		t.Error("directiveless source compiled")
 	}
 }
@@ -223,7 +223,7 @@ func TestAgExecCompile(t *testing.T) {
 		t.Errorf("compiled: %+v", bins)
 	}
 	// The compiled image matches what deployment-time compilation yields.
-	want, _ := services.CompileBinary(src, n.Arch, services.DefaultImageSize)
+	want, _ := services.CompileBinary(src, n.Arch)
 	if string(bins[0].Payload) != string(want.Payload) {
 		t.Error("compiler output is not deterministic across sites")
 	}

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"tax/internal/agent"
@@ -160,12 +161,34 @@ func (s *BinaryStore) Execute(carried Binary) (Handler, error) {
 	return dep.Handler, nil
 }
 
-// SyntheticImage generates the deterministic simulated binary bytes for a
+// imageKey names one synthetic image; images memoises them per process.
+type imageKey struct {
+	name, arch, version string
+	size                int
+}
+
+var images sync.Map // imageKey -> []byte
+
+// maxImageBytes bounds the memo: ag_exec compiles images for whatever
+// program names and architectures its requests carry, so past this many
+// kept bytes a miss is built and returned but not kept.
+const maxImageBytes = 64 << 20
+
+var imageBytes atomic.Int64 // bytes of the misses offered to the memo
+
+// SyntheticImage returns the deterministic simulated binary bytes for a
 // program: every host deploying the same (name, arch, version, size)
 // holds an identical image, and the toy compiler regenerates the same
 // bytes, so carried and deployed images match exactly when — and only
-// when — they denote the same program.
+// when — they denote the same program. Each image is built once per
+// process (until the memo holds maxImageBytes) and then lent to every
+// caller: the bytes are shared and read-only, and a caller that wants to
+// change them copies them first.
 func SyntheticImage(name, arch, version string, size int) []byte {
+	key := imageKey{name, arch, version, size}
+	if img, ok := images.Load(key); ok {
+		return img.([]byte)
+	}
 	// Each block hashes seed ‖ offset from one buffer: the seed half is
 	// written once and only the offset changes.
 	var in [sha256.Size + 8]byte
@@ -177,7 +200,11 @@ func SyntheticImage(name, arch, version string, size int) []byte {
 		block := sha256.Sum256(in[:])
 		copy(out[off:], block[:])
 	}
-	return out
+	if imageBytes.Add(int64(size)) > maxImageBytes {
+		return out
+	}
+	img, _ := images.LoadOrStore(key, out)
+	return img.([]byte)
 }
 
 // BinConfig parameterizes a BinVM.

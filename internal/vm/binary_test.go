@@ -162,13 +162,31 @@ func TestSyntheticImagePinned(t *testing.T) {
 	}
 }
 
-// TestSyntheticImageAllocs: one allocation for the seed string and one
-// for the image, however many blocks it has.
+// TestSyntheticImageAllocs: a memo hit costs nothing and lends the image
+// the miss built.
 func TestSyntheticImageAllocs(t *testing.T) {
+	img := SyntheticImage("mwWebbot", "x86", "1.0", 64<<10)
 	if n := testing.AllocsPerRun(20, func() {
-		SyntheticImage("mwWebbot", "x86", "1.0", 64<<10)
-	}); n > 2 {
-		t.Errorf("SyntheticImage: %.0f allocs per 64 KiB image, want at most 2", n)
+		if hit := SyntheticImage("mwWebbot", "x86", "1.0", 64<<10); &hit[0] != &img[0] {
+			t.Fatal("a memo hit returned a fresh image")
+		}
+	}); n != 0 {
+		t.Errorf("SyntheticImage: %.0f allocs per memo hit, want 0", n)
+	}
+}
+
+// TestSyntheticImageMemoBounded: once the memo holds its bound, a miss
+// is built and returned but not kept, so requests naming ever new
+// programs cannot grow it.
+func TestSyntheticImageMemoBounded(t *testing.T) {
+	defer imageBytes.Store(imageBytes.Swap(maxImageBytes))
+	a := SyntheticImage("unkept", "x86", "1.0", 64)
+	b := SyntheticImage("unkept", "x86", "1.0", 64)
+	if _, kept := images.Load(imageKey{"unkept", "x86", "1.0", 64}); kept || &a[0] == &b[0] {
+		t.Error("a miss past the bound was kept")
+	}
+	if !bytes.Equal(a, b) {
+		t.Error("two builds of one image differ")
 	}
 }
 

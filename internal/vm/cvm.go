@@ -153,7 +153,8 @@ func (v *CVM) activate(ctx *agent.Context, self *firewall.Registration, bc *brie
 	compiled.Drop(FolderArch)
 	compiled.Drop(FolderCompiler)
 	compiled.Drop(firewall.FolderReplyTo)
-	signCore(compiled, v.cfg.Signer, v.rt.ctrSigned)
+	firewall.SignCore(compiled, v.cfg.Signer)
+	v.rt.ctrSigned.Inc()
 	v.rt.tracef("step 7: activate via %s", v.cfg.BinVM)
 	return v.cfg.FW.Send(self.GlobalURI(), compiled)
 }

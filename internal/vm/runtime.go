@@ -55,7 +55,7 @@ type runtime struct {
 	// telemetry is on, so the disabled path never reads the wall clock).
 	ctrActivated *telemetry.Counter
 	ctrRejected  *telemetry.Counter
-	ctrSigned    *telemetry.Counter // vm.core_signed, see signCore
+	ctrSigned    *telemetry.Counter // vm.core_signed, see signTransfer
 	histRun      *telemetry.Histogram
 
 	mu     sync.Mutex
@@ -209,9 +209,10 @@ func scrubTransferFolders(bc *briefcase.Briefcase) {
 }
 
 // Launch starts a fresh agent on this VM: the loader resolves program
-// and readies the briefcase to carry it, the core is signed when the
-// agent acts for the VM's signer, and the handler runs on its own
-// goroutine.
+// and readies the briefcase to carry it, and the handler runs on its own
+// goroutine. The core is not signed here: signTransfer signs it on the
+// first move or spawn that takes it off this host, so an agent that never
+// leaves never pays for a signature.
 func (rt *runtime) Launch(principal, name, program string, bc *briefcase.Briefcase) (*firewall.Registration, error) {
 	if bc == nil {
 		bc = briefcase.New()
@@ -219,9 +220,6 @@ func (rt *runtime) Launch(principal, name, program string, bc *briefcase.Briefca
 	h, err := rt.load.prepare(program, bc)
 	if err != nil {
 		return nil, err
-	}
-	if rt.signer != nil && principal == rt.signer.Name() {
-		signCore(bc, rt.signer, rt.ctrSigned)
 	}
 	return rt.start(principal, name, program, h, bc, false)
 }
@@ -419,22 +417,18 @@ func (rt *runtime) Move(c *agent.Context, dest uri.URI, spawn bool) (uint64, err
 // stamp for that principal goes out untouched: the stamp says CODE,
 // BINARIES, _PRINCIPAL and _SIGNATURE are exactly as they were when that
 // signature was made or verified, so there is nothing to re-sign. An
-// unstamped, modified or cloned core is hashed and signed.
+// unstamped core — one leaving the host it was launched on for the first
+// time, or modified or cloned since — is hashed and signed.
 func signTransfer(bc *briefcase.Briefcase, principal string, signer *identity.Principal, signed *telemetry.Counter) {
 	if signer != nil && principal == signer.Name() {
 		if _, by, ok := bc.CoreStamp(); !ok || by != principal {
-			signCore(bc, signer, signed)
+			firewall.SignCore(bc, signer)
+			signed.Inc()
 		}
 		return
 	}
 	bc.SetString(briefcase.FolderSysPrincipal, principal)
 	bc.Drop(briefcase.FolderSysSignature)
-}
-
-// signCore signs bc's core as signer and counts the signature.
-func signCore(bc *briefcase.Briefcase, signer *identity.Principal, signed *telemetry.Counter) {
-	firewall.SignCore(bc, signer)
-	signed.Inc()
 }
 
 // Agents returns the instance numbers of agents currently hosted.
