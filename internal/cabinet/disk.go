@@ -48,17 +48,14 @@ type DiskConfig struct {
 	// knob the durability benchmark sweeps: it prices every committed
 	// cabinet transaction.
 	SyncLatency time.Duration
-	// ReadBandwidth is the sequential read throughput in bytes/second
-	// used to price recovery scans (default 500 MB/s).
-	ReadBandwidth float64
 }
 
 // DefaultSyncLatency is the fsync cost when DiskConfig leaves it zero.
 const DefaultSyncLatency = 500 * time.Microsecond
 
-// DefaultReadBandwidth is the recovery-scan read throughput when
-// DiskConfig leaves it zero.
-const DefaultReadBandwidth = 500e6
+// readBandwidth is the sequential read throughput, in bytes/second,
+// that prices recovery scans.
+const readBandwidth = 500e6
 
 // dfile is one file: its live content, of which the first durable bytes
 // survive a crash and the rest is the unsynced page-cache tail. Durable
@@ -92,9 +89,6 @@ func NewDisk(cfg DiskConfig) *Disk {
 	}
 	if cfg.SyncLatency == 0 {
 		cfg.SyncLatency = DefaultSyncLatency
-	}
-	if cfg.ReadBandwidth == 0 {
-		cfg.ReadBandwidth = DefaultReadBandwidth
 	}
 	return &Disk{cfg: cfg, files: make(map[string]*dfile)}
 }
@@ -302,7 +296,7 @@ func (d *Disk) Reopen() time.Duration {
 	for _, f := range d.files {
 		total += f.durable
 	}
-	cost := time.Duration(float64(total) / d.cfg.ReadBandwidth * float64(time.Second))
+	cost := time.Duration(float64(total) / readBandwidth * float64(time.Second))
 	clock := d.cfg.Clock
 	d.mu.Unlock()
 	clock.Advance(cost)

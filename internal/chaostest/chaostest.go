@@ -21,8 +21,6 @@ import (
 
 	"tax/internal/agent"
 	"tax/internal/core"
-	"tax/internal/faults"
-	"tax/internal/firewall"
 )
 
 // Stops is the fixed 3-hop itinerary every scenario drives.
@@ -34,18 +32,14 @@ const (
 	ckptPath = "/ckpt/chaos"
 )
 
-// Scenario is one chaos run: a seed, message-level fault probabilities,
-// and optional scheduled events (crashes, partitions) in virtual time.
+// Scenario is one chaos run: a seed, message-level fault probabilities
+// and an optional stop crash.
 type Scenario struct {
 	// Seed drives the fault plan; same scenario, same seed, same faults.
 	Seed int64
-	// Drop, Duplicate, Delay, Corrupt are per-transfer probabilities
-	// (see faults.Config).
-	Drop, Duplicate, Delay, Corrupt float64
-	// MaxDelay bounds injected jitter (default faults.Config's).
-	MaxDelay time.Duration
-	// Events are scheduled topology faults in virtual time.
-	Events []faults.Event
+	// Drop, Duplicate, Delay are per-transfer probabilities (see
+	// faults.Config).
+	Drop, Duplicate, Delay float64
 	// CrashOnArrival names a stop whose first visit crashes its host
 	// (transport-level) mid-visit — the rear-guard's canonical prey.
 	CrashOnArrival string
@@ -56,11 +50,6 @@ type Scenario struct {
 	RestartDelay time.Duration
 	// HopDeadline is the guard's silence threshold (default 500ms).
 	HopDeadline time.Duration
-	// MaxRecoveries bounds guard relaunches (default 5).
-	MaxRecoveries int
-	// Retry is the itinerary briefcase's _RETRY policy (default 8
-	// attempts, 200µs backoff).
-	Retry firewall.RetryPolicy
 	// WaitTimeout bounds the whole run (default 20s); expiry surfaces
 	// as rearguard.ErrWaitTimeout in Result.Err, never as a test hang.
 	WaitTimeout time.Duration

@@ -27,8 +27,8 @@ const ckptKey = "cab/" + ckptPath
 // CrashPointScenario configures one crash-point sweep. Its Scenario
 // supplies the seed, the message faults layered on top of the crash
 // (zero runs the sweep on a clean network) and the guard's timeouts;
-// MaxRecoveries defaults to 8 and RestartDelay, how long the home host
-// stays down, to 50ms. Observability has no use here (the sweep returns
+// RestartDelay, how long the home host stays down, defaults to 50ms, and
+// a guard relaunches at most 8 times. Observability has no use here (the sweep returns
 // no timeline), and CrashOnArrival adds a stop crash on top of the
 // home host's; no sweep in the tree sets either.
 type CrashPointScenario struct {
@@ -42,11 +42,12 @@ type CrashPointScenario struct {
 	// snapshots). The durability benchmark sweeps them.
 	FsyncCost     time.Duration
 	SnapshotEvery int
-	// MaxPoints bounds the sweep (default 64); the sweep also ends at
-	// the first run whose k-th append was never reached, because the
-	// itinerary completed with fewer WAL writes.
-	MaxPoints int
 }
+
+// maxCrashPoints bounds a crash-point sweep; the sweep also ends at the
+// first run whose k-th append (or pre-sync point) was never reached,
+// because the run completed with fewer WAL writes.
+const maxCrashPoints = 64
 
 // CrashPoint is the outcome of one run crashed at the k-th WAL append.
 type CrashPoint struct {
@@ -91,14 +92,11 @@ func (p CrashPoint) Completed() bool {
 }
 
 // RunCrashPoints sweeps crash points k = 1, 2, ... until a run
-// completes without reaching its k-th WAL append (or MaxPoints), and
+// completes without reaching its k-th WAL append (or maxCrashPoints), and
 // returns one CrashPoint per run.
 func RunCrashPoints(sc CrashPointScenario) ([]CrashPoint, error) {
-	if sc.MaxPoints <= 0 {
-		sc.MaxPoints = 64
-	}
 	var points []CrashPoint
-	for k := 1; k <= sc.MaxPoints; k++ {
+	for k := 1; k <= maxCrashPoints; k++ {
 		p, err := runCrashPoint(sc, k)
 		if err != nil {
 			return points, err
@@ -114,9 +112,6 @@ func RunCrashPoints(sc CrashPointScenario) ([]CrashPoint, error) {
 // runCrashPoint executes one guarded itinerary, crashing the home host
 // at its k-th cabinet WAL append.
 func runCrashPoint(sc CrashPointScenario, k int) (CrashPoint, error) {
-	if sc.MaxRecoveries <= 0 {
-		sc.MaxRecoveries = 8
-	}
 	if sc.RestartDelay <= 0 {
 		sc.RestartDelay = 50 * time.Millisecond
 	}
@@ -130,6 +125,7 @@ func runCrashPoint(sc CrashPointScenario, k int) (CrashPoint, error) {
 		return CrashPoint{}, err
 	}
 	defer w.s.Close()
+	w.maxRecoveries = 8
 
 	// The crash trigger: the k-th WAL append on the home cabinet tears
 	// the in-flight tail (Torn mode), kills the machine, and freezes the

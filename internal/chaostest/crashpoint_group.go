@@ -33,9 +33,6 @@ type GroupCrashScenario struct {
 	Torn bool
 	// FsyncCost prices each shared fsync on the virtual clock.
 	FsyncCost time.Duration
-	// MaxPoints bounds the sweep (default 64); the sweep also ends at
-	// the first run whose k-th pre-sync point was never reached.
-	MaxPoints int
 }
 
 // GroupCrashPoint is the outcome of one run crashed at the k-th
@@ -73,7 +70,7 @@ func gcValue(key string) []byte {
 }
 
 // RunGroupCrashPoints sweeps crash points k = 1, 2, ... until a run
-// completes without reaching its k-th pre-sync point (or MaxPoints),
+// completes without reaching its k-th pre-sync point (or maxCrashPoints),
 // returning one GroupCrashPoint per run.
 func RunGroupCrashPoints(sc GroupCrashScenario) []GroupCrashPoint {
 	if sc.Committers <= 0 {
@@ -82,11 +79,8 @@ func RunGroupCrashPoints(sc GroupCrashScenario) []GroupCrashPoint {
 	if sc.TxnsPer <= 0 {
 		sc.TxnsPer = 4
 	}
-	if sc.MaxPoints <= 0 {
-		sc.MaxPoints = 64
-	}
 	var points []GroupCrashPoint
-	for k := 1; k <= sc.MaxPoints; k++ {
+	for k := 1; k <= maxCrashPoints; k++ {
 		p := runGroupCrashPoint(sc, k)
 		points = append(points, p)
 		if !p.Crashed {

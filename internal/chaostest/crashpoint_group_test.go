@@ -36,7 +36,7 @@ func assertGroupCrashPoints(t *testing.T, points []GroupCrashPoint) {
 		t.Fatal("sweep never crashed: the pre-sync hook is not firing")
 	}
 	if last := points[len(points)-1]; last.Crashed {
-		t.Logf("sweep stopped at MaxPoints with k=%d still crashing", last.K)
+		t.Logf("sweep stopped at maxCrashPoints with k=%d still crashing", last.K)
 	}
 }
 

@@ -41,7 +41,7 @@ func assertCrashPoints(t *testing.T, points []CrashPoint) {
 		t.Fatal("sweep never crashed: the crash hook is not firing")
 	}
 	if last := points[len(points)-1]; last.Crashed {
-		t.Logf("sweep stopped at MaxPoints with k=%d still crashing", last.K)
+		t.Logf("sweep stopped at maxCrashPoints with k=%d still crashing", last.K)
 	}
 }
 

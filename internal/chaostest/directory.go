@@ -34,8 +34,6 @@ type DirectoryScenario struct {
 	// Moves is how many times each name re-binds after registering
 	// (default 3) — each move is the wrapper's per-hop renewal.
 	Moves int
-	// Workers is the concurrent client-agent count (default 4).
-	Workers int
 	// Drop, Duplicate, Delay are per-transfer fault probabilities.
 	Drop, Duplicate, Delay float64
 	// MaxDelay bounds injected jitter.
@@ -48,11 +46,15 @@ type DirectoryScenario struct {
 	// the plane at the same midpoint, healing after the storm
 	// (partitioned-replica: writes to that shard lose their quorum).
 	PartitionReplica bool
-	// TTL is the plane's lease length; the default (5 virtual minutes)
-	// outlives the storm, and the run's final phase advances the clocks
-	// past it to prove expiry is typed.
-	TTL time.Duration
 }
+
+// dirWorkers is a directory storm's concurrent client-agent count.
+const dirWorkers = 4
+
+// dirTTL is the plane's lease length: it outlives the storm, and the
+// run's final phase advances the clocks past it to prove expiry is
+// typed.
+const dirTTL = 5 * time.Minute
 
 // DirectoryResult is the outcome of one directory chaos run. The
 // invariant fields must hold on every seed; the counters describe the
@@ -134,12 +136,6 @@ func RunDirectory(sc DirectoryScenario) (DirectoryResult, error) {
 	if sc.Moves <= 0 {
 		sc.Moves = 3
 	}
-	if sc.Workers <= 0 {
-		sc.Workers = 4
-	}
-	if sc.TTL <= 0 {
-		sc.TTL = 5 * time.Minute
-	}
 
 	s, err := core.NewSystem(simnet.LAN100)
 	if err != nil {
@@ -149,7 +145,7 @@ func RunDirectory(sc DirectoryScenario) (DirectoryResult, error) {
 	ring, err := s.EnableDirectory(core.DirectoryConfig{
 		Nodes:      DirNodes,
 		Replicas:   2,
-		TTL:        sc.TTL,
+		TTL:        dirTTL,
 		AckTimeout: 400 * time.Millisecond,
 	})
 	if err != nil {
@@ -207,7 +203,7 @@ func RunDirectory(sc DirectoryScenario) (DirectoryResult, error) {
 	// the scheduled faults fire while the second half's writes are in
 	// flight.
 	var halfway sync.WaitGroup
-	halfway.Add(sc.Workers)
+	halfway.Add(dirWorkers)
 	faulted := make(chan struct{})
 	go func() {
 		halfway.Wait()
@@ -225,7 +221,7 @@ func RunDirectory(sc DirectoryScenario) (DirectoryResult, error) {
 	}()
 
 	var wg sync.WaitGroup
-	for w := 0; w < sc.Workers; w++ {
+	for w := 0; w < dirWorkers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -235,7 +231,7 @@ func RunDirectory(sc DirectoryScenario) (DirectoryResult, error) {
 			}
 			ctx := agent.NewContext(cn.FW, reg, briefcase.New(), nil, nil)
 			half := false
-			for i := w; i < sc.Names; i += sc.Workers {
+			for i := w; i < sc.Names; i += dirWorkers {
 				if !half && i >= sc.Names/2 {
 					half = true
 					halfway.Done()
@@ -345,7 +341,7 @@ func RunDirectory(sc DirectoryScenario) (DirectoryResult, error) {
 	// TTL on every member, and the probes must come back as the typed
 	// ns_expired — never the dead location, never an untyped string.
 	for _, node := range members {
-		node.Host.Charge(sc.TTL + time.Second)
+		node.Host.Charge(dirTTL + time.Second)
 	}
 	res.ExpiredTyped = true
 	probeReg, err := cn.FW.Register("test", "system", "expiry-probe")

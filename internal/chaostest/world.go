@@ -17,19 +17,23 @@ import (
 	"tax/internal/wrapper"
 )
 
+// tourRetry is the itinerary briefcase's _RETRY policy.
+var tourRetry = firewall.RetryPolicy{Attempts: 8, Backoff: 200 * time.Microsecond}
+
 // world is the guarded-tour deployment every tour entry point drives:
 // home plus Stops, one fault plan bound to the network, a beacon and one
 // checkpoint wrapper per agent, and one program whose visit effects are
 // idempotent per (agent, stop) — the discipline that turns
 // at-least-once execution into exactly-once outcomes.
 type world struct {
-	sc    Scenario
-	n     int    // agents
-	store string // home service holding the checkpoints: ag_fs or ag_cabinet
-	s     *core.System
-	home  *core.Node
-	plan  *faults.Plan
-	twr   *tower.Collector // nil unless sc.Observability
+	sc            Scenario
+	n             int    // agents
+	store         string // home service holding the checkpoints: ag_fs or ag_cabinet
+	maxRecoveries int    // each guard's relaunch bound
+	s             *core.System
+	home          *core.Node
+	plan          *faults.Plan
+	twr           *tower.Collector // nil unless sc.Observability
 
 	mu       sync.Mutex
 	attempts map[visit]int // every execution, replays included
@@ -47,12 +51,6 @@ func newWorld(sc Scenario, n int, store string, opts core.NodeOptions) (*world, 
 	if sc.HopDeadline <= 0 {
 		sc.HopDeadline = 500 * time.Millisecond
 	}
-	if sc.MaxRecoveries <= 0 {
-		sc.MaxRecoveries = 5
-	}
-	if !sc.Retry.Enabled() {
-		sc.Retry = firewall.RetryPolicy{Attempts: 8, Backoff: 200 * time.Microsecond}
-	}
 	if sc.WaitTimeout <= 0 {
 		sc.WaitTimeout = 20 * time.Second
 	}
@@ -61,7 +59,7 @@ func newWorld(sc Scenario, n int, store string, opts core.NodeOptions) (*world, 
 		return nil, err
 	}
 	w := &world{
-		sc: sc, n: n, store: store, s: s,
+		sc: sc, n: n, store: store, s: s, maxRecoveries: 5,
 		attempts: make(map[visit]int),
 		effects:  make(map[visit]int),
 		skipped:  make(map[string][]string),
@@ -86,31 +84,7 @@ func newWorld(sc Scenario, n int, store string, opts core.NodeOptions) (*world, 
 		Drop:      sc.Drop,
 		Duplicate: sc.Duplicate,
 		Delay:     sc.Delay,
-		MaxDelay:  sc.MaxDelay,
-		Corrupt:   sc.Corrupt,
 	})
-	if w.twr != nil {
-		// Scheduled topology faults journal as they apply. Crash/restart are
-		// skipped: the core crash/restart hooks already journal those, and a
-		// double entry would shift the rendered timeline.
-		w.plan.SetApplyObserver(func(ev faults.Event) {
-			if ev.Op == faults.OpCrash || ev.Op == faults.OpRestart {
-				return
-			}
-			detail := ""
-			if ev.B != "" {
-				detail = "peer=" + ev.B
-			}
-			w.twr.Record(tower.Entry{
-				Time:   ev.At,
-				Host:   ev.A,
-				Kind:   tower.KindFault,
-				Name:   ev.Op,
-				Detail: detail,
-			})
-		})
-	}
-	w.plan.Schedule(sc.Events...)
 	w.plan.Bind(s.Net)
 
 	for i := 0; i < n; i++ {
@@ -119,7 +93,7 @@ func newWorld(sc Scenario, n int, store string, opts core.NodeOptions) (*world, 
 			return &wrapper.Checkpoint{
 				StoreURI: "tacoma://" + home + "//" + store,
 				Path:     path,
-				Retry:    sc.Retry,
+				Retry:    tourRetry,
 			}
 		})
 	}
@@ -184,7 +158,7 @@ func (w *world) guard(i int) (*rearguard.Guard, error) {
 		Checkpoint:      ckpt,
 		Store:           w.store,
 		HopDeadline:     w.sc.HopDeadline,
-		MaxRecoveries:   w.sc.MaxRecoveries,
+		MaxRecoveries:   w.maxRecoveries,
 		ReinsertLastHop: true,
 	})
 }
@@ -202,7 +176,7 @@ func (w *world) briefcase(i int) *briefcase.Briefcase {
 	for _, stop := range Stops {
 		stops.AppendString(stopURI(stop))
 	}
-	firewall.SetRetryPolicy(bc, w.sc.Retry)
+	firewall.SetRetryPolicy(bc, tourRetry)
 	return bc
 }
 

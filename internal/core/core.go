@@ -47,8 +47,6 @@ type NodeOptions struct {
 	// DedupWindow enables inbound duplicate-frame suppression on the
 	// node's firewall (see firewall.Config.DedupWindow).
 	DedupWindow int
-	// Trace receives kernel instrumentation events.
-	Trace func(event string)
 	// NoServices skips launching the standard service agents.
 	NoServices bool
 	// NoCVM skips the C virtual machine and its compile services.
@@ -430,7 +428,6 @@ func (s *System) boot(name string, tr simnet.Node, clock vclock.Clock, host stri
 		Programs:  node.Programs,
 		Signer:    s.SystemPrincipal,
 		Bypass:    opts.Bypass,
-		Trace:     opts.Trace,
 		PreLaunch: node.Wrappers.PreLaunch(),
 	})
 	if err != nil {
@@ -442,7 +439,6 @@ func (s *System) boot(name string, tr simnet.Node, clock vclock.Clock, host stri
 		Store:     node.Binaries,
 		Trust:     s.Trust,
 		Signer:    s.SystemPrincipal,
-		Trace:     opts.Trace,
 		PreLaunch: node.Wrappers.PreLaunch(),
 	})
 	if err != nil {
@@ -453,7 +449,6 @@ func (s *System) boot(name string, tr simnet.Node, clock vclock.Clock, host stri
 			FW:     fw,
 			Arch:   opts.Arch,
 			Signer: s.SystemPrincipal,
-			Trace:  opts.Trace,
 		})
 		if err != nil {
 			return nil, errors.Join(err, node.Close())
@@ -535,11 +530,10 @@ func (s *System) launchServices(node *Node, opts NodeOptions) error {
 		"ag_exec": services.NewAgExec(services.ExecConfig{
 			Arch:  node.Arch,
 			Store: node.Binaries,
-			Trace: opts.Trace,
 		}),
 	}
 	if !opts.NoCVM {
-		svcs["ag_cc"] = services.NewAgCC("ag_exec", 0, opts.Trace)
+		svcs["ag_cc"] = services.NewAgCC()
 	}
 	if srv := s.directoryServer(node); srv != nil {
 		svcs[directory.ServiceName] = srv.Handler()

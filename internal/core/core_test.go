@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +14,8 @@ import (
 	"tax/internal/firewall"
 	"tax/internal/identity"
 	"tax/internal/simnet"
+	"tax/internal/telemetry"
+	"tax/internal/uri"
 	"tax/internal/vm"
 )
 
@@ -257,15 +260,10 @@ func TestSpawnReportsInstance(t *testing.T) {
 
 func TestFigure3Pipeline(t *testing.T) {
 	// A toy-C agent activates through the full figure-3 chain:
-	// vm_c → ag_cc → ag_exec (compiler) → vm_bin.
-	var mu sync.Mutex
-	var trace []string
-	opts := NodeOptions{Trace: func(e string) {
-		mu.Lock()
-		trace = append(trace, e)
-		mu.Unlock()
-	}}
-	s := newSystem(t, opts, "h1")
+	// vm_c → ag_cc → ag_exec (compiler) → vm_bin, every step a delivery
+	// the firewall mediates and audits.
+	tel := telemetry.New(telemetry.Options{Host: "h1", Events: true})
+	s := newSystem(t, NodeOptions{Telemetry: tel}, "h1")
 	n, _ := s.Node("h1")
 
 	ran := make(chan string, 1)
@@ -296,40 +294,55 @@ func TestFigure3Pipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The audit log must show the figure's staging in order: (1) the
+	// delivery to vm_c, (2) vm_c to ag_cc, (3) ag_cc to ag_exec, (5)
+	// ag_exec's binary back to ag_cc, (6) on to vm_c, (7) vm_c to
+	// vm_bin. A delivery is audited once the receiver holds the
+	// briefcase, so the log is read in handoff order (Time, each local
+	// hop a strictly later instant) and polled until step 7 is in.
+	want := []string{"vm_c", "ag_cc", "ag_exec", "ag_cc", "vm_c", "vm_bin"}
+	var got []string
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		got = figure3Deliveries(t, tel.Events().Snapshot())
+		if len(got) >= len(want) || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("figure-3 deliveries = %v, want %v", got, want)
+	}
 	select {
 	case host := <-ran:
 		if host != "h1" {
 			t.Errorf("agent ran on %s", host)
 		}
 	case <-time.After(10 * time.Second):
-		mu.Lock()
-		t.Fatalf("pipeline stalled; trace:\n%s", strings.Join(trace, "\n"))
+		t.Fatal("compiled agent never ran")
 	}
+}
 
-	// The trace must show the figure's staging in order.
-	mu.Lock()
-	defer mu.Unlock()
-	joined := strings.Join(trace, "\n")
-	steps := []string{
-		"vm_c: step 1: briefcase delivered",
-		"vm_c: step 2: activate ag_cc",
-		"ag_cc: extracted code",
-		"ag_cc: activate ag_exec",
-		"ag_exec: running gcc",
-		"ag_exec: stored binary",
-		"ag_cc: returning binary",
-		"vm_c: step 6: binary returned",
-		"vm_c: step 7: activate via vm_bin",
-		"vm_bin: activated",
-	}
-	idx := 0
-	for _, step := range steps {
-		pos := strings.Index(joined[idx:], step)
-		if pos < 0 {
-			t.Fatalf("missing or out-of-order step %q in trace:\n%s", step, joined)
+// figure3Deliveries lists, in handoff order, the agent names of the
+// audited deliveries to the figure-3 parties.
+func figure3Deliveries(t *testing.T, events []telemetry.Event) []string {
+	t.Helper()
+	sort.SliceStable(events, func(i, j int) bool { return events[i].Time < events[j].Time })
+	var out []string
+	for _, e := range events {
+		if e.Type != telemetry.EventAllow {
+			continue
 		}
-		idx += pos
+		u, err := uri.Parse(e.Target)
+		if err != nil {
+			t.Fatalf("audited target %q: %v", e.Target, err)
+		}
+		switch u.Name {
+		case "vm_c", "ag_cc", "ag_exec", "vm_bin":
+			out = append(out, u.Name)
+		}
 	}
+	return out
 }
 
 // vmCompiled mirrors services.CompileBinary without importing services

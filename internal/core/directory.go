@@ -13,8 +13,6 @@ type DirectoryConfig struct {
 	// Nodes are the plane members (host names; the nodes must be added
 	// to the system after EnableDirectory).
 	Nodes []string
-	// VNodes is the virtual-node count per member (0 = default).
-	VNodes int
 	// Replicas is the replication factor R, owner included (0 =
 	// directory.DefaultReplicas, clamped to len(Nodes)).
 	Replicas int
@@ -23,8 +21,6 @@ type DirectoryConfig struct {
 	TTL time.Duration
 	// AckTimeout bounds each replica forward / anti-entropy RPC.
 	AckTimeout time.Duration
-	// Writers is the per-member replication worker count.
-	Writers int
 }
 
 // EnableDirectory turns on the sharded directory plane: every node in
@@ -35,7 +31,7 @@ func (s *System) EnableDirectory(cfg DirectoryConfig) (*directory.Ring, error) {
 	if cfg.Replicas == 0 {
 		cfg.Replicas = directory.DefaultReplicas
 	}
-	ring, err := directory.NewRing(cfg.Nodes, cfg.VNodes, cfg.Replicas)
+	ring, err := directory.NewRing(cfg.Nodes, directory.DefaultVNodes, cfg.Replicas)
 	if err != nil {
 		return nil, err
 	}
@@ -51,14 +47,6 @@ func (s *System) EnableDirectory(cfg DirectoryConfig) (*directory.Ring, error) {
 	s.dirRing = ring
 	s.dirCfg = cfg
 	return ring, nil
-}
-
-// DirectoryRing returns the plane's ownership ring (nil unless
-// EnableDirectory was called).
-func (s *System) DirectoryRing() *directory.Ring {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dirRing
 }
 
 // DirectoryClient returns a client routing over the plane. It errors
@@ -102,7 +90,6 @@ func (s *System) directoryServer(node *Node) *directory.Server {
 			Store:      node.Cabinet,
 			TTL:        cfg.TTL,
 			AckTimeout: cfg.AckTimeout,
-			Writers:    cfg.Writers,
 		})
 		node.FW.SetDir(node.Dir.Rows)
 	}

@@ -106,9 +106,6 @@ func (r *Ring) Nodes() []string { return append([]string(nil), r.nodes...) }
 // Replicas returns the replication factor (owner included).
 func (r *Ring) Replicas() int { return r.replicas }
 
-// VNodes returns the virtual-node count per node.
-func (r *Ring) VNodes() int { return r.vnodes }
-
 // Owners returns the nodes holding a name, owner first, then the
 // replicas clockwise. Always returns exactly Replicas() distinct nodes.
 func (r *Ring) Owners(name string) []string {

@@ -47,11 +47,10 @@ type Config struct {
 	TTL time.Duration
 	// AckTimeout bounds each replica forward and pull RPC; zero = 3s.
 	AckTimeout time.Duration
-	// Writers is the replication worker count; zero = 2.
-	Writers int
-	// Service maps a ring node to its shard service URI; nil = ServiceURI.
-	Service func(node string) string
 }
+
+// replicationWriters is the replication worker count of each member.
+const replicationWriters = 2
 
 func (c Config) ttl() time.Duration {
 	switch {
@@ -68,20 +67,6 @@ func (c Config) ackTimeout() time.Duration {
 		return 3 * time.Second
 	}
 	return c.AckTimeout
-}
-
-func (c Config) writers() int {
-	if c.Writers <= 0 {
-		return 2
-	}
-	return c.Writers
-}
-
-func (c Config) service(node string) string {
-	if c.Service != nil {
-		return c.Service(node)
-	}
-	return ServiceURI(node)
 }
 
 // Server is one directory plane member: the shard it holds plus the
@@ -130,7 +115,7 @@ func (s *Server) Handler() vm.Handler {
 		defer close(done)
 		var jobs []chan writeJob
 		if s.cfg.Ring.Replicas() > 1 {
-			jobs = make([]chan writeJob, s.cfg.writers())
+			jobs = make([]chan writeJob, replicationWriters)
 			for i := range jobs {
 				jobs[i] = make(chan writeJob, 64)
 				go s.replicate(i, jobs[i], done)
@@ -299,7 +284,7 @@ func (s *Server) replicate(i int, jobs <-chan writeJob, done <-chan struct{}) {
 				req := briefcase.New()
 				req.SetString(services.FolderOp, OpApply)
 				req.SetString(FolderRows, job.rec.Encode())
-				if _, err := wctx.MeetDirect(s.cfg.service(peer), req, s.cfg.ackTimeout()); err != nil {
+				if _, err := wctx.MeetDirect(ServiceURI(peer), req, s.cfg.ackTimeout()); err != nil {
 					if errors.Is(err, firewall.ErrKilled) {
 						return
 					}
@@ -357,7 +342,7 @@ func (s *Server) pullFrom(pctx *agent.Context, peer string) error {
 	req := briefcase.New()
 	req.SetString(services.FolderOp, OpPull)
 	req.SetString(FolderNode, s.cfg.Node)
-	resp, err := pctx.MeetDirect(s.cfg.service(peer), req, s.cfg.ackTimeout())
+	resp, err := pctx.MeetDirect(ServiceURI(peer), req, s.cfg.ackTimeout())
 	if err != nil {
 		return err
 	}

@@ -135,9 +135,6 @@ func NewShard(store *cabinet.Store, ttl time.Duration) *Shard {
 	return &Shard{m: make(map[string]Binding), st: store, ttl: ttl}
 }
 
-// TTL returns the lease length this shard grants on coordinated writes.
-func (s *Shard) TTL() time.Duration { return s.ttl }
-
 // Coordinate performs an owner-side write: it assigns the name's next
 // version, stamps a fresh lease, journals the record, and applies it.
 // The returned binding is what must be forwarded to the replicas.

@@ -21,7 +21,7 @@ import (
 func TestWebbotHandlerDepth(t *testing.T) {
 	var robots []*webbot.Robot
 	build := newRobot
-	newRobot = func(f websim.Fetcher, clock vclock.Clock, depth int, prefix string) *webbot.Robot {
+	newRobot = func(f websim.ForkableFetcher, clock vclock.Clock, depth int, prefix string) *webbot.Robot {
 		r := build(f, clock, depth, prefix)
 		robots = append(robots, r)
 		return r

@@ -339,7 +339,7 @@ func (d *Deployment) webbotHandler(n *core.Node) vm.Handler {
 // newRobot builds every robot the case study runs, on the clock of the
 // host it runs on (E1's figures depend on it). A variable so a test can
 // read a robot's failure journal.
-var newRobot = func(f websim.Fetcher, clock vclock.Clock, depth int, prefix string) *webbot.Robot {
+var newRobot = func(f websim.ForkableFetcher, clock vclock.Clock, depth int, prefix string) *webbot.Robot {
 	return webbot.New(f, webbot.WithClock(clock), webbot.WithMaxDepth(depth), webbot.WithPrefix(prefix))
 }
 

@@ -236,9 +236,6 @@ func (e *Engine) Install(rs *Ruleset) uint64 {
 // Version returns the active ruleset's version number.
 func (e *Engine) Version() uint64 { return e.cur.Load().version }
 
-// Ruleset returns the active ruleset (immutable; do not modify).
-func (e *Engine) Ruleset() *Ruleset { return e.cur.Load().rs }
-
 // Eval returns the verdict for one mediation: first matching rule wins,
 // otherwise the ruleset default. op is OpSend, OpTransfer or OpMgmt.
 // Eval performs no allocation.

@@ -156,9 +156,8 @@ type Config struct {
 	FW *firewall.Firewall
 	// Launch relaunches the agent on the home VM (node.VM.Launch).
 	Launch func(principal, name, program string, bc *briefcase.Briefcase) (*firewall.Registration, error)
-	// Principal and AgentName identify the relaunched instance; Program
-	// names its pre-deployed code.
-	Principal string
+	// AgentName names the relaunched instance, which acts for the home
+	// firewall's system principal; Program names its pre-deployed code.
 	AgentName string
 	Program   string
 	// Checkpoint is the snapshot's path in the home store — the same
@@ -178,9 +177,10 @@ type Config struct {
 	// recovered itinerary so its work is retried (and skipped by
 	// RunItinerary if the stop is still dead) rather than silently lost.
 	ReinsertLastHop bool
-	// StoreTimeout bounds the snapshot read (default 5s).
-	StoreTimeout time.Duration
 }
+
+// storeTimeout bounds the snapshot read.
+const storeTimeout = 5 * time.Second
 
 // Guard is the stationary half: the home-site supervisor.
 type Guard struct {
@@ -211,14 +211,8 @@ func NewGuard(cfg Config) (*Guard, error) {
 	if cfg.MaxRecoveries <= 0 {
 		cfg.MaxRecoveries = 3
 	}
-	if cfg.StoreTimeout <= 0 {
-		cfg.StoreTimeout = 5 * time.Second
-	}
 	if cfg.Store == "" {
 		cfg.Store = "ag_fs"
-	}
-	if cfg.Principal == "" {
-		cfg.Principal = cfg.FW.SystemPrincipal()
 	}
 	if cfg.AgentName == "" {
 		cfg.AgentName = cfg.Program
@@ -246,7 +240,7 @@ func (g *Guard) URI() string { return g.reg.GlobalURI().String() }
 // includes the _RGLAST stamp the Beacon just wrote.
 func (g *Guard) Launch(bc *briefcase.Briefcase) (*firewall.Registration, error) {
 	bc.SetString(briefcase.FolderSysRearGuard, g.URI())
-	reg, err := g.cfg.Launch(g.cfg.Principal, g.cfg.AgentName, g.cfg.Program, bc)
+	reg, err := g.cfg.Launch(g.cfg.FW.SystemPrincipal(), g.cfg.AgentName, g.cfg.Program, bc)
 	if err != nil {
 		g.finish(err)
 		return nil, err
@@ -388,14 +382,14 @@ func (g *Guard) recover(cause string) bool {
 	tel.Events().Append(telemetry.Event{
 		Time:      g.cfg.FW.Clock().Now(),
 		Type:      telemetry.EventRecover,
-		Principal: g.cfg.Principal,
+		Principal: g.cfg.FW.SystemPrincipal(),
 		Target:    g.cfg.AgentName,
 		Cause:     cause,
 		Trace:     trace,
 		Span:      span,
 	})
 
-	if _, err := g.cfg.Launch(g.cfg.Principal, g.cfg.AgentName, g.cfg.Program, snap); err != nil {
+	if _, err := g.cfg.Launch(g.cfg.FW.SystemPrincipal(), g.cfg.AgentName, g.cfg.Program, snap); err != nil {
 		g.finish(fmt.Errorf("%w: relaunch: %w", ErrRecoveryFailed, err))
 		return false
 	}
@@ -407,7 +401,7 @@ func (g *Guard) readSnapshot() (*briefcase.Briefcase, error) {
 	req := briefcase.New()
 	req.SetString("_SVCOP", "get")
 	req.SetString("_PATH", g.cfg.Checkpoint)
-	resp, err := g.ctx.MeetDirect(g.cfg.Store, req, g.cfg.StoreTimeout)
+	resp, err := g.ctx.MeetDirect(g.cfg.Store, req, storeTimeout)
 	if err != nil {
 		// A store's error reply arrives here as a wrapped RemoteError:
 		// errors.Is tells a checkpoint that was never written

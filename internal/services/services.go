@@ -126,40 +126,29 @@ func serveLoop(ctx *agent.Context, handle func(req *briefcase.Briefcase) (*brief
 // when "running the compiler"; it stands in for gcc's run time.
 const CompileCost = 200 * time.Nanosecond
 
+// compileTimeout bounds ag_cc's wait for ag_exec's compile.
+const compileTimeout = 30 * time.Second
+
 // NewAgCC returns the ag_cc handler of figure 3: it extracts the code
 // from the arriving briefcase (step 2), activates ag_exec with the code
 // and the compiler as arguments (step 3), and returns the briefcase with
-// the stored binary to its caller (step 6). trace may be nil.
-func NewAgCC(execService string, timeout time.Duration, trace func(string)) vm.Handler {
-	if execService == "" {
-		execService = "ag_exec"
-	}
-	if timeout == 0 {
-		timeout = 30 * time.Second
-	}
-	emit := func(format string, args ...any) {
-		if trace != nil {
-			trace("ag_cc: " + fmt.Sprintf(format, args...))
-		}
-	}
+// the stored binary to its caller (step 6).
+func NewAgCC() vm.Handler {
 	return func(ctx *agent.Context) error {
 		return serveLoop(ctx, func(req *briefcase.Briefcase) (*briefcase.Briefcase, error) {
 			if !req.Has(briefcase.FolderCode) {
 				return nil, fmt.Errorf("ag_cc: %w: request carries no CODE", ErrBadRequest)
 			}
-			emit("extracted code")
 			// Step 3: ag_exec gets the same briefcase, which already
 			// names the compiler and target architecture.
 			fwd := req.Clone()
 			fwd.Drop(firewall.FolderMsgID)
 			fwd.Drop(firewall.FolderReplyTo)
 			fwd.SetString(FolderOp, "compile")
-			emit("activate %s", execService)
-			compiled, err := ctx.Meet(execService, fwd, timeout)
+			compiled, err := ctx.Meet("ag_exec", fwd, compileTimeout)
 			if err != nil {
-				return nil, fmt.Errorf("ag_cc: %s: %w", execService, err)
+				return nil, fmt.Errorf("ag_cc: ag_exec: %w", err)
 			}
-			emit("returning binary")
 			compiled.Drop(firewall.FolderReplyTo)
 			return compiled, nil
 		})
@@ -173,8 +162,6 @@ type ExecConfig struct {
 	// Store is the host's deployed-binary inventory used to resolve and
 	// verify execution requests.
 	Store *vm.BinaryStore
-	// Trace receives instrumentation events.
-	Trace func(string)
 }
 
 // imageSize is the size of the synthetic images the toy compiler emits:
@@ -226,11 +213,6 @@ func NewAgExec(cfg ExecConfig) vm.Handler {
 	if cfg.Arch == "" {
 		cfg.Arch = vm.DefaultArch
 	}
-	emit := func(format string, args ...any) {
-		if cfg.Trace != nil {
-			cfg.Trace("ag_exec: " + fmt.Sprintf(format, args...))
-		}
-	}
 	return func(ctx *agent.Context) error {
 		return serveLoop(ctx, func(req *briefcase.Briefcase) (*briefcase.Briefcase, error) {
 			op, _ := req.GetString(FolderOp)
@@ -244,8 +226,6 @@ func NewAgExec(cfg ExecConfig) vm.Handler {
 				if a, ok := req.GetString(vm.FolderArch); ok {
 					arch = a
 				}
-				compiler, _ := req.GetString(vm.FolderCompiler)
-				emit("running %s for %s", compiler, arch)
 				// Charge the simulated compiler run time.
 				ctx.Charge(time.Duration(len(source)) * CompileCost)
 				bin, err := CompileBinary(source, arch)
@@ -257,7 +237,6 @@ func NewAgExec(cfg ExecConfig) vm.Handler {
 				resp.Drop(firewall.FolderMsgID)
 				resp.Drop(briefcase.FolderBinaries)
 				vm.PackBinaries(resp, bin)
-				emit("stored binary %s", bin.Manifest())
 				return resp, nil
 
 			case "exec":
@@ -287,7 +266,6 @@ func NewAgExec(cfg ExecConfig) vm.Handler {
 				if tel.Detailed() {
 					tel.Registry().Histogram("agexec.resolve", "host", ctx.Host()).Observe(time.Since(t0))
 				}
-				emit("executing %s/%s", carried.Name, carried.Arch)
 				// The binary runs inline with the request briefcase as
 				// its state; results land in its RESULTS folder.
 				run := req.Clone()

@@ -33,10 +33,6 @@ type Options struct {
 	Spans bool
 	// Events enables the structured event log.
 	Events bool
-	// SpanCapacity bounds the span ring buffer (default 4096).
-	SpanCapacity int
-	// EventCapacity bounds the event ring buffer (default 1024).
-	EventCapacity int
 }
 
 // Telemetry bundles the three observability facilities. A nil *Telemetry
@@ -50,14 +46,15 @@ type Telemetry struct {
 }
 
 // New creates a Telemetry instance. The metrics registry is always on;
-// spans and the event log follow Options.
+// spans and the event log follow Options, at their stores' default
+// capacities.
 func New(opts Options) *Telemetry {
 	t := &Telemetry{host: opts.Host, reg: NewRegistry()}
 	if opts.Spans {
-		t.spans = NewSpanStore(opts.SpanCapacity)
+		t.spans = NewSpanStore(0)
 	}
 	if opts.Events {
-		t.events = NewEventLog(opts.EventCapacity)
+		t.events = NewEventLog(0)
 	}
 	return t
 }

@@ -64,10 +64,11 @@ type Entry struct {
 	Span  string `json:"span,omitempty"`
 }
 
+// spanCapacity bounds the merged span store; spans past it are discarded.
+const spanCapacity = 65536
+
 // Options configure a Collector.
 type Options struct {
-	// SpanCapacity bounds the merged span store (default 65536).
-	SpanCapacity int
 	// JournalCapacity bounds the flight recorder (default 16384).
 	JournalCapacity int
 }
@@ -83,11 +84,9 @@ type hostFeed struct {
 // methods are safe for concurrent use and safe on a nil receiver (the
 // tower-disabled no-op), so hooks can call unconditionally.
 type Collector struct {
-	mu      sync.Mutex
-	hosts   map[string]*hostFeed
-	spans   []telemetry.SpanRecord // merged, bounded by spanCap, append order
-	spanCap int
-	dropped uint64 // spans discarded once spanCap was reached
+	mu    sync.Mutex
+	hosts map[string]*hostFeed
+	spans []telemetry.SpanRecord // merged, at most spanCapacity, append order
 
 	journal    []Entry // bounded ring
 	jNext      int
@@ -97,15 +96,11 @@ type Collector struct {
 
 // New returns an empty collector.
 func New(opts Options) *Collector {
-	if opts.SpanCapacity <= 0 {
-		opts.SpanCapacity = 65536
-	}
 	if opts.JournalCapacity <= 0 {
 		opts.JournalCapacity = 16384
 	}
 	return &Collector{
 		hosts:      make(map[string]*hostFeed),
-		spanCap:    opts.SpanCapacity,
 		journalCap: opts.JournalCapacity,
 	}
 }
@@ -135,8 +130,7 @@ func (c *Collector) Attach(tel *telemetry.Telemetry) {
 func (c *Collector) ingestSpan(r telemetry.SpanRecord) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.spans) >= c.spanCap {
-		c.dropped++
+	if len(c.spans) >= spanCapacity {
 		return
 	}
 	c.spans = append(c.spans, r)
@@ -216,17 +210,6 @@ func (c *Collector) Counts() (spans int, journal uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.spans), c.jTotal
-}
-
-// Dropped returns the number of spans discarded after the merged store
-// filled; nonzero means a Trace view may be incomplete.
-func (c *Collector) Dropped() uint64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.dropped
 }
 
 // Journal returns the retained flight-recorder entries, oldest first.

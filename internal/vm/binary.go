@@ -209,8 +209,6 @@ func SyntheticImage(name, arch, version string, size int) []byte {
 
 // BinConfig parameterizes a BinVM.
 type BinConfig struct {
-	// Name is the VM's registration name; default "vm_bin".
-	Name string
 	// FW is the local firewall. Required.
 	FW *firewall.Firewall
 	// Arch is the local machine architecture; default DefaultArch.
@@ -222,8 +220,6 @@ type BinConfig struct {
 	Trust *identity.TrustStore
 	// Signer signs outgoing transfers (moving binary agents onward).
 	Signer *identity.Principal
-	// Trace receives instrumentation events.
-	Trace func(event string)
 	// PreLaunch runs on the agent goroutine before the handler (wrapper
 	// installation); an error aborts the activation.
 	PreLaunch func(ctx *agent.Context) error
@@ -256,7 +252,7 @@ func NewBin(cfg BinConfig) (*BinVM, error) {
 		return nil, errors.New("vm: bin config needs a trust store")
 	}
 	v := &BinVM{
-		runtime: newRuntime(cmp.Or(cfg.Name, "vm_bin"), cfg.FW, cfg.Signer, cfg.Trace),
+		runtime: newRuntime("vm_bin", cfg.FW, cfg.Signer),
 		arch:    cmp.Or(cfg.Arch, DefaultArch),
 		store:   cfg.Store,
 		trust:   cfg.Trust,

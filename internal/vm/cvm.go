@@ -23,10 +23,18 @@ const (
 	FolderCompiler = "_COMPILER"
 )
 
+// The fixed parties of figure 3 as vm_c sees them: the compile service
+// it calls and how long it waits, the compiler it names, and the binary
+// VM it hands the result to.
+const (
+	ccService      = "ag_cc"
+	compileTimeout = 30 * time.Second
+	compiler       = "gcc"
+	binVM          = "vm_bin"
+)
+
 // CConfig parameterizes a CVM.
 type CConfig struct {
-	// Name is the VM's registration name; default "vm_c".
-	Name string
 	// FW is the local firewall. Required.
 	FW *firewall.Firewall
 	// Arch is the architecture compiled binaries target; default
@@ -36,18 +44,6 @@ type CConfig struct {
 	// it. Required (vm_bin only runs binaries signed by a trusted
 	// principal).
 	Signer *identity.Principal
-	// BinVM is the registration name of the local binary VM that
-	// ultimately activates the compiled agent; default "vm_bin".
-	BinVM string
-	// CCService is the compile service's agent name; default "ag_cc".
-	CCService string
-	// Compiler is the compiler command passed along; default "gcc".
-	Compiler string
-	// Timeout bounds the compile RPC; zero means 30 seconds.
-	Timeout time.Duration
-	// Trace receives instrumentation events (the figure-3 test asserts
-	// the step sequence).
-	Trace func(event string)
 }
 
 // CVM is the C-language virtual machine of figure 3. An agent arrives as
@@ -68,13 +64,8 @@ func NewC(cfg CConfig) (*CVM, error) {
 	if cfg.Signer == nil {
 		return nil, errors.New("vm: c config needs a signer")
 	}
-	cfg.Name = cmp.Or(cfg.Name, "vm_c")
 	cfg.Arch = cmp.Or(cfg.Arch, DefaultArch)
-	cfg.BinVM = cmp.Or(cfg.BinVM, "vm_bin")
-	cfg.CCService = cmp.Or(cfg.CCService, "ag_cc")
-	cfg.Compiler = cmp.Or(cfg.Compiler, "gcc")
-	cfg.Timeout = cmp.Or(cfg.Timeout, 30*time.Second)
-	v := &CVM{rt: newRuntime(cfg.Name, cfg.FW, cfg.Signer, cfg.Trace), cfg: cfg}
+	v := &CVM{rt: newRuntime("vm_c", cfg.FW, cfg.Signer), cfg: cfg}
 	if err := v.rt.open(v.loop); err != nil {
 		return nil, err
 	}
@@ -106,7 +97,7 @@ func (v *CVM) loop(self *firewall.Registration) {
 		if err := v.activate(ctx, self, bc); err != nil {
 			sender, _ := bc.GetString(briefcase.FolderSysSender)
 			msgID, hasMsgID := bc.GetString(firewall.FolderMsgID)
-			v.rt.reject(self, sender, msgID, hasMsgID, err.Error())
+			v.rt.reject(self, sender, msgID, hasMsgID, err)
 		}
 	}
 }
@@ -124,29 +115,26 @@ func (v *CVM) activate(ctx *agent.Context, self *firewall.Registration, bc *brie
 	if !bc.Has(briefcase.FolderCode) {
 		return errors.New("vm: C transfer carries no CODE folder")
 	}
-	v.rt.tracef("step 1: briefcase delivered")
 
 	// Steps 2–6: the compile RPC. The whole briefcase travels so ag_exec
 	// can store the binary into it, as the paper describes.
 	req := bc.Clone()
 	scrubTransferFolders(req)
 	req.SetString(FolderArch, v.cfg.Arch)
-	req.SetString(FolderCompiler, v.cfg.Compiler)
-	v.rt.tracef("step 2: activate %s", v.cfg.CCService)
-	compiled, err := ctx.Meet(v.cfg.CCService, req, v.cfg.Timeout)
+	req.SetString(FolderCompiler, compiler)
+	compiled, err := ctx.Meet(ccService, req, compileTimeout)
 	if err != nil {
-		return fmt.Errorf("vm: compile via %s: %w", v.cfg.CCService, err)
+		return fmt.Errorf("vm: compile via %s: %w", ccService, err)
 	}
 	if e, ok := compiled.GetString(briefcase.FolderSysError); ok {
 		return fmt.Errorf("vm: compile: %s", e)
 	}
-	v.rt.tracef("step 6: binary returned")
 
 	// Step 7: hand to vm_bin. The compiled core (CODE unchanged,
 	// BINARIES added) is re-signed by the VM's principal: vm_c vouches
 	// for code it compiled locally.
 	compiled.SetString(firewall.FolderKind, firewall.KindTransfer)
-	compiled.SetString(briefcase.FolderSysTarget, v.cfg.BinVM)
+	compiled.SetString(briefcase.FolderSysTarget, binVM)
 	if name, ok := bc.GetString(FolderAgentName); ok {
 		compiled.SetString(FolderAgentName, name)
 	}
@@ -155,6 +143,5 @@ func (v *CVM) activate(ctx *agent.Context, self *firewall.Registration, bc *brie
 	compiled.Drop(firewall.FolderReplyTo)
 	firewall.SignCore(compiled, v.cfg.Signer)
 	v.rt.ctrSigned.Inc()
-	v.rt.tracef("step 7: activate via %s", v.cfg.BinVM)
 	return v.cfg.FW.Send(self.GlobalURI(), compiled)
 }

@@ -44,7 +44,6 @@ type runtime struct {
 	name      string
 	fw        *firewall.Firewall
 	signer    *identity.Principal
-	trace     func(event string)
 	load      loader // nil on vm_c, which serves its own loop
 	serve     func(self *firewall.Registration)
 	local     agent.LocalResolver // the §3.3 bypass; nil unless enabled
@@ -68,10 +67,10 @@ type runtime struct {
 
 var _ agent.Mover = (*runtime)(nil)
 
-func newRuntime(name string, fw *firewall.Firewall, signer *identity.Principal, trace func(string)) *runtime {
+func newRuntime(name string, fw *firewall.Firewall, signer *identity.Principal) *runtime {
 	mreg, host := fw.Telemetry().Registry(), fw.HostName()
 	return &runtime{
-		name: name, fw: fw, signer: signer, trace: trace,
+		name: name, fw: fw, signer: signer,
 		ctrActivated: mreg.Counter("vm.activated", "host", host, "vm", name),
 		ctrRejected:  mreg.Counter("vm.rejected", "host", host, "vm", name),
 		ctrSigned:    mreg.Counter("vm.core_signed", "host", host, "vm", name),
@@ -129,15 +128,6 @@ func (rt *runtime) Reattach() error {
 	return rt.attach("reattach")
 }
 
-// tracef emits an instrumentation event. The call boxes its arguments
-// even when no hook is set, so calls on the per-hop path test rt.trace
-// first.
-func (rt *runtime) tracef(format string, args ...any) {
-	if rt.trace != nil {
-		rt.trace(rt.name + ": " + fmt.Sprintf(format, args...))
-	}
-}
-
 // loop receives transfers addressed to the VM. Other kinds addressed at
 // a VM are ignored; management of the VM itself goes through the
 // firewall like for any agent.
@@ -160,14 +150,14 @@ func (rt *runtime) accept(self *firewall.Registration, bc *briefcase.Briefcase) 
 	msgID, hasMsgID := bc.GetString(firewall.FolderMsgID)
 	a, err := rt.load.arrive(bc)
 	if err != nil {
-		rt.reject(self, sender, msgID, hasMsgID, err.Error())
+		rt.reject(self, sender, msgID, hasMsgID, err)
 		return
 	}
 	spawned := bc.Has(agent.FolderSpawn)
 	scrubTransferFolders(bc)
-	reg, err := rt.start(a.principal, a.name, a.program, a.run, bc, true)
+	reg, err := rt.start(a.principal, a.name, a.program, a.run, bc)
 	if err != nil {
-		rt.reject(self, sender, msgID, hasMsgID, err.Error())
+		rt.reject(self, sender, msgID, hasMsgID, err)
 		return
 	}
 	if spawned && hasMsgID && sender != "" {
@@ -179,11 +169,9 @@ func (rt *runtime) accept(self *firewall.Registration, bc *briefcase.Briefcase) 
 	}
 }
 
-// reject reports a failed activation to the transfer's sender.
-func (rt *runtime) reject(self *firewall.Registration, sender, msgID string, hasMsgID bool, reason string) {
-	if rt.trace != nil {
-		rt.tracef("rejected transfer: %s", reason)
-	}
+// reject reports a failed activation to the transfer's sender, typed:
+// the report carries err's wire code when it has one.
+func (rt *runtime) reject(self *firewall.Registration, sender, msgID string, hasMsgID bool, err error) {
 	rt.ctrRejected.Inc()
 	if sender == "" {
 		return
@@ -191,7 +179,7 @@ func (rt *runtime) reject(self *firewall.Registration, sender, msgID string, has
 	report := briefcase.New()
 	report.SetString(briefcase.FolderSysTarget, sender)
 	report.SetString(firewall.FolderKind, firewall.KindError)
-	report.SetString(briefcase.FolderSysError, reason)
+	firewall.SetError(report, err)
 	if hasMsgID {
 		report.SetString(firewall.FolderReplyTo, msgID)
 	}
@@ -221,13 +209,11 @@ func (rt *runtime) Launch(principal, name, program string, bc *briefcase.Briefca
 	if err != nil {
 		return nil, err
 	}
-	return rt.start(principal, name, program, h, bc, false)
+	return rt.start(principal, name, program, h, bc)
 }
 
-// start registers the agent and runs h on its own goroutine. An arrival
-// is traced before the goroutine exists, so the trace never trails
-// anything the agent does.
-func (rt *runtime) start(principal, name, program string, h Handler, bc *briefcase.Briefcase, arrival bool) (*firewall.Registration, error) {
+// start registers the agent and runs h on its own goroutine.
+func (rt *runtime) start(principal, name, program string, h Handler, bc *briefcase.Briefcase) (*firewall.Registration, error) {
 	rt.mu.Lock()
 	closed := rt.closed
 	rt.mu.Unlock()
@@ -243,9 +229,6 @@ func (rt *runtime) start(principal, name, program string, h Handler, bc *briefca
 	rt.mu.Unlock()
 	ctx := agent.NewContext(rt.fw, reg, bc, rt, rt.local)
 	rt.ctrActivated.Inc()
-	if arrival && rt.trace != nil {
-		rt.tracef("activated %s (program %s)", reg.URI(), program)
-	}
 	rt.wg.Add(1)
 	go rt.run(ctx, program, h)
 	return reg, nil
@@ -383,9 +366,6 @@ func (rt *runtime) Move(c *agent.Context, dest uri.URI, spawn bool) (uint64, err
 		scrubTransferFolders(out)
 		out.Drop(FolderAgentName)
 		return 0, err
-	}
-	if rt.trace != nil {
-		rt.tracef("moved %s to %s (spawn=%v)", c.Registration().URI(), dest, spawn)
 	}
 	if !spawn {
 		return 0, nil

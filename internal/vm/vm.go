@@ -8,7 +8,7 @@
 // communication.
 //
 // One runtime (runtime.go) does all of that for every VM kind: register,
-// activate, trace and span, Move, Reattach, Close. A kind is a loader,
+// activate and span, Move, Reattach, Close. A kind is a loader,
 // which turns an arriving transfer into the agent to run and readies a
 // locally launched one:
 //
@@ -32,7 +32,6 @@
 package vm
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"sync"
@@ -64,6 +63,15 @@ var (
 	errNoCode = errors.New("transfer carries no CODE folder")
 )
 
+// A refused transfer's report carries the refusal's wire code, so its
+// sender matches it with errors.Is.
+func init() {
+	firewall.RegisterErrorCode("vm_unknown_program", ErrUnknownProgram)
+	firewall.RegisterErrorCode("vm_no_binary_for_arch", ErrNoBinaryForArch)
+	firewall.RegisterErrorCode("vm_binary_mismatch", ErrBinaryMismatch)
+	firewall.RegisterErrorCode("vm_not_deployed", ErrNotDeployed)
+}
+
 // Registry maps program names to pre-deployed handlers. A zero Registry
 // is ready to use; methods are safe for concurrent use.
 type Registry struct {
@@ -91,8 +99,6 @@ func (r *Registry) Lookup(name string) (Handler, bool) {
 
 // Config parameterizes a GoVM.
 type Config struct {
-	// Name is the VM's registration name; default "vm_go".
-	Name string
 	// FW is the local firewall. Required.
 	FW *firewall.Firewall
 	// Programs are the pre-deployed handlers. Required.
@@ -103,9 +109,6 @@ type Config struct {
 	// Bypass enables the §3.3 optimization: communication between agents
 	// co-located on this VM skips the firewall.
 	Bypass bool
-	// Trace, when set, receives one event string per noteworthy step
-	// (used by the figure-3 pipeline test). Format: "<vm>: <event>".
-	Trace func(event string)
 	// PreLaunch, when set, runs on the agent goroutine before the
 	// handler; wiring wrappers carried in the briefcase happens here. An
 	// error aborts the activation.
@@ -128,7 +131,7 @@ func New(cfg Config) (*GoVM, error) {
 	if cfg.Programs == nil {
 		return nil, errors.New("vm: config needs a program registry")
 	}
-	v := &GoVM{runtime: newRuntime(cmp.Or(cfg.Name, "vm_go"), cfg.FW, cfg.Signer, cfg.Trace), programs: cfg.Programs}
+	v := &GoVM{runtime: newRuntime("vm_go", cfg.FW, cfg.Signer), programs: cfg.Programs}
 	v.load, v.preLaunch = v, cfg.PreLaunch
 	if cfg.Bypass {
 		v.local = v.resolveLocal

@@ -202,40 +202,15 @@ func portOf(t *testing.T, s *site) int {
 	return reg.GlobalURI().EffectivePort()
 }
 
-func TestTraceEventsEmitted(t *testing.T) {
+func TestRejectionReported(t *testing.T) {
 	net_ := simnet.New(simnet.LAN100)
 	t.Cleanup(func() { _ = net_.Close() })
 	trust, sys := trustWithSystem(t)
-	host, err := net_.AddHost("h1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fw, err := firewall.New(firewall.Config{
-		HostName: "h1", Node: host, Trust: trust, SystemPrincipal: "system",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = fw.Close() })
+	s := newSimSite(t, net_, trust, sys, "h1")
 
-	events := make(chan string, 16)
-	reg := &vm.Registry{}
-	gvm, err := vm.New(vm.Config{
-		FW: fw, Programs: reg, Signer: sys,
-		Trace: func(e string) {
-			select {
-			case events <- e:
-			default:
-			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = gvm.Close() })
-
-	// A transfer with an unknown program produces a rejection trace.
-	sender, err := fw.Register("test", "system", "sender")
+	// A transfer with an unknown program is rejected: the sender gets the
+	// error report, and vm.rejected counts it.
+	sender, err := s.fw.Register("test", "system", "sender")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,24 +218,47 @@ func TestTraceEventsEmitted(t *testing.T) {
 	bc.SetString(briefcase.FolderCode, "ghost")
 	bc.SetString(firewall.FolderKind, firewall.KindTransfer)
 	bc.SetString(briefcase.FolderSysTarget, "vm_go")
-	if err := fw.Send(sender.GlobalURI(), bc); err != nil {
+	if err := s.fw.Send(sender.GlobalURI(), bc); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case e := <-events:
-		if !strings.Contains(e, "rejected") {
-			t.Errorf("trace = %q", e)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("no trace event")
-	}
-	// The sender gets the error report.
 	rep, err := sender.Recv(5 * time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if firewall.Kind(rep) != firewall.KindError {
 		t.Errorf("report kind = %q", firewall.Kind(rep))
+	}
+	rejected := s.fw.Telemetry().Registry().Counter("vm.rejected", "host", "h1", "vm", "vm_go")
+	if n := rejected.Value(); n != 1 {
+		t.Errorf("vm.rejected = %d, want 1", n)
+	}
+}
+
+func TestSpawnRefusalIsTyped(t *testing.T) {
+	// The destination lacks the program: the parent's Spawn fails with an
+	// error that matches the refusal's sentinel across the wire.
+	net_ := simnet.New(simnet.LAN100)
+	t.Cleanup(func() { _ = net_.Close() })
+	trust, sys := trustWithSystem(t)
+	h1 := newSimSite(t, net_, trust, sys, "h1")
+	newSimSite(t, net_, trust, sys, "h2")
+
+	res := make(chan error, 1)
+	h1.reg.Register("parent", func(ctx *agent.Context) error {
+		_, err := ctx.Spawn("tacoma://h2//vm_go")
+		res <- err
+		return nil
+	})
+	if _, err := h1.gvm.Launch("system", "parent", "parent", nil); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-res:
+		if !errors.Is(err, vm.ErrUnknownProgram) {
+			t.Errorf("spawn err = %v, want ErrUnknownProgram", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("spawn never returned")
 	}
 }
 

@@ -34,11 +34,6 @@ func (r *Robot) RunCtx(ctx context.Context, startURL string) (*Stats, error) {
 	st := &Stats{TypeCounts: make(map[string]int)}
 	start := cfg.clock.Now()
 
-	ff, forkable := r.fetcher.(websim.ForkableFetcher)
-	if cfg.workers > 1 && !forkable {
-		return nil, ErrNotForkable
-	}
-
 	var rules *Robots
 	if cfg.robots == RobotsHonor {
 		var err error
@@ -72,27 +67,24 @@ func (r *Robot) RunCtx(ctx context.Context, startURL string) (*Stats, error) {
 		}
 	}
 
-	rp := &replayer{
-		gate:    newGate(cfg, rules),
-		fr:      fr,
-		clock:   cfg.clock,
-		fetcher: r.fetcher,
-		st:      st,
+	// Stage 1, acquisition: workers drain the frontier on forked
+	// fetchers, recording one PageRecord per URL.
+	gate := newGate(cfg, rules)
+	delay := max(cfg.politeness, rules.CrawlDelay(cfg.agent))
+	if err := acquire(ctx, r.fetcher, fr, gate, cfg.workers, delay, startURL); err != nil {
+		return nil, err
 	}
-	if forkable {
-		// Stage 1, acquisition: workers drain the frontier on forked
-		// fetchers, recording one PageRecord per URL. The replay reads
-		// the records where they are.
-		delay := max(cfg.politeness, rules.CrawlDelay(cfg.agent))
-		if err := acquire(ctx, ff, fr, rp.gate, cfg.workers, delay, startURL); err != nil {
-			return nil, err
-		}
-		rp.parent = ff
-		rp.record = fr.Record
-	}
-	rp.pages = make(map[string]replayPage, fr.Counts().Done)
 	// Stage 2, canonical replay: the seed's recursive traversal over
-	// the records (or live fetches for non-forkable fetchers).
+	// the records where they are.
+	rp := &replayer{
+		gate:   gate,
+		fr:     fr,
+		clock:  cfg.clock,
+		parent: r.fetcher,
+		record: fr.Record,
+		pages:  make(map[string]replayPage, fr.Counts().Done),
+		st:     st,
+	}
 	if err := rp.crawl(startURL, "", 0); err != nil {
 		return nil, err
 	}
@@ -266,21 +258,19 @@ type replayPage struct {
 }
 
 // replayer is the canonical serial traversal — the seed's recursive
-// depth-limited DFS, fetching from completed records when available
-// (charging the recorded costs) and live through the fetcher otherwise.
+// depth-limited DFS over completed records, charging their recorded
+// costs.
 // Depth-limited DFS may first reach a page via a long cross-link path
 // and later via a shorter tree path; each page is fetched exactly once
 // but re-expanded when reached at a strictly shallower depth, so the
 // depth constraint prunes by the page's best-known depth (as the W3C
 // robot's breadth bookkeeping does).
 type replayer struct {
-	gate    *Gate
-	fr      *frontier.Frontier // journal target for unstable subtrees (may be nil)
-	clock   vclock.Clock
-	fetcher websim.Fetcher         // live fallback (nil in StatsFromRecords)
-	parent  websim.ForkableFetcher // Replay target for recorded fetches (may be nil)
-	// record finds a URL's completed acquisition record (nil: every
-	// fetch is live).
+	gate   *Gate
+	fr     *frontier.Frontier // journal target for unstable subtrees (may be nil)
+	clock  vclock.Clock
+	parent websim.ForkableFetcher // Replay target for recorded fetches (nil in StatsFromRecords)
+	// record finds a URL's completed acquisition record.
 	record func(url string) (*frontier.PageRecord, bool)
 	pages  map[string]replayPage
 	st     *Stats
@@ -302,7 +292,7 @@ func (rp *replayer) crawl(url, referrer string, depth int) error {
 
 	// The fetch recurses into nothing, so the page enters the map once,
 	// after it, with the links it will re-expand.
-	rec, err := rp.fetch(url, referrer, depth)
+	rec, err := rp.fetch(url)
 	if err != nil {
 		return err
 	}
@@ -341,29 +331,21 @@ func (rp *replayer) crawl(url, referrer string, depth int) error {
 	return rp.expand(rec.Links, depth)
 }
 
-// fetch resolves one URL: from the acquisition records (charging the
-// parent fetcher, or the bare clock when there is none), or live.
-func (rp *replayer) fetch(url, referrer string, depth int) (*frontier.PageRecord, error) {
-	if rp.record != nil {
-		if rec, ok := rp.record(url); ok {
-			if rp.parent != nil {
-				rp.resp = websim.Response{URL: url, Status: rec.Status, Bytes: rec.Bytes}
-				rp.parent.Replay(&rp.resp, rec.FetchCost)
-			} else {
-				rp.clock.Advance(rec.FetchCost)
-			}
-			return rec, nil
-		}
-	}
-	if rp.fetcher == nil {
+// fetch resolves one URL from the acquisition records, charging the
+// parent fetcher (or the bare clock when there is none). A URL with no
+// record was lost: ErrFetchFailed.
+func (rp *replayer) fetch(url string) (*frontier.PageRecord, error) {
+	rec, ok := rp.record(url)
+	if !ok {
 		return nil, fmt.Errorf("%w: no completed record for %s", ErrFetchFailed, url)
 	}
-	before := rp.clock.Now()
-	resp, err := rp.fetcher.Fetch(url)
-	if err != nil {
-		return nil, fmt.Errorf("webbot: fetch %s: %w", url, err)
+	if rp.parent != nil {
+		rp.resp = websim.Response{URL: url, Status: rec.Status, Bytes: rec.Bytes}
+		rp.parent.Replay(&rp.resp, rec.FetchCost)
+	} else {
+		rp.clock.Advance(rec.FetchCost)
 	}
-	return RecordFetch(resp, &frontier.Claim{URL: url, Referrer: referrer, Depth: depth}, rp.clock.Now()-before), nil
+	return rec, nil
 }
 
 // expand recurses over a fetched page's links, logging the ones the

@@ -61,7 +61,7 @@ func WithPrefix(p string) Option {
 }
 
 // WithWorkers sets the number of concurrent fetcher workers (default
-// 1). More than one requires a ForkableFetcher. Stats stay
+// 1). Stats stay
 // byte-identical to the serial crawl: workers fetch on forks with
 // private clocks, and the serial replay charges the robot's clock the
 // recorded costs.
@@ -165,7 +165,7 @@ func buildConfig(opts []Option) config {
 // New builds a Robot around fetcher with the staged-crawler defaults:
 // depth 4, one worker, robots ignored, volatile frontier, a fresh
 // virtual clock. The returned Robot is driven with RunCtx.
-func New(fetcher websim.Fetcher, opts ...Option) *Robot {
+func New(fetcher websim.ForkableFetcher, opts ...Option) *Robot {
 	r := &Robot{fetcher: fetcher, cfg: buildConfig(opts)}
 	if r.cfg.clock == nil {
 		r.cfg.clock = vclock.NewVirtual()

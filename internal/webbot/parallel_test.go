@@ -2,14 +2,11 @@ package webbot
 
 import (
 	"context"
-	"errors"
 	"reflect"
 	"sync"
 	"testing"
 
 	"tax/internal/simnet"
-	"tax/internal/vclock"
-	"tax/internal/websim"
 )
 
 // TestParallelCrawlIdenticalToSerial is the tentpole determinism proof:
@@ -113,17 +110,6 @@ func TestParallelCrawlDepthSweep(t *testing.T) {
 		if !reflect.DeepEqual(got, serial) {
 			t.Errorf("depth=%d: parallel Stats differ from serial", depth)
 		}
-	}
-}
-
-// TestParallelNeedsForkableFetcher: a multi-worker robot over a fetcher
-// that cannot be forked reports the typed error instead of racing.
-func TestParallelNeedsForkableFetcher(t *testing.T) {
-	clock := vclock.NewVirtual()
-	r := New(&websim.ExternalChecker{Link: simnet.WAN10, Clock: clock},
-		WithClock(clock), WithWorkers(4))
-	if _, err := r.RunCtx(context.Background(), "http://x/"); !errors.Is(err, ErrNotForkable) {
-		t.Fatalf("err = %v, want ErrNotForkable", err)
 	}
 }
 

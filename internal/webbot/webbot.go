@@ -20,7 +20,6 @@
 package webbot
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -102,16 +101,12 @@ func (s *Stats) RejectedByPrefix() []LinkReport {
 // the constraints, the clock charged for parsing and the worker count
 // for the robot's lifetime.
 type Robot struct {
-	fetcher websim.Fetcher
+	fetcher websim.ForkableFetcher
 	cfg     config
 	// last is the frontier of the most recent RunCtx (Records feeds
 	// ModelMakespan and StatsFromRecords).
 	last *frontier.Frontier
 }
-
-// ErrNotForkable is returned when WithWorkers asks for more than one
-// worker but the fetcher cannot be forked for concurrent use.
-var ErrNotForkable = errors.New("webbot: more than one worker needs a websim.ForkableFetcher")
 
 // Records returns the completed frontier records of the robot's most
 // recent RunCtx, sorted by URL — the input frontier.ModelMakespan and

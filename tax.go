@@ -306,8 +306,9 @@ type (
 	// RobotsPolicy selects how a robot treats a site's robots.txt.
 	RobotsPolicy = webbot.RobotsPolicy
 	// Fetcher is anything a robot can crawl through — a local or remote
-	// websim client, which is exactly the paper's measured difference.
-	Fetcher = websim.Fetcher
+	// websim client, which is exactly the paper's measured difference —
+	// forkable, so the robot's workers fetch on forks of it.
+	Fetcher = websim.ForkableFetcher
 	// PageRecord is one completed fetch in a robot's frontier: the
 	// durable unit crash-resume, re-crawl and fleet aggregation share.
 	PageRecord = frontier.PageRecord
