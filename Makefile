@@ -4,7 +4,7 @@ GO ?= go
 # chaos stress tests drive (internal/chaostest/parallel_test.go).
 CHAOS_PARALLEL ?= 16
 
-.PHONY: all build vet test race check ci chaos determinism frontier-sweep allocs e1-profile fuzz-short policy-fuzz bench bench-check obsv-demo loc clean
+.PHONY: all build vet test race check ci chaos determinism frontier-sweep allocs e1-profile fuzz-short policy-fuzz bench obsv-demo loc clean
 
 all: check
 
@@ -52,10 +52,11 @@ check: vet build race
 # internal/linkmine/frontier_test.go), the allocation budgets without
 # the race detector (the exact pins, TestTCPMeetAllocBudget among them,
 # skip under it: sync.Pool drops Puts at random there; every allocation
-# count lives in a test named *Alloc*, never in a baseline), and the
-# benchmark regression gate (bench-check: fresh documents byte-compared
-# with all six committed BENCH_*.json baselines, which are never
-# overwritten).
+# count lives in a test named *Alloc*, never in a baseline). The
+# benchmark regression gate is a test, so the suite runs above already
+# hold it: internal/bench's TestBaselines byte-compares a fresh document
+# with each of the six committed BENCH_*.json baselines, which only
+# `make bench` rewrites.
 ci:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
@@ -76,7 +77,6 @@ ci:
 	$(GO) test -race -timeout 600s -count=1 -run 'TestDirectory' ./internal/chaostest/
 	$(GO) test -race -timeout 600s -count=1 -run 'TestFrontierChaos' ./internal/linkmine/
 	$(GO) test -count=1 -run 'Alloc' ./internal/...
-	$(GO) run ./cmd/taxbench -check
 
 # chaos runs the fault-injection layer under the race detector: the
 # chaostest harness (3-hop itineraries under seeded fault plans — the
@@ -219,17 +219,13 @@ policy-fuzz:
 
 # bench regenerates every evaluation table and rewrites the committed
 # BENCH_*.json baselines, which hold only exact counts and virtual-clock
-# arithmetic: on an unchanged tree it leaves `git status` clean.
+# arithmetic: on an unchanged tree it leaves `git status` clean. It is
+# the only writer of the baselines; `go test ./internal/bench`
+# (TestBaselines) fails on any drift from them, nondeterminism included,
+# naming each differing file:line. After an intentional change, run it
+# and commit the rewritten baselines.
 bench:
 	$(GO) run ./cmd/taxbench
-
-# bench-check is the benchmark regression gate: re-run every experiment
-# that has a committed BENCH_*.json baseline and compare the fresh
-# document with it byte for byte. Drift, nondeterminism included, prints
-# the differing lines and exits non-zero; after an intentional perf
-# change, regenerate the baselines with `make bench` and commit them.
-bench-check:
-	$(GO) run ./cmd/taxbench -check
 
 # obsv-demo runs the observability showcase: a rear-guarded 3-hop
 # itinerary under seeded faults with a mid-run crash and restart, tower

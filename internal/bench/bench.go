@@ -4,8 +4,8 @@
 // testing.B benchmarks and the cmd/taxbench tool.
 //
 // Adding an experiment is one Experiments entry plus its function:
-// cmd/taxbench's -exp names, the files it writes, the -check gate and
-// BenchmarkExperiments are all loops over that table, and
+// cmd/taxbench's -exp names, the files it writes, the TestBaselines gate
+// and BenchmarkExperiments are all loops over that table, and
 // TestExperimentsClaimEveryBaseline fails when a committed BENCH_*.json
 // and the table disagree.
 //

@@ -21,8 +21,8 @@ func Encode(doc any) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Check is the regression gate: doc, encoded, must equal the committed
-// baseline at path byte for byte. It returns one "path:line: baseline …
+// Check is the regression gate TestBaselines applies: doc, encoded, must
+// equal the committed baseline at path byte for byte. It returns one "path:line: baseline …
 // got …" entry per differing line (none means the gate passes) and an
 // error when the baseline cannot be read or doc cannot be encoded.
 func Check(path string, doc any) ([]string, error) {

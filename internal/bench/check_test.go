@@ -10,6 +10,32 @@ import (
 	"testing"
 )
 
+// TestBaselines is the regression gate on the reproduced figures: every
+// experiment with a committed BENCH_*.json baseline runs, and its document
+// must equal the file at the repository root byte for byte. Each differing
+// line is one error. After an intentional change, `make bench` rewrites
+// the baselines; commit them with the change.
+func TestBaselines(t *testing.T) {
+	for _, e := range Experiments {
+		if e.File == "" {
+			continue
+		}
+		t.Run(e.Name, func(t *testing.T) {
+			_, doc, err := e.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			diffs, err := Check(filepath.Join("../..", e.File), doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range diffs {
+				t.Error(d)
+			}
+		})
+	}
+}
+
 type checkPoint struct {
 	Workers    int     `json:"workers"`
 	MakespanMs float64 `json:"virtual_makespan_ms"`

@@ -45,8 +45,7 @@ type Scenario struct {
 	CrashOnArrival string
 	// RestartDelay, when positive, restarts the crashed host after this
 	// much wall-clock time, letting the reinserted stop be reached on
-	// recovery instead of skipped. In the crash-point sweep it is how
-	// long the home host stays down.
+	// recovery instead of skipped.
 	RestartDelay time.Duration
 	// HopDeadline is the guard's silence threshold (default 500ms).
 	HopDeadline time.Duration

@@ -11,7 +11,7 @@ package chaostest
 import (
 	"errors"
 	"strconv"
-	"sync/atomic"
+	"sync"
 	"time"
 
 	"tax/internal/briefcase"
@@ -27,10 +27,10 @@ const ckptKey = "cab/" + ckptPath
 // CrashPointScenario configures one crash-point sweep. Its Scenario
 // supplies the seed, the message faults layered on top of the crash
 // (zero runs the sweep on a clean network) and the guard's timeouts;
-// RestartDelay, how long the home host stays down, defaults to 50ms, and
-// a guard relaunches at most 8 times. Observability has no use here (the sweep returns
-// no timeline), and CrashOnArrival adds a stop crash on top of the
-// home host's; no sweep in the tree sets either.
+// the home host restarts as soon as it has crashed, and a guard
+// relaunches at most 8 times. Observability has no use here (the sweep
+// returns no timeline), and CrashOnArrival adds a stop crash on top of
+// the home host's; no sweep in the tree sets either.
 type CrashPointScenario struct {
 	Scenario
 	// Torn additionally tears the WAL's unsynced tail at each crash
@@ -95,14 +95,23 @@ func (p CrashPoint) Completed() bool {
 // completes without reaching its k-th WAL append (or maxCrashPoints), and
 // returns one CrashPoint per run.
 func RunCrashPoints(sc CrashPointScenario) ([]CrashPoint, error) {
-	var points []CrashPoint
-	for k := 1; k <= maxCrashPoints; k++ {
+	return sweep(func(k int) (CrashPoint, bool, error) {
 		p, err := runCrashPoint(sc, k)
+		return p, p.Crashed, err
+	})
+}
+
+// sweep runs run(k) for k = 1, 2, ... up to maxCrashPoints and stops
+// after the first run that did not crash or that failed.
+func sweep[P any](run func(k int) (P, bool, error)) ([]P, error) {
+	var points []P
+	for k := 1; k <= maxCrashPoints; k++ {
+		p, crashed, err := run(k)
 		if err != nil {
 			return points, err
 		}
 		points = append(points, p)
-		if !p.Crashed {
+		if !crashed {
 			break
 		}
 	}
@@ -112,9 +121,6 @@ func RunCrashPoints(sc CrashPointScenario) ([]CrashPoint, error) {
 // runCrashPoint executes one guarded itinerary, crashing the home host
 // at its k-th cabinet WAL append.
 func runCrashPoint(sc CrashPointScenario, k int) (CrashPoint, error) {
-	if sc.RestartDelay <= 0 {
-		sc.RestartDelay = 50 * time.Millisecond
-	}
 	// Checkpoints go to the durable cabinet, not ag_fs: surviving the
 	// home host's own crash is the whole point of this sweep.
 	w, err := newWorld(sc.Scenario, 1, "ag_cabinet", core.NodeOptions{
@@ -127,19 +133,40 @@ func runCrashPoint(sc CrashPointScenario, k int) (CrashPoint, error) {
 	defer w.s.Close()
 	w.maxRecoveries = 8
 
-	// The crash trigger: the k-th WAL append on the home cabinet tears
-	// the in-flight tail (Torn mode), kills the machine, and freezes the
-	// durable bytes for the pure-recovery invariants. The hook runs on
-	// the committing goroutine, outside the store lock — exactly where a
-	// power cut lands.
+	// The append hook decides how the run ends: crashed at the k-th WAL
+	// append, or clean once the checkpoint prune, the itinerary's last
+	// write, has landed and every append before it has been hooked. The
+	// hook runs concurrently on the firewall's park-journal committer and
+	// on ag_cabinet's, and Store.commit applies before it hooks, so the
+	// decision is made under mu by counting hooked appends against the
+	// store's sequence: a hook that merely sees the prune applied may be
+	// racing the k-th.
 	point := CrashPoint{K: k}
-	crashed := make(chan struct{})
-	var appends int32
-	disk := w.home.Disk
-	w.home.Cabinet.SetAppendHook(func(seq uint64) {
-		if atomic.AddInt32(&appends, 1) != int32(k) {
+	end := make(chan bool, 1) // true: crashed
+	var mu sync.Mutex
+	var appends uint64
+	var sawCkpt, decided bool
+	cab, disk := w.home.Cabinet, w.home.Disk
+	seq0 := cab.Seq()
+	cab.SetAppendHook(func(seq uint64) {
+		mu.Lock()
+		appends++
+		_, ckpt := cab.Get(ckptKey)
+		sawCkpt = sawCkpt || ckpt
+		crash := !decided && appends == uint64(k)
+		clean := !decided && !crash && sawCkpt && !ckpt && appends == cab.Seq()-seq0
+		decided = decided || crash || clean
+		mu.Unlock()
+		if clean {
+			end <- false
+		}
+		if !crash {
 			return
 		}
+		// The power cut, outside mu: crashing takes the firewall's lock,
+		// which a park-journal committer waiting on mu holds. Torn mode
+		// tears the in-flight tail first; the durable bytes are then
+		// frozen for the pure-recovery invariants.
 		if sc.Torn {
 			durable, _ := disk.DurableBytes("wal")
 			live, _ := disk.ReadFile("wal")
@@ -160,7 +187,7 @@ func runCrashPoint(sc CrashPointScenario, k int) (CrashPoint, error) {
 				point.CheckpointIntact = true
 			}
 		}
-		close(crashed)
+		end <- true
 	})
 
 	guard, err := w.guard(0)
@@ -175,42 +202,25 @@ func runCrashPoint(sc CrashPointScenario, k int) (CrashPoint, error) {
 	// below to the adopting guard while that Wait may still be running.
 	g1done := make(chan error, 1)
 	go func(g1 *rearguard.Guard) { g1done <- g1.Wait(w.sc.WaitTimeout) }(guard)
+	select {
+	case point.Crashed = <-end:
+	case <-time.After(w.sc.WaitTimeout):
+	}
 
 	var waitErr error
-	g1Done := false
-	select {
-	case waitErr = <-g1done:
-		g1Done = true
-	case <-crashed:
-	}
-	// The crash can also land in trailing traffic after the done report
-	// (the checkpoint prune writes one more record); give it a moment so
-	// the sweep records the crash rather than replaying the same clean
-	// run forever.
-	select {
-	case <-crashed:
-		point.Crashed = true
-	case <-time.After(100 * time.Millisecond):
-	}
-
 	if !point.Crashed {
-		w.home.Cabinet.SetAppendHook(nil)
+		cab.SetAppendHook(nil)
+		waitErr = <-g1done
 		point.SnapBytes, _ = disk.ReadFile("snap")
 		point.WALBytes, _ = disk.ReadFile("wal")
 	} else {
-		time.Sleep(sc.RestartDelay)
 		w.s.Net.Restart(home)
-		if !g1Done {
-			select {
-			case waitErr = <-g1done:
-				g1Done = true
-			default:
-			}
-		}
-		// A guard killed mid-crash is not an outcome, it is the crash: a
-		// fresh guard adopts the itinerary from the durable checkpoint.
-		// Only a done report that beat the crash counts as completion.
-		if !g1Done || waitErr != nil {
+		// The crash killed the first guard's registration, so its Wait
+		// has returned or is about to. A guard killed mid-crash is not an
+		// outcome, it is the crash: a fresh guard adopts the itinerary
+		// from the durable checkpoint. Only a done report that beat the
+		// crash counts as completion.
+		if waitErr = <-g1done; waitErr != nil {
 			if guard, err = w.guard(0); err != nil {
 				return CrashPoint{}, err
 			}

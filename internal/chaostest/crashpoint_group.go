@@ -79,14 +79,10 @@ func RunGroupCrashPoints(sc GroupCrashScenario) []GroupCrashPoint {
 	if sc.TxnsPer <= 0 {
 		sc.TxnsPer = 4
 	}
-	var points []GroupCrashPoint
-	for k := 1; k <= maxCrashPoints; k++ {
+	points, _ := sweep(func(k int) (GroupCrashPoint, bool, error) {
 		p := runGroupCrashPoint(sc, k)
-		points = append(points, p)
-		if !p.Crashed {
-			break
-		}
-	}
+		return p, p.Crashed, nil
+	})
 	return points
 }
 

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"tax/internal/briefcase"
-	"tax/internal/frontier"
 )
 
 // FolderTask tags each fleet agent's briefcase with its task id so the
@@ -183,15 +182,11 @@ type FleetOptions struct {
 	// zero means one per server. Agent i scans server i mod K, so
 	// Agents > K queues scans per server.
 	Agents int
-	// Workers is the width of the pool the makespan is modelled on;
-	// below one means one.
-	Workers int
 }
 
 // FleetReport is one fleet run's outcome.
 type FleetReport struct {
-	Agents  int
-	Workers int
+	Agents int
 	// Totals over every completed scan.
 	PagesVisited int
 	BytesFetched int
@@ -201,14 +196,13 @@ type FleetReport struct {
 	Duplicates int
 	// Skipped lists stops recorded unreachable (sorted).
 	Skipped []string
-	// Makespan is the fleet's virtual completion time: the per-task
-	// costs list-scheduled, in task order, onto Workers workers. A
-	// 1-worker fleet's makespan is the summed scan time; W workers
-	// shrink it roughly W-fold. Computed from per-task virtual costs,
-	// the metric is deterministic and meaningful even on a single-core
-	// host, where wall-clock speedup is unavailable by construction.
-	Makespan time.Duration
 	// PerTask is each task's intrinsic virtual cost, in task order.
+	// List-scheduled onto W workers (frontier.Schedule(PerTask, nil, W,
+	// 0)) they give the fleet's virtual makespan at that pool width: the
+	// summed scan time at one worker, roughly W-fold less at W. Computed
+	// from virtual costs, it is deterministic and meaningful even on a
+	// single-core host, where wall-clock speedup is unavailable by
+	// construction.
 	PerTask []time.Duration
 	// LinkBytes is the traffic between hosts attributable to the run.
 	LinkBytes int64
@@ -226,7 +220,6 @@ func (d *Deployment) RunFleet(opts FleetOptions) (*FleetReport, error) {
 	if agents <= 0 {
 		agents = len(d.Servers)
 	}
-	workers := max(opts.Workers, 1)
 	bytesBefore := d.linkBytes()
 
 	agg := NewAggregator()
@@ -280,7 +273,6 @@ func (d *Deployment) RunFleet(opts FleetOptions) (*FleetReport, error) {
 	tot := agg.Totals()
 	rep := &FleetReport{
 		Agents:       agents,
-		Workers:      workers,
 		PagesVisited: tot.Pages,
 		BytesFetched: tot.Bytes,
 		LinksChecked: tot.Links,
@@ -298,6 +290,5 @@ func (d *Deployment) RunFleet(opts FleetOptions) (*FleetReport, error) {
 		tr, _ := agg.Task(taskID(i))
 		rep.PerTask[i] = tr.Elapsed
 	}
-	rep.Makespan = frontier.Schedule(rep.PerTask, nil, workers, 0)
 	return rep, nil
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"tax/internal/briefcase"
+	"tax/internal/frontier"
 )
 
 // resultBC builds a delivered briefcase in the itinerant shape:
@@ -151,7 +152,7 @@ func TestRunFleetMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer par.Close()
-	fleetRep, err := par.RunFleet(FleetOptions{Workers: 8})
+	fleetRep, err := par.RunFleet(FleetOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,9 +172,9 @@ func TestRunFleetMatchesSequential(t *testing.T) {
 	if fleetRep.Duplicates != 0 {
 		t.Errorf("fleet duplicates: %d", fleetRep.Duplicates)
 	}
-	if fleetRep.Makespan <= 0 || fleetRep.Makespan >= seqRep.TotalElapsed {
+	if makespan := frontier.Schedule(fleetRep.PerTask, nil, 8, 0); makespan <= 0 || makespan >= seqRep.TotalElapsed {
 		t.Errorf("fleet virtual makespan %v not under sequential %v",
-			fleetRep.Makespan, seqRep.TotalElapsed)
+			makespan, seqRep.TotalElapsed)
 	}
 }
 
@@ -187,7 +188,7 @@ func TestRunFleetSerialMakespanIsSum(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	rep, err := d.RunFleet(FleetOptions{Agents: 4, Workers: 1})
+	rep, err := d.RunFleet(FleetOptions{Agents: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,8 +199,8 @@ func TestRunFleetSerialMakespanIsSum(t *testing.T) {
 			t.Errorf("task %d reported non-positive virtual cost %v", i, c)
 		}
 	}
-	if rep.Makespan != sum {
-		t.Errorf("serial makespan %v != per-task sum %v", rep.Makespan, sum)
+	if makespan := frontier.Schedule(rep.PerTask, nil, 1, 0); makespan != sum {
+		t.Errorf("serial makespan %v != per-task sum %v", makespan, sum)
 	}
 }
 
@@ -212,7 +213,7 @@ func TestRunFleetMoreAgentsThanServers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	rep, err := d.RunFleet(FleetOptions{Agents: 6, Workers: 4})
+	rep, err := d.RunFleet(FleetOptions{Agents: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +222,7 @@ func TestRunFleetMoreAgentsThanServers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer single.Close()
-	base, err := single.RunFleet(FleetOptions{Agents: 2, Workers: 2})
+	base, err := single.RunFleet(FleetOptions{Agents: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

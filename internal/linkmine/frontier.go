@@ -25,6 +25,9 @@ import (
 // FrontierService is the shared frontier's agent name on the mine host.
 const FrontierService = "ag_frontier"
 
+// restartDelay is how long a crashed frontier host stays down.
+const restartDelay = 50 * time.Millisecond
+
 // FrontierFleetConfig parameterizes the shared-frontier fleet: N
 // fetcher agents on their own hosts, all claiming URLs from one
 // ag_frontier service over the firewall. It is the staged crawler's
@@ -44,10 +47,8 @@ type FrontierFleetConfig struct {
 	FaultSeed int64
 	// CrashAppend, when positive, crashes the frontier host mid-crawl:
 	// at its cabinet's Nth WAL append. The host restarts after
-	// RestartDelay and the service resumes from durable state.
+	// restartDelay and the service resumes from durable state.
 	CrashAppend int
-	// RestartDelay is the crashed host's downtime; default 50ms.
-	RestartDelay time.Duration
 }
 
 func (c FrontierFleetConfig) withDefaults() FrontierFleetConfig {
@@ -59,9 +60,6 @@ func (c FrontierFleetConfig) withDefaults() FrontierFleetConfig {
 	}
 	if c.Host == "" {
 		c.Host = "webserv"
-	}
-	if c.RestartDelay <= 0 {
-		c.RestartDelay = 50 * time.Millisecond
 	}
 	return c
 }
@@ -178,7 +176,7 @@ func RunFrontierFleet(cfg FrontierFleetConfig) (*FrontierFleetReport, error) {
 				mine.Cabinet.SetAppendHook(nil)
 				rep.Crashed = true
 				sys.Net.Crash("mine")
-				time.AfterFunc(cfg.RestartDelay, func() {
+				time.AfterFunc(restartDelay, func() {
 					sys.Net.Restart("mine")
 					// The core relaunches only the standard services;
 					// ag_frontier is ours to bring back, recovered from

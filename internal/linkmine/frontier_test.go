@@ -3,7 +3,6 @@ package linkmine
 import (
 	"fmt"
 	"testing"
-	"time"
 )
 
 // checkFleet fails t unless a clean fleet crawl fetched every URL
@@ -138,8 +137,7 @@ func TestFrontierChaosHostCrash(t *testing.T) {
 		// 256 appends on the frontier host, one frontier and one
 		// dedup-journal transaction a round trip of eight URLs.
 		// TestFleetLeaseOneCrash crashes a one-URL lease.
-		CrashAppend:  85,
-		RestartDelay: 50 * time.Millisecond,
+		CrashAppend: 85,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -159,13 +157,12 @@ func TestFrontierChaosFaultsAndCrash(t *testing.T) {
 		t.Skip("fault sweep is slow under -short")
 	}
 	rep, err := RunFrontierFleet(FrontierFleetConfig{
-		Agents:       8,
-		FaultSeed:    42,
-		Drop:         0.02,
-		Duplicate:    0.02,
-		Delay:        0.05,
-		CrashAppend:  64, // about a quarter of the way through the crawl
-		RestartDelay: 50 * time.Millisecond,
+		Agents:      8,
+		FaultSeed:   42,
+		Drop:        0.02,
+		Duplicate:   0.02,
+		Delay:       0.05,
+		CrashAppend: 64, // about a quarter of the way through the crawl
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -610,12 +610,18 @@ func (d *Deployment) RunMobile() (*Report, error) {
 	rep.ScanElapsed = rep.TotalElapsed - externalPassCost(rep.ExternalChecks)
 
 	if monitorEvents != nil {
+		// The agent reports its arrival at the client twice, on launch
+		// and back home; the second is its last report. Reports are best
+		// effort, so 200ms bounds the wait for a lost one.
 		deadline := time.After(200 * time.Millisecond)
 	drain:
-		for {
+		for arrivals := 0; arrivals < 2; {
 			select {
 			case ev := <-monitorEvents:
 				rep.MonitorEvents = append(rep.MonitorEvents, ev.Host+": "+ev.Status)
+				if ev.Host == clientHost && ev.Status == "webbot: arrived" {
+					arrivals++
+				}
 			case <-deadline:
 				break drain
 			}
