@@ -146,37 +146,3 @@ func TestTelemetryExportsOnlyTheNode(t *testing.T) {
 		}
 	}
 }
-
-// TestSeriesCarryTheNodeAddress: two live nodes on one machine share the
-// URI host 127.0.0.1, so each labels its series with its own transport
-// address, host:port. Every fw.*, vm.* and cabinet.* series a node
-// exports names that node, and the two names differ.
-func TestSeriesCarryTheNodeAddress(t *testing.T) {
-	a := bootLoopback(t, config{telOn: true})
-	b := bootLoopback(t, config{telOn: true})
-	if a.node.Name == b.node.Name {
-		t.Fatalf("two nodes share the name %s", a.node.Name)
-	}
-	for _, d := range []*daemon{a, b} {
-		var out strings.Builder
-		if err := d.sys.Tower().WriteMetrics(&out); err != nil {
-			t.Fatal(err)
-		}
-		want := `host="` + d.node.Name + `"`
-		seen := map[string]bool{}
-		for line := range strings.Lines(out.String()) {
-			if !strings.Contains(line, `host="`) {
-				continue
-			}
-			for _, layer := range []string{"tax_fw_", "tax_vm_", "tax_cabinet_"} {
-				seen[layer] = seen[layer] || strings.HasPrefix(line, layer)
-			}
-			if !strings.Contains(line, want) {
-				t.Errorf("%s exports a series not labelled %s: %s", d.node.Name, want, strings.TrimSpace(line))
-			}
-		}
-		if len(seen) != 3 || !seen["tax_fw_"] || !seen["tax_vm_"] || !seen["tax_cabinet_"] {
-			t.Errorf("%s: fw, vm and cabinet series exported = %v, want all three", d.node.Name, seen)
-		}
-	}
-}

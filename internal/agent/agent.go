@@ -477,7 +477,7 @@ func (c *Context) span(name string) *telemetry.Span {
 		return nil
 	}
 	parent, _ := c.bc.GetString(briefcase.FolderSysSpan)
-	return spans.Start(c.fw.Clock(), c.fw.Addr(), trace, parent, name)
+	return spans.Start(c.fw.Clock(), c.fw.HostName(), trace, parent, name)
 }
 
 // propagateTrace copies the agent's trace context onto an outgoing

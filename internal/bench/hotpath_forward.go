@@ -43,6 +43,8 @@ type hotpathForwardChain struct {
 	fws map[string]*firewall.Firewall
 	src *firewall.Registration
 	dst *firewall.Registration
+	// fence is a registration on relay b; see hotpathForwarding.
+	fence *firewall.Registration
 }
 
 func (ch *hotpathForwardChain) close() {
@@ -100,6 +102,10 @@ func newHotpathForwardChain(batched bool) (*hotpathForwardChain, error) {
 		return nil, err
 	}
 	if ch.dst, err = ch.fws["d"].Register("vm", "system", "dst"); err != nil {
+		ch.close()
+		return nil, err
+	}
+	if ch.fence, err = ch.fws["b"].Register("vm", "system", "fence"); err != nil {
 		ch.close()
 		return nil, err
 	}
@@ -168,6 +174,21 @@ func hotpathForwarding(batched bool) (HotpathForwardingResult, error) {
 		}
 	}
 	elapsed := dclock.Now() - start
+	// A relay counts a frame after handing it on, so the last one can
+	// reach d before b's counters move. b handles a's messages one at a
+	// time, so once a fence addressed to b itself arrives there, every
+	// earlier frame has been counted.
+	fence := briefcase.New()
+	fence.SetString(briefcase.FolderSysTarget, "tacoma://b/system/fence")
+	if err := ch.fws["a"].Send(ch.src.GlobalURI(), fence); err != nil {
+		return r, fmt.Errorf("bench: forward fence: %w", err)
+	}
+	if err := ch.fws["a"].FlushBatches(); err != nil {
+		return r, fmt.Errorf("bench: forward flush: %w", err)
+	}
+	if _, err := ch.fence.Recv(5 * time.Second); err != nil {
+		return r, fmt.Errorf("bench: forward fence: %w", err)
+	}
 	// Both relays forward every frame; record b's counters (c's are
 	// identical by symmetry — the chain would not have delivered
 	// otherwise).

@@ -95,23 +95,14 @@ func (p CrashPoint) Completed() bool {
 // completes without reaching its k-th WAL append (or maxCrashPoints), and
 // returns one CrashPoint per run.
 func RunCrashPoints(sc CrashPointScenario) ([]CrashPoint, error) {
-	return sweep(func(k int) (CrashPoint, bool, error) {
-		p, err := runCrashPoint(sc, k)
-		return p, p.Crashed, err
-	})
-}
-
-// sweep runs run(k) for k = 1, 2, ... up to maxCrashPoints and stops
-// after the first run that did not crash or that failed.
-func sweep[P any](run func(k int) (P, bool, error)) ([]P, error) {
-	var points []P
+	var points []CrashPoint
 	for k := 1; k <= maxCrashPoints; k++ {
-		p, crashed, err := run(k)
+		p, err := runCrashPoint(sc, k)
 		if err != nil {
 			return points, err
 		}
 		points = append(points, p)
-		if !crashed {
+		if !p.Crashed {
 			break
 		}
 	}
@@ -198,14 +189,30 @@ func runCrashPoint(sc CrashPointScenario, k int) (CrashPoint, error) {
 	if _, err := guard.Launch(w.briefcase(0)); err != nil {
 		return CrashPoint{}, err
 	}
+	// A run no hook has decided also ends, uncrashed, when the first
+	// guard fails or at WaitTimeout. finish claims that end under mu, so
+	// no hook still in flight can crash home afterwards.
+	finish := func() {
+		mu.Lock()
+		undecided := !decided
+		decided = true
+		mu.Unlock()
+		if undecided {
+			end <- false
+		}
+	}
+	defer time.AfterFunc(w.sc.WaitTimeout, finish).Stop()
 	// The first guard goes to its waiter by value: guard is reassigned
 	// below to the adopting guard while that Wait may still be running.
 	g1done := make(chan error, 1)
-	go func(g1 *rearguard.Guard) { g1done <- g1.Wait(w.sc.WaitTimeout) }(guard)
-	select {
-	case point.Crashed = <-end:
-	case <-time.After(w.sc.WaitTimeout):
-	}
+	go func(g1 *rearguard.Guard) {
+		err := g1.Wait(w.sc.WaitTimeout)
+		g1done <- err
+		if err != nil {
+			finish()
+		}
+	}(guard)
+	point.Crashed = <-end
 
 	var waitErr error
 	if !point.Crashed {

@@ -79,10 +79,14 @@ func RunGroupCrashPoints(sc GroupCrashScenario) []GroupCrashPoint {
 	if sc.TxnsPer <= 0 {
 		sc.TxnsPer = 4
 	}
-	points, _ := sweep(func(k int) (GroupCrashPoint, bool, error) {
+	var points []GroupCrashPoint
+	for k := 1; k <= maxCrashPoints; k++ {
 		p := runGroupCrashPoint(sc, k)
-		return p, p.Crashed, nil
-	})
+		points = append(points, p)
+		if !p.Crashed {
+			break
+		}
+	}
 	return points
 }
 

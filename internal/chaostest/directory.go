@@ -184,7 +184,7 @@ func RunDirectory(sc DirectoryScenario) (DirectoryResult, error) {
 	var (
 		res   DirectoryResult
 		obs   = dirObservations{seen: make(map[string]string)}
-		mu    sync.Mutex // guards the counters and ackedMax
+		mu    sync.Mutex // guards res's counters and acked
 		acked = make(map[string]uint64)
 	)
 	cn, err := s.Node("c")
@@ -192,6 +192,8 @@ func RunDirectory(sc DirectoryScenario) (DirectoryResult, error) {
 		return DirectoryResult{}, err
 	}
 
+	// classify, under mu, counts a remote verdict that crossed the wire
+	// without a registered error code.
 	classify := func(err error) {
 		var rerr *firewall.RemoteError
 		if errors.As(err, &rerr) && rerr.Code == "" {
@@ -245,31 +247,27 @@ func RunDirectory(sc DirectoryScenario) (DirectoryResult, error) {
 						res.Acked++
 					} else {
 						res.Failed++
+						classify(err)
 					}
 					mu.Unlock()
 					if err != nil {
-						classifyLocked(&mu, classify, err)
 						continue
 					}
 					// The ack names the version the owner assigned; that
 					// (version, location) pair is now a plane-wide promise.
-					b, rerr := client.Resolve(ctx, name)
+					b, err := client.Resolve(ctx, name)
 					mu.Lock()
 					res.Lookups++
-					mu.Unlock()
-					if rerr != nil {
-						mu.Lock()
+					if err != nil {
 						res.FailedLookups++
-						mu.Unlock()
-						classifyLocked(&mu, classify, rerr)
-						continue
-					}
-					obs.record(name, b.Version, b.Location)
-					mu.Lock()
-					if b.Version > acked[name] {
+						classify(err)
+					} else if b.Version > acked[name] {
 						acked[name] = b.Version
 					}
 					mu.Unlock()
+					if err == nil {
+						obs.record(name, b.Version, b.Location)
+					}
 				}
 			}
 			if !half {
@@ -367,12 +365,6 @@ func RunDirectory(sc DirectoryScenario) (DirectoryResult, error) {
 		res.FaultLog = lj
 	}
 	return res, nil
-}
-
-func classifyLocked(mu *sync.Mutex, classify func(error), err error) {
-	mu.Lock()
-	defer mu.Unlock()
-	classify(err)
 }
 
 // settleDirectory resyncs every member and waits until the plane's

@@ -12,7 +12,7 @@ import (
 // A lone tour carries none.
 const FolderAgent = "AGENT"
 
-// RunParallel executes one scenario with n concurrent guarded tours on
+// RunParallel executes one scenario with n ≥ 1 concurrent guarded tours on
 // a single deployment: every agent walks the same 3-hop itinerary under
 // the same fault plan, each with its own rear guard and checkpoint
 // path. It returns one Result per agent (FaultLog unset: the shared
@@ -27,9 +27,6 @@ const FolderAgent = "AGENT"
 // guard), so tours cannot corrupt each other no matter how their
 // messages interleave on the shared network.
 func RunParallel(sc Scenario, n int) ([]Result, error) {
-	if n <= 0 {
-		n = 1
-	}
 	w, err := newWorld(sc, n, "ag_fs", core.NodeOptions{})
 	if err != nil {
 		return nil, err

@@ -134,8 +134,8 @@ func (b *batcher) link(addr string) *linkBatch {
 		reg := b.fw.tel.Registry()
 		lb = &linkBatch{
 			addr:    addr,
-			gFrames: reg.Gauge("fw.batch_queued", "host", b.fw.Addr(), "link", addr),
-			gBytes:  reg.Gauge("fw.batch_queued_bytes", "host", b.fw.Addr(), "link", addr),
+			gFrames: reg.Gauge("fw.batch_queued", "host", b.fw.cfg.HostName, "link", addr),
+			gBytes:  reg.Gauge("fw.batch_queued_bytes", "host", b.fw.cfg.HostName, "link", addr),
 		}
 		b.links[addr] = lb
 	}

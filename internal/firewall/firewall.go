@@ -276,10 +276,7 @@ func New(cfg Config) (*Firewall, error) {
 	if cfg.Trust == nil {
 		return nil, errors.New("firewall: config needs a TrustStore")
 	}
-	// Every series and span is labelled with the transport address: the
-	// URI host alone is shared by every live node on one machine.
-	addr := cfg.Node.Addr()
-	cfg.HostName = cmp.Or(cfg.HostName, addr)
+	cfg.HostName = cmp.Or(cfg.HostName, cfg.Node.Addr())
 	cfg.QueueTimeout = cmp.Or(cfg.QueueTimeout, DefaultQueueTimeout)
 	if cfg.Resolve == nil {
 		cfg.Resolve = func(host string, _ int) (string, error) { return host, nil }
@@ -297,7 +294,7 @@ func New(cfg Config) (*Firewall, error) {
 		// Counters-only instance so the fw.* registry counters and the
 		// metrics management op keep working; spans and events stay
 		// disabled (near-zero cost).
-		tel = telemetry.New(telemetry.Options{Host: addr})
+		tel = telemetry.New(telemetry.Options{Host: cfg.HostName})
 	}
 	reg := tel.Registry()
 	fw := &Firewall{
@@ -305,29 +302,29 @@ func New(cfg Config) (*Firewall, error) {
 		clock: clock,
 		tel:   tel,
 		ctr: fwCounters{
-			delivered:       reg.Counter("fw.delivered", "host", addr),
-			forwarded:       reg.Counter("fw.forwarded", "host", addr),
-			queued:          reg.Counter("fw.queued", "host", addr),
-			expired:         reg.Counter("fw.expired", "host", addr),
-			authFailures:    reg.Counter("fw.auth_failures", "host", addr),
-			mgmtOps:         reg.Counter("fw.mgmt_ops", "host", addr),
-			errors:          reg.Counter("fw.errors", "host", addr),
-			retries:         reg.Counter("fw.retries", "host", addr),
-			dupDropped:      reg.Counter("fw.dup_dropped", "host", addr),
-			batchFlushes:    reg.Counter("fw.batch_flushes", "host", addr),
-			batchFrames:     reg.Counter("fw.batch_frames", "host", addr),
-			batchRecv:       reg.Counter("fw.batch_recv", "host", addr),
-			relayed:         reg.Counter("fw.relayed", "host", addr),
-			relayContainers: reg.Counter("fw.relay_containers", "host", addr),
-			policyAllow:     reg.Counter("fw.policy_allow", "host", addr),
-			policyDeny:      reg.Counter("fw.policy_deny", "host", addr),
-			policyPark:      reg.Counter("fw.policy_park", "host", addr),
-			policyQuota:     reg.Counter("fw.policy_quota", "host", addr),
-			coreVerifyHit:   reg.Counter("fw.core_verify", "host", addr, "result", "hit"),
-			coreVerifyMiss:  reg.Counter("fw.core_verify", "host", addr, "result", "miss"),
-			coreVerifyFail:  reg.Counter("fw.core_verify", "host", addr, "result", "fail"),
+			delivered:       reg.Counter("fw.delivered", "host", cfg.HostName),
+			forwarded:       reg.Counter("fw.forwarded", "host", cfg.HostName),
+			queued:          reg.Counter("fw.queued", "host", cfg.HostName),
+			expired:         reg.Counter("fw.expired", "host", cfg.HostName),
+			authFailures:    reg.Counter("fw.auth_failures", "host", cfg.HostName),
+			mgmtOps:         reg.Counter("fw.mgmt_ops", "host", cfg.HostName),
+			errors:          reg.Counter("fw.errors", "host", cfg.HostName),
+			retries:         reg.Counter("fw.retries", "host", cfg.HostName),
+			dupDropped:      reg.Counter("fw.dup_dropped", "host", cfg.HostName),
+			batchFlushes:    reg.Counter("fw.batch_flushes", "host", cfg.HostName),
+			batchFrames:     reg.Counter("fw.batch_frames", "host", cfg.HostName),
+			batchRecv:       reg.Counter("fw.batch_recv", "host", cfg.HostName),
+			relayed:         reg.Counter("fw.relayed", "host", cfg.HostName),
+			relayContainers: reg.Counter("fw.relay_containers", "host", cfg.HostName),
+			policyAllow:     reg.Counter("fw.policy_allow", "host", cfg.HostName),
+			policyDeny:      reg.Counter("fw.policy_deny", "host", cfg.HostName),
+			policyPark:      reg.Counter("fw.policy_park", "host", cfg.HostName),
+			policyQuota:     reg.Counter("fw.policy_quota", "host", cfg.HostName),
+			coreVerifyHit:   reg.Counter("fw.core_verify", "host", cfg.HostName, "result", "hit"),
+			coreVerifyMiss:  reg.Counter("fw.core_verify", "host", cfg.HostName, "result", "miss"),
+			coreVerifyFail:  reg.Counter("fw.core_verify", "host", cfg.HostName, "result", "fail"),
 		},
-		park:         newParkTable(reg, addr),
+		park:         newParkTable(reg, cfg.HostName),
 		regs:         make(map[string][]*Registration),
 		nextInstance: 0x1000,
 	}
@@ -347,14 +344,14 @@ func New(cfg Config) (*Firewall, error) {
 	}
 	if cfg.RequireAuth {
 		fw.memo = new(coreMemo)
-		fw.ctr.coreHashed = reg.Counter("fw.core_hashed", "host", addr)
+		fw.ctr.coreHashed = reg.Counter("fw.core_hashed", "host", cfg.HostName)
 	}
 	if cfg.Batch != nil {
 		fw.batch = newBatcher(fw, *cfg.Batch)
 	}
 	if tel.Detailed() {
-		fw.histSend = reg.Histogram("fw.send", "host", addr)
-		fw.histInbound = reg.Histogram("fw.inbound", "host", addr)
+		fw.histSend = reg.Histogram("fw.send", "host", cfg.HostName)
+		fw.histInbound = reg.Histogram("fw.inbound", "host", cfg.HostName)
 	}
 	cfg.Node.SetHandler(fw.handleInbound)
 	return fw, nil
@@ -365,14 +362,8 @@ func New(cfg Config) (*Firewall, error) {
 // event log).
 func (fw *Firewall) Telemetry() *telemetry.Telemetry { return fw.tel }
 
-// HostName returns the host name this firewall serves: the authority
-// of its agents' URIs.
+// HostName returns the host name this firewall serves.
 func (fw *Firewall) HostName() string { return fw.cfg.HostName }
-
-// Addr returns the transport address this firewall serves on: the host
-// name in the simulator, host:port on a live node. It labels every
-// metric series and span the host records.
-func (fw *Firewall) Addr() string { return fw.cfg.Node.Addr() }
 
 // Clock returns the host clock.
 func (fw *Firewall) Clock() vclock.Clock { return fw.clock }

@@ -568,7 +568,7 @@ func (fw *Firewall) forward(m *mediation) {
 		// The transfer gets its own child span so per-hop migration cost
 		// splits into mediation versus wire time, backoffs included.
 		trace, _ := m.bc.GetString(briefcase.FolderSysTrace)
-		m.tsp = fw.tel.Spans().Start(m.clk, fw.Addr(), trace, m.sp.ID(), "net.transfer")
+		m.tsp = fw.tel.Spans().Start(m.clk, fw.cfg.HostName, trace, m.sp.ID(), "net.transfer")
 		m.tsp.SetAttr("to", m.addr)
 		m.tsp.SetAttr("bytes", strconv.Itoa(len(frame)))
 	}
@@ -727,7 +727,7 @@ func (fw *Firewall) span(m *mediation, name string) *telemetry.Span {
 		m.clk = &handoffClock{Clock: fw.clock}
 	}
 	parent, _ := m.bc.GetString(briefcase.FolderSysSpan)
-	return spans.Start(m.clk, fw.Addr(), trace, parent, name)
+	return spans.Start(m.clk, fw.cfg.HostName, trace, parent, name)
 }
 
 // replyTo parses a briefcase's _SENDER, read in place, as the address

@@ -374,7 +374,7 @@ func (g *Guard) recover(cause string) bool {
 	snap.SetString(briefcase.FolderSysRearGuard, g.URI())
 
 	tel := g.cfg.FW.Telemetry()
-	tel.Registry().Counter("rearguard.recoveries", "host", g.cfg.FW.Addr()).Inc()
+	tel.Registry().Counter("rearguard.recoveries", "host", g.cfg.FW.HostName()).Inc()
 	// The snapshot briefcase carries the itinerary's trace context, so the
 	// recovery verdict lands on the right timeline in a merged view.
 	trace, _ := snap.GetString(briefcase.FolderSysTrace)

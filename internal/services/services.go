@@ -264,7 +264,7 @@ func NewAgExec(cfg ExecConfig) vm.Handler {
 					return nil, err
 				}
 				if tel.Detailed() {
-					tel.Registry().Histogram("agexec.resolve", "host", ctx.FW().Addr()).Observe(time.Since(t0))
+					tel.Registry().Histogram("agexec.resolve", "host", ctx.Host()).Observe(time.Since(t0))
 				}
 				// The binary runs inline with the request briefcase as
 				// its state; results land in its RESULTS folder.
@@ -280,7 +280,7 @@ func NewAgExec(cfg ExecConfig) vm.Handler {
 					return nil, fmt.Errorf("ag_exec: %s: %w", carried.Name, err)
 				}
 				if tel.Detailed() {
-					tel.Registry().Histogram("agexec.run", "host", ctx.FW().Addr()).Observe(time.Since(t1))
+					tel.Registry().Histogram("agexec.run", "host", ctx.Host()).Observe(time.Since(t1))
 				}
 				return run, nil
 

@@ -259,7 +259,7 @@ func NewBin(cfg BinConfig) (*BinVM, error) {
 	}
 	v.load, v.preLaunch = v, cfg.PreLaunch
 	if tel := cfg.FW.Telemetry(); tel.Detailed() {
-		v.histResolve = tel.Registry().Histogram("vm.resolve", "host", cfg.FW.Addr(), "vm", v.name)
+		v.histResolve = tel.Registry().Histogram("vm.resolve", "host", cfg.FW.HostName(), "vm", v.name)
 	}
 	if err := v.open(v.loop); err != nil {
 		return nil, err

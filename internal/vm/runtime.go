@@ -68,7 +68,7 @@ type runtime struct {
 var _ agent.Mover = (*runtime)(nil)
 
 func newRuntime(name string, fw *firewall.Firewall, signer *identity.Principal) *runtime {
-	mreg, host := fw.Telemetry().Registry(), fw.Addr()
+	mreg, host := fw.Telemetry().Registry(), fw.HostName()
 	return &runtime{
 		name: name, fw: fw, signer: signer,
 		ctrActivated: mreg.Counter("vm.activated", "host", host, "vm", name),
@@ -279,7 +279,7 @@ func (rt *runtime) execSpan(bc *briefcase.Briefcase, program string) *telemetry.
 		return nil
 	}
 	parent, _ := bc.GetString(briefcase.FolderSysSpan)
-	sp := spans.Start(rt.fw.Clock(), rt.fw.Addr(), trace, parent, "vm.exec")
+	sp := spans.Start(rt.fw.Clock(), rt.fw.HostName(), trace, parent, "vm.exec")
 	sp.SetAttr("vm", rt.name)
 	sp.SetAttr("program", program)
 	bc.SetString(briefcase.FolderSysSpan, sp.ID())

@@ -137,7 +137,7 @@ func New(cfg Config) (*GoVM, error) {
 		v.local = v.resolveLocal
 	}
 	if tel := cfg.FW.Telemetry(); tel.Detailed() {
-		v.histRun = tel.Registry().Histogram("vm.run", "host", cfg.FW.Addr(), "vm", v.name)
+		v.histRun = tel.Registry().Histogram("vm.run", "host", cfg.FW.HostName(), "vm", v.name)
 	}
 	if err := v.open(v.loop); err != nil {
 		return nil, err
